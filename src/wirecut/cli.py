@@ -101,11 +101,9 @@ def _run_pipeline(circuit, profile, args, out_dir: Path) -> dict:
         limits=Limits(max_depth=args.max_depth, max_k=args.max_k),
         seed=args.seed, solver=args.solver,
         sa_sweeps=args.sweeps, sa_restarts=args.restarts,
-        sa_t_start=args.t_start, sa_t_end=args.t_end,
     )
     outputs = execute_plan(
-        plan, profile=profile, noisy=args.noisy, shots=args.shots,
-        seed=args.seed, workers=args.workers,
+        plan, profile=profile, noisy=args.noisy, shots=args.shots, seed=args.seed
     )
     result = reconstruct(outputs, plan)
     ideal = measure_distribution(run_ideal(circuit))
@@ -128,7 +126,6 @@ def cmd_cut(args) -> int:
             seed=args.seed, solver=args.solver,
             ga_params=GaParams(),
             sa_sweeps=args.sweeps, sa_restarts=args.restarts,
-            sa_t_start=args.t_start, sa_t_end=args.t_end,
         )
     except (PlanError, GraphError) as exc:
         raise CliError(f"planning failed: {exc}", EXIT_PLAN) from None
@@ -182,8 +179,7 @@ def cmd_run(args) -> int:
         raise CliError("--noisy requires --profile", EXIT_USAGE)
     try:
         outputs = execute_plan(
-            plan, profile=profile, noisy=args.noisy, shots=args.shots,
-            seed=args.seed, workers=args.workers,
+            plan, profile=profile, noisy=args.noisy, shots=args.shots, seed=args.seed
         )
     except (SimulationError, ReconstructionError) as exc:
         raise CliError(f"simulation failed: {exc}", EXIT_SIMULATION) from None
@@ -277,15 +273,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--max-depth", dest="max_depth", type=int, default=8)
         p.add_argument("--sweeps", type=int, default=4000, help="annealer sweeps")
         p.add_argument("--restarts", type=int, default=4, help="annealer restarts")
-        p.add_argument("--t-start", dest="t_start", type=float, default=None,
-                       help="annealer start temperature (default: auto per model)")
-        p.add_argument("--t-end", dest="t_end", type=float, default=None,
-                       help="annealer end temperature (default: auto per model)")
 
     def run_flags(p):
         p.add_argument("--noisy", action="store_true", help="density-matrix noise model")
         p.add_argument("--shots", type=int, default=None, help="sample instead of exact output")
-        p.add_argument("--workers", type=int, default=1)
 
     p_cut = sub.add_parser("cut", help="plan a fragmentation")
     common_inputs(p_cut)

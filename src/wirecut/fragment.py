@@ -22,11 +22,11 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .circuit import Circuit, Gate, circuit_from_dict, circuit_to_dict
 from .graph import GateGraph, build_graph
-from .ising import AnnealSchedule, build_ising, default_schedule, simulated_anneal, spins_to_partition
+from .ising import build_ising, default_schedule, simulated_anneal, spins_to_partition
 from .noise import NoiseProfile, success_probability
 from .partition import GaParams, cut_size, find_min_cut_ga, partition_cost
 
@@ -123,9 +123,7 @@ class VariantRun:
 
     @property
     def key(self) -> str:
-        parts = [f"m{cid}:{self.bases[cid]}" for cid in sorted(self.bases)]
-        parts += [f"i{cid}:{self.inits[cid]}" for cid in sorted(self.inits)]
-        return ";".join(parts) if parts else "base"
+        return variant_key(self.bases, self.inits)
 
 
 def variant_key(bases: dict[int, str], inits: dict[int, str]) -> str:
@@ -372,9 +370,6 @@ def anneal_min_cut(
     seed: int = 0,
     sweeps: int = 4000,
     restarts: int = 4,
-    alphas: tuple[float, ...] = DEFAULT_SA_ALPHAS,
-    t_start: float | None = None,
-    t_end: float | None = None,
 ) -> tuple[list[int], float, float]:
     """Best cut found by annealing a ladder of balance weights.
 
@@ -388,15 +383,11 @@ def anneal_min_cut(
     best_pv: list[int] | None = None
     best_cost = math.inf
     best_energy = math.nan
-    for ai, alpha in enumerate(alphas):
+    for ai, alpha in enumerate(DEFAULT_SA_ALPHAS):
         model = build_ising(g, alpha=alpha)
-        if t_start is not None and t_end is not None:
-            schedule = AnnealSchedule(t_start=t_start, t_end=t_end, sweeps=sweeps)
-        else:
-            schedule = default_schedule(model, sweeps=sweeps)
         sa = simulated_anneal(
             model,
-            schedule,
+            default_schedule(model, sweeps=sweeps),
             seed=(seed * 31 + ai) & 0x7FFFFFFF,
             restarts=restarts,
         )
@@ -417,22 +408,13 @@ def _choose_partition(
     ga_params: GaParams | None,
     sa_sweeps: int,
     sa_restarts: int,
-    sa_alphas: tuple[float, ...],
-    sa_t_start: float | None = None,
-    sa_t_end: float | None = None,
 ) -> tuple[list[int], float, dict]:
     """Run the requested solvers and keep the cheaper cut (ties favor the GA)."""
     log: dict = {"vertices": g.n}
     candidates = []
     if solver in ("ga", "both"):
-        params = ga_params or GaParams()
         ga_seed = _solver_seed(seed, node_index, 0)
-        params = GaParams(
-            c1=params.c1, c2=params.c2, max_passes=params.max_passes,
-            seed=ga_seed,
-            population=params.population, mutation=params.mutation,
-            restarts=params.restarts,
-        )
+        params = replace(ga_params or GaParams(), seed=ga_seed)
         res = find_min_cut_ga(g, params)
         log["ga"] = {
             "algorithm": "ga",
@@ -450,9 +432,6 @@ def _choose_partition(
             seed=sa_seed,
             sweeps=sa_sweeps,
             restarts=sa_restarts,
-            alphas=sa_alphas,
-            t_start=sa_t_start,
-            t_end=sa_t_end,
         )
         log["anneal"] = {
             "algorithm": "anneal",
@@ -483,9 +462,6 @@ def recursive_fragment(
     ga_params: GaParams | None = None,
     sa_sweeps: int = 4000,
     sa_restarts: int = 4,
-    sa_alphas: tuple[float, ...] = DEFAULT_SA_ALPHAS,
-    sa_t_start: float | None = None,
-    sa_t_end: float | None = None,
 ) -> FragmentPlan:
     """Threshold-driven recursive bipartitioning.
 
@@ -512,8 +488,7 @@ def recursive_fragment(
         node_index = counters["node"]
         counters["node"] += 1
         pv, cost, log = _choose_partition(
-            g, solver, seed, node_index, ga_params, sa_sweeps, sa_restarts,
-            sa_alphas, sa_t_start, sa_t_end,
+            g, solver, seed, node_index, ga_params, sa_sweeps, sa_restarts
         )
         k = int(round(cut_size(pv, g)))
         log["fragment"] = frag.id

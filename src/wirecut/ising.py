@@ -4,32 +4,25 @@ The encoding penalizes crossing edges through couplings -w^2/2 per edge and
 penalizes weight imbalance through +2*alpha*v_i*v_j couplings on every pair
 (the expansion of alpha*(sum_i v_i s_i)^2 up to a constant). Spin-free
 terms of the objective are kept in the model offset so reported energies
-match the full expression. The annealer is a classical stand-in for
-annealing hardware: single-spin Metropolis proposals under a geometric
-temperature schedule, restartable and fully deterministic per seed.
+match the full expression.
 
-The Metropolis chain carries its own xorshift64* generator and is written
-against uint64/float64 scalars so it JIT-compiles with numba when numba is
-installed; without numba the identical code runs interpreted (same results,
-slower).
+The annealer is a classical stand-in for annealing hardware: single-spin
+Metropolis proposals under a geometric temperature schedule, restartable
+and fully deterministic per seed. Each call seeds one ``random.Random``
+(the generator the GA uses). Following the randomness tables of Isakov et
+al. (Comput. Phys. Commun. 192, 2015), each chain draws the uniforms for a
+fixed-size block of proposals at once, numpy turns them into sites and
+Metropolis thresholds, and the flip loop runs over plain Python lists.
 """
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 
 import numpy as np
 
 from .graph import GateGraph
-
-try:
-    from numba import njit as _njit
-except ImportError:  # pragma: no cover - exercised only without numba
-    def _njit(*args, **kwargs):
-        def deco(fn):
-            return fn
-
-        return deco
 
 __all__ = [
     "IsingModel",
@@ -44,8 +37,6 @@ __all__ = [
     "qubo_to_ising",
     "simulated_anneal",
     "spins_to_partition",
-    "model_to_dict",
-    "model_from_dict",
 ]
 
 
@@ -109,19 +100,17 @@ class SaResult:
     sweeps: int
 
 
-def build_ising(g: GateGraph, alpha: float = 1.0, beta: float = 0.0) -> IsingModel:
+def build_ising(g: GateGraph, alpha: float = 1.0) -> IsingModel:
     """Encode the balanced cut objective for graph ``g``.
 
-    alpha weighs the vertex-weight balance penalty, beta an optional
-    cardinality balance penalty over the bit variables (off by default).
-    Minimum-energy spin configurations at alpha=0 are exactly the minimum
-    weighted cuts.
+    alpha weighs the vertex-weight balance penalty. Minimum-energy spin
+    configurations at alpha=0 are exactly the minimum weighted cuts.
     """
     n = g.n
     if n < 2:
         raise ValueError("encoding needs at least 2 vertices")
-    if alpha < 0 or beta < 0:
-        raise ValueError("alpha and beta must be non-negative")
+    if alpha < 0:
+        raise ValueError("alpha must be non-negative")
     weights = g.weights()
     j: dict[tuple[int, int], float] = {}
     offset = 0.0
@@ -134,12 +123,6 @@ def build_ising(g: GateGraph, alpha: float = 1.0, beta: float = 0.0) -> IsingMod
             for k in range(i + 1, n):
                 j[(i, k)] = j.get((i, k), 0.0) + 2.0 * alpha * weights[i] * weights[k]
         offset += alpha * sum(w * w for w in weights)
-    if beta > 0:
-        # (sum_i x_i - n/2)^2 with x=(s+1)/2 expands to n/4 + sum_{i<j} s_i s_j / 2
-        for i in range(n):
-            for k in range(i + 1, n):
-                j[(i, k)] = j.get((i, k), 0.0) + beta / 2.0
-        offset += beta * n / 4.0
     total = sum(weights)
     offset += (total - n / 2.0) ** 2  # spin-free tail of the literal objective
     j = {key: val for key, val in j.items() if val != 0.0}
@@ -212,97 +195,57 @@ def default_schedule(m: IsingModel, sweeps: int = 2000) -> AnnealSchedule:
     return AnnealSchedule(t_start=2.0 * scale, t_end=1e-3 * scale, sweeps=sweeps)
 
 
-_U64 = np.uint64
-_PRNG_MULT = _U64(0x2545F4914F6CDD1D)
-_SEED_MIX = _U64(0x9E3779B97F4A7C15)
-_SH12, _SH25, _SH27, _SH11 = _U64(12), _U64(25), _U64(27), _U64(11)
+_BLOCK = 4096  # proposals per randomness table; bounds the chain's table memory
 _INV53 = 1.0 / float(1 << 53)
 
 
-@_njit(cache=True)
-def _sa_chain(h, nbr_ptr, nbr_idx, nbr_val, temps, n, state):
-    """One Metropolis chain; returns (best spins, best incremental energy).
+def _chain(h, nbrs, temps, rng: random.Random) -> list[int]:
+    """One Metropolis chain from a random start; returns the best spins seen.
 
-    xorshift64* supplies the randomness so compiled and interpreted runs
-    agree bit for bit.
+    ``nbrs[i]`` lists ``(j, 2*J_ij)`` for spin i and ``temps`` holds one
+    temperature per sweep. The randomness for each block of proposals is
+    drawn at once from ``rng.randbytes`` and numpy turns it into sites and
+    Metropolis thresholds, so the flip loop only indexes Python lists.
     """
-    spins = np.empty(n, dtype=np.int8)
-    for i in range(n):
-        state ^= state >> _SH12
-        state ^= state << _SH25
-        state ^= state >> _SH27
-        u = float((state * _PRNG_MULT) >> _SH11) * _INV53
-        spins[i] = 1 if u < 0.5 else -1
-
+    n = len(h)
+    spins = [1 if rng.random() < 0.5 else -1 for _ in range(n)]
     # local fields f_i = h_i + sum_j J_ij s_j give O(1) flip deltas
-    fields = h.copy()
-    for i in range(n):
-        for p in range(nbr_ptr[i], nbr_ptr[i + 1]):
-            fields[i] += nbr_val[p] * spins[nbr_idx[p]]
+    fields = list(h)
+    for i, nb in enumerate(nbrs):
+        for j, w2 in nb:
+            fields[j] += 0.5 * w2 * spins[i]
+    e = 0.0  # energy change since the start; compared only within this chain
+    best_e = 0.0
+    best = spins[:]
 
-    e = 0.0
-    for i in range(n):
-        e += h[i] * spins[i] + 0.5 * (fields[i] - h[i]) * spins[i]
-
-    best = spins.copy()
-    best_e = e
-    for sweep in range(temps.shape[0]):
-        t = temps[sweep]
-        for _ in range(n):
-            state ^= state >> _SH12
-            state ^= state << _SH25
-            state ^= state >> _SH27
-            u = float((state * _PRNG_MULT) >> _SH11) * _INV53
-            i = int(u * n)
-            delta = -2.0 * spins[i] * fields[i]
-            if delta > 0.0:
-                state ^= state >> _SH12
-                state ^= state << _SH25
-                state ^= state >> _SH27
-                u = float((state * _PRNG_MULT) >> _SH11) * _INV53
-                if u >= np.exp(-delta / t):
-                    continue
-            spins[i] = -spins[i]
-            e += delta
-            step = 2.0 * spins[i]
-            for p in range(nbr_ptr[i], nbr_ptr[i + 1]):
-                fields[nbr_idx[p]] += step * nbr_val[p]
+    total = len(temps) * n
+    for start in range(0, total, _BLOCK):
+        stop = min(start + _BLOCK, total)
+        # one 53-bit uniform v per proposal: the site is floor(v*n) (v < 1
+        # keeps it below n) and the fractional part of v*n is a second
+        # uniform u in [0, 1)
+        scaled = (np.frombuffer(rng.randbytes(8 * (stop - start)), "<u8") >> 11) * (n * _INV53)
+        sites = scaled.astype(np.intp)
+        # flipping s_i changes the energy by -2*s_i*f_i; Metropolis accepts
+        # when that is at most -T*ln(1 - u), i.e. s_i*f_i >= T*ln(1 - u)/2
+        cutoffs = 0.5 * temps[np.arange(start, stop) // n] * np.log1p(sites - scaled)
+        for i, cutoff in zip(sites.tolist(), cutoffs.tolist()):
+            si = spins[i]
+            x = si * fields[i]
+            if x < cutoff:
+                continue
+            spins[i] = -si
+            if si > 0:
+                for j, w2 in nbrs[i]:
+                    fields[j] -= w2
+            else:
+                for j, w2 in nbrs[i]:
+                    fields[j] += w2
+            e -= 2.0 * x
             if e < best_e:
                 best_e = e
-                best = spins.copy()
-    return best, best_e
-
-
-def _csr_couplings(m: IsingModel):
-    counts = [0] * m.n
-    for (i, k) in m.j:
-        counts[i] += 1
-        counts[k] += 1
-    ptr = np.zeros(m.n + 1, dtype=np.int64)
-    ptr[1:] = np.cumsum(counts)
-    idx = np.zeros(int(ptr[-1]), dtype=np.int64)
-    val = np.zeros(int(ptr[-1]), dtype=np.float64)
-    cursor = ptr[:-1].copy()
-    for (i, k), coupling in sorted(m.j.items()):
-        idx[cursor[i]] = k
-        val[cursor[i]] = coupling
-        cursor[i] += 1
-        idx[cursor[k]] = i
-        val[cursor[k]] = coupling
-        cursor[k] += 1
-    return ptr, idx, val
-
-
-def _chain_seed(seed: int, restart: int) -> np.uint64:
-    with np.errstate(over="ignore"):  # uint64 mixing wraps by design
-        state = (_U64(seed & 0xFFFFFFFFFFFFFFFF) + _U64(restart + 1) * _SEED_MIX) | _U64(1)
-        for _ in range(3):
-            state ^= state >> _SH12
-            state ^= state << _SH25
-            state ^= state >> _SH27
-            state *= _PRNG_MULT
-            state |= _U64(1)  # xorshift must never reach the all-zero state
-    return state
+                best = spins[:]
+    return best
 
 
 def simulated_anneal(
@@ -323,26 +266,22 @@ def simulated_anneal(
     if m.n == 0:
         return SaResult(spins=[], energy=m.offset, restarts=restarts, sweeps=schedule.sweeps)
 
-    n = m.n
-    h = np.array(m.h, dtype=np.float64)
-    ptr, idx, val = _csr_couplings(m)
+    nbrs: list[list[tuple[int, float]]] = [[] for _ in range(m.n)]
+    for (i, k), coupling in sorted(m.j.items()):
+        nbrs[i].append((k, 2.0 * coupling))
+        nbrs[k].append((i, 2.0 * coupling))
     sweeps = schedule.sweeps
-    if sweeps > 1:
-        ratio = schedule.t_end / schedule.t_start
-        temps = schedule.t_start * ratio ** (np.arange(sweeps) / (sweeps - 1))
-    else:
-        temps = np.array([schedule.t_start])
-
+    ratio = schedule.t_end / schedule.t_start
+    temps = schedule.t_start * ratio ** (np.arange(sweeps) / max(sweeps - 1, 1))
+    rng = random.Random(seed)
     best_spins: list[int] | None = None
     best_energy = math.inf
-    for restart in range(restarts):
-        with np.errstate(over="ignore"):  # uint64 PRNG wraps by design
-            spins, _ = _sa_chain(h, ptr, idx, val, temps, n, _chain_seed(seed, restart))
+    for _ in range(restarts):
+        spins = _chain(m.h, nbrs, temps, rng)
         # re-derive the energy exactly; the incremental sum inside the chain drifts
-        e = energy(m, [int(s) for s in spins])
+        e = energy(m, spins)
         if e < best_energy:
-            best_energy = e
-            best_spins = [int(s) for s in spins]
+            best_energy, best_spins = e, spins
 
     assert best_spins is not None
     return SaResult(spins=best_spins, energy=best_energy, restarts=restarts, sweeps=sweeps)
@@ -352,20 +291,3 @@ def spins_to_partition(s) -> list[int]:
     """Decode spins to partition bits: +1 -> 1, -1 -> 0."""
     return [1 if si > 0 else 0 for si in s]
 
-
-def model_to_dict(m: IsingModel) -> dict:
-    return {
-        "n": m.n,
-        "h": list(m.h),
-        "j": [[i, k, val] for (i, k), val in sorted(m.j.items())],
-        "offset": m.offset,
-    }
-
-
-def model_from_dict(doc: dict) -> IsingModel:
-    return IsingModel(
-        n=doc["n"],
-        h=tuple(doc["h"]),
-        j={(i, k): val for i, k, val in doc["j"]},
-        offset=doc.get("offset", 0.0),
-    )

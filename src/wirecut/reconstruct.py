@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -102,50 +101,29 @@ def execute_plan(
     noisy: bool = False,
     shots: int | None = None,
     seed: int = 0,
-    workers: int = 1,
 ) -> dict[int, FragmentOutput]:
     """Simulate every variant of every leaf fragment.
 
     Ideal statevector simulation by default; with ``noisy`` the
     density-matrix model runs under ``profile`` remapped onto each
-    fragment's qubits. Results are keyed deterministically, so worker
-    count never changes the output.
+    fragment's qubits. Each variant's shot seed derives from ``seed`` and
+    the variant's key.
     """
     if noisy and profile is None:
         raise ReconstructionError("noisy execution needs a noise profile")
-    jobs = []
-    for leaf in plan.leaf_fragments():
-        local_profile = None
-        if noisy:
-            local_profile = profile.for_subcircuit(leaf.circuit, leaf.qubit_map)
-        for variant in enumerate_variants(leaf):
-            jobs.append((leaf, variant, local_profile))
-
-    def run(job):
-        leaf, variant, local_profile = job
-        if noisy:
-            dist = run_noisy(
-                variant.circuit, local_profile, shots=shots,
-                seed=_shot_seed(seed, leaf.id, variant.key),
-            )
-        else:
-            dist = measure_distribution(
-                run_ideal(variant.circuit), shots=shots,
-                seed=_shot_seed(seed, leaf.id, variant.key),
-            )
-        return leaf.id, variant.key, dist
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(run, jobs))
-    else:
-        results = [run(job) for job in jobs]
-
     outputs: dict[int, FragmentOutput] = {}
     for leaf in plan.leaf_fragments():
-        outputs[leaf.id] = FragmentOutput(fragment_id=leaf.id, width=leaf.width)
-    for fid, key, dist in results:
-        outputs[fid].variants[key] = dist
+        out = outputs[leaf.id] = FragmentOutput(fragment_id=leaf.id, width=leaf.width)
+        local_profile = profile.for_subcircuit(leaf.circuit, leaf.qubit_map) if noisy else None
+        for variant in enumerate_variants(leaf):
+            shot_seed = _shot_seed(seed, leaf.id, variant.key)
+            if noisy:
+                dist = run_noisy(variant.circuit, local_profile, shots=shots, seed=shot_seed)
+            else:
+                dist = measure_distribution(
+                    run_ideal(variant.circuit), shots=shots, seed=shot_seed
+                )
+            out.variants[variant.key] = dist
     return outputs
 
 

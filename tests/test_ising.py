@@ -3,6 +3,8 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from helpers import random_connected_graph
 from wirecut.fragment import anneal_min_cut
@@ -153,6 +155,49 @@ def test_sa_deterministic_and_never_above_ground_plus_zero():
     assert a == b
     _, ground = brute_force_ising_ground(m)
     assert a.energy >= ground - 1e-9
+
+
+@st.composite
+def ising_models(draw):
+    n = draw(st.integers(1, 10))
+    coef = st.floats(-1.0, 1.0)
+    pairs = [(i, k) for i in range(n) for k in range(i + 1, n)]
+    chosen = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    return IsingModel(
+        n=n,
+        h=tuple(draw(st.lists(coef, min_size=n, max_size=n))),
+        j={pair: draw(coef) for pair in chosen},
+        offset=draw(coef),
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    m=ising_models(),
+    seed=st.integers(0, 2**32 - 1),
+    sweeps=st.integers(1, 60),
+    restarts=st.integers(1, 3),
+)
+@example(m=IsingModel(n=1, h=(0.5,), j={}), seed=0, sweeps=1, restarts=1)
+def test_sa_property_deterministic_exact_and_never_below_ground(m, seed, sweeps, restarts):
+    schedule = default_schedule(m, sweeps=sweeps)
+    res = simulated_anneal(m, schedule, seed=seed, restarts=restarts)
+    assert simulated_anneal(m, schedule, seed=seed, restarts=restarts) == res
+    assert res.energy == energy(m, res.spins)
+    assert res.energy >= brute_force_ising_ground(m)[1] - 1e-9
+
+
+def test_sa_sweep_longer_than_randomness_block():
+    # 5000 spins: one sweep spans two randomness blocks. Every local field
+    # prefers -1 and the temperature is far too low for an uphill flip, so
+    # the chain ends all -1 exactly when every site is proposed.
+    n = 5000
+    m = IsingModel(n=n, h=(1.0,) * n, j={(i, i + 1): -0.1 for i in range(n - 1)})
+    schedule = AnnealSchedule(1e-3, 1e-3, 25)
+    res = simulated_anneal(m, schedule, seed=4)
+    assert res.spins == [-1] * n
+    assert res.energy == pytest.approx(-n - 0.1 * (n - 1))
+    assert simulated_anneal(m, schedule, seed=4) == res
 
 
 def test_sa_schedule_validation():

@@ -133,14 +133,6 @@ def test_layout_mismatch_is_an_error():
         reconstruct(outputs, plan)
 
 
-def test_worker_count_never_changes_results():
-    plan = exact_plan(GHZ3, [0, 1])
-    serial = reconstruct(execute_plan(plan, workers=1), plan)
-    threaded = reconstruct(execute_plan(plan, workers=4), plan)
-    assert serial.distribution.probs == threaded.distribution.probs
-    assert serial.clipped_mass == threaded.clipped_mass
-
-
 def test_shot_noise_yields_clipped_quasi_mass():
     plan = exact_plan(GHZ3, [0, 1])
     outputs = execute_plan(plan, shots=400, seed=11)
