@@ -198,7 +198,11 @@ def cmd_reconstruct(args) -> int:
         path = out_dir / f"fragment_{leaf.id}.json"
         if not path.is_file():
             raise CliError(f"missing fragment output {path}; run 'run' first", EXIT_PLAN)
-        outputs[leaf.id] = FragmentOutput.from_dict(json.loads(path.read_text(encoding="utf-8")))
+        try:
+            doc = json.loads(path.read_text(encoding="utf-8"))
+            outputs[leaf.id] = FragmentOutput.from_dict(doc)
+        except (json.JSONDecodeError, ReconstructionError) as exc:
+            raise CliError(f"bad fragment document {path}: {exc}", EXIT_PLAN) from None
     try:
         result = reconstruct(outputs, plan)
     except ReconstructionError as exc:
@@ -254,6 +258,13 @@ def cmd_sweep(args) -> int:
     return 0
 
 
+def _shot_count(text: str) -> int:
+    shots = int(text)
+    if shots < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {shots}")
+    return shots
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="wirecut",
@@ -276,7 +287,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def run_flags(p):
         p.add_argument("--noisy", action="store_true", help="density-matrix noise model")
-        p.add_argument("--shots", type=int, default=None, help="sample instead of exact output")
+        p.add_argument("--shots", type=_shot_count, default=None,
+                       help="sample instead of exact output")
 
     p_cut = sub.add_parser("cut", help="plan a fragmentation")
     common_inputs(p_cut)

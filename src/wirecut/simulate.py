@@ -144,12 +144,10 @@ def run_ideal(c: Circuit) -> np.ndarray:
 
 @dataclass
 class Distribution:
-    """Map bitstring -> probability; ``quasi`` marks reconstruction internals
-    that may carry negative mass and need not sum to 1."""
+    """Map bitstring -> probability; ``shots`` is set when it was sampled."""
 
     width: int
     probs: dict[str, float] = field(default_factory=dict)
-    quasi: bool = False
     shots: int | None = None
 
     def vector(self) -> np.ndarray:
@@ -159,30 +157,22 @@ class Distribution:
         return out
 
     @classmethod
-    def from_vector(cls, vec: np.ndarray, width: int, quasi: bool = False,
-                    tol: float = 0.0) -> "Distribution":
+    def from_vector(cls, vec: np.ndarray, width: int) -> "Distribution":
         probs = {}
         for i, p in enumerate(vec):
-            if p != 0.0 and abs(p) > tol:
+            if p != 0.0:
                 probs[format(i, f"0{width}b")] = float(p)
-        return cls(width=width, probs=probs, quasi=quasi)
+        return cls(width=width, probs=probs)
 
     def to_dict(self) -> dict:
         doc = {"width": self.width, "probs": {k: self.probs[k] for k in sorted(self.probs)}}
-        if self.quasi:
-            doc["quasi"] = True
         if self.shots is not None:
             doc["shots"] = self.shots
         return doc
 
     @classmethod
     def from_dict(cls, doc: dict) -> "Distribution":
-        return cls(
-            width=doc["width"],
-            probs=dict(doc["probs"]),
-            quasi=doc.get("quasi", False),
-            shots=doc.get("shots"),
-        )
+        return cls(width=doc["width"], probs=dict(doc["probs"]), shots=doc.get("shots"))
 
 
 def measure_distribution(state, shots: int | None = None, seed: int = 0) -> Distribution:
@@ -203,6 +193,8 @@ def measure_distribution(state, shots: int | None = None, seed: int = 0) -> Dist
         raise SimulationError("expected a vector or a square matrix")
     if shots is None:
         return Distribution.from_vector(probs, width)
+    if shots < 1:
+        raise SimulationError(f"shots must be at least 1, got {shots}")
     rng = np.random.default_rng(seed)
     outcomes = rng.choice(probs.shape[0], size=shots, p=probs / probs.sum())
     values, counts = np.unique(outcomes, return_counts=True)

@@ -132,3 +132,40 @@ def test_commands_are_byte_deterministic(tmp_path):
         assert run(["reconstruct", "--out", out, "--reference"]) == 0
     for name in sorted(p.name for p in a.iterdir()):
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("damage", ["truncated", "no-variants", "long-bitstring"])
+def test_malformed_fragment_document_exits_5(tmp_path, capsys, damage):
+    out = tmp_path / damage
+    assert run(["cut", "--qasm", "fixture:fig1_n5", "--profile", "fixture:stress",
+                "--threshold", "0.9", "--out", out]) == 0
+    assert run(["run", "--out", out]) == 0
+    path = sorted(out.glob("fragment_*.json"))[0]
+    doc = json.loads(path.read_text())
+    if damage == "truncated":
+        path.write_text(path.read_text()[:40])
+    elif damage == "no-variants":
+        del doc["variants"]
+        path.write_text(json.dumps(doc))
+    else:
+        variant = next(iter(doc["variants"].values()))
+        variant["probs"] = {"0" + bits: p for bits, p in variant["probs"].items()}
+        path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["reconstruct", "--out", out]) == 5
+    assert "bad fragment document" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("shots", ["0", "-5"])
+def test_shots_below_one_is_a_usage_error(tmp_path, capsys, shots):
+    out = tmp_path / "shots"
+    assert run(["cut", "--qasm", "fixture:fig1_n5", "--profile", "fixture:uniform",
+                "--threshold", "0", "--out", out]) == 0
+    for argv in (["run", "--out", out, "--shots", shots],
+                 ["sweep", "--qasm", "fixture:fig1_n5", "--profile", "fixture:uniform",
+                  "--thresholds", "0", "--out", out, "--shots", shots]):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        assert "--shots: must be at least 1" in capsys.readouterr().err
+    assert not list(out.glob("fragment_*.json"))

@@ -1,15 +1,23 @@
+import itertools
+import json
+import math
 import random
+from collections import defaultdict
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from helpers import random_circuit
 from wirecut.circuit import Circuit, Gate, parse_qasm
-from wirecut.fragment import recursive_fragment, single_cut_plan
+from wirecut.fixtures import fixture_text
+from wirecut.fragment import Limits, recursive_fragment, single_cut_plan, variant_key
 from wirecut.graph import build_graph
-from wirecut.noise import NoiseProfile
+from wirecut.noise import NoiseProfile, load_profile
 from wirecut.partition import cut_size
 from wirecut.reconstruct import (
     Distribution,
+    FragmentOutput,
     ReconstructionError,
     execute_plan,
     fidelity,
@@ -141,6 +149,109 @@ def test_shot_noise_yields_clipped_quasi_mass():
     assert sum(result.distribution.probs.values()) == pytest.approx(1.0)
     ref = measure_distribution(run_ideal(GHZ3))
     assert fidelity(result.distribution, ref) > 0.9
+
+
+STRESS = load_profile(fixture_text("profiles", "stress"))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    circuit_seed=st.integers(0, 2**32 - 1),
+    width=st.integers(3, 7),
+    n_gates=st.integers(6, 24),
+    threshold=st.floats(0.85, 1.0),
+    plan_seed=st.integers(0, 999),
+)
+# a plan four levels deep (k=5) that cuts two of its wires twice
+@example(circuit_seed=6, width=6, n_gates=16, threshold=0.95, plan_seed=1)
+def test_property_multi_level_plans_reconstruct_exactly(
+    circuit_seed, width, n_gates, threshold, plan_seed
+):
+    # thresholds near 1 under the stress profile split most circuits more
+    # than once, and deeper splits cut some wires twice
+    c = random_circuit(random.Random(circuit_seed), width, n_gates, two_q_prob=0.6)
+    plan = recursive_fragment(
+        c, STRESS, threshold, limits=Limits(max_k=6), seed=plan_seed, solver="ga"
+    )
+    outputs = execute_plan(plan)
+    result = reconstruct(outputs, plan)
+    assert tvd(result.distribution, measure_distribution(run_ideal(c))) < 1e-9
+    assert result.k == plan.k and result.terms == 4 ** plan.k
+    again = reconstruct(outputs, plan)
+    assert json.dumps(again.to_dict(), sort_keys=True) == json.dumps(result.to_dict(), sort_keys=True)
+
+
+# signed initialization runs per in-cut label (Peng et al. wire-cut identity)
+INIT_WEIGHTS = {
+    "I": (("zero", 1.0), ("one", 1.0)),
+    "Z": (("zero", 1.0), ("one", -1.0)),
+    "X": (("plus", 2.0), ("zero", -1.0), ("one", -1.0)),
+    "Y": (("plus_i", 2.0), ("zero", -1.0), ("one", -1.0)),
+}
+
+
+def labelled_sum(outputs, plan):
+    """Quasi-distribution as the direct sum over all 4^k cut labels."""
+    cut_ids = plan.cut_ids()
+    quasi = defaultdict(float)
+    for labels in itertools.product("IZXY", repeat=len(cut_ids)):
+        label = dict(zip(cut_ids, labels))
+        terms = {(): 0.5 ** len(cut_ids)}  # ((original qubit, bit), ...) -> weight
+        for leaf in plan.leaf_fragments():
+            in_ids = sorted(leaf.in_cuts)
+            bases = {c: "Z" if label[c] == "I" else label[c] for c in leaf.out_cuts}
+            factor = defaultdict(float)
+            for inits in itertools.product(*(INIT_WEIGHTS[label[c]] for c in in_ids)):
+                key = variant_key(bases, {c: state for c, (state, _) in zip(in_ids, inits)})
+                coeff = math.prod(w for _, w in inits)
+                for bits, p in outputs[leaf.id].variants[key].probs.items():
+                    sign = math.prod(-1 if bits[q] == "1" and label[c] != "I" else 1
+                                     for c, q in leaf.out_cuts.items())
+                    kept = tuple((leaf.qubit_map[q], bits[q]) for q in leaf.terminal_qubits())
+                    factor[kept] += coeff * sign * p
+            terms = {a + b: wa * wb for a, wa in terms.items() for b, wb in factor.items()}
+        for assignment, weight in terms.items():
+            quasi["".join(bit for _, bit in sorted(assignment))] += weight
+    return quasi
+
+
+def test_sampled_outputs_match_the_direct_labelled_sum():
+    # shot noise makes the quasi-distribution non-physical, so exactness
+    # against the ideal proves nothing; compare with the labelled sum instead
+    rng = random.Random(404)
+    seen_k, clipped_cases = set(), 0
+    for _ in range(400):
+        if len(seen_k) == 3 and clipped_cases >= 3:
+            break
+        c = random_circuit(rng, rng.randint(3, 6), rng.randint(6, 14), two_q_prob=0.6)
+        g = build_graph(c, QUIET)
+        pv = [rng.randint(0, 1) for _ in range(g.n)]
+        if len(set(pv)) < 2 or not 1 <= int(cut_size(pv, g)) <= 3:
+            continue
+        plan = single_cut_plan(c, pv, g)
+        outputs = execute_plan(plan, shots=200, seed=rng.randrange(1000))
+        result = reconstruct(outputs, plan)
+        quasi = labelled_sum(outputs, plan)
+        clipped = -sum(min(v, 0.0) for v in quasi.values())
+        positive = sum(max(v, 0.0) for v in quasi.values())
+        assert result.clipped_mass == pytest.approx(clipped, abs=1e-12)
+        for bits in set(quasi) | set(result.distribution.probs):
+            expected = max(quasi.get(bits, 0.0), 0.0) / positive
+            assert result.distribution.probs.get(bits, 0.0) == pytest.approx(expected, abs=1e-12)
+        seen_k.add(plan.k)
+        clipped_cases += result.clipped_mass > 1e-6
+    assert seen_k == {1, 2, 3} and clipped_cases >= 3
+
+
+def test_fragment_document_rejects_malformed_outcomes():
+    doc = {"fragment": 1, "width": 2, "variants": {"base": {"width": 2, "probs": {"011": 1.0}}}}
+    with pytest.raises(ReconstructionError, match="'011'"):
+        FragmentOutput.from_dict(doc)
+    doc["variants"]["base"]["probs"] = {"01": "half"}
+    with pytest.raises(ReconstructionError, match="'half'"):
+        FragmentOutput.from_dict(doc)
+    with pytest.raises(ReconstructionError, match="variants"):
+        FragmentOutput.from_dict({"fragment": 1, "width": 2})
 
 
 def d(width, probs):

@@ -82,6 +82,12 @@ def test_shot_sampling_within_binomial_bound():
     assert sum(d.probs.values()) == pytest.approx(1.0)
 
 
+@pytest.mark.parametrize("shots", [0, -5])
+def test_shots_below_one_are_rejected(shots):
+    with pytest.raises(SimulationError, match="at least 1"):
+        measure_distribution(run_ideal(GHZ3), shots=shots)
+
+
 def test_amplitude_damping_limits():
     ch = amplitude_damping_channel(0.0, 100.0)
     assert len(ch.operators) == 2
