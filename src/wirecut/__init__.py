@@ -3,7 +3,8 @@
 Cuts a gate-level circuit into smaller sub-circuits by solving a balanced
 min-cut on its doubly-weighted gate graph (genetic search and simulated
 annealing), simulates the fragments, and reconstructs the full output
-distribution by signed Kronecker recombination over the cut wires.
+distribution by contracting the fragments' variant outputs as a tensor
+network over the cut wires.
 """
 
 from .circuit import Circuit, Gate, QasmError, gate_counts, parse_qasm, schedule_makespan, to_qasm

@@ -90,7 +90,7 @@ def _read_plan(out_dir: Path) -> FragmentPlan:
         raise CliError(f"no plan document at {plan_path}; run 'cut' first", EXIT_PLAN)
     try:
         return plan_from_dict(json.loads(plan_path.read_text(encoding="utf-8")))
-    except (json.JSONDecodeError, KeyError, PlanError) as exc:
+    except (json.JSONDecodeError, PlanError) as exc:
         raise CliError(f"bad plan document: {exc}", EXIT_PLAN) from None
 
 

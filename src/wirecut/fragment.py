@@ -623,14 +623,21 @@ def plan_to_dict(plan: FragmentPlan) -> dict:
 
 
 def plan_from_dict(doc: dict) -> FragmentPlan:
+    """Rebuild a plan from ``plan_to_dict``'s document; a document of the
+    wrong shape raises ``PlanError``."""
+    if not isinstance(doc, dict):
+        raise PlanError("plan document must be a JSON object")
     if doc.get("version") != 1:
         raise PlanError("unsupported plan document version")
-    return FragmentPlan(
-        width=doc["width"],
-        threshold=doc["threshold"],
-        root=_node_from_dict(doc["tree"]),
-        limits=Limits(**doc["limits"]),
-        seed=doc["seed"],
-        solver=doc["solver"],
-        solver_log=list(doc.get("solver_log", [])),
-    )
+    try:
+        return FragmentPlan(
+            width=doc["width"],
+            threshold=doc["threshold"],
+            root=_node_from_dict(doc["tree"]),
+            limits=Limits(**doc["limits"]),
+            seed=doc["seed"],
+            solver=doc["solver"],
+            solver_log=list(doc.get("solver_log", [])),
+        )
+    except (KeyError, TypeError, AttributeError, ValueError) as exc:
+        raise PlanError(f"missing or malformed field {exc}") from None

@@ -15,10 +15,10 @@ from dataclasses import dataclass
 import mpmath
 import numpy as np
 
-from .circuit import Circuit
-from .graph import GateGraph
-from .ising import IsingModel
-from .noise import NoiseProfile
+from wirecut.circuit import Circuit
+from wirecut.graph import GateGraph
+from wirecut.ising import IsingModel
+from wirecut.noise import NoiseProfile
 
 __all__ = [
     "OracleReport",

@@ -7,6 +7,13 @@ import random
 import time
 
 from helpers import random_circuit, random_connected_graph
+from oracles import (
+    brute_force_ising_ground,
+    brute_force_min_cost,
+    mp_gate_error_rate,
+    mp_success_probability,
+    reference_density_evolution,
+)
 from wirecut.circuit import Circuit, Gate
 from wirecut.cli import main as cli_main
 from wirecut.fixtures import circuit_fixture, profile_fixture
@@ -14,13 +21,6 @@ from wirecut.fragment import recursive_fragment, single_cut_plan
 from wirecut.graph import build_graph
 from wirecut.ising import IsingModel, default_schedule, simulated_anneal
 from wirecut.noise import NoiseProfile, gate_error_prob, success_probability
-from wirecut.oracles import (
-    brute_force_ising_ground,
-    brute_force_min_cost,
-    mp_gate_error_rate,
-    mp_success_probability,
-    reference_density_evolution,
-)
 from wirecut.partition import GaParams, cut_size, find_min_cut_ga
 from wirecut.reconstruct import execute_plan, fidelity, reconstruct, tvd
 from wirecut.simulate import (

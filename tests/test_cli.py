@@ -156,6 +156,26 @@ def test_malformed_fragment_document_exits_5(tmp_path, capsys, damage):
     assert "bad fragment document" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("damage", ["list", "tree-not-object", "unknown-limit"])
+def test_malformed_plan_document_exits_5(tmp_path, capsys, damage):
+    out = tmp_path / damage
+    assert run(["cut", "--qasm", "fixture:fig1_n5", "--profile", "fixture:stress",
+                "--threshold", "0.9", "--out", out]) == 0
+    path = out / "plan.json"
+    doc = json.loads(path.read_text())
+    if damage == "list":
+        doc = []
+    elif damage == "tree-not-object":
+        doc["tree"] = "root"
+    else:
+        doc["limits"]["max_width"] = 4
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    for command in ("run", "reconstruct"):
+        assert run([command, "--out", out]) == 5
+        assert "bad plan document" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("shots", ["0", "-5"])
 def test_shots_below_one_is_a_usage_error(tmp_path, capsys, shots):
     out = tmp_path / "shots"

@@ -7,6 +7,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import random_connected_graph
+from oracles import brute_force_ising_ground, brute_force_min_cost
 from wirecut.fragment import anneal_min_cut
 from wirecut.graph import Edge, GateGraph, Vertex, WireSegment
 from wirecut.ising import (
@@ -21,7 +22,6 @@ from wirecut.ising import (
     simulated_anneal,
     spins_to_partition,
 )
-from wirecut.oracles import brute_force_ising_ground, brute_force_min_cost
 from wirecut.partition import partition_cost
 
 

@@ -4,9 +4,9 @@ import random
 import pytest
 
 from helpers import random_circuit
+from oracles import mp_gate_error_rate, mp_success_probability
 from wirecut.circuit import Circuit, Gate
 from wirecut.noise import NoiseProfile, ProfileError, gate_error_prob, load_profile, success_probability
-from wirecut.oracles import mp_gate_error_rate, mp_success_probability
 
 HEADER = 'OPENQASM 2.0;\ninclude "qelib1.inc";\n'
 

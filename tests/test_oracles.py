@@ -5,17 +5,17 @@ import numpy as np
 import pytest
 
 from helpers import random_circuit, random_connected_graph
-from wirecut.circuit import Circuit, Gate
-from wirecut.graph import Edge, GateGraph, Vertex, WireSegment
-from wirecut.ising import IsingModel
-from wirecut.noise import NoiseProfile, QubitCal
-from wirecut.oracles import (
+from oracles import (
     brute_force_ising_ground,
     brute_force_min_cost,
     mp_gate_error_rate,
     mp_success_probability,
     reference_density_evolution,
 )
+from wirecut.circuit import Circuit, Gate
+from wirecut.graph import Edge, GateGraph, Vertex, WireSegment
+from wirecut.ising import IsingModel
+from wirecut.noise import NoiseProfile, QubitCal
 from wirecut.simulate import density_matrix, pauli_error_channel, run_ideal
 
 
@@ -130,7 +130,7 @@ def test_high_precision_closed_forms():
 
 
 def test_oracle_reports_collect_into_a_document():
-    from wirecut.oracles import compare_against_oracle
+    from oracles import compare_against_oracle
     from wirecut.partition import GaParams, find_min_cut_ga
 
     rng = random.Random(71)

@@ -4,8 +4,8 @@ import random
 import pytest
 
 from helpers import random_connected_graph
+from oracles import brute_force_min_cost
 from wirecut.graph import Edge, GateGraph, Vertex, WireSegment
-from wirecut.oracles import brute_force_min_cost
 from wirecut.partition import GaParams, crossover, cut_size, find_min_cut_ga, partition_cost
 
 

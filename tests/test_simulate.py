@@ -1,15 +1,23 @@
+import json
 import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import random_circuit
-from wirecut.circuit import Circuit, Gate, parse_qasm
-from wirecut.noise import NoiseProfile, QubitCal
+from oracles import reference_density_evolution
+from wirecut.circuit import PARAM_COUNTS, Circuit, Gate, parse_qasm
+from wirecut.noise import GateCal, NoiseProfile, QubitCal
 from wirecut.reconstruct import fidelity, tvd
 from wirecut.simulate import (
+    Distribution,
+    KrausChannel,
     SimulationError,
+    _damping_superop,
+    _pauli_superop,
     amplitude_damping_channel,
     density_matrix,
     gate_unitary,
@@ -206,3 +214,87 @@ def test_fidelity_degrades_as_damping_grows():
         f = fidelity(run_noisy(GHZ3, prof), ideal)
         assert f <= last + 1e-12
         last = f
+
+
+def test_from_vector_matches_the_dense_loop():
+    rng = np.random.default_rng(4)
+    for width in (1, 3, 6):
+        vec = rng.normal(size=1 << width)
+        vec[rng.random(vec.shape) < 0.5] = 0.0
+        vec[0] = -0.0
+        vec[-1] = -0.25
+        old = {}
+        for i, p in enumerate(vec):
+            if p != 0.0:
+                old[format(i, f"0{width}b")] = float(p)
+        new = Distribution.from_vector(vec, width).probs
+        assert list(new) == list(old)
+        assert all(type(v) is float for v in new.values())
+        assert json.dumps(new) == json.dumps(old)
+    assert Distribution.from_vector(np.zeros(4), 2).probs == {}
+
+
+def _superop(ch: KrausChannel) -> np.ndarray:
+    """sum of K ⊗ conj(K): the channel on rho's (ket, bra) index 2*ket + bra."""
+    return sum(np.kron(k, k.conj()) for k in ch.operators)
+
+
+@pytest.mark.parametrize("tau", [0.0, 35.0, 400.0, 1e7])
+def test_closed_form_superoperators_match_their_kraus_channels(tau):
+    for e in (0.0, 0.01, 0.3, 0.75):
+        ref = _superop(pauli_error_channel(e / 3, e / 3, e / 3))
+        assert np.max(np.abs(_pauli_superop(e) - ref)) < 1e-14
+    inf = math.inf
+    for t1, t2 in ((80.0, 60.0), (80.0, 160.0), (80.0, 400.0), (80.0, inf), (inf, 60.0), (inf, inf)):
+        ref = np.eye(4)
+        if t1 != inf:
+            ref = _superop(amplitude_damping_channel(tau, t1)) @ ref
+        inv_phi = 1 / t2 - (0.0 if t1 == inf else 0.5 / t1)
+        if inv_phi > 0:  # at T2 >= 2*T1 dephasing is skipped
+            ref = _superop(phase_damping_channel(tau, 1 / inv_phi)) @ ref
+        assert np.max(np.abs(_damping_superop(tau, t1, t2) - ref)) < 1e-14, (t1, t2)
+
+
+_GATE_NAMES = sorted(n for n in PARAM_COUNTS if n not in ("swap", "measure"))  # parser rewrites swap
+_TIMES = st.one_of(st.just(math.inf), st.floats(0.05, 5.0))
+_ERRORS = st.one_of(st.just(0.0), st.floats(0.0, 0.2))
+
+
+@st.composite
+def _noisy_case(draw):
+    width = draw(st.integers(1, 4))
+    gates = []
+    for _ in range(draw(st.integers(0, 12))):
+        name = draw(st.sampled_from([n for n in _GATE_NAMES if width > 1 or n not in ("cx", "cz")]))
+        if name in ("cx", "cz"):
+            qubits = tuple(draw(st.permutations(range(width)))[:2])
+        else:
+            qubits = (draw(st.integers(0, width - 1)),)
+        params = tuple(draw(st.floats(-7.0, 7.0)) for _ in range(PARAM_COUNTS[name]))
+        gates.append(Gate(name, qubits, params))
+    measured = draw(st.lists(st.integers(0, width - 1), unique=True, max_size=width))
+    gates += [Gate("measure", (q,), is_measurement=True) for q in measured]
+    qubits = {}
+    for q in draw(st.lists(st.integers(0, width - 1), unique=True)):
+        t1 = draw(_TIMES)
+        t2 = draw(st.one_of(_TIMES, st.floats(2.0, 4.0).map(lambda f: f * t1)))  # T2 > 2*T1 too
+        qubits[q] = QubitCal(t1, t2)
+    calibrated = {}
+    unitary = [g for g in gates if not g.is_measurement]
+    for g in draw(st.lists(st.sampled_from(unitary), max_size=4)) if unitary else ():
+        calibrated[(g.name, g.qubits)] = GateCal(draw(_ERRORS), draw(st.floats(10.0, 900.0)))
+    profile = NoiseProfile(
+        p1=draw(_ERRORS), p2=draw(_ERRORS),
+        d1_ns=draw(st.floats(10.0, 200.0)), d2_ns=draw(st.floats(100.0, 700.0)),
+        t1_default_us=draw(_TIMES), t2_default_us=draw(_TIMES),
+        qubits=qubits, gates=calibrated,
+    )
+    return Circuit(width=width, gates=tuple(gates)), profile
+
+
+@settings(max_examples=150, deadline=None)
+@given(_noisy_case())
+def test_fused_density_matrix_matches_the_full_matrix_reference(case):
+    c, profile = case
+    rho = density_matrix(c, profile)
+    assert np.max(np.abs(rho - reference_density_evolution(c, profile))) < 1e-12
