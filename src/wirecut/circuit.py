@@ -6,6 +6,7 @@ Circuits are immutable after construction and safe to share across threads.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -115,7 +116,11 @@ _CONSTANTS = {"pi": 3.141592653589793}
 
 
 def _eval_angle(expr: str, line: int) -> float:
-    """Evaluate a QASM angle expression: numbers, pi, + - * / and parentheses."""
+    """Evaluate a QASM angle expression: numbers, pi, + - * / and parentheses.
+
+    The result must be a finite number: division by zero, overflow and
+    infinite literals raise ``QasmError``.
+    """
     import ast
 
     expr = expr.strip()
@@ -123,7 +128,7 @@ def _eval_angle(expr: str, line: int) -> float:
         raise QasmError("empty parameter expression", line)
     try:
         tree = ast.parse(expr, mode="eval")
-    except SyntaxError:
+    except (SyntaxError, ValueError, RecursionError, MemoryError):
         raise QasmError(f"malformed parameter expression '{expr}'", line) from None
 
     def ev(node) -> float:
@@ -147,7 +152,13 @@ def _eval_angle(expr: str, line: int) -> float:
             return a / b
         raise QasmError(f"unsupported construct in parameter expression '{expr}'", line)
 
-    return ev(tree)
+    try:
+        value = ev(tree)
+    except (ArithmeticError, RecursionError):
+        raise QasmError(f"cannot evaluate parameter expression '{expr}'", line) from None
+    if not math.isfinite(value):
+        raise QasmError(f"parameter expression '{expr}' is not finite", line)
+    return value
 
 
 def _parse_operand(token: str, registers: dict[str, int], line: int) -> tuple[str, int]:
@@ -208,7 +219,7 @@ def parse_qasm(text: str, name: str = "circuit") -> Circuit:
         head = stmt.split(None, 1)[0]
 
         if head == "OPENQASM":
-            version = stmt.split(None, 1)[1].strip()
+            version = stmt[len(head):].strip()
             if version != "2.0":
                 raise QasmError(f"unsupported OPENQASM version '{version}'", lineno)
             saw_header = True

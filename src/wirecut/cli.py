@@ -185,7 +185,7 @@ def cmd_run(args) -> int:
         raise CliError(f"simulation failed: {exc}", EXIT_SIMULATION) from None
     for fid in sorted(outputs):
         _write_json(out_dir / f"fragment_{fid}.json", outputs[fid].to_dict())
-    n_variants = sum(len(o.variants) for o in outputs.values())
+    n_variants = sum(o.n_variants for o in outputs.values())
     print(f"ran {n_variants} variant(s) across {len(outputs)} fragment(s) -> {out_dir}")
     return 0
 

@@ -133,8 +133,11 @@ def _check_time(value, what: str) -> float:
     return float(value)
 
 
-def load_profile(source: str) -> NoiseProfile:
-    """Load a calibration document (JSON text or a path to one).
+def load_profile(text: str) -> NoiseProfile:
+    """Parse a calibration document from its JSON text.
+
+    Callers read files themselves; any text that is not a JSON object of
+    this schema raises ``ProfileError``.
 
     Schema::
 
@@ -148,10 +151,6 @@ def load_profile(source: str) -> NoiseProfile:
 
     Unspecified per-gate entries fall back to the defaults.
     """
-    text = str(source)
-    if "{" not in text:
-        with open(text, "r", encoding="utf-8") as fh:
-            text = fh.read()
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:

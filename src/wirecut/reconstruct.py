@@ -1,18 +1,26 @@
-"""Recombination of fragment outputs into the full-circuit distribution.
+"""Variant execution and recombination into the full-circuit distribution.
+
+A leaf's outputs are one array (``FragmentOutput.probs``) with one basis
+axis per out-cut, one init axis per in-cut and one bit axis per qubit.
+Ideal execution fills it from a single evolution of the leaf's body: the
+in-cut initializations are leading batch axes of the statevector, and by
+linearity one fixed rotation per out-cut then yields every readout basis.
+Noisy execution simulates each variant circuit on its own and packs the
+results into the same array. Variant keys and bitstrings appear only in
+the fragment documents (``to_dict``/``from_dict``).
 
 Each cut carries one of four labels I, Z, X, Y; the sum over all 4^k label
 assignments, scaled by 1/2 per cut, is the uncut distribution (Peng et al.,
 PRL 125, 150504, 2020). It is evaluated as a tensor network (CutQC, Tang et
-al., ASPLOS 2021). A leaf's variant outputs are stacked with one basis axis
-per out-cut, one init axis per in-cut and one bit axis per qubit. Fixed maps
-turn the stack into the leaf's label tensor, one 4-valued axis per cut and one
-bit axis per terminal qubit: per out-cut, I reads the Z-basis bit with signs
-[1, 1], Z the Z-basis bit with [1, -1], X and Y their own bases with [1, -1];
-per in-cut, I = zero + one, Z = zero - one, X = 2 plus - zero - one and
-Y = 2 plus_i - zero - one. The label tensors are contracted over shared cut
-axes into original qubit order along numpy's greedy path, which depends only
-on the plan's shapes, so equal inputs give byte-identical results. The cost
-is set by the largest intermediate tensor, not by the 4^k assignments.
+al., ASPLOS 2021). Fixed maps turn a leaf's array into its label tensor,
+one 4-valued axis per cut and one bit axis per terminal qubit: per out-cut,
+I reads the Z-basis bit with signs [1, 1], Z the Z-basis bit with [1, -1],
+X and Y their own bases with [1, -1]; per in-cut, I = zero + one,
+Z = zero - one, X = 2 plus - zero - one and Y = 2 plus_i - zero - one. The
+label tensors are contracted over shared cut axes into original qubit order
+along numpy's greedy path, which depends only on the plan's shapes, so equal
+inputs give byte-identical results. The cost is set by the largest
+intermediate tensor, not by the 4^k assignments.
 """
 from __future__ import annotations
 
@@ -21,16 +29,27 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .circuit import Gate
 from .fragment import (
+    _BASIS_GATES,
+    _PREP_GATES,
     INIT_STATES,
     MEAS_BASES,
     Fragment,
     FragmentPlan,
     enumerate_variants,
-    variant_key,
+    variant_keys,
 )
 from .noise import NoiseProfile
-from .simulate import Distribution, measure_distribution, run_ideal, run_noisy
+from .simulate import (
+    MAX_STATEVECTOR_QUBITS,
+    Distribution,
+    SimulationError,
+    gate_unitary,
+    measure_distribution,
+    run_ideal,
+    run_noisy,
+)
 
 __all__ = [
     "ReconstructionError",
@@ -43,6 +62,20 @@ __all__ = [
     "hellinger",
 ]
 
+
+def _gates_unitary(names: tuple[str, ...]) -> np.ndarray:
+    """Product of the named one-qubit gates, the first applied first."""
+    u = np.eye(2, dtype=complex)
+    for name in names:
+        u = gate_unitary(Gate(name, (0,))) @ u
+    return u
+
+
+# amplitudes of each init state, in INIT_STATES order, over (init, bit)
+_INIT_AMPS = np.array([_gates_unitary(_PREP_GATES[s])[:, 0] for s in INIT_STATES])
+# rotation before the Z readout of each basis, in MEAS_BASES order, over
+# (basis, bit after, bit before): Z -> I, X -> H, Y -> H.Sdg
+_BASIS_ROT = np.array([_gates_unitary(_BASIS_GATES[b]) for b in MEAS_BASES])
 # out-cut map over (label, basis, bit): labels I, Z, X, Y read bases Z, Z, X, Y
 _OUT_MAP = np.zeros((4, len(MEAS_BASES), 2))
 _OUT_MAP[range(4), [MEAS_BASES.index(b) for b in "ZZXY"]] = [[1, 1], [1, -1], [1, -1], [1, -1]]
@@ -58,39 +91,100 @@ class ReconstructionError(ValueError):
     """Raised on missing variants or inconsistent fragment layouts."""
 
 
-@dataclass
+def _settings(out_ids, in_ids) -> tuple[int, ...]:
+    """Leading axes of a leaf's stacked outputs: one per out-cut, then per in-cut."""
+    return (len(MEAS_BASES),) * len(out_ids) + (len(INIT_STATES),) * len(in_ids)
+
+
+@dataclass(eq=False)
 class FragmentOutput:
-    """All variant distributions of one fragment, keyed by variant key."""
+    """Every variant's outcome distribution of one fragment, in one array.
+
+    ``probs`` has one basis axis per out-cut (``MEAS_BASES`` order), then
+    one init axis per in-cut (``INIT_STATES`` order), each in the id order
+    of ``out_cuts`` and ``in_cuts``, then one bit axis per local qubit.
+    ``shots`` is set when the distributions were sampled. Variant keys and
+    bitstrings exist only in the document form.
+    """
 
     fragment_id: int
-    width: int
-    variants: dict[str, Distribution] = field(default_factory=dict)
+    out_cuts: tuple[int, ...]
+    in_cuts: tuple[int, ...]
+    probs: np.ndarray
+    shots: int | None = None
+
+    @property
+    def width(self) -> int:
+        return self.probs.ndim - len(self.out_cuts) - len(self.in_cuts)
+
+    @property
+    def n_variants(self) -> int:
+        return math.prod(_settings(self.out_cuts, self.in_cuts))
 
     def to_dict(self) -> dict:
+        variants = {}
+        rows = self.probs.reshape(-1, 1 << self.width)
+        for key, row in zip(variant_keys(self.out_cuts, self.in_cuts), rows):
+            dist = Distribution.from_vector(row, self.width)
+            dist.shots = self.shots
+            variants[key] = dist.to_dict()
         return {
             "fragment": self.fragment_id,
             "width": self.width,
-            "variants": {k: self.variants[k].to_dict() for k in sorted(self.variants)},
+            "variants": {k: variants[k] for k in sorted(variants)},
         }
 
     @classmethod
     def from_dict(cls, doc: dict) -> "FragmentOutput":
         try:
-            out = cls(
-                fragment_id=doc["fragment"],
-                width=doc["width"],
-                variants={k: Distribution.from_dict(v) for k, v in doc["variants"].items()},
-            )
+            fid, width, docs = doc["fragment"], doc["width"], doc["variants"]
+            if not isinstance(docs, dict):
+                raise TypeError("'variants' is not an object")
+            first = min(docs)
+            parts = [] if first == "base" else first.split(";")
+            out_ids = sorted({int(p[1:p.index(":")]) for p in parts if p.startswith("m")})
+            in_ids = sorted({int(p[1:p.index(":")]) for p in parts if p.startswith("i")})
         except (KeyError, TypeError, AttributeError, ValueError) as exc:
             raise ReconstructionError(f"missing or malformed field {exc}") from None
-        for key, dist in out.variants.items():
-            for bits, p in dist.probs.items():
-                if (len(bits) != dist.width or not set(bits) <= {"0", "1"}
-                        or not isinstance(p, (int, float))):
+        if not isinstance(width, int) or not 1 <= width <= MAX_STATEVECTOR_QUBITS:
+            raise ReconstructionError(
+                f"fragment width {width!r} is outside 1..{MAX_STATEVECTOR_QUBITS} qubits"
+            )
+        if len(out_ids) + len(in_ids) + width > _MAX_INDICES:
+            raise ReconstructionError(f"fragment {fid} has too many cuts for its width {width}")
+        # every expected key is looked up before anything is allocated; a
+        # key found is a distinct document entry, so this loop is bounded
+        rows = []
+        for key in variant_keys(out_ids, in_ids):
+            if key not in docs:
+                raise ReconstructionError(f"fragment {fid} is missing variant '{key}'")
+            rows.append((key, docs[key]))
+        if len(rows) != len(docs):
+            raise ReconstructionError(f"fragment {fid} has variants for cuts it does not have")
+        stack = np.zeros((len(rows), 1 << width))
+        shots = set()
+        try:
+            for row, (key, dist) in zip(stack, rows):
+                if dist["width"] != width:
                     raise ReconstructionError(
-                        f"variant '{key}' has entry {bits!r}: {p!r} at width {dist.width}"
+                        f"variant '{key}' has width {dist['width']}, expected {width}"
                     )
-        return out
+                shots.add(dist.get("shots"))
+                probs = dist["probs"]
+                for bits, p in probs.items():
+                    if len(bits) != width or bits.strip("01") or not isinstance(p, (int, float)):
+                        raise ReconstructionError(
+                            f"variant '{key}' has entry {bits!r}: {p!r} at width {width}"
+                        )
+                row[[int(bits, 2) for bits in probs]] = list(probs.values())
+        except (KeyError, TypeError, AttributeError, OverflowError) as exc:
+            raise ReconstructionError(f"missing or malformed field {exc}") from None
+        if len(shots) != 1:
+            raise ReconstructionError(f"fragment {fid} variants disagree on shots")
+        return cls(
+            fragment_id=fid, out_cuts=tuple(out_ids), in_cuts=tuple(in_ids),
+            probs=stack.reshape(_settings(out_ids, in_ids) + (2,) * width), shots=shots.pop(),
+        )
 
 
 @dataclass
@@ -120,27 +214,74 @@ def execute_plan(
 ) -> dict[int, FragmentOutput]:
     """Simulate every variant of every leaf fragment.
 
-    Ideal statevector simulation by default; with ``noisy`` the
-    density-matrix model runs under ``profile`` remapped onto each
-    fragment's qubits. Each variant's shot seed derives from ``seed`` and
-    the variant's key.
+    Ideal simulation evolves each leaf's body once, over a batch of all its
+    in-cut initializations, and then rotates every out-cut into each
+    readout basis. With ``noisy`` the
+    density-matrix model runs each variant circuit under ``profile``
+    remapped onto the fragment's qubits. Sampled outputs (``shots``) draw
+    each variant with its own seed, derived from ``seed`` and the
+    variant's key.
     """
     if noisy and profile is None:
         raise ReconstructionError("noisy execution needs a noise profile")
     outputs: dict[int, FragmentOutput] = {}
     for leaf in plan.leaf_fragments():
-        out = outputs[leaf.id] = FragmentOutput(fragment_id=leaf.id, width=leaf.width)
-        local_profile = profile.for_subcircuit(leaf.circuit, leaf.qubit_map) if noisy else None
-        for variant in enumerate_variants(leaf):
-            shot_seed = _shot_seed(seed, leaf.id, variant.key)
-            if noisy:
-                dist = run_noisy(variant.circuit, local_profile, shots=shots, seed=shot_seed)
+        out_ids, in_ids = tuple(sorted(leaf.out_cuts)), tuple(sorted(leaf.in_cuts))
+        shape = _settings(out_ids, in_ids) + (2,) * leaf.width
+        if noisy:
+            local_profile = profile.for_subcircuit(leaf.circuit, leaf.qubit_map)
+            rows = [
+                run_noisy(v.circuit, local_profile, shots=shots,
+                          seed=_shot_seed(seed, leaf.id, v.key)).vector()
+                for v in enumerate_variants(leaf)
+            ]
+            probs = np.array(rows).reshape(shape)
+        else:
+            amps = _ideal_amplitudes(leaf, out_ids, in_ids)
+            if shots is None:
+                probs = np.abs(amps) ** 2
             else:
-                dist = measure_distribution(
-                    run_ideal(variant.circuit), shots=shots, seed=shot_seed
-                )
-            out.variants[variant.key] = dist
+                rows = [
+                    measure_distribution(amp, shots=shots,
+                                         seed=_shot_seed(seed, leaf.id, key)).vector()
+                    for key, amp in zip(variant_keys(out_ids, in_ids),
+                                        amps.reshape(-1, 1 << leaf.width))
+                ]
+                probs = np.array(rows).reshape(shape)
+        outputs[leaf.id] = FragmentOutput(
+            fragment_id=leaf.id, out_cuts=out_ids, in_cuts=in_ids, probs=probs, shots=shots
+        )
     return outputs
+
+
+def _ideal_amplitudes(leaf: Fragment, out_ids, in_ids) -> np.ndarray:
+    """Amplitudes of every variant of ``leaf``, by linearity from one evolution.
+
+    The body evolves a batch holding the product of every in-cut's init
+    states (other qubits start in |0>); a fixed rotation per out-cut then
+    turns the batch into one entry per readout basis. The axes are those of
+    ``FragmentOutput.probs``.
+    """
+    m, w = len(in_ids), leaf.width
+    if w > MAX_STATEVECTOR_QUBITS:  # checked here too, before the batch is built
+        raise SimulationError(
+            f"statevector simulation capped at {MAX_STATEVECTOR_QUBITS} qubits, got {w}"
+        )
+    init_axis = {leaf.in_cuts[cid]: j for j, cid in enumerate(in_ids)}
+    operands = []
+    for q in range(w):
+        if q in init_axis:
+            operands += [_INIT_AMPS, [init_axis[q], m + q]]
+        else:
+            operands += [_INIT_AMPS[INIT_STATES.index("zero")], [m + q]]
+    state = np.einsum(*operands, list(range(m + w)))
+    amps = run_ideal(leaf.circuit, state)
+    # rotate the last out-cut first, so that the basis axes prepended by
+    # tensordot end up in id order
+    for done, cid in enumerate(reversed(out_ids)):
+        axis = done + m + leaf.out_cuts[cid]
+        amps = np.moveaxis(np.tensordot(_BASIS_ROT, amps, axes=([2], [axis])), 1, axis + 1)
+    return amps
 
 
 def _shot_seed(seed: int, fragment_id: int, key: str) -> int:
@@ -158,25 +299,19 @@ def _leaf_tensor(leaf: Fragment, output: FragmentOutput) -> np.ndarray:
     """Label tensor of one leaf: one 4-valued axis per out-cut, then per
     in-cut, each in id order, then one bit axis per terminal qubit."""
     out_ids, in_ids = sorted(leaf.out_cuts), sorted(leaf.in_cuts)
-    settings = (3,) * len(out_ids) + (4,) * len(in_ids)
-    stack = np.empty(settings + (2,) * leaf.width)
-    for idx in np.ndindex(settings):
-        key = variant_key(
-            {cid: MEAS_BASES[i] for cid, i in zip(out_ids, idx)},
-            {cid: INIT_STATES[i] for cid, i in zip(in_ids, idx[len(out_ids):])},
+    if (list(output.out_cuts), list(output.in_cuts), output.width) != (
+        out_ids, in_ids, leaf.width
+    ):
+        raise ReconstructionError(
+            f"fragment {leaf.id} output has cuts out {list(output.out_cuts)}, "
+            f"in {list(output.in_cuts)} at width {output.width}; the plan expects "
+            f"out {out_ids}, in {in_ids} at width {leaf.width}"
         )
-        dist = output.variants.get(key)
-        if dist is None:
-            raise ReconstructionError(f"fragment {leaf.id} is missing variant '{key}'")
-        if dist.width != leaf.width:
-            raise ReconstructionError(
-                f"fragment {leaf.id} variant '{key}' has width {dist.width}, expected {leaf.width}"
-            )
-        stack[idx] = dist.vector().reshape((2,) * leaf.width)
 
     # einsum indices: local qubits 0..w-1, labels w..w+n-1, settings w+n..w+2n-1
-    cuts, w, n = out_ids + in_ids, leaf.width, len(settings)
-    operands = [stack, list(range(w + n, w + 2 * n)) + list(range(w))]
+    cuts = out_ids + in_ids
+    w, n = leaf.width, len(cuts)
+    operands = [output.probs, list(range(w + n, w + 2 * n)) + list(range(w))]
     for j, cid in enumerate(cuts):
         if cid in leaf.out_cuts:
             operands += [_OUT_MAP, [w + j, w + n + j, leaf.out_cuts[cid]]]
@@ -198,6 +333,10 @@ def reconstruct(
     distribution and clipping is a no-op. ``terms`` is 4^k, the number of
     label assignments the contraction sums over.
     """
+    if plan.width > MAX_STATEVECTOR_QUBITS:
+        raise ReconstructionError(
+            f"reconstruction capped at {MAX_STATEVECTOR_QUBITS} qubits, got width {plan.width}"
+        )
     if isinstance(outputs, list):
         outputs = {o.fragment_id: o for o in outputs}
     leaves = sorted(plan.leaf_fragments(), key=lambda f: f.id)

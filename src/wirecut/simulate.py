@@ -1,10 +1,12 @@
 """Statevector and density-matrix simulation of the gate-error + damping model.
 
 Conventions: qubit 0 owns the leftmost character of a measurement
-bitstring. A statevector is reshaped to one 2-valued axis per qubit and
-gates are applied by tensor contraction. Exact probabilities are the
-default output; shot sampling is opt-in so identity tests stay
-deterministic.
+bitstring. A statevector is held with one 2-valued axis per qubit and
+gates are applied by tensor contraction. ``run_ideal`` can also evolve a
+batch of states at once: leading axes before the qubit axes are carried
+through every gate, which is how a fragment's body is simulated once for
+all of its cut initializations. Exact probabilities are the default
+output; shot sampling is opt-in so identity tests stay deterministic.
 
 The noise model applies, per gate, amplitude and phase damping over each
 operand's idle gap of the ASAP schedule, then the ideal unitary, then a
@@ -111,41 +113,42 @@ def gate_unitary(g: Gate) -> np.ndarray:
 # Statevector path
 # ---------------------------------------------------------------------------
 
-def _apply_1q_state(state: np.ndarray, u: np.ndarray, q: int, n: int) -> np.ndarray:
-    state = np.moveaxis(state.reshape([2] * n), q, 0)
-    state = np.tensordot(u, state, axes=([1], [0]))
-    return np.moveaxis(state, 0, q).reshape(-1)
+def _apply_unitary(state: np.ndarray, u: np.ndarray, axes: list[int]) -> np.ndarray:
+    """Contract a one- or two-qubit unitary with the given qubit axes of ``state``."""
+    k = len(axes)
+    t = np.tensordot(u.reshape((2,) * (2 * k)), state, axes=(list(range(k, 2 * k)), axes))
+    return np.moveaxis(t, range(k), axes)
 
 
-def _apply_2q_state(state: np.ndarray, u: np.ndarray, qa: int, qb: int, n: int) -> np.ndarray:
-    t = state.reshape([2] * n)
-    t = np.moveaxis(t, (qa, qb), (0, 1))
-    shape = t.shape
-    t = np.tensordot(u.reshape(2, 2, 2, 2), t, axes=([2, 3], [0, 1]))
-    return np.moveaxis(t.reshape(shape), (0, 1), (qa, qb)).reshape(-1)
-
-
-def run_ideal(c: Circuit) -> np.ndarray:
+def run_ideal(c: Circuit, state: np.ndarray | None = None) -> np.ndarray:
     """Exact statevector after applying every unitary gate of ``c``.
 
-    Measurements are terminal and carry no operator, so they are skipped.
+    Without ``state`` the evolution starts from |0...0> and returns the
+    2^width amplitudes as a vector. ``state`` may instead give the initial
+    amplitudes with shape ``batch + (2,) * width``, any number of leading
+    batch axes included; every entry of the batch is evolved at once and
+    the result has that shape. Measurements are terminal and carry no
+    operator, so they are skipped.
     """
     if c.width > MAX_STATEVECTOR_QUBITS:
         raise SimulationError(
             f"statevector simulation capped at {MAX_STATEVECTOR_QUBITS} qubits, got {c.width}"
         )
     n = c.width
-    state = np.zeros(1 << n, dtype=complex)
-    state[0] = 1.0
+    if state is None:
+        t = np.zeros((2,) * n, dtype=complex)
+        t[(0,) * n] = 1.0
+    else:
+        t = np.asarray(state, dtype=complex)
+        if t.shape[t.ndim - n:] != (2,) * n:
+            raise SimulationError(
+                f"initial state of shape {t.shape} does not end in {n} qubit axes"
+            )
+    batch = t.ndim - n
     for g in c.gates:
-        if g.is_measurement:
-            continue
-        u = gate_unitary(g)
-        if len(g.qubits) == 1:
-            state = _apply_1q_state(state, u, g.qubits[0], n)
-        else:
-            state = _apply_2q_state(state, u, g.qubits[0], g.qubits[1], n)
-    return state
+        if not g.is_measurement:
+            t = _apply_unitary(t, gate_unitary(g), [batch + q for q in g.qubits])
+    return t.reshape(-1) if state is None else t
 
 
 # ---------------------------------------------------------------------------
@@ -162,28 +165,21 @@ class Distribution:
 
     def vector(self) -> np.ndarray:
         out = np.zeros(1 << self.width)
-        for bits, p in self.probs.items():
-            out[int(bits, 2)] = p
+        out[[int(bits, 2) for bits in self.probs]] = list(self.probs.values())
         return out
 
     @classmethod
     def from_vector(cls, vec: np.ndarray, width: int) -> "Distribution":
         nonzero = np.flatnonzero(vec)
-        probs = {
-            format(i, f"0{width}b"): float(p)
-            for i, p in zip(nonzero.tolist(), vec[nonzero].tolist())
-        }
-        return cls(width=width, probs=probs)
+        spec = f"0{width}b"
+        keys = [format(i, spec) for i in nonzero.tolist()]
+        return cls(width=width, probs=dict(zip(keys, map(float, vec[nonzero].tolist()))))
 
     def to_dict(self) -> dict:
         doc = {"width": self.width, "probs": {k: self.probs[k] for k in sorted(self.probs)}}
         if self.shots is not None:
             doc["shots"] = self.shots
         return doc
-
-    @classmethod
-    def from_dict(cls, doc: dict) -> "Distribution":
-        return cls(width=doc["width"], probs=dict(doc["probs"]), shots=doc.get("shots"))
 
 
 def measure_distribution(state, shots: int | None = None, seed: int = 0) -> Distribution:

@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from helpers import random_circuit
 from wirecut.circuit import (
@@ -15,6 +17,7 @@ from wirecut.circuit import (
     schedule_makespan,
     to_qasm,
 )
+from wirecut.fixtures import CIRCUIT_FIXTURES, fixture_text
 from wirecut.noise import NoiseProfile
 
 HEADER = 'OPENQASM 2.0;\ninclude "qelib1.inc";\n'
@@ -160,3 +163,35 @@ def test_circuit_immutability():
         c.width = 5
     with pytest.raises(Exception):
         c.gates[0].name = "z"
+
+
+@pytest.mark.parametrize("expr", ["pi/0", "1/(2-2)", "1e999", "-1e999", "1e200*1e200",
+                                  pytest.param("9" * 400, id="400-digit-literal")])
+def test_parse_rejects_non_finite_angles(expr):
+    with pytest.raises(QasmError, match="line 2"):
+        parse_qasm(f"OPENQASM 2.0;\nqreg q[1]; rx({expr}) q[0];")
+
+
+_QASM_FIXTURES = [fixture_text("circuits", name) for name in CIRCUIT_FIXTURES]
+_QASM_CHARS = "qc[]();,.+-*/ \n0123456789epi_xhmrsuOQAM"
+
+
+@st.composite
+def mutated_qasm(draw):
+    """A bundled fixture with a few spans deleted, replaced or inserted."""
+    text = draw(st.sampled_from(_QASM_FIXTURES))
+    for _ in range(draw(st.integers(1, 4))):
+        start = draw(st.integers(0, len(text)))
+        end = draw(st.integers(start, min(len(text), start + 12)))
+        text = text[:start] + draw(st.text(_QASM_CHARS, max_size=6)) + text[end:]
+    return text
+
+
+@settings(max_examples=200, deadline=None)
+@given(mutated_qasm())
+@example("OPENQASM;\nqreg q[1];\nh q[0];\n")  # once an IndexError
+def test_fuzz_only_qasm_error_escapes_the_parser(text):
+    try:
+        parse_qasm(text)
+    except QasmError:
+        pass

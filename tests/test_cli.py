@@ -2,7 +2,10 @@ import json
 
 import pytest
 
+from wirecut.circuit import Circuit, Gate
 from wirecut.cli import main
+from wirecut.fragment import plan_to_dict, recursive_fragment
+from wirecut.noise import NoiseProfile
 
 
 def run(argv):
@@ -91,6 +94,23 @@ def test_exit_codes_for_bad_inputs(tmp_path):
                 "--threshold", "0.5", "--out", tmp_path / "x"]) == 2
 
 
+@pytest.mark.parametrize("text", ["[]", "42"])
+def test_profile_file_of_non_object_json_exits_4(tmp_path, capsys, text):
+    prof = tmp_path / "profile.json"
+    prof.write_text(text)
+    assert run(["cut", "--qasm", "fixture:fig1_n5", "--profile", prof,
+                "--threshold", "0.5", "--out", tmp_path / "x"]) == 4
+    assert "profile error" in capsys.readouterr().err
+
+
+def test_infinite_angle_exits_3(tmp_path):
+    for expr in ("pi/0", "1e999"):
+        qasm = tmp_path / "angle.qasm"
+        qasm.write_text(f"OPENQASM 2.0;\nqreg q[1];\nrx({expr}) q[0];\n")
+        assert run(["cut", "--qasm", qasm, "--profile", "fixture:uniform",
+                    "--threshold", "0.5", "--out", tmp_path / "x"]) == 3
+
+
 def test_graph_dump(tmp_path, capsys):
     out = tmp_path / "g"
     assert run(["graph", "--qasm", "fixture:fig1_n5", "--profile", "fixture:uniform",
@@ -174,6 +194,24 @@ def test_malformed_plan_document_exits_5(tmp_path, capsys, damage):
     for command in ("run", "reconstruct"):
         assert run([command, "--out", out]) == 5
         assert "bad plan document" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("doc_width", [30, 1])
+def test_documents_wider_than_the_cap_exit_5(tmp_path, capsys, doc_width):
+    # synthetic documents: a 30-qubit plan, with a fragment document of width
+    # 30 (rejected when read) or 1 (read, then the plan's width is rejected)
+    out = tmp_path / "wide"
+    wide = Circuit(width=30, gates=(Gate("h", (0,)),))
+    plan = recursive_fragment(wide, NoiseProfile(), threshold=0.0)
+    out.mkdir()
+    (out / "plan.json").write_text(json.dumps(plan_to_dict(plan)))
+    (out / "fragment_0.json").write_text(json.dumps({
+        "fragment": 0, "width": doc_width,
+        "variants": {"base": {"width": doc_width, "probs": {"0" * doc_width: 1.0}}},
+    }))
+    capsys.readouterr()
+    assert run(["reconstruct", "--out", out]) == 5
+    assert "24" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("shots", ["0", "-5"])

@@ -38,6 +38,13 @@ def test_missing_t1_is_schema_error():
         load_profile('{"version": 1, "qubits": [{"id": 0, "t2_us": 50}]}')
 
 
+@pytest.mark.parametrize("text", ["[]", "42", "stress.json"])
+def test_non_object_text_is_a_profile_error(text):
+    # the text is parsed, never opened as a path
+    with pytest.raises(ProfileError):
+        load_profile(text)
+
+
 def test_probability_out_of_range_rejected():
     with pytest.raises(ProfileError, match=r"\[0, 1\]"):
         load_profile('{"version": 1, "defaults": {"p1": 1.5}}')

@@ -4,6 +4,7 @@ import math
 import random
 from collections import defaultdict
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -11,7 +12,18 @@ from hypothesis import strategies as st
 from helpers import random_circuit
 from wirecut.circuit import Circuit, Gate, parse_qasm
 from wirecut.fixtures import fixture_text
-from wirecut.fragment import Limits, recursive_fragment, single_cut_plan, variant_key
+from wirecut.fragment import (
+    INIT_STATES,
+    MEAS_BASES,
+    Fragment,
+    FragmentPlan,
+    Limits,
+    PlanNode,
+    enumerate_variants,
+    recursive_fragment,
+    single_cut_plan,
+    variant_key,
+)
 from wirecut.graph import build_graph
 from wirecut.noise import NoiseProfile, load_profile
 from wirecut.partition import cut_size
@@ -19,13 +31,14 @@ from wirecut.reconstruct import (
     Distribution,
     FragmentOutput,
     ReconstructionError,
+    _shot_seed,
     execute_plan,
     fidelity,
     hellinger,
     reconstruct,
     tvd,
 )
-from wirecut.simulate import measure_distribution, run_ideal
+from wirecut.simulate import SimulationError, measure_distribution, run_ideal
 
 HEADER = 'OPENQASM 2.0;\ninclude "qelib1.inc";\n'
 GHZ3 = parse_qasm(HEADER + "qreg q[3]; h q[0]; cx q[0],q[1]; cx q[1],q[2];", name="ghz3")
@@ -117,10 +130,13 @@ def test_multi_level_plan_reconstructs():
 def test_missing_variant_is_an_error():
     plan = exact_plan(GHZ3, [0, 1])
     outputs = execute_plan(plan)
-    upstream = next(fid for fid, o in outputs.items() if any(k.startswith("m") for k in o.variants))
-    key = next(iter(outputs[upstream].variants))
-    del outputs[upstream].variants[key]
+    docs = {fid: o.to_dict() for fid, o in outputs.items()}
+    upstream = next(fid for fid, doc in docs.items()
+                    if any(k.startswith("m") for k in doc["variants"]))
+    key = next(iter(docs[upstream]["variants"]))
+    del docs[upstream]["variants"][key]
     with pytest.raises(ReconstructionError, match="missing variant"):
+        outputs[upstream] = FragmentOutput.from_dict(docs[upstream])
         reconstruct(outputs, plan)
 
 
@@ -181,6 +197,85 @@ def test_property_multi_level_plans_reconstruct_exactly(
     assert json.dumps(again.to_dict(), sort_keys=True) == json.dumps(result.to_dict(), sort_keys=True)
 
 
+@st.composite
+def cut_leaves(draw):
+    """A leaf of 1-5 qubits with in-cuts only, out-cuts only, both, or both
+    on one qubit (the middle piece of a wire cut twice); cut ids are shuffled
+    so that their order differs from the qubit order."""
+    width = draw(st.integers(1, 5))
+    kind = draw(st.sampled_from(["in", "out", "both", "twice"]))
+    pick = st.sets(st.integers(0, width - 1), min_size=1, max_size=2)
+    ins = sorted(draw(pick)) if kind != "out" else []
+    outs = set(draw(pick)) if kind != "in" else set()
+    if kind == "twice":
+        outs.add(draw(st.sampled_from(ins)))
+    outs = sorted(outs)
+    ids = draw(st.permutations(range(len(ins) + len(outs))))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    return Fragment(
+        id=draw(st.integers(0, 9)),
+        circuit=random_circuit(rng, width, draw(st.integers(0, 12))),
+        in_cuts=dict(zip(ids, ins)),
+        out_cuts=dict(zip(ids[len(ins):], outs)),
+        qubit_map=tuple(range(width)),
+    )
+
+
+def leaf_plan(leaf):
+    node = PlanNode(fragment=leaf, success=1.0, status="ok")
+    return FragmentPlan(width=leaf.width, threshold=1.0, root=node, limits=Limits(),
+                        seed=0, solver="ga")
+
+
+@settings(max_examples=60, deadline=None)
+@given(leaf=cut_leaves())
+def test_property_batched_leaf_matches_each_variant_circuit(leaf):
+    out = execute_plan(leaf_plan(leaf))[leaf.id]
+    doc = out.to_dict()
+    variants = enumerate_variants(leaf)
+    assert out.n_variants == len(variants) == len(doc["variants"])
+    for v in variants:
+        idx = tuple(MEAS_BASES.index(v.bases[c]) for c in sorted(leaf.out_cuts))
+        idx += tuple(INIT_STATES.index(v.inits[c]) for c in sorted(leaf.in_cuts))
+        expect = np.abs(run_ideal(v.circuit)) ** 2
+        assert np.max(np.abs(out.probs[idx].reshape(-1) - expect)) <= 1e-12
+        written = Distribution(leaf.width, doc["variants"][v.key]["probs"]).vector()
+        assert np.max(np.abs(written - expect)) <= 1e-12
+    again = FragmentOutput.from_dict(json.loads(json.dumps(doc)))
+    assert (again.fragment_id, again.out_cuts, again.in_cuts, again.shots) == (
+        out.fragment_id, out.out_cuts, out.in_cuts, out.shots)
+    assert np.array_equal(again.probs, out.probs)
+
+
+def test_sampled_variants_each_draw_with_their_own_seed():
+    c = Circuit(width=3, gates=(
+        Gate("h", (0,)), Gate("cx", (0, 1)), Gate("rx", (1,), (0.7,)),
+        Gate("cx", (1, 2)), Gate("ry", (1,), (1.1,)), Gate("cx", (0, 1)),
+    ))
+    plan = single_cut_plan(c, [0, 1, 0], build_graph(c, QUIET))
+    outputs = execute_plan(plan, shots=64, seed=13)
+    for leaf in plan.leaf_fragments():
+        doc = outputs[leaf.id].to_dict()["variants"]
+        for v in enumerate_variants(leaf):
+            alone = measure_distribution(
+                run_ideal(v.circuit), shots=64, seed=_shot_seed(13, leaf.id, v.key)
+            )
+            assert doc[v.key] == alone.to_dict()
+
+
+def test_width_cap_is_checked_before_allocation():
+    # a synthetic 30-qubit document and plan: a 2^30 stack would take 8 GiB
+    doc = {"fragment": 0, "width": 30,
+           "variants": {"base": {"width": 30, "probs": {"0" * 30: 1.0}}}}
+    with pytest.raises(ReconstructionError, match="outside 1..24"):
+        FragmentOutput.from_dict(doc)
+    wide = recursive_fragment(Circuit(width=30, gates=(Gate("h", (0,)),)), QUIET, 0.0)
+    with pytest.raises(ReconstructionError, match="capped at 24"):
+        reconstruct({}, wide)
+    with pytest.raises(SimulationError, match="capped at 24"):
+        execute_plan(wide)
+
+
 # signed initialization runs per in-cut label (Peng et al. wire-cut identity)
 INIT_WEIGHTS = {
     "I": (("zero", 1.0), ("one", 1.0)),
@@ -193,6 +288,7 @@ INIT_WEIGHTS = {
 def labelled_sum(outputs, plan):
     """Quasi-distribution as the direct sum over all 4^k cut labels."""
     cut_ids = plan.cut_ids()
+    docs = {fid: o.to_dict()["variants"] for fid, o in outputs.items()}
     quasi = defaultdict(float)
     for labels in itertools.product("IZXY", repeat=len(cut_ids)):
         label = dict(zip(cut_ids, labels))
@@ -204,7 +300,7 @@ def labelled_sum(outputs, plan):
             for inits in itertools.product(*(INIT_WEIGHTS[label[c]] for c in in_ids)):
                 key = variant_key(bases, {c: state for c, (state, _) in zip(in_ids, inits)})
                 coeff = math.prod(w for _, w in inits)
-                for bits, p in outputs[leaf.id].variants[key].probs.items():
+                for bits, p in docs[leaf.id][key]["probs"].items():
                     sign = math.prod(-1 if bits[q] == "1" and label[c] != "I" else 1
                                      for c, q in leaf.out_cuts.items())
                     kept = tuple((leaf.qubit_map[q], bits[q]) for q in leaf.terminal_qubits())

@@ -72,6 +72,24 @@ def test_width_cap():
         run_noisy(Circuit(width=13, gates=()), NoiseProfile())
 
 
+def test_batched_initial_states_evolve_like_single_ones():
+    rng = np.random.default_rng(5)
+    c = random_circuit(random.Random(5), 3, 14)
+    batch = rng.normal(size=(2, 3, 2, 2, 2)) + 1j * rng.normal(size=(2, 3, 2, 2, 2))
+    out = run_ideal(c, batch)
+    assert out.shape == batch.shape
+    prep = Circuit(width=3, gates=(Gate("x", (1,)),))
+    for idx in np.ndindex(2, 3):
+        single = run_ideal(c, batch[idx])
+        assert np.max(np.abs(out[idx] - single)) < 1e-12
+    # an explicit |010> matches the gates that prepare it
+    start = run_ideal(prep).reshape(2, 2, 2)
+    joined = Circuit(width=3, gates=prep.gates + c.gates)
+    assert np.max(np.abs(run_ideal(c, start).reshape(-1) - run_ideal(joined))) < 1e-12
+    with pytest.raises(SimulationError, match="qubit axes"):
+        run_ideal(c, np.zeros((4, 2)))
+
+
 def test_measure_distribution_ghz():
     d = measure_distribution(run_ideal(GHZ3))
     assert d.probs == pytest.approx({"000": 0.5, "111": 0.5})
