@@ -17,12 +17,9 @@ __all__ = [
     "SUPPORTED_GATES",
     "PARAM_COUNTS",
     "parse_qasm",
-    "to_qasm",
     "circuit_to_dict",
     "circuit_from_dict",
-    "gate_counts",
     "asap_schedule",
-    "schedule_makespan",
 ]
 
 # name -> number of angle parameters; two-qubit gates listed separately
@@ -99,13 +96,6 @@ class Circuit:
 
     def touched_qubits(self) -> set[int]:
         return {q for g in self.gates for q in g.qubits}
-
-
-def gate_counts(c: Circuit) -> tuple[int, int]:
-    """(single-qubit count, two-qubit count), measurements excluded."""
-    k1 = sum(1 for g in c.gates if not g.is_measurement and not g.is_two_qubit)
-    k2 = sum(1 for g in c.gates if not g.is_measurement and g.is_two_qubit)
-    return k1, k2
 
 
 # ---------------------------------------------------------------------------
@@ -354,25 +344,6 @@ def _parse_measure(args: str, qreg, creg, lineno: int) -> int:
     return q
 
 
-def to_qasm(c: Circuit) -> str:
-    """Serialize a circuit; ``parse_qasm(to_qasm(c))`` is gate-identical to ``c``."""
-    lines = ["OPENQASM 2.0;", 'include "qelib1.inc";', f"qreg q[{c.width}];"]
-    if any(g.is_measurement for g in c.gates):
-        lines.append(f"creg c[{c.width}];")
-    for g in c.gates:
-        if g.is_measurement:
-            q = g.qubits[0]
-            lines.append(f"measure q[{q}] -> c[{q}];")
-        elif g.params:
-            angles = ",".join(repr(p) for p in g.params)
-            ops = ",".join(f"q[{q}]" for q in g.qubits)
-            lines.append(f"{g.name}({angles}) {ops};")
-        else:
-            ops = ",".join(f"q[{q}]" for q in g.qubits)
-            lines.append(f"{g.name} {ops};")
-    return "\n".join(lines) + "\n"
-
-
 def circuit_to_dict(c: Circuit) -> dict:
     return {
         "name": c.name,
@@ -421,8 +392,3 @@ def asap_schedule(c: Circuit, profile) -> tuple[list[tuple[float, float]], float
         for q in g.qubits:
             free[q] = end
     return spans, max(free) if free else 0.0
-
-
-def schedule_makespan(c: Circuit, profile) -> float:
-    """Wall-clock duration (ns) of the ASAP schedule of ``c``."""
-    return asap_schedule(c, profile)[1]

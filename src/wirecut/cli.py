@@ -17,7 +17,6 @@ from .circuit import Circuit, QasmError, parse_qasm
 from .fixtures import fixture_text
 from .fragment import (
     FragmentPlan,
-    GaParams,
     Limits,
     PlanError,
     plan_from_dict,
@@ -94,21 +93,25 @@ def _read_plan(out_dir: Path) -> FragmentPlan:
         raise CliError(f"bad plan document: {exc}", EXIT_PLAN) from None
 
 
-def _run_pipeline(circuit, profile, args, out_dir: Path) -> dict:
-    """cut + run + reconstruct for one threshold; returns the summary row."""
-    plan = recursive_fragment(
-        circuit, profile, args.threshold,
+def _plan(circuit, profile, args, threshold: float) -> FragmentPlan:
+    return recursive_fragment(
+        circuit, profile, threshold,
         limits=Limits(max_depth=args.max_depth, max_k=args.max_k),
         seed=args.seed, solver=args.solver,
         sa_sweeps=args.sweeps, sa_restarts=args.restarts,
     )
+
+
+def _run_pipeline(circuit, profile, args, threshold: float) -> dict:
+    """cut + run + reconstruct for one threshold; returns the summary row."""
+    plan = _plan(circuit, profile, args, threshold)
     outputs = execute_plan(
         plan, profile=profile, noisy=args.noisy, shots=args.shots, seed=args.seed
     )
     result = reconstruct(outputs, plan)
     ideal = measure_distribution(run_ideal(circuit))
     return {
-        "threshold": args.threshold,
+        "threshold": threshold,
         "leaves": len(plan.leaf_fragments()),
         "k": plan.k,
         "fidelity": fidelity(result.distribution, ideal),
@@ -120,13 +123,7 @@ def cmd_cut(args) -> int:
     circuit = _load_circuit(args.qasm)
     profile = _load_noise(args.profile)
     try:
-        plan = recursive_fragment(
-            circuit, profile, args.threshold,
-            limits=Limits(max_depth=args.max_depth, max_k=args.max_k),
-            seed=args.seed, solver=args.solver,
-            ga_params=GaParams(),
-            sa_sweeps=args.sweeps, sa_restarts=args.restarts,
-        )
+        plan = _plan(circuit, profile, args, args.threshold)
     except (PlanError, GraphError) as exc:
         raise CliError(f"planning failed: {exc}", EXIT_PLAN) from None
     out_dir = Path(args.out)
@@ -226,20 +223,11 @@ def cmd_reconstruct(args) -> int:
 def cmd_sweep(args) -> int:
     circuit = _load_circuit(args.qasm)
     profile = _load_noise(args.profile)
-    thresholds = []
-    for tok in args.thresholds.split(","):
-        tok = tok.strip()
-        if tok:
-            thresholds.append(float(tok))
-    if not thresholds:
-        raise CliError("need at least one threshold", EXIT_USAGE)
     out_dir = Path(args.out)
     rows = []
-    for t in thresholds:
-        sub = argparse.Namespace(**vars(args))
-        sub.threshold = t
+    for t in args.thresholds:
         try:
-            rows.append(_run_pipeline(circuit, profile, sub, out_dir))
+            rows.append(_run_pipeline(circuit, profile, args, t))
         except (PlanError, GraphError, ReconstructionError) as exc:
             raise CliError(f"sweep failed at threshold {t}: {exc}", EXIT_PLAN) from None
         except SimulationError as exc:
@@ -258,11 +246,32 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _shot_count(text: str) -> int:
-    shots = int(text)
-    if shots < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {shots}")
-    return shots
+def _int_at_least(low: int):
+    """argparse type for an integer no smaller than ``low``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return parse
+
+
+def _threshold_list(text: str) -> list[float]:
+    """argparse type for a comma-separated list of at least one threshold."""
+    try:
+        values = [float(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"not a comma-separated list of numbers: {text!r}"
+        ) from None
+    if not values:
+        raise argparse.ArgumentTypeError("need at least one threshold")
+    return values
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -278,16 +287,18 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--profile", required=True, help="calibration file or fixture:<name>")
 
     def solver_flags(p):
-        p.add_argument("--solver", choices=("ga", "anneal", "both"), default="both")
+        p.add_argument("--solver", choices=("ga", "anneal", "both"), default="ga",
+                       help="partitioner: the genetic search (default), the annealer, "
+                            "or both with the cheaper cut kept")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--max-k", dest="max_k", type=int, default=8)
-        p.add_argument("--max-depth", dest="max_depth", type=int, default=8)
-        p.add_argument("--sweeps", type=int, default=4000, help="annealer sweeps")
-        p.add_argument("--restarts", type=int, default=4, help="annealer restarts")
+        p.add_argument("--max-k", dest="max_k", type=_int_at_least(0), default=8)
+        p.add_argument("--max-depth", dest="max_depth", type=_int_at_least(0), default=8)
+        p.add_argument("--sweeps", type=_int_at_least(1), default=4000, help="annealer sweeps")
+        p.add_argument("--restarts", type=_int_at_least(1), default=4, help="annealer restarts")
 
     def run_flags(p):
         p.add_argument("--noisy", action="store_true", help="density-matrix noise model")
-        p.add_argument("--shots", type=_shot_count, default=None,
+        p.add_argument("--shots", type=_int_at_least(1), default=None,
                        help="sample instead of exact output")
 
     p_cut = sub.add_parser("cut", help="plan a fragmentation")
@@ -317,7 +328,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="threshold sweep: cut+run+reconstruct per threshold")
     common_inputs(p_sweep)
-    p_sweep.add_argument("--thresholds", required=True, help="comma-separated list")
+    p_sweep.add_argument("--thresholds", type=_threshold_list, required=True,
+                         help="comma-separated list")
     solver_flags(p_sweep)
     run_flags(p_sweep)
     p_sweep.add_argument("--out", required=True)

@@ -14,21 +14,22 @@ wire), and each in-cut is prepared in one of |0>, |1>, |+>, |+i>
 (preparation prepended), for 3^out * 4^in variants per fragment.
 
 The recursive driver keeps splitting any fragment whose estimated success
-probability falls below the threshold, choosing per split the cheaper of
-the genetic search and the annealer (both rescored with the exact cut
-cost), and stops at the depth/cut-count limits.
+probability falls below the threshold and stops at the depth/cut-count
+limits. Each split comes from the genetic search; the annealer can run
+instead, or beside it for comparison, in which case the cheaper cut by
+the exact cut cost is kept.
 """
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .circuit import Circuit, Gate, circuit_from_dict, circuit_to_dict
 from .graph import GateGraph, build_graph
 from .ising import build_ising, default_schedule, simulated_anneal, spins_to_partition
 from .noise import NoiseProfile, success_probability
-from .partition import GaParams, cut_size, find_min_cut_ga, partition_cost
+from .partition import cut_size, find_min_cut_ga, partition_cost
 
 __all__ = [
     "PlanError",
@@ -40,7 +41,6 @@ __all__ = [
     "FragmentPlan",
     "Limits",
     "derive_cut_points",
-    "fragment",
     "enumerate_variants",
     "variant_keys",
     "recursive_fragment",
@@ -264,12 +264,6 @@ def _split_fragment(
     return frags[0], frags[1]
 
 
-def fragment(c: Circuit, spec: CutSpec, pv, g: GateGraph) -> list[Fragment]:
-    """Split ``c`` into the two sub-circuits induced by ``pv`` and ``spec``."""
-    a, b = _split_fragment(_as_root_fragment(c), spec, pv, child_ids=(0, 1))
-    return [a, b]
-
-
 def enumerate_variants(f: Fragment) -> list[VariantRun]:
     """All measurement-basis / initialization combinations for a fragment."""
     out_ids = sorted(f.out_cuts)
@@ -414,7 +408,6 @@ def _choose_partition(
     solver: str,
     seed: int,
     node_index: int,
-    ga_params: GaParams | None,
     sa_sweeps: int,
     sa_restarts: int,
 ) -> tuple[list[int], float, dict]:
@@ -423,8 +416,7 @@ def _choose_partition(
     candidates = []
     if solver in ("ga", "both"):
         ga_seed = _solver_seed(seed, node_index, 0)
-        params = replace(ga_params or GaParams(), seed=ga_seed)
-        res = find_min_cut_ga(g, params)
+        res = find_min_cut_ga(g, ga_seed)
         log["ga"] = {
             "algorithm": "ga",
             "partition": list(res.partition),
@@ -467,16 +459,19 @@ def recursive_fragment(
     threshold: float,
     limits: Limits | None = None,
     seed: int = 0,
-    solver: str = "both",
-    ga_params: GaParams | None = None,
+    solver: str = "ga",
     sa_sweeps: int = 4000,
     sa_restarts: int = 4,
 ) -> FragmentPlan:
     """Threshold-driven recursive bipartitioning.
 
     A (sub-)circuit whose estimated success probability reaches the
-    threshold becomes a leaf; anything else is split by the cheaper of the
-    two solvers and recursed, until the limits mark leaves unsplittable.
+    threshold becomes a leaf; anything else is split and recursed, until
+    the limits mark leaves unsplittable. ``solver`` picks the split: the
+    genetic search (``"ga"``), the annealer (``"anneal"``, with
+    ``sa_sweeps`` and ``sa_restarts``), or the cheaper of the two
+    (``"both"``, ties to the GA). Every solver run is logged in
+    ``solver_log``.
     """
     if not 0.0 <= threshold <= 1.0:
         raise PlanError(f"threshold must lie in [0, 1], got {threshold}")
@@ -496,9 +491,7 @@ def recursive_fragment(
         g = build_graph(frag.circuit, local_profile)
         node_index = counters["node"]
         counters["node"] += 1
-        pv, cost, log = _choose_partition(
-            g, solver, seed, node_index, ga_params, sa_sweeps, sa_restarts
-        )
+        pv, cost, log = _choose_partition(g, solver, seed, node_index, sa_sweeps, sa_restarts)
         k = int(round(cut_size(pv, g)))
         log["fragment"] = frag.id
         log["k"] = k

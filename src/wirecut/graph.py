@@ -27,14 +27,13 @@ __all__ = [
     "GateGraph",
     "build_graph",
     "serialize_graph",
-    "load_graph",
 ]
 
 WEIGHT_FLOOR = 1e-12  # keeps 1/weight finite for error-free segments
 
 
 class GraphError(ValueError):
-    """Raised when a circuit admits no gate graph or a document is malformed."""
+    """Raised when a circuit admits no gate graph."""
 
 
 @dataclass(frozen=True)
@@ -69,10 +68,6 @@ class GateGraph:
     @property
     def n(self) -> int:
         return len(self.vertices)
-
-    @property
-    def total_weight(self) -> float:
-        return sum(v.weight for v in self.vertices)
 
     def weights(self) -> list[float]:
         return [v.weight for v in self.vertices]
@@ -178,36 +173,3 @@ def serialize_graph(g: GateGraph) -> str:
         ],
     }
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
-
-
-def load_graph(text: str) -> GateGraph:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise GraphError(f"graph document is not valid JSON: {exc}") from None
-    if not isinstance(doc, dict) or "vertices" not in doc or "edges" not in doc:
-        raise GraphError("graph document must contain 'vertices' and 'edges'")
-    seen = set()
-    vertices = []
-    for rec in doc["vertices"]:
-        vid = rec["id"]
-        if vid in seen:
-            raise GraphError(f"duplicate vertex id {vid}")
-        seen.add(vid)
-        vertices.append(Vertex(id=vid, gate_index=rec["gate_index"], weight=rec["weight"]))
-    vertices.sort(key=lambda v: v.id)
-    if [v.id for v in vertices] != list(range(len(vertices))):
-        raise GraphError("vertex ids must be 0..n-1")
-    edges = []
-    for rec in doc["edges"]:
-        u, v = rec["u"], rec["v"]
-        if u not in seen or v not in seen:
-            raise GraphError(f"edge ({u}, {v}) references unknown vertex")
-        segs = tuple(
-            WireSegment(s["qubit"], s["upstream_gate"], s["downstream_gate"])
-            for s in rec["segments"]
-        )
-        if len(segs) != rec["weight"]:
-            raise GraphError(f"edge ({u}, {v}) weight disagrees with its segment list")
-        edges.append(Edge(u=u, v=v, weight=rec["weight"], segments=segs))
-    return GateGraph(vertices=tuple(vertices), edges=tuple(edges))

@@ -1,4 +1,4 @@
-"""Ising/QUBO encoding of the balanced cut problem and a simulated annealer.
+"""Ising encoding of the balanced cut problem and a simulated annealer.
 
 The encoding penalizes crossing edges through couplings -w^2/2 per edge and
 penalizes weight imbalance through +2*alpha*v_i*v_j couplings on every pair
@@ -26,15 +26,11 @@ from .graph import GateGraph
 
 __all__ = [
     "IsingModel",
-    "QuboModel",
     "AnnealSchedule",
     "SaResult",
     "build_ising",
     "default_schedule",
     "energy",
-    "qubo_energy",
-    "ising_to_qubo",
-    "qubo_to_ising",
     "simulated_anneal",
     "spins_to_partition",
 ]
@@ -59,22 +55,6 @@ class IsingModel:
                 raise ValueError(f"coupling ({i}, {k}) is not finite")
         if any(not math.isfinite(x) for x in self.h) or not math.isfinite(self.offset):
             raise ValueError("fields and offset must be finite")
-
-
-@dataclass(frozen=True)
-class QuboModel:
-    """min sum_i Q_ii x_i + sum_{i<j} Q_ij x_i x_j + offset over x in {0,1}^n."""
-
-    n: int
-    q: dict[tuple[int, int], float]
-    offset: float = 0.0
-
-    def __post_init__(self):
-        for (i, k), val in self.q.items():
-            if not 0 <= i <= k < self.n:
-                raise ValueError(f"QUBO key ({i}, {k}) must satisfy 0 <= i <= j < n")
-            if not math.isfinite(val):
-                raise ValueError(f"QUBO entry ({i}, {k}) is not finite")
 
 
 @dataclass(frozen=True)
@@ -138,49 +118,6 @@ def energy(m: IsingModel, s) -> float:
     for (i, k), val in m.j.items():
         e += val * s[i] * s[k]
     return e
-
-
-def qubo_energy(m: QuboModel, x) -> float:
-    if len(x) != m.n:
-        raise ValueError(f"bit vector length {len(x)} != n {m.n}")
-    e = m.offset
-    for (i, k), val in m.q.items():
-        e += val * x[i] * (x[k] if k != i else 1)
-    return e
-
-
-def ising_to_qubo(m: IsingModel) -> QuboModel:
-    """Rewrite over bits via s = 2x - 1; energies agree state by state."""
-    q: dict[tuple[int, int], float] = {}
-    offset = m.offset
-    for i, h in enumerate(m.h):
-        q[(i, i)] = q.get((i, i), 0.0) + 2.0 * h
-        offset -= h
-    for (i, k), val in m.j.items():
-        q[(i, k)] = q.get((i, k), 0.0) + 4.0 * val
-        q[(i, i)] = q.get((i, i), 0.0) - 2.0 * val
-        q[(k, k)] = q.get((k, k), 0.0) - 2.0 * val
-        offset += val
-    q = {key: val for key, val in q.items() if val != 0.0}
-    return QuboModel(n=m.n, q=q, offset=offset)
-
-
-def qubo_to_ising(m: QuboModel) -> IsingModel:
-    """Inverse rewrite via x = (s + 1)/2."""
-    h = [0.0] * m.n
-    j: dict[tuple[int, int], float] = {}
-    offset = m.offset
-    for (i, k), val in m.q.items():
-        if i == k:
-            h[i] += val / 2.0
-            offset += val / 2.0
-        else:
-            j[(i, k)] = j.get((i, k), 0.0) + val / 4.0
-            h[i] += val / 4.0
-            h[k] += val / 4.0
-            offset += val / 4.0
-    j = {key: val for key, val in j.items() if val != 0.0}
-    return IsingModel(n=m.n, h=tuple(h), j=j, offset=offset)
 
 
 def default_schedule(m: IsingModel, sweeps: int = 2000) -> AnnealSchedule:
@@ -290,4 +227,3 @@ def simulated_anneal(
 def spins_to_partition(s) -> list[int]:
     """Decode spins to partition bits: +1 -> 1, -1 -> 0."""
     return [1 if si > 0 else 0 for si in s]
-

@@ -11,10 +11,11 @@ The search is a small memetic genetic algorithm: a population of partition
 vectors evolves by tournament selection, one-point crossover, and light
 bit-flip mutation, and every offspring is refined by greedy bit-flip
 descent (each flip is kept only when it lowers the cost). A generation
-without improvement counts toward the stagnation budget ``c2``; when the
-budget is exhausted the population is re-seeded, up to ``restarts`` times
-or the pass cap. Given a seed the whole search is deterministic, and the
-reported best-cost trace is non-increasing by construction.
+without improvement counts toward the stagnation budget ``C2``; when the
+budget is exhausted the population is re-seeded, up to ``RESTARTS`` times
+or the cap of ``50 * n`` generations for ``n`` vertices. Given a seed the
+whole search is deterministic, and the reported best-cost trace is
+non-increasing by construction.
 """
 from __future__ import annotations
 
@@ -25,7 +26,6 @@ from dataclasses import dataclass, field
 from .graph import GateGraph
 
 __all__ = [
-    "GaParams",
     "GaResult",
     "cut_size",
     "partition_cost",
@@ -34,41 +34,10 @@ __all__ = [
 ]
 
 INFEASIBLE = math.inf
-
-
-@dataclass(frozen=True)
-class GaParams:
-    """Search knobs.
-
-    c1: crossover split fraction in (0, 1).
-    c2: stagnant generations tolerated before the population is re-seeded.
-    max_passes: hard cap on total generations (None means 50 * n_vertices).
-    population: vectors per generation.
-    mutation: per-bit flip probability after crossover (None means 1/n).
-    restarts: fresh populations tried within the pass budget.
-    """
-
-    c1: float = 0.5
-    c2: int = 3
-    max_passes: int | None = None
-    seed: int = 0
-    population: int = 24
-    mutation: float | None = None
-    restarts: int = 3
-
-    def __post_init__(self):
-        if not 0.0 < self.c1 < 1.0:
-            raise ValueError(f"c1 must lie in (0, 1), got {self.c1}")
-        if self.c2 < 0:
-            raise ValueError(f"c2 must be >= 0, got {self.c2}")
-        if self.max_passes is not None and self.max_passes < 1:
-            raise ValueError(f"max_passes must be >= 1, got {self.max_passes}")
-        if self.population < 2:
-            raise ValueError(f"population must be >= 2, got {self.population}")
-        if self.mutation is not None and not 0.0 <= self.mutation <= 1.0:
-            raise ValueError(f"mutation must lie in [0, 1], got {self.mutation}")
-        if self.restarts < 1:
-            raise ValueError(f"restarts must be >= 1, got {self.restarts}")
+C1 = 0.5  # crossover split fraction
+C2 = 3  # stagnant generations tolerated before the population is re-seeded
+POPULATION = 24  # vectors per generation
+RESTARTS = 3  # fresh populations tried within the pass cap
 
 
 @dataclass
@@ -175,25 +144,19 @@ class _Scorer:
         return cost
 
 
-def find_min_cut_ga(
-    g: GateGraph,
-    params: GaParams | None = None,
-    initial=None,
-) -> GaResult:
+def find_min_cut_ga(g: GateGraph, seed: int = 0) -> GaResult:
     """Search for a minimum-cost balanced cut of ``g``.
 
-    Returns the best vector ever observed with its cost; the cost never
-    exceeds that of ``initial`` when one is given, and it is finite
-    whenever any proper cut exists (one-sided vectors score +inf and are
-    passed through, never returned).
+    Returns the best vector ever observed with its cost; the cost is
+    finite whenever any proper cut exists (one-sided vectors score +inf and
+    are passed through, never returned).
     """
     if g.n < 2:
         raise ValueError("partitioning needs at least 2 vertices")
-    params = params or GaParams()
     n = g.n
-    max_passes = params.max_passes if params.max_passes is not None else 50 * n
-    mutation = params.mutation if params.mutation is not None else 1.0 / n
-    rng = random.Random(params.seed)
+    max_passes = 50 * n
+    mutation = 1.0 / n  # per-bit flip probability after crossover
+    rng = random.Random(seed)
     scorer = _Scorer(g)
 
     best_vec: list[int] | None = None
@@ -206,17 +169,9 @@ def find_min_cut_ga(
         if cost < best_cost:
             best_cost, best_vec = cost, list(vec)
 
-    for restart in range(params.restarts):
+    for _ in range(RESTARTS):
         pop: list[tuple[float, list[int]]] = []
-        if restart == 0 and initial is not None:
-            vec = list(initial)
-            if len(vec) != n:
-                raise ValueError(f"initial vector length {len(vec)} != vertex count {n}")
-            note(partition_cost(vec, g), vec)
-            cost = scorer.refine(vec)
-            note(cost, vec)
-            pop.append((cost, vec))
-        while len(pop) < params.population:
+        while len(pop) < POPULATION:
             vec = [rng.randint(0, 1) for _ in range(n)]
             if len(set(vec)) == 1:
                 vec[rng.randrange(n)] ^= 1  # one-sided starts stall on +inf
@@ -226,13 +181,13 @@ def find_min_cut_ga(
         pop.sort(key=lambda t: t[0])
 
         stagnant = 0
-        while stagnant <= params.c2 and passes < max_passes:
+        while stagnant <= C2 and passes < max_passes:
             prev_best = pop[0][0]
             newpop = [(pop[0][0], list(pop[0][1]))]  # elitism
-            while len(newpop) < params.population:
-                pa = min(rng.sample(pop, min(3, len(pop))), key=lambda t: t[0])
-                pb = min(rng.sample(pop, min(3, len(pop))), key=lambda t: t[0])
-                child = crossover(pa[1], pb[1], params.c1)
+            while len(newpop) < POPULATION:
+                pa = min(rng.sample(pop, 3), key=lambda t: t[0])
+                pb = min(rng.sample(pop, 3), key=lambda t: t[0])
+                child = crossover(pa[1], pb[1], C1)
                 for i in range(n):
                     if rng.random() < mutation:
                         child[i] ^= 1

@@ -7,6 +7,13 @@ from wirecut.graph import Edge, GateGraph, Vertex, WireSegment
 ONE_QUBIT_GATES = ("h", "x", "y", "z", "s", "sdg", "t", "tdg", "rx", "ry", "rz")
 
 
+def gate_counts(c: Circuit) -> tuple[int, int]:
+    """(single-qubit count, two-qubit count), measurements excluded."""
+    k1 = sum(1 for g in c.gates if not g.is_measurement and not g.is_two_qubit)
+    k2 = sum(1 for g in c.gates if not g.is_measurement and g.is_two_qubit)
+    return k1, k2
+
+
 def random_circuit(rng: random.Random, width: int, n_gates: int, two_q_prob: float = 0.5) -> Circuit:
     gates = []
     for _ in range(n_gates):

@@ -21,7 +21,7 @@ from wirecut.fragment import recursive_fragment, single_cut_plan
 from wirecut.graph import build_graph
 from wirecut.ising import IsingModel, default_schedule, simulated_anneal
 from wirecut.noise import NoiseProfile, gate_error_prob, success_probability
-from wirecut.partition import GaParams, cut_size, find_min_cut_ga
+from wirecut.partition import cut_size, find_min_cut_ga
 from wirecut.reconstruct import execute_plan, fidelity, reconstruct, tvd
 from wirecut.simulate import (
     amplitude_damping_channel,
@@ -111,7 +111,7 @@ def test_criterion_3_ga_optimality_rate():
     for trial in range(200):
         g = random_connected_graph(rng, rng.randint(4, 16))
         _, opt = brute_force_min_cost(g)
-        res = find_min_cut_ga(g, GaParams(seed=trial))
+        res = find_min_cut_ga(g, trial)
         ratio = res.cost / opt
         worst = max(worst, ratio)
         if abs(res.cost - opt) < 1e-9:

@@ -56,7 +56,8 @@ def test_cut_threshold_zero_means_no_cuts(tmp_path):
 def test_both_solvers_find_cut_size_two_on_clusters(tmp_path):
     out = tmp_path / "clusters"
     assert run(["cut", "--qasm", "fixture:clusters_n8", "--profile", "fixture:uniform",
-                "--threshold", "0.999", "--out", out, "--max-depth", "1", "--seed", "1"]) == 0
+                "--threshold", "0.999", "--out", out, "--max-depth", "1", "--seed", "1",
+                "--solver", "both"]) == 0
     plan = json.loads((out / "plan.json").read_text())
     entry = plan["solver_log"][0]
     assert entry["ga"]["cut_size"] == 2
@@ -227,3 +228,36 @@ def test_shots_below_one_is_a_usage_error(tmp_path, capsys, shots):
         assert exc.value.code == 2
         assert "--shots: must be at least 1" in capsys.readouterr().err
     assert not list(out.glob("fragment_*.json"))
+
+
+CUT = ["cut", "--qasm", "fixture:fig1_n5", "--profile", "fixture:uniform", "--threshold", "0.5"]
+SWEEP = ["sweep", "--qasm", "fixture:fig1_n5", "--profile", "fixture:uniform"]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (CUT + ["--max-k", "-1"], "--max-k: must be at least 0, got -1"),
+    (SWEEP + ["--thresholds", "0", "--max-depth", "-2"], "--max-depth: must be at least 0, got -2"),
+    (CUT + ["--sweeps", "0"], "--sweeps: must be at least 1, got 0"),
+    (CUT + ["--restarts", "0"], "--restarts: must be at least 1, got 0"),
+    (CUT + ["--max-k", "two"], "--max-k: not an integer: 'two'"),
+    (SWEEP + ["--thresholds", "0.5,abc"], "--thresholds: not a comma-separated list"),
+    (SWEEP + ["--thresholds", ","], "--thresholds: need at least one threshold"),
+])
+def test_bad_numeric_input_is_a_usage_error(tmp_path, capsys, argv, message):
+    out = tmp_path / "bad"
+    with pytest.raises(SystemExit) as exc:
+        run(argv + ["--out", out])
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_default_solver_is_the_ga(tmp_path):
+    out = tmp_path / "default"
+    assert run(["cut", "--qasm", "fixture:fig1_n5", "--profile", "fixture:stress",
+                "--threshold", "0.9", "--out", out]) == 0
+    plan = json.loads((out / "plan.json").read_text())
+    assert plan["solver"] == "ga"
+    assert plan["solver_log"]
+    for entry in plan["solver_log"]:
+        assert entry["chosen"] == "ga" and "ga" in entry and "anneal" not in entry

@@ -1,29 +1,34 @@
+import json
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from helpers import random_circuit
-from wirecut.circuit import Circuit, Gate, gate_counts, parse_qasm
+from helpers import gate_counts, random_circuit
+from wirecut.circuit import Circuit, Gate, parse_qasm
 from wirecut.fragment import (
     Fragment,
     Limits,
     PlanError,
     derive_cut_points,
     enumerate_variants,
-    fragment,
     plan_from_dict,
     plan_to_dict,
     recursive_fragment,
     single_cut_plan,
 )
+from wirecut.fixtures import profile_fixture
 from wirecut.graph import build_graph
 from wirecut.noise import NoiseProfile
 from wirecut.partition import cut_size
+from wirecut.reconstruct import execute_plan, reconstruct
 
 HEADER = 'OPENQASM 2.0;\ninclude "qelib1.inc";\n'
 FIG1 = parse_qasm(HEADER + "qreg q[5]; cx q[0],q[1]; cx q[1],q[2]; cx q[2],q[3]; cx q[3],q[4];", name="fig1")
 GHZ3 = parse_qasm(HEADER + "qreg q[3]; h q[0]; cx q[0],q[1]; cx q[1],q[2];", name="ghz3")
 QUIET = NoiseProfile()
+STRESS = profile_fixture("stress")
 
 
 def test_fig1_cut_points():
@@ -70,8 +75,7 @@ def test_cut_points_reject_one_sided():
 
 def test_fig1_fragments_are_two_three_qubit_circuits():
     g = build_graph(FIG1, QUIET)
-    spec = derive_cut_points([0, 0, 1, 1], g, FIG1)
-    frags = fragment(FIG1, spec, [0, 0, 1, 1], g)
+    frags = single_cut_plan(FIG1, [0, 0, 1, 1], g).leaf_fragments()
     assert sorted(f.width for f in frags) == [3, 3]
     upstream = next(f for f in frags if f.out_cuts)
     downstream = next(f for f in frags if f.in_cuts)
@@ -84,16 +88,14 @@ def test_fig1_fragments_are_two_three_qubit_circuits():
 def test_fragment_kzero_has_no_cut_roles():
     c = parse_qasm(HEADER + "qreg q[4]; cx q[0],q[1]; cx q[2],q[3];")
     g = build_graph(c, QUIET)
-    spec = derive_cut_points([0, 1], g, c)
-    frags = fragment(c, spec, [0, 1], g)
+    frags = single_cut_plan(c, [0, 1], g).leaf_fragments()
     assert all(not f.in_cuts and not f.out_cuts for f in frags)
     assert sorted(f.width for f in frags) == [2, 2]
 
 
 def test_ghz3_fragment_shapes():
     g = build_graph(GHZ3, QUIET)
-    spec = derive_cut_points([0, 1], g, GHZ3)
-    frags = fragment(GHZ3, spec, [0, 1], g)
+    frags = single_cut_plan(GHZ3, [0, 1], g).leaf_fragments()
     a = next(f for f in frags if f.out_cuts)
     b = next(f for f in frags if f.in_cuts)
     assert [(x.name, x.qubits) for x in a.circuit.gates] == [("h", (0,)), ("cx", (0, 1))]
@@ -113,8 +115,7 @@ def test_every_gate_lands_in_exactly_one_fragment():
         pv = [rng.randint(0, 1) for _ in range(g.n)]
         if len(set(pv)) < 2:
             continue
-        spec = derive_cut_points(pv, g, c)
-        frags = fragment(c, spec, pv, g)
+        frags = single_cut_plan(c, pv, g).leaf_fragments()
         k1, k2 = gate_counts(c)
         assert sum(gate_counts(f.circuit)[0] for f in frags) == k1
         assert sum(gate_counts(f.circuit)[1] for f in frags) == k2
@@ -124,8 +125,7 @@ def test_every_gate_lands_in_exactly_one_fragment():
 def test_gateless_wire_goes_to_first_fragment():
     c = parse_qasm(HEADER + "qreg q[4]; cx q[0],q[1]; cx q[1],q[2];")
     g = build_graph(c, QUIET)
-    spec = derive_cut_points([0, 1], g, c)
-    frags = fragment(c, spec, [0, 1], g)
+    frags = single_cut_plan(c, [0, 1], g).leaf_fragments()
     side0 = frags[0]
     assert 3 in side0.qubit_map  # untouched wire q3 rides along with side 0
 
@@ -227,6 +227,37 @@ def test_plan_document_roundtrip():
     assert plan_to_dict(again) == doc
     assert again.k == plan.k
     assert [f.id for f in again.leaf_fragments()] == [f.id for f in plan.leaf_fragments()]
+
+
+def _document_bytes(doc) -> str:
+    # the encoding the CLI writes plan and reconstruction documents with
+    return json.dumps(doc, indent=2, sort_keys=True)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    circuit_seed=st.integers(0, 2**32 - 1),
+    width=st.integers(2, 7),
+    n_gates=st.integers(2, 24),
+    threshold=st.floats(0.0, 1.0),
+    plan_seed=st.integers(0, 2**31 - 1),
+    max_depth=st.integers(0, 8),
+    max_k=st.integers(0, 6),
+)
+def test_property_plan_document_round_trip(
+    circuit_seed, width, n_gates, threshold, plan_seed, max_depth, max_k
+):
+    c = random_circuit(random.Random(circuit_seed), width, n_gates, two_q_prob=0.6)
+    plan = recursive_fragment(
+        c, STRESS, threshold,
+        limits=Limits(max_depth=max_depth, max_k=max_k), seed=plan_seed, solver="ga",
+    )
+    text = _document_bytes(plan_to_dict(plan))
+    again = plan_from_dict(json.loads(text))
+    assert _document_bytes(plan_to_dict(again)) == text
+    want = reconstruct(execute_plan(plan), plan)
+    got = reconstruct(execute_plan(again), again)
+    assert _document_bytes(got.to_dict()) == _document_bytes(want.to_dict())
 
 
 def test_single_cut_plan_matches_manual_fragment():

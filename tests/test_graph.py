@@ -1,10 +1,11 @@
+import json
 import random
 
 import pytest
 
 from helpers import random_circuit
 from wirecut.circuit import parse_qasm
-from wirecut.graph import GraphError, build_graph, load_graph, serialize_graph
+from wirecut.graph import GraphError, build_graph, serialize_graph
 from wirecut.noise import NoiseProfile
 
 HEADER = 'OPENQASM 2.0;\ninclude "qelib1.inc";\n'
@@ -47,7 +48,7 @@ def test_normalization_sums_to_one():
         if not c.two_qubit_indices():
             continue
         g = build_graph(c, p)
-        assert abs(g.total_weight - 1.0) < 1e-12
+        assert abs(sum(g.weights()) - 1.0) < 1e-12
 
 
 def test_segment_count_per_wire():
@@ -114,25 +115,29 @@ def test_cold_wires_carry_no_idle_penalty():
     assert g.weights() == pytest.approx([0.25] * 4)
 
 
+def assert_document_holds_graph(text, g):
+    doc = json.loads(text)
+    assert [(v["id"], v["gate_index"], v["weight"]) for v in doc["vertices"]] == [
+        (v.id, v.gate_index, v.weight) for v in g.vertices
+    ]
+    assert [
+        (e["u"], e["v"], e["weight"],
+         [(s["qubit"], s["upstream_gate"], s["downstream_gate"]) for s in e["segments"]])
+        for e in doc["edges"]
+    ] == [
+        (e.u, e.v, e.weight, [(s.qubit, s.upstream_gate, s.downstream_gate) for s in e.segments])
+        for e in g.edges
+    ]
+
+
 def test_serialize_roundtrip():
     g = build_graph(parse_qasm(FIG1), NoiseProfile())
-    assert load_graph(serialize_graph(g)) == g
+    assert_document_holds_graph(serialize_graph(g), g)
 
 
 def test_single_vertex_graph_document():
     c = parse_qasm(HEADER + "qreg q[2]; cx q[0],q[1];")
     g = build_graph(c, NoiseProfile())
     assert g.n == 1 and g.edges == ()
-    assert load_graph(serialize_graph(g)) == g
+    assert_document_holds_graph(serialize_graph(g), g)
 
-
-def test_load_rejects_duplicate_vertex_id():
-    bad = '{"vertices": [{"id": 0, "gate_index": 0, "weight": 1.0}, {"id": 0, "gate_index": 1, "weight": 0.0}], "edges": []}'
-    with pytest.raises(GraphError, match="duplicate"):
-        load_graph(bad)
-
-
-def test_load_rejects_unknown_edge_endpoint():
-    bad = '{"vertices": [{"id": 0, "gate_index": 0, "weight": 1.0}], "edges": [{"u": 0, "v": 3, "weight": 1, "segments": [{"qubit": 0, "upstream_gate": 0, "downstream_gate": 1}]}]}'
-    with pytest.raises(GraphError, match="unknown vertex"):
-        load_graph(bad)

@@ -16,9 +16,6 @@ from wirecut.ising import (
     build_ising,
     default_schedule,
     energy,
-    ising_to_qubo,
-    qubo_energy,
-    qubo_to_ising,
     simulated_anneal,
     spins_to_partition,
 )
@@ -100,35 +97,6 @@ def test_energy_matches_naive_evaluator():
         for (i, k), val in m.j.items():
             naive += val * s[i] * s[k]
         assert energy(m, s) == pytest.approx(naive, abs=1e-12)
-
-
-def test_ising_to_qubo_single_field():
-    m = IsingModel(n=1, h=(1.0,), j={})
-    q = ising_to_qubo(m)
-    assert q.q[(0, 0)] == pytest.approx(2.0)
-    assert q.offset == pytest.approx(-1.0)
-    assert qubo_energy(q, [0]) == pytest.approx(energy(m, [-1]))
-    assert qubo_energy(q, [1]) == pytest.approx(energy(m, [1]))
-
-
-def test_ising_qubo_roundtrip_energies_pointwise():
-    rng = random.Random(41)
-    for _ in range(10):
-        m = random_ising(rng, rng.randint(1, 8))
-        q = ising_to_qubo(m)
-        back = qubo_to_ising(q)
-        for bits in itertools.product((0, 1), repeat=m.n):
-            spins = [2 * b - 1 for b in bits]
-            e = energy(m, spins)
-            assert qubo_energy(q, list(bits)) == pytest.approx(e, abs=1e-10)
-            assert energy(back, spins) == pytest.approx(e, abs=1e-10)
-
-
-def test_zero_model_roundtrip():
-    m = IsingModel(n=3, h=(0.0, 0.0, 0.0), j={})
-    q = ising_to_qubo(m)
-    assert q.q == {} and q.offset == 0.0
-    assert qubo_to_ising(q).j == {}
 
 
 def test_sa_single_spin_ground():

@@ -131,14 +131,14 @@ def test_high_precision_closed_forms():
 
 def test_oracle_reports_collect_into_a_document():
     from oracles import compare_against_oracle
-    from wirecut.partition import GaParams, find_min_cut_ga
+    from wirecut.partition import find_min_cut_ga
 
     rng = random.Random(71)
     reports = []
     for trial in range(10):
         g = random_connected_graph(rng, rng.randint(3, 10))
         _, opt = brute_force_min_cost(g)
-        res = find_min_cut_ga(g, GaParams(seed=trial))
+        res = find_min_cut_ga(g, trial)
         reports.append(
             compare_against_oracle(f"graph-{trial}", opt, res.cost, tolerance=1e-9)
         )

@@ -6,7 +6,7 @@ import pytest
 from helpers import random_connected_graph
 from oracles import brute_force_min_cost
 from wirecut.graph import Edge, GateGraph, Vertex, WireSegment
-from wirecut.partition import GaParams, crossover, cut_size, find_min_cut_ga, partition_cost
+from wirecut.partition import crossover, cut_size, find_min_cut_ga, partition_cost
 
 
 def path_graph(weights, edge_weights=None):
@@ -97,39 +97,24 @@ def test_weight_scaling_scales_cost_and_keeps_argmin():
 
 
 def test_ga_on_uniform_path():
-    res = find_min_cut_ga(UNIFORM4, GaParams(seed=1))
+    res = find_min_cut_ga(UNIFORM4, 1)
     assert res.cost == pytest.approx(4.0)
     assert res.partition in ([0, 0, 1, 1], [1, 1, 0, 0])
 
 
 def test_ga_two_vertex_graph():
     g = path_graph([0.3, 0.7])
-    res = find_min_cut_ga(g, GaParams(seed=0))
+    res = find_min_cut_ga(g, 0)
     assert sorted(res.partition) == [0, 1]
     assert res.cost == pytest.approx(1.0 / 0.3 + 1.0 / 0.7)
     assert res.cost == pytest.approx(4.761904761904762)
-
-
-def test_ga_never_worse_than_initial():
-    rng = random.Random(13)
-    for _ in range(10):
-        g = random_connected_graph(rng, rng.randint(3, 12))
-        initial = [rng.randint(0, 1) for _ in range(g.n)]
-        res = find_min_cut_ga(g, GaParams(seed=1), initial=initial)
-        assert res.cost <= partition_cost(initial, g) + 1e-12
-
-
-def test_ga_optimal_initial_stays_optimal():
-    pv, best = brute_force_min_cost(UNIFORM4)
-    res = find_min_cut_ga(UNIFORM4, GaParams(seed=5), initial=pv)
-    assert res.cost == pytest.approx(best)
 
 
 def test_ga_returns_proper_partition():
     rng = random.Random(17)
     for _ in range(20):
         g = random_connected_graph(rng, rng.randint(2, 12))
-        res = find_min_cut_ga(g, GaParams(seed=rng.randint(0, 999)))
+        res = find_min_cut_ga(g, rng.randint(0, 999))
         assert 0 < sum(res.partition) < g.n
         assert math.isfinite(res.cost)
 
@@ -137,8 +122,8 @@ def test_ga_returns_proper_partition():
 def test_ga_deterministic_given_seed():
     rng = random.Random(19)
     g = random_connected_graph(rng, 12)
-    a = find_min_cut_ga(g, GaParams(seed=42))
-    b = find_min_cut_ga(g, GaParams(seed=42))
+    a = find_min_cut_ga(g, 42)
+    b = find_min_cut_ga(g, 42)
     assert a == b
 
 
@@ -146,14 +131,10 @@ def test_ga_trace_is_non_increasing():
     rng = random.Random(23)
     for _ in range(10):
         g = random_connected_graph(rng, rng.randint(4, 14))
-        res = find_min_cut_ga(g, GaParams(seed=7))
+        res = find_min_cut_ga(g, 7)
         assert all(res.trace[i + 1] <= res.trace[i] for i in range(len(res.trace) - 1))
 
 
 def test_ga_rejects_degenerate_inputs():
     with pytest.raises(ValueError):
-        find_min_cut_ga(path_graph([1.0]), GaParams())
-    with pytest.raises(ValueError):
-        GaParams(c1=0.0)
-    with pytest.raises(ValueError):
-        GaParams(c2=-1)
+        find_min_cut_ga(path_graph([1.0]))
