@@ -130,15 +130,16 @@ def cmd_cut(args) -> int:
     _write_json(out_dir / "plan.json", plan_to_dict(plan))
     print(f"plan: {len(plan.leaf_fragments())} fragment(s), k={plan.k} -> {out_dir / 'plan.json'}")
     if plan.solver_log:
-        print(f"{'fragment':>8} {'vertices':>8} {'ga cost':>10} {'ga k':>5} "
-              f"{'anneal cost':>12} {'anneal k':>9} {'chosen':>7}")
+        # every log entry holds the same solvers: the ones the plan ran
+        ran = [name for name in ("ga", "anneal") if name in plan.solver_log[0]]
+        print(f"{'fragment':>8} {'vertices':>8} "
+              + "".join(f"{name + ' cost':>12} {name + ' k':>9} " for name in ran)
+              + f"{'chosen':>7}")
         for entry in plan.solver_log:
-            ga = entry.get("ga", {})
-            sa = entry.get("anneal", {})
             print(f"{entry['fragment']:>8} {entry['vertices']:>8} "
-                  f"{_fmt(ga.get('cost')):>10} {_fmt(ga.get('cut_size')):>5} "
-                  f"{_fmt(sa.get('cost')):>12} {_fmt(sa.get('cut_size')):>9} "
-                  f"{entry['chosen']:>7}")
+                  + "".join(f"{_fmt(entry[name]['cost']):>12} "
+                            f"{_fmt(entry[name]['cut_size']):>9} " for name in ran)
+                  + f"{entry['chosen']:>7}")
     return 0
 
 
@@ -261,10 +262,19 @@ def _int_at_least(low: int):
     return parse
 
 
+def _threshold(text: str) -> float:
+    """argparse type for a threshold in [0, 1]; NaN lies outside it. A
+    non-number raises ``float``'s ValueError, which argparse reports."""
+    value = float(text)
+    if not 0.0 <= value <= 1.0:
+        raise argparse.ArgumentTypeError(f"must lie in [0, 1], got {value}")
+    return value
+
+
 def _threshold_list(text: str) -> list[float]:
     """argparse type for a comma-separated list of at least one threshold."""
     try:
-        values = [float(tok) for tok in text.split(",") if tok.strip()]
+        values = [_threshold(tok) for tok in text.split(",") if tok.strip()]
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"not a comma-separated list of numbers: {text!r}"
@@ -303,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cut = sub.add_parser("cut", help="plan a fragmentation")
     common_inputs(p_cut)
-    p_cut.add_argument("--threshold", type=float, required=True)
+    p_cut.add_argument("--threshold", type=_threshold, required=True)
     solver_flags(p_cut)
     p_cut.add_argument("--out", required=True)
     p_cut.set_defaults(fn=cmd_cut)

@@ -122,20 +122,11 @@ class VariantRun:
     inits: dict[int, str]
     circuit: Circuit
 
-    @property
-    def key(self) -> str:
-        return variant_key(self.bases, self.inits)
-
-
-def variant_key(bases: dict[int, str], inits: dict[int, str]) -> str:
-    parts = [f"m{cid}:{bases[cid]}" for cid in sorted(bases)]
-    parts += [f"i{cid}:{inits[cid]}" for cid in sorted(inits)]
-    return ";".join(parts) if parts else "base"
-
 
 def variant_keys(out_ids, in_ids):
-    """Iterate ``variant_key`` over every variant of the sorted cut ids, in
-    ``enumerate_variants`` order: bases of the out-cuts outermost."""
+    """Document key of every variant of the sorted cut ids, such as
+    ``m0:X;i2:plus`` (``base`` without cuts), in ``enumerate_variants``
+    order: bases of the out-cuts outermost."""
     parts = [[f"m{cid}:{basis}" for basis in MEAS_BASES] for cid in out_ids]
     parts += [[f"i{cid}:{state}" for state in INIT_STATES] for cid in in_ids]
     return (";".join(p) if p else "base" for p in itertools.product(*parts))

@@ -7,7 +7,9 @@ in-cut initializations are leading batch axes of the statevector, and by
 linearity one fixed rotation per out-cut then yields every readout basis.
 Noisy execution simulates each variant circuit on its own and packs the
 results into the same array. Variant keys and bitstrings appear only in
-the fragment documents (``to_dict``/``from_dict``).
+the fragment documents (``to_dict``/``from_dict``). The reconstructed
+``Distribution`` wraps the recombined probability vector, and fidelity,
+TVD and Hellinger distance are elementwise expressions over two vectors.
 
 Each cut carries one of four labels I, Z, X, Y; the sum over all 4^k label
 assignments, scaled by 1/2 per cut, is the uncut distribution (Peng et al.,
@@ -122,12 +124,11 @@ class FragmentOutput:
         return math.prod(_settings(self.out_cuts, self.in_cuts))
 
     def to_dict(self) -> dict:
-        variants = {}
         rows = self.probs.reshape(-1, 1 << self.width)
-        for key, row in zip(variant_keys(self.out_cuts, self.in_cuts), rows):
-            dist = Distribution.from_vector(row, self.width)
-            dist.shots = self.shots
-            variants[key] = dist.to_dict()
+        variants = {
+            key: Distribution(row, self.shots).to_dict()
+            for key, row in zip(variant_keys(self.out_cuts, self.in_cuts), rows)
+        }
         return {
             "fragment": self.fragment_id,
             "width": self.width,
@@ -232,8 +233,8 @@ def execute_plan(
             local_profile = profile.for_subcircuit(leaf.circuit, leaf.qubit_map)
             rows = [
                 run_noisy(v.circuit, local_profile, shots=shots,
-                          seed=_shot_seed(seed, leaf.id, v.key)).vector()
-                for v in enumerate_variants(leaf)
+                          seed=_shot_seed(seed, leaf.id, key)).probs
+                for key, v in zip(variant_keys(out_ids, in_ids), enumerate_variants(leaf))
             ]
             probs = np.array(rows).reshape(shape)
         else:
@@ -243,7 +244,7 @@ def execute_plan(
             else:
                 rows = [
                     measure_distribution(amp, shots=shots,
-                                         seed=_shot_seed(seed, leaf.id, key)).vector()
+                                         seed=_shot_seed(seed, leaf.id, key)).probs
                     for key, amp in zip(variant_keys(out_ids, in_ids),
                                         amps.reshape(-1, 1 << leaf.width))
                 ]
@@ -378,10 +379,8 @@ def reconstruct(
     total = clipped_vec.sum()
     if total <= 0:
         raise ReconstructionError("reconstructed distribution has no positive mass")
-    clipped_vec = clipped_vec / total
-    dist = Distribution.from_vector(clipped_vec, plan.width)
     return ReconstructionResult(
-        distribution=dist, k=k, terms=4 ** k, clipped_mass=clipped
+        distribution=Distribution(clipped_vec / total), k=k, terms=4 ** k, clipped_mass=clipped
     )
 
 
@@ -394,14 +393,12 @@ def _check_widths(a: Distribution, b: Distribution):
         raise ReconstructionError(f"width mismatch: {a.width} != {b.width}")
 
 
+# Python's ``sum`` over the non-zero terms in index (sorted-bitstring) order:
+# np.sum's pairwise order would move the last bits; the list fits the support.
+
 def _bhattacharyya(a: Distribution, b: Distribution) -> float:
-    bc = 0.0
-    for bits in sorted(a.probs):
-        pa = a.probs[bits]
-        pb = b.probs.get(bits, 0.0)
-        if pa > 0 and pb > 0:
-            bc += math.sqrt(pa * pb)
-    return bc
+    both = (a.probs > 0) & (b.probs > 0)
+    return sum(np.sqrt(a.probs[both] * b.probs[both]).tolist(), 0.0)
 
 
 def fidelity(a: Distribution, b: Distribution) -> float:
@@ -413,10 +410,8 @@ def fidelity(a: Distribution, b: Distribution) -> float:
 def tvd(a: Distribution, b: Distribution) -> float:
     """Total variation distance: half the L1 distance over the union support."""
     _check_widths(a, b)
-    # sorted union: set iteration order is hash-salted across processes and
-    # would perturb the floating-point sum
-    keys = sorted(set(a.probs) | set(b.probs))
-    return 0.5 * sum(abs(a.probs.get(x, 0.0) - b.probs.get(x, 0.0)) for x in keys)
+    diff = np.abs(a.probs - b.probs)
+    return 0.5 * sum(diff[diff > 0].tolist(), 0.0)
 
 
 def hellinger(a: Distribution, b: Distribution) -> float:

@@ -1,12 +1,14 @@
 """Statevector and density-matrix simulation of the gate-error + damping model.
 
 Conventions: qubit 0 owns the leftmost character of a measurement
-bitstring. A statevector is held with one 2-valued axis per qubit and
-gates are applied by tensor contraction. ``run_ideal`` can also evolve a
-batch of states at once: leading axes before the qubit axes are carried
-through every gate, which is how a fragment's body is simulated once for
-all of its cut initializations. Exact probabilities are the default
-output; shot sampling is opt-in so identity tests stay deterministic.
+bitstring, and a ``Distribution`` is the dense vector of the 2^width
+outcome probabilities, indexed by those bits. A statevector is held with
+one 2-valued axis per qubit and gates are applied by tensor contraction.
+``run_ideal`` can also evolve a batch of states at once: leading axes
+before the qubit axes are carried through every gate, which is how a
+fragment's body is simulated once for all of its cut initializations.
+Exact probabilities are the default output; shot sampling is opt-in so
+identity tests stay deterministic.
 
 The noise model applies, per gate, amplitude and phase damping over each
 operand's idle gap of the ASAP schedule, then the ideal unitary, then a
@@ -25,7 +27,7 @@ closed forms are tested against.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -155,28 +157,28 @@ def run_ideal(c: Circuit, state: np.ndarray | None = None) -> np.ndarray:
 # Distributions
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(eq=False)
 class Distribution:
-    """Map bitstring -> probability; ``shots`` is set when it was sampled."""
+    """Outcome probabilities as a dense vector over the 2^width bitstrings.
 
-    width: int
-    probs: dict[str, float] = field(default_factory=dict)
+    Entry i is the bitstring of i in binary with qubit 0 leftmost, so index
+    order is sorted bitstring order. ``shots`` is set when it was sampled.
+    Bitstrings exist only in the document form (``to_dict``).
+    """
+
+    probs: np.ndarray
     shots: int | None = None
 
-    def vector(self) -> np.ndarray:
-        out = np.zeros(1 << self.width)
-        out[[int(bits, 2) for bits in self.probs]] = list(self.probs.values())
-        return out
-
-    @classmethod
-    def from_vector(cls, vec: np.ndarray, width: int) -> "Distribution":
-        nonzero = np.flatnonzero(vec)
-        spec = f"0{width}b"
-        keys = [format(i, spec) for i in nonzero.tolist()]
-        return cls(width=width, probs=dict(zip(keys, map(float, vec[nonzero].tolist()))))
+    @property
+    def width(self) -> int:
+        return self.probs.size.bit_length() - 1
 
     def to_dict(self) -> dict:
-        doc = {"width": self.width, "probs": {k: self.probs[k] for k in sorted(self.probs)}}
+        """``{"width", "probs", "shots"?}`` with only the non-zero entries."""
+        nonzero = np.flatnonzero(self.probs)
+        spec = f"0{self.width}b"
+        keys = [format(i, spec) for i in nonzero.tolist()]
+        doc = {"width": self.width, "probs": dict(zip(keys, self.probs[nonzero].tolist()))}
         if self.shots is not None:
             doc["shots"] = self.shots
         return doc
@@ -190,16 +192,14 @@ def measure_distribution(state, shots: int | None = None, seed: int = 0) -> Dist
     state = np.asarray(state)
     if state.ndim == 1:
         probs = np.abs(state) ** 2
-        width = int(round(math.log2(state.shape[0])))
     elif state.ndim == 2:
         probs = np.real(np.diagonal(state)).copy()
         probs[np.abs(probs) < 1e-14] = 0.0
         probs = np.clip(probs, 0.0, None)
-        width = int(round(math.log2(state.shape[0])))
     else:
         raise SimulationError("expected a vector or a square matrix")
     if shots is None:
-        return Distribution.from_vector(probs, width)
+        return Distribution(probs)
     if shots < 1:
         raise SimulationError(f"shots must be at least 1, got {shots}")
     rng = np.random.default_rng(seed)
@@ -207,9 +207,7 @@ def measure_distribution(state, shots: int | None = None, seed: int = 0) -> Dist
     values, counts = np.unique(outcomes, return_counts=True)
     freq = np.zeros_like(probs)
     freq[values] = counts / shots
-    dist = Distribution.from_vector(freq, width)
-    dist.shots = shots
-    return dist
+    return Distribution(freq, shots)
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,9 @@ __all__ = [
     "reference_density_evolution",
     "mp_gate_error_rate",
     "mp_success_probability",
+    "dict_fidelity",
+    "dict_tvd",
+    "dict_hellinger",
 ]
 
 
@@ -301,3 +304,34 @@ def mp_success_probability(k1: int, k2: int, p1, p2, tau, t1, t2) -> float:
         ok = (1 - mpmath.mpf(p1)) ** k1 * (1 - mpmath.mpf(p2)) ** k2
         decay = mpmath.e ** (-(mpmath.mpf(tau) / t1 + mpmath.mpf(tau) / t2))
         return float(ok * decay)
+
+
+# ---------------------------------------------------------------------------
+# Distribution distances over {bitstring: prob} maps
+# ---------------------------------------------------------------------------
+# Keys are visited in sorted order and summed with Python's ``sum``, which
+# is the order and the summation of the vector forms in ``reconstruct.py``;
+# the two agree exactly on every Python version (3.12 made ``sum`` of floats
+# compensated).
+
+def _dict_bhattacharyya(a: dict[str, float], b: dict[str, float]) -> float:
+    return sum(
+        (math.sqrt(a[x] * b.get(x, 0.0)) for x in sorted(a) if a[x] > 0 and b.get(x, 0.0) > 0),
+        0.0,
+    )
+
+
+def dict_fidelity(a: dict[str, float], b: dict[str, float]) -> float:
+    """Classical fidelity (sum_x sqrt(a(x) b(x)))^2, capped at 1."""
+    return min(_dict_bhattacharyya(a, b) ** 2, 1.0)
+
+
+def dict_tvd(a: dict[str, float], b: dict[str, float]) -> float:
+    """Half the L1 distance over the sorted union of both supports."""
+    keys = sorted(set(a) | set(b))
+    return 0.5 * sum(abs(a.get(x, 0.0) - b.get(x, 0.0)) for x in keys)
+
+
+def dict_hellinger(a: dict[str, float], b: dict[str, float]) -> float:
+    """sqrt(1 - Bhattacharyya coefficient)."""
+    return math.sqrt(max(0.0, 1.0 - _dict_bhattacharyya(a, b)))

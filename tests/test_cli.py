@@ -242,6 +242,9 @@ SWEEP = ["sweep", "--qasm", "fixture:fig1_n5", "--profile", "fixture:uniform"]
     (CUT + ["--max-k", "two"], "--max-k: not an integer: 'two'"),
     (SWEEP + ["--thresholds", "0.5,abc"], "--thresholds: not a comma-separated list"),
     (SWEEP + ["--thresholds", ","], "--thresholds: need at least one threshold"),
+    (CUT[:-1] + ["1.5"], "--threshold: must lie in [0, 1], got 1.5"),
+    (CUT[:-1] + ["nan"], "--threshold: must lie in [0, 1], got nan"),
+    (SWEEP + ["--thresholds", "0,2"], "--thresholds: must lie in [0, 1], got 2.0"),
 ])
 def test_bad_numeric_input_is_a_usage_error(tmp_path, capsys, argv, message):
     out = tmp_path / "bad"
@@ -249,7 +252,7 @@ def test_bad_numeric_input_is_a_usage_error(tmp_path, capsys, argv, message):
         run(argv + ["--out", out])
     assert exc.value.code == 2
     assert message in capsys.readouterr().err
-    assert not out.exists()
+    assert not out.exists()  # nothing ran: no plan, fragment or sweep.json
 
 
 def test_default_solver_is_the_ga(tmp_path):
@@ -261,3 +264,21 @@ def test_default_solver_is_the_ga(tmp_path):
     assert plan["solver_log"]
     for entry in plan["solver_log"]:
         assert entry["chosen"] == "ga" and "ga" in entry and "anneal" not in entry
+
+
+@pytest.mark.parametrize("solver, columns", [
+    ("ga", ["ga cost", "ga k"]),
+    ("both", ["ga cost", "ga k", "anneal cost", "anneal k"]),
+])
+def test_cut_table_shows_only_the_solvers_that_ran(tmp_path, capsys, solver, columns):
+    argv = ["cut", "--qasm", "fixture:fig1_n5", "--profile", "fixture:stress",
+            "--threshold", "0.9", "--out", tmp_path / solver, "--sweeps", "50"]
+    assert run(argv + (["--solver", solver] if solver != "ga" else [])) == 0
+    lines = capsys.readouterr().out.splitlines()
+    header = lines[1]
+    assert [name for name in ("ga cost", "ga k", "anneal cost", "anneal k")
+            if name in header] == columns
+    assert header.split()[:2] == ["fragment", "vertices"] and header.split()[-1] == "chosen"
+    rows = [line.split() for line in lines[2:]]
+    assert rows and all(len(row) == 3 + len(columns) for row in rows)
+    assert "-" not in {cell for row in rows for cell in row}

@@ -17,6 +17,7 @@ from wirecut.fragment import (
     plan_to_dict,
     recursive_fragment,
     single_cut_plan,
+    variant_keys,
 )
 from wirecut.fixtures import profile_fixture
 from wirecut.graph import build_graph
@@ -140,13 +141,14 @@ def test_variant_counts():
     assert len(enumerate_variants(f)) == 36
     f = Fragment(id=0, circuit=base, qubit_map=(0, 1, 2))
     variants = enumerate_variants(f)
-    assert len(variants) == 1 and variants[0].key == "base"
+    keys = list(variant_keys(sorted(f.out_cuts), sorted(f.in_cuts)))
+    assert len(variants) == 1 and keys == ["base"]
 
 
 def test_variant_synthesis_gates():
     base = Circuit(width=2, gates=(Gate("cx", (0, 1)),))
     f = Fragment(id=0, circuit=base, in_cuts={0: 0}, out_cuts={1: 1}, qubit_map=(0, 1))
-    variants = {v.key: v for v in enumerate_variants(f)}
+    variants = dict(zip(variant_keys([1], [0]), enumerate_variants(f)))
     assert len(variants) == 12
     v = variants["m1:Z;i0:zero"]
     assert [g.name for g in v.circuit.gates] == ["cx"]

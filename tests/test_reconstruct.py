@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import random_circuit
+from oracles import dict_fidelity, dict_hellinger, dict_tvd
 from wirecut.circuit import Circuit, Gate, parse_qasm
 from wirecut.fixtures import fixture_text
 from wirecut.fragment import (
@@ -22,7 +23,7 @@ from wirecut.fragment import (
     enumerate_variants,
     recursive_fragment,
     single_cut_plan,
-    variant_key,
+    variant_keys,
 )
 from wirecut.graph import build_graph
 from wirecut.noise import NoiseProfile, load_profile
@@ -55,7 +56,7 @@ def test_ghz3_reconstructs_exactly():
     result = reconstruct(execute_plan(plan), plan)
     ref = measure_distribution(run_ideal(GHZ3))
     assert tvd(result.distribution, ref) < 1e-9
-    assert result.distribution.probs == pytest.approx({"000": 0.5, "111": 0.5})
+    assert result.distribution.to_dict()["probs"] == pytest.approx({"000": 0.5, "111": 0.5})
     assert result.terms == 4
     assert result.clipped_mass < 1e-9
 
@@ -162,7 +163,7 @@ def test_shot_noise_yields_clipped_quasi_mass():
     outputs = execute_plan(plan, shots=400, seed=11)
     result = reconstruct(outputs, plan)
     assert result.clipped_mass >= 0.0
-    assert sum(result.distribution.probs.values()) == pytest.approx(1.0)
+    assert result.distribution.probs.sum() == pytest.approx(1.0)
     ref = measure_distribution(run_ideal(GHZ3))
     assert fidelity(result.distribution, ref) > 0.9
 
@@ -234,12 +235,13 @@ def test_property_batched_leaf_matches_each_variant_circuit(leaf):
     doc = out.to_dict()
     variants = enumerate_variants(leaf)
     assert out.n_variants == len(variants) == len(doc["variants"])
-    for v in variants:
+    keys = variant_keys(sorted(leaf.out_cuts), sorted(leaf.in_cuts))
+    for key, v in zip(keys, variants):
         idx = tuple(MEAS_BASES.index(v.bases[c]) for c in sorted(leaf.out_cuts))
         idx += tuple(INIT_STATES.index(v.inits[c]) for c in sorted(leaf.in_cuts))
         expect = np.abs(run_ideal(v.circuit)) ** 2
         assert np.max(np.abs(out.probs[idx].reshape(-1) - expect)) <= 1e-12
-        written = Distribution(leaf.width, doc["variants"][v.key]["probs"]).vector()
+        written = d(leaf.width, doc["variants"][key]["probs"]).probs
         assert np.max(np.abs(written - expect)) <= 1e-12
     again = FragmentOutput.from_dict(json.loads(json.dumps(doc)))
     assert (again.fragment_id, again.out_cuts, again.in_cuts, again.shots) == (
@@ -256,11 +258,12 @@ def test_sampled_variants_each_draw_with_their_own_seed():
     outputs = execute_plan(plan, shots=64, seed=13)
     for leaf in plan.leaf_fragments():
         doc = outputs[leaf.id].to_dict()["variants"]
-        for v in enumerate_variants(leaf):
+        keys = variant_keys(sorted(leaf.out_cuts), sorted(leaf.in_cuts))
+        for key, v in zip(keys, enumerate_variants(leaf)):
             alone = measure_distribution(
-                run_ideal(v.circuit), shots=64, seed=_shot_seed(13, leaf.id, v.key)
+                run_ideal(v.circuit), shots=64, seed=_shot_seed(13, leaf.id, key)
             )
-            assert doc[v.key] == alone.to_dict()
+            assert doc[key] == alone.to_dict()
 
 
 def test_width_cap_is_checked_before_allocation():
@@ -294,11 +297,13 @@ def labelled_sum(outputs, plan):
         label = dict(zip(cut_ids, labels))
         terms = {(): 0.5 ** len(cut_ids)}  # ((original qubit, bit), ...) -> weight
         for leaf in plan.leaf_fragments():
-            in_ids = sorted(leaf.in_cuts)
-            bases = {c: "Z" if label[c] == "I" else label[c] for c in leaf.out_cuts}
+            out_ids, in_ids = sorted(leaf.out_cuts), sorted(leaf.in_cuts)
+            choices = itertools.product(*[MEAS_BASES] * len(out_ids), *[INIT_STATES] * len(in_ids))
+            key_of = dict(zip(choices, variant_keys(out_ids, in_ids)))
+            bases = tuple("Z" if label[c] == "I" else label[c] for c in out_ids)
             factor = defaultdict(float)
             for inits in itertools.product(*(INIT_WEIGHTS[label[c]] for c in in_ids)):
-                key = variant_key(bases, {c: state for c, (state, _) in zip(in_ids, inits)})
+                key = key_of[bases + tuple(state for state, _ in inits)]
                 coeff = math.prod(w for _, w in inits)
                 for bits, p in docs[leaf.id][key]["probs"].items():
                     sign = math.prod(-1 if bits[q] == "1" and label[c] != "I" else 1
@@ -331,9 +336,10 @@ def test_sampled_outputs_match_the_direct_labelled_sum():
         clipped = -sum(min(v, 0.0) for v in quasi.values())
         positive = sum(max(v, 0.0) for v in quasi.values())
         assert result.clipped_mass == pytest.approx(clipped, abs=1e-12)
-        for bits in set(quasi) | set(result.distribution.probs):
+        got = result.distribution.to_dict()["probs"]
+        for bits in set(quasi) | set(got):
             expected = max(quasi.get(bits, 0.0), 0.0) / positive
-            assert result.distribution.probs.get(bits, 0.0) == pytest.approx(expected, abs=1e-12)
+            assert got.get(bits, 0.0) == pytest.approx(expected, abs=1e-12)
         seen_k.add(plan.k)
         clipped_cases += result.clipped_mass > 1e-6
     assert seen_k == {1, 2, 3} and clipped_cases >= 3
@@ -351,7 +357,11 @@ def test_fragment_document_rejects_malformed_outcomes():
 
 
 def d(width, probs):
-    return Distribution(width=width, probs=probs)
+    """Distribution of width ``width`` from a {bitstring: prob} map."""
+    vec = np.zeros(1 << width)
+    for bits, p in probs.items():
+        vec[int(bits, 2)] = p
+    return Distribution(vec)
 
 
 def test_fidelity_examples():
@@ -385,3 +395,37 @@ def test_metric_properties_on_random_distributions():
         assert 0.0 <= fidelity(a, b) <= 1.0
         assert tvd(a, c) <= tvd(a, b) + tvd(b, c) + 1e-12
         assert 0.0 <= hellinger(a, b) <= 1.0
+
+
+@st.composite
+def sparse_pairs(draw):
+    """Two sparse {bitstring: prob} maps of one width, 1-8 qubits, whose
+    supports overlap or are disjoint."""
+    width = draw(st.integers(1, 8))
+    outcomes = st.integers(0, (1 << width) - 1)
+    support_a = draw(st.sets(outcomes, min_size=1, max_size=12))
+    if draw(st.booleans()):
+        support_b = draw(st.sets(outcomes, min_size=1, max_size=12))
+    else:
+        rest = sorted(set(range(1 << width)) - support_a)
+        support_b = draw(st.sets(st.sampled_from(rest), min_size=1, max_size=12)) if rest else {0}
+    weight = st.floats(1e-6, 1.0)
+
+    def normalized(support):
+        raw = {format(i, f"0{width}b"): draw(weight) for i in sorted(support)}
+        total = sum(raw.values())
+        return {bits: p / total for bits, p in raw.items()}
+
+    return width, normalized(support_a), normalized(support_b)
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_pairs())
+def test_property_vector_distances_equal_the_dict_loops(case):
+    width, pa, pb = case
+    a, b = d(width, pa), d(width, pb)
+    assert fidelity(a, b) == dict_fidelity(pa, pb)
+    assert tvd(a, b) == dict_tvd(pa, pb)
+    assert hellinger(a, b) == dict_hellinger(pa, pb)
+    assert a.to_dict() == {"width": width, "probs": pa}
+    assert list(a.to_dict()["probs"]) == sorted(pa)

@@ -92,20 +92,20 @@ def test_batched_initial_states_evolve_like_single_ones():
 
 def test_measure_distribution_ghz():
     d = measure_distribution(run_ideal(GHZ3))
-    assert d.probs == pytest.approx({"000": 0.5, "111": 0.5})
+    assert d.to_dict()["probs"] == pytest.approx({"000": 0.5, "111": 0.5})
 
 
 def test_measure_distribution_zero_state():
     d = measure_distribution(run_ideal(Circuit(width=1, gates=())))
-    assert d.probs == {"0": 1.0}
+    assert d.to_dict()["probs"] == {"0": 1.0}
 
 
 def test_shot_sampling_within_binomial_bound():
     d = measure_distribution(run_ideal(GHZ3), shots=100_000, seed=7)
     assert d.shots == 100_000
-    assert abs(d.probs.get("000", 0.0) - 0.5) < 0.01
-    assert abs(d.probs.get("111", 0.0) - 0.5) < 0.01
-    assert sum(d.probs.values()) == pytest.approx(1.0)
+    assert abs(d.probs[0b000] - 0.5) < 0.01
+    assert abs(d.probs[0b111] - 0.5) < 0.01
+    assert d.probs.sum() == pytest.approx(1.0)
 
 
 @pytest.mark.parametrize("shots", [0, -5])
@@ -184,8 +184,8 @@ def test_x_gate_with_bit_flip_error():
     c = Circuit(width=1, gates=(Gate("x", (0,)),))
     d = run_noisy(c, p)
     # X and Y errors flip the outcome back, Z does not
-    assert d.probs["0"] == pytest.approx(0.2)
-    assert d.probs["1"] == pytest.approx(0.8)
+    assert d.probs[0] == pytest.approx(0.2)
+    assert d.probs[1] == pytest.approx(0.8)
 
 
 def test_idle_relaxation_population():
@@ -196,7 +196,7 @@ def test_idle_relaxation_population():
     )
     gates = [Gate("x", (0,))] + [Gate("x", (1,)) for _ in range(21)]
     d = run_noisy(Circuit(width=2, gates=tuple(gates)), prof)
-    p_one = sum(v for bits, v in d.probs.items() if bits[0] == "1")
+    p_one = d.probs.reshape(2, 2)[1].sum()  # qubit 0 is the leading bit
     assert p_one == pytest.approx(math.exp(-1), abs=1e-12)
 
 
@@ -234,7 +234,7 @@ def test_fidelity_degrades_as_damping_grows():
         last = f
 
 
-def test_from_vector_matches_the_dense_loop():
+def test_to_dict_matches_the_dense_loop():
     rng = np.random.default_rng(4)
     for width in (1, 3, 6):
         vec = rng.normal(size=1 << width)
@@ -245,11 +245,15 @@ def test_from_vector_matches_the_dense_loop():
         for i, p in enumerate(vec):
             if p != 0.0:
                 old[format(i, f"0{width}b")] = float(p)
-        new = Distribution.from_vector(vec, width).probs
+        doc = Distribution(vec).to_dict()
+        new = doc["probs"]
+        assert doc["width"] == width and "shots" not in doc
         assert list(new) == list(old)
         assert all(type(v) is float for v in new.values())
         assert json.dumps(new) == json.dumps(old)
-    assert Distribution.from_vector(np.zeros(4), 2).probs == {}
+    assert Distribution(np.zeros(4)).to_dict() == {"width": 2, "probs": {}}
+    assert Distribution(np.array([0.25, 0.75]), shots=4).to_dict() == {
+        "width": 1, "probs": {"0": 0.25, "1": 0.75}, "shots": 4}
 
 
 def _superop(ch: KrausChannel) -> np.ndarray:
