@@ -32,16 +32,6 @@ from .reconstruct import (
     reconstruct,
     tvd,
 )
-from .simulate import (
-    Distribution,
-    KrausChannel,
-    SimulationError,
-    amplitude_damping_channel,
-    measure_distribution,
-    pauli_error_channel,
-    phase_damping_channel,
-    run_ideal,
-    run_noisy,
-)
+from .simulate import Distribution, SimulationError, measure_distribution, run_ideal, run_noisy
 
 __version__ = "0.1.0"

@@ -1,9 +1,13 @@
 """Command-line pipeline: cut, run, reconstruct, sweep, graph.
 
-Documents are JSON with sorted keys, so identical inputs and seeds produce
-byte-identical files. Exit codes: 0 success, 2 usage, 3 circuit parse
-error, 4 profile error, 5 planning/reconstruction error, 6 simulation
-error. Circuit and profile arguments accept either a path or
+``cut`` writes ``plan.json``, ``run`` one ``fragment_<id>.json`` per leaf
+(version 2: sorted cut ids and one dense row of outcome probabilities per
+variant, see ``FragmentOutput``), ``reconstruct`` ``reconstruction.json``
+(the only document keyed by bitstrings) and ``sweep`` ``sweep.json``. One
+writer emits them all as compact JSON with sorted keys, so identical inputs
+and seeds produce byte-identical files. Exit codes: 0 success, 2 usage,
+3 circuit parse error, 4 profile error, 5 planning/reconstruction error,
+6 simulation error. Circuit and profile arguments accept either a path or
 ``fixture:<name>`` for the bundled benchmarks.
 """
 from __future__ import annotations
@@ -79,8 +83,10 @@ def _load_noise(spec: str) -> NoiseProfile:
 
 
 def _write_json(path: Path, doc) -> None:
+    """Compact JSON with sorted keys; without an indent json uses its C encoder."""
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    path.write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n",
+                    encoding="utf-8")
 
 
 def _read_plan(out_dir: Path) -> FragmentPlan:

@@ -542,13 +542,22 @@ def _fragment_to_dict(f: Fragment) -> dict:
 
 
 def _fragment_from_dict(doc: dict) -> Fragment:
-    return Fragment(
+    f = Fragment(
         id=doc["id"],
         circuit=circuit_from_dict(doc["circuit"]),
         in_cuts={int(k): v for k, v in doc["in_cuts"].items()},
         out_cuts={int(k): v for k, v in doc["out_cuts"].items()},
         qubit_map=tuple(doc["qubit_map"]),
     )
+    if len(f.qubit_map) != f.width:
+        raise PlanError(f"fragment {f.id} maps {len(f.qubit_map)} qubits, its circuit has {f.width}")
+    for role, cuts in (("in", f.in_cuts), ("out", f.out_cuts)):
+        local = list(cuts.values())
+        if not all(type(q) is int and 0 <= q < f.width for q in local) \
+                or len(set(local)) != len(local):
+            raise PlanError(f"fragment {f.id} {role}-cuts {cuts} need distinct local "
+                            f"qubits in 0..{f.width - 1}")
+    return f
 
 
 def _node_to_dict(node: PlanNode) -> dict:
@@ -632,5 +641,7 @@ def plan_from_dict(doc: dict) -> FragmentPlan:
             solver=doc["solver"],
             solver_log=list(doc.get("solver_log", [])),
         )
+    except PlanError:
+        raise
     except (KeyError, TypeError, AttributeError, ValueError) as exc:
         raise PlanError(f"missing or malformed field {exc}") from None

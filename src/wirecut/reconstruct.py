@@ -6,8 +6,9 @@ Ideal execution fills it from a single evolution of the leaf's body: the
 in-cut initializations are leading batch axes of the statevector, and by
 linearity one fixed rotation per out-cut then yields every readout basis.
 Noisy execution simulates each variant circuit on its own and packs the
-results into the same array. Variant keys and bitstrings appear only in
-the fragment documents (``to_dict``/``from_dict``). The reconstructed
+results into the same array. A fragment document (``to_dict``/``from_dict``)
+stores that array as one dense row per variant next to the sorted cut ids,
+so no variant key or bitstring is written or parsed. The reconstructed
 ``Distribution`` wraps the recombined probability vector, and fidelity,
 TVD and Hellinger distance are elementwise expressions over two vectors.
 
@@ -105,8 +106,11 @@ class FragmentOutput:
     ``probs`` has one basis axis per out-cut (``MEAS_BASES`` order), then
     one init axis per in-cut (``INIT_STATES`` order), each in the id order
     of ``out_cuts`` and ``in_cuts``, then one bit axis per local qubit.
-    ``shots`` is set when the distributions were sampled. Variant keys and
-    bitstrings exist only in the document form.
+    ``shots`` is set when the distributions were sampled.
+
+    The document form (version 2) holds the sorted cut ids and ``probs`` as
+    dense rows: ``probs.reshape(-1, 2**width)``, one row of 2^width outcome
+    probabilities per variant, in ``enumerate_variants`` order.
     """
 
     fragment_id: int
@@ -124,68 +128,63 @@ class FragmentOutput:
         return math.prod(_settings(self.out_cuts, self.in_cuts))
 
     def to_dict(self) -> dict:
-        rows = self.probs.reshape(-1, 1 << self.width)
-        variants = {
-            key: Distribution(row, self.shots).to_dict()
-            for key, row in zip(variant_keys(self.out_cuts, self.in_cuts), rows)
-        }
-        return {
+        doc = {
+            "version": 2,
             "fragment": self.fragment_id,
             "width": self.width,
-            "variants": {k: variants[k] for k in sorted(variants)},
+            "out_cuts": list(self.out_cuts),
+            "in_cuts": list(self.in_cuts),
+            "probs": self.probs.reshape(-1, 1 << self.width).tolist(),
         }
+        if self.shots is not None:
+            doc["shots"] = self.shots
+        return doc
 
     @classmethod
-    def from_dict(cls, doc: dict) -> "FragmentOutput":
-        try:
-            fid, width, docs = doc["fragment"], doc["width"], doc["variants"]
-            if not isinstance(docs, dict):
-                raise TypeError("'variants' is not an object")
-            first = min(docs)
-            parts = [] if first == "base" else first.split(";")
-            out_ids = sorted({int(p[1:p.index(":")]) for p in parts if p.startswith("m")})
-            in_ids = sorted({int(p[1:p.index(":")]) for p in parts if p.startswith("i")})
-        except (KeyError, TypeError, AttributeError, ValueError) as exc:
-            raise ReconstructionError(f"missing or malformed field {exc}") from None
-        if not isinstance(width, int) or not 1 <= width <= MAX_STATEVECTOR_QUBITS:
+    def from_dict(cls, doc) -> "FragmentOutput":
+        """Read ``to_dict``'s document; its layout is checked before any array is built."""
+        if not isinstance(doc, dict):
+            raise ReconstructionError("fragment document must be a JSON object")
+        version = doc.get("version", 1)  # version 1 documents had no version field
+        if version != 2:
             raise ReconstructionError(
-                f"fragment width {width!r} is outside 1..{MAX_STATEVECTOR_QUBITS} qubits"
-            )
-        if len(out_ids) + len(in_ids) + width > _MAX_INDICES:
-            raise ReconstructionError(f"fragment {fid} has too many cuts for its width {width}")
-        # every expected key is looked up before anything is allocated; a
-        # key found is a distinct document entry, so this loop is bounded
-        rows = []
-        for key in variant_keys(out_ids, in_ids):
-            if key not in docs:
-                raise ReconstructionError(f"fragment {fid} is missing variant '{key}'")
-            rows.append((key, docs[key]))
-        if len(rows) != len(docs):
-            raise ReconstructionError(f"fragment {fid} has variants for cuts it does not have")
-        stack = np.zeros((len(rows), 1 << width))
-        shots = set()
+                f"fragment document version {version!r} is not supported; expected version 2")
         try:
-            for row, (key, dist) in zip(stack, rows):
-                if dist["width"] != width:
-                    raise ReconstructionError(
-                        f"variant '{key}' has width {dist['width']}, expected {width}"
-                    )
-                shots.add(dist.get("shots"))
-                probs = dist["probs"]
-                for bits, p in probs.items():
-                    if len(bits) != width or bits.strip("01") or not isinstance(p, (int, float)):
-                        raise ReconstructionError(
-                            f"variant '{key}' has entry {bits!r}: {p!r} at width {width}"
-                        )
-                row[[int(bits, 2) for bits in probs]] = list(probs.values())
-        except (KeyError, TypeError, AttributeError, OverflowError) as exc:
-            raise ReconstructionError(f"missing or malformed field {exc}") from None
-        if len(shots) != 1:
-            raise ReconstructionError(f"fragment {fid} variants disagree on shots")
-        return cls(
-            fragment_id=fid, out_cuts=tuple(out_ids), in_cuts=tuple(in_ids),
-            probs=stack.reshape(_settings(out_ids, in_ids) + (2,) * width), shots=shots.pop(),
-        )
+            fid, width, out_ids, in_ids, rows = (
+                doc[key] for key in ("fragment", "width", "out_cuts", "in_cuts", "probs"))
+        except KeyError as exc:
+            raise ReconstructionError(f"missing field {exc}") from None
+        if type(fid) is not int or not all(
+            isinstance(ids, list) and all(type(c) is int for c in ids) and ids == sorted(set(ids))
+            for ids in (out_ids, in_ids)
+        ) or set(out_ids) & set(in_ids):
+            raise ReconstructionError(f"fragment {fid!r} needs sorted, distinct integer cut ids, "
+                                      f"got out {out_ids!r}, in {in_ids!r}")
+        if type(width) is not int or not 1 <= width <= MAX_STATEVECTOR_QUBITS:
+            raise ReconstructionError(
+                f"fragment width {width!r} is outside 1..{MAX_STATEVECTOR_QUBITS} qubits")
+        settings = _settings(out_ids, in_ids)
+        if len(settings) + width > _MAX_INDICES:
+            raise ReconstructionError(f"fragment {fid} has too many cuts for its width {width}")
+        n_rows = math.prod(settings)
+        if not isinstance(rows, list) or len(rows) != n_rows or not all(
+            isinstance(row, list) and len(row) == 1 << width for row in rows
+        ):
+            raise ReconstructionError(f"fragment {fid} needs {n_rows} rows of {1 << width} "
+                                      "probabilities, one row per variant")
+        shots = doc.get("shots")
+        if "shots" in doc and not (type(shots) is int and shots >= 1):
+            raise ReconstructionError(f"fragment {fid} has shots {shots!r}, not an integer >= 1")
+        bad = ReconstructionError(f"fragment {fid} has entries that are not finite numbers")
+        try:
+            probs = np.asarray(rows)
+        except ValueError:  # entries that are lists of different lengths
+            raise bad from None
+        if probs.ndim != 2 or probs.dtype.kind not in "iuf" or not np.isfinite(probs).all():
+            raise bad
+        return cls(fragment_id=fid, out_cuts=tuple(out_ids), in_cuts=tuple(in_ids),
+                   probs=probs.astype(float, copy=False).reshape(settings + (2,) * width),
+                   shots=shots)
 
 
 @dataclass
@@ -221,7 +220,7 @@ def execute_plan(
     density-matrix model runs each variant circuit under ``profile``
     remapped onto the fragment's qubits. Sampled outputs (``shots``) draw
     each variant with its own seed, derived from ``seed`` and the
-    variant's key.
+    variant's key (``variant_keys``).
     """
     if noisy and profile is None:
         raise ReconstructionError("noisy execution needs a noise profile")

@@ -21,8 +21,8 @@ indexed ``2*ket + bra``, so a one-qubit channel is a 4x4 superoperator
 (``K ⊗ conj(K)`` summed over its Kraus operators) on one axis. Each gate's
 damping, unitary and Pauli error are multiplied, in closed form, into one
 superoperator (4x4, or 16x16 on the two operand axes) and applied with a
-single contraction. The Kraus constructors below are the reference those
-closed forms are tested against.
+single contraction. The tests check those closed forms against Kraus
+channels built independently in ``tests/oracles.py``.
 """
 from __future__ import annotations
 
@@ -37,12 +37,8 @@ from .noise import NoiseProfile
 __all__ = [
     "SimulationError",
     "Distribution",
-    "KrausChannel",
     "run_ideal",
     "measure_distribution",
-    "amplitude_damping_channel",
-    "phase_damping_channel",
-    "pauli_error_channel",
     "density_matrix",
     "run_noisy",
     "gate_unitary",
@@ -52,7 +48,6 @@ MAX_STATEVECTOR_QUBITS = 24
 MAX_DENSITY_QUBITS = 12
 
 _SQ2 = 1.0 / math.sqrt(2.0)
-_I2 = np.eye(2, dtype=complex)
 _X = np.array([[0, 1], [1, 0]], dtype=complex)
 _Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 _Z = np.diag([1.0, -1.0]).astype(complex)
@@ -162,26 +157,22 @@ class Distribution:
     """Outcome probabilities as a dense vector over the 2^width bitstrings.
 
     Entry i is the bitstring of i in binary with qubit 0 leftmost, so index
-    order is sorted bitstring order. ``shots`` is set when it was sampled.
-    Bitstrings exist only in the document form (``to_dict``).
+    order is sorted bitstring order. Bitstrings exist only in the document
+    form (``to_dict``).
     """
 
     probs: np.ndarray
-    shots: int | None = None
 
     @property
     def width(self) -> int:
         return self.probs.size.bit_length() - 1
 
     def to_dict(self) -> dict:
-        """``{"width", "probs", "shots"?}`` with only the non-zero entries."""
+        """``{"width", "probs"}`` with only the non-zero entries."""
         nonzero = np.flatnonzero(self.probs)
         spec = f"0{self.width}b"
         keys = [format(i, spec) for i in nonzero.tolist()]
-        doc = {"width": self.width, "probs": dict(zip(keys, self.probs[nonzero].tolist()))}
-        if self.shots is not None:
-            doc["shots"] = self.shots
-        return doc
+        return {"width": self.width, "probs": dict(zip(keys, self.probs[nonzero].tolist()))}
 
 
 def measure_distribution(state, shots: int | None = None, seed: int = 0) -> Distribution:
@@ -207,81 +198,7 @@ def measure_distribution(state, shots: int | None = None, seed: int = 0) -> Dist
     values, counts = np.unique(outcomes, return_counts=True)
     freq = np.zeros_like(probs)
     freq[values] = counts / shots
-    return Distribution(freq, shots)
-
-
-# ---------------------------------------------------------------------------
-# Kraus channels
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class KrausChannel:
-    operators: tuple[np.ndarray, ...]
-
-    def completeness_defect(self) -> float:
-        """max-abs deviation of sum(K^dag K) from the identity."""
-        dim = self.operators[0].shape[0]
-        acc = np.zeros((dim, dim), dtype=complex)
-        for k in self.operators:
-            acc += k.conj().T @ k
-        return float(np.max(np.abs(acc - np.eye(dim))))
-
-
-def amplitude_damping_channel(tau: float, t1: float, p_thermal: float = 0.0) -> KrausChannel:
-    """Relaxation channel over duration ``tau`` with timescale ``t1``.
-
-    lambda = 1 - exp(-tau/t1); ``p_thermal`` weighs the absorbing branch
-    (excitation toward |1>), zero for a cold environment, where only the
-    decay pair acts.
-    """
-    if tau < 0 or t1 <= 0:
-        raise SimulationError(f"need tau >= 0 and t1 > 0, got tau={tau}, t1={t1}")
-    if not 0.0 <= p_thermal <= 1.0:
-        raise SimulationError(f"p_thermal must lie in [0, 1], got {p_thermal}")
-    lam = -math.expm1(-tau / t1)
-    p = 1.0 - p_thermal
-    ops = []
-    if p > 0:
-        ops.append(math.sqrt(p) * np.array([[1, 0], [0, math.sqrt(1 - lam)]], dtype=complex))
-        ops.append(math.sqrt(p) * np.array([[0, math.sqrt(lam)], [0, 0]], dtype=complex))
-    if p_thermal > 0:
-        ops.append(
-            math.sqrt(p_thermal) * np.array([[math.sqrt(1 - lam), 0], [0, 1]], dtype=complex)
-        )
-        ops.append(math.sqrt(p_thermal) * np.array([[0, 0], [math.sqrt(lam), 0]], dtype=complex))
-    return KrausChannel(operators=tuple(ops))
-
-
-def phase_damping_channel(tau: float, t_phi: float) -> KrausChannel:
-    """Pure dephasing over duration ``tau`` with timescale ``t_phi``:
-    coherences decay by sqrt(1-lambda), populations are untouched."""
-    if tau < 0 or t_phi <= 0:
-        raise SimulationError(f"need tau >= 0 and t_phi > 0, got tau={tau}, t_phi={t_phi}")
-    lam = -math.expm1(-tau / t_phi)
-    return KrausChannel(
-        operators=(
-            np.array([[1, 0], [0, math.sqrt(1 - lam)]], dtype=complex),
-            np.array([[0, 0], [0, math.sqrt(lam)]], dtype=complex),
-        )
-    )
-
-
-def pauli_error_channel(p_ex: float, p_ey: float, p_ez: float) -> KrausChannel:
-    """Apply X, Y, Z with the given probabilities, identity otherwise."""
-    for name, p in (("p_ex", p_ex), ("p_ey", p_ey), ("p_ez", p_ez)):
-        if not 0.0 <= p <= 1.0:
-            raise SimulationError(f"{name} must lie in [0, 1], got {p}")
-    total = p_ex + p_ey + p_ez
-    if total > 1.0 + 1e-12:
-        raise SimulationError(f"error probabilities sum to {total} > 1")
-    return KrausChannel(
-        operators=(
-            math.sqrt(max(1.0 - total, 0.0)) * _I2,
-            math.sqrt(p_ex) * _X,
-            math.sqrt(p_ey) * _Y,
-            math.sqrt(p_ez) * _Z,
-        )
-    )
+    return Distribution(freq)
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +219,7 @@ def _unitary_superop_2q(u: np.ndarray) -> np.ndarray:
 
 
 def _pauli_superop(e: float) -> np.ndarray:
-    """Pauli error with p_x = p_y = p_z = e/3 (``pauli_error_channel``)."""
+    """Pauli error with p_x = p_y = p_z = e/3: each of X, Y, Z with probability e/3."""
     a, b, d = 1.0 - 2.0 * e / 3.0, 2.0 * e / 3.0, 1.0 - 4.0 * e / 3.0
     return np.array([[a, 0, 0, b], [0, d, 0, 0], [0, 0, d, 0], [b, 0, 0, a]], dtype=complex)
 

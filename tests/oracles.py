@@ -3,9 +3,11 @@
 Everything here is deliberately naive and shares nothing with the
 production code paths beyond the domain types: partition costs are
 re-derived from scratch over exhaustive enumerations, the noisy-evolution
-reference builds explicit full-space matrices, and the closed-form error
-model is evaluated in high-precision arithmetic. Exponential cost is
-by design; hard size caps keep runs tractable.
+reference builds explicit full-space matrices, the Kraus channels are the
+operator-sum forms the simulator's fused superoperators are checked
+against, and the closed-form error model is evaluated in high-precision
+arithmetic. Exponential cost is by design; hard size caps keep runs
+tractable.
 """
 from __future__ import annotations
 
@@ -19,6 +21,7 @@ from wirecut.circuit import Circuit
 from wirecut.graph import GateGraph
 from wirecut.ising import IsingModel
 from wirecut.noise import NoiseProfile
+from wirecut.simulate import SimulationError
 
 __all__ = [
     "OracleReport",
@@ -26,6 +29,10 @@ __all__ = [
     "brute_force_min_cost",
     "brute_force_ising_ground",
     "reference_density_evolution",
+    "KrausChannel",
+    "amplitude_damping_channel",
+    "phase_damping_channel",
+    "pauli_error_channel",
     "mp_gate_error_rate",
     "mp_success_probability",
     "dict_fidelity",
@@ -285,6 +292,87 @@ def reference_density_evolution(c: Circuit, p: NoiseProfile, max_width: int = 6)
             for ops in damping_ops(gap, q):
                 rho = apply_kraus(rho, ops, q)
     return rho
+
+
+# ---------------------------------------------------------------------------
+# Kraus channels
+# ---------------------------------------------------------------------------
+# The operator-sum forms of the channels whose closed-form superoperators
+# ``wirecut.simulate`` fuses per gate.
+
+_X = np.array([[0, 1], [1, 0]], dtype=complex)
+_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
+_Z = np.diag([1.0, -1.0]).astype(complex)
+
+
+@dataclass(frozen=True)
+class KrausChannel:
+    operators: tuple[np.ndarray, ...]
+
+    def completeness_defect(self) -> float:
+        """max-abs deviation of sum(K^dag K) from the identity."""
+        dim = self.operators[0].shape[0]
+        acc = np.zeros((dim, dim), dtype=complex)
+        for k in self.operators:
+            acc += k.conj().T @ k
+        return float(np.max(np.abs(acc - np.eye(dim))))
+
+
+def amplitude_damping_channel(tau: float, t1: float, p_thermal: float = 0.0) -> KrausChannel:
+    """Relaxation channel over duration ``tau`` with timescale ``t1``.
+
+    lambda = 1 - exp(-tau/t1); ``p_thermal`` weighs the absorbing branch
+    (excitation toward |1>), zero for a cold environment, where only the
+    decay pair acts.
+    """
+    if tau < 0 or t1 <= 0:
+        raise SimulationError(f"need tau >= 0 and t1 > 0, got tau={tau}, t1={t1}")
+    if not 0.0 <= p_thermal <= 1.0:
+        raise SimulationError(f"p_thermal must lie in [0, 1], got {p_thermal}")
+    lam = -math.expm1(-tau / t1)
+    p = 1.0 - p_thermal
+    ops = []
+    if p > 0:
+        ops.append(math.sqrt(p) * np.array([[1, 0], [0, math.sqrt(1 - lam)]], dtype=complex))
+        ops.append(math.sqrt(p) * np.array([[0, math.sqrt(lam)], [0, 0]], dtype=complex))
+    if p_thermal > 0:
+        ops.append(
+            math.sqrt(p_thermal) * np.array([[math.sqrt(1 - lam), 0], [0, 1]], dtype=complex)
+        )
+        ops.append(math.sqrt(p_thermal) * np.array([[0, 0], [math.sqrt(lam), 0]], dtype=complex))
+    return KrausChannel(operators=tuple(ops))
+
+
+def phase_damping_channel(tau: float, t_phi: float) -> KrausChannel:
+    """Pure dephasing over duration ``tau`` with timescale ``t_phi``:
+    coherences decay by sqrt(1-lambda), populations are untouched."""
+    if tau < 0 or t_phi <= 0:
+        raise SimulationError(f"need tau >= 0 and t_phi > 0, got tau={tau}, t_phi={t_phi}")
+    lam = -math.expm1(-tau / t_phi)
+    return KrausChannel(
+        operators=(
+            np.array([[1, 0], [0, math.sqrt(1 - lam)]], dtype=complex),
+            np.array([[0, 0], [0, math.sqrt(lam)]], dtype=complex),
+        )
+    )
+
+
+def pauli_error_channel(p_ex: float, p_ey: float, p_ez: float) -> KrausChannel:
+    """Apply X, Y, Z with the given probabilities, identity otherwise."""
+    for name, p in (("p_ex", p_ex), ("p_ey", p_ey), ("p_ez", p_ez)):
+        if not 0.0 <= p <= 1.0:
+            raise SimulationError(f"{name} must lie in [0, 1], got {p}")
+    total = p_ex + p_ey + p_ez
+    if total > 1.0 + 1e-12:
+        raise SimulationError(f"error probabilities sum to {total} > 1")
+    return KrausChannel(
+        operators=(
+            math.sqrt(max(1.0 - total, 0.0)) * _I2,
+            math.sqrt(p_ex) * _X,
+            math.sqrt(p_ey) * _Y,
+            math.sqrt(p_ez) * _Z,
+        )
+    )
 
 
 # ---------------------------------------------------------------------------

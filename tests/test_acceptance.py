@@ -8,10 +8,13 @@ import time
 
 from helpers import random_circuit, random_connected_graph
 from oracles import (
+    amplitude_damping_channel,
     brute_force_ising_ground,
     brute_force_min_cost,
     mp_gate_error_rate,
     mp_success_probability,
+    pauli_error_channel,
+    phase_damping_channel,
     reference_density_evolution,
 )
 from wirecut.circuit import Circuit, Gate
@@ -23,15 +26,7 @@ from wirecut.ising import IsingModel, default_schedule, simulated_anneal
 from wirecut.noise import NoiseProfile, gate_error_prob, success_probability
 from wirecut.partition import cut_size, find_min_cut_ga
 from wirecut.reconstruct import execute_plan, fidelity, reconstruct, tvd
-from wirecut.simulate import (
-    amplitude_damping_channel,
-    density_matrix,
-    measure_distribution,
-    pauli_error_channel,
-    phase_damping_channel,
-    run_ideal,
-    run_noisy,
-)
+from wirecut.simulate import density_matrix, measure_distribution, run_ideal, run_noisy
 
 BENCHMARKS = ("ghz_n10", "cat_n8", "bv_n9", "adder_n8", "su2_n8")
 

@@ -155,7 +155,7 @@ def test_commands_are_byte_deterministic(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
-@pytest.mark.parametrize("damage", ["truncated", "no-variants", "long-bitstring"])
+@pytest.mark.parametrize("damage", ["truncated", "no-variants", "short-row", "v1-document"])
 def test_malformed_fragment_document_exits_5(tmp_path, capsys, damage):
     out = tmp_path / damage
     assert run(["cut", "--qasm", "fixture:fig1_n5", "--profile", "fixture:stress",
@@ -166,18 +166,23 @@ def test_malformed_fragment_document_exits_5(tmp_path, capsys, damage):
     if damage == "truncated":
         path.write_text(path.read_text()[:40])
     elif damage == "no-variants":
-        del doc["variants"]
+        del doc["probs"]
         path.write_text(json.dumps(doc))
-    else:
-        variant = next(iter(doc["variants"].values()))
-        variant["probs"] = {"0" + bits: p for bits, p in variant["probs"].items()}
+    elif damage == "short-row":
+        doc["probs"][-1].pop()
         path.write_text(json.dumps(doc))
+    else:  # the bitstring-keyed layout written before version 2
+        path.write_text(json.dumps({"fragment": doc["fragment"], "width": doc["width"],
+                                    "variants": {"base": {"width": 1, "probs": {"0": 1.0}}}}))
     capsys.readouterr()
     assert run(["reconstruct", "--out", out]) == 5
-    assert "bad fragment document" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "bad fragment document" in err
+    assert damage != "v1-document" or "version 1 is not supported" in err
 
 
-@pytest.mark.parametrize("damage", ["list", "tree-not-object", "unknown-limit"])
+@pytest.mark.parametrize("damage", ["list", "tree-not-object", "unknown-limit",
+                                    "short-qubit-map", "cut-qubit-99"])
 def test_malformed_plan_document_exits_5(tmp_path, capsys, damage):
     out = tmp_path / damage
     assert run(["cut", "--qasm", "fixture:fig1_n5", "--profile", "fixture:stress",
@@ -188,12 +193,21 @@ def test_malformed_plan_document_exits_5(tmp_path, capsys, damage):
         doc = []
     elif damage == "tree-not-object":
         doc["tree"] = "root"
-    else:
+    elif damage == "unknown-limit":
         doc["limits"]["max_width"] = 4
+    else:
+        # a leaf that measures a cut: its qubit map loses an entry, or the
+        # cut moves to a local qubit the leaf does not have
+        leaf = next(child["fragment"] for child in doc["tree"]["children"]
+                    if child["fragment"]["out_cuts"])
+        if damage == "short-qubit-map":
+            leaf["qubit_map"].pop()
+        else:
+            leaf["out_cuts"] = {cid: 99 for cid in leaf["out_cuts"]}
     path.write_text(json.dumps(doc))
     capsys.readouterr()
-    for command in ("run", "reconstruct"):
-        assert run([command, "--out", out]) == 5
+    for argv in (["run"], ["run", "--noisy", "--profile", "fixture:stress"], ["reconstruct"]):
+        assert run(argv + ["--out", out]) == 5
         assert "bad plan document" in capsys.readouterr().err
 
 
@@ -207,8 +221,8 @@ def test_documents_wider_than_the_cap_exit_5(tmp_path, capsys, doc_width):
     out.mkdir()
     (out / "plan.json").write_text(json.dumps(plan_to_dict(plan)))
     (out / "fragment_0.json").write_text(json.dumps({
-        "fragment": 0, "width": doc_width,
-        "variants": {"base": {"width": doc_width, "probs": {"0" * doc_width: 1.0}}},
+        "version": 2, "fragment": 0, "width": doc_width, "out_cuts": [], "in_cuts": [],
+        "probs": [[1.0, 0.0]],
     }))
     capsys.readouterr()
     assert run(["reconstruct", "--out", out]) == 5

@@ -232,8 +232,8 @@ def test_plan_document_roundtrip():
 
 
 def _document_bytes(doc) -> str:
-    # the encoding the CLI writes plan and reconstruction documents with
-    return json.dumps(doc, indent=2, sort_keys=True)
+    # the encoding the CLI writes every document with
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
 
 @settings(max_examples=30, deadline=None)

@@ -10,13 +10,14 @@ from oracles import (
     brute_force_min_cost,
     mp_gate_error_rate,
     mp_success_probability,
+    pauli_error_channel,
     reference_density_evolution,
 )
 from wirecut.circuit import Circuit, Gate
 from wirecut.graph import Edge, GateGraph, Vertex, WireSegment
 from wirecut.ising import IsingModel
 from wirecut.noise import NoiseProfile, QubitCal
-from wirecut.simulate import density_matrix, pauli_error_channel, run_ideal
+from wirecut.simulate import density_matrix, run_ideal
 
 
 def test_brute_force_min_cost_uniform_path():

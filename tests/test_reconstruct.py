@@ -132,11 +132,9 @@ def test_missing_variant_is_an_error():
     plan = exact_plan(GHZ3, [0, 1])
     outputs = execute_plan(plan)
     docs = {fid: o.to_dict() for fid, o in outputs.items()}
-    upstream = next(fid for fid, doc in docs.items()
-                    if any(k.startswith("m") for k in doc["variants"]))
-    key = next(iter(docs[upstream]["variants"]))
-    del docs[upstream]["variants"][key]
-    with pytest.raises(ReconstructionError, match="missing variant"):
+    upstream = next(fid for fid, doc in docs.items() if doc["out_cuts"])
+    del docs[upstream]["probs"][0]
+    with pytest.raises(ReconstructionError, match="needs 3 rows of 4 probabilities"):
         outputs[upstream] = FragmentOutput.from_dict(docs[upstream])
         reconstruct(outputs, plan)
 
@@ -234,15 +232,14 @@ def test_property_batched_leaf_matches_each_variant_circuit(leaf):
     out = execute_plan(leaf_plan(leaf))[leaf.id]
     doc = out.to_dict()
     variants = enumerate_variants(leaf)
-    assert out.n_variants == len(variants) == len(doc["variants"])
-    keys = variant_keys(sorted(leaf.out_cuts), sorted(leaf.in_cuts))
-    for key, v in zip(keys, variants):
+    assert out.n_variants == len(variants) == len(doc["probs"])
+    assert (doc["out_cuts"], doc["in_cuts"]) == (sorted(leaf.out_cuts), sorted(leaf.in_cuts))
+    for row, v in zip(doc["probs"], variants):
         idx = tuple(MEAS_BASES.index(v.bases[c]) for c in sorted(leaf.out_cuts))
         idx += tuple(INIT_STATES.index(v.inits[c]) for c in sorted(leaf.in_cuts))
         expect = np.abs(run_ideal(v.circuit)) ** 2
         assert np.max(np.abs(out.probs[idx].reshape(-1) - expect)) <= 1e-12
-        written = d(leaf.width, doc["variants"][key]["probs"]).probs
-        assert np.max(np.abs(written - expect)) <= 1e-12
+        assert np.max(np.abs(np.array(row) - expect)) <= 1e-12
     again = FragmentOutput.from_dict(json.loads(json.dumps(doc)))
     assert (again.fragment_id, again.out_cuts, again.in_cuts, again.shots) == (
         out.fragment_id, out.out_cuts, out.in_cuts, out.shots)
@@ -257,19 +254,20 @@ def test_sampled_variants_each_draw_with_their_own_seed():
     plan = single_cut_plan(c, [0, 1, 0], build_graph(c, QUIET))
     outputs = execute_plan(plan, shots=64, seed=13)
     for leaf in plan.leaf_fragments():
-        doc = outputs[leaf.id].to_dict()["variants"]
+        doc = outputs[leaf.id].to_dict()
+        assert doc["shots"] == 64
         keys = variant_keys(sorted(leaf.out_cuts), sorted(leaf.in_cuts))
-        for key, v in zip(keys, enumerate_variants(leaf)):
+        for row, key, v in zip(doc["probs"], keys, enumerate_variants(leaf), strict=True):
             alone = measure_distribution(
                 run_ideal(v.circuit), shots=64, seed=_shot_seed(13, leaf.id, key)
             )
-            assert doc[key] == alone.to_dict()
+            assert row == alone.probs.tolist()
 
 
 def test_width_cap_is_checked_before_allocation():
     # a synthetic 30-qubit document and plan: a 2^30 stack would take 8 GiB
-    doc = {"fragment": 0, "width": 30,
-           "variants": {"base": {"width": 30, "probs": {"0" * 30: 1.0}}}}
+    doc = {"version": 2, "fragment": 0, "width": 30, "out_cuts": [], "in_cuts": [],
+           "probs": [[1.0]]}
     with pytest.raises(ReconstructionError, match="outside 1..24"):
         FragmentOutput.from_dict(doc)
     wide = recursive_fragment(Circuit(width=30, gates=(Gate("h", (0,)),)), QUIET, 0.0)
@@ -291,21 +289,23 @@ INIT_WEIGHTS = {
 def labelled_sum(outputs, plan):
     """Quasi-distribution as the direct sum over all 4^k cut labels."""
     cut_ids = plan.cut_ids()
-    docs = {fid: o.to_dict()["variants"] for fid, o in outputs.items()}
+    docs = {fid: o.to_dict()["probs"] for fid, o in outputs.items()}
     quasi = defaultdict(float)
     for labels in itertools.product("IZXY", repeat=len(cut_ids)):
         label = dict(zip(cut_ids, labels))
         terms = {(): 0.5 ** len(cut_ids)}  # ((original qubit, bit), ...) -> weight
         for leaf in plan.leaf_fragments():
             out_ids, in_ids = sorted(leaf.out_cuts), sorted(leaf.in_cuts)
+            # one row per variant, bases of the out-cuts outermost
             choices = itertools.product(*[MEAS_BASES] * len(out_ids), *[INIT_STATES] * len(in_ids))
-            key_of = dict(zip(choices, variant_keys(out_ids, in_ids)))
+            row_of = {choice: row for row, choice in enumerate(choices)}
             bases = tuple("Z" if label[c] == "I" else label[c] for c in out_ids)
             factor = defaultdict(float)
             for inits in itertools.product(*(INIT_WEIGHTS[label[c]] for c in in_ids)):
-                key = key_of[bases + tuple(state for state, _ in inits)]
+                row = docs[leaf.id][row_of[bases + tuple(state for state, _ in inits)]]
                 coeff = math.prod(w for _, w in inits)
-                for bits, p in docs[leaf.id][key]["probs"].items():
+                for index, p in enumerate(row):
+                    bits = format(index, f"0{leaf.width}b")
                     sign = math.prod(-1 if bits[q] == "1" and label[c] != "I" else 1
                                      for c, q in leaf.out_cuts.items())
                     kept = tuple((leaf.qubit_map[q], bits[q]) for q in leaf.terminal_qubits())
@@ -345,15 +345,51 @@ def test_sampled_outputs_match_the_direct_labelled_sum():
     assert seen_k == {1, 2, 3} and clipped_cases >= 3
 
 
-def test_fragment_document_rejects_malformed_outcomes():
-    doc = {"fragment": 1, "width": 2, "variants": {"base": {"width": 2, "probs": {"011": 1.0}}}}
-    with pytest.raises(ReconstructionError, match="'011'"):
+# a valid document: one out-cut, so three rows of 2^2 probabilities
+V2 = {"version": 2, "fragment": 1, "width": 2, "out_cuts": [0], "in_cuts": [], "shots": 8,
+      "probs": [[0.5, 0.5, 0.0, 0.0], [0.25, 0.25, 0.25, 0.25], [0.0, 0.0, 0.0, 1.0]]}
+
+
+def test_fragment_document_reads_dense_rows():
+    out = FragmentOutput.from_dict(V2)
+    assert (out.fragment_id, out.out_cuts, out.in_cuts, out.width, out.shots) == (1, (0,), (), 2, 8)
+    assert out.probs.shape == (3, 2, 2) and out.probs[2, 1, 1] == 1.0
+    assert out.to_dict() == V2
+
+
+@pytest.mark.parametrize("doc, message", [
+    pytest.param([], "must be a JSON object", id="not-an-object"),
+    pytest.param({"fragment": 1, "width": 2, "variants": {"m0:Z": {"width": 2, "probs": {"01": 1.0}}}},
+                 "version 1 is not supported", id="v1-document"),
+    pytest.param({**V2, "version": 3}, "version 3 is not supported", id="version-3"),
+    pytest.param({k: v for k, v in V2.items() if k != "probs"}, "missing field 'probs'",
+                 id="no-probs"),
+    pytest.param({**V2, "out_cuts": ["0"]}, "integer cut ids", id="string-cut-id"),
+    pytest.param({**V2, "out_cuts": [0, 0]}, "distinct integer cut ids", id="repeated-cut-id"),
+    pytest.param({**V2, "out_cuts": [2, 1]}, "sorted", id="unsorted-cut-ids"),
+    pytest.param({**V2, "in_cuts": [0]}, "distinct integer cut ids", id="cut-in-both-roles"),
+    pytest.param({**V2, "width": 0}, "outside 1..24", id="width-0"),
+    pytest.param({**V2, "width": 25}, "outside 1..24", id="width-25"),
+    pytest.param({**V2, "width": 24, "out_cuts": list(range(29))}, "too many cuts",
+                 id="too-many-cuts"),
+    pytest.param({**V2, "probs": V2["probs"][:2]}, "needs 3 rows of 4 probabilities",
+                 id="missing-row"),
+    pytest.param({**V2, "probs": [row[:3] for row in V2["probs"]]}, "needs 3 rows of 4",
+                 id="short-row"),
+    pytest.param({**V2, "probs": [[0.5, "half", 0.0, 0.0]] * 3}, "not finite numbers",
+                 id="string-entry"),
+    pytest.param({**V2, "probs": [[math.nan, 1.0, 0.0, 0.0]] * 3}, "not finite numbers",
+                 id="nan-entry"),
+    pytest.param({**V2, "probs": [[[0.5], [0.5], [0.0], [0.0]]] * 3}, "not finite numbers",
+                 id="nested-entry"),
+    pytest.param({**V2, "probs": [[[0.5], [0.5, 0.5], 0.0, 0.0]] * 3}, "not finite numbers",
+                 id="ragged-entry"),
+    pytest.param({**V2, "shots": 0}, "not an integer >= 1", id="zero-shots"),
+    pytest.param({**V2, "shots": 2.5}, "not an integer >= 1", id="fractional-shots"),
+])
+def test_fragment_document_reader_rejects(doc, message):
+    with pytest.raises(ReconstructionError, match=message):
         FragmentOutput.from_dict(doc)
-    doc["variants"]["base"]["probs"] = {"01": "half"}
-    with pytest.raises(ReconstructionError, match="'half'"):
-        FragmentOutput.from_dict(doc)
-    with pytest.raises(ReconstructionError, match="variants"):
-        FragmentOutput.from_dict({"fragment": 1, "width": 2})
 
 
 def d(width, probs):

