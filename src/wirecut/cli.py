@@ -13,6 +13,7 @@ and seeds produce byte-identical files. Exit codes: 0 success, 2 usage,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -111,9 +112,8 @@ def _plan(circuit, profile, args, threshold: float) -> FragmentPlan:
 def _run_pipeline(circuit, profile, args, threshold: float) -> dict:
     """cut + run + reconstruct for one threshold; returns the summary row."""
     plan = _plan(circuit, profile, args, threshold)
-    outputs = execute_plan(
-        plan, profile=profile, noisy=args.noisy, shots=args.shots, seed=args.seed
-    )
+    outputs = execute_plan(plan, profile=profile if args.noisy else None,
+                           shots=args.shots, seed=args.seed)
     result = reconstruct(outputs, plan)
     ideal = measure_distribution(run_ideal(circuit))
     return {
@@ -182,10 +182,9 @@ def cmd_run(args) -> int:
     if args.noisy and profile is None:
         raise CliError("--noisy requires --profile", EXIT_USAGE)
     try:
-        outputs = execute_plan(
-            plan, profile=profile, noisy=args.noisy, shots=args.shots, seed=args.seed
-        )
-    except (SimulationError, ReconstructionError) as exc:
+        outputs = execute_plan(plan, profile=profile if args.noisy else None,
+                               shots=args.shots, seed=args.seed)
+    except SimulationError as exc:
         raise CliError(f"simulation failed: {exc}", EXIT_SIMULATION) from None
     for fid in sorted(outputs):
         _write_json(out_dir / f"fragment_{fid}.json", outputs[fid].to_dict())
@@ -290,7 +289,9 @@ def _threshold_list(text: str) -> list[float]:
     return values
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and reused by ``main``."""
     parser = argparse.ArgumentParser(
         prog="wirecut",
         description="Fragment quantum circuits along error-balanced min-cuts and "
@@ -309,8 +310,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--max-k", dest="max_k", type=_int_at_least(0), default=8)
         p.add_argument("--max-depth", dest="max_depth", type=_int_at_least(0), default=8)
-        p.add_argument("--sweeps", type=_int_at_least(1), default=4000, help="annealer sweeps")
-        p.add_argument("--restarts", type=_int_at_least(1), default=4, help="annealer restarts")
+        p.add_argument("--sweeps", type=_int_at_least(1), default=4000,
+                       help="annealer sweeps; used only with --solver anneal|both")
+        p.add_argument("--restarts", type=_int_at_least(1), default=4,
+                       help="annealer restarts; used only with --solver anneal|both")
 
     def run_flags(p):
         p.add_argument("--noisy", action="store_true", help="density-matrix noise model")

@@ -42,7 +42,6 @@ __all__ = [
     "Limits",
     "derive_cut_points",
     "enumerate_variants",
-    "variant_keys",
     "recursive_fragment",
     "anneal_min_cut",
     "single_cut_plan",
@@ -121,15 +120,6 @@ class VariantRun:
     bases: dict[int, str]
     inits: dict[int, str]
     circuit: Circuit
-
-
-def variant_keys(out_ids, in_ids):
-    """Document key of every variant of the sorted cut ids, such as
-    ``m0:X;i2:plus`` (``base`` without cuts), in ``enumerate_variants``
-    order: bases of the out-cuts outermost."""
-    parts = [[f"m{cid}:{basis}" for basis in MEAS_BASES] for cid in out_ids]
-    parts += [[f"i{cid}:{state}" for state in INIT_STATES] for cid in in_ids]
-    return (";".join(p) if p else "base" for p in itertools.product(*parts))
 
 
 # ---------------------------------------------------------------------------
@@ -471,7 +461,7 @@ def recursive_fragment(
     solver_log: list[dict] = []
 
     def visit(frag: Fragment, depth: int) -> PlanNode:
-        local_profile = p.for_subcircuit(frag.circuit, frag.qubit_map)
+        local_profile = p.for_subcircuit(frag.qubit_map)
         est = success_probability(frag.circuit, local_profile)
         if est.success >= threshold:
             return PlanNode(fragment=frag, success=est.success, status="ok")
@@ -583,7 +573,8 @@ def _node_to_dict(node: PlanNode) -> dict:
     return doc
 
 
-def _node_from_dict(doc: dict) -> PlanNode:
+def _node_from_dict(doc: dict, ids: set[int]) -> PlanNode:
+    """Rebuild a node and its subtree, adding their fragment ids to ``ids``."""
     cut = None
     if "cuts" in doc:
         cut = CutSpec(
@@ -592,14 +583,19 @@ def _node_from_dict(doc: dict) -> PlanNode:
                 for c in doc["cuts"]
             )
         )
+    fragment = _fragment_from_dict(doc["fragment"])
+    if type(fragment.id) is not int or fragment.id < 0 or fragment.id in ids:
+        raise PlanError(f"fragment id {fragment.id!r} is not an integer >= 0 "
+                        "distinct from the plan's other fragment ids")
+    ids.add(fragment.id)
     node = PlanNode(
-        fragment=_fragment_from_dict(doc["fragment"]),
+        fragment=fragment,
         success=doc["success"],
         status=doc["status"],
         cut=cut,
         partition=list(doc["partition"]) if "partition" in doc else None,
     )
-    node.children = [_node_from_dict(child) for child in doc.get("children", [])]
+    node.children = [_node_from_dict(child, ids) for child in doc.get("children", [])]
     return node
 
 
@@ -635,7 +631,7 @@ def plan_from_dict(doc: dict) -> FragmentPlan:
         return FragmentPlan(
             width=doc["width"],
             threshold=doc["threshold"],
-            root=_node_from_dict(doc["tree"]),
+            root=_node_from_dict(doc["tree"], set()),
             limits=Limits(**doc["limits"]),
             seed=doc["seed"],
             solver=doc["solver"],

@@ -11,6 +11,7 @@ with tau the ASAP makespan and T1, T2 the minimum over touched qubits.
 """
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import warnings
@@ -81,26 +82,26 @@ class NoiseProfile:
         cal = self.qubits.get(q)
         return cal.t2_us if cal is not None else self.t2_default_us
 
-    def for_subcircuit(self, c: Circuit, qubit_map) -> "NoiseProfile":
-        """Profile over a sub-circuit's local qubits.
+    def for_subcircuit(self, qubit_map) -> "NoiseProfile":
+        """Profile over a sub-circuit's local qubits, ``qubit_map[local] = original``.
 
-        ``qubit_map[local] = original``. Per-gate entries are materialized
-        for the gates of ``c`` so local-index queries answer exactly what
-        the original-index queries would.
+        Every qubit and gate record is remapped through the preimages of
+        ``qubit_map`` (a wire cut twice has two local qubits), so a local
+        query answers what the original query would for any gate: the
+        sub-circuit's own and the prep and basis gates of its variants.
         """
+        locals_of: dict[int, list[int]] = {}
+        for local, orig in enumerate(qubit_map):
+            locals_of.setdefault(orig, []).append(local)
         qubits = {
             local: QubitCal(self.t1_us(orig), self.t2_us(orig))
             for local, orig in enumerate(qubit_map)
         }
-        gates: dict[tuple[str, tuple[int, ...]], GateCal] = {}
-        for g in c.gates:
-            if g.is_measurement:
-                continue
-            key = (g.name, g.qubits)
-            if key in gates:
-                continue
-            orig = Gate(g.name, tuple(qubit_map[q] for q in g.qubits), g.params)
-            gates[key] = GateCal(self.gate_error(orig), self.gate_duration(orig))
+        gates = {
+            (name, local_qs): cal
+            for (name, qs), cal in self.gates.items()
+            for local_qs in itertools.product(*(locals_of.get(q, ()) for q in qs))
+        }
         return NoiseProfile(
             p1=self.p1, p2=self.p2, d1_ns=self.d1_ns, d2_ns=self.d2_ns,
             t1_default_us=self.t1_default_us, t2_default_us=self.t2_default_us,

@@ -6,7 +6,8 @@ Ideal execution fills it from a single evolution of the leaf's body: the
 in-cut initializations are leading batch axes of the statevector, and by
 linearity one fixed rotation per out-cut then yields every readout basis.
 Noisy execution simulates each variant circuit on its own and packs the
-results into the same array. A fragment document (``to_dict``/``from_dict``)
+results into the same array. Sampling (``shots``) is one later step over
+those exact rows. A fragment document (``to_dict``/``from_dict``)
 stores that array as one dense row per variant next to the sorted cut ids,
 so no variant key or bitstring is written or parsed. The reconstructed
 ``Distribution`` wraps the recombined probability vector, and fidelity,
@@ -41,7 +42,6 @@ from .fragment import (
     Fragment,
     FragmentPlan,
     enumerate_variants,
-    variant_keys,
 )
 from .noise import NoiseProfile
 from .simulate import (
@@ -49,9 +49,9 @@ from .simulate import (
     Distribution,
     SimulationError,
     gate_unitary,
-    measure_distribution,
     run_ideal,
     run_noisy,
+    sample_frequencies,
 )
 
 __all__ = [
@@ -88,6 +88,9 @@ _MAX_INDICES = 52  # np.einsum names every index with one of 52 letters
 # elements an intermediate tensor may hold when the leaves are contracted
 # (32 MiB); numpy's greedy path falls back to one nested loop past it
 _MAX_INTERMEDIATE = 1 << 22
+# entries of one leaf's stacked outputs (3^out * 4^in * 2^width): the size of
+# an uncut leaf at the statevector width cap
+_MAX_LEAF_ENTRIES = 1 << MAX_STATEVECTOR_QUBITS
 
 
 class ReconstructionError(ValueError):
@@ -208,46 +211,49 @@ class ReconstructionResult:
 def execute_plan(
     plan: FragmentPlan,
     profile: NoiseProfile | None = None,
-    noisy: bool = False,
     shots: int | None = None,
     seed: int = 0,
 ) -> dict[int, FragmentOutput]:
     """Simulate every variant of every leaf fragment.
 
-    Ideal simulation evolves each leaf's body once, over a batch of all its
-    in-cut initializations, and then rotates every out-cut into each
-    readout basis. With ``noisy`` the
-    density-matrix model runs each variant circuit under ``profile``
-    remapped onto the fragment's qubits. Sampled outputs (``shots``) draw
-    each variant with its own seed, derived from ``seed`` and the
-    variant's key (``variant_keys``).
+    Without ``profile`` each leaf's body evolves once, over a batch of all
+    its in-cut initializations, and every out-cut is then rotated into each
+    readout basis. With ``profile`` the density-matrix model runs each
+    variant circuit under the profile remapped onto the leaf's qubits.
+    Either way the leaf's exact rows come first. With ``shots``, each row
+    (one per variant, in ``enumerate_variants`` order) is then replaced by
+    the frequencies ``sample_frequencies`` draws from it, seeded with
+    ``(seed & 0x7FFFFFFF, leaf id, row index)``.
+
+    A leaf whose outputs would hold more than 2^24 entries raises
+    ``SimulationError`` before anything is allocated.
     """
-    if noisy and profile is None:
-        raise ReconstructionError("noisy execution needs a noise profile")
     outputs: dict[int, FragmentOutput] = {}
     for leaf in plan.leaf_fragments():
         out_ids, in_ids = tuple(sorted(leaf.out_cuts)), tuple(sorted(leaf.in_cuts))
-        shape = _settings(out_ids, in_ids) + (2,) * leaf.width
-        if noisy:
-            local_profile = profile.for_subcircuit(leaf.circuit, leaf.qubit_map)
-            rows = [
-                run_noisy(v.circuit, local_profile, shots=shots,
-                          seed=_shot_seed(seed, leaf.id, key)).probs
-                for key, v in zip(variant_keys(out_ids, in_ids), enumerate_variants(leaf))
-            ]
-            probs = np.array(rows).reshape(shape)
+        settings = _settings(out_ids, in_ids)
+        n_variants = math.prod(settings)
+        entries = n_variants << leaf.width
+        if entries > _MAX_LEAF_ENTRIES:
+            raise SimulationError(
+                f"fragment {leaf.id}: {n_variants} variant(s) of width {leaf.width} need "
+                f"{entries} entries ({16 * entries} bytes of amplitudes), over the limit of "
+                f"{_MAX_LEAF_ENTRIES}: one uncut leaf, its width capped at "
+                f"{MAX_STATEVECTOR_QUBITS} qubits"
+            )
+        if profile is None:
+            probs = np.abs(_ideal_amplitudes(leaf, out_ids, in_ids)) ** 2
         else:
-            amps = _ideal_amplitudes(leaf, out_ids, in_ids)
-            if shots is None:
-                probs = np.abs(amps) ** 2
-            else:
-                rows = [
-                    measure_distribution(amp, shots=shots,
-                                         seed=_shot_seed(seed, leaf.id, key)).probs
-                    for key, amp in zip(variant_keys(out_ids, in_ids),
-                                        amps.reshape(-1, 1 << leaf.width))
-                ]
-                probs = np.array(rows).reshape(shape)
+            local_profile = profile.for_subcircuit(leaf.qubit_map)
+            probs = np.array([run_noisy(v.circuit, local_profile).probs
+                              for v in enumerate_variants(leaf)])
+            probs = probs.reshape(settings + (2,) * leaf.width)
+        if shots is not None:
+            rows = [
+                sample_frequencies(p, shots, (seed & 0x7FFFFFFF, leaf.id, row))
+                for row, p in enumerate(probs.reshape(-1, 1 << leaf.width))
+            ]
+            probs = np.array(rows).reshape(probs.shape)
         outputs[leaf.id] = FragmentOutput(
             fragment_id=leaf.id, out_cuts=out_ids, in_cuts=in_ids, probs=probs, shots=shots
         )
@@ -263,10 +269,6 @@ def _ideal_amplitudes(leaf: Fragment, out_ids, in_ids) -> np.ndarray:
     ``FragmentOutput.probs``.
     """
     m, w = len(in_ids), leaf.width
-    if w > MAX_STATEVECTOR_QUBITS:  # checked here too, before the batch is built
-        raise SimulationError(
-            f"statevector simulation capped at {MAX_STATEVECTOR_QUBITS} qubits, got {w}"
-        )
     init_axis = {leaf.in_cuts[cid]: j for j, cid in enumerate(in_ids)}
     operands = []
     for q in range(w):
@@ -282,13 +284,6 @@ def _ideal_amplitudes(leaf: Fragment, out_ids, in_ids) -> np.ndarray:
         axis = done + m + leaf.out_cuts[cid]
         amps = np.moveaxis(np.tensordot(_BASIS_ROT, amps, axes=([2], [axis])), 1, axis + 1)
     return amps
-
-
-def _shot_seed(seed: int, fragment_id: int, key: str) -> int:
-    acc = seed & 0x7FFFFFFF
-    for ch in f"{fragment_id}|{key}":
-        acc = (acc * 131 + ord(ch)) & 0x7FFFFFFF
-    return acc
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,8 @@ one 2-valued axis per qubit and gates are applied by tensor contraction.
 ``run_ideal`` can also evolve a batch of states at once: leading axes
 before the qubit axes are carried through every gate, which is how a
 fragment's body is simulated once for all of its cut initializations.
-Exact probabilities are the default output; shot sampling is opt-in so
-identity tests stay deterministic.
+Simulation yields exact probabilities only; ``sample_frequencies`` is the
+one sampler, which draws shot frequencies from such a probability vector.
 
 The noise model applies, per gate, amplitude and phase damping over each
 operand's idle gap of the ASAP schedule, then the ideal unitary, then a
@@ -39,6 +39,7 @@ __all__ = [
     "Distribution",
     "run_ideal",
     "measure_distribution",
+    "sample_frequencies",
     "density_matrix",
     "run_noisy",
     "gate_unitary",
@@ -175,11 +176,8 @@ class Distribution:
         return {"width": self.width, "probs": dict(zip(keys, self.probs[nonzero].tolist()))}
 
 
-def measure_distribution(state, shots: int | None = None, seed: int = 0) -> Distribution:
-    """Born-rule outcome distribution of a statevector or density matrix.
-
-    Exact by default; pass ``shots`` to sample outcome frequencies instead.
-    """
+def measure_distribution(state) -> Distribution:
+    """Exact Born-rule outcome distribution of a statevector or density matrix."""
     state = np.asarray(state)
     if state.ndim == 1:
         probs = np.abs(state) ** 2
@@ -189,16 +187,17 @@ def measure_distribution(state, shots: int | None = None, seed: int = 0) -> Dist
         probs = np.clip(probs, 0.0, None)
     else:
         raise SimulationError("expected a vector or a square matrix")
-    if shots is None:
-        return Distribution(probs)
+    return Distribution(probs)
+
+
+def sample_frequencies(probs: np.ndarray, shots: int, seed) -> np.ndarray:
+    """Outcome frequencies of ``shots`` draws from the probability vector
+    ``probs`` (normalized first), with a generator seeded by ``seed``: an
+    integer or a sequence of non-negative integers."""
     if shots < 1:
         raise SimulationError(f"shots must be at least 1, got {shots}")
     rng = np.random.default_rng(seed)
-    outcomes = rng.choice(probs.shape[0], size=shots, p=probs / probs.sum())
-    values, counts = np.unique(outcomes, return_counts=True)
-    freq = np.zeros_like(probs)
-    freq[values] = counts / shots
-    return Distribution(freq)
+    return rng.multinomial(shots, probs / probs.sum()) / shots
 
 
 # ---------------------------------------------------------------------------
@@ -288,14 +287,9 @@ def density_matrix(c: Circuit, p: NoiseProfile) -> np.ndarray:
     return rho.reshape((2,) * (2 * n)).transpose(kets_then_bras).reshape(1 << n, 1 << n)
 
 
-def run_noisy(
-    c: Circuit,
-    p: NoiseProfile,
-    shots: int | None = None,
-    seed: int = 0,
-) -> Distribution:
-    """Outcome distribution of ``c`` under the gate-error + damping model.
+def run_noisy(c: Circuit, p: NoiseProfile) -> Distribution:
+    """Exact outcome distribution of ``c`` under the gate-error + damping model.
 
     Density-matrix evolution, so the cost is 4^width; capped accordingly.
     """
-    return measure_distribution(density_matrix(c, p), shots=shots, seed=seed)
+    return measure_distribution(density_matrix(c, p))

@@ -242,7 +242,7 @@ def test_criterion_7_directional_fidelity():
         ideal = measure_distribution(run_ideal(c))
         f_uncut = fidelity(run_noisy(c, profile), ideal)
         plan = recursive_fragment(c, profile, threshold=0.8, seed=7)
-        outputs = execute_plan(plan, profile=profile, noisy=True)
+        outputs = execute_plan(plan, profile=profile)
         f_frag = fidelity(reconstruct(outputs, plan).distribution, ideal)
         wins += f_frag >= f_uncut
         rows.append(f"{name}: {f_uncut:.3f} -> {f_frag:.3f}")
@@ -268,7 +268,7 @@ def test_criterion_8_threshold_sweep():
         for t in thresholds:
             plan = recursive_fragment(c, profile, threshold=t, seed=7)
             leaves.append(len(plan.leaf_fragments()))
-            outputs = execute_plan(plan, profile=profile, noisy=True)
+            outputs = execute_plan(plan, profile=profile)
             fids.append(fidelity(reconstruct(outputs, plan).distribution, ideal))
         assert leaves == sorted(leaves), f"{name}: leaf counts {leaves} not monotone"
         for i in range(len(thresholds) - 1):

@@ -4,7 +4,14 @@ import pytest
 
 from wirecut.circuit import Circuit, Gate
 from wirecut.cli import main
-from wirecut.fragment import plan_to_dict, recursive_fragment
+from wirecut.fragment import (
+    Fragment,
+    FragmentPlan,
+    Limits,
+    PlanNode,
+    plan_to_dict,
+    recursive_fragment,
+)
 from wirecut.noise import NoiseProfile
 
 
@@ -182,7 +189,8 @@ def test_malformed_fragment_document_exits_5(tmp_path, capsys, damage):
 
 
 @pytest.mark.parametrize("damage", ["list", "tree-not-object", "unknown-limit",
-                                    "short-qubit-map", "cut-qubit-99"])
+                                    "short-qubit-map", "cut-qubit-99",
+                                    "string-id", "negative-id", "duplicate-id"])
 def test_malformed_plan_document_exits_5(tmp_path, capsys, damage):
     out = tmp_path / damage
     assert run(["cut", "--qasm", "fixture:fig1_n5", "--profile", "fixture:stress",
@@ -195,6 +203,9 @@ def test_malformed_plan_document_exits_5(tmp_path, capsys, damage):
         doc["tree"] = "root"
     elif damage == "unknown-limit":
         doc["limits"]["max_width"] = 4
+    elif damage.endswith("-id"):
+        first, second = (child["fragment"] for child in doc["tree"]["children"])
+        second["id"] = {"string-id": "a", "negative-id": -1}.get(damage, first["id"])
     else:
         # a leaf that measures a cut: its qubit map loses an entry, or the
         # cut moves to a local qubit the leaf does not have
@@ -227,6 +238,22 @@ def test_documents_wider_than_the_cap_exit_5(tmp_path, capsys, doc_width):
     capsys.readouterr()
     assert run(["reconstruct", "--out", out]) == 5
     assert "24" in capsys.readouterr().err
+
+
+def test_leaf_batch_beyond_the_budget_exits_6(tmp_path, capsys):
+    # a synthetic 24-qubit leaf with 10 in-cuts: its 4^10 * 2^24 amplitudes
+    # would take 256 TiB, so the run must stop before allocating them
+    out = tmp_path / "huge"
+    leaf = Fragment(id=0, circuit=Circuit(width=24, gates=()),
+                    in_cuts={cid: cid for cid in range(10)}, qubit_map=tuple(range(24)))
+    plan = FragmentPlan(width=24, threshold=0.0, root=PlanNode(leaf, 1.0, "ok"),
+                        limits=Limits(), seed=0, solver="ga")
+    out.mkdir()
+    (out / "plan.json").write_text(json.dumps(plan_to_dict(plan)))
+    for argv in (["run"], ["run", "--noisy", "--profile", "fixture:stress"]):
+        capsys.readouterr()
+        assert run(argv + ["--out", out]) == 6
+        assert f"{2 ** 44} entries ({2 ** 48} bytes" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("shots", ["0", "-5"])

@@ -17,7 +17,6 @@ from wirecut.fragment import (
     plan_to_dict,
     recursive_fragment,
     single_cut_plan,
-    variant_keys,
 )
 from wirecut.fixtures import profile_fixture
 from wirecut.graph import build_graph
@@ -141,20 +140,19 @@ def test_variant_counts():
     assert len(enumerate_variants(f)) == 36
     f = Fragment(id=0, circuit=base, qubit_map=(0, 1, 2))
     variants = enumerate_variants(f)
-    keys = list(variant_keys(sorted(f.out_cuts), sorted(f.in_cuts)))
-    assert len(variants) == 1 and keys == ["base"]
+    assert len(variants) == 1 and variants[0].bases == {} and variants[0].inits == {}
 
 
 def test_variant_synthesis_gates():
     base = Circuit(width=2, gates=(Gate("cx", (0, 1)),))
     f = Fragment(id=0, circuit=base, in_cuts={0: 0}, out_cuts={1: 1}, qubit_map=(0, 1))
-    variants = dict(zip(variant_keys([1], [0]), enumerate_variants(f)))
+    variants = {(v.bases[1], v.inits[0]): v for v in enumerate_variants(f)}
     assert len(variants) == 12
-    v = variants["m1:Z;i0:zero"]
+    v = variants["Z", "zero"]
     assert [g.name for g in v.circuit.gates] == ["cx"]
-    v = variants["m1:X;i0:one"]
+    v = variants["X", "one"]
     assert [g.name for g in v.circuit.gates] == ["x", "cx", "h"]
-    v = variants["m1:Y;i0:plus_i"]
+    v = variants["Y", "plus_i"]
     assert [g.name for g in v.circuit.gates] == ["h", "s", "cx", "sdg", "h"]
     assert v.circuit.gates[0].qubits == (0,)
     assert v.circuit.gates[-1].qubits == (1,)

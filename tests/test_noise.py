@@ -6,7 +6,15 @@ import pytest
 from helpers import random_circuit
 from oracles import mp_gate_error_rate, mp_success_probability
 from wirecut.circuit import Circuit, Gate
-from wirecut.noise import NoiseProfile, ProfileError, gate_error_prob, load_profile, success_probability
+from wirecut.fragment import Limits, enumerate_variants, recursive_fragment
+from wirecut.noise import (
+    GateCal,
+    NoiseProfile,
+    ProfileError,
+    gate_error_prob,
+    load_profile,
+    success_probability,
+)
 
 HEADER = 'OPENQASM 2.0;\ninclude "qelib1.inc";\n'
 
@@ -138,11 +146,31 @@ def test_adding_a_gate_never_increases_success():
 
 def test_for_subcircuit_remaps_queries():
     p = load_profile(DOC)
-    # local circuit: cx on local (0,1) which are original (1,0) -> override applies reversed?
-    c = Circuit(width=2, gates=(Gate("cx", (0, 1)),))
-    local = p.for_subcircuit(c, qubit_map=(0, 1))
+    local = p.for_subcircuit(qubit_map=(0, 1))
     assert local.gate_error(Gate("cx", (0, 1))) == 0.02
-    shifted = p.for_subcircuit(c, qubit_map=(1, 2))
+    shifted = p.for_subcircuit(qubit_map=(1, 2))
     assert shifted.gate_error(Gate("cx", (0, 1))) == 0.01  # original (1,2) has no override
     assert shifted.t1_us(0) == 100  # original qubit 1 uses the default
-    assert p.for_subcircuit(c, qubit_map=(0, 5)).t1_us(0) == 90
+    assert p.for_subcircuit(qubit_map=(0, 5)).t1_us(0) == 90
+
+
+def test_variant_prep_and_basis_gates_read_their_calibration():
+    # h is calibrated on every qubit but the chain has none: only the
+    # variants' prep (plus, plus_i) and basis (X, Y) gates apply it
+    chain = Circuit(width=4, gates=tuple(Gate("cx", (q, q + 1)) for q in range(3)))
+    p = NoiseProfile(gates={("h", (q,)): GateCal(0.3, 70.0) for q in range(4)})
+    plan = recursive_fragment(chain, p, threshold=0.99, limits=Limits(max_k=3), seed=1)
+    assert plan.k >= 1
+    hs = 0
+    for leaf in plan.leaf_fragments():
+        local = p.for_subcircuit(leaf.qubit_map)
+        for v in enumerate_variants(leaf):
+            for g in v.circuit.gates:
+                orig = Gate(g.name, tuple(leaf.qubit_map[q] for q in g.qubits), g.params)
+                assert local.gate_error(g) == p.gate_error(orig)
+                assert local.gate_duration(g) == p.gate_duration(orig)
+                hs += g.name == "h"
+    assert hs > 0
+    # a wire cut twice has two local qubits, and both carry its records
+    twice = NoiseProfile(gates={("h", (2,)): GateCal(0.3, 70.0)}).for_subcircuit((2, 0, 2))
+    assert [twice.gate_error(Gate("h", (q,))) for q in range(3)] == [0.3, 0.001, 0.3]

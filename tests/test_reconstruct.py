@@ -23,7 +23,6 @@ from wirecut.fragment import (
     enumerate_variants,
     recursive_fragment,
     single_cut_plan,
-    variant_keys,
 )
 from wirecut.graph import build_graph
 from wirecut.noise import NoiseProfile, load_profile
@@ -32,14 +31,13 @@ from wirecut.reconstruct import (
     Distribution,
     FragmentOutput,
     ReconstructionError,
-    _shot_seed,
     execute_plan,
     fidelity,
     hellinger,
     reconstruct,
     tvd,
 )
-from wirecut.simulate import SimulationError, measure_distribution, run_ideal
+from wirecut.simulate import SimulationError, measure_distribution, run_ideal, sample_frequencies
 
 HEADER = 'OPENQASM 2.0;\ninclude "qelib1.inc";\n'
 GHZ3 = parse_qasm(HEADER + "qreg q[3]; h q[0]; cx q[0],q[1]; cx q[1],q[2];", name="ghz3")
@@ -252,16 +250,17 @@ def test_sampled_variants_each_draw_with_their_own_seed():
         Gate("cx", (1, 2)), Gate("ry", (1,), (1.1,)), Gate("cx", (0, 1)),
     ))
     plan = single_cut_plan(c, [0, 1, 0], build_graph(c, QUIET))
-    outputs = execute_plan(plan, shots=64, seed=13)
-    for leaf in plan.leaf_fragments():
-        doc = outputs[leaf.id].to_dict()
-        assert doc["shots"] == 64
-        keys = variant_keys(sorted(leaf.out_cuts), sorted(leaf.in_cuts))
-        for row, key, v in zip(doc["probs"], keys, enumerate_variants(leaf), strict=True):
-            alone = measure_distribution(
-                run_ideal(v.circuit), shots=64, seed=_shot_seed(13, leaf.id, key)
-            )
-            assert row == alone.probs.tolist()
+    for profile in (None, STRESS):
+        exact = execute_plan(plan, profile=profile)
+        sampled = execute_plan(plan, profile=profile, shots=64, seed=-13)
+        for leaf in plan.leaf_fragments():
+            doc = sampled[leaf.id].to_dict()
+            assert doc["shots"] == 64
+            rows = exact[leaf.id].probs.reshape(-1, 1 << leaf.width)
+            assert len(doc["probs"]) == len(rows) == len(enumerate_variants(leaf))
+            for row, (got, probs) in enumerate(zip(doc["probs"], rows)):
+                draw = sample_frequencies(probs, 64, (-13 & 0x7FFFFFFF, leaf.id, row))
+                assert got == draw.tolist()
 
 
 def test_width_cap_is_checked_before_allocation():
