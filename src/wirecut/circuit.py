@@ -14,7 +14,6 @@ __all__ = [
     "Gate",
     "Circuit",
     "QasmError",
-    "SUPPORTED_GATES",
     "PARAM_COUNTS",
     "parse_qasm",
     "circuit_to_dict",
@@ -30,7 +29,6 @@ PARAM_COUNTS = {
     "measure": 0,
 }
 TWO_QUBIT_GATES = {"cx", "cz", "swap"}
-SUPPORTED_GATES = frozenset(PARAM_COUNTS) | {"barrier"}
 
 
 class QasmError(ValueError):

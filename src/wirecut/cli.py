@@ -5,10 +5,15 @@
 variant, see ``FragmentOutput``), ``reconstruct`` ``reconstruction.json``
 (the only document keyed by bitstrings) and ``sweep`` ``sweep.json``. One
 writer emits them all as compact JSON with sorted keys, so identical inputs
-and seeds produce byte-identical files. Exit codes: 0 success, 2 usage,
-3 circuit parse error, 4 profile error, 5 planning/reconstruction error,
-6 simulation error. Circuit and profile arguments accept either a path or
-``fixture:<name>`` for the bundled benchmarks.
+and seeds produce byte-identical files. Circuit and profile arguments
+accept either a path or ``fixture:<name>`` for the bundled benchmarks.
+
+Exit codes: 0 success, 2 usage (``CliError``), and for library errors the
+code in the one table ``_FAILURES``, which ``main`` reads: 3 circuit parse
+error, 4 profile error, 5 planning/reconstruction error, 6 simulation
+error. Commands let library errors through and catch one only to re-raise
+its type with context. ``_read_text`` reads every input file and turns an
+unreadable or non-UTF-8 one into its kind's error.
 """
 from __future__ import annotations
 
@@ -41,46 +46,49 @@ from .reconstruct import (
 )
 from .simulate import SimulationError, measure_distribution, run_ideal
 
-EXIT_USAGE = 2
-EXIT_PARSE = 3
-EXIT_PROFILE = 4
-EXIT_PLAN = 5
-EXIT_SIMULATION = 6
+# exit code and message prefix of each library error that reaches ``main``
+_FAILURES = {
+    QasmError: (3, "circuit parse error"),
+    ProfileError: (4, "profile error"),
+    PlanError: (5, "plan error"),
+    GraphError: (5, "plan error"),
+    ReconstructionError: (5, "reconstruction error"),
+    SimulationError: (6, "simulation error"),
+}
 
 
 class CliError(Exception):
-    def __init__(self, message: str, code: int):
-        super().__init__(message)
-        self.code = code
+    """A usage error: bad arguments or a missing input file (exit 2)."""
 
 
-def _read_source(spec: str, kind: str) -> str:
+def _read_text(path: Path, error_type: type[Exception]) -> str:
+    """The UTF-8 text of an input file; an unreadable or non-UTF-8 file
+    raises ``error_type``, the error of the file's kind."""
+    try:
+        return path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error_type(f"cannot read {path}: {exc}") from None
+
+
+def _read_source(spec: str, kind: str, error_type: type[Exception]) -> str:
     if spec.startswith("fixture:"):
         try:
             return fixture_text(kind, spec.split(":", 1)[1])
         except FileNotFoundError as exc:
-            raise CliError(str(exc), EXIT_USAGE) from None
+            raise CliError(str(exc)) from None
     path = Path(spec)
     if not path.is_file():
-        raise CliError(f"no such file: {spec}", EXIT_USAGE)
-    return path.read_text(encoding="utf-8")
+        raise CliError(f"no such file: {spec}")
+    return _read_text(path, error_type)
 
 
 def _load_circuit(spec: str) -> Circuit:
-    text = _read_source(spec, "circuits")
     name = spec.split(":", 1)[1] if spec.startswith("fixture:") else Path(spec).stem
-    try:
-        return parse_qasm(text, name=name)
-    except QasmError as exc:
-        raise CliError(f"circuit parse error: {exc}", EXIT_PARSE) from None
+    return parse_qasm(_read_source(spec, "circuits", QasmError), name=name)
 
 
 def _load_noise(spec: str) -> NoiseProfile:
-    text = _read_source(spec, "profiles")
-    try:
-        return load_profile(text)
-    except ProfileError as exc:
-        raise CliError(f"profile error: {exc}", EXIT_PROFILE) from None
+    return load_profile(_read_source(spec, "profiles", ProfileError))
 
 
 def _write_json(path: Path, doc) -> None:
@@ -93,11 +101,12 @@ def _write_json(path: Path, doc) -> None:
 def _read_plan(out_dir: Path) -> FragmentPlan:
     plan_path = out_dir / "plan.json"
     if not plan_path.is_file():
-        raise CliError(f"no plan document at {plan_path}; run 'cut' first", EXIT_PLAN)
+        raise PlanError(f"no plan document at {plan_path}; run 'cut' first")
+    text = _read_text(plan_path, PlanError)
     try:
-        return plan_from_dict(json.loads(plan_path.read_text(encoding="utf-8")))
+        return plan_from_dict(json.loads(text))
     except (json.JSONDecodeError, PlanError) as exc:
-        raise CliError(f"bad plan document: {exc}", EXIT_PLAN) from None
+        raise PlanError(f"bad plan document: {exc}") from None
 
 
 def _plan(circuit, profile, args, threshold: float) -> FragmentPlan:
@@ -128,10 +137,7 @@ def _run_pipeline(circuit, profile, args, threshold: float) -> dict:
 def cmd_cut(args) -> int:
     circuit = _load_circuit(args.qasm)
     profile = _load_noise(args.profile)
-    try:
-        plan = _plan(circuit, profile, args, args.threshold)
-    except (PlanError, GraphError) as exc:
-        raise CliError(f"planning failed: {exc}", EXIT_PLAN) from None
+    plan = _plan(circuit, profile, args, args.threshold)
     out_dir = Path(args.out)
     _write_json(out_dir / "plan.json", plan_to_dict(plan))
     print(f"plan: {len(plan.leaf_fragments())} fragment(s), k={plan.k} -> {out_dir / 'plan.json'}")
@@ -160,10 +166,7 @@ def _fmt(value) -> str:
 def cmd_graph(args) -> int:
     circuit = _load_circuit(args.qasm)
     profile = _load_noise(args.profile)
-    try:
-        g = build_graph(circuit, profile)
-    except GraphError as exc:
-        raise CliError(f"graph construction failed: {exc}", EXIT_PLAN) from None
+    g = build_graph(circuit, profile)
     text = serialize_graph(g)
     if args.out:
         out = Path(args.out) / "graph.json"
@@ -176,16 +179,12 @@ def cmd_graph(args) -> int:
 
 
 def cmd_run(args) -> int:
+    if args.noisy != (args.profile is not None):
+        raise CliError("--noisy and --profile go together")
     out_dir = Path(args.out)
     plan = _read_plan(out_dir)
-    profile = _load_noise(args.profile) if args.profile else None
-    if args.noisy and profile is None:
-        raise CliError("--noisy requires --profile", EXIT_USAGE)
-    try:
-        outputs = execute_plan(plan, profile=profile if args.noisy else None,
-                               shots=args.shots, seed=args.seed)
-    except SimulationError as exc:
-        raise CliError(f"simulation failed: {exc}", EXIT_SIMULATION) from None
+    profile = _load_noise(args.profile) if args.noisy else None
+    outputs = execute_plan(plan, profile=profile, shots=args.shots, seed=args.seed)
     for fid in sorted(outputs):
         _write_json(out_dir / f"fragment_{fid}.json", outputs[fid].to_dict())
     n_variants = sum(o.n_variants for o in outputs.values())
@@ -200,21 +199,15 @@ def cmd_reconstruct(args) -> int:
     for leaf in plan.leaf_fragments():
         path = out_dir / f"fragment_{leaf.id}.json"
         if not path.is_file():
-            raise CliError(f"missing fragment output {path}; run 'run' first", EXIT_PLAN)
+            raise ReconstructionError(f"missing fragment output {path}; run 'run' first")
+        text = _read_text(path, ReconstructionError)
         try:
-            doc = json.loads(path.read_text(encoding="utf-8"))
-            outputs[leaf.id] = FragmentOutput.from_dict(doc)
+            outputs[leaf.id] = FragmentOutput.from_dict(json.loads(text))
         except (json.JSONDecodeError, ReconstructionError) as exc:
-            raise CliError(f"bad fragment document {path}: {exc}", EXIT_PLAN) from None
-    try:
-        result = reconstruct(outputs, plan)
-    except ReconstructionError as exc:
-        raise CliError(f"reconstruction failed: {exc}", EXIT_PLAN) from None
+            raise ReconstructionError(f"bad fragment document {path}: {exc}") from None
+    result = reconstruct(outputs, plan)
     if args.reference:
-        try:
-            ideal = measure_distribution(run_ideal(plan.root.fragment.circuit))
-        except SimulationError as exc:
-            raise CliError(f"reference simulation failed: {exc}", EXIT_SIMULATION) from None
+        ideal = measure_distribution(run_ideal(plan.root.fragment.circuit))
         result.metrics["fidelity_vs_ideal"] = fidelity(result.distribution, ideal)
         result.metrics["tvd_vs_ideal"] = tvd(result.distribution, ideal)
         result.metrics["hellinger_vs_ideal"] = hellinger(result.distribution, ideal)
@@ -234,10 +227,8 @@ def cmd_sweep(args) -> int:
     for t in args.thresholds:
         try:
             rows.append(_run_pipeline(circuit, profile, args, t))
-        except (PlanError, GraphError, ReconstructionError) as exc:
-            raise CliError(f"sweep failed at threshold {t}: {exc}", EXIT_PLAN) from None
-        except SimulationError as exc:
-            raise CliError(f"sweep failed at threshold {t}: {exc}", EXIT_SIMULATION) from None
+        except tuple(_FAILURES) as exc:
+            raise type(exc)(f"at threshold {t}: {exc}") from None
     _write_json(out_dir / "sweep.json", {"circuit": circuit.name, "noisy": args.noisy, "rows": rows})
     csv_lines = ["threshold,leaves,k,fidelity,tvd"]
     for row in rows:
@@ -334,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_run = sub.add_parser("run", help="simulate all fragment variants of a plan")
     p_run.add_argument("--out", required=True)
-    p_run.add_argument("--profile", default=None, help="needed with --noisy")
+    p_run.add_argument("--profile", default=None, help="calibration for --noisy, given only with it")
     p_run.add_argument("--seed", type=int, default=0)
     run_flags(p_run)
     p_run.set_defaults(fn=cmd_run)
@@ -364,17 +355,10 @@ def main(argv=None) -> int:
         return args.fn(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except (QasmError, ProfileError, PlanError, GraphError,
-            ReconstructionError, SimulationError) as exc:
-        # anything not wrapped closer to its source still maps to a code
-        mapping = {
-            QasmError: EXIT_PARSE,
-            ProfileError: EXIT_PROFILE,
-            SimulationError: EXIT_SIMULATION,
-        }
-        code = mapping.get(type(exc), EXIT_PLAN)
-        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except tuple(_FAILURES) as exc:
+        code, prefix = _FAILURES[type(exc)]
+        print(f"error: {prefix}: {exc}", file=sys.stderr)
         return code
 
 

@@ -175,8 +175,10 @@ def load_profile(text: str) -> NoiseProfile:
     if "t2_us" in defaults:
         kwargs["t2_default_us"] = _check_time(defaults["t2_us"], "defaults.t2_us")
 
+    qubit_recs = doc.get("qubits", [])
+    _require(isinstance(qubit_recs, list), "'qubits' must be a list")
     qubits: dict[int, QubitCal] = {}
-    for rec in doc.get("qubits", []):
+    for rec in qubit_recs:
         _require(isinstance(rec, dict), "qubit record must be an object")
         _require("id" in rec, "qubit record missing 'id'")
         _require("t1_us" in rec, f"qubit record {rec.get('id')} missing 't1_us'")
@@ -190,12 +192,16 @@ def load_profile(text: str) -> NoiseProfile:
             warnings.warn(f"qubit {q}: t2={t2}us exceeds 2*t1={2 * t1}us (unphysical)")
         qubits[q] = QubitCal(t1, t2)
 
+    gate_recs = doc.get("gates", [])
+    _require(isinstance(gate_recs, list), "'gates' must be a list")
     gates: dict[tuple[str, tuple[int, ...]], GateCal] = {}
-    for rec in doc.get("gates", []):
+    for rec in gate_recs:
         _require(isinstance(rec, dict), "gate record must be an object")
         for key in ("name", "qubits", "error", "duration_ns"):
             _require(key in rec, f"gate record missing '{key}'")
         name = rec["name"]
+        _require(isinstance(name, str), "gate name must be a string")
+        _require(isinstance(rec["qubits"], list), "gate qubits must be a list")
         qs = tuple(rec["qubits"])
         _require(all(isinstance(q, int) and q >= 0 for q in qs), "gate qubits must be non-negative integers")
         err = _check_prob(rec["error"], f"gate {name}{list(qs)} error")

@@ -3,10 +3,13 @@
 Conventions: qubit 0 owns the leftmost character of a measurement
 bitstring, and a ``Distribution`` is the dense vector of the 2^width
 outcome probabilities, indexed by those bits. A statevector is held with
-one 2-valued axis per qubit and gates are applied by tensor contraction.
-``run_ideal`` can also evolve a batch of states at once: leading axes
-before the qubit axes are carried through every gate, which is how a
-fragment's body is simulated once for all of its cut initializations.
+one 2-valued axis per qubit. ``run_ideal`` can also evolve a batch of
+states at once: leading axes before the qubit axes are carried through
+every gate, which is how a fragment's body is simulated once for all of
+its cut initializations. One kernel, ``_apply``, does every gate
+application of both paths: it moves the operand axes to the front,
+multiplies them by the gate's matrix (a unitary on a statevector, a
+superoperator on a density matrix) and moves them back.
 Simulation yields exact probabilities only; ``sample_frequencies`` is the
 one sampler, which draws shot frequencies from such a probability vector.
 
@@ -20,8 +23,8 @@ The density-matrix path holds rho with one 4-valued axis per qubit,
 indexed ``2*ket + bra``, so a one-qubit channel is a 4x4 superoperator
 (``K ⊗ conj(K)`` summed over its Kraus operators) on one axis. Each gate's
 damping, unitary and Pauli error are multiplied, in closed form, into one
-superoperator (4x4, or 16x16 on the two operand axes) and applied with a
-single contraction. The tests check those closed forms against Kraus
+superoperator (4x4, or 16x16 on the two operand axes) and applied with
+one ``_apply``. The tests check those closed forms against Kraus
 channels built independently in ``tests/oracles.py``.
 """
 from __future__ import annotations
@@ -107,16 +110,19 @@ def gate_unitary(g: Gate) -> np.ndarray:
     raise SimulationError(f"no unitary for gate '{g.name}'")
 
 
+def _apply(t: np.ndarray, m: np.ndarray, axes) -> np.ndarray:
+    """Contract the square matrix ``m`` with the given axes of ``t``, the
+    first most significant: a unitary on a statevector's qubit axes or a
+    superoperator on a density matrix's. Other axes, batch axes too, stay."""
+    order = list(axes) + [i for i in range(t.ndim) if i not in axes]
+    out = m @ t.transpose(order).reshape(len(m), -1)
+    out = out.reshape([t.shape[i] for i in order])
+    return out.transpose(sorted(range(t.ndim), key=order.__getitem__))
+
+
 # ---------------------------------------------------------------------------
 # Statevector path
 # ---------------------------------------------------------------------------
-
-def _apply_unitary(state: np.ndarray, u: np.ndarray, axes: list[int]) -> np.ndarray:
-    """Contract a one- or two-qubit unitary with the given qubit axes of ``state``."""
-    k = len(axes)
-    t = np.tensordot(u.reshape((2,) * (2 * k)), state, axes=(list(range(k, 2 * k)), axes))
-    return np.moveaxis(t, range(k), axes)
-
 
 def run_ideal(c: Circuit, state: np.ndarray | None = None) -> np.ndarray:
     """Exact statevector after applying every unitary gate of ``c``.
@@ -145,7 +151,7 @@ def run_ideal(c: Circuit, state: np.ndarray | None = None) -> np.ndarray:
     batch = t.ndim - n
     for g in c.gates:
         if not g.is_measurement:
-            t = _apply_unitary(t, gate_unitary(g), [batch + q for q in g.qubits])
+            t = _apply(t, gate_unitary(g), [batch + q for q in g.qubits])
     return t.reshape(-1) if state is None else t
 
 
@@ -242,13 +248,6 @@ def _damping_superop(tau: float, t1: float, t2: float) -> np.ndarray:
     )
 
 
-def _apply_superop(rho: np.ndarray, s: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
-    """Contract a 4^k x 4^k superoperator with the k qubit axes of ``rho``."""
-    order = list(axes) + [i for i in range(rho.ndim) if i not in axes]
-    out = s @ rho.transpose(order).reshape(len(s), -1)
-    return out.reshape(rho.shape).transpose(sorted(range(rho.ndim), key=order.__getitem__))
-
-
 def density_matrix(c: Circuit, p: NoiseProfile) -> np.ndarray:
     """Full density matrix of ``c`` under the gate-error + damping model."""
     if c.width > MAX_DENSITY_QUBITS:
@@ -278,11 +277,11 @@ def density_matrix(c: Circuit, p: NoiseProfile) -> np.ndarray:
         else:
             pe = _pauli_superop(err / 2.0)
             s = _kron(pe, pe) @ _unitary_superop_2q(u) @ _kron(*pre)
-        rho = _apply_superop(rho, s, g.qubits)
+        rho = _apply(rho, s, g.qubits)
     for q in range(n):
         gap = makespan - free[q]
         if gap > 0:
-            rho = _apply_superop(rho, _damping_superop(gap, t1[q], t2[q]), (q,))
+            rho = _apply(rho, _damping_superop(gap, t1[q], t2[q]), (q,))
     kets_then_bras = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
     return rho.reshape((2,) * (2 * n)).transpose(kets_then_bras).reshape(1 << n, 1 << n)
 

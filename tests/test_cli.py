@@ -89,6 +89,15 @@ def test_noisy_run_needs_profile(tmp_path):
     assert run(["run", "--out", out, "--noisy"]) == 2
 
 
+def test_profile_without_noisy_is_a_usage_error(tmp_path, capsys):
+    out = tmp_path / "quiet"
+    assert run(["cut", "--qasm", "fixture:fig1_n5", "--profile", "fixture:stress",
+                "--threshold", "0.9", "--out", out]) == 0
+    assert run(["run", "--out", out, "--profile", "fixture:stress"]) == 2
+    assert "--noisy" in capsys.readouterr().err
+    assert not list(out.glob("fragment_*.json"))
+
+
 def test_exit_codes_for_bad_inputs(tmp_path):
     bad_qasm = tmp_path / "bad.qasm"
     bad_qasm.write_text("OPENQASM 2.0;\nqreg q[2];\nccx q[0],q[1],q[0];\n")
@@ -102,13 +111,45 @@ def test_exit_codes_for_bad_inputs(tmp_path):
                 "--threshold", "0.5", "--out", tmp_path / "x"]) == 2
 
 
-@pytest.mark.parametrize("text", ["[]", "42"])
+@pytest.mark.parametrize("text", [
+    "[]", "42", '{"version": 1, "qubits": 7}', '{"version": 1, "gates": null}',
+    '{"version": 1, "gates": [{"name": "cx", "qubits": 5, "error": 0.01, "duration_ns": 300}]}',
+    '{"version": 1, "gates": [{"name": ["cx"], "qubits": [0, 1], "error": 0.01, '
+    '"duration_ns": 300}]}',
+])
 def test_profile_file_of_non_object_json_exits_4(tmp_path, capsys, text):
     prof = tmp_path / "profile.json"
     prof.write_text(text)
     assert run(["cut", "--qasm", "fixture:fig1_n5", "--profile", prof,
                 "--threshold", "0.5", "--out", tmp_path / "x"]) == 4
     assert "profile error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind, code", [("qasm", 3), ("profile", 4), ("plan", 5),
+                                        ("fragment", 5)])
+def test_non_utf8_input_exits_with_its_kinds_code(tmp_path, capsys, kind, code):
+    out = tmp_path / "out"
+    assert run(["cut", "--qasm", "fixture:fig1_n5", "--profile", "fixture:stress",
+                "--threshold", "0.9", "--out", out]) == 0
+    assert run(["run", "--out", out]) == 0
+    bad = tmp_path / "latin1.txt"
+    bad.write_bytes("OPENQASM 2.0; // caf\xe9\n".encode("latin-1"))
+    argv = {
+        "qasm": ["cut", "--qasm", bad, "--profile", "fixture:stress"],
+        "profile": ["cut", "--qasm", "fixture:fig1_n5", "--profile", bad],
+        "plan": ["run"],
+        "fragment": ["reconstruct"],
+    }[kind]
+    if kind == "plan":
+        bad.replace(out / "plan.json")
+    elif kind == "fragment":
+        bad.replace(sorted(out.glob("fragment_*.json"))[0])
+    else:
+        argv += ["--threshold", "0.9"]
+    capsys.readouterr()
+    assert run(argv + ["--out", out]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_infinite_angle_exits_3(tmp_path):

@@ -21,6 +21,7 @@ from wirecut.reconstruct import fidelity, tvd
 from wirecut.simulate import (
     Distribution,
     SimulationError,
+    _apply,
     _damping_superop,
     _pauli_superop,
     density_matrix,
@@ -91,6 +92,39 @@ def test_batched_initial_states_evolve_like_single_ones():
     assert np.max(np.abs(run_ideal(c, start).reshape(-1) - run_ideal(joined))) < 1e-12
     with pytest.raises(SimulationError, match="qubit axes"):
         run_ideal(c, np.zeros((4, 2)))
+
+
+@st.composite
+def _contractions(draw):
+    """An array of 1 to 5 axes of mixed sizes, 1 to 3 of its axes in any
+    order, and a random square matrix on their product; the other axes
+    stand for batch axes."""
+    shape = draw(st.lists(st.sampled_from([1, 2, 3, 4]), min_size=1, max_size=5))
+    order = draw(st.permutations(range(len(shape))))
+    axes = tuple(order[:draw(st.integers(1, min(3, len(shape))))])
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    dim = math.prod(shape[a] for a in axes)
+    t = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return t, m, axes
+
+
+@settings(max_examples=200, deadline=None)
+@given(_contractions())
+def test_apply_matches_an_einsum_reference(case):
+    t, m, axes = case
+    letters = "abcdefghijklmnop"
+    t_idx = letters[:t.ndim]
+    new_idx = letters[t.ndim:t.ndim + len(axes)]
+    out_idx = list(t_idx)
+    for a, new in zip(axes, new_idx):
+        out_idx[a] = new
+    sizes = [t.shape[a] for a in axes]
+    spec = f"{new_idx}{''.join(t_idx[a] for a in axes)},{t_idx}->{''.join(out_idx)}"
+    expected = np.einsum(spec, m.reshape(sizes + sizes), t)
+    got = _apply(t, m, axes)
+    assert got.shape == t.shape
+    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
 
 
 def test_measure_distribution_ghz():
