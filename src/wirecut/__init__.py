@@ -9,12 +9,10 @@ variant outputs as a tensor network over the cut wires.
 
 from .circuit import Circuit, Gate, QasmError, parse_qasm
 from .fragment import (
-    CutSpec,
     Fragment,
     FragmentPlan,
     Limits,
     PlanError,
-    derive_cut_points,
     enumerate_variants,
     recursive_fragment,
     single_cut_plan,

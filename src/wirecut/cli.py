@@ -13,7 +13,9 @@ code in the one table ``_FAILURES``, which ``main`` reads: 3 circuit parse
 error, 4 profile error, 5 planning/reconstruction error, 6 simulation
 error. Commands let library errors through and catch one only to re-raise
 its type with context. ``_read_text`` reads every input file and turns an
-unreadable or non-UTF-8 one into its kind's error.
+unreadable or non-UTF-8 one into its kind's error; ``_read_json`` does the
+same for malformed or too deeply nested JSON in the plan and fragment
+documents.
 """
 from __future__ import annotations
 
@@ -26,6 +28,8 @@ from pathlib import Path
 from .circuit import Circuit, QasmError, parse_qasm
 from .fixtures import fixture_text
 from .fragment import (
+    DEFAULT_SA_RESTARTS,
+    DEFAULT_SA_SWEEPS,
     FragmentPlan,
     Limits,
     PlanError,
@@ -70,6 +74,16 @@ def _read_text(path: Path, error_type: type[Exception]) -> str:
         raise error_type(f"cannot read {path}: {exc}") from None
 
 
+def _read_json(path: Path, error_type: type[Exception]):
+    """The JSON document in an input file; besides ``_read_text``'s errors,
+    malformed or too deeply nested JSON raises ``error_type``."""
+    text = _read_text(path, error_type)
+    try:
+        return json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise error_type(str(exc)) from None
+
+
 def _read_source(spec: str, kind: str, error_type: type[Exception]) -> str:
     if spec.startswith("fixture:"):
         try:
@@ -102,10 +116,9 @@ def _read_plan(out_dir: Path) -> FragmentPlan:
     plan_path = out_dir / "plan.json"
     if not plan_path.is_file():
         raise PlanError(f"no plan document at {plan_path}; run 'cut' first")
-    text = _read_text(plan_path, PlanError)
     try:
-        return plan_from_dict(json.loads(text))
-    except (json.JSONDecodeError, PlanError) as exc:
+        return plan_from_dict(_read_json(plan_path, PlanError))
+    except PlanError as exc:
         raise PlanError(f"bad plan document: {exc}") from None
 
 
@@ -118,13 +131,14 @@ def _plan(circuit, profile, args, threshold: float) -> FragmentPlan:
     )
 
 
-def _run_pipeline(circuit, profile, args, threshold: float) -> dict:
-    """cut + run + reconstruct for one threshold; returns the summary row."""
+def _run_pipeline(circuit, profile, args, threshold: float, reference) -> dict:
+    """cut + run + reconstruct for one threshold, scored against
+    ``reference()``, the ideal distribution; returns the summary row."""
     plan = _plan(circuit, profile, args, threshold)
     outputs = execute_plan(plan, profile=profile if args.noisy else None,
                            shots=args.shots, seed=args.seed)
     result = reconstruct(outputs, plan)
-    ideal = measure_distribution(run_ideal(circuit))
+    ideal = reference()
     return {
         "threshold": threshold,
         "leaves": len(plan.leaf_fragments()),
@@ -200,10 +214,9 @@ def cmd_reconstruct(args) -> int:
         path = out_dir / f"fragment_{leaf.id}.json"
         if not path.is_file():
             raise ReconstructionError(f"missing fragment output {path}; run 'run' first")
-        text = _read_text(path, ReconstructionError)
         try:
-            outputs[leaf.id] = FragmentOutput.from_dict(json.loads(text))
-        except (json.JSONDecodeError, ReconstructionError) as exc:
+            outputs[leaf.id] = FragmentOutput.from_dict(_read_json(path, ReconstructionError))
+        except ReconstructionError as exc:
             raise ReconstructionError(f"bad fragment document {path}: {exc}") from None
     result = reconstruct(outputs, plan)
     if args.reference:
@@ -223,10 +236,12 @@ def cmd_sweep(args) -> int:
     circuit = _load_circuit(args.qasm)
     profile = _load_noise(args.profile)
     out_dir = Path(args.out)
+    # simulated once, when the first threshold has been reconstructed
+    reference = functools.cache(lambda: measure_distribution(run_ideal(circuit)))
     rows = []
     for t in args.thresholds:
         try:
-            rows.append(_run_pipeline(circuit, profile, args, t))
+            rows.append(_run_pipeline(circuit, profile, args, t, reference))
         except tuple(_FAILURES) as exc:
             raise type(exc)(f"at threshold {t}: {exc}") from None
     _write_json(out_dir / "sweep.json", {"circuit": circuit.name, "noisy": args.noisy, "rows": rows})
@@ -301,9 +316,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--max-k", dest="max_k", type=_int_at_least(0), default=8)
         p.add_argument("--max-depth", dest="max_depth", type=_int_at_least(0), default=8)
-        p.add_argument("--sweeps", type=_int_at_least(1), default=4000,
+        p.add_argument("--sweeps", type=_int_at_least(1), default=DEFAULT_SA_SWEEPS,
                        help="annealer sweeps; used only with --solver anneal|both")
-        p.add_argument("--restarts", type=_int_at_least(1), default=4,
+        p.add_argument("--restarts", type=_int_at_least(1), default=DEFAULT_SA_RESTARTS,
                        help="annealer restarts; used only with --solver anneal|both")
 
     def run_flags(p):

@@ -1,12 +1,14 @@
 """Wire-cut fragmentation: applying a partition to a circuit.
 
-A bipartition of the gate graph induces cut points on qubit wires: one cut
-per wire segment whose endpoint gates land on different sides. Cutting
-splits every wire into pieces; each piece becomes a fresh local qubit of
-the fragment owning its gates, carrying an initialization role (in-cut)
-when the piece starts at a cut and a measurement role (out-cut) when it
-ends at one. A piece is always owned by one side because every crossing
-adjacency is cut, so fragments stay straight-line circuits.
+One step, ``_split``, applies a bipartition of a fragment's gate graph.
+Every wire segment whose endpoint gates land on different sides becomes a
+cut point, numbered in (qubit, upstream gate) order. Cutting splits every
+wire into pieces; each piece becomes a fresh local qubit of the child
+owning its gates, carrying an initialization role (in-cut) when the piece
+starts at a cut and a measurement role (out-cut) when it ends at one. A
+piece is always owned by one side because every crossing adjacency is
+cut, so both children stay straight-line circuits. The step returns the
+split plan node with its two children.
 
 Variant enumeration synthesizes the runnable circuits: each out-cut is
 measured in the Z, X, or Y basis (basis change appended at the end of the
@@ -17,7 +19,8 @@ The recursive driver keeps splitting any fragment whose estimated success
 probability falls below the threshold and stops at the depth/cut-count
 limits. Each split comes from the genetic search; the annealer can run
 instead, or beside it for comparison, in which case the cheaper cut by
-the exact cut cost is kept.
+the exact cut cost is kept. ``single_cut_plan`` applies one given
+partition with the same step.
 """
 from __future__ import annotations
 
@@ -34,13 +37,11 @@ from .partition import cut_size, find_min_cut_ga, partition_cost
 __all__ = [
     "PlanError",
     "CutPoint",
-    "CutSpec",
     "Fragment",
     "VariantRun",
     "PlanNode",
     "FragmentPlan",
     "Limits",
-    "derive_cut_points",
     "enumerate_variants",
     "recursive_fragment",
     "anneal_min_cut",
@@ -66,7 +67,7 @@ _BASIS_GATES = {
 
 
 class PlanError(ValueError):
-    """Raised on inconsistent cut specifications or plan documents."""
+    """Raised on partitions that cannot split a fragment, or bad plan documents."""
 
 
 @dataclass(frozen=True)
@@ -77,15 +78,6 @@ class CutPoint:
     upstream_gate: int
     downstream_gate: int
     cut_id: int
-
-
-@dataclass(frozen=True)
-class CutSpec:
-    cuts: tuple[CutPoint, ...]
-
-    @property
-    def k(self) -> int:
-        return len(self.cuts)
 
 
 @dataclass
@@ -123,127 +115,8 @@ class VariantRun:
 
 
 # ---------------------------------------------------------------------------
-# Cut derivation and fragment construction
+# Variant enumeration
 # ---------------------------------------------------------------------------
-
-def derive_cut_points(pv, g: GateGraph, c: Circuit, first_id: int = 0) -> CutSpec:
-    """Cuts induced by a partition: one per crossing wire segment.
-
-    The total equals the weighted cut size (a weight-2 edge yields two
-    cuts). Cut ids are assigned in (qubit, position) order from
-    ``first_id``.
-    """
-    if len(pv) != g.n:
-        raise PlanError(f"partition length {len(pv)} != vertex count {g.n}")
-    if len(set(pv)) == 1 and g.n > 0:
-        raise PlanError("partition is one-sided; no cut to derive")
-    crossing = []
-    for e in g.edges:
-        if pv[e.u] != pv[e.v]:
-            crossing.extend(e.segments)
-    crossing.sort(key=lambda s: (s.qubit, s.upstream_gate))
-    cuts = tuple(
-        CutPoint(s.qubit, s.upstream_gate, s.downstream_gate, first_id + i)
-        for i, s in enumerate(crossing)
-    )
-    return CutSpec(cuts=cuts)
-
-
-def _as_root_fragment(c: Circuit) -> Fragment:
-    return Fragment(id=0, circuit=c, qubit_map=tuple(range(c.width)))
-
-
-def _split_fragment(
-    parent: Fragment,
-    spec: CutSpec,
-    pv,
-    child_ids: tuple[int, int],
-) -> tuple[Fragment, Fragment]:
-    c = parent.circuit
-    width = c.width
-    cuts_after = {(cp.qubit, cp.upstream_gate): cp.cut_id for cp in spec.cuts}
-    if len(cuts_after) != len(spec.cuts):
-        raise PlanError("duplicate cut position in cut spec")
-    vertex_of_gate = {gi: vid for vid, gi in enumerate(c.two_qubit_indices())}
-
-    # walk once: which piece of which wire each gate touches, and the piece
-    # index right after each two-qubit gate (for cut role placement)
-    cur = [0] * width
-    placements: list[list[tuple[int, int]]] = []
-    piece_side: dict[tuple[int, int], int] = {}
-    piece_of_gate: dict[tuple[int, int], int] = {}
-    for gi, gate in enumerate(c.gates):
-        spots = [(q, cur[q]) for q in gate.qubits]
-        placements.append(spots)
-        if gate.is_two_qubit and not gate.is_measurement:
-            side = pv[vertex_of_gate[gi]]
-            for spot in spots:
-                if piece_side.setdefault(spot, side) != side:
-                    raise PlanError("cut spec splits a wire piece across sides")
-            for q in gate.qubits:
-                piece_of_gate[(q, gi)] = cur[q]
-                if (q, gi) in cuts_after:
-                    cur[q] += 1
-
-    # every wire contributes its pieces; sideless pieces (wires without any
-    # two-qubit gate) default to side 0
-    pieces = [(q, i) for q in range(width) for i in range(cur[q] + 1)]
-    local: dict[tuple[int, int], int] = {}
-    maps: tuple[list[int], list[int]] = ([], [])
-    for piece in pieces:
-        side = piece_side.get(piece, 0)
-        local[piece] = len(maps[side])
-        maps[side].append(parent.qubit_map[piece[0]])
-    side_of = {piece: piece_side.get(piece, 0) for piece in pieces}
-
-    gates: tuple[list[Gate], list[Gate]] = ([], [])
-    for gi, gate in enumerate(c.gates):
-        spots = placements[gi]
-        side = side_of[spots[0]]
-        gates[side].append(
-            Gate(
-                gate.name,
-                tuple(local[s] for s in spots),
-                gate.params,
-                is_measurement=gate.is_measurement,
-            )
-        )
-
-    in_cuts: tuple[dict[int, int], dict[int, int]] = ({}, {})
-    out_cuts: tuple[dict[int, int], dict[int, int]] = ({}, {})
-    for cp in spec.cuts:
-        up_piece = (cp.qubit, piece_of_gate[(cp.qubit, cp.upstream_gate)])
-        down_piece = (cp.qubit, up_piece[1] + 1)
-        out_cuts[side_of[up_piece]][cp.cut_id] = local[up_piece]
-        in_cuts[side_of[down_piece]][cp.cut_id] = local[down_piece]
-    # inherited roles: an in-cut enters at the wire start (first piece), an
-    # out-cut leaves at the wire end (last piece)
-    for cid, q in parent.in_cuts.items():
-        piece = (q, 0)
-        in_cuts[side_of[piece]][cid] = local[piece]
-    for cid, q in parent.out_cuts.items():
-        piece = (q, cur[q])
-        out_cuts[side_of[piece]][cid] = local[piece]
-
-    frags = []
-    for side in (0, 1):
-        if not maps[side]:
-            raise PlanError("partition leaves one side empty")
-        frags.append(
-            Fragment(
-                id=child_ids[side],
-                circuit=Circuit(
-                    width=len(maps[side]),
-                    gates=tuple(gates[side]),
-                    name=f"{c.name}.{side}",
-                ),
-                in_cuts=in_cuts[side],
-                out_cuts=out_cuts[side],
-                qubit_map=tuple(maps[side]),
-            )
-        )
-    return frags[0], frags[1]
-
 
 def enumerate_variants(f: Fragment) -> list[VariantRun]:
     """All measurement-basis / initialization combinations for a fragment."""
@@ -297,7 +170,7 @@ class PlanNode:
     fragment: Fragment
     success: float
     status: str  # ok | split | unsplittable-gates | unsplittable-depth | unsplittable-k
-    cut: CutSpec | None = None
+    cut: tuple[CutPoint, ...] | None = None
     partition: list[int] | None = None
     children: list["PlanNode"] = field(default_factory=list)
 
@@ -342,18 +215,135 @@ class FragmentPlan:
         return len(self.cut_ids())
 
 
+def _as_root_fragment(c: Circuit) -> Fragment:
+    return Fragment(id=0, circuit=c, qubit_map=tuple(range(c.width)))
+
+
+def _split(
+    parent: Fragment,
+    success: float,
+    pv,
+    g: GateGraph,
+    first_cut_id: int,
+    child_ids: tuple[int, int],
+) -> PlanNode:
+    """The split node that applies partition ``pv`` of ``g``, the gate graph
+    of ``parent``'s circuit.
+
+    Each crossing wire segment becomes one cut, so their count equals the
+    weighted cut size (a weight-2 edge yields two cuts); cut ids run from
+    ``first_cut_id`` in (qubit, upstream gate) order. Both children are
+    built, with ids ``child_ids``, as ``ok`` leaves of the returned node.
+    """
+    if len(pv) != g.n:
+        raise PlanError(f"partition length {len(pv)} != vertex count {g.n}")
+    if len(set(pv)) == 1 and g.n > 0:
+        raise PlanError("partition is one-sided; no cut to derive")
+    crossing = sorted(
+        (s for e in g.edges if pv[e.u] != pv[e.v] for s in e.segments),
+        key=lambda s: (s.qubit, s.upstream_gate),
+    )
+    cuts = tuple(
+        CutPoint(s.qubit, s.upstream_gate, s.downstream_gate, first_cut_id + i)
+        for i, s in enumerate(crossing)
+    )
+    cuts_after = {(cp.qubit, cp.upstream_gate) for cp in cuts}
+    c = parent.circuit
+    width = c.width
+    vertex_of_gate = {gi: vid for vid, gi in enumerate(c.two_qubit_indices())}
+
+    # walk once: which piece of which wire each gate touches, and the piece
+    # index right after each two-qubit gate (for cut role placement)
+    cur = [0] * width
+    placements: list[list[tuple[int, int]]] = []
+    piece_side: dict[tuple[int, int], int] = {}
+    piece_of_gate: dict[tuple[int, int], int] = {}
+    for gi, gate in enumerate(c.gates):
+        spots = [(q, cur[q]) for q in gate.qubits]
+        placements.append(spots)
+        if gate.is_two_qubit and not gate.is_measurement:
+            side = pv[vertex_of_gate[gi]]
+            for spot in spots:
+                piece_side[spot] = side
+            for q in gate.qubits:
+                piece_of_gate[(q, gi)] = cur[q]
+                if (q, gi) in cuts_after:
+                    cur[q] += 1
+
+    # every wire contributes its pieces; sideless pieces (wires without any
+    # two-qubit gate) default to side 0
+    pieces = [(q, i) for q in range(width) for i in range(cur[q] + 1)]
+    local: dict[tuple[int, int], int] = {}
+    maps: tuple[list[int], list[int]] = ([], [])
+    for piece in pieces:
+        side = piece_side.get(piece, 0)
+        local[piece] = len(maps[side])
+        maps[side].append(parent.qubit_map[piece[0]])
+    side_of = {piece: piece_side.get(piece, 0) for piece in pieces}
+
+    gates: tuple[list[Gate], list[Gate]] = ([], [])
+    for gi, gate in enumerate(c.gates):
+        spots = placements[gi]
+        side = side_of[spots[0]]
+        gates[side].append(
+            Gate(
+                gate.name,
+                tuple(local[s] for s in spots),
+                gate.params,
+                is_measurement=gate.is_measurement,
+            )
+        )
+
+    in_cuts: tuple[dict[int, int], dict[int, int]] = ({}, {})
+    out_cuts: tuple[dict[int, int], dict[int, int]] = ({}, {})
+    for cp in cuts:
+        up_piece = (cp.qubit, piece_of_gate[(cp.qubit, cp.upstream_gate)])
+        down_piece = (cp.qubit, up_piece[1] + 1)
+        out_cuts[side_of[up_piece]][cp.cut_id] = local[up_piece]
+        in_cuts[side_of[down_piece]][cp.cut_id] = local[down_piece]
+    # inherited roles: an in-cut enters at the wire start (first piece), an
+    # out-cut leaves at the wire end (last piece)
+    for cid, q in parent.in_cuts.items():
+        piece = (q, 0)
+        in_cuts[side_of[piece]][cid] = local[piece]
+    for cid, q in parent.out_cuts.items():
+        piece = (q, cur[q])
+        out_cuts[side_of[piece]][cid] = local[piece]
+
+    children = []
+    for side in (0, 1):
+        if not maps[side]:
+            raise PlanError("partition leaves one side empty")
+        child = Fragment(
+            id=child_ids[side],
+            circuit=Circuit(
+                width=len(maps[side]),
+                gates=tuple(gates[side]),
+                name=f"{c.name}.{side}",
+            ),
+            in_cuts=in_cuts[side],
+            out_cuts=out_cuts[side],
+            qubit_map=tuple(maps[side]),
+        )
+        children.append(PlanNode(fragment=child, success=0.0, status="ok"))
+    return PlanNode(fragment=parent, success=success, status="split", cut=cuts,
+                    partition=list(pv), children=children)
+
+
 def _solver_seed(seed: int, node: int, salt: int) -> int:
     return (seed * 1_000_003 + node * 10_007 + salt) & 0x7FFFFFFF
 
 
 DEFAULT_SA_ALPHAS = (2.0, 4.0, 8.0, 16.0)
+DEFAULT_SA_SWEEPS = 4000
+DEFAULT_SA_RESTARTS = 4
 
 
 def anneal_min_cut(
     g: GateGraph,
     seed: int = 0,
-    sweeps: int = 4000,
-    restarts: int = 4,
+    sweeps: int = DEFAULT_SA_SWEEPS,
+    restarts: int = DEFAULT_SA_RESTARTS,
 ) -> tuple[list[int], float, float]:
     """Best cut found by annealing a ladder of balance weights.
 
@@ -441,8 +431,8 @@ def recursive_fragment(
     limits: Limits | None = None,
     seed: int = 0,
     solver: str = "ga",
-    sa_sweeps: int = 4000,
-    sa_restarts: int = 4,
+    sa_sweeps: int = DEFAULT_SA_SWEEPS,
+    sa_restarts: int = DEFAULT_SA_RESTARTS,
 ) -> FragmentPlan:
     """Threshold-driven recursive bipartitioning.
 
@@ -479,15 +469,11 @@ def recursive_fragment(
         solver_log.append(log)
         if counters["cut"] + k > limits.max_k:
             return PlanNode(fragment=frag, success=est.success, status="unsplittable-k")
-        spec = derive_cut_points(pv, g, frag.circuit, first_id=counters["cut"])
-        counters["cut"] += spec.k
         ids = (counters["fragment"], counters["fragment"] + 1)
+        node = _split(frag, est.success, pv, g, counters["cut"], ids)
+        counters["cut"] += len(node.cut)
         counters["fragment"] += 2
-        a, b = _split_fragment(frag, spec, pv, child_ids=ids)
-        node = PlanNode(
-            fragment=frag, success=est.success, status="split", cut=spec, partition=pv
-        )
-        node.children = [visit(a, depth + 1), visit(b, depth + 1)]
+        node.children = [visit(child.fragment, depth + 1) for child in node.children]
         return node
 
     root = visit(_as_root_fragment(c), 0)
@@ -504,14 +490,7 @@ def recursive_fragment(
 
 def single_cut_plan(c: Circuit, pv, g: GateGraph) -> FragmentPlan:
     """One forced split along ``pv``; useful for testing reconstruction."""
-    spec = derive_cut_points(pv, g, c, first_id=0)
-    root_frag = _as_root_fragment(c)
-    a, b = _split_fragment(root_frag, spec, pv, child_ids=(1, 2))
-    root = PlanNode(fragment=root_frag, success=0.0, status="split", cut=spec, partition=list(pv))
-    root.children = [
-        PlanNode(fragment=a, success=0.0, status="ok"),
-        PlanNode(fragment=b, success=0.0, status="ok"),
-    ]
+    root = _split(_as_root_fragment(c), 0.0, pv, g, 0, (1, 2))
     return FragmentPlan(
         width=c.width, threshold=0.0, root=root, limits=Limits(), seed=0, solver="manual"
     )
@@ -564,7 +543,7 @@ def _node_to_dict(node: PlanNode) -> dict:
                 "downstream_gate": cp.downstream_gate,
                 "cut_id": cp.cut_id,
             }
-            for cp in node.cut.cuts
+            for cp in node.cut
         ]
     if node.partition is not None:
         doc["partition"] = list(node.partition)
@@ -577,11 +556,9 @@ def _node_from_dict(doc: dict, ids: set[int]) -> PlanNode:
     """Rebuild a node and its subtree, adding their fragment ids to ``ids``."""
     cut = None
     if "cuts" in doc:
-        cut = CutSpec(
-            cuts=tuple(
-                CutPoint(c["qubit"], c["upstream_gate"], c["downstream_gate"], c["cut_id"])
-                for c in doc["cuts"]
-            )
+        cut = tuple(
+            CutPoint(c["qubit"], c["upstream_gate"], c["downstream_gate"], c["cut_id"])
+            for c in doc["cuts"]
         )
     fragment = _fragment_from_dict(doc["fragment"])
     if type(fragment.id) is not int or fragment.id < 0 or fragment.id in ids:
@@ -622,13 +599,14 @@ def plan_to_dict(plan: FragmentPlan) -> dict:
 
 def plan_from_dict(doc: dict) -> FragmentPlan:
     """Rebuild a plan from ``plan_to_dict``'s document; a document of the
-    wrong shape raises ``PlanError``."""
+    wrong shape, a tree nested too deeply to rebuild, or a ``width`` other
+    than the root fragment's raises ``PlanError``."""
     if not isinstance(doc, dict):
         raise PlanError("plan document must be a JSON object")
     if doc.get("version") != 1:
         raise PlanError("unsupported plan document version")
     try:
-        return FragmentPlan(
+        plan = FragmentPlan(
             width=doc["width"],
             threshold=doc["threshold"],
             root=_node_from_dict(doc["tree"], set()),
@@ -639,5 +617,11 @@ def plan_from_dict(doc: dict) -> FragmentPlan:
         )
     except PlanError:
         raise
+    except RecursionError:
+        raise PlanError("plan tree is nested too deeply") from None
     except (KeyError, TypeError, AttributeError, ValueError) as exc:
         raise PlanError(f"missing or malformed field {exc}") from None
+    if type(plan.width) is not int or plan.width != plan.root.fragment.width:
+        raise PlanError(f"plan width {plan.width!r} is not the root fragment's width "
+                        f"{plan.root.fragment.width}")
+    return plan

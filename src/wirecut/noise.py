@@ -154,7 +154,7 @@ def load_profile(text: str) -> NoiseProfile:
     """
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ProfileError(f"calibration document is not valid JSON: {exc}") from None
     _require(isinstance(doc, dict), "calibration document must be a JSON object")
     _require(doc.get("version") == 1, "calibration document must declare version 1")

@@ -316,11 +316,9 @@ def _leaf_tensor(leaf: Fragment, output: FragmentOutput) -> np.ndarray:
     return np.einsum(*operands, optimize="greedy")
 
 
-def reconstruct(
-    outputs: dict[int, FragmentOutput] | list[FragmentOutput],
-    plan: FragmentPlan,
-) -> ReconstructionResult:
-    """Recombine fragment outputs into the full-width distribution.
+def reconstruct(outputs: dict[int, FragmentOutput], plan: FragmentPlan) -> ReconstructionResult:
+    """Recombine fragment outputs, keyed by leaf id as ``execute_plan``
+    returns them, into the full-width distribution.
 
     Negative quasi-probability mass (possible under noise or sampling) is
     clipped to zero and the result renormalized; the clipped amount is
@@ -332,8 +330,6 @@ def reconstruct(
         raise ReconstructionError(
             f"reconstruction capped at {MAX_STATEVECTOR_QUBITS} qubits, got width {plan.width}"
         )
-    if isinstance(outputs, list):
-        outputs = {o.fragment_id: o for o in outputs}
     leaves = sorted(plan.leaf_fragments(), key=lambda f: f.id)
     for leaf in leaves:
         if leaf.id not in outputs:

@@ -87,7 +87,7 @@ def test_criterion_2_fig1_fixture():
     leaves = plan.leaf_fragments()
     assert len(leaves) == 2
     assert sorted(f.width for f in leaves) == [3, 3]
-    cut = plan.root.cut.cuts[0]
+    cut = plan.root.cut[0]
     assert (cut.qubit, cut.upstream_gate, cut.downstream_gate) == (2, 1, 2)
     result = reconstruct(execute_plan(plan), plan)
     assert tvd(result.distribution, measure_distribution(run_ideal(c))) < 1e-9

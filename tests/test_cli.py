@@ -13,6 +13,7 @@ from wirecut.fragment import (
     recursive_fragment,
 )
 from wirecut.noise import NoiseProfile
+from wirecut.simulate import run_ideal
 
 
 def run(argv):
@@ -152,6 +153,29 @@ def test_non_utf8_input_exits_with_its_kinds_code(tmp_path, capsys, kind, code):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("kind, code", [("profile", 4), ("plan", 5), ("fragment", 5)])
+def test_deeply_nested_json_exits_with_its_kinds_code(tmp_path, capsys, kind, code):
+    out = tmp_path / "out"
+    assert run(["cut", "--qasm", "fixture:fig1_n5", "--profile", "fixture:stress",
+                "--threshold", "0.9", "--out", out]) == 0
+    assert run(["run", "--out", out]) == 0
+    nested = "[" * 200000 + "]" * 200000
+    if kind == "profile":
+        (tmp_path / "profile.json").write_text(nested)
+        argv = ["cut", "--qasm", "fixture:fig1_n5", "--profile", tmp_path / "profile.json",
+                "--threshold", "0.9"]
+    elif kind == "plan":
+        (out / "plan.json").write_text(nested)
+        argv = ["run"]
+    else:
+        sorted(out.glob("fragment_*.json"))[0].write_text(nested)
+        argv = ["reconstruct"]
+    capsys.readouterr()
+    assert run(argv + ["--out", out]) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_infinite_angle_exits_3(tmp_path):
     for expr in ("pi/0", "1e999"):
         qasm = tmp_path / "angle.qasm"
@@ -180,6 +204,19 @@ def test_sweep_rows_and_monotone_leaves(tmp_path):
     csv = (out / "sweep.csv").read_text().splitlines()
     assert csv[0] == "threshold,leaves,k,fidelity,tvd"
     assert len(csv) == 4
+
+
+def test_sweep_simulates_the_reference_once(tmp_path, monkeypatch):
+    calls = []
+
+    def counted(circuit, *args):
+        calls.append(circuit.name)
+        return run_ideal(circuit, *args)
+
+    monkeypatch.setattr("wirecut.cli.run_ideal", counted)
+    assert run(["sweep", "--qasm", "fixture:fig1_n5", "--profile", "fixture:stress",
+                "--thresholds", "0,0.9,1", "--out", tmp_path / "sweep"]) == 0
+    assert calls == ["fig1_n5"]
 
 
 def test_sweep_single_threshold_zero(tmp_path):
@@ -231,7 +268,8 @@ def test_malformed_fragment_document_exits_5(tmp_path, capsys, damage):
 
 @pytest.mark.parametrize("damage", ["list", "tree-not-object", "unknown-limit",
                                     "short-qubit-map", "cut-qubit-99",
-                                    "string-id", "negative-id", "duplicate-id"])
+                                    "string-id", "negative-id", "duplicate-id",
+                                    "width-null", "width-mismatch"])
 def test_malformed_plan_document_exits_5(tmp_path, capsys, damage):
     out = tmp_path / damage
     assert run(["cut", "--qasm", "fixture:fig1_n5", "--profile", "fixture:stress",
@@ -244,6 +282,8 @@ def test_malformed_plan_document_exits_5(tmp_path, capsys, damage):
         doc["tree"] = "root"
     elif damage == "unknown-limit":
         doc["limits"]["max_width"] = 4
+    elif damage.startswith("width-"):
+        doc["width"] = None if damage == "width-null" else 3
     elif damage.endswith("-id"):
         first, second = (child["fragment"] for child in doc["tree"]["children"])
         second["id"] = {"string-id": "a", "negative-id": -1}.get(damage, first["id"])
@@ -261,6 +301,7 @@ def test_malformed_plan_document_exits_5(tmp_path, capsys, damage):
     for argv in (["run"], ["run", "--noisy", "--profile", "fixture:stress"], ["reconstruct"]):
         assert run(argv + ["--out", out]) == 5
         assert "bad plan document" in capsys.readouterr().err
+    assert not list(out.glob("fragment_*.json"))
 
 
 @pytest.mark.parametrize("doc_width", [30, 1])

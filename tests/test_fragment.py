@@ -1,17 +1,17 @@
 import json
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import gate_counts, random_circuit
-from wirecut.circuit import Circuit, Gate, parse_qasm
+from wirecut.circuit import Circuit, Gate, circuit_to_dict, parse_qasm
 from wirecut.fragment import (
     Fragment,
     Limits,
     PlanError,
-    derive_cut_points,
     enumerate_variants,
     plan_from_dict,
     plan_to_dict,
@@ -33,25 +33,25 @@ STRESS = profile_fixture("stress")
 
 def test_fig1_cut_points():
     g = build_graph(FIG1, QUIET)
-    spec = derive_cut_points([0, 0, 1, 1], g, FIG1)
-    assert spec.k == 1
-    cp = spec.cuts[0]
+    cuts = single_cut_plan(FIG1, [0, 0, 1, 1], g).root.cut
+    assert len(cuts) == 1
+    cp = cuts[0]
     assert (cp.qubit, cp.upstream_gate, cp.downstream_gate) == (2, 1, 2)
 
 
 def test_cut_points_disconnected_partition_is_empty():
     c = parse_qasm(HEADER + "qreg q[4]; cx q[0],q[1]; cx q[2],q[3];")
     g = build_graph(c, QUIET)
-    spec = derive_cut_points([0, 1], g, c)
-    assert spec.k == 0 and spec.cuts == ()
+    cuts = single_cut_plan(c, [0, 1], g).root.cut
+    assert len(cuts) == 0 and cuts == ()
 
 
 def test_cut_points_weight_two_edge_yields_two_cuts():
     c = parse_qasm(HEADER + "qreg q[2]; cx q[0],q[1]; cx q[0],q[1];")
     g = build_graph(c, QUIET)
-    spec = derive_cut_points([0, 1], g, c)
-    assert spec.k == 2
-    assert {cp.qubit for cp in spec.cuts} == {0, 1}
+    cuts = single_cut_plan(c, [0, 1], g).root.cut
+    assert len(cuts) == 2
+    assert {cp.qubit for cp in cuts} == {0, 1}
 
 
 def test_cut_points_match_cut_size():
@@ -64,13 +64,13 @@ def test_cut_points_match_cut_size():
         pv = [rng.randint(0, 1) for _ in range(g.n)]
         if len(set(pv)) < 2:
             continue
-        assert derive_cut_points(pv, g, c).k == int(cut_size(pv, g))
+        assert len(single_cut_plan(c, pv, g).root.cut) == int(cut_size(pv, g))
 
 
 def test_cut_points_reject_one_sided():
     g = build_graph(FIG1, QUIET)
     with pytest.raises(PlanError, match="one-sided"):
-        derive_cut_points([0, 0, 0, 0], g, FIG1)
+        single_cut_plan(FIG1, [0, 0, 0, 0], g)
 
 
 def test_fig1_fragments_are_two_three_qubit_circuits():
@@ -227,6 +227,20 @@ def test_plan_document_roundtrip():
     assert plan_to_dict(again) == doc
     assert again.k == plan.k
     assert [f.id for f in again.leaf_fragments()] == [f.id for f in plan.leaf_fragments()]
+
+
+def test_plan_tree_nested_too_deeply_is_a_plan_error():
+    # a chain of one-child nodes deeper than the interpreter's recursion limit
+    leaf = {"circuit": circuit_to_dict(Circuit(width=1, gates=())),
+            "in_cuts": {}, "out_cuts": {}, "qubit_map": [0]}
+    tree = None
+    for fid in range(sys.getrecursionlimit(), -1, -1):
+        tree = {"fragment": dict(leaf, id=fid), "success": 1.0, "status": "ok",
+                "children": [tree] if tree else []}
+    doc = {"version": 1, "width": 1, "threshold": 0.0, "tree": tree,
+           "limits": {"max_depth": 8, "max_k": 8}, "seed": 0, "solver": "ga"}
+    with pytest.raises(PlanError, match="nested too deeply"):
+        plan_from_dict(doc)
 
 
 def _document_bytes(doc) -> str:
