@@ -3,73 +3,143 @@
 The IR is deliberately minimal: a circuit is an ordered list of gates over
 indexed qubits, and list position is the temporal order on every wire.
 Circuits are immutable after construction and safe to share across threads.
+
+``GATES`` is the one gate table: per gate name, its arity, its number of
+angle parameters and its unitary as a function of those angles. Every other
+module reads it, and ``Gate`` checks every gate against it when the gate is
+built, whether from QASM, a plan document or code. ``swap`` is not in the
+table: the parser expands it into three ``cx``.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable
+import sys
+from dataclasses import dataclass, field
+from typing import Callable, Iterable, NamedTuple
+
+import numpy as np
 
 __all__ = [
+    "GATES",
     "Gate",
     "Circuit",
     "QasmError",
-    "PARAM_COUNTS",
     "parse_qasm",
     "circuit_to_dict",
     "circuit_from_dict",
     "asap_schedule",
 ]
 
-# name -> number of angle parameters; two-qubit gates listed separately
-PARAM_COUNTS = {
-    "h": 0, "x": 0, "y": 0, "z": 0, "s": 0, "sdg": 0, "t": 0, "tdg": 0,
-    "rx": 1, "ry": 1, "rz": 1, "u1": 1, "u2": 2, "u3": 3,
-    "cx": 0, "cz": 0, "swap": 0,
-    "measure": 0,
+
+class GateSpec(NamedTuple):
+    """A row of ``GATES``: arity, angle count, unitary from the angles."""
+
+    arity: int
+    n_params: int
+    unitary: Callable[..., np.ndarray] | None
+
+
+_SQ2 = 1.0 / math.sqrt(2.0)
+
+
+def _fixed(arity: int, m: np.ndarray) -> GateSpec:
+    return GateSpec(arity, 0, lambda: m)
+
+
+def _rx(th: float) -> np.ndarray:
+    c, s = math.cos(th / 2), math.sin(th / 2)
+    return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
+
+
+def _ry(th: float) -> np.ndarray:
+    c, s = math.cos(th / 2), math.sin(th / 2)
+    return np.array([[c, -s], [s, c]], dtype=complex)
+
+
+def _u2(phi: float, lam: float) -> np.ndarray:
+    return _SQ2 * np.array(
+        [[1, -np.exp(1j * lam)], [np.exp(1j * phi), np.exp(1j * (phi + lam))]], dtype=complex
+    )
+
+
+def _u3(th: float, phi: float, lam: float) -> np.ndarray:
+    c, s = math.cos(th / 2), math.sin(th / 2)
+    return np.array(
+        [[c, -np.exp(1j * lam) * s], [np.exp(1j * phi) * s, np.exp(1j * (phi + lam)) * c]],
+        dtype=complex,
+    )
+
+
+GATES: dict[str, GateSpec] = {
+    "h": _fixed(1, np.array([[_SQ2, _SQ2], [_SQ2, -_SQ2]], dtype=complex)),
+    "x": _fixed(1, np.array([[0, 1], [1, 0]], dtype=complex)),
+    "y": _fixed(1, np.array([[0, -1j], [1j, 0]], dtype=complex)),
+    "z": _fixed(1, np.diag([1.0, -1.0]).astype(complex)),
+    "s": _fixed(1, np.diag([1, 1j]).astype(complex)),
+    "sdg": _fixed(1, np.diag([1, -1j]).astype(complex)),
+    "t": _fixed(1, np.diag([1, np.exp(1j * math.pi / 4)]).astype(complex)),
+    "tdg": _fixed(1, np.diag([1, np.exp(-1j * math.pi / 4)]).astype(complex)),
+    "rx": GateSpec(1, 1, _rx),
+    "ry": GateSpec(1, 1, _ry),
+    "rz": GateSpec(
+        1, 1, lambda th: np.diag([np.exp(-1j * th / 2), np.exp(1j * th / 2)]).astype(complex)
+    ),
+    "u1": GateSpec(1, 1, lambda lam: np.diag([1, np.exp(1j * lam)]).astype(complex)),
+    "u2": GateSpec(1, 2, _u2),
+    "u3": GateSpec(1, 3, _u3),
+    "cx": _fixed(
+        2, np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
+    ),
+    "cz": _fixed(2, np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)),
+    "measure": GateSpec(1, 0, None),
 }
-TWO_QUBIT_GATES = {"cx", "cz", "swap"}
 
 
 class QasmError(ValueError):
     """Raised on malformed or unsupported circuit source."""
 
-    def __init__(self, message: str, line: int | None = None, column: int | None = None):
+    def __init__(self, message: str, line: int | None = None):
         self.line = line
-        self.column = column
-        where = ""
-        if line is not None:
-            where = f" (line {line}" + (f", col {column}" if column is not None else "") + ")"
-        super().__init__(message + where)
+        super().__init__(message if line is None else f"{message} (line {line})")
+
+
+def _is_finite_real(v) -> bool:
+    """An ``int`` or ``float``, not a ``bool``, that a float holds finitely."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
 
 
 @dataclass(frozen=True)
 class Gate:
-    """A single gate application: name, operand qubits, optional angles."""
+    """A single gate application: name, operand qubits, optional angles.
+
+    Building one checks it against ``GATES``: a known name, as many distinct
+    ``int`` qubits as its arity and as many finite real angles as it takes;
+    anything else raises ``QasmError``. ``is_measurement`` follows from the
+    name.
+    """
 
     name: str
     qubits: tuple[int, ...]
     params: tuple[float, ...] = ()
-    is_measurement: bool = False
+    is_measurement: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.name not in PARAM_COUNTS:
+        spec = GATES.get(self.name) if type(self.name) is str else None
+        if spec is None:
             raise QasmError(f"unsupported gate '{self.name}'")
-        if self.is_measurement != (self.name == "measure"):
-            raise QasmError("is_measurement flag inconsistent with gate name")
-        arity = 2 if self.name in TWO_QUBIT_GATES else 1
-        if len(self.qubits) != arity:
-            raise QasmError(f"gate '{self.name}' expects {arity} qubit(s), got {len(self.qubits)}")
-        if len(set(self.qubits)) != len(self.qubits):
-            raise QasmError(f"gate '{self.name}' has repeated qubit operands {self.qubits}")
-        if len(self.params) != PARAM_COUNTS[self.name]:
-            raise QasmError(
-                f"gate '{self.name}' expects {PARAM_COUNTS[self.name]} parameter(s), got {len(self.params)}"
-            )
+        qs = self.qubits
+        if len(qs) != spec.arity:
+            raise QasmError(f"gate '{self.name}' expects {spec.arity} qubit(s), got {len(qs)}")
+        if not all(type(q) is int for q in qs) or len(set(qs)) != len(qs):
+            raise QasmError(f"gate '{self.name}' has repeated or non-integer qubits {qs}")
+        if len(self.params) != spec.n_params or not all(map(_is_finite_real, self.params)):
+            raise QasmError(f"gate '{self.name}' expects {spec.n_params} finite real "
+                            f"parameter(s), got {self.params}")
+        object.__setattr__(self, "is_measurement", self.name == "measure")
 
     @property
     def is_two_qubit(self) -> bool:
-        return self.name in TWO_QUBIT_GATES
+        return len(self.qubits) == 2
 
 
 @dataclass(frozen=True)
@@ -89,8 +159,8 @@ class Circuit:
                     raise QasmError(f"qubit index {q} out of range for width {self.width}")
 
     def two_qubit_indices(self) -> list[int]:
-        """Positions of non-measurement two-qubit gates, in order."""
-        return [i for i, g in enumerate(self.gates) if g.is_two_qubit and not g.is_measurement]
+        """Positions of two-qubit gates, in order."""
+        return [i for i, g in enumerate(self.gates) if g.is_two_qubit]
 
     def touched_qubits(self) -> set[int]:
         return {q for g in self.gates for q in g.qubits}
@@ -149,21 +219,22 @@ def _eval_angle(expr: str, line: int) -> float:
     return value
 
 
-def _parse_operand(token: str, registers: dict[str, int], line: int) -> tuple[str, int]:
+def _parse_operand(token: str, register: tuple[str, int], line: int) -> int:
+    """The index of ``token``, an element of the (name, size) ``register``."""
     token = token.strip()
     if "[" not in token or not token.endswith("]"):
         raise QasmError(f"expected indexed operand like q[0], got '{token}'", line)
     reg, _, idx = token.partition("[")
-    reg = reg.strip()
-    if reg not in registers:
+    reg, size = reg.strip(), register[1]
+    if reg != register[0]:
         raise QasmError(f"unknown register '{reg}'", line)
     try:
         i = int(idx[:-1])
     except ValueError:
         raise QasmError(f"bad register index in '{token}'", line) from None
-    if not 0 <= i < registers[reg]:
-        raise QasmError(f"index {i} out of range for register '{reg}' of size {registers[reg]}", line)
-    return reg, i
+    if not 0 <= i < size:
+        raise QasmError(f"index {i} out of range for register '{reg}' of size {size}", line)
+    return i
 
 
 def _statements(text: str) -> Iterable[tuple[int, str]]:
@@ -192,10 +263,11 @@ def parse_qasm(text: str, name: str = "circuit") -> Circuit:
     """Parse OPENQASM 2.0 source into a :class:`Circuit`.
 
     Accepted dialect: one quantum register, optional classical register,
-    gate set ``h x y z s sdg t tdg rx ry rz u1 u2 u3 cx cz swap measure
-    barrier``. ``swap`` is rewritten as three ``cx``; ``barrier`` is
-    discarded. Measurements must be terminal on their wire. Classical
-    control (``if``) and 3+ qubit gates are rejected.
+    the gates of ``GATES`` plus ``swap`` and ``barrier``. ``swap`` is
+    rewritten as three ``cx``; ``barrier`` is discarded. Measurements must
+    be terminal on their wire. Classical control (``if``) and 3+ qubit
+    gates are rejected. ``Gate`` checks each gate; its error gets the
+    statement's line.
     """
     qreg: tuple[str, int] | None = None
     creg: tuple[str, int] | None = None
@@ -220,14 +292,12 @@ def parse_qasm(text: str, name: str = "circuit") -> Circuit:
         if head == "qreg":
             if qreg is not None:
                 raise QasmError("multiple quantum registers are not supported", lineno)
-            reg, size = _parse_decl(stmt, "qreg", lineno)
-            qreg = (reg, size)
+            qreg = _parse_decl(stmt, "qreg", lineno)
             continue
         if head == "creg":
             if creg is not None:
                 raise QasmError("multiple classical registers are not supported", lineno)
-            reg, size = _parse_decl(stmt, "creg", lineno)
-            creg = (reg, size)
+            creg = _parse_decl(stmt, "creg", lineno)
             continue
         if head == "if" or stmt.startswith("if("):
             raise QasmError("classical control ('if') is not supported", lineno)
@@ -239,46 +309,31 @@ def parse_qasm(text: str, name: str = "circuit") -> Circuit:
         if qreg is None:
             raise QasmError("gate statement before qreg declaration", lineno)
 
-        gate_name, args = _split_gate_stmt(stmt, lineno)
+        gate_name, args = _split_gate_stmt(stmt)
         if gate_name == "barrier":
             continue
-        if gate_name not in PARAM_COUNTS:
-            raise QasmError(f"unsupported gate '{gate_name}'", lineno)
 
         if gate_name == "measure":
             q = _parse_measure(args, qreg, creg, lineno)
             if q in measured:
                 raise QasmError(f"qubit {q} measured twice", lineno)
             measured.add(q)
-            gates.append(Gate("measure", (q,), is_measurement=True))
+            gates.append(Gate("measure", (q,)))
             continue
 
-        params, operand_str = _split_params(args, gate_name, lineno)
-        operands = [tok for tok in operand_str.split(",") if tok.strip()]
-        want = 2 if gate_name in TWO_QUBIT_GATES else 1
-        if len(operands) != want:
-            # a 3+ operand list on a known 1q/2q name is still a gate-arity error;
-            # unknown multi-qubit names (ccx, ...) were rejected above
-            raise QasmError(
-                f"gate '{gate_name}' expects {want} operand(s), got {len(operands)}", lineno
-            )
-        qubits = []
-        for tok in operands:
-            reg, i = _parse_operand(tok, {qreg[0]: qreg[1]}, lineno)
-            qubits.append(i)
-        if len(set(qubits)) != len(qubits):
-            raise QasmError(f"repeated qubit operand in '{stmt}'", lineno)
+        params, operand_str = _split_params(args, lineno)
+        qubits = tuple(_parse_operand(t, qreg, lineno) for t in operand_str.split(",") if t.strip())
         for q in qubits:
             if q in measured:
                 raise QasmError(f"gate on qubit {q} after its measurement", lineno)
-
-        if gate_name == "swap":
-            a, b = qubits
-            gates.append(Gate("cx", (a, b)))
-            gates.append(Gate("cx", (b, a)))
-            gates.append(Gate("cx", (a, b)))
+        if gate_name == "swap":  # a macro: three cx
+            calls = [("cx", qubits), ("cx", qubits[::-1]), ("cx", qubits)]
         else:
-            gates.append(Gate(gate_name, tuple(qubits), tuple(params)))
+            calls = [(gate_name, qubits)]
+        try:
+            gates += [Gate(name, qs, tuple(params)) for name, qs in calls]
+        except QasmError as exc:
+            raise QasmError(f"{exc} in '{stmt}'", lineno) from None
 
     if qreg is None:
         raise QasmError("source declares no quantum register")
@@ -299,14 +354,14 @@ def _parse_decl(stmt: str, kind: str, lineno: int) -> tuple[str, int]:
     return reg.strip(), n
 
 
-def _split_gate_stmt(stmt: str, lineno: int) -> tuple[str, str]:
+def _split_gate_stmt(stmt: str) -> tuple[str, str]:
     for i, ch in enumerate(stmt):
         if ch in " \t(":
             return stmt[:i], stmt[i:]
     return stmt, ""
 
 
-def _split_params(args: str, gate_name: str, lineno: int) -> tuple[list[float], str]:
+def _split_params(args: str, lineno: int) -> tuple[list[float], str]:
     args = args.strip()
     params: list[float] = []
     if args.startswith("("):
@@ -323,11 +378,6 @@ def _split_params(args: str, gate_name: str, lineno: int) -> tuple[list[float], 
                     break
         else:
             raise QasmError("unbalanced parentheses in parameter list", lineno)
-    if len(params) != PARAM_COUNTS[gate_name]:
-        raise QasmError(
-            f"gate '{gate_name}' expects {PARAM_COUNTS[gate_name]} parameter(s), got {len(params)}",
-            lineno,
-        )
     return params, args
 
 
@@ -335,10 +385,10 @@ def _parse_measure(args: str, qreg, creg, lineno: int) -> int:
     if "->" not in args:
         raise QasmError("measure statement requires '-> c[i]'", lineno)
     qpart, _, cpart = args.partition("->")
-    _, q = _parse_operand(qpart, {qreg[0]: qreg[1]}, lineno)
+    q = _parse_operand(qpart, qreg, lineno)
     if creg is None:
         raise QasmError("measure without classical register", lineno)
-    _parse_operand(cpart, {creg[0]: creg[1]}, lineno)
+    _parse_operand(cpart, creg, lineno)
     return q
 
 
@@ -355,13 +405,7 @@ def circuit_to_dict(c: Circuit) -> dict:
 
 def circuit_from_dict(doc: dict) -> Circuit:
     gates = tuple(
-        Gate(
-            g["name"],
-            tuple(g["qubits"]),
-            tuple(g.get("params", ())),
-            is_measurement=g["name"] == "measure",
-        )
-        for g in doc["gates"]
+        Gate(g["name"], tuple(g["qubits"]), tuple(g.get("params", ()))) for g in doc["gates"]
     )
     return Circuit(width=doc["width"], gates=gates, name=doc.get("name", "circuit"))
 

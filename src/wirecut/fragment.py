@@ -28,7 +28,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
-from .circuit import Circuit, Gate, circuit_from_dict, circuit_to_dict
+from .circuit import Circuit, Gate, _is_finite_real, circuit_from_dict, circuit_to_dict
 from .graph import GateGraph, build_graph
 from .ising import build_ising, default_schedule, simulated_anneal, spins_to_partition
 from .noise import NoiseProfile, success_probability
@@ -261,7 +261,7 @@ def _split(
     for gi, gate in enumerate(c.gates):
         spots = [(q, cur[q]) for q in gate.qubits]
         placements.append(spots)
-        if gate.is_two_qubit and not gate.is_measurement:
+        if gate.is_two_qubit:
             side = pv[vertex_of_gate[gi]]
             for spot in spots:
                 piece_side[spot] = side
@@ -285,14 +285,7 @@ def _split(
     for gi, gate in enumerate(c.gates):
         spots = placements[gi]
         side = side_of[spots[0]]
-        gates[side].append(
-            Gate(
-                gate.name,
-                tuple(local[s] for s in spots),
-                gate.params,
-                is_measurement=gate.is_measurement,
-            )
-        )
+        gates[side].append(Gate(gate.name, tuple(local[s] for s in spots), gate.params))
 
     in_cuts: tuple[dict[int, int], dict[int, int]] = ({}, {})
     out_cuts: tuple[dict[int, int], dict[int, int]] = ({}, {})
@@ -599,8 +592,9 @@ def plan_to_dict(plan: FragmentPlan) -> dict:
 
 def plan_from_dict(doc: dict) -> FragmentPlan:
     """Rebuild a plan from ``plan_to_dict``'s document; a document of the
-    wrong shape, a tree nested too deeply to rebuild, or a ``width`` other
-    than the root fragment's raises ``PlanError``."""
+    wrong shape, a gate ``Gate`` rejects, a tree nested too deeply to
+    rebuild, a ``width`` other than the root fragment's, a ``threshold``
+    outside [0, 1] or a non-integer ``seed`` raises ``PlanError``."""
     if not isinstance(doc, dict):
         raise PlanError("plan document must be a JSON object")
     if doc.get("version") != 1:
@@ -624,4 +618,8 @@ def plan_from_dict(doc: dict) -> FragmentPlan:
     if type(plan.width) is not int or plan.width != plan.root.fragment.width:
         raise PlanError(f"plan width {plan.width!r} is not the root fragment's width "
                         f"{plan.root.fragment.width}")
+    if not (_is_finite_real(plan.threshold) and 0 <= plan.threshold <= 1):
+        raise PlanError(f"plan threshold {plan.threshold!r} is not a number in [0, 1]")
+    if type(plan.seed) is not int:
+        raise PlanError(f"plan seed {plan.seed!r} is not an integer")
     return plan

@@ -184,7 +184,7 @@ def load_profile(text: str) -> NoiseProfile:
         _require("t1_us" in rec, f"qubit record {rec.get('id')} missing 't1_us'")
         _require("t2_us" in rec, f"qubit record {rec.get('id')} missing 't2_us'")
         q = rec["id"]
-        _require(isinstance(q, int) and q >= 0, "qubit id must be a non-negative integer")
+        _require(type(q) is int and q >= 0, "qubit id must be a non-negative integer")
         _require(q not in qubits, f"duplicate qubit record for id {q}")
         t1 = _check_time(rec["t1_us"], f"qubit {q} t1_us")
         t2 = _check_time(rec["t2_us"], f"qubit {q} t2_us")
@@ -203,7 +203,7 @@ def load_profile(text: str) -> NoiseProfile:
         _require(isinstance(name, str), "gate name must be a string")
         _require(isinstance(rec["qubits"], list), "gate qubits must be a list")
         qs = tuple(rec["qubits"])
-        _require(all(isinstance(q, int) and q >= 0 for q in qs), "gate qubits must be non-negative integers")
+        _require(all(type(q) is int and q >= 0 for q in qs), "gate qubits must be non-negative integers")
         err = _check_prob(rec["error"], f"gate {name}{list(qs)} error")
         dur = _check_time(rec["duration_ns"], f"gate {name}{list(qs)} duration_ns")
         _require((name, qs) not in gates, f"duplicate gate record for {name}{list(qs)}")

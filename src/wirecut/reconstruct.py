@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuit import Gate
+from .circuit import GATES
 from .fragment import (
     _BASIS_GATES,
     _PREP_GATES,
@@ -48,7 +48,6 @@ from .simulate import (
     MAX_STATEVECTOR_QUBITS,
     Distribution,
     SimulationError,
-    gate_unitary,
     run_ideal,
     run_noisy,
     sample_frequencies,
@@ -70,7 +69,7 @@ def _gates_unitary(names: tuple[str, ...]) -> np.ndarray:
     """Product of the named one-qubit gates, the first applied first."""
     u = np.eye(2, dtype=complex)
     for name in names:
-        u = gate_unitary(Gate(name, (0,))) @ u
+        u = GATES[name].unitary() @ u
     return u
 
 

@@ -9,7 +9,8 @@ every gate, which is how a fragment's body is simulated once for all of
 its cut initializations. One kernel, ``_apply``, does every gate
 application of both paths: it moves the operand axes to the front,
 multiplies them by the gate's matrix (a unitary on a statevector, a
-superoperator on a density matrix) and moves them back.
+superoperator on a density matrix) and moves them back. Gate matrices
+come from the one gate table, ``circuit.GATES``, through ``gate_unitary``.
 Simulation yields exact probabilities only; ``sample_frequencies`` is the
 one sampler, which draws shot frequencies from such a probability vector.
 
@@ -34,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import Circuit, Gate, asap_schedule
+from .circuit import GATES, Circuit, Gate, asap_schedule
 from .noise import NoiseProfile
 
 __all__ = [
@@ -51,22 +52,7 @@ __all__ = [
 MAX_STATEVECTOR_QUBITS = 24
 MAX_DENSITY_QUBITS = 12
 
-_SQ2 = 1.0 / math.sqrt(2.0)
-_X = np.array([[0, 1], [1, 0]], dtype=complex)
-_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
-_Z = np.diag([1.0, -1.0]).astype(complex)
 _I4 = np.eye(4, dtype=complex)
-
-_FIXED_1Q = {
-    "h": np.array([[_SQ2, _SQ2], [_SQ2, -_SQ2]], dtype=complex),
-    "x": _X,
-    "y": _Y,
-    "z": _Z,
-    "s": np.diag([1, 1j]).astype(complex),
-    "sdg": np.diag([1, -1j]).astype(complex),
-    "t": np.diag([1, np.exp(1j * math.pi / 4)]).astype(complex),
-    "tdg": np.diag([1, np.exp(-1j * math.pi / 4)]).astype(complex),
-}
 
 
 class SimulationError(ValueError):
@@ -74,40 +60,11 @@ class SimulationError(ValueError):
 
 
 def gate_unitary(g: Gate) -> np.ndarray:
-    """2x2 or 4x4 unitary for a gate; measurements have none."""
-    if g.name in _FIXED_1Q:
-        return _FIXED_1Q[g.name]
-    p = g.params
-    if g.name == "rx":
-        c, s = math.cos(p[0] / 2), math.sin(p[0] / 2)
-        return np.array([[c, -1j * s], [-1j * s, c]], dtype=complex)
-    if g.name == "ry":
-        c, s = math.cos(p[0] / 2), math.sin(p[0] / 2)
-        return np.array([[c, -s], [s, c]], dtype=complex)
-    if g.name == "rz":
-        return np.diag([np.exp(-1j * p[0] / 2), np.exp(1j * p[0] / 2)]).astype(complex)
-    if g.name == "u1":
-        return np.diag([1, np.exp(1j * p[0])]).astype(complex)
-    if g.name == "u2":
-        phi, lam = p
-        return _SQ2 * np.array(
-            [[1, -np.exp(1j * lam)], [np.exp(1j * phi), np.exp(1j * (phi + lam))]],
-            dtype=complex,
-        )
-    if g.name == "u3":
-        th, phi, lam = p
-        c, s = math.cos(th / 2), math.sin(th / 2)
-        return np.array(
-            [[c, -np.exp(1j * lam) * s], [np.exp(1j * phi) * s, np.exp(1j * (phi + lam)) * c]],
-            dtype=complex,
-        )
-    if g.name == "cx":
-        return np.array(
-            [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
-        )
-    if g.name == "cz":
-        return np.diag([1.0, 1.0, 1.0, -1.0]).astype(complex)
-    raise SimulationError(f"no unitary for gate '{g.name}'")
+    """2x2 or 4x4 unitary of a gate, from ``GATES``; measurements have none."""
+    unitary = GATES[g.name].unitary
+    if unitary is None:
+        raise SimulationError(f"no unitary for gate '{g.name}'")
+    return unitary(*g.params)
 
 
 def _apply(t: np.ndarray, m: np.ndarray, axes) -> np.ndarray:

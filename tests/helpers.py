@@ -1,7 +1,7 @@
 """Shared generators for randomized tests."""
 import random
 
-from wirecut.circuit import Circuit, Gate
+from wirecut.circuit import GATES, Circuit, Gate
 from wirecut.graph import Edge, GateGraph, Vertex, WireSegment
 
 ONE_QUBIT_GATES = ("h", "x", "y", "z", "s", "sdg", "t", "tdg", "rx", "ry", "rz")
@@ -22,7 +22,7 @@ def random_circuit(rng: random.Random, width: int, n_gates: int, two_q_prob: flo
             gates.append(Gate(rng.choice(("cx", "cz")), (a, b)))
         else:
             name = rng.choice(ONE_QUBIT_GATES)
-            params = (rng.uniform(0.0, 6.283),) if name in ("rx", "ry", "rz") else ()
+            params = tuple(rng.uniform(0.0, 6.283) for _ in range(GATES[name].n_params))
             gates.append(Gate(name, (rng.randrange(width),), params))
     return Circuit(width=width, gates=tuple(gates), name="random")
 

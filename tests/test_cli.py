@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -116,6 +117,9 @@ def test_exit_codes_for_bad_inputs(tmp_path):
     "[]", "42", '{"version": 1, "qubits": 7}', '{"version": 1, "gates": null}',
     '{"version": 1, "gates": [{"name": "cx", "qubits": 5, "error": 0.01, "duration_ns": 300}]}',
     '{"version": 1, "gates": [{"name": ["cx"], "qubits": [0, 1], "error": 0.01, '
+    '"duration_ns": 300}]}',
+    '{"version": 1, "qubits": [{"id": true, "t1_us": 50, "t2_us": 70}]}',
+    '{"version": 1, "gates": [{"name": "cx", "qubits": [true, false], "error": 0.01, '
     '"duration_ns": 300}]}',
 ])
 def test_profile_file_of_non_object_json_exits_4(tmp_path, capsys, text):
@@ -266,10 +270,22 @@ def test_malformed_fragment_document_exits_5(tmp_path, capsys, damage):
     assert damage != "v1-document" or "version 1 is not supported" in err
 
 
+# gates a leaf of a plan document may not hold: swap is a parse-time macro,
+# angles are finite numbers and qubits are integers
+_BAD_GATES = {
+    "swap-gate": {"name": "swap", "qubits": [0, 1], "params": []},
+    "string-param": {"name": "rx", "qubits": [0], "params": ["x"]},
+    "nan-param": {"name": "rx", "qubits": [0], "params": [math.nan]},
+    "float-qubit": {"name": "h", "qubits": [0.5], "params": []},
+    "bool-qubit": {"name": "h", "qubits": [True], "params": []},
+}
+
+
 @pytest.mark.parametrize("damage", ["list", "tree-not-object", "unknown-limit",
                                     "short-qubit-map", "cut-qubit-99",
                                     "string-id", "negative-id", "duplicate-id",
-                                    "width-null", "width-mismatch"])
+                                    "width-null", "width-mismatch",
+                                    "threshold-string", "seed-null", *_BAD_GATES])
 def test_malformed_plan_document_exits_5(tmp_path, capsys, damage):
     out = tmp_path / damage
     assert run(["cut", "--qasm", "fixture:fig1_n5", "--profile", "fixture:stress",
@@ -284,6 +300,12 @@ def test_malformed_plan_document_exits_5(tmp_path, capsys, damage):
         doc["limits"]["max_width"] = 4
     elif damage.startswith("width-"):
         doc["width"] = None if damage == "width-null" else 3
+    elif damage == "threshold-string":
+        doc["threshold"] = "x"
+    elif damage == "seed-null":
+        doc["seed"] = None
+    elif damage in _BAD_GATES:
+        doc["tree"]["children"][0]["fragment"]["circuit"]["gates"].append(_BAD_GATES[damage])
     elif damage.endswith("-id"):
         first, second = (child["fragment"] for child in doc["tree"]["children"])
         second["id"] = {"string-id": "a", "negative-id": -1}.get(damage, first["id"])

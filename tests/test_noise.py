@@ -66,7 +66,7 @@ def test_unphysical_t2_warns_but_loads():
 
 def test_measure_has_no_error_or_duration():
     p = load_profile(DOC)
-    m = Gate("measure", (0,), is_measurement=True)
+    m = Gate("measure", (0,))
     assert p.gate_error(m) == 0.0
     assert p.gate_duration(m) == 0.0
 

@@ -25,7 +25,7 @@ from wirecut.fragment import (
     single_cut_plan,
 )
 from wirecut.graph import build_graph
-from wirecut.noise import NoiseProfile, load_profile
+from wirecut.noise import GateCal, NoiseProfile, load_profile
 from wirecut.partition import cut_size
 from wirecut.reconstruct import (
     Distribution,
@@ -37,7 +37,13 @@ from wirecut.reconstruct import (
     reconstruct,
     tvd,
 )
-from wirecut.simulate import SimulationError, measure_distribution, run_ideal, sample_frequencies
+from wirecut.simulate import (
+    SimulationError,
+    measure_distribution,
+    run_ideal,
+    run_noisy,
+    sample_frequencies,
+)
 
 HEADER = 'OPENQASM 2.0;\ninclude "qelib1.inc";\n'
 GHZ3 = parse_qasm(HEADER + "qreg q[3]; h q[0]; cx q[0],q[1]; cx q[1],q[2];", name="ghz3")
@@ -192,6 +198,37 @@ def test_property_multi_level_plans_reconstruct_exactly(
     assert result.k == plan.k and result.terms == 4 ** plan.k
     again = reconstruct(outputs, plan)
     assert json.dumps(again.to_dict(), sort_keys=True) == json.dumps(result.to_dict(), sort_keys=True)
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    circuit_seed=st.integers(0, 2**32 - 1),
+    width=st.integers(3, 6),
+    n_gates=st.integers(6, 18),
+    threshold=st.floats(0.85, 1.0),
+    plan_seed=st.integers(0, 999),
+    p2=st.floats(0.001, 0.1),
+    records=st.lists(st.tuples(st.integers(0, 99), st.floats(0.0, 0.2)), max_size=4),
+)
+# a plan four levels deep (k=5) that cuts one wire three times, with two gate records
+@example(circuit_seed=6, width=6, n_gates=16, threshold=0.95, plan_seed=1, p2=0.03,
+         records=[(0, 0.1), (3, 0.0)])
+def test_property_noisy_plans_reconstruct_the_noisy_circuit(
+    circuit_seed, width, n_gates, threshold, plan_seed, p2, records
+):
+    # Without damping the noise on a gate does not depend on the schedule,
+    # and with p1=0 the cuts' prep and basis gates are error-free. The cut
+    # identity is linear in each fragment's outputs, so recombining the
+    # noisy fragments then gives the uncut circuit's noisy distribution.
+    c = random_circuit(random.Random(circuit_seed), width, n_gates, two_q_prob=0.6)
+    plan = recursive_fragment(
+        c, STRESS, threshold, limits=Limits(max_k=5), seed=plan_seed, solver="ga"
+    )
+    pairs = [(g.name, g.qubits) for g in c.gates if g.is_two_qubit]
+    gates = {pairs[i % len(pairs)]: GateCal(err, 300.0) for i, err in records if pairs}
+    profile = NoiseProfile(p1=0.0, p2=p2, gates=gates)
+    result = reconstruct(execute_plan(plan, profile), plan)
+    assert tvd(result.distribution, run_noisy(c, profile)) < 1e-9
 
 
 @st.composite

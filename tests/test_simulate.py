@@ -15,7 +15,7 @@ from oracles import (
     phase_damping_channel,
     reference_density_evolution,
 )
-from wirecut.circuit import PARAM_COUNTS, Circuit, Gate, parse_qasm
+from wirecut.circuit import GATES, Circuit, Gate, parse_qasm
 from wirecut.noise import GateCal, NoiseProfile, QubitCal
 from wirecut.reconstruct import fidelity, tvd
 from wirecut.simulate import (
@@ -311,7 +311,7 @@ def test_closed_form_superoperators_match_their_kraus_channels(tau):
         assert np.max(np.abs(_damping_superop(tau, t1, t2) - ref)) < 1e-14, (t1, t2)
 
 
-_GATE_NAMES = sorted(n for n in PARAM_COUNTS if n not in ("swap", "measure"))  # parser rewrites swap
+_GATE_NAMES = sorted(n for n in GATES if n != "measure")
 _TIMES = st.one_of(st.just(math.inf), st.floats(0.05, 5.0))
 _ERRORS = st.one_of(st.just(0.0), st.floats(0.0, 0.2))
 
@@ -326,10 +326,10 @@ def _noisy_case(draw):
             qubits = tuple(draw(st.permutations(range(width)))[:2])
         else:
             qubits = (draw(st.integers(0, width - 1)),)
-        params = tuple(draw(st.floats(-7.0, 7.0)) for _ in range(PARAM_COUNTS[name]))
+        params = tuple(draw(st.floats(-7.0, 7.0)) for _ in range(GATES[name].n_params))
         gates.append(Gate(name, qubits, params))
     measured = draw(st.lists(st.integers(0, width - 1), unique=True, max_size=width))
-    gates += [Gate("measure", (q,), is_measurement=True) for q in measured]
+    gates += [Gate("measure", (q,)) for q in measured]
     qubits = {}
     for q in draw(st.lists(st.integers(0, width - 1), unique=True)):
         t1 = draw(_TIMES)
