@@ -21,6 +21,7 @@ import numpy as np
 
 __all__ = [
     "GATES",
+    "MAX_CIRCUIT_QUBITS",
     "Gate",
     "Circuit",
     "QasmError",
@@ -29,6 +30,10 @@ __all__ = [
     "circuit_from_dict",
     "asap_schedule",
 ]
+
+
+# the widest circuit accepted, checked before anything is allocated per qubit
+MAX_CIRCUIT_QUBITS = 1 << 16
 
 
 class GateSpec(NamedTuple):
@@ -144,15 +149,19 @@ class Gate:
 
 @dataclass(frozen=True)
 class Circuit:
-    """An ordered gate list over ``width`` qubits."""
+    """An ordered gate list over ``width`` qubits, at most
+    ``MAX_CIRCUIT_QUBITS`` of them."""
 
     width: int
     gates: tuple[Gate, ...]
     name: str = "circuit"
 
     def __post_init__(self):
-        if self.width < 1:
-            raise QasmError("circuit width must be >= 1")
+        if type(self.width) is not int or not 1 <= self.width <= MAX_CIRCUIT_QUBITS:
+            raise QasmError(f"circuit width {self.width!r} is not an integer in "
+                            f"1..{MAX_CIRCUIT_QUBITS}")
+        if type(self.name) is not str:
+            raise QasmError(f"circuit name {self.name!r} is not a string")
         for g in self.gates:
             for q in g.qubits:
                 if not 0 <= q < self.width:

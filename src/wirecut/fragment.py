@@ -1,14 +1,15 @@
 """Wire-cut fragmentation: applying a partition to a circuit.
 
-One step, ``_split``, applies a bipartition of a fragment's gate graph.
-Every wire segment whose endpoint gates land on different sides becomes a
-cut point, numbered in (qubit, upstream gate) order. Cutting splits every
-wire into pieces; each piece becomes a fresh local qubit of the child
-owning its gates, carrying an initialization role (in-cut) when the piece
-starts at a cut and a measurement role (out-cut) when it ends at one. A
-piece is always owned by one side because every crossing adjacency is
-cut, so both children stay straight-line circuits. The step returns the
-split plan node with its two children.
+One step, ``_split``, applies a bipartition of a fragment's two-qubit
+gates, one side bit per gate in gate order. Every wire segment between
+consecutive two-qubit gates on different sides becomes a cut point,
+numbered in (qubit, upstream gate) order. Cutting splits every wire into
+pieces; each piece becomes a fresh local qubit of the child owning its
+gates, carrying an initialization role (in-cut) when the piece starts at a
+cut and a measurement role (out-cut) when it ends at one. A piece is always
+owned by one side because every crossing adjacency is cut, so both children
+stay straight-line circuits. The step returns the split plan node with its
+two children.
 
 Variant enumeration synthesizes the runnable circuits: each out-cut is
 measured in the Z, X, or Y basis (basis change appended at the end of the
@@ -21,6 +22,10 @@ limits. Each split comes from the genetic search; the annealer can run
 instead, or beside it for comparison, in which case the cheaper cut by
 the exact cut cost is kept. ``single_cut_plan`` applies one given
 partition with the same step.
+
+A plan document is rebuilt, not trusted: ``plan_from_dict`` replays
+``_split`` from the root circuit along the stored partitions, and every
+stored fragment, cut and id must equal the replayed one.
 """
 from __future__ import annotations
 
@@ -51,6 +56,8 @@ __all__ = [
 ]
 
 INIT_STATES = ("zero", "one", "plus", "plus_i")
+LEAF_STATUSES = ("ok", "unsplittable-gates", "unsplittable-depth", "unsplittable-k")
+SOLVERS = ("ga", "anneal", "both", "manual")  # manual: single_cut_plan
 MEAS_BASES = ("Z", "X", "Y")
 
 _PREP_GATES = {
@@ -161,15 +168,15 @@ class Limits:
     max_k: int = 8
 
     def __post_init__(self):
-        if self.max_depth < 0 or self.max_k < 0:
-            raise ValueError("limits must be non-negative")
+        if not all(type(v) is int and v >= 0 for v in (self.max_depth, self.max_k)):
+            raise ValueError("limits must be non-negative integers")
 
 
 @dataclass
 class PlanNode:
     fragment: Fragment
     success: float
-    status: str  # ok | split | unsplittable-gates | unsplittable-depth | unsplittable-k
+    status: str  # split or one of LEAF_STATUSES
     cut: tuple[CutPoint, ...] | None = None
     partition: list[int] | None = None
     children: list["PlanNode"] = field(default_factory=list)
@@ -223,101 +230,89 @@ def _split(
     parent: Fragment,
     success: float,
     pv,
-    g: GateGraph,
     first_cut_id: int,
     child_ids: tuple[int, int],
 ) -> PlanNode:
-    """The split node that applies partition ``pv`` of ``g``, the gate graph
-    of ``parent``'s circuit.
+    """The split node that applies partition ``pv`` to ``parent``: one bit,
+    0 or 1, per two-qubit gate of its circuit, in gate order.
 
-    Each crossing wire segment becomes one cut, so their count equals the
-    weighted cut size (a weight-2 edge yields two cuts); cut ids run from
+    Each wire segment between consecutive two-qubit gates on different sides
+    becomes one cut, so two gates sharing both wires yield two cuts and the
+    cut count equals the gate graph's weighted cut size; cut ids run from
     ``first_cut_id`` in (qubit, upstream gate) order. Both children are
     built, with ids ``child_ids``, as ``ok`` leaves of the returned node.
     """
-    if len(pv) != g.n:
-        raise PlanError(f"partition length {len(pv)} != vertex count {g.n}")
-    if len(set(pv)) == 1 and g.n > 0:
-        raise PlanError("partition is one-sided; no cut to derive")
-    crossing = sorted(
-        (s for e in g.edges if pv[e.u] != pv[e.v] for s in e.segments),
-        key=lambda s: (s.qubit, s.upstream_gate),
-    )
-    cuts = tuple(
-        CutPoint(s.qubit, s.upstream_gate, s.downstream_gate, first_cut_id + i)
-        for i, s in enumerate(crossing)
-    )
-    cuts_after = {(cp.qubit, cp.upstream_gate) for cp in cuts}
     c = parent.circuit
-    width = c.width
-    vertex_of_gate = {gi: vid for vid, gi in enumerate(c.two_qubit_indices())}
+    two_q = c.two_qubit_indices()
+    if len(pv) != len(two_q):
+        raise PlanError(f"partition length {len(pv)} != two-qubit gate count {len(two_q)}")
+    if not all(type(bit) is int and 0 <= bit <= 1 for bit in pv):
+        raise PlanError("partition bits must be the integers 0 and 1")
+    if len(set(pv)) == 1:
+        raise PlanError("partition is one-sided; no cut to derive")
+    side_of_gate = dict(zip(two_q, pv))
+    first_side = [0] * c.width  # the side of each wire's first two-qubit gate
+    last: dict[int, int] = {}  # per wire, its last two-qubit gate so far
+    crossing = []
+    for gi in two_q:
+        for q in c.gates[gi].qubits:
+            if q not in last:
+                first_side[q] = side_of_gate[gi]
+            elif side_of_gate[last[q]] != side_of_gate[gi]:
+                crossing.append((q, last[q], gi))
+            last[q] = gi
+    cuts = tuple(CutPoint(q, up, down, first_cut_id + i)
+                 for i, (q, up, down) in enumerate(sorted(crossing)))
 
-    # walk once: which piece of which wire each gate touches, and the piece
-    # index right after each two-qubit gate (for cut role placement)
-    cur = [0] * width
-    placements: list[list[tuple[int, int]]] = []
-    piece_side: dict[tuple[int, int], int] = {}
-    piece_of_gate: dict[tuple[int, int], int] = {}
-    for gi, gate in enumerate(c.gates):
-        spots = [(q, cur[q]) for q in gate.qubits]
-        placements.append(spots)
-        if gate.is_two_qubit:
-            side = pv[vertex_of_gate[gi]]
-            for spot in spots:
-                piece_side[spot] = side
-            for q in gate.qubits:
-                piece_of_gate[(q, gi)] = cur[q]
-                if (q, gi) in cuts_after:
-                    cur[q] += 1
-
-    # every wire contributes its pieces; sideless pieces (wires without any
-    # two-qubit gate) default to side 0
-    pieces = [(q, i) for q in range(width) for i in range(cur[q] + 1)]
-    local: dict[tuple[int, int], int] = {}
+    # a wire's cuts split it into pieces, whose sides alternate from its
+    # first two-qubit gate's (side 0 for a wire without one); each piece
+    # becomes the next local qubit of its side, in (wire, piece) order
+    n_pieces = [1] * c.width
+    for q, _, _ in crossing:
+        n_pieces[q] += 1
     maps: tuple[list[int], list[int]] = ([], [])
-    for piece in pieces:
-        side = piece_side.get(piece, 0)
-        local[piece] = len(maps[side])
-        maps[side].append(parent.qubit_map[piece[0]])
-    side_of = {piece: piece_side.get(piece, 0) for piece in pieces}
+    where: list[list[tuple[int, int]]] = []  # per wire, (side, local qubit) per piece
+    for q in range(c.width):
+        where.append([])
+        for j in range(n_pieces[q]):
+            side = first_side[q] ^ (j & 1)
+            where[q].append((side, len(maps[side])))
+            maps[side].append(parent.qubit_map[q])
 
+    # each gate goes to the side of the pieces it touches; after the upstream
+    # gate of a cut, the wire's piece measures the cut and its next piece,
+    # which the wire moves to, is initialized
+    cut_after = {(cp.qubit, cp.upstream_gate): cp.cut_id for cp in cuts}
+    piece = [0] * c.width
+    side_now = [w[0][0] for w in where]  # per wire, the side and local qubit
+    local_now = [w[0][1] for w in where]  # of its current piece
     gates: tuple[list[Gate], list[Gate]] = ([], [])
-    for gi, gate in enumerate(c.gates):
-        spots = placements[gi]
-        side = side_of[spots[0]]
-        gates[side].append(Gate(gate.name, tuple(local[s] for s in spots), gate.params))
-
     in_cuts: tuple[dict[int, int], dict[int, int]] = ({}, {})
     out_cuts: tuple[dict[int, int], dict[int, int]] = ({}, {})
-    for cp in cuts:
-        up_piece = (cp.qubit, piece_of_gate[(cp.qubit, cp.upstream_gate)])
-        down_piece = (cp.qubit, up_piece[1] + 1)
-        out_cuts[side_of[up_piece]][cp.cut_id] = local[up_piece]
-        in_cuts[side_of[down_piece]][cp.cut_id] = local[down_piece]
+    for gi, gate in enumerate(c.gates):
+        qs = gate.qubits
+        gates[side_now[qs[0]]].append(
+            Gate(gate.name, tuple(map(local_now.__getitem__, qs)), gate.params))
+        for q in qs:
+            cid = cut_after.get((q, gi))
+            if cid is not None:
+                out_cuts[side_now[q]][cid] = local_now[q]
+                piece[q] += 1
+                side_now[q], local_now[q] = where[q][piece[q]]
+                in_cuts[side_now[q]][cid] = local_now[q]
     # inherited roles: an in-cut enters at the wire start (first piece), an
     # out-cut leaves at the wire end (last piece)
-    for cid, q in parent.in_cuts.items():
-        piece = (q, 0)
-        in_cuts[side_of[piece]][cid] = local[piece]
-    for cid, q in parent.out_cuts.items():
-        piece = (q, cur[q])
-        out_cuts[side_of[piece]][cid] = local[piece]
+    for roles, inherited, end in ((in_cuts, parent.in_cuts, 0), (out_cuts, parent.out_cuts, -1)):
+        for cid, q in inherited.items():
+            side, loc = where[q][end]
+            roles[side][cid] = loc
 
     children = []
     for side in (0, 1):
         if not maps[side]:
             raise PlanError("partition leaves one side empty")
-        child = Fragment(
-            id=child_ids[side],
-            circuit=Circuit(
-                width=len(maps[side]),
-                gates=tuple(gates[side]),
-                name=f"{c.name}.{side}",
-            ),
-            in_cuts=in_cuts[side],
-            out_cuts=out_cuts[side],
-            qubit_map=tuple(maps[side]),
-        )
+        circuit = Circuit(width=len(maps[side]), gates=tuple(gates[side]), name=f"{c.name}.{side}")
+        child = Fragment(child_ids[side], circuit, in_cuts[side], out_cuts[side], tuple(maps[side]))
         children.append(PlanNode(fragment=child, success=0.0, status="ok"))
     return PlanNode(fragment=parent, success=success, status="split", cut=cuts,
                     partition=list(pv), children=children)
@@ -463,7 +458,7 @@ def recursive_fragment(
         if counters["cut"] + k > limits.max_k:
             return PlanNode(fragment=frag, success=est.success, status="unsplittable-k")
         ids = (counters["fragment"], counters["fragment"] + 1)
-        node = _split(frag, est.success, pv, g, counters["cut"], ids)
+        node = _split(frag, est.success, pv, counters["cut"], ids)
         counters["cut"] += len(node.cut)
         counters["fragment"] += 2
         node.children = [visit(child.fragment, depth + 1) for child in node.children]
@@ -481,9 +476,10 @@ def recursive_fragment(
     )
 
 
-def single_cut_plan(c: Circuit, pv, g: GateGraph) -> FragmentPlan:
-    """One forced split along ``pv``; useful for testing reconstruction."""
-    root = _split(_as_root_fragment(c), 0.0, pv, g, 0, (1, 2))
+def single_cut_plan(c: Circuit, pv) -> FragmentPlan:
+    """One forced split along ``pv``, one bit per two-qubit gate in gate
+    order; useful for testing reconstruction."""
+    root = _split(_as_root_fragment(c), 0.0, pv, 0, (1, 2))
     return FragmentPlan(
         width=c.width, threshold=0.0, root=root, limits=Limits(), seed=0, solver="manual"
     )
@@ -503,25 +499,6 @@ def _fragment_to_dict(f: Fragment) -> dict:
     }
 
 
-def _fragment_from_dict(doc: dict) -> Fragment:
-    f = Fragment(
-        id=doc["id"],
-        circuit=circuit_from_dict(doc["circuit"]),
-        in_cuts={int(k): v for k, v in doc["in_cuts"].items()},
-        out_cuts={int(k): v for k, v in doc["out_cuts"].items()},
-        qubit_map=tuple(doc["qubit_map"]),
-    )
-    if len(f.qubit_map) != f.width:
-        raise PlanError(f"fragment {f.id} maps {len(f.qubit_map)} qubits, its circuit has {f.width}")
-    for role, cuts in (("in", f.in_cuts), ("out", f.out_cuts)):
-        local = list(cuts.values())
-        if not all(type(q) is int and 0 <= q < f.width for q in local) \
-                or len(set(local)) != len(local):
-            raise PlanError(f"fragment {f.id} {role}-cuts {cuts} need distinct local "
-                            f"qubits in 0..{f.width - 1}")
-    return f
-
-
 def _node_to_dict(node: PlanNode) -> dict:
     doc = {
         "fragment": _fragment_to_dict(node.fragment),
@@ -529,15 +506,7 @@ def _node_to_dict(node: PlanNode) -> dict:
         "status": node.status,
     }
     if node.cut is not None:
-        doc["cuts"] = [
-            {
-                "qubit": cp.qubit,
-                "upstream_gate": cp.upstream_gate,
-                "downstream_gate": cp.downstream_gate,
-                "cut_id": cp.cut_id,
-            }
-            for cp in node.cut
-        ]
+        doc["cuts"] = [dict(vars(cp)) for cp in node.cut]
     if node.partition is not None:
         doc["partition"] = list(node.partition)
     if node.children:
@@ -545,65 +514,94 @@ def _node_to_dict(node: PlanNode) -> dict:
     return doc
 
 
-def _node_from_dict(doc: dict, ids: set[int]) -> PlanNode:
-    """Rebuild a node and its subtree, adding their fragment ids to ``ids``."""
-    cut = None
-    if "cuts" in doc:
-        cut = tuple(
-            CutPoint(c["qubit"], c["upstream_gate"], c["downstream_gate"], c["cut_id"])
-            for c in doc["cuts"]
-        )
-    fragment = _fragment_from_dict(doc["fragment"])
-    if type(fragment.id) is not int or fragment.id < 0 or fragment.id in ids:
-        raise PlanError(f"fragment id {fragment.id!r} is not an integer >= 0 "
-                        "distinct from the plan's other fragment ids")
-    ids.add(fragment.id)
-    node = PlanNode(
-        fragment=fragment,
-        success=doc["success"],
-        status=doc["status"],
-        cut=cut,
-        partition=list(doc["partition"]) if "partition" in doc else None,
-    )
-    node.children = [_node_from_dict(child, ids) for child in doc.get("children", [])]
+_LEAF_FIELDS = {"fragment", "success", "status"}
+_SPLIT_FIELDS = _LEAF_FIELDS | {"cuts", "partition", "children"}
+
+
+def _node_from_dict(doc: dict, frag: Fragment, next_ids: dict[str, int]) -> PlanNode:
+    """Replay the planner on ``frag`` as ``doc`` records it.
+
+    The stored fragment must equal ``frag`` before it is split again, so
+    the work stays proportional to the document. A split node takes the
+    next fragment and cut ids from ``next_ids``, in the planner's
+    depth-first order, and its stored cuts must equal the derived ones.
+    """
+    if doc["fragment"] != _fragment_to_dict(frag):
+        raise PlanError(f"fragment {frag.id} is not the one its parent's partition derives")
+    status, success = doc["status"], doc["success"]
+    if not (_is_finite_real(success) and 0 <= success <= 1):
+        raise PlanError(f"fragment {frag.id} success {success!r} is not a number in [0, 1]")
+    split = status == "split"
+    if not split and status not in LEAF_STATUSES:
+        raise PlanError(f"fragment {frag.id} has unknown status {status!r}")
+    fields = _SPLIT_FIELDS if split else _LEAF_FIELDS
+    if doc.keys() != fields:
+        raise PlanError(f"{status} node of fragment {frag.id} needs the fields {sorted(fields)}")
+    if not split:
+        return PlanNode(fragment=frag, success=success, status=status)
+    ids = (next_ids["fragment"], next_ids["fragment"] + 1)
+    node = _split(frag, success, doc["partition"], next_ids["cut"], ids)
+    next_ids["fragment"] += 2
+    next_ids["cut"] += len(node.cut)
+    if doc["cuts"] != [vars(cp) for cp in node.cut]:
+        raise PlanError(f"cuts of fragment {frag.id} are not the ones its partition derives")
+    if type(doc["children"]) is not list or len(doc["children"]) != 2:
+        raise PlanError(f"split fragment {frag.id} needs two children")
+    node.children = [_node_from_dict(child, derived.fragment, next_ids)
+                     for child, derived in zip(doc["children"], node.children)]
     return node
+
+
+def _summary(plan: FragmentPlan) -> dict:
+    """The plan document's fields that follow from its tree."""
+    leaves, cut_ids = plan.leaf_fragments(), plan.cut_ids()
+    return {
+        "width": plan.width,
+        "k": len(cut_ids),
+        "cut_ids": cut_ids,
+        "leaves": [f.id for f in leaves],
+        "variant_counts": {str(f.id): 3 ** len(f.out_cuts) * 4 ** len(f.in_cuts)
+                           for f in leaves},
+    }
 
 
 def plan_to_dict(plan: FragmentPlan) -> dict:
     return {
         "version": 1,
-        "width": plan.width,
         "threshold": plan.threshold,
-        "k": plan.k,
-        "cut_ids": plan.cut_ids(),
         "limits": {"max_depth": plan.limits.max_depth, "max_k": plan.limits.max_k},
         "seed": plan.seed,
         "solver": plan.solver,
         "solver_log": plan.solver_log,
         "tree": _node_to_dict(plan.root),
-        "leaves": [node.fragment.id for node in plan.leaves()],
-        "variant_counts": {
-            str(node.fragment.id): 3 ** len(node.fragment.out_cuts)
-            * 4 ** len(node.fragment.in_cuts)
-            for node in plan.leaves()
-        },
+        **_summary(plan),
     }
 
 
 def plan_from_dict(doc: dict) -> FragmentPlan:
-    """Rebuild a plan from ``plan_to_dict``'s document; a document of the
-    wrong shape, a gate ``Gate`` rejects, a tree nested too deeply to
-    rebuild, a ``width`` other than the root fragment's, a ``threshold``
-    outside [0, 1] or a non-integer ``seed`` raises ``PlanError``."""
+    """Rebuild a plan from ``plan_to_dict``'s document by replaying ``_split``.
+
+    Only the root circuit, each node's ``status``, ``success``,
+    ``partition`` and ``children``, and the plan's settings are read: every
+    fragment, cut and id below the root is derived again, and the stored
+    ones must equal the derived ones, as must ``width``, ``k``, ``cut_ids``,
+    ``leaves`` and ``variant_counts``. Anything else raises ``PlanError``:
+    a malformed field, a root circuit that ``Circuit`` or ``Gate`` rejects
+    (wider than ``MAX_CIRCUIT_QUBITS`` included), an unknown status, a
+    ``success`` or ``threshold`` outside [0, 1], a non-integer ``seed`` or
+    limit, an unknown ``solver`` or a tree nested too deeply to rebuild.
+    """
     if not isinstance(doc, dict):
         raise PlanError("plan document must be a JSON object")
     if doc.get("version") != 1:
         raise PlanError("unsupported plan document version")
     try:
+        tree = doc["tree"]
+        root = _as_root_fragment(circuit_from_dict(tree["fragment"]["circuit"]))
         plan = FragmentPlan(
-            width=doc["width"],
+            width=root.width,
             threshold=doc["threshold"],
-            root=_node_from_dict(doc["tree"], set()),
+            root=_node_from_dict(tree, root, {"fragment": 1, "cut": 0}),
             limits=Limits(**doc["limits"]),
             seed=doc["seed"],
             solver=doc["solver"],
@@ -615,11 +613,13 @@ def plan_from_dict(doc: dict) -> FragmentPlan:
         raise PlanError("plan tree is nested too deeply") from None
     except (KeyError, TypeError, AttributeError, ValueError) as exc:
         raise PlanError(f"missing or malformed field {exc}") from None
-    if type(plan.width) is not int or plan.width != plan.root.fragment.width:
-        raise PlanError(f"plan width {plan.width!r} is not the root fragment's width "
-                        f"{plan.root.fragment.width}")
+    for name, value in _summary(plan).items():
+        if doc.get(name) != value:
+            raise PlanError(f"plan {name} differs from the rebuilt plan's {value!r}")
     if not (_is_finite_real(plan.threshold) and 0 <= plan.threshold <= 1):
         raise PlanError(f"plan threshold {plan.threshold!r} is not a number in [0, 1]")
     if type(plan.seed) is not int:
         raise PlanError(f"plan seed {plan.seed!r} is not an integer")
+    if plan.solver not in SOLVERS:
+        raise PlanError(f"plan solver {plan.solver!r} is not one of {SOLVERS}")
     return plan

@@ -60,7 +60,7 @@ def test_criterion_1_reconstruction_exactness():
                 break
         if pv is None:
             continue
-        plan = single_cut_plan(c, pv, g)
+        plan = single_cut_plan(c, pv)
         result = reconstruct(execute_plan(plan), plan)
         assert result.terms == 4 ** want_k
         d = tvd(result.distribution, measure_distribution(run_ideal(c)))

@@ -3,16 +3,9 @@ import math
 
 import pytest
 
-from wirecut.circuit import Circuit, Gate
+from wirecut.circuit import MAX_CIRCUIT_QUBITS, Circuit, Gate
 from wirecut.cli import main
-from wirecut.fragment import (
-    Fragment,
-    FragmentPlan,
-    Limits,
-    PlanNode,
-    plan_to_dict,
-    recursive_fragment,
-)
+from wirecut.fragment import plan_to_dict, recursive_fragment, single_cut_plan
 from wirecut.noise import NoiseProfile
 from wirecut.simulate import run_ideal
 
@@ -270,8 +263,8 @@ def test_malformed_fragment_document_exits_5(tmp_path, capsys, damage):
     assert damage != "v1-document" or "version 1 is not supported" in err
 
 
-# gates a leaf of a plan document may not hold: swap is a parse-time macro,
-# angles are finite numbers and qubits are integers
+# gates the root circuit of a plan document may not hold: swap is a
+# parse-time macro, angles are finite numbers and qubits are integers
 _BAD_GATES = {
     "swap-gate": {"name": "swap", "qubits": [0, 1], "params": []},
     "string-param": {"name": "rx", "qubits": [0], "params": ["x"]},
@@ -281,20 +274,15 @@ _BAD_GATES = {
 }
 
 
-@pytest.mark.parametrize("damage", ["list", "tree-not-object", "unknown-limit",
-                                    "short-qubit-map", "cut-qubit-99",
-                                    "string-id", "negative-id", "duplicate-id",
-                                    "width-null", "width-mismatch",
-                                    "threshold-string", "seed-null", *_BAD_GATES])
-def test_malformed_plan_document_exits_5(tmp_path, capsys, damage):
-    out = tmp_path / damage
-    assert run(["cut", "--qasm", "fixture:fig1_n5", "--profile", "fixture:stress",
-                "--threshold", "0.9", "--out", out]) == 0
-    path = out / "plan.json"
-    doc = json.loads(path.read_text())
+def _damage_plan(doc: dict, damage: str):
+    """``doc``, a fig1_n5 plan split once into two leaves, with ``damage``."""
+    root = doc["tree"]
+    leaves = [child["fragment"] for child in root["children"]]
+    # the leaf that measures the cut
+    measuring = next(leaf for leaf in leaves if leaf["out_cuts"])
     if damage == "list":
-        doc = []
-    elif damage == "tree-not-object":
+        return []
+    if damage == "tree-not-object":
         doc["tree"] = "root"
     elif damage == "unknown-limit":
         doc["limits"]["max_width"] = 4
@@ -304,26 +292,71 @@ def test_malformed_plan_document_exits_5(tmp_path, capsys, damage):
         doc["threshold"] = "x"
     elif damage == "seed-null":
         doc["seed"] = None
+    elif damage == "solver-5":
+        doc["solver"] = 5
     elif damage in _BAD_GATES:
-        doc["tree"]["children"][0]["fragment"]["circuit"]["gates"].append(_BAD_GATES[damage])
+        root["fragment"]["circuit"]["gates"].append(_BAD_GATES[damage])
+    elif damage == "moved-root-gate":
+        root["fragment"]["circuit"]["gates"][0]["qubits"] = [0, 4]
+    elif damage == "bool-partition-bit":
+        root["partition"][0] = True
+    elif damage == "success-string":
+        root["success"] = "x"
+    elif damage == "status-5":
+        root["children"][0]["status"] = 5
+    elif damage == "cut-qubit-99":  # the cut moves to a local qubit the leaf lacks
+        measuring["out_cuts"] = {cid: 99 for cid in measuring["out_cuts"]}
+    elif damage in ("cut-qubit-string", "cut-id-string"):
+        root["cuts"][0]["qubit" if damage == "cut-qubit-string" else "cut_id"] = "x"
     elif damage.endswith("-id"):
-        first, second = (child["fragment"] for child in doc["tree"]["children"])
-        second["id"] = {"string-id": "a", "negative-id": -1}.get(damage, first["id"])
+        leaves[1]["id"] = {"string-id": "a", "negative-id": -1}.get(damage, leaves[0]["id"])
+    elif damage == "short-qubit-map":
+        measuring["qubit_map"].pop()
     else:
-        # a leaf that measures a cut: its qubit map loses an entry, or the
-        # cut moves to a local qubit the leaf does not have
-        leaf = next(child["fragment"] for child in doc["tree"]["children"]
-                    if child["fragment"]["out_cuts"])
-        if damage == "short-qubit-map":
-            leaf["qubit_map"].pop()
-        else:
-            leaf["out_cuts"] = {cid: 99 for cid in leaf["out_cuts"]}
-    path.write_text(json.dumps(doc))
+        assert damage == "string-qubit-map"
+        measuring["qubit_map"] = [str(q) for q in measuring["qubit_map"]]
+    return doc
+
+
+@pytest.mark.parametrize("damage", ["list", "tree-not-object", "unknown-limit",
+                                    "short-qubit-map", "string-qubit-map", "cut-qubit-99",
+                                    "cut-qubit-string", "cut-id-string",
+                                    "string-id", "negative-id", "duplicate-id",
+                                    "width-null", "width-mismatch",
+                                    "threshold-string", "seed-null", "solver-5",
+                                    "status-5", "success-string", "bool-partition-bit",
+                                    "moved-root-gate", *_BAD_GATES])
+def test_malformed_plan_document_exits_5(tmp_path, capsys, damage):
+    out = tmp_path / damage
+    assert run(["cut", "--qasm", "fixture:fig1_n5", "--profile", "fixture:stress",
+                "--threshold", "0.9", "--out", out]) == 0
+    path = out / "plan.json"
+    path.write_text(json.dumps(_damage_plan(json.loads(path.read_text()), damage)))
     capsys.readouterr()
     for argv in (["run"], ["run", "--noisy", "--profile", "fixture:stress"], ["reconstruct"]):
         assert run(argv + ["--out", out]) == 5
         assert "bad plan document" in capsys.readouterr().err
     assert not list(out.glob("fragment_*.json"))
+
+
+def test_circuit_wider_than_the_cap_exits_3_or_5(tmp_path, capsys):
+    # 10^8 qubits: both readers refuse the width before allocating per qubit
+    wide = tmp_path / "wide.qasm"
+    wide.write_text("OPENQASM 2.0;\nqreg q[100000000];\ncx q[0],q[1];\ncx q[1],q[2];\n")
+    assert run(["cut", "--qasm", wide, "--profile", "fixture:stress", "--threshold", "0.9",
+                "--out", tmp_path / "cut"]) == 3
+    assert str(MAX_CIRCUIT_QUBITS) in capsys.readouterr().err
+    out = tmp_path / "plan"
+    assert run(["cut", "--qasm", "fixture:fig1_n5", "--profile", "fixture:stress",
+                "--threshold", "0.9", "--out", out]) == 0
+    path = out / "plan.json"
+    doc = json.loads(path.read_text())
+    doc["tree"]["fragment"]["circuit"]["width"] = 100_000_000
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run(["run", "--out", out]) == 5
+    err = capsys.readouterr().err
+    assert "bad plan document" in err and str(MAX_CIRCUIT_QUBITS) in err
 
 
 @pytest.mark.parametrize("doc_width", [30, 1])
@@ -345,19 +378,20 @@ def test_documents_wider_than_the_cap_exit_5(tmp_path, capsys, doc_width):
 
 
 def test_leaf_batch_beyond_the_budget_exits_6(tmp_path, capsys):
-    # a synthetic 24-qubit leaf with 10 in-cuts: its 4^10 * 2^24 amplitudes
-    # would take 256 TiB, so the run must stop before allocating them
+    # a 24-qubit chain cut before its last cx: the 23-qubit leaf measures one
+    # cut, so its 3 * 2^23 amplitudes exceed the 2^24-entry budget and the
+    # run must stop before allocating them
+    chain = Circuit(width=24, gates=(Gate("h", (0,)),) + tuple(
+        Gate("cx", (i, i + 1)) for i in range(23)))
+    plan = single_cut_plan(chain, [0] * 22 + [1])
+    assert [(f.width, len(f.out_cuts)) for f in plan.leaf_fragments()] == [(23, 1), (2, 0)]
     out = tmp_path / "huge"
-    leaf = Fragment(id=0, circuit=Circuit(width=24, gates=()),
-                    in_cuts={cid: cid for cid in range(10)}, qubit_map=tuple(range(24)))
-    plan = FragmentPlan(width=24, threshold=0.0, root=PlanNode(leaf, 1.0, "ok"),
-                        limits=Limits(), seed=0, solver="ga")
     out.mkdir()
     (out / "plan.json").write_text(json.dumps(plan_to_dict(plan)))
     for argv in (["run"], ["run", "--noisy", "--profile", "fixture:stress"]):
         capsys.readouterr()
         assert run(argv + ["--out", out]) == 6
-        assert f"{2 ** 44} entries ({2 ** 48} bytes" in capsys.readouterr().err
+        assert f"{3 * 2 ** 23} entries ({3 * 2 ** 27} bytes" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("shots", ["0", "-5"])

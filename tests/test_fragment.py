@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 import sys
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import gate_counts, random_circuit
-from wirecut.circuit import Circuit, Gate, circuit_to_dict, parse_qasm
+from wirecut.circuit import Circuit, Gate, parse_qasm
 from wirecut.fragment import (
     Fragment,
     Limits,
@@ -18,7 +19,7 @@ from wirecut.fragment import (
     recursive_fragment,
     single_cut_plan,
 )
-from wirecut.fixtures import profile_fixture
+from wirecut.fixtures import CIRCUIT_FIXTURES, circuit_fixture, profile_fixture
 from wirecut.graph import build_graph
 from wirecut.noise import NoiseProfile
 from wirecut.partition import cut_size
@@ -32,8 +33,7 @@ STRESS = profile_fixture("stress")
 
 
 def test_fig1_cut_points():
-    g = build_graph(FIG1, QUIET)
-    cuts = single_cut_plan(FIG1, [0, 0, 1, 1], g).root.cut
+    cuts = single_cut_plan(FIG1, [0, 0, 1, 1]).root.cut
     assert len(cuts) == 1
     cp = cuts[0]
     assert (cp.qubit, cp.upstream_gate, cp.downstream_gate) == (2, 1, 2)
@@ -41,15 +41,13 @@ def test_fig1_cut_points():
 
 def test_cut_points_disconnected_partition_is_empty():
     c = parse_qasm(HEADER + "qreg q[4]; cx q[0],q[1]; cx q[2],q[3];")
-    g = build_graph(c, QUIET)
-    cuts = single_cut_plan(c, [0, 1], g).root.cut
+    cuts = single_cut_plan(c, [0, 1]).root.cut
     assert len(cuts) == 0 and cuts == ()
 
 
 def test_cut_points_weight_two_edge_yields_two_cuts():
     c = parse_qasm(HEADER + "qreg q[2]; cx q[0],q[1]; cx q[0],q[1];")
-    g = build_graph(c, QUIET)
-    cuts = single_cut_plan(c, [0, 1], g).root.cut
+    cuts = single_cut_plan(c, [0, 1]).root.cut
     assert len(cuts) == 2
     assert {cp.qubit for cp in cuts} == {0, 1}
 
@@ -64,18 +62,16 @@ def test_cut_points_match_cut_size():
         pv = [rng.randint(0, 1) for _ in range(g.n)]
         if len(set(pv)) < 2:
             continue
-        assert len(single_cut_plan(c, pv, g).root.cut) == int(cut_size(pv, g))
+        assert len(single_cut_plan(c, pv).root.cut) == int(cut_size(pv, g))
 
 
 def test_cut_points_reject_one_sided():
-    g = build_graph(FIG1, QUIET)
     with pytest.raises(PlanError, match="one-sided"):
-        single_cut_plan(FIG1, [0, 0, 0, 0], g)
+        single_cut_plan(FIG1, [0, 0, 0, 0])
 
 
 def test_fig1_fragments_are_two_three_qubit_circuits():
-    g = build_graph(FIG1, QUIET)
-    frags = single_cut_plan(FIG1, [0, 0, 1, 1], g).leaf_fragments()
+    frags = single_cut_plan(FIG1, [0, 0, 1, 1]).leaf_fragments()
     assert sorted(f.width for f in frags) == [3, 3]
     upstream = next(f for f in frags if f.out_cuts)
     downstream = next(f for f in frags if f.in_cuts)
@@ -87,15 +83,13 @@ def test_fig1_fragments_are_two_three_qubit_circuits():
 
 def test_fragment_kzero_has_no_cut_roles():
     c = parse_qasm(HEADER + "qreg q[4]; cx q[0],q[1]; cx q[2],q[3];")
-    g = build_graph(c, QUIET)
-    frags = single_cut_plan(c, [0, 1], g).leaf_fragments()
+    frags = single_cut_plan(c, [0, 1]).leaf_fragments()
     assert all(not f.in_cuts and not f.out_cuts for f in frags)
     assert sorted(f.width for f in frags) == [2, 2]
 
 
 def test_ghz3_fragment_shapes():
-    g = build_graph(GHZ3, QUIET)
-    frags = single_cut_plan(GHZ3, [0, 1], g).leaf_fragments()
+    frags = single_cut_plan(GHZ3, [0, 1]).leaf_fragments()
     a = next(f for f in frags if f.out_cuts)
     b = next(f for f in frags if f.in_cuts)
     assert [(x.name, x.qubits) for x in a.circuit.gates] == [("h", (0,)), ("cx", (0, 1))]
@@ -115,7 +109,7 @@ def test_every_gate_lands_in_exactly_one_fragment():
         pv = [rng.randint(0, 1) for _ in range(g.n)]
         if len(set(pv)) < 2:
             continue
-        frags = single_cut_plan(c, pv, g).leaf_fragments()
+        frags = single_cut_plan(c, pv).leaf_fragments()
         k1, k2 = gate_counts(c)
         assert sum(gate_counts(f.circuit)[0] for f in frags) == k1
         assert sum(gate_counts(f.circuit)[1] for f in frags) == k2
@@ -124,8 +118,7 @@ def test_every_gate_lands_in_exactly_one_fragment():
 
 def test_gateless_wire_goes_to_first_fragment():
     c = parse_qasm(HEADER + "qreg q[4]; cx q[0],q[1]; cx q[1],q[2];")
-    g = build_graph(c, QUIET)
-    frags = single_cut_plan(c, [0, 1], g).leaf_fragments()
+    frags = single_cut_plan(c, [0, 1]).leaf_fragments()
     side0 = frags[0]
     assert 3 in side0.qubit_map  # untouched wire q3 rides along with side 0
 
@@ -230,17 +223,27 @@ def test_plan_document_roundtrip():
 
 
 def test_plan_tree_nested_too_deeply_is_a_plan_error():
-    # a chain of one-child nodes deeper than the interpreter's recursion limit
-    leaf = {"circuit": circuit_to_dict(Circuit(width=1, gates=())),
-            "in_cuts": {}, "out_cuts": {}, "qubit_map": [0]}
-    tree = None
-    for fid in range(sys.getrecursionlimit(), -1, -1):
-        tree = {"fragment": dict(leaf, id=fid), "success": 1.0, "status": "ok",
-                "children": [tree] if tree else []}
-    doc = {"version": 1, "width": 1, "threshold": 0.0, "tree": tree,
-           "limits": {"max_depth": 8, "max_k": 8}, "seed": 0, "solver": "ga"}
+    # a real four-level plan, read a few frames above the caller's depth:
+    # rebuilding its tree needs more, and must fail as a plan error
+    plan = recursive_fragment(circuit_fixture("adder_n8"), STRESS, 0.99, seed=7)
+    doc = json.loads(_document_bytes(plan_to_dict(plan)))
+    assert plan_from_dict(doc).root.children[0].children[0].children
+    limit = sys.getrecursionlimit()
     with pytest.raises(PlanError, match="nested too deeply"):
-        plan_from_dict(doc)
+        try:
+            # the lowest limit the interpreter accepts here is the caller's
+            # depth plus one; a rejected limit leaves the old one in place
+            lowest = 1
+            while True:
+                try:
+                    sys.setrecursionlimit(lowest)
+                    break
+                except RecursionError:
+                    lowest += 1
+            sys.setrecursionlimit(lowest + 6)
+            plan_from_dict(doc)
+        finally:
+            sys.setrecursionlimit(limit)
 
 
 def _document_bytes(doc) -> str:
@@ -274,9 +277,45 @@ def test_property_plan_document_round_trip(
     assert _document_bytes(got.to_dict()) == _document_bytes(want.to_dict())
 
 
+def test_plan_documents_match_their_golden_hash():
+    # the bytes every planner change must keep: stress plans of every fixture
+    digest = hashlib.sha256()
+    for name in CIRCUIT_FIXTURES:
+        for threshold in (0.8, 0.95):
+            plan = recursive_fragment(circuit_fixture(name), STRESS, threshold, seed=7)
+            digest.update(_document_bytes(plan_to_dict(plan)).encode())
+    assert digest.hexdigest() == (
+        "402050e1f557d53d488ca98f289071289c5e45177ad0b21a923f86e0edc049c3")
+
+
+def _integer_slots(container, keys):
+    """(container, key) of every integer under ``container[key]`` for ``keys``."""
+    for key in keys:
+        item = container[key]
+        if type(item) is int:
+            yield container, key
+        elif isinstance(item, dict):
+            yield from _integer_slots(item, list(item))
+        elif isinstance(item, list):
+            yield from _integer_slots(item, range(len(item)))
+
+
+def test_plan_document_rejects_every_integer_raised_by_one():
+    plan = recursive_fragment(circuit_fixture("ghz_n10"), STRESS, 0.99, seed=7)
+    doc = json.loads(_document_bytes(plan_to_dict(plan)))
+    slots = list(_integer_slots(doc, ("tree", "width", "k", "cut_ids", "leaves",
+                                      "variant_counts")))
+    assert len(slots) == 284
+    for container, key in slots:
+        container[key] += 1
+        with pytest.raises(PlanError):
+            plan_from_dict(doc)
+        container[key] -= 1
+    assert _document_bytes(plan_to_dict(plan_from_dict(doc))) == _document_bytes(doc)
+
+
 def test_single_cut_plan_matches_manual_fragment():
-    g = build_graph(GHZ3, QUIET)
-    plan = single_cut_plan(GHZ3, [0, 1], g)
+    plan = single_cut_plan(GHZ3, [0, 1])
     assert plan.k == 1
     assert len(plan.leaf_fragments()) == 2
 

@@ -51,8 +51,7 @@ QUIET = NoiseProfile()
 
 
 def exact_plan(c, pv):
-    g = build_graph(c, QUIET)
-    return single_cut_plan(c, pv, g)
+    return single_cut_plan(c, pv)
 
 
 def test_ghz3_reconstructs_exactly():
@@ -86,7 +85,7 @@ def test_k2_random_circuit_term_count_and_exactness():
             if len(set(pv)) == 2 and int(cut_size(pv, g)) == 2:
                 c = cand
                 break
-    plan = single_cut_plan(c, pv, g)
+    plan = single_cut_plan(c, pv)
     result = reconstruct(execute_plan(plan), plan)
     assert result.terms == 16
     ref = measure_distribution(run_ideal(c))
@@ -99,8 +98,7 @@ def test_double_crossing_wire_reconstructs():
         Gate("h", (0,)), Gate("cx", (0, 1)), Gate("rx", (1,), (0.7,)),
         Gate("cx", (1, 2)), Gate("ry", (1,), (1.1,)), Gate("cx", (0, 1)),
     ))
-    g = build_graph(c, QUIET)
-    plan = single_cut_plan(c, [0, 1, 0], g)
+    plan = single_cut_plan(c, [0, 1, 0])
     assert plan.k == 2
     result = reconstruct(execute_plan(plan), plan)
     ref = measure_distribution(run_ideal(c))
@@ -111,8 +109,7 @@ def test_weight_two_edge_reconstructs():
     c = Circuit(width=2, gates=(
         Gate("h", (0,)), Gate("cx", (0, 1)), Gate("rx", (0,), (0.5,)), Gate("cx", (0, 1)),
     ))
-    g = build_graph(c, QUIET)
-    plan = single_cut_plan(c, [0, 1], g)
+    plan = single_cut_plan(c, [0, 1])
     assert plan.k == 2
     result = reconstruct(execute_plan(plan), plan)
     assert result.terms == 16
@@ -286,7 +283,7 @@ def test_sampled_variants_each_draw_with_their_own_seed():
         Gate("h", (0,)), Gate("cx", (0, 1)), Gate("rx", (1,), (0.7,)),
         Gate("cx", (1, 2)), Gate("ry", (1,), (1.1,)), Gate("cx", (0, 1)),
     ))
-    plan = single_cut_plan(c, [0, 1, 0], build_graph(c, QUIET))
+    plan = single_cut_plan(c, [0, 1, 0])
     for profile in (None, STRESS):
         exact = execute_plan(plan, profile=profile)
         sampled = execute_plan(plan, profile=profile, shots=64, seed=-13)
@@ -365,7 +362,7 @@ def test_sampled_outputs_match_the_direct_labelled_sum():
         pv = [rng.randint(0, 1) for _ in range(g.n)]
         if len(set(pv)) < 2 or not 1 <= int(cut_size(pv, g)) <= 3:
             continue
-        plan = single_cut_plan(c, pv, g)
+        plan = single_cut_plan(c, pv)
         outputs = execute_plan(plan, shots=200, seed=rng.randrange(1000))
         result = reconstruct(outputs, plan)
         quasi = labelled_sum(outputs, plan)
