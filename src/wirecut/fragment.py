@@ -589,7 +589,9 @@ def plan_from_dict(doc: dict) -> FragmentPlan:
     a malformed field, a root circuit that ``Circuit`` or ``Gate`` rejects
     (wider than ``MAX_CIRCUIT_QUBITS`` included), an unknown status, a
     ``success`` or ``threshold`` outside [0, 1], a non-integer ``seed`` or
-    limit, an unknown ``solver`` or a tree nested too deeply to rebuild.
+    limit, ``limits`` other than exactly ``max_depth`` and ``max_k``, a
+    ``solver_log`` that is not a list of objects, an unknown ``solver`` or a
+    tree nested too deeply to rebuild.
     """
     if not isinstance(doc, dict):
         raise PlanError("plan document must be a JSON object")
@@ -598,14 +600,19 @@ def plan_from_dict(doc: dict) -> FragmentPlan:
     try:
         tree = doc["tree"]
         root = _as_root_fragment(circuit_from_dict(tree["fragment"]["circuit"]))
+        limits, solver_log = doc["limits"], doc["solver_log"]
+        if not (isinstance(limits, dict) and set(limits) == {"max_depth", "max_k"}):
+            raise PlanError(f"plan limits {limits!r} are not exactly max_depth and max_k")
+        if not (isinstance(solver_log, list) and all(isinstance(e, dict) for e in solver_log)):
+            raise PlanError("plan solver_log is not a list of objects")
         plan = FragmentPlan(
             width=root.width,
             threshold=doc["threshold"],
             root=_node_from_dict(tree, root, {"fragment": 1, "cut": 0}),
-            limits=Limits(**doc["limits"]),
+            limits=Limits(**limits),
             seed=doc["seed"],
             solver=doc["solver"],
-            solver_log=list(doc.get("solver_log", [])),
+            solver_log=list(solver_log),
         )
     except PlanError:
         raise

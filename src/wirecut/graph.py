@@ -7,8 +7,13 @@ single-qubit gates on its input wires back to the previous two-qubit gate
 wall time. Edges join two-qubit gates that are consecutive on a shared
 wire; the edge weight is the number of shared wires (1 or 2).
 
-Vertex weights are normalized to sum to 1 so downstream cost functions are
-scale free.
+A ``GateGraph`` is four tuples. The solvers read two: ``weights``, one per
+vertex in gate order, normalized to sum to 1 so downstream cost functions
+are scale free, and ``edges``, sorted ``(u, v, w)`` triples with u < v.
+Only ``serialize_graph`` reads the other two: ``gates``, each vertex's gate
+index, and ``segments``, per edge its ``(qubit, upstream gate, downstream
+gate)`` wire segments. Both default to empty, so a graph made by hand needs
+only what the solvers read.
 """
 from __future__ import annotations
 
@@ -19,15 +24,7 @@ from dataclasses import dataclass
 from .circuit import Circuit, asap_schedule
 from .noise import NoiseProfile
 
-__all__ = [
-    "GraphError",
-    "Vertex",
-    "WireSegment",
-    "Edge",
-    "GateGraph",
-    "build_graph",
-    "serialize_graph",
-]
+__all__ = ["GraphError", "GateGraph", "build_graph", "serialize_graph"]
 
 WEIGHT_FLOOR = 1e-12  # keeps 1/weight finite for error-free segments
 
@@ -37,60 +34,29 @@ class GraphError(ValueError):
 
 
 @dataclass(frozen=True)
-class Vertex:
-    id: int
-    gate_index: int
-    weight: float
-
-
-@dataclass(frozen=True)
-class WireSegment:
-    """A stretch of one qubit wire between two consecutive two-qubit gates."""
-
-    qubit: int
-    upstream_gate: int
-    downstream_gate: int
-
-
-@dataclass(frozen=True)
-class Edge:
-    u: int
-    v: int
-    weight: int
-    segments: tuple[WireSegment, ...]
-
-
-@dataclass(frozen=True)
 class GateGraph:
-    vertices: tuple[Vertex, ...]
-    edges: tuple[Edge, ...]
+    weights: tuple[float, ...]
+    edges: tuple[tuple[int, int, int], ...]
+    gates: tuple[int, ...] = ()
+    segments: tuple[tuple[tuple[int, int, int], ...], ...] = ()
 
     @property
     def n(self) -> int:
-        return len(self.vertices)
+        return len(self.weights)
 
-    def weights(self) -> list[float]:
-        return [v.weight for v in self.vertices]
 
-    def edge_list(self) -> list[tuple[int, int, int]]:
-        return [(e.u, e.v, e.weight) for e in self.edges]
+def _log_ok(p: NoiseProfile, g) -> float:
+    return math.log1p(-min(p.gate_error(g), 1.0 - 1e-300))
 
 
 def build_graph(c: Circuit, p: NoiseProfile) -> GateGraph:
     """Build the doubly-weighted graph of ``c`` under profile ``p``."""
-    two_q = c.two_qubit_indices()
-    if not two_q:
-        raise GraphError("circuit has no two-qubit gate; nothing to partition")
-    vertex_of_gate = {gi: vid for vid, gi in enumerate(two_q)}
-
     spans, _ = asap_schedule(c, p)
-
-    # previous two-qubit gate per wire, walking in temporal order
-    prev_two_q: dict[int, int] = {}
-    seg_single: dict[int, list[int]] = {gi: [] for gi in two_q}  # 1q gates feeding each 2q gate
+    gates: list[int] = []  # vertex id -> gate index
+    raw: list[float] = []
+    prev_vertex: dict[int, int] = {}  # per wire: the last two-qubit gate's vertex
     pending_single: dict[int, list[int]] = {q: [] for q in range(c.width)}
-    segments: list[WireSegment] = []
-    seg_start: dict[int, float] = {}  # per 2q gate: when its earliest input wire became active
+    by_pair: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
 
     for gi, g in enumerate(c.gates):
         if g.is_measurement:
@@ -98,30 +64,24 @@ def build_graph(c: Circuit, p: NoiseProfile) -> GateGraph:
         if not g.is_two_qubit:
             pending_single[g.qubits[0]].append(gi)
             continue
+        vid = len(gates)
+        log_ok = _log_ok(p, g)
         starts = []
         for q in g.qubits:
-            up = prev_two_q.get(q)
+            up = prev_vertex.get(q)
             if up is not None:
-                segments.append(WireSegment(qubit=q, upstream_gate=up, downstream_gate=gi))
-                starts.append(spans[up][1])
+                by_pair.setdefault((up, vid), []).append((q, gates[up], gi))
+                starts.append(spans[gates[up]][1])
             elif pending_single[q]:
                 starts.append(spans[pending_single[q][0]][0])
             else:
                 # a wire idle in |0> does not decohere; its clock starts here
                 starts.append(spans[gi][0])
-            seg_single[gi].extend(pending_single[q])
+            for si in pending_single[q]:
+                log_ok += _log_ok(p, c.gates[si])
             pending_single[q] = []
-            prev_two_q[q] = gi
-        seg_start[gi] = min(starts)
-
-    vertices = []
-    raw = []
-    for vid, gi in enumerate(two_q):
-        g = c.gates[gi]
-        log_ok = math.log1p(-min(p.gate_error(g), 1.0 - 1e-300))
-        for si in seg_single[gi]:
-            log_ok += math.log1p(-min(p.gate_error(c.gates[si]), 1.0 - 1e-300))
-        tau = spans[gi][1] - seg_start[gi]
+            prev_vertex[q] = vid
+        tau = spans[gi][1] - min(starts)
         t1 = min(p.t1_us(q) for q in g.qubits) * 1000.0
         t2 = min(p.t2_us(q) for q in g.qubits) * 1000.0
         decay = 0.0
@@ -130,46 +90,30 @@ def build_graph(c: Circuit, p: NoiseProfile) -> GateGraph:
         if not math.isinf(t2):
             decay += tau / t2
         err = -math.expm1(log_ok - decay)
+        if not math.isfinite(err):
+            raise GraphError(f"gate {gi} has a non-finite weight: the circuit's schedule overflows")
+        gates.append(gi)
         raw.append(max(err, WEIGHT_FLOOR))
 
+    if not gates:
+        raise GraphError("circuit has no two-qubit gate; nothing to partition")
     total = sum(raw)
-    for vid, gi in enumerate(two_q):
-        vertices.append(Vertex(id=vid, gate_index=gi, weight=raw[vid] / total))
-
-    # aggregate wire segments into edges keyed by the vertex pair
-    by_pair: dict[tuple[int, int], list[WireSegment]] = {}
-    for seg in segments:
-        u = vertex_of_gate[seg.upstream_gate]
-        v = vertex_of_gate[seg.downstream_gate]
-        key = (min(u, v), max(u, v))
-        by_pair.setdefault(key, []).append(seg)
-    edges = tuple(
-        Edge(u=u, v=v, weight=len(segs), segments=tuple(segs))
-        for (u, v), segs in sorted(by_pair.items())
+    pairs = sorted(by_pair.items())
+    return GateGraph(
+        weights=tuple(r / total for r in raw),
+        edges=tuple((u, v, len(segs)) for (u, v), segs in pairs),
+        gates=tuple(gates),
+        segments=tuple(tuple(segs) for _, segs in pairs),
     )
-    return GateGraph(vertices=tuple(vertices), edges=edges)
 
 
 def serialize_graph(g: GateGraph) -> str:
-    doc = {
-        "vertices": [
-            {"id": v.id, "gate_index": v.gate_index, "weight": v.weight} for v in g.vertices
-        ],
-        "edges": [
-            {
-                "u": e.u,
-                "v": e.v,
-                "weight": e.weight,
-                "segments": [
-                    {
-                        "qubit": s.qubit,
-                        "upstream_gate": s.upstream_gate,
-                        "downstream_gate": s.downstream_gate,
-                    }
-                    for s in e.segments
-                ],
-            }
-            for e in g.edges
-        ],
-    }
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    vertices = [{"id": vid, "gate_index": gi, "weight": w}
+                for vid, (gi, w) in enumerate(zip(g.gates, g.weights))]
+    edges = [
+        {"u": u, "v": v, "weight": w,
+         "segments": [{"qubit": q, "upstream_gate": up, "downstream_gate": down}
+                      for q, up, down in segs]}
+        for (u, v, w), segs in zip(g.edges, g.segments)
+    ]
+    return json.dumps({"vertices": vertices, "edges": edges}, indent=2, sort_keys=True) + "\n"

@@ -91,12 +91,11 @@ def build_ising(g: GateGraph, alpha: float = 1.0) -> IsingModel:
         raise ValueError("encoding needs at least 2 vertices")
     if alpha < 0:
         raise ValueError("alpha must be non-negative")
-    weights = g.weights()
+    weights = g.weights
     j: dict[tuple[int, int], float] = {}
     offset = 0.0
-    for u, v, w in g.edge_list():
-        key = (min(u, v), max(u, v))
-        j[key] = j.get(key, 0.0) - w * w / 2.0
+    for u, v, w in g.edges:
+        j[(u, v)] = j.get((u, v), 0.0) - w * w / 2.0
         offset += w * w / 2.0
     if alpha > 0:
         for i in range(n):

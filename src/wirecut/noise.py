@@ -134,6 +134,14 @@ def _check_time(value, what: str) -> float:
     return float(value)
 
 
+def _check_duration(value, what: str) -> float:
+    # an infinite T1 or T2 means no damping, but an infinite duration would
+    # make the schedule, and every weight and estimate built on it, NaN
+    value = _check_time(value, what)
+    _require(math.isfinite(value), f"{what} must be finite, got {value}")
+    return value
+
+
 def load_profile(text: str) -> NoiseProfile:
     """Parse a calibration document from its JSON text.
 
@@ -167,9 +175,9 @@ def load_profile(text: str) -> NoiseProfile:
     if "p2" in defaults:
         kwargs["p2"] = _check_prob(defaults["p2"], "defaults.p2")
     if "d1_ns" in defaults:
-        kwargs["d1_ns"] = _check_time(defaults["d1_ns"], "defaults.d1_ns")
+        kwargs["d1_ns"] = _check_duration(defaults["d1_ns"], "defaults.d1_ns")
     if "d2_ns" in defaults:
-        kwargs["d2_ns"] = _check_time(defaults["d2_ns"], "defaults.d2_ns")
+        kwargs["d2_ns"] = _check_duration(defaults["d2_ns"], "defaults.d2_ns")
     if "t1_us" in defaults:
         kwargs["t1_default_us"] = _check_time(defaults["t1_us"], "defaults.t1_us")
     if "t2_us" in defaults:
@@ -205,7 +213,7 @@ def load_profile(text: str) -> NoiseProfile:
         qs = tuple(rec["qubits"])
         _require(all(type(q) is int and q >= 0 for q in qs), "gate qubits must be non-negative integers")
         err = _check_prob(rec["error"], f"gate {name}{list(qs)} error")
-        dur = _check_time(rec["duration_ns"], f"gate {name}{list(qs)} duration_ns")
+        dur = _check_duration(rec["duration_ns"], f"gate {name}{list(qs)} duration_ns")
         _require((name, qs) not in gates, f"duplicate gate record for {name}{list(qs)}")
         gates[(name, qs)] = GateCal(err, dur)
 

@@ -53,9 +53,9 @@ def cut_size(pv, g: GateGraph) -> float:
     if len(pv) != g.n:
         raise ValueError(f"partition length {len(pv)} != vertex count {g.n}")
     total = 0.0
-    for e in g.edges:
-        d = pv[e.u] - pv[e.v]
-        total += e.weight * d * d
+    for u, v, w in g.edges:
+        d = pv[u] - pv[v]
+        total += w * d * d
     return total
 
 
@@ -68,12 +68,12 @@ def partition_cost(pv, g: GateGraph) -> float:
     w0 = 0.0
     w1 = 0.0
     n1 = 0
-    for v in g.vertices:
-        if pv[v.id]:
-            w1 += v.weight
+    for bit, w in zip(pv, g.weights):
+        if bit:
+            w1 += w
             n1 += 1
         else:
-            w0 += v.weight
+            w0 += w
     if n1 == 0 or n1 == g.n:
         return INFEASIBLE
     return cut_size(pv, g) * (1.0 / w0 + 1.0 / w1)
@@ -92,10 +92,10 @@ class _Scorer:
 
     def __init__(self, g: GateGraph):
         self.n = g.n
-        self.weights = g.weights()
+        self.weights = g.weights
         self.total = sum(self.weights)
         self.adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
-        for u, v, w in g.edge_list():
+        for u, v, w in g.edges:
             self.adj[u].append((v, w))
             self.adj[v].append((u, w))
 

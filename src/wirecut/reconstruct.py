@@ -356,16 +356,20 @@ def reconstruct(outputs: dict[int, FragmentOutput], plan: FragmentPlan) -> Recon
     # output lists the qubits in order, which is the final transpose
     cut_index = {cid: plan.width + j for j, cid in enumerate(cut_ids)}
     operands: list = []
-    for leaf, qubits in zip(leaves, terminals):
-        cuts = sorted(leaf.out_cuts) + sorted(leaf.in_cuts)
-        operands += [_leaf_tensor(leaf, outputs[leaf.id]), [cut_index[c] for c in cuts] + qubits]
-    operands.append(list(range(plan.width)))
     limit = max(_MAX_INTERMEDIATE, 1 << plan.width)
-    quasi = np.einsum(*operands, optimize=("greedy", limit)).reshape(-1) * (0.5 ** k)
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below when not finite
+        for leaf, qubits in zip(leaves, terminals):
+            cuts = sorted(leaf.out_cuts) + sorted(leaf.in_cuts)
+            operands += [_leaf_tensor(leaf, outputs[leaf.id]),
+                         [cut_index[c] for c in cuts] + qubits]
+        operands.append(list(range(plan.width)))
+        quasi = np.einsum(*operands, optimize=("greedy", limit)).reshape(-1) * (0.5 ** k)
 
     clipped = float(-np.sum(np.minimum(quasi, 0.0))) or 0.0  # never -0.0
     clipped_vec = np.clip(quasi, 0.0, None)
     total = clipped_vec.sum()
+    if not (np.isfinite(total) and np.isfinite(clipped)):
+        raise ReconstructionError("reconstructed distribution is not finite")
     if total <= 0:
         raise ReconstructionError("reconstructed distribution has no positive mass")
     return ReconstructionResult(

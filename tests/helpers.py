@@ -2,7 +2,7 @@
 import random
 
 from wirecut.circuit import GATES, Circuit, Gate
-from wirecut.graph import Edge, GateGraph, Vertex, WireSegment
+from wirecut.graph import GateGraph
 
 ONE_QUBIT_GATES = ("h", "x", "y", "z", "s", "sdg", "t", "tdg", "rx", "ry", "rz")
 
@@ -31,7 +31,6 @@ def random_connected_graph(rng: random.Random, n: int) -> GateGraph:
     """Connected doubly-weighted graph: spanning tree plus extras."""
     raw = [rng.uniform(0.01, 1.0) for _ in range(n)]
     total = sum(raw)
-    vertices = tuple(Vertex(i, i, raw[i] / total) for i in range(n))
     edges: dict[tuple[int, int], int] = {}
     nodes = list(range(n))
     rng.shuffle(nodes)
@@ -42,8 +41,5 @@ def random_connected_graph(rng: random.Random, n: int) -> GateGraph:
         u, v = rng.randrange(n), rng.randrange(n)
         if u != v:
             edges.setdefault((min(u, v), max(u, v)), rng.choice((1, 1, 1, 2)))
-    es = tuple(
-        Edge(u, v, w, tuple(WireSegment(0, 0, 0) for _ in range(w)))
-        for (u, v), w in sorted(edges.items())
-    )
-    return GateGraph(vertices=vertices, edges=es)
+    return GateGraph(weights=tuple(r / total for r in raw),
+                     edges=tuple((u, v, w) for (u, v), w in sorted(edges.items())))

@@ -83,11 +83,11 @@ def brute_force_min_cost(g: GateGraph, max_vertices: int = 20) -> tuple[list[int
         raise ValueError(f"brute force capped at {max_vertices} vertices, got {n}")
     codes = np.arange(1 << n, dtype=np.int64)
     bits = (codes[:, None] >> np.arange(n)) & 1  # column i = assignment of vertex i
-    weights = np.array(g.weights())
+    weights = np.array(g.weights)
     side1 = bits @ weights
     side0 = weights.sum() - side1
     cut = np.zeros(1 << n)
-    for u, v, w in g.edge_list():
+    for u, v, w in g.edges:
         cut += w * (bits[:, u] != bits[:, v])
     with np.errstate(divide="ignore", invalid="ignore"):  # one-sided rows masked below
         cost = cut * (1.0 / side0 + 1.0 / side1)

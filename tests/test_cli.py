@@ -114,6 +114,9 @@ def test_exit_codes_for_bad_inputs(tmp_path):
     '{"version": 1, "qubits": [{"id": true, "t1_us": 50, "t2_us": 70}]}',
     '{"version": 1, "gates": [{"name": "cx", "qubits": [true, false], "error": 0.01, '
     '"duration_ns": 300}]}',
+    '{"version": 1, "defaults": {"d2_ns": Infinity}}',
+    '{"version": 1, "gates": [{"name": "cx", "qubits": [0, 1], "error": 0.01, '
+    '"duration_ns": Infinity}]}',
 ])
 def test_profile_file_of_non_object_json_exits_4(tmp_path, capsys, text):
     prof = tmp_path / "profile.json"
@@ -121,6 +124,15 @@ def test_profile_file_of_non_object_json_exits_4(tmp_path, capsys, text):
     assert run(["cut", "--qasm", "fixture:fig1_n5", "--profile", prof,
                 "--threshold", "0.5", "--out", tmp_path / "x"]) == 4
     assert "profile error" in capsys.readouterr().err
+
+
+def test_overflowing_gate_duration_exits_5(tmp_path, capsys):
+    # a finite duration whose schedule overflows leaves no finite vertex weight
+    prof = tmp_path / "profile.json"
+    prof.write_text('{"version": 1, "defaults": {"d2_ns": 1e308, "t1_us": 50, "t2_us": 70}}')
+    assert run(["cut", "--qasm", "fixture:ghz_n10", "--profile", prof,
+                "--threshold", "0.8", "--out", tmp_path / "x"]) == 5
+    assert "non-finite weight" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("kind, code", [("qasm", 3), ("profile", 4), ("plan", 5),
@@ -237,7 +249,8 @@ def test_commands_are_byte_deterministic(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
-@pytest.mark.parametrize("damage", ["truncated", "no-variants", "short-row", "v1-document"])
+@pytest.mark.parametrize("damage", ["truncated", "no-variants", "short-row", "v1-document",
+                                    "overflowing-rows"])
 def test_malformed_fragment_document_exits_5(tmp_path, capsys, damage):
     out = tmp_path / damage
     assert run(["cut", "--qasm", "fixture:fig1_n5", "--profile", "fixture:stress",
@@ -253,13 +266,19 @@ def test_malformed_fragment_document_exits_5(tmp_path, capsys, damage):
     elif damage == "short-row":
         doc["probs"][-1].pop()
         path.write_text(json.dumps(doc))
+    elif damage == "overflowing-rows":  # finite rows whose recombination overflows
+        doc["probs"] = [[1e308] * len(row) for row in doc["probs"]]
+        path.write_text(json.dumps(doc))
     else:  # the bitstring-keyed layout written before version 2
         path.write_text(json.dumps({"fragment": doc["fragment"], "width": doc["width"],
                                     "variants": {"base": {"width": 1, "probs": {"0": 1.0}}}}))
     capsys.readouterr()
     assert run(["reconstruct", "--out", out]) == 5
     err = capsys.readouterr().err
-    assert "bad fragment document" in err
+    if damage == "overflowing-rows":
+        assert "not finite" in err and not (out / "reconstruction.json").exists()
+    else:
+        assert "bad fragment document" in err
     assert damage != "v1-document" or "version 1 is not supported" in err
 
 
@@ -286,6 +305,10 @@ def _damage_plan(doc: dict, damage: str):
         doc["tree"] = "root"
     elif damage == "unknown-limit":
         doc["limits"]["max_width"] = 4
+    elif damage == "limits-empty":
+        doc["limits"] = {}
+    elif damage == "solver-log-string":
+        doc["solver_log"] = "abc"
     elif damage.startswith("width-"):
         doc["width"] = None if damage == "width-null" else 3
     elif damage == "threshold-string":
@@ -318,7 +341,8 @@ def _damage_plan(doc: dict, damage: str):
     return doc
 
 
-@pytest.mark.parametrize("damage", ["list", "tree-not-object", "unknown-limit",
+@pytest.mark.parametrize("damage", ["list", "tree-not-object", "unknown-limit", "limits-empty",
+                                    "solver-log-string",
                                     "short-qubit-map", "string-qubit-map", "cut-qubit-99",
                                     "cut-qubit-string", "cut-id-string",
                                     "string-id", "negative-id", "duplicate-id",

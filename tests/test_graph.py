@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -5,6 +6,7 @@ import pytest
 
 from helpers import random_circuit
 from wirecut.circuit import parse_qasm
+from wirecut.fixtures import CIRCUIT_FIXTURES, PROFILE_FIXTURES, circuit_fixture, profile_fixture
 from wirecut.graph import GraphError, build_graph, serialize_graph
 from wirecut.noise import NoiseProfile
 
@@ -15,23 +17,23 @@ FIG1 = HEADER + "qreg q[5]; cx q[0],q[1]; cx q[1],q[2]; cx q[2],q[3]; cx q[3],q[
 def test_fig1_graph_shape():
     g = build_graph(parse_qasm(FIG1), NoiseProfile())
     assert g.n == 4
-    assert g.edge_list() == [(0, 1, 1), (1, 2, 1), (2, 3, 1)]
+    assert g.edges == ((0, 1, 1), (1, 2, 1), (2, 3, 1))
     # uniform gates, identical timing: weights are exactly balanced
-    assert g.weights() == pytest.approx([0.25] * 4)
+    assert g.weights == pytest.approx([0.25] * 4)
 
 
 def test_consecutive_same_pair_gives_weight_two_edge():
     c = parse_qasm(HEADER + "qreg q[2]; cx q[0],q[1]; cx q[0],q[1];")
     g = build_graph(c, NoiseProfile())
-    assert g.edge_list() == [(0, 1, 2)]
-    assert len(g.edges[0].segments) == 2
-    assert {s.qubit for s in g.edges[0].segments} == {0, 1}
+    assert g.edges == ((0, 1, 2),)
+    assert len(g.segments[0]) == 2
+    assert {q for q, _, _ in g.segments[0]} == {0, 1}
 
 
 def test_two_independent_gates_normalize_evenly():
     c = parse_qasm(HEADER + "qreg q[4]; cx q[0],q[1]; cx q[2],q[3];")
     g = build_graph(c, NoiseProfile())
-    assert g.weights() == pytest.approx([0.5, 0.5])
+    assert g.weights == pytest.approx([0.5, 0.5])
     assert g.edges == ()
 
 
@@ -48,7 +50,7 @@ def test_normalization_sums_to_one():
         if not c.two_qubit_indices():
             continue
         g = build_graph(c, p)
-        assert abs(sum(g.weights()) - 1.0) < 1e-12
+        assert abs(sum(g.weights) - 1.0) < 1e-12
 
 
 def test_segment_count_per_wire():
@@ -66,7 +68,7 @@ def test_segment_count_per_wire():
             for q in c.gates[gi].qubits:
                 per_wire[q] = per_wire.get(q, 0) + 1
         expected = sum(m - 1 for m in per_wire.values())
-        assert sum(e.weight for e in g.edges) == expected
+        assert sum(w for _, _, w in g.edges) == expected
         assert g.n == len(two_q)
 
 
@@ -79,7 +81,7 @@ def test_raw_weights_monotone_in_gate_error():
     g0 = build_graph(c, base)
     g1 = build_graph(c, worse)
     # vertex 0's raw error grew, so its normalized share must grow
-    assert g1.vertices[0].weight > g0.vertices[0].weight
+    assert g1.weights[0] > g0.weights[0]
 
 
 def test_segment_includes_preceding_single_qubit_gates():
@@ -89,7 +91,7 @@ def test_segment_includes_preceding_single_qubit_gates():
     g_bare = build_graph(bare, p)
     g_dressed = build_graph(dressed, p)
     # single-qubit gates between the two cx gates belong to the second segment
-    assert g_dressed.vertices[1].weight > g_bare.vertices[1].weight
+    assert g_dressed.weights[1] > g_bare.weights[1]
 
 
 def test_idle_decoherence_raises_weight():
@@ -102,7 +104,7 @@ def test_idle_decoherence_raises_weight():
     c = parse_qasm(HEADER + "qreg q[3]; cx q[0],q[1]; cx q[1],q[2]; cx q[0],q[1];")
     g_q = build_graph(c, quiet)
     g_n = build_graph(c, noisy_idle)
-    assert g_n.vertices[2].weight > g_q.vertices[2].weight
+    assert g_n.weights[2] > g_q.weights[2]
 
 
 def test_cold_wires_carry_no_idle_penalty():
@@ -112,22 +114,19 @@ def test_cold_wires_carry_no_idle_penalty():
     # a serial chain activates each fresh wire only at its first gate, so
     # all four segments span exactly one gate and weights stay uniform
     g = build_graph(parse_qasm(FIG1), damped)
-    assert g.weights() == pytest.approx([0.25] * 4)
+    assert g.weights == pytest.approx([0.25] * 4)
 
 
 def assert_document_holds_graph(text, g):
     doc = json.loads(text)
     assert [(v["id"], v["gate_index"], v["weight"]) for v in doc["vertices"]] == [
-        (v.id, v.gate_index, v.weight) for v in g.vertices
+        (vid, gi, w) for vid, (gi, w) in enumerate(zip(g.gates, g.weights))
     ]
+    assert [(e["u"], e["v"], e["weight"]) for e in doc["edges"]] == list(g.edges)
     assert [
-        (e["u"], e["v"], e["weight"],
-         [(s["qubit"], s["upstream_gate"], s["downstream_gate"]) for s in e["segments"]])
+        tuple((s["qubit"], s["upstream_gate"], s["downstream_gate"]) for s in e["segments"])
         for e in doc["edges"]
-    ] == [
-        (e.u, e.v, e.weight, [(s.qubit, s.upstream_gate, s.downstream_gate) for s in e.segments])
-        for e in g.edges
-    ]
+    ] == list(g.segments)
 
 
 def test_serialize_roundtrip():
@@ -141,3 +140,14 @@ def test_single_vertex_graph_document():
     assert g.n == 1 and g.edges == ()
     assert_document_holds_graph(serialize_graph(g), g)
 
+
+
+def test_graph_documents_match_their_golden_hash():
+    # the graph.json bytes of every fixture under every bundled profile
+    digest = hashlib.sha256()
+    for name in CIRCUIT_FIXTURES:
+        for profile in PROFILE_FIXTURES:
+            g = build_graph(circuit_fixture(name), profile_fixture(profile))
+            digest.update(serialize_graph(g).encode())
+    assert digest.hexdigest() == (
+        "12711946585bf151d28bc5356119ba856735373530053bfbd90305240c8637de")

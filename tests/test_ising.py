@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from helpers import random_connected_graph
 from oracles import brute_force_ising_ground, brute_force_min_cost
 from wirecut.fragment import anneal_min_cut
-from wirecut.graph import Edge, GateGraph, Vertex, WireSegment
+from wirecut.graph import GateGraph
 from wirecut.ising import (
     AnnealSchedule,
     IsingModel,
@@ -23,17 +23,12 @@ from wirecut.partition import partition_cost
 
 
 def two_vertex_graph(w1, w2, edge_weight=1):
-    vertices = (Vertex(0, 0, w1), Vertex(1, 1, w2))
-    edges = ()
-    if edge_weight:
-        edges = (Edge(0, 1, edge_weight, tuple(WireSegment(0, 0, 0) for _ in range(edge_weight))),)
-    return GateGraph(vertices=vertices, edges=edges)
+    edges = ((0, 1, edge_weight),) if edge_weight else ()
+    return GateGraph(weights=(w1, w2), edges=edges)
 
 
 def path4(weights=(0.25, 0.25, 0.25, 0.25)):
-    vertices = tuple(Vertex(i, i, weights[i]) for i in range(4))
-    edges = tuple(Edge(i, i + 1, 1, (WireSegment(0, 0, 0),)) for i in range(3))
-    return GateGraph(vertices=vertices, edges=edges)
+    return GateGraph(weights=tuple(weights), edges=((0, 1, 1), (1, 2, 1), (2, 3, 1)))
 
 
 def random_ising(rng, n, density=0.5):
@@ -71,7 +66,7 @@ def test_build_ising_alpha_zero_grounds_are_min_weighted_cuts():
         # exhaustive check: ground energy equals the minimum squared-weight
         # cut over all assignments (the empty cut included)
         def sq_cut(bits):
-            return sum(w * w for u, v, w in g.edge_list() if bits[u] != bits[v])
+            return sum(w * w for u, v, w in g.edges if bits[u] != bits[v])
         best = min(sq_cut(bits) for bits in itertools.product((0, 1), repeat=g.n))
         decoded = spins_to_partition(spins)
         assert sq_cut(decoded) == pytest.approx(best)

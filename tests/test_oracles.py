@@ -14,33 +14,28 @@ from oracles import (
     reference_density_evolution,
 )
 from wirecut.circuit import Circuit, Gate
-from wirecut.graph import Edge, GateGraph, Vertex, WireSegment
+from wirecut.graph import GateGraph
 from wirecut.ising import IsingModel
 from wirecut.noise import NoiseProfile, QubitCal
 from wirecut.simulate import density_matrix, run_ideal
 
 
 def test_brute_force_min_cost_uniform_path():
-    vertices = tuple(Vertex(i, i, 0.25) for i in range(4))
-    edges = tuple(Edge(i, i + 1, 1, (WireSegment(0, 0, 0),)) for i in range(3))
-    g = GateGraph(vertices=vertices, edges=edges)
+    g = GateGraph(weights=(0.25,) * 4, edges=((0, 1, 1), (1, 2, 1), (2, 3, 1)))
     pv, cost = brute_force_min_cost(g)
     assert cost == pytest.approx(4.0)
     assert pv in ([0, 0, 1, 1], [1, 1, 0, 0])
 
 
 def test_brute_force_min_cost_two_vertices():
-    g = GateGraph(
-        vertices=(Vertex(0, 0, 0.4), Vertex(1, 1, 0.6)),
-        edges=(Edge(0, 1, 1, (WireSegment(0, 0, 0),)),),
-    )
+    g = GateGraph(weights=(0.4, 0.6), edges=((0, 1, 1),))
     pv, cost = brute_force_min_cost(g)
     assert sorted(pv) == [0, 1]
     assert cost == pytest.approx(1 / 0.4 + 1 / 0.6)
 
 
 def test_brute_force_min_cost_caps():
-    g = GateGraph(vertices=(Vertex(0, 0, 1.0),), edges=())
+    g = GateGraph(weights=(1.0,), edges=())
     with pytest.raises(ValueError):
         brute_force_min_cost(g)
     rng = random.Random(1)

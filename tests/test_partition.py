@@ -5,19 +5,15 @@ import pytest
 
 from helpers import random_connected_graph
 from oracles import brute_force_min_cost
-from wirecut.graph import Edge, GateGraph, Vertex, WireSegment
+from wirecut.graph import GateGraph
 from wirecut.partition import crossover, cut_size, find_min_cut_ga, partition_cost
 
 
 def path_graph(weights, edge_weights=None):
     n = len(weights)
     edge_weights = edge_weights or [1] * (n - 1)
-    vertices = tuple(Vertex(i, i, weights[i]) for i in range(n))
-    edges = tuple(
-        Edge(i, i + 1, w, tuple(WireSegment(0, 0, 0) for _ in range(w)))
-        for i, w in enumerate(edge_weights)
-    )
-    return GateGraph(vertices=vertices, edges=edges)
+    edges = tuple((i, i + 1, w) for i, w in enumerate(edge_weights))
+    return GateGraph(weights=tuple(weights), edges=edges)
 
 
 UNIFORM4 = path_graph([0.25] * 4)
@@ -80,7 +76,7 @@ def test_weight_scaling_scales_cost_and_keeps_argmin():
         g = random_connected_graph(rng, n)
         lam = rng.uniform(0.5, 3.0)
         scaled = GateGraph(
-            vertices=tuple(Vertex(v.id, v.gate_index, v.weight * lam) for v in g.vertices),
+            weights=tuple(w * lam for w in g.weights),
             edges=g.edges,
         )
         pv = [rng.randint(0, 1) for _ in range(n)]
