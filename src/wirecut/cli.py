@@ -201,7 +201,7 @@ def cmd_run(args) -> int:
     outputs = execute_plan(plan, profile=profile, shots=args.shots, seed=args.seed)
     for fid in sorted(outputs):
         _write_json(out_dir / f"fragment_{fid}.json", outputs[fid].to_dict())
-    n_variants = sum(o.n_variants for o in outputs.values())
+    n_variants = sum(o.leaf.n_variants for o in outputs.values())
     print(f"ran {n_variants} variant(s) across {len(outputs)} fragment(s) -> {out_dir}")
     return 0
 
@@ -215,7 +215,7 @@ def cmd_reconstruct(args) -> int:
         if not path.is_file():
             raise ReconstructionError(f"missing fragment output {path}; run 'run' first")
         try:
-            outputs[leaf.id] = FragmentOutput.from_dict(_read_json(path, ReconstructionError))
+            outputs[leaf.id] = FragmentOutput.from_dict(_read_json(path, ReconstructionError), leaf)
         except ReconstructionError as exc:
             raise ReconstructionError(f"bad fragment document {path}: {exc}") from None
     result = reconstruct(outputs, plan)

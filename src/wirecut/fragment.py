@@ -107,6 +107,24 @@ class Fragment:
     def width(self) -> int:
         return self.circuit.width
 
+    @property
+    def variant_cuts(self) -> list[int]:
+        """The cut of each leading axis of the leaf's outputs: the out-cuts,
+        then the in-cuts, each in id order."""
+        return sorted(self.out_cuts) + sorted(self.in_cuts)
+
+    @property
+    def variant_axes(self) -> tuple[int, ...]:
+        """Leading axes of the leaf's outputs, one entry per variant: a basis
+        axis per out-cut and an init axis per in-cut, in ``variant_cuts``
+        order (``enumerate_variants`` order when flattened)."""
+        return tuple(len(MEAS_BASES) if cid in self.out_cuts else len(INIT_STATES)
+                     for cid in self.variant_cuts)
+
+    @property
+    def n_variants(self) -> int:
+        return math.prod(self.variant_axes)
+
     def terminal_qubits(self) -> list[int]:
         """Local qubits whose value survives to the final distribution."""
         cut_outs = set(self.out_cuts.values())
@@ -560,8 +578,7 @@ def _summary(plan: FragmentPlan) -> dict:
         "k": len(cut_ids),
         "cut_ids": cut_ids,
         "leaves": [f.id for f in leaves],
-        "variant_counts": {str(f.id): 3 ** len(f.out_cuts) * 4 ** len(f.in_cuts)
-                           for f in leaves},
+        "variant_counts": {str(f.id): f.n_variants for f in leaves},
     }
 
 

@@ -119,7 +119,7 @@ def energy(m: IsingModel, s) -> float:
     return e
 
 
-def default_schedule(m: IsingModel, sweeps: int = 2000) -> AnnealSchedule:
+def default_schedule(m: IsingModel, sweeps: int) -> AnnealSchedule:
     """Geometric schedule spanning the model's local energy scale."""
     reach = [abs(h) for h in m.h]
     for (i, k), val in m.j.items():
@@ -186,7 +186,7 @@ def _chain(h, nbrs, temps, rng: random.Random) -> list[int]:
 
 def simulated_anneal(
     m: IsingModel,
-    schedule: AnnealSchedule | None = None,
+    schedule: AnnealSchedule,
     seed: int = 0,
     restarts: int = 1,
 ) -> SaResult:
@@ -197,8 +197,6 @@ def simulated_anneal(
     """
     if restarts < 1:
         raise ValueError(f"restarts must be >= 1, got {restarts}")
-    if schedule is None:
-        schedule = default_schedule(m)
     if m.n == 0:
         return SaResult(spins=[], energy=m.offset, restarts=restarts, sweeps=schedule.sweeps)
 

@@ -1,15 +1,20 @@
 """Variant execution and recombination into the full-circuit distribution.
 
-A leaf's outputs are one array (``FragmentOutput.probs``) with one basis
-axis per out-cut, one init axis per in-cut and one bit axis per qubit.
+A leaf's outputs are one array (``FragmentOutput.probs``) with the leaf's
+``Fragment.variant_axes``, one basis axis per out-cut and one init axis per
+in-cut, then one bit axis per qubit; the output holds its plan leaf.
 Ideal execution fills it from a single evolution of the leaf's body: the
 in-cut initializations are leading batch axes of the statevector, and by
 linearity one fixed rotation per out-cut then yields every readout basis.
 Noisy execution simulates each variant circuit on its own and packs the
 results into the same array. Sampling (``shots``) is one later step over
 those exact rows. A fragment document (``to_dict``/``from_dict``)
-stores that array as one dense row per variant next to the sorted cut ids,
-so no variant key or bitstring is written or parsed. The reconstructed
+stores that array as one dense row per variant under its leaf's header
+(id, width and sorted cut ids), so no variant key or bitstring is written
+or parsed. It is read against the plan's leaf, not trusted: the header
+must be that leaf's and every row a distribution in its layout, and
+recombination checks once that each output belongs to the leaf it is
+combined for. The reconstructed
 ``Distribution`` wraps the recombined probability vector, and fidelity,
 TVD and Hellinger distance are elementwise expressions over two vectors.
 
@@ -96,97 +101,83 @@ class ReconstructionError(ValueError):
     """Raised on missing variants or inconsistent fragment layouts."""
 
 
-def _settings(out_ids, in_ids) -> tuple[int, ...]:
-    """Leading axes of a leaf's stacked outputs: one per out-cut, then per in-cut."""
-    return (len(MEAS_BASES),) * len(out_ids) + (len(INIT_STATES),) * len(in_ids)
+def _header(leaf: Fragment) -> dict:
+    """The fields of a fragment document that follow from its leaf."""
+    return {"version": 2, "fragment": leaf.id, "width": leaf.width,
+            "out_cuts": sorted(leaf.out_cuts), "in_cuts": sorted(leaf.in_cuts)}
 
 
 @dataclass(eq=False)
 class FragmentOutput:
-    """Every variant's outcome distribution of one fragment, in one array.
+    """Every variant's outcome distribution of one plan leaf, in one array.
 
-    ``probs`` has one basis axis per out-cut (``MEAS_BASES`` order), then
-    one init axis per in-cut (``INIT_STATES`` order), each in the id order
-    of ``out_cuts`` and ``in_cuts``, then one bit axis per local qubit.
-    ``shots`` is set when the distributions were sampled.
+    ``probs`` has the leaf's ``variant_axes`` (one basis axis per out-cut
+    in ``MEAS_BASES`` order, then one init axis per in-cut in
+    ``INIT_STATES`` order, each in cut-id order), then one bit axis per
+    local qubit. ``shots`` is set when the distributions were sampled.
 
-    The document form (version 2) holds the sorted cut ids and ``probs`` as
-    dense rows: ``probs.reshape(-1, 2**width)``, one row of 2^width outcome
-    probabilities per variant, in ``enumerate_variants`` order.
+    The document form (version 2) is the leaf's header (its id, width and
+    sorted cut ids) and ``probs`` as dense rows: ``probs.reshape(-1,
+    2**width)``, one row of 2^width outcome probabilities per variant, in
+    ``enumerate_variants`` order.
     """
 
-    fragment_id: int
-    out_cuts: tuple[int, ...]
-    in_cuts: tuple[int, ...]
+    leaf: Fragment
     probs: np.ndarray
     shots: int | None = None
 
-    @property
-    def width(self) -> int:
-        return self.probs.ndim - len(self.out_cuts) - len(self.in_cuts)
-
-    @property
-    def n_variants(self) -> int:
-        return math.prod(_settings(self.out_cuts, self.in_cuts))
-
     def to_dict(self) -> dict:
-        doc = {
-            "version": 2,
-            "fragment": self.fragment_id,
-            "width": self.width,
-            "out_cuts": list(self.out_cuts),
-            "in_cuts": list(self.in_cuts),
-            "probs": self.probs.reshape(-1, 1 << self.width).tolist(),
-        }
+        doc = {**_header(self.leaf),
+               "probs": self.probs.reshape(-1, 1 << self.leaf.width).tolist()}
         if self.shots is not None:
             doc["shots"] = self.shots
         return doc
 
     @classmethod
-    def from_dict(cls, doc) -> "FragmentOutput":
-        """Read ``to_dict``'s document; its layout is checked before any array is built."""
+    def from_dict(cls, doc, leaf: Fragment) -> "FragmentOutput":
+        """Read ``to_dict``'s document of ``leaf``.
+
+        Its header must equal the one ``to_dict`` writes for ``leaf``, and
+        its rows must be the leaf's ``n_variants`` distributions over 2^width
+        outcomes: non-negative numbers that sum to 1 within 1e-9. Lengths
+        are checked before any array is built, and the leaf's values are
+        used, never the document's.
+        """
         if not isinstance(doc, dict):
             raise ReconstructionError("fragment document must be a JSON object")
         version = doc.get("version", 1)  # version 1 documents had no version field
         if version != 2:
             raise ReconstructionError(
                 f"fragment document version {version!r} is not supported; expected version 2")
-        try:
-            fid, width, out_ids, in_ids, rows = (
-                doc[key] for key in ("fragment", "width", "out_cuts", "in_cuts", "probs"))
-        except KeyError as exc:
-            raise ReconstructionError(f"missing field {exc}") from None
-        if type(fid) is not int or not all(
-            isinstance(ids, list) and all(type(c) is int for c in ids) and ids == sorted(set(ids))
-            for ids in (out_ids, in_ids)
-        ) or set(out_ids) & set(in_ids):
-            raise ReconstructionError(f"fragment {fid!r} needs sorted, distinct integer cut ids, "
-                                      f"got out {out_ids!r}, in {in_ids!r}")
-        if type(width) is not int or not 1 <= width <= MAX_STATEVECTOR_QUBITS:
-            raise ReconstructionError(
-                f"fragment width {width!r} is outside 1..{MAX_STATEVECTOR_QUBITS} qubits")
-        settings = _settings(out_ids, in_ids)
-        if len(settings) + width > _MAX_INDICES:
-            raise ReconstructionError(f"fragment {fid} has too many cuts for its width {width}")
-        n_rows = math.prod(settings)
+        header = _header(leaf)
+        found = {key: doc.get(key) for key in header}
+        if found != header:
+            raise ReconstructionError(f"the document is not plan leaf {leaf.id}'s: "
+                                      f"its header {found} differs from {header}")
+        rows, n_rows, n_cols = doc.get("probs"), leaf.n_variants, 1 << leaf.width
         if not isinstance(rows, list) or len(rows) != n_rows or not all(
-            isinstance(row, list) and len(row) == 1 << width for row in rows
+            isinstance(row, list) and len(row) == n_cols for row in rows
         ):
-            raise ReconstructionError(f"fragment {fid} needs {n_rows} rows of {1 << width} "
+            raise ReconstructionError(f"fragment {leaf.id} needs {n_rows} rows of {n_cols} "
                                       "probabilities, one row per variant")
         shots = doc.get("shots")
         if "shots" in doc and not (type(shots) is int and shots >= 1):
-            raise ReconstructionError(f"fragment {fid} has shots {shots!r}, not an integer >= 1")
-        bad = ReconstructionError(f"fragment {fid} has entries that are not finite numbers")
+            raise ReconstructionError(
+                f"fragment {leaf.id} has shots {shots!r}, not an integer >= 1")
+        bad = ReconstructionError(f"fragment {leaf.id} has entries that are not finite numbers")
         try:
             probs = np.asarray(rows)
         except ValueError:  # entries that are lists of different lengths
             raise bad from None
         if probs.ndim != 2 or probs.dtype.kind not in "iuf" or not np.isfinite(probs).all():
             raise bad
-        return cls(fragment_id=fid, out_cuts=tuple(out_ids), in_cuts=tuple(in_ids),
-                   probs=probs.astype(float, copy=False).reshape(settings + (2,) * width),
-                   shots=shots)
+        with np.errstate(over="ignore"):  # an overflowing sum is off 1 too
+            off = np.abs(probs.sum(axis=1) - 1.0)
+        if (probs < 0).any() or not (off <= 1e-9).all():
+            raise ReconstructionError(f"fragment {leaf.id} has a row that is not a distribution: "
+                                      "a negative entry or a sum off 1 by more than 1e-9")
+        return cls(leaf, probs.astype(float, copy=False).reshape(
+            leaf.variant_axes + (2,) * leaf.width), shots)
 
 
 @dataclass
@@ -229,37 +220,32 @@ def execute_plan(
     """
     outputs: dict[int, FragmentOutput] = {}
     for leaf in plan.leaf_fragments():
-        out_ids, in_ids = tuple(sorted(leaf.out_cuts)), tuple(sorted(leaf.in_cuts))
-        settings = _settings(out_ids, in_ids)
-        n_variants = math.prod(settings)
-        entries = n_variants << leaf.width
+        entries = leaf.n_variants << leaf.width
         if entries > _MAX_LEAF_ENTRIES:
             raise SimulationError(
-                f"fragment {leaf.id}: {n_variants} variant(s) of width {leaf.width} need "
+                f"fragment {leaf.id}: {leaf.n_variants} variant(s) of width {leaf.width} need "
                 f"{entries} entries ({16 * entries} bytes of amplitudes), over the limit of "
                 f"{_MAX_LEAF_ENTRIES}: one uncut leaf, its width capped at "
                 f"{MAX_STATEVECTOR_QUBITS} qubits"
             )
         if profile is None:
-            probs = np.abs(_ideal_amplitudes(leaf, out_ids, in_ids)) ** 2
+            probs = np.abs(_ideal_amplitudes(leaf)) ** 2
         else:
             local_profile = profile.for_subcircuit(leaf.qubit_map)
             probs = np.array([run_noisy(v.circuit, local_profile).probs
                               for v in enumerate_variants(leaf)])
-            probs = probs.reshape(settings + (2,) * leaf.width)
+            probs = probs.reshape(leaf.variant_axes + (2,) * leaf.width)
         if shots is not None:
             rows = [
                 sample_frequencies(p, shots, (seed & 0x7FFFFFFF, leaf.id, row))
                 for row, p in enumerate(probs.reshape(-1, 1 << leaf.width))
             ]
             probs = np.array(rows).reshape(probs.shape)
-        outputs[leaf.id] = FragmentOutput(
-            fragment_id=leaf.id, out_cuts=out_ids, in_cuts=in_ids, probs=probs, shots=shots
-        )
+        outputs[leaf.id] = FragmentOutput(leaf, probs, shots)
     return outputs
 
 
-def _ideal_amplitudes(leaf: Fragment, out_ids, in_ids) -> np.ndarray:
+def _ideal_amplitudes(leaf: Fragment) -> np.ndarray:
     """Amplitudes of every variant of ``leaf``, by linearity from one evolution.
 
     The body evolves a batch holding the product of every in-cut's init
@@ -267,8 +253,8 @@ def _ideal_amplitudes(leaf: Fragment, out_ids, in_ids) -> np.ndarray:
     turns the batch into one entry per readout basis. The axes are those of
     ``FragmentOutput.probs``.
     """
-    m, w = len(in_ids), leaf.width
-    init_axis = {leaf.in_cuts[cid]: j for j, cid in enumerate(in_ids)}
+    m, w = len(leaf.in_cuts), leaf.width
+    init_axis = {leaf.in_cuts[cid]: j for j, cid in enumerate(sorted(leaf.in_cuts))}
     operands = []
     for q in range(w):
         if q in init_axis:
@@ -279,7 +265,7 @@ def _ideal_amplitudes(leaf: Fragment, out_ids, in_ids) -> np.ndarray:
     amps = run_ideal(leaf.circuit, state)
     # rotate the last out-cut first, so that the basis axes prepended by
     # tensordot end up in id order
-    for done, cid in enumerate(reversed(out_ids)):
+    for done, cid in enumerate(sorted(leaf.out_cuts, reverse=True)):
         axis = done + m + leaf.out_cuts[cid]
         amps = np.moveaxis(np.tensordot(_BASIS_ROT, amps, axes=([2], [axis])), 1, axis + 1)
     return amps
@@ -290,20 +276,14 @@ def _ideal_amplitudes(leaf: Fragment, out_ids, in_ids) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def _leaf_tensor(leaf: Fragment, output: FragmentOutput) -> np.ndarray:
-    """Label tensor of one leaf: one 4-valued axis per out-cut, then per
-    in-cut, each in id order, then one bit axis per terminal qubit."""
-    out_ids, in_ids = sorted(leaf.out_cuts), sorted(leaf.in_cuts)
-    if (list(output.out_cuts), list(output.in_cuts), output.width) != (
-        out_ids, in_ids, leaf.width
-    ):
+    """Label tensor of one leaf: one 4-valued axis per cut, in the leaf's
+    ``variant_cuts`` order, then one bit axis per terminal qubit."""
+    if output.leaf != leaf:
         raise ReconstructionError(
-            f"fragment {leaf.id} output has cuts out {list(output.out_cuts)}, "
-            f"in {list(output.in_cuts)} at width {output.width}; the plan expects "
-            f"out {out_ids}, in {in_ids} at width {leaf.width}"
-        )
+            f"the output given for fragment {leaf.id} is not plan leaf {leaf.id}'s")
 
     # einsum indices: local qubits 0..w-1, labels w..w+n-1, settings w+n..w+2n-1
-    cuts = out_ids + in_ids
+    cuts = leaf.variant_cuts
     w, n = leaf.width, len(cuts)
     operands = [output.probs, list(range(w + n, w + 2 * n)) + list(range(w))]
     for j, cid in enumerate(cuts):
@@ -359,9 +339,8 @@ def reconstruct(outputs: dict[int, FragmentOutput], plan: FragmentPlan) -> Recon
     limit = max(_MAX_INTERMEDIATE, 1 << plan.width)
     with np.errstate(over="ignore", invalid="ignore"):  # refused below when not finite
         for leaf, qubits in zip(leaves, terminals):
-            cuts = sorted(leaf.out_cuts) + sorted(leaf.in_cuts)
             operands += [_leaf_tensor(leaf, outputs[leaf.id]),
-                         [cut_index[c] for c in cuts] + qubits]
+                         [cut_index[c] for c in leaf.variant_cuts] + qubits]
         operands.append(list(range(plan.width)))
         quasi = np.einsum(*operands, optimize=("greedy", limit)).reshape(-1) * (0.5 ** k)
 

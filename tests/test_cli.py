@@ -266,7 +266,7 @@ def test_malformed_fragment_document_exits_5(tmp_path, capsys, damage):
     elif damage == "short-row":
         doc["probs"][-1].pop()
         path.write_text(json.dumps(doc))
-    elif damage == "overflowing-rows":  # finite rows whose recombination overflows
+    elif damage == "overflowing-rows":  # finite rows that are not distributions
         doc["probs"] = [[1e308] * len(row) for row in doc["probs"]]
         path.write_text(json.dumps(doc))
     else:  # the bitstring-keyed layout written before version 2
@@ -275,11 +275,34 @@ def test_malformed_fragment_document_exits_5(tmp_path, capsys, damage):
     capsys.readouterr()
     assert run(["reconstruct", "--out", out]) == 5
     err = capsys.readouterr().err
-    if damage == "overflowing-rows":
-        assert "not finite" in err and not (out / "reconstruction.json").exists()
-    else:
-        assert "bad fragment document" in err
+    assert "bad fragment document" in err and not (out / "reconstruction.json").exists()
     assert damage != "v1-document" or "version 1 is not supported" in err
+    assert damage != "overflowing-rows" or "not a distribution" in err
+
+
+def test_documents_swapped_between_leaves_exit_5(tmp_path, capsys):
+    # two independent halves split without a cut: both leaves have two
+    # qubits and no cut ids, so only the fragment id tells their documents apart
+    halves = Circuit(width=4, gates=(
+        Gate("h", (0,)), Gate("cx", (0, 1)), Gate("rx", (1,), (0.4,)), Gate("cx", (0, 1)),
+        Gate("x", (2,)), Gate("cx", (2, 3)), Gate("ry", (3,), (0.9,)), Gate("cx", (2, 3)),
+    ))
+    plan = single_cut_plan(halves, [0, 0, 1, 1])
+    assert plan.k == 0 and [f.width for f in plan.leaf_fragments()] == [2, 2]
+    out = tmp_path / "halves"
+    out.mkdir()
+    (out / "plan.json").write_text(json.dumps(plan_to_dict(plan)))
+    assert run(["run", "--out", out]) == 0
+    assert run(["reconstruct", "--out", out, "--reference"]) == 0
+    first, second = out / "fragment_1.json", out / "fragment_2.json"
+    texts = first.read_text(), second.read_text()
+    first.write_text(texts[1])
+    second.write_text(texts[0])
+    (out / "reconstruction.json").unlink()
+    capsys.readouterr()
+    assert run(["reconstruct", "--out", out, "--reference"]) == 5
+    assert "is not plan leaf 1's" in capsys.readouterr().err
+    assert not (out / "reconstruction.json").exists()
 
 
 # gates the root circuit of a plan document may not hold: swap is a
@@ -386,7 +409,8 @@ def test_circuit_wider_than_the_cap_exits_3_or_5(tmp_path, capsys):
 @pytest.mark.parametrize("doc_width", [30, 1])
 def test_documents_wider_than_the_cap_exit_5(tmp_path, capsys, doc_width):
     # synthetic documents: a 30-qubit plan, with a fragment document of width
-    # 30 (rejected when read) or 1 (read, then the plan's width is rejected)
+    # 30, whose one row is shorter than the 2^30 entries the leaf needs, or 1,
+    # which is not the leaf's width; both are refused when read
     out = tmp_path / "wide"
     wide = Circuit(width=30, gates=(Gate("h", (0,)),))
     plan = recursive_fragment(wide, NoiseProfile(), threshold=0.0)
@@ -398,7 +422,9 @@ def test_documents_wider_than_the_cap_exit_5(tmp_path, capsys, doc_width):
     }))
     capsys.readouterr()
     assert run(["reconstruct", "--out", out]) == 5
-    assert "24" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "bad fragment document" in err
+    assert (f"needs 1 rows of {2 ** 30}" if doc_width == 30 else "is not plan leaf 0's") in err
 
 
 def test_leaf_batch_beyond_the_budget_exits_6(tmp_path, capsys):

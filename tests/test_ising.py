@@ -170,7 +170,7 @@ def test_sa_schedule_validation():
     with pytest.raises(ValueError):
         AnnealSchedule(1.0, 0.1, 0)
     with pytest.raises(ValueError):
-        simulated_anneal(m, restarts=0)
+        simulated_anneal(m, AnnealSchedule(1.0, 0.1, 100), restarts=0)
 
 
 def test_spin_flip_symmetry_of_graph_encodings():

@@ -136,8 +136,7 @@ def test_missing_variant_is_an_error():
     upstream = next(fid for fid, doc in docs.items() if doc["out_cuts"])
     del docs[upstream]["probs"][0]
     with pytest.raises(ReconstructionError, match="needs 3 rows of 4 probabilities"):
-        outputs[upstream] = FragmentOutput.from_dict(docs[upstream])
-        reconstruct(outputs, plan)
+        FragmentOutput.from_dict(docs[upstream], outputs[upstream].leaf)
 
 
 def test_missing_fragment_is_an_error():
@@ -264,7 +263,7 @@ def test_property_batched_leaf_matches_each_variant_circuit(leaf):
     out = execute_plan(leaf_plan(leaf))[leaf.id]
     doc = out.to_dict()
     variants = enumerate_variants(leaf)
-    assert out.n_variants == len(variants) == len(doc["probs"])
+    assert leaf.n_variants == len(variants) == len(doc["probs"])
     assert (doc["out_cuts"], doc["in_cuts"]) == (sorted(leaf.out_cuts), sorted(leaf.in_cuts))
     for row, v in zip(doc["probs"], variants):
         idx = tuple(MEAS_BASES.index(v.bases[c]) for c in sorted(leaf.out_cuts))
@@ -272,9 +271,8 @@ def test_property_batched_leaf_matches_each_variant_circuit(leaf):
         expect = np.abs(run_ideal(v.circuit)) ** 2
         assert np.max(np.abs(out.probs[idx].reshape(-1) - expect)) <= 1e-12
         assert np.max(np.abs(np.array(row) - expect)) <= 1e-12
-    again = FragmentOutput.from_dict(json.loads(json.dumps(doc)))
-    assert (again.fragment_id, again.out_cuts, again.in_cuts, again.shots) == (
-        out.fragment_id, out.out_cuts, out.in_cuts, out.shots)
+    again = FragmentOutput.from_dict(json.loads(json.dumps(doc)), leaf)
+    assert again.leaf is leaf and again.shots == out.shots
     assert np.array_equal(again.probs, out.probs)
 
 
@@ -298,12 +296,12 @@ def test_sampled_variants_each_draw_with_their_own_seed():
 
 
 def test_width_cap_is_checked_before_allocation():
-    # a synthetic 30-qubit document and plan: a 2^30 stack would take 8 GiB
+    # a synthetic 30-qubit plan and document: a 2^30 stack would take 8 GiB
+    wide = recursive_fragment(Circuit(width=30, gates=(Gate("h", (0,)),)), QUIET, 0.0)
     doc = {"version": 2, "fragment": 0, "width": 30, "out_cuts": [], "in_cuts": [],
            "probs": [[1.0]]}
-    with pytest.raises(ReconstructionError, match="outside 1..24"):
-        FragmentOutput.from_dict(doc)
-    wide = recursive_fragment(Circuit(width=30, gates=(Gate("h", (0,)),)), QUIET, 0.0)
+    with pytest.raises(ReconstructionError, match=f"needs 1 rows of {2 ** 30} probabilities"):
+        FragmentOutput.from_dict(doc, wide.root.fragment)
     with pytest.raises(ReconstructionError, match="capped at 24"):
         reconstruct({}, wide)
     with pytest.raises(SimulationError, match="capped at 24"):
@@ -378,16 +376,22 @@ def test_sampled_outputs_match_the_direct_labelled_sum():
     assert seen_k == {1, 2, 3} and clipped_cases >= 3
 
 
-# a valid document: one out-cut, so three rows of 2^2 probabilities
+# a valid document of GHZ3's upstream leaf 1, two qubits that measure cut 0:
+# three rows of 2^2 probabilities; leaf 2 initializes the cut
+GHZ3_LEAVES = exact_plan(GHZ3, [0, 1]).leaf_fragments()
 V2 = {"version": 2, "fragment": 1, "width": 2, "out_cuts": [0], "in_cuts": [], "shots": 8,
       "probs": [[0.5, 0.5, 0.0, 0.0], [0.25, 0.25, 0.25, 0.25], [0.0, 0.0, 0.0, 1.0]]}
 
 
 def test_fragment_document_reads_dense_rows():
-    out = FragmentOutput.from_dict(V2)
-    assert (out.fragment_id, out.out_cuts, out.in_cuts, out.width, out.shots) == (1, (0,), (), 2, 8)
+    out = FragmentOutput.from_dict(V2, GHZ3_LEAVES[0])
+    assert out.leaf is GHZ3_LEAVES[0] and out.shots == 8
     assert out.probs.shape == (3, 2, 2) and out.probs[2, 1, 1] == 1.0
     assert out.to_dict() == V2
+
+
+LEAF_1 = "is not plan leaf 1's"
+NOT_A_DISTRIBUTION = "not a distribution"
 
 
 @pytest.mark.parametrize("doc, message", [
@@ -395,16 +399,18 @@ def test_fragment_document_reads_dense_rows():
     pytest.param({"fragment": 1, "width": 2, "variants": {"m0:Z": {"width": 2, "probs": {"01": 1.0}}}},
                  "version 1 is not supported", id="v1-document"),
     pytest.param({**V2, "version": 3}, "version 3 is not supported", id="version-3"),
-    pytest.param({k: v for k, v in V2.items() if k != "probs"}, "missing field 'probs'",
-                 id="no-probs"),
-    pytest.param({**V2, "out_cuts": ["0"]}, "integer cut ids", id="string-cut-id"),
-    pytest.param({**V2, "out_cuts": [0, 0]}, "distinct integer cut ids", id="repeated-cut-id"),
-    pytest.param({**V2, "out_cuts": [2, 1]}, "sorted", id="unsorted-cut-ids"),
-    pytest.param({**V2, "in_cuts": [0]}, "distinct integer cut ids", id="cut-in-both-roles"),
-    pytest.param({**V2, "width": 0}, "outside 1..24", id="width-0"),
-    pytest.param({**V2, "width": 25}, "outside 1..24", id="width-25"),
-    pytest.param({**V2, "width": 24, "out_cuts": list(range(29))}, "too many cuts",
-                 id="too-many-cuts"),
+    pytest.param({k: v for k, v in V2.items() if k != "probs"},
+                 "needs 3 rows of 4 probabilities", id="no-probs"),
+    pytest.param({**V2, "out_cuts": ["0"]}, LEAF_1, id="string-cut-id"),
+    pytest.param({**V2, "out_cuts": [0, 0]}, LEAF_1, id="repeated-cut-id"),
+    pytest.param({**V2, "out_cuts": [2, 1]}, LEAF_1, id="unsorted-cut-ids"),
+    pytest.param({**V2, "in_cuts": [0]}, LEAF_1, id="cut-in-both-roles"),
+    pytest.param({**V2, "width": 0}, LEAF_1, id="width-0"),
+    pytest.param({**V2, "width": 25}, LEAF_1, id="width-25"),
+    pytest.param({**V2, "width": 24, "out_cuts": list(range(29))}, LEAF_1, id="too-many-cuts"),
+    pytest.param({k: v for k, v in V2.items() if k != "width"}, LEAF_1, id="no-width"),
+    pytest.param({**V2, "fragment": 2}, LEAF_1, id="other-leaf-id"),
+    pytest.param({**V2, "out_cuts": [], "in_cuts": [0]}, LEAF_1, id="other-leaf-cuts"),
     pytest.param({**V2, "probs": V2["probs"][:2]}, "needs 3 rows of 4 probabilities",
                  id="missing-row"),
     pytest.param({**V2, "probs": [row[:3] for row in V2["probs"]]}, "needs 3 rows of 4",
@@ -417,12 +423,66 @@ def test_fragment_document_reads_dense_rows():
                  id="nested-entry"),
     pytest.param({**V2, "probs": [[[0.5], [0.5, 0.5], 0.0, 0.0]] * 3}, "not finite numbers",
                  id="ragged-entry"),
+    pytest.param({**V2, "probs": [[-3.0, 5.0, 5.0, 5.0]] * 3}, NOT_A_DISTRIBUTION,
+                 id="negative-entry"),
+    pytest.param({**V2, "probs": [[0.25] * 4, [0.25] * 4, [0.25, 0.25, 0.25, 0.25 + 2e-9]]},
+                 NOT_A_DISTRIBUTION, id="sum-off-one"),
     pytest.param({**V2, "shots": 0}, "not an integer >= 1", id="zero-shots"),
     pytest.param({**V2, "shots": 2.5}, "not an integer >= 1", id="fractional-shots"),
 ])
 def test_fragment_document_reader_rejects(doc, message):
     with pytest.raises(ReconstructionError, match=message):
-        FragmentOutput.from_dict(doc)
+        FragmentOutput.from_dict(doc, GHZ3_LEAVES[0])
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    circuit_seed=st.integers(0, 2**32 - 1),
+    width=st.integers(3, 6),
+    n_gates=st.integers(6, 18),
+    threshold=st.floats(0.85, 1.0),
+    plan_seed=st.integers(0, 999),
+    mode=st.sampled_from(["ideal", "noisy", "sampled"]),
+)
+def test_property_documents_read_back_only_against_their_own_leaf(
+    circuit_seed, width, n_gates, threshold, plan_seed, mode
+):
+    c = random_circuit(random.Random(circuit_seed), width, n_gates, two_q_prob=0.6)
+    plan = recursive_fragment(
+        c, STRESS, threshold, limits=Limits(max_k=5), seed=plan_seed, solver="ga"
+    )
+    outputs = execute_plan(plan, profile=STRESS if mode == "noisy" else None,
+                           shots=50 if mode == "sampled" else None, seed=plan_seed)
+    leaves = plan.leaf_fragments()
+    for leaf in leaves:
+        out = outputs[leaf.id]
+        doc = json.loads(json.dumps(out.to_dict()))
+        again = FragmentOutput.from_dict(doc, leaf)
+        assert again.leaf is leaf and again.shots == out.shots
+        assert np.array_equal(again.probs, out.probs)
+        for other in leaves:
+            if other is not leaf:
+                with pytest.raises(ReconstructionError, match=f"is not plan leaf {other.id}'s"):
+                    FragmentOutput.from_dict(doc, other)
+
+
+def test_output_of_another_leaf_is_an_error():
+    plan = exact_plan(GHZ3, [0, 1])
+    outputs = execute_plan(plan)
+    # leaf 2 given leaf 1's output
+    outputs[2] = FragmentOutput(outputs[1].leaf, outputs[1].probs)
+    with pytest.raises(ReconstructionError, match="is not plan leaf 2's"):
+        reconstruct(outputs, plan)
+
+
+def test_overflowing_recombination_is_an_error():
+    # finite outputs the reader would refuse, given in memory: their label
+    # tensors overflow, and the result is refused as not finite
+    plan = exact_plan(GHZ3, [0, 1])
+    outputs = {fid: FragmentOutput(o.leaf, np.full(o.probs.shape, 1e308))
+               for fid, o in execute_plan(plan).items()}
+    with pytest.raises(ReconstructionError, match="not finite"):
+        reconstruct(outputs, plan)
 
 
 def d(width, probs):
