@@ -423,14 +423,15 @@ def circuit_from_dict(doc: dict) -> Circuit:
 # Scheduling
 # ---------------------------------------------------------------------------
 
-def asap_schedule(c: Circuit, profile) -> tuple[list[tuple[float, float]], float]:
+def asap_schedule(c: Circuit, profile, free=None) -> tuple[list[tuple[float, float]], float]:
     """As-soon-as-possible schedule.
 
     Returns (per-gate (start_ns, end_ns) list, makespan_ns). Each gate starts
-    when all its qubits are free. Measurements take zero time and do not
-    advance the wire clock.
+    when all its qubits are free; ``free`` gives each qubit's clock before
+    the first gate (all 0 by default). Measurements take zero time and do
+    not advance the wire clock.
     """
-    free = [0.0] * c.width
+    free = [0.0] * c.width if free is None else list(free)
     spans: list[tuple[float, float]] = []
     for g in c.gates:
         if g.is_measurement:

@@ -6,17 +6,19 @@ in-cut, then one bit axis per qubit; the output holds its plan leaf.
 Ideal execution fills it from a single evolution of the leaf's body: the
 in-cut initializations are leading batch axes of the statevector, and by
 linearity one fixed rotation per out-cut then yields every readout basis.
-Noisy execution simulates each variant circuit on its own and packs the
-results into the same array. Sampling (``shots``) is one later step over
-those exact rows. A fragment document (``to_dict``/``from_dict``)
-stores that array as one dense row per variant under its leaf's header
-(id, width and sorted cut ids), so no variant key or bitstring is written
-or parsed. It is read against the plan's leaf, not trusted: the header
-must be that leaf's and every row a distribution in its layout, and
-recombination checks once that each output belongs to the leaf it is
-combined for. The reconstructed
-``Distribution`` wraps the recombined probability vector, and fidelity,
-TVD and Hellinger distance are elementwise expressions over two vectors.
+Noisy execution evolves the body's density matrix once per schedule group
+(the inits whose prep gates take the same durations, as one batch) and
+reads every readout basis from it (``simulate.run_noisy_variants``), into
+the same array. Sampling (``shots``) is one later step over those exact
+rows. A fragment document (``to_dict``/``from_dict``) stores that array
+as one dense row per variant under its leaf's header (id, width and
+sorted cut ids), so no variant key or bitstring is written or parsed.
+It is read against the plan's leaf, not trusted: the header must be that
+leaf's and every row a distribution in its layout, and recombination
+checks once that each output belongs to the leaf it is combined for. The
+reconstructed ``Distribution`` wraps the recombined probability vector,
+and fidelity, TVD and Hellinger distance are elementwise expressions over
+two vectors.
 
 Each cut carries one of four labels I, Z, X, Y; the sum over all 4^k label
 assignments, scaled by 1/2 per cut, is the uncut distribution (Peng et al.,
@@ -39,6 +41,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .circuit import GATES
+# enumerate_variants and run_noisy are not called here, but
+# perfbench/pb_layers.py hooks them under these names and drops every metric
+# of a hook whose target is missing
 from .fragment import (
     _BASIS_GATES,
     _PREP_GATES,
@@ -46,7 +51,7 @@ from .fragment import (
     MEAS_BASES,
     Fragment,
     FragmentPlan,
-    enumerate_variants,
+    enumerate_variants,  # noqa: F401
 )
 from .noise import NoiseProfile
 from .simulate import (
@@ -54,7 +59,8 @@ from .simulate import (
     Distribution,
     SimulationError,
     run_ideal,
-    run_noisy,
+    run_noisy,  # noqa: F401
+    run_noisy_variants,
     sample_frequencies,
 )
 
@@ -88,6 +94,10 @@ _OUT_MAP = np.zeros((4, len(MEAS_BASES), 2))
 _OUT_MAP[range(4), [MEAS_BASES.index(b) for b in "ZZXY"]] = [[1, 1], [1, -1], [1, -1], [1, -1]]
 # in-cut map over (label, init), inits in INIT_STATES order: zero, one, plus, plus_i
 _IN_MAP = np.array([[1, 1, 0, 0], [1, -1, 0, 0], [-1, -1, 2, 0], [-1, -1, 0, 2]], dtype=float)
+# the prep gates of each init and the basis gates of each readout basis, in
+# INIT_STATES and MEAS_BASES order
+_PREP_OPTIONS = tuple(_PREP_GATES[s] for s in INIT_STATES)
+_BASIS_OPTIONS = tuple(_BASIS_GATES[b] for b in MEAS_BASES)
 _MAX_INDICES = 52  # np.einsum names every index with one of 52 letters
 # elements an intermediate tensor may hold when the leaves are contracted
 # (32 MiB); numpy's greedy path falls back to one nested loop past it
@@ -208,15 +218,19 @@ def execute_plan(
 
     Without ``profile`` each leaf's body evolves once, over a batch of all
     its in-cut initializations, and every out-cut is then rotated into each
-    readout basis. With ``profile`` the density-matrix model runs each
-    variant circuit under the profile remapped onto the leaf's qubits.
+    readout basis. With ``profile`` the density-matrix model, under the
+    profile remapped onto the leaf's qubits, evolves the body once per
+    schedule group of in-cut initializations (those whose prep gates take
+    the same durations) and reads every readout basis from that evolution;
+    each row equals ``run_noisy`` of its variant circuit to rounding.
     Either way the leaf's exact rows come first. With ``shots``, each row
     (one per variant, in ``enumerate_variants`` order) is then replaced by
     the frequencies ``sample_frequencies`` draws from it, seeded with
     ``(seed & 0x7FFFFFFF, leaf id, row index)``.
 
     A leaf whose outputs would hold more than 2^24 entries raises
-    ``SimulationError`` before anything is allocated.
+    ``SimulationError`` before anything is allocated. The same budget
+    bounds a noisy group's batch: ``batch * 4^width`` entries at a time.
     """
     outputs: dict[int, FragmentOutput] = {}
     for leaf in plan.leaf_fragments():
@@ -231,10 +245,12 @@ def execute_plan(
         if profile is None:
             probs = np.abs(_ideal_amplitudes(leaf)) ** 2
         else:
-            local_profile = profile.for_subcircuit(leaf.qubit_map)
-            probs = np.array([run_noisy(v.circuit, local_profile).probs
-                              for v in enumerate_variants(leaf)])
-            probs = probs.reshape(leaf.variant_axes + (2,) * leaf.width)
+            probs = run_noisy_variants(
+                leaf.circuit, profile.for_subcircuit(leaf.qubit_map),
+                preps=[(leaf.in_cuts[cid], _PREP_OPTIONS) for cid in sorted(leaf.in_cuts)],
+                readouts=[(leaf.out_cuts[cid], _BASIS_OPTIONS) for cid in sorted(leaf.out_cuts)],
+                max_entries=_MAX_LEAF_ENTRIES,
+            )
         if shots is not None:
             rows = [
                 sample_frequencies(p, shots, (seed & 0x7FFFFFFF, leaf.id, row))

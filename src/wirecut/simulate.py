@@ -24,12 +24,20 @@ The density-matrix path holds rho with one 4-valued axis per qubit,
 indexed ``2*ket + bra``, so a one-qubit channel is a 4x4 superoperator
 (``K ⊗ conj(K)`` summed over its Kraus operators) on one axis. Each gate's
 damping, unitary and Pauli error are multiplied, in closed form, into one
-superoperator (4x4, or 16x16 on the two operand axes) and applied with
-one ``_apply``. The tests check those closed forms against Kraus
-channels built independently in ``tests/oracles.py``.
+superoperator (4x4, or 16x16 on the two operand axes) by ``_gate_superop``
+and applied with one ``_apply``. The tests check those closed forms
+against Kraus channels built independently in ``tests/oracles.py``.
+
+``run_noisy`` simulates one circuit. ``run_noisy_variants`` gives every
+variant of a circuit that differs only in one-qubit gates prepended or
+appended on some qubits (a fragment's cut preparations and readout
+bases). Variants whose prepended gates take the same durations share the
+body's schedule, so the body evolves once per such group, over a batch
+of their prepared states, and each readout is read from that evolution.
 """
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -46,6 +54,7 @@ __all__ = [
     "sample_frequencies",
     "density_matrix",
     "run_noisy",
+    "run_noisy_variants",
     "gate_unitary",
 ]
 
@@ -205,36 +214,64 @@ def _damping_superop(tau: float, t1: float, t2: float) -> np.ndarray:
     )
 
 
-def density_matrix(c: Circuit, p: NoiseProfile) -> np.ndarray:
-    """Full density matrix of ``c`` under the gate-error + damping model."""
-    if c.width > MAX_DENSITY_QUBITS:
+def _gate_superop(g: Gate, p: NoiseProfile, gaps, t1, t2) -> np.ndarray:
+    """The fused channel of one gate: damping over each operand's idle gap
+    (``gaps``, in operand order), then the unitary, then the Pauli error;
+    4x4 on one operand axis or 16x16 on two. ``t1`` and ``t2`` give each
+    qubit's times in ns."""
+    pre = [_damping_superop(gap, t1[q], t2[q]) if gap > 0 else _I4
+           for q, gap in zip(g.qubits, gaps)]
+    u = gate_unitary(g)
+    err = p.gate_error(g)
+    if len(g.qubits) == 1:
+        return _pauli_superop(err) @ _kron(u, u.conj()) @ pre[0]
+    pe = _pauli_superop(err / 2.0)
+    return _kron(pe, pe) @ _unitary_superop_2q(u) @ _kron(*pre)
+
+
+def _check_density_width(n: int):
+    if n > MAX_DENSITY_QUBITS:
         raise SimulationError(
-            f"density-matrix simulation capped at {MAX_DENSITY_QUBITS} qubits, got {c.width}"
+            f"density-matrix simulation capped at {MAX_DENSITY_QUBITS} qubits, got {n}"
         )
-    n = c.width
-    t1 = [p.t1_us(q) * 1000.0 for q in range(n)]
-    t2 = [p.t2_us(q) * 1000.0 for q in range(n)]
-    rho = np.zeros((4,) * n, dtype=complex)
-    rho[(0,) * n] = 1.0
-    spans, makespan = asap_schedule(c, p)
-    free = [0.0] * n
-    for gi, g in enumerate(c.gates):
+
+
+def _coherence_ns(p: NoiseProfile, n: int) -> tuple[list[float], list[float]]:
+    return [p.t1_us(q) * 1000.0 for q in range(n)], [p.t2_us(q) * 1000.0 for q in range(n)]
+
+
+def _evolve(rho: np.ndarray, c: Circuit, p: NoiseProfile, free: list[float], t1, t2,
+            superops: dict):
+    """Apply every gate's fused channel to the last ``c.width`` axes of
+    ``rho`` (leading batch axes are carried through), on the ASAP schedule
+    whose qubit clocks start at ``free``. ``free`` is advanced to the end of
+    each qubit's last gate. ``superops`` caches each channel by gate index
+    and gaps, for evolutions of ``c`` from other clocks."""
+    batch = rho.ndim - c.width
+    spans, _ = asap_schedule(c, p, free)
+    for gi, (g, (start, end)) in enumerate(zip(c.gates, spans)):
         if g.is_measurement:
             continue
-        start, end = spans[gi]
-        pre = []
+        gaps = tuple(start - free[q] for q in g.qubits)
         for q in g.qubits:
-            gap = start - free[q]
-            pre.append(_damping_superop(gap, t1[q], t2[q]) if gap > 0 else _I4)
             free[q] = end
-        u = gate_unitary(g)
-        err = p.gate_error(g)
-        if len(g.qubits) == 1:
-            s = _pauli_superop(err) @ _kron(u, u.conj()) @ pre[0]
-        else:
-            pe = _pauli_superop(err / 2.0)
-            s = _kron(pe, pe) @ _unitary_superop_2q(u) @ _kron(*pre)
-        rho = _apply(rho, s, g.qubits)
+        s = superops.get((gi, gaps))
+        if s is None:
+            s = superops[gi, gaps] = _gate_superop(g, p, gaps, t1, t2)
+        rho = _apply(rho, s, [batch + q for q in g.qubits])
+    return rho
+
+
+def density_matrix(c: Circuit, p: NoiseProfile) -> np.ndarray:
+    """Full density matrix of ``c`` under the gate-error + damping model."""
+    _check_density_width(c.width)
+    n = c.width
+    t1, t2 = _coherence_ns(p, n)
+    rho = np.zeros((4,) * n, dtype=complex)
+    rho[(0,) * n] = 1.0
+    free = [0.0] * n
+    rho = _evolve(rho, c, p, free, t1, t2, {})
+    makespan = max(free, default=0.0)
     for q in range(n):
         gap = makespan - free[q]
         if gap > 0:
@@ -249,3 +286,112 @@ def run_noisy(c: Circuit, p: NoiseProfile) -> Distribution:
     Density-matrix evolution, so the cost is 4^width; capped accordingly.
     """
     return measure_distribution(density_matrix(c, p))
+
+
+def _chain(q: int, names, p: NoiseProfile, t1, t2) -> np.ndarray:
+    """The channel of the named one-qubit gates run back to back on ``q``."""
+    s = _I4
+    for name in names:
+        s = _gate_superop(Gate(name, (q,)), p, (0.0,), t1, t2) @ s
+    return s
+
+
+def _chain_end(q: int, names, p: NoiseProfile, clock: float) -> float:
+    """The clock at the end of the named one-qubit gates on ``q`` from ``clock``."""
+    for name in names:
+        clock = clock + p.gate_duration(Gate(name, (q,)))
+    return clock
+
+
+def run_noisy_variants(c: Circuit, p: NoiseProfile, preps, readouts,
+                       max_entries: int) -> np.ndarray:
+    """Exact outcome probabilities of every variant of ``c`` under the
+    gate-error + damping model.
+
+    ``preps`` and ``readouts`` are sequences of ``(qubit, options)``, each
+    option a tuple of one-qubit gate names; no qubit appears twice in one
+    sequence. A variant picks one option per entry: a prep option's gates
+    run before ``c`` on its qubit and a readout option's after it. The
+    result has one axis per readout and then one per prep, indexed by
+    option, then one bit axis per qubit; each entry is ``run_noisy`` of
+    that variant's circuit, to rounding.
+
+    A prep's gates start a fresh wire at t=0, so only their durations shape
+    the body's schedule. Variants whose preps end at the same clocks form a
+    schedule group: their prepared states are one batch axis of rho, at most
+    ``max(1, max_entries // 4^width)`` at a time, and the body's channels
+    run once over the batch. Each readout combination is read from the
+    evolved batch with one 2x4 map per qubit: the readout gates' channel
+    (from the qubit's body end), the damping up to that combination's
+    makespan, and the diagonal. Rows get ``measure_distribution``'s
+    clean-up.
+    """
+    _check_density_width(c.width)
+    n = c.width
+    t1, t2 = _coherence_ns(p, n)
+    zero = _I4[0]  # |0><0|
+    # per prep: each option's prepared one-qubit state and its end clock
+    prepared = [[(_chain(q, names, p, t1, t2)[:, 0], _chain_end(q, names, p, 0.0))
+                 for names in options] for q, options in preps]
+    # per readout: each option's channel
+    channels = [[_chain(q, names, p, t1, t2) for names in options]
+                for q, options in readouts]
+    prep_shape = tuple(len(options) for _, options in preps)
+    readout_shape = tuple(len(options) for _, options in readouts)
+    out = np.empty(readout_shape + prep_shape + (1 << n,))
+    flat = out.reshape(math.prod(readout_shape), math.prod(prep_shape), 1 << n)
+
+    classes = []  # per prep: its option indices grouped by end clock
+    for states in prepared:
+        by_end: dict[float, list[int]] = {}
+        for i, (_, end) in enumerate(states):
+            by_end.setdefault(end, []).append(i)
+        classes.append(list(by_end.items()))
+    chunk = max(1, max_entries >> (2 * n))
+    superops: dict = {}
+    for group in itertools.product(*classes):
+        start = [0.0] * n
+        for (q, _), (end, _) in zip(preps, group):
+            start[q] = end
+        members = list(itertools.product(*(indices for _, indices in group)))
+        for lo in range(0, len(members), chunk):
+            part = members[lo:lo + chunk]
+            rho = np.ones(len(part), dtype=complex)
+            vectors = {q: np.array([prepared[j][m[j]][0] for m in part])
+                       for j, (q, _) in enumerate(preps)}
+            for q in range(n):
+                v = vectors.get(q, zero[None])
+                rho = rho[..., None] * v.reshape(v.shape[:1] + (1,) * q + (4,))
+            free = list(start)
+            rho = _evolve(rho, c, p, free, t1, t2, superops)
+            cols = [np.ravel_multi_index(m, prep_shape) for m in part]
+            flat[:, cols] = _read_out(rho, free, readouts, channels, p, t1, t2)
+    out[np.abs(out) < 1e-14] = 0.0
+    np.clip(out, 0.0, None, out=out)
+    return out.reshape(readout_shape + prep_shape + (2,) * n)
+
+
+def _read_out(rho, free, readouts, channels, p: NoiseProfile, t1, t2) -> np.ndarray:
+    """Outcome probabilities of a batch of evolved density matrices (one
+    leading batch axis) under every readout combination, over (combination,
+    batch, outcome). ``free`` holds each qubit's clock at the body's end."""
+    n = len(free)
+    batch = len(rho)
+    # each readout option's end clock on its qubit, gate by gate from free
+    ends = [[_chain_end(q, names, p, free[q]) for names in options]
+            for q, options in readouts]
+    combos = list(itertools.product(*(range(len(options)) for _, options in readouts)))
+    res = np.empty((len(combos), batch, 1 << n))
+    for r, combo in enumerate(combos):
+        clock, maps = list(free), [_I4] * n
+        for (q, _), i, ch, end in zip(readouts, combo, channels, ends):
+            clock[q], maps[q] = end[i], ch[i]
+        makespan = max(clock, default=0.0)
+        probs = rho
+        for q in range(n):
+            gap = makespan - clock[q]
+            m = _damping_superop(gap, t1[q], t2[q]) @ maps[q] if gap > 0 else maps[q]
+            # rows 0 and 3 read |0><0| and |1><1|; the qubit's axis becomes a bit
+            probs = np.matmul(m[[0, 3]], probs.reshape(batch << q, 4, -1))
+        res[r] = probs.real.reshape(batch, -1)
+    return res

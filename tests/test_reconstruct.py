@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import json
 import math
@@ -25,7 +26,7 @@ from wirecut.fragment import (
     single_cut_plan,
 )
 from wirecut.graph import build_graph
-from wirecut.noise import GateCal, NoiseProfile, load_profile
+from wirecut.noise import GateCal, NoiseProfile, QubitCal, load_profile
 from wirecut.partition import cut_size
 from wirecut.reconstruct import (
     Distribution,
@@ -167,6 +168,8 @@ def test_shot_noise_yields_clipped_quasi_mass():
 
 
 STRESS = load_profile(fixture_text("profiles", "stress"))
+# the module itself: the package's ``reconstruct`` name is the function
+RECONSTRUCT_MODULE = importlib.import_module("wirecut.reconstruct")
 
 
 @settings(max_examples=30, deadline=None)
@@ -274,6 +277,55 @@ def test_property_batched_leaf_matches_each_variant_circuit(leaf):
     again = FragmentOutput.from_dict(json.loads(json.dumps(doc)), leaf)
     assert again.leaf is leaf and again.shots == out.shots
     assert np.array_equal(again.probs, out.probs)
+
+
+# one-qubit gates whose durations decide the schedule groups (prep: x, h, s)
+# and whether a readout's basis gates (h, sdg) extend the makespan
+_TIMED_GATES = ("x", "h", "s", "sdg")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    leaf=cut_leaves(),
+    times=st.lists(st.tuples(st.floats(5.0, 200.0), st.floats(0.2, 2.0)), min_size=5, max_size=5),
+    d1=st.sampled_from([20.0, 50.0]),
+    records=st.lists(
+        st.tuples(st.sampled_from(_TIMED_GATES), st.integers(0, 4), st.floats(0.0, 0.05),
+                  st.sampled_from([10.0, 60.0, 60.0, 125.0, 400.0])),
+        max_size=10,
+    ),
+)
+def test_property_grouped_noisy_leaf_matches_each_variant_circuit(leaf, times, d1, records):
+    # finite T1/T2 damp every idle gap, and gate records give the prep and
+    # basis gates their own durations, so groups split and readouts move the
+    # makespan: a schedule error in the grouped path shows as a row error
+    qubits = {q: QubitCal(t1, t1 * ratio) for q, (t1, ratio) in enumerate(times)}
+    gates = {(name, (q,)): GateCal(err, dur) for name, q, err, dur in records}
+    profile = NoiseProfile(p1=0.002, d1_ns=d1, d2_ns=150.0, qubits=qubits, gates=gates)
+    out = execute_plan(leaf_plan(leaf), profile)[leaf.id]
+    local = profile.for_subcircuit(leaf.qubit_map)
+    for v in enumerate_variants(leaf):
+        idx = tuple(MEAS_BASES.index(v.bases[c]) for c in sorted(leaf.out_cuts))
+        idx += tuple(INIT_STATES.index(v.inits[c]) for c in sorted(leaf.in_cuts))
+        expect = run_noisy(v.circuit, local).probs
+        assert np.max(np.abs(out.probs[idx].reshape(-1) - expect)) <= 1e-12
+
+
+@pytest.mark.parametrize("outs, budget, chunk", [([], 1 << 8, 1), ([3], 3 << 8, 3)])
+def test_noisy_groups_are_chunked_to_the_leaf_budget(monkeypatch, outs, budget, chunk):
+    # two in-cuts under stress: one and plus share a prep duration, so a
+    # group batches up to 2 x 2 inits of 4^4 entries each; the budget still
+    # admits the leaf's outputs and allows ``chunk`` inits at a time
+    rng = random.Random(5)
+    leaf = Fragment(id=1, circuit=random_circuit(rng, 4, 14), in_cuts={0: 0, 2: 2},
+                    out_cuts=dict(zip([1], outs)), qubit_map=(0, 1, 2, 3))
+    assert leaf.n_variants << leaf.width <= budget < 4 << (2 * leaf.width)
+    assert budget >> (2 * leaf.width) == chunk
+    whole = execute_plan(leaf_plan(leaf), STRESS)[leaf.id].probs
+    monkeypatch.setattr(RECONSTRUCT_MODULE, "_MAX_LEAF_ENTRIES", budget)
+    chunked = execute_plan(leaf_plan(leaf), STRESS)[leaf.id].probs
+    assert chunked.shape == whole.shape
+    assert np.max(np.abs(chunked - whole)) <= 1e-15
 
 
 def test_sampled_variants_each_draw_with_their_own_seed():
