@@ -7,8 +7,10 @@ Circuits are immutable after construction and safe to share across threads.
 ``GATES`` is the one gate table: per gate name, its arity, its number of
 angle parameters and its unitary as a function of those angles. Every other
 module reads it, and ``Gate`` checks every gate against it when the gate is
-built, whether from QASM, a plan document or code. ``swap`` is not in the
-table: the parser expands it into three ``cx``.
+built, whether from QASM, a plan document or code. Only ``Gate.relabelled``
+skips the checks: it moves a checked gate onto other distinct qubits, as
+the fragmenter does with every gate it places in a fragment. ``swap`` is
+not in the table: the parser expands it into three ``cx``.
 """
 from __future__ import annotations
 
@@ -27,6 +29,7 @@ __all__ = [
     "QasmError",
     "parse_qasm",
     "circuit_to_dict",
+    "circuit_dict_matches",
     "circuit_from_dict",
     "asap_schedule",
 ]
@@ -141,6 +144,15 @@ class Gate:
             raise QasmError(f"gate '{self.name}' expects {spec.n_params} finite real "
                             f"parameter(s), got {self.params}")
         object.__setattr__(self, "is_measurement", self.name == "measure")
+
+    def relabelled(self, qubits: tuple[int, ...]) -> "Gate":
+        """This gate on ``qubits``, built without the checks above: for a
+        caller that maps a checked gate's distinct qubits to distinct ints,
+        so that the copy would pass them."""
+        copy = object.__new__(Gate)
+        copy.__dict__.update(name=self.name, qubits=qubits, params=self.params,
+                             is_measurement=self.is_measurement)
+        return copy
 
     @property
     def is_two_qubit(self) -> bool:
@@ -410,6 +422,21 @@ def circuit_to_dict(c: Circuit) -> dict:
             for g in c.gates
         ],
     }
+
+
+def circuit_dict_matches(doc, c: Circuit) -> bool:
+    """Whether ``doc`` equals ``circuit_to_dict(c)``, compared gate by gate
+    without building that document: each gate must be a dict of exactly
+    the three fields."""
+    if not (isinstance(doc, dict) and len(doc) == 3 and doc.get("name") == c.name
+            and doc.get("width") == c.width):
+        return False
+    gates = doc.get("gates")
+    return isinstance(gates, list) and len(gates) == len(c.gates) and all(
+        isinstance(d, dict) and len(d) == 3 and d.get("name") == g.name
+        and d.get("qubits") == [*g.qubits] and d.get("params") == [*g.params]
+        for d, g in zip(gates, c.gates)
+    )
 
 
 def circuit_from_dict(doc: dict) -> Circuit:

@@ -33,7 +33,14 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
-from .circuit import Circuit, Gate, _is_finite_real, circuit_from_dict, circuit_to_dict
+from .circuit import (
+    Circuit,
+    Gate,
+    _is_finite_real,
+    circuit_dict_matches,
+    circuit_from_dict,
+    circuit_to_dict,
+)
 from .graph import GateGraph, build_graph
 from .ising import build_ising, default_schedule, simulated_anneal, spins_to_partition
 from .noise import NoiseProfile, success_probability
@@ -309,8 +316,7 @@ def _split(
     out_cuts: tuple[dict[int, int], dict[int, int]] = ({}, {})
     for gi, gate in enumerate(c.gates):
         qs = gate.qubits
-        gates[side_now[qs[0]]].append(
-            Gate(gate.name, tuple(map(local_now.__getitem__, qs)), gate.params))
+        gates[side_now[qs[0]]].append(gate.relabelled(tuple(map(local_now.__getitem__, qs))))
         for q in qs:
             cid = cut_after.get((q, gi))
             if cid is not None:
@@ -507,14 +513,25 @@ def single_cut_plan(c: Circuit, pv) -> FragmentPlan:
 # Plan documents
 # ---------------------------------------------------------------------------
 
-def _fragment_to_dict(f: Fragment) -> dict:
+def _fragment_fields(f: Fragment) -> dict:
+    """The fields of a fragment document besides its circuit."""
     return {
         "id": f.id,
-        "circuit": circuit_to_dict(f.circuit),
         "in_cuts": {str(cid): q for cid, q in sorted(f.in_cuts.items())},
         "out_cuts": {str(cid): q for cid, q in sorted(f.out_cuts.items())},
         "qubit_map": list(f.qubit_map),
     }
+
+
+def _fragment_to_dict(f: Fragment) -> dict:
+    return {**_fragment_fields(f), "circuit": circuit_to_dict(f.circuit)}
+
+
+def _stores(doc, f: Fragment) -> bool:
+    """Whether ``doc`` equals ``_fragment_to_dict(f)``; the circuit is
+    compared without building its document."""
+    return (isinstance(doc, dict) and circuit_dict_matches(doc.get("circuit"), f.circuit)
+            and {key: v for key, v in doc.items() if key != "circuit"} == _fragment_fields(f))
 
 
 def _node_to_dict(node: PlanNode) -> dict:
@@ -544,7 +561,7 @@ def _node_from_dict(doc: dict, frag: Fragment, next_ids: dict[str, int]) -> Plan
     next fragment and cut ids from ``next_ids``, in the planner's
     depth-first order, and its stored cuts must equal the derived ones.
     """
-    if doc["fragment"] != _fragment_to_dict(frag):
+    if not _stores(doc["fragment"], frag):
         raise PlanError(f"fragment {frag.id} is not the one its parent's partition derives")
     status, success = doc["status"], doc["success"]
     if not (_is_finite_real(success) and 0 <= success <= 1):

@@ -28,10 +28,14 @@ one 4-valued axis per cut and one bit axis per terminal qubit: per out-cut,
 I reads the Z-basis bit with signs [1, 1], Z the Z-basis bit with [1, -1],
 X and Y their own bases with [1, -1]; per in-cut, I = zero + one,
 Z = zero - one, X = 2 plus - zero - one and Y = 2 plus_i - zero - one. The
-label tensors are contracted over shared cut axes into original qubit order
-along numpy's greedy path, which depends only on the plan's shapes, so equal
-inputs give byte-identical results. The cost is set by the largest
-intermediate tensor, not by the 4^k assignments.
+maps are applied along a fixed path, one ``tensordot`` per cut, with no
+path search. The label tensors are contracted over shared cut axes into
+original qubit order along numpy's greedy path, searched once per
+reconstruction under a memory limit and checked before it runs: a path
+that joins more than two tensors in one step (numpy's fallback when no
+pair fits the limit) is refused. The path depends only on the plan's
+shapes, so equal inputs give byte-identical results. The cost is set by
+the largest intermediate tensor, not by the 4^k assignments.
 """
 from __future__ import annotations
 
@@ -100,7 +104,8 @@ _PREP_OPTIONS = tuple(_PREP_GATES[s] for s in INIT_STATES)
 _BASIS_OPTIONS = tuple(_BASIS_GATES[b] for b in MEAS_BASES)
 _MAX_INDICES = 52  # np.einsum names every index with one of 52 letters
 # elements an intermediate tensor may hold when the leaves are contracted
-# (32 MiB); numpy's greedy path falls back to one nested loop past it
+# (32 MiB), or 2^width when more; when no pair fits, numpy's greedy path
+# joins the remaining tensors in one step, which ``reconstruct`` refuses
 _MAX_INTERMEDIATE = 1 << 22
 # entries of one leaf's stacked outputs (3^out * 4^in * 2^width): the size of
 # an uncut leaf at the statevector width cap
@@ -298,17 +303,19 @@ def _leaf_tensor(leaf: Fragment, output: FragmentOutput) -> np.ndarray:
         raise ReconstructionError(
             f"the output given for fragment {leaf.id} is not plan leaf {leaf.id}'s")
 
-    # einsum indices: local qubits 0..w-1, labels w..w+n-1, settings w+n..w+2n-1
-    cuts = leaf.variant_cuts
-    w, n = leaf.width, len(cuts)
-    operands = [output.probs, list(range(w + n, w + 2 * n)) + list(range(w))]
+    # t's axes: the settings of the cuts not yet mapped, the bits of the local
+    # qubits still held, then one label per mapped cut; each map removes its
+    # cut's setting (and an out-cut's bit) and appends the label
+    t, held, cuts = output.probs, list(range(leaf.width)), leaf.variant_cuts
     for j, cid in enumerate(cuts):
         if cid in leaf.out_cuts:
-            operands += [_OUT_MAP, [w + j, w + n + j, leaf.out_cuts[cid]]]
+            q = leaf.out_cuts[cid]
+            t = np.tensordot(t, _OUT_MAP, ([0, len(cuts) - j + held.index(q)], [1, 2]))
+            held.remove(q)
         else:
-            operands += [_IN_MAP, [w + j, w + n + j]]
-    operands.append(list(range(w, w + n)) + leaf.terminal_qubits())
-    return np.einsum(*operands, optimize="greedy")
+            t = np.tensordot(t, _IN_MAP, ([0], [1]))
+    # a view, not a copy: the final contraction's rounding follows its strides
+    return t.transpose([*range(len(held), t.ndim), *range(len(held))])
 
 
 def reconstruct(outputs: dict[int, FragmentOutput], plan: FragmentPlan) -> ReconstructionResult:
@@ -319,7 +326,9 @@ def reconstruct(outputs: dict[int, FragmentOutput], plan: FragmentPlan) -> Recon
     clipped to zero and the result renormalized; the clipped amount is
     reported. Under ideal inputs the quasi-distribution is already a
     distribution and clipping is a no-op. ``terms`` is 4^k, the number of
-    label assignments the contraction sums over.
+    label assignments the contraction sums over. A plan whose leaves no
+    pairwise contraction order joins within the intermediate limit raises
+    ``ReconstructionError`` before anything is contracted.
     """
     if plan.width > MAX_STATEVECTOR_QUBITS:
         raise ReconstructionError(
@@ -358,7 +367,12 @@ def reconstruct(outputs: dict[int, FragmentOutput], plan: FragmentPlan) -> Recon
             operands += [_leaf_tensor(leaf, outputs[leaf.id]),
                          [cut_index[c] for c in leaf.variant_cuts] + qubits]
         operands.append(list(range(plan.width)))
-        quasi = np.einsum(*operands, optimize=("greedy", limit)).reshape(-1) * (0.5 ** k)
+        path, _ = np.einsum_path(*operands, optimize=("greedy", limit))
+        if any(len(step) > 2 for step in path[1:]):
+            raise ReconstructionError(
+                f"no contraction order of the {len(leaves)} leaves keeps every intermediate "
+                f"within {limit} elements")
+        quasi = np.einsum(*operands, optimize=path).reshape(-1) * (0.5 ** k)
 
     clipped = float(-np.sum(np.minimum(quasi, 0.0))) or 0.0  # never -0.0
     clipped_vec = np.clip(quasi, 0.0, None)

@@ -24,16 +24,20 @@ The density-matrix path holds rho with one 4-valued axis per qubit,
 indexed ``2*ket + bra``, so a one-qubit channel is a 4x4 superoperator
 (``K ⊗ conj(K)`` summed over its Kraus operators) on one axis. Each gate's
 damping, unitary and Pauli error are multiplied, in closed form, into one
-superoperator (4x4, or 16x16 on the two operand axes) by ``_gate_superop``
-and applied with one ``_apply``. The tests check those closed forms
-against Kraus channels built independently in ``tests/oracles.py``.
+superoperator (4x4, or 16x16 on the two operand axes): ``_gate_channel``
+then ``_idle``. ``_evolve`` multiplies each qubit's run of one-qubit
+channels into the next two-qubit channel on that qubit, so most gates cost
+no ``_apply`` of their own. The tests check the closed forms against Kraus
+channels built independently in ``tests/oracles.py``, and the evolution
+against a full-matrix reference.
 
 ``run_noisy`` simulates one circuit. ``run_noisy_variants`` gives every
 variant of a circuit that differs only in one-qubit gates prepended or
 appended on some qubits (a fragment's cut preparations and readout
 bases). Variants whose prepended gates take the same durations share the
 body's schedule, so the body evolves once per such group, over a batch
-of their prepared states, and each readout is read from that evolution.
+of their prepared states, and every readout is read from that evolution,
+in one contraction per distinct makespan.
 """
 from __future__ import annotations
 
@@ -195,6 +199,12 @@ def _pauli_superop(e: float) -> np.ndarray:
     return np.array([[a, 0, 0, b], [0, d, 0, 0], [0, 0, d, 0], [b, 0, 0, a]], dtype=complex)
 
 
+def _decay(tau: float, t1: float) -> float:
+    """The excited population that amplitude damping moves to |0> over
+    ``tau`` ns, T1 in ns; none when T1 is infinite."""
+    return 0.0 if math.isinf(t1) else -math.expm1(-tau / t1)
+
+
 def _damping_superop(tau: float, t1: float, t2: float) -> np.ndarray:
     """Amplitude then phase damping over ``tau`` ns, T1 and T2 in ns.
 
@@ -202,7 +212,7 @@ def _damping_superop(tau: float, t1: float, t2: float) -> np.ndarray:
     1/T2 - 1/(2 T1) and is skipped when T2 is infinite or that rate is not
     positive.
     """
-    lam = 0.0 if math.isinf(t1) else -math.expm1(-tau / t1)
+    lam = _decay(tau, t1)
     lam_phi = 0.0
     if not math.isinf(t2):
         inv_phi = 1.0 / t2 - (0.0 if math.isinf(t1) else 0.5 / t1)
@@ -214,19 +224,24 @@ def _damping_superop(tau: float, t1: float, t2: float) -> np.ndarray:
     )
 
 
-def _gate_superop(g: Gate, p: NoiseProfile, gaps, t1, t2) -> np.ndarray:
-    """The fused channel of one gate: damping over each operand's idle gap
-    (``gaps``, in operand order), then the unitary, then the Pauli error;
-    4x4 on one operand axis or 16x16 on two. ``t1`` and ``t2`` give each
-    qubit's times in ns."""
-    pre = [_damping_superop(gap, t1[q], t2[q]) if gap > 0 else _I4
-           for q, gap in zip(g.qubits, gaps)]
+def _gate_channel(g: Gate, p: NoiseProfile) -> np.ndarray:
+    """The unitary, then the Pauli error, of one gate: 4x4 on one operand
+    axis or 16x16 on two."""
     u = gate_unitary(g)
     err = p.gate_error(g)
     if len(g.qubits) == 1:
-        return _pauli_superop(err) @ _kron(u, u.conj()) @ pre[0]
+        return _pauli_superop(err) @ _kron(u, u.conj())
     pe = _pauli_superop(err / 2.0)
-    return _kron(pe, pe) @ _unitary_superop_2q(u) @ _kron(*pre)
+    return _kron(pe, pe) @ _unitary_superop_2q(u)
+
+
+def _idle(qubits, gaps, t1, t2) -> np.ndarray:
+    """Damping of each operand over its idle gap (``gaps``, in operand
+    order), on the operands' axes. ``t1`` and ``t2`` give each qubit's times
+    in ns."""
+    pre = [_damping_superop(gap, t1[q], t2[q]) if gap > 0 else _I4
+           for q, gap in zip(qubits, gaps)]
+    return pre[0] if len(pre) == 1 else _kron(*pre)
 
 
 def _check_density_width(n: int):
@@ -245,25 +260,70 @@ def _evolve(rho: np.ndarray, c: Circuit, p: NoiseProfile, free: list[float], t1,
     """Apply every gate's fused channel to the last ``c.width`` axes of
     ``rho`` (leading batch axes are carried through), on the ASAP schedule
     whose qubit clocks start at ``free``. ``free`` is advanced to the end of
-    each qubit's last gate. ``superops`` caches each channel by gate index
-    and gaps, for evolutions of ``c`` from other clocks."""
+    each qubit's last gate.
+
+    One-qubit channels are not applied one by one. Each qubit's run of them
+    is multiplied into the next two-qubit channel on that qubit, as
+    ``s2 @ kron(run_a, run_b)``, and a run that no two-qubit gate follows is
+    applied once at the end, qubit by qubit. Channels on other qubits
+    commute with a run, so this is the same map, rounded differently.
+    ``superops`` caches, for evolutions of ``c`` from other clocks, each
+    gate's own channel by its index and each applied product by its
+    members' gate indices and gaps, in the order they act."""
     batch = rho.ndim - c.width
+
+    def fused(gi: int, gaps) -> np.ndarray:
+        """Gate ``gi``'s fused channel: damping over its operands' gaps, then
+        its own channel, which is cached by the gate index."""
+        core = superops.get(gi)
+        if core is None:
+            core = superops[gi] = _gate_channel(c.gates[gi], p)
+        return core @ _idle(c.gates[gi].qubits, gaps, t1, t2) if any(gaps) else core
+
+    def run(members) -> np.ndarray:
+        """The channel of one qubit's run of one-qubit gates."""
+        s = _I4
+        for gi, gaps in members:
+            m = fused(gi, gaps)
+            s = m if s is _I4 else m @ s
+        return s
+
     spans, _ = asap_schedule(c, p, free)
+    pending: list[list] = [[] for _ in range(c.width)]  # per qubit, its run's (gate, gaps)
     for gi, (g, (start, end)) in enumerate(zip(c.gates, spans)):
         if g.is_measurement:
             continue
         gaps = tuple(start - free[q] for q in g.qubits)
         for q in g.qubits:
             free[q] = end
-        s = superops.get((gi, gaps))
+        if len(g.qubits) == 1:
+            pending[g.qubits[0]].append((gi, gaps))
+            continue
+        a, b = g.qubits
+        key = (*pending[a], *pending[b], (gi, gaps))
+        s = superops.get(key)
         if s is None:
-            s = superops[gi, gaps] = _gate_superop(g, p, gaps, t1, t2)
-        rho = _apply(rho, s, [batch + q for q in g.qubits])
+            s = fused(gi, gaps)
+            if len(key) > 1:
+                s = s @ _kron(run(pending[a]), run(pending[b]))
+            superops[key] = s
+        pending[a], pending[b] = [], []
+        rho = _apply(rho, s, [batch + a, batch + b])
+    for q, members in enumerate(pending):
+        if members:
+            key = tuple(members)
+            if key not in superops:
+                superops[key] = run(members)
+            rho = _apply(rho, superops[key], (batch + q,))
     return rho
 
 
 def density_matrix(c: Circuit, p: NoiseProfile) -> np.ndarray:
-    """Full density matrix of ``c`` under the gate-error + damping model."""
+    """Full density matrix of ``c`` under the gate-error + damping model.
+
+    The channels are fused as ``_evolve`` fuses them, so the matrix equals
+    the gate-by-gate evolution to rounding (within 1e-12 of the full-matrix
+    reference in the tests), not bit for bit."""
     _check_density_width(c.width)
     n = c.width
     t1, t2 = _coherence_ns(p, n)
@@ -288,18 +348,21 @@ def run_noisy(c: Circuit, p: NoiseProfile) -> Distribution:
     return measure_distribution(density_matrix(c, p))
 
 
-def _chain(q: int, names, p: NoiseProfile, t1, t2) -> np.ndarray:
-    """The channel of the named one-qubit gates run back to back on ``q``."""
-    s = _I4
+def _chain(q: int, names, p: NoiseProfile) -> tuple[np.ndarray, list[float]]:
+    """The channel of the named one-qubit gates run back to back on ``q``,
+    and the gates' durations in order."""
+    s, durations = _I4, []
     for name in names:
-        s = _gate_superop(Gate(name, (q,)), p, (0.0,), t1, t2) @ s
-    return s
+        g = Gate(name, (q,))
+        s = _gate_channel(g, p) @ s
+        durations.append(p.gate_duration(g))
+    return s, durations
 
 
-def _chain_end(q: int, names, p: NoiseProfile, clock: float) -> float:
-    """The clock at the end of the named one-qubit gates on ``q`` from ``clock``."""
-    for name in names:
-        clock = clock + p.gate_duration(Gate(name, (q,)))
+def _end(clock: float, durations) -> float:
+    """The clock after gates of these durations run back to back from ``clock``."""
+    for d in durations:
+        clock = clock + d
     return clock
 
 
@@ -319,23 +382,23 @@ def run_noisy_variants(c: Circuit, p: NoiseProfile, preps, readouts,
     A prep's gates start a fresh wire at t=0, so only their durations shape
     the body's schedule. Variants whose preps end at the same clocks form a
     schedule group: their prepared states are one batch axis of rho, at most
-    ``max(1, max_entries // 4^width)`` at a time, and the body's channels
-    run once over the batch. Each readout combination is read from the
-    evolved batch with one 2x4 map per qubit: the readout gates' channel
-    (from the qubit's body end), the damping up to that combination's
-    makespan, and the diagonal. Rows get ``measure_distribution``'s
-    clean-up.
+    ``max(1, max_entries // 4^width)`` at a time, and the body's fused
+    channels (see ``_evolve``) run once over the batch. The readout
+    combinations are read from the evolved batch in one contraction per
+    distinct makespan, with one 2x4 map per qubit: the readout gates'
+    channel (from the qubit's body end), the damping up to the makespan,
+    and the diagonal. Rows get ``measure_distribution``'s clean-up.
     """
     _check_density_width(c.width)
     n = c.width
     t1, t2 = _coherence_ns(p, n)
     zero = _I4[0]  # |0><0|
     # per prep: each option's prepared one-qubit state and its end clock
-    prepared = [[(_chain(q, names, p, t1, t2)[:, 0], _chain_end(q, names, p, 0.0))
-                 for names in options] for q, options in preps]
-    # per readout: each option's channel
-    channels = [[_chain(q, names, p, t1, t2) for names in options]
-                for q, options in readouts]
+    prepared = [[(s[:, 0], _end(0.0, durations))
+                 for s, durations in (_chain(q, names, p) for names in options)]
+                for q, options in preps]
+    # per readout: each option's channel and gate durations
+    chains = [[_chain(q, names, p) for names in options] for q, options in readouts]
     prep_shape = tuple(len(options) for _, options in preps)
     readout_shape = tuple(len(options) for _, options in readouts)
     out = np.empty(readout_shape + prep_shape + (1 << n,))
@@ -365,33 +428,65 @@ def run_noisy_variants(c: Circuit, p: NoiseProfile, preps, readouts,
             free = list(start)
             rho = _evolve(rho, c, p, free, t1, t2, superops)
             cols = [np.ravel_multi_index(m, prep_shape) for m in part]
-            flat[:, cols] = _read_out(rho, free, readouts, channels, p, t1, t2)
+            flat[:, cols] = _read_out(rho, free, readouts, chains, t1)
     out[np.abs(out) < 1e-14] = 0.0
     np.clip(out, 0.0, None, out=out)
     return out.reshape(readout_shape + prep_shape + (2,) * n)
 
 
-def _read_out(rho, free, readouts, channels, p: NoiseProfile, t1, t2) -> np.ndarray:
+def _read_map(channel: np.ndarray, gap: float, t1: float) -> np.ndarray:
+    """The 2x4 map that applies ``channel``, damps the qubit over ``gap`` ns
+    and reads |0><0| and |1><1|: rows 0 and 3 of the product, which only
+    amplitude damping moves."""
+    lam = _decay(gap, t1) if gap > 0 else 0.0
+    return np.array([channel[0] + lam * channel[3], (1.0 - lam) * channel[3]])
+
+
+def _read_out(rho, free, readouts, chains, t1) -> np.ndarray:
     """Outcome probabilities of a batch of evolved density matrices (one
     leading batch axis) under every readout combination, over (combination,
-    batch, outcome). ``free`` holds each qubit's clock at the body's end."""
-    n = len(free)
-    batch = len(rho)
+    batch, outcome). ``free`` holds each qubit's clock at the body's end,
+    and ``chains`` each readout option's channel and gate durations.
+
+    The combinations that end at the same makespan are read in one
+    contraction. A qubit without a readout takes one 2x4 map: damping from
+    its clock to the makespan, then its diagonal. A readout qubit stacks one
+    such map per option, after that option's channel and from its end
+    clock. The qubits without a readout are contracted first, each in place
+    of its axis, so every intermediate stays within rho's size until the
+    readout qubits add their option axes; those axes then move to the
+    front, in readout order."""
+    n, batch = len(free), len(rho)
+    read = {q: j for j, (q, _) in enumerate(readouts)}
     # each readout option's end clock on its qubit, gate by gate from free
-    ends = [[_chain_end(q, names, p, free[q]) for names in options]
-            for q, options in readouts]
-    combos = list(itertools.product(*(range(len(options)) for _, options in readouts)))
+    ends = [[_end(free[q], durations) for _, durations in options]
+            for (q, _), options in zip(readouts, chains)]
+    body = max((free[q] for q in range(n) if q not in read), default=0.0)
+    combos = list(itertools.product(*(range(len(e)) for e in ends)))
+    makespans = [max([body, *(e[i] for e, i in zip(ends, combo))]) for combo in combos]
+    # a contraction's axes: batch, then per qubit its bit, after its option
+    # axis if read
+    shape, option_axis, bit_axes = [batch], {}, []
+    for q in range(n):
+        if q in read:
+            option_axis[q] = len(shape)
+            shape.append(len(ends[read[q]]))
+        bit_axes.append(len(shape))
+        shape.append(2)
+    order = [option_axis[q] for q, _ in readouts] + [0] + bit_axes
     res = np.empty((len(combos), batch, 1 << n))
-    for r, combo in enumerate(combos):
-        clock, maps = list(free), [_I4] * n
-        for (q, _), i, ch, end in zip(readouts, combo, channels, ends):
-            clock[q], maps[q] = end[i], ch[i]
-        makespan = max(clock, default=0.0)
-        probs = rho
-        for q in range(n):
-            gap = makespan - clock[q]
-            m = _damping_superop(gap, t1[q], t2[q]) @ maps[q] if gap > 0 else maps[q]
-            # rows 0 and 3 read |0><0| and |1><1|; the qubit's axis becomes a bit
-            probs = np.matmul(m[[0, 3]], probs.reshape(batch << q, 4, -1))
-        res[r] = probs.real.reshape(batch, -1)
+    for makespan in sorted(set(makespans)):
+        probs, sizes = rho, [4] * n
+        for q in sorted(range(n), key=read.__contains__):
+            if q in read:
+                j = read[q]
+                m = np.concatenate([_read_map(ch, makespan - end, t1[q])
+                                    for (ch, _), end in zip(chains[j], ends[j])])
+            else:
+                m = _read_map(_I4, makespan - free[q], t1[q])
+            probs = np.matmul(m, probs.reshape(batch * math.prod(sizes[:q]), 4, -1))
+            sizes[q] = len(m)
+        probs = probs.real.reshape(shape).transpose(order).reshape(len(combos), batch, -1)
+        rows = [r for r, m in enumerate(makespans) if m == makespan]
+        res[rows] = probs[rows]
     return res

@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 
@@ -425,6 +426,22 @@ def test_documents_wider_than_the_cap_exit_5(tmp_path, capsys, doc_width):
     err = capsys.readouterr().err
     assert "bad fragment document" in err
     assert (f"needs 1 rows of {2 ** 30}" if doc_width == 30 else "is not plan leaf 0's") in err
+
+
+def test_contraction_without_a_pairwise_order_exits_5(tmp_path, capsys, monkeypatch):
+    # adder_n8 at 0.8 plans 4 leaves with k=7; with the intermediate limit at
+    # its floor of 2^8 entries no pair of label tensors fits, so numpy's
+    # greedy path would join the leaves in one step: refused before it runs
+    out = tmp_path / "adder"
+    assert run(["cut", "--qasm", "fixture:adder_n8", "--profile", "fixture:stress",
+                "--threshold", "0.8", "--seed", "7", "--out", out]) == 0
+    assert run(["run", "--out", out]) == 0
+    assert run(["reconstruct", "--out", out]) == 0
+    monkeypatch.setattr(importlib.import_module("wirecut.reconstruct"), "_MAX_INTERMEDIATE", 1)
+    capsys.readouterr()
+    assert run(["reconstruct", "--out", out]) == 5
+    err = capsys.readouterr().err
+    assert "reconstruction error" in err and "within 256 elements" in err
 
 
 def test_leaf_batch_beyond_the_budget_exits_6(tmp_path, capsys):

@@ -4,7 +4,7 @@ import random
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import gate_counts, random_circuit
@@ -13,6 +13,7 @@ from wirecut.fragment import (
     Fragment,
     Limits,
     PlanError,
+    _split,
     enumerate_variants,
     plan_from_dict,
     plan_to_dict,
@@ -149,6 +150,48 @@ def test_variant_synthesis_gates():
     assert [g.name for g in v.circuit.gates] == ["h", "s", "cx", "sdg", "h"]
     assert v.circuit.gates[0].qubits == (0,)
     assert v.circuit.gates[-1].qubits == (1,)
+
+
+def _measured_random_circuit(seed: int, width: int, n_gates: int) -> Circuit:
+    rng = random.Random(seed)
+    c = random_circuit(rng, width, n_gates, two_q_prob=0.6)
+    measured = tuple(Gate("measure", (q,)) for q in range(width) if rng.random() < 0.5)
+    return Circuit(width=width, gates=c.gates + measured, name="random")
+
+
+# wire 0 meets three cx; split seed 4 draws sides 0, 1, 0, so it is cut twice
+_CUT_TWICE = parse_qasm(HEADER + "qreg q[3]; creg c[3]; h q[0]; cx q[0],q[1]; t q[0]; "
+                        "cx q[0],q[2]; rz(0.5) q[0]; cx q[0],q[1]; measure q[0] -> c[0];")
+
+
+@settings(max_examples=80, deadline=None)
+@given(c=st.builds(_measured_random_circuit, st.integers(0, 2**32 - 1), st.integers(2, 6),
+                   st.integers(0, 24)),
+       split_seed=st.integers(0, 2**32 - 1))
+@example(c=_CUT_TWICE, split_seed=4)
+def test_property_split_gates_equal_checked_gates(c, split_seed):
+    # _split relabels gates without Gate's checks; each must still be the
+    # gate that Gate would build, down to is_measurement, at every level
+    rng = random.Random(split_seed)
+    frags, next_id, next_cut = [Fragment(0, c, qubit_map=tuple(range(c.width)))], 1, 0
+    for _ in range(3):
+        children = []
+        for frag in frags:
+            n = len(frag.circuit.two_qubit_indices())
+            if n < 2:
+                continue
+            pv = [rng.randrange(2) for _ in range(n)]
+            if len(set(pv)) == 1:
+                pv[-1] ^= 1
+            node = _split(frag, 0.0, pv, next_cut, (next_id, next_id + 1))
+            next_id, next_cut = next_id + 2, next_cut + len(node.cut)
+            children += [child.fragment for child in node.children]
+        for frag in children:
+            for g in frag.circuit.gates:
+                checked = Gate(g.name, g.qubits, g.params)
+                assert type(g) is Gate and g == checked and hash(g) == hash(checked)
+                assert g.is_measurement == checked.is_measurement
+        frags = children
 
 
 def test_recursive_threshold_zero_is_single_leaf():
@@ -312,6 +355,61 @@ def test_plan_document_rejects_every_integer_raised_by_one():
             plan_from_dict(doc)
         container[key] -= 1
     assert _document_bytes(plan_to_dict(plan_from_dict(doc))) == _document_bytes(doc)
+
+
+def _damage_fragment(fragment: dict, damage: str):
+    circuit = fragment["circuit"]
+    gate = circuit["gates"][-1]
+    if damage == "fragment-extra-field":
+        fragment["note"] = 1
+    elif damage == "fragment-no-circuit":
+        del fragment["circuit"]
+    elif damage == "circuit-not-object":
+        fragment["circuit"] = [circuit]
+    elif damage == "circuit-extra-field":
+        circuit["depth"] = 3
+    elif damage == "circuit-renamed":
+        circuit["name"] += "x"
+    elif damage == "gates-not-list":
+        circuit["gates"] = dict(enumerate(circuit["gates"]))
+    elif damage == "gate-dropped":
+        circuit["gates"].pop()
+    elif damage == "gate-repeated":
+        circuit["gates"].append(dict(gate))
+    elif damage == "gate-not-object":
+        circuit["gates"][-1] = [gate["name"], gate["qubits"], gate["params"]]
+    elif damage == "gate-extra-field":
+        gate["label"] = "g"
+    elif damage == "gate-no-params":
+        del gate["params"]
+    elif damage == "gate-renamed":
+        gate["name"] = "rz" if gate["name"] != "rz" else "rx"
+    elif damage == "gate-param-moved":
+        gate["params"] = [p + 1e-9 for p in gate["params"]] or [0.0]
+    else:
+        assert damage == "gate-qubits-object"
+        gate["qubits"] = {"0": gate["qubits"][0]}
+
+
+@pytest.mark.parametrize("where", ["root", "leaf"])
+@pytest.mark.parametrize("damage", [
+    "fragment-extra-field", "fragment-no-circuit", "circuit-not-object", "circuit-extra-field",
+    "circuit-renamed", "gates-not-list", "gate-dropped", "gate-repeated", "gate-not-object",
+    "gate-extra-field", "gate-no-params", "gate-renamed", "gate-param-moved",
+    "gate-qubits-object",
+])
+def test_plan_document_rejects_a_stored_fragment_that_differs(where, damage):
+    # each stored fragment must equal the replayed one as a document: any
+    # field added, dropped or changed, at any depth, is refused
+    plan = recursive_fragment(circuit_fixture("su2_n8"), STRESS, 0.95, seed=7)
+    doc = json.loads(_document_bytes(plan_to_dict(plan)))
+    node = doc["tree"]
+    if where == "leaf":
+        while "children" in node:
+            node = node["children"][-1]
+    _damage_fragment(node["fragment"], damage)
+    with pytest.raises(PlanError):
+        plan_from_dict(doc)
 
 
 def test_single_cut_plan_matches_manual_fragment():

@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import itertools
 import json
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 from helpers import random_circuit
 from oracles import dict_fidelity, dict_hellinger, dict_tvd
 from wirecut.circuit import Circuit, Gate, parse_qasm
-from wirecut.fixtures import fixture_text
+from wirecut.fixtures import CIRCUIT_FIXTURES, circuit_fixture, fixture_text
 from wirecut.fragment import (
     INIT_STATES,
     MEAS_BASES,
@@ -311,6 +312,21 @@ def test_property_grouped_noisy_leaf_matches_each_variant_circuit(leaf, times, d
         assert np.max(np.abs(out.probs[idx].reshape(-1) - expect)) <= 1e-12
 
 
+@pytest.mark.parametrize("seed", [3, 11, 12])
+def test_noisy_readouts_out_of_qubit_order_match_each_variant_circuit(seed):
+    # cut 0 is read on local qubit 1 and cut 1 on local qubit 0: the readout
+    # option axes follow cut ids, not qubits, whatever order they are read in
+    rng = random.Random(seed)
+    leaf = Fragment(id=1, circuit=random_circuit(rng, 3, 12), in_cuts={2: 2},
+                    out_cuts={1: 0, 0: 1}, qubit_map=(0, 1, 2))
+    out = execute_plan(leaf_plan(leaf), STRESS)[leaf.id]
+    for v in enumerate_variants(leaf):
+        idx = (MEAS_BASES.index(v.bases[0]), MEAS_BASES.index(v.bases[1]),
+               INIT_STATES.index(v.inits[2]))
+        expect = run_noisy(v.circuit, STRESS).probs
+        assert np.max(np.abs(out.probs[idx].reshape(-1) - expect)) <= 1e-12
+
+
 @pytest.mark.parametrize("outs, budget, chunk", [([], 1 << 8, 1), ([3], 3 << 8, 3)])
 def test_noisy_groups_are_chunked_to_the_leaf_budget(monkeypatch, outs, budget, chunk):
     # two in-cuts under stress: one and plus share a prep duration, so a
@@ -543,6 +559,22 @@ def d(width, probs):
     for bits, p in probs.items():
         vec[int(bits, 2)] = p
     return Distribution(vec)
+
+
+def test_ideal_documents_match_their_golden_hash():
+    # the ideal fragment and reconstruction bytes every simulation and
+    # recombination change must keep: stress plans of every fixture
+    digest = hashlib.sha256()
+    for name in CIRCUIT_FIXTURES:
+        for threshold in (0.8, 0.95):
+            plan = recursive_fragment(circuit_fixture(name), STRESS, threshold, seed=7)
+            outputs = execute_plan(plan)
+            docs = [outputs[fid].to_dict() for fid in sorted(outputs)]
+            docs.append(reconstruct(outputs, plan).to_dict())
+            for doc in docs:
+                digest.update(json.dumps(doc, sort_keys=True, separators=(",", ":")).encode())
+    assert digest.hexdigest() == (
+        "3430746f44934a6e6bc03b144e6f5dc222558a19cdaea3344f985ba91699204c")
 
 
 def test_fidelity_examples():

@@ -312,22 +312,38 @@ def test_closed_form_superoperators_match_their_kraus_channels(tau):
 
 
 _GATE_NAMES = sorted(n for n in GATES if n != "measure")
+_ONE_QUBIT_NAMES = [n for n in _GATE_NAMES if GATES[n].arity == 1]
 _TIMES = st.one_of(st.just(math.inf), st.floats(0.05, 5.0))
 _ERRORS = st.one_of(st.just(0.0), st.floats(0.0, 0.2))
 
 
+def _gate(draw, name: str, qubits) -> Gate:
+    return Gate(name, qubits, tuple(draw(st.floats(-7.0, 7.0)) for _ in range(GATES[name].n_params)))
+
+
+def _run(draw, q: int, most: int) -> list[Gate]:
+    """Up to ``most`` one-qubit gates on ``q``, back to back."""
+    names = draw(st.lists(st.sampled_from(_ONE_QUBIT_NAMES), max_size=most))
+    return [_gate(draw, name, (q,)) for name in names]
+
+
 @st.composite
 def _noisy_case(draw):
+    # runs of one-qubit gates before a two-qubit gate are folded into its
+    # channel and runs after the last one are applied at the end: draw both
     width = draw(st.integers(1, 4))
     gates = []
     for _ in range(draw(st.integers(0, 12))):
         name = draw(st.sampled_from([n for n in _GATE_NAMES if width > 1 or n not in ("cx", "cz")]))
         if name in ("cx", "cz"):
             qubits = tuple(draw(st.permutations(range(width)))[:2])
+            for q in qubits:
+                gates += _run(draw, q, 3)
         else:
             qubits = (draw(st.integers(0, width - 1)),)
-        params = tuple(draw(st.floats(-7.0, 7.0)) for _ in range(GATES[name].n_params))
-        gates.append(Gate(name, qubits, params))
+        gates.append(_gate(draw, name, qubits))
+    for q in range(width):
+        gates += _run(draw, q, 2)
     measured = draw(st.lists(st.integers(0, width - 1), unique=True, max_size=width))
     gates += [Gate("measure", (q,)) for q in measured]
     qubits = {}
