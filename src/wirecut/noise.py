@@ -142,6 +142,17 @@ def _check_duration(value, what: str) -> float:
     return value
 
 
+_TOP_KEYS = ("version", "defaults", "qubits", "gates")
+_DEFAULT_KEYS = ("p1", "p2", "d1_ns", "d2_ns", "t1_us", "t2_us")
+_QUBIT_KEYS = ("id", "t1_us", "t2_us")
+_GATE_KEYS = ("name", "qubits", "error", "duration_ns")
+
+
+def _only_keys(obj: dict, known: tuple[str, ...], what: str):
+    unknown = sorted(set(obj) - set(known))
+    _require(not unknown, f"unknown key(s) {unknown} in {what}; known: {list(known)}")
+
+
 def load_profile(text: str) -> NoiseProfile:
     """Parse a calibration document from its JSON text.
 
@@ -152,13 +163,15 @@ def load_profile(text: str) -> NoiseProfile:
 
         {"version": 1,
          "defaults": {"p1": .., "p2": .., "d1_ns": .., "d2_ns": ..,
-                      "t1_us": .., "t2_us": ..},          # t1/t2 optional
+                      "t1_us": .., "t2_us": ..},          # each optional
          "qubits": [{"id": 0, "t1_us": .., "t2_us": ..}, ...],
          "gates":  [{"name": "cx", "qubits": [0, 1],
-                     "error": .., "duration_ns": ..}, ...],
-         "readout": [...]}                                 # parsed, unused
+                     "error": .., "duration_ns": ..}, ...]}
 
-    Unspecified per-gate entries fall back to the defaults.
+    These are the only keys: any other key, at any level, is an error, so
+    a misspelt key cannot silently leave a default in force. ``readout`` is
+    refused by name, because readout error is not modelled. Unspecified
+    per-gate entries fall back to the defaults.
     """
     try:
         doc = json.loads(text)
@@ -166,9 +179,12 @@ def load_profile(text: str) -> NoiseProfile:
         raise ProfileError(f"calibration document is not valid JSON: {exc}") from None
     _require(isinstance(doc, dict), "calibration document must be a JSON object")
     _require(doc.get("version") == 1, "calibration document must declare version 1")
+    _require("readout" not in doc, "readout error is not modelled; remove 'readout'")
+    _only_keys(doc, _TOP_KEYS, "calibration document")
 
     defaults = doc.get("defaults", {})
     _require(isinstance(defaults, dict), "'defaults' must be an object")
+    _only_keys(defaults, _DEFAULT_KEYS, "'defaults'")
     kwargs = {}
     if "p1" in defaults:
         kwargs["p1"] = _check_prob(defaults["p1"], "defaults.p1")
@@ -188,6 +204,7 @@ def load_profile(text: str) -> NoiseProfile:
     qubits: dict[int, QubitCal] = {}
     for rec in qubit_recs:
         _require(isinstance(rec, dict), "qubit record must be an object")
+        _only_keys(rec, _QUBIT_KEYS, "qubit record")
         _require("id" in rec, "qubit record missing 'id'")
         _require("t1_us" in rec, f"qubit record {rec.get('id')} missing 't1_us'")
         _require("t2_us" in rec, f"qubit record {rec.get('id')} missing 't2_us'")
@@ -205,7 +222,8 @@ def load_profile(text: str) -> NoiseProfile:
     gates: dict[tuple[str, tuple[int, ...]], GateCal] = {}
     for rec in gate_recs:
         _require(isinstance(rec, dict), "gate record must be an object")
-        for key in ("name", "qubits", "error", "duration_ns"):
+        _only_keys(rec, _GATE_KEYS, "gate record")
+        for key in _GATE_KEYS:
             _require(key in rec, f"gate record missing '{key}'")
         name = rec["name"]
         _require(isinstance(name, str), "gate name must be a string")

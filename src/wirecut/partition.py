@@ -16,6 +16,19 @@ budget is exhausted the population is re-seeded, up to ``RESTARTS`` times
 or the cap of ``50 * n`` generations for ``n`` vertices. Given a seed the
 whole search is deterministic, and the reported best-cost trace is
 non-increasing by construction.
+
+The descent is fast and still exact. It keeps each vertex's cut gain, the
+change of the cut size if that vertex flips, and after a flip updates only
+the flipped vertex and its neighbours (the gain bookkeeping of Fiduccia and
+Mattheyses, DAC 1982). Edge weights are integers, so ``cut + gain`` is the
+re-summed cut exactly, and each candidate's cost is the same float
+expression over the same side weight as a descent that re-sums. The descent
+is a pure function of its input vector, so its results are memoised for
+the current and the previous generation. Tournaments and seeding bits are
+drawn with ``getrandbits`` exactly as ``min(rng.sample(pop, 3), key=cost)``
+and ``rng.randint(0, 1)`` draw them. A search therefore returns the same
+bits as the plain one, which ``tests/oracles.py`` keeps as
+``greedy_descent`` and a golden hash pins.
 """
 from __future__ import annotations
 
@@ -88,7 +101,7 @@ def crossover(v1, v2, c1: float = 0.5) -> list[int]:
 
 
 class _Scorer:
-    """Incremental cut/weight bookkeeping so a flip candidate costs O(degree)."""
+    """Greedy descent with per-vertex cut gains, memoised for two generations."""
 
     def __init__(self, g: GateGraph):
         self.n = g.n
@@ -98,50 +111,117 @@ class _Scorer:
         for u, v, w in g.edges:
             self.adj[u].append((v, w))
             self.adj[v].append((u, w))
+        # input vector -> (refined vector, cost), this generation's and the last
+        self.memo: dict[bytes, tuple[bytes, float]] = {}
+        self.older: dict[bytes, tuple[bytes, float]] = {}
 
-    def evaluate(self, pv) -> tuple[int, float, int]:
-        cut = 0
-        w1 = 0.0
-        n1 = 0
-        for i in range(self.n):
-            if pv[i]:
-                n1 += 1
-                w1 += self.weights[i]
-                for j, w in self.adj[i]:
-                    if not pv[j]:
-                        cut += w
-        return cut, w1, n1
-
-    def cost(self, cut: int, w1: float, n1: int) -> float:
-        # emptiness is judged on the integer count: the float accumulator can
-        # leave a tiny residue that would make a one-sided vector look proper
-        if n1 == 0 or n1 == self.n:
-            return INFEASIBLE
-        w0 = self.total - w1
-        return cut * (1.0 / w0 + 1.0 / w1)
+    def next_generation(self) -> None:
+        self.older, self.memo = self.memo, {}
 
     def refine(self, pv: list[int]) -> float:
-        """Greedy descent to a local optimum; mutates pv in place."""
-        cut, w1, n1 = self.evaluate(pv)
-        cost = self.cost(cut, w1, n1)
+        """Greedy descent to a local optimum; mutates pv in place.
+
+        The descent is a pure function of its input, so a vector refined in
+        this generation or the last one is looked up, not descended again.
+        """
+        key = bytes(pv)
+        hit = self.memo.get(key) or self.older.get(key)
+        if hit is None:
+            cost = self._descend(pv)
+            self.memo[key] = (bytes(pv), cost)
+            return cost
+        self.memo[key] = hit
+        pv[:] = hit[0]
+        return hit[1]
+
+    def _descend(self, pv: list[int]) -> float:
+        n, adj, weights, total = self.n, self.adj, self.weights, self.total
+        gain = [0] * n  # change of the cut size if vertex i flips
+        cross = 0  # twice the cut size
+        w1 = 0.0
+        n1 = 0
+        for i in range(n):
+            side = pv[i]
+            d = 0
+            for j, w in adj[i]:
+                if pv[j] == side:
+                    d += w
+                else:
+                    d -= w
+                    cross += w
+            gain[i] = d
+            if side:
+                n1 += 1
+                w1 += weights[i]
+        cut = cross // 2
+        # emptiness is judged on the integer count: the float accumulator can
+        # leave a tiny residue that would make a one-sided vector look proper
+        cost = INFEASIBLE if n1 == 0 or n1 == n else cut * (1.0 / (total - w1) + 1.0 / w1)
         improved = True
         while improved:
             improved = False
-            for i in range(self.n):
-                dcut = 0
-                for j, w in self.adj[i]:
-                    dcut += w if pv[i] == pv[j] else -w
-                ncut = cut + dcut
-                if pv[i]:
-                    nw1, nn1 = w1 - self.weights[i], n1 - 1
+            for i in range(n):
+                side = pv[i]
+                # a flip that empties a side scores +inf and never wins
+                if side:
+                    if n1 == 1:
+                        continue
+                    nw1 = w1 - weights[i]
+                elif n1 == n - 1:
+                    continue
                 else:
-                    nw1, nn1 = w1 + self.weights[i], n1 + 1
-                ncost = self.cost(ncut, nw1, nn1)
+                    nw1 = w1 + weights[i]
+                ncut = cut + gain[i]
+                ncost = ncut * (1.0 / (total - nw1) + 1.0 / nw1)
                 if ncost < cost:
-                    pv[i] ^= 1
-                    cut, w1, n1, cost = ncut, nw1, nn1, ncost
+                    pv[i] = side ^ 1
+                    n1 += -1 if side else 1
+                    cut, w1, cost = ncut, nw1, ncost
+                    gain[i] = -gain[i]
+                    for j, w in adj[i]:
+                        if pv[j] == side:
+                            gain[j] -= 2 * w
+                        else:
+                            gain[j] += 2 * w
                     improved = True
         return cost
+
+
+def _random_bits(getrandbits, n: int) -> list[int]:
+    """``[rng.randint(0, 1) for _ in range(n)]``, drawn as ``randint`` draws:
+    two bits per call, redrawn while they read 2 or 3."""
+    bits = []
+    while len(bits) < n:
+        b = getrandbits(2)
+        if b < 2:
+            bits.append(b)
+    return bits
+
+
+def _tournament(getrandbits, pop: list[tuple[float, list[int]]]) -> tuple[float, list[int]]:
+    """``min(rng.sample(pop, 3), key=cost)``, drawn as ``sample`` draws it.
+
+    For a population larger than 21, ``sample`` draws each index as a
+    ``bit_length``-bit word, redrawn while it is out of range or already
+    drawn; ``min`` keeps the first-drawn of equal costs.
+    """
+    size = len(pop)
+    k = size.bit_length()
+    a = getrandbits(k)
+    while a >= size:
+        a = getrandbits(k)
+    b = getrandbits(k)
+    while b >= size or b == a:
+        b = getrandbits(k)
+    c = getrandbits(k)
+    while c >= size or c == a or c == b:
+        c = getrandbits(k)
+    best = pop[a]
+    if pop[b][0] < best[0]:
+        best = pop[b]
+    if pop[c][0] < best[0]:
+        best = pop[c]
+    return best
 
 
 def find_min_cut_ga(g: GateGraph, seed: int = 0) -> GaResult:
@@ -157,6 +237,7 @@ def find_min_cut_ga(g: GateGraph, seed: int = 0) -> GaResult:
     max_passes = 50 * n
     mutation = 1.0 / n  # per-bit flip probability after crossover
     rng = random.Random(seed)
+    getrandbits, uniform = rng.getrandbits, rng.random
     scorer = _Scorer(g)
 
     best_vec: list[int] | None = None
@@ -171,8 +252,9 @@ def find_min_cut_ga(g: GateGraph, seed: int = 0) -> GaResult:
 
     for _ in range(RESTARTS):
         pop: list[tuple[float, list[int]]] = []
+        scorer.next_generation()
         while len(pop) < POPULATION:
-            vec = [rng.randint(0, 1) for _ in range(n)]
+            vec = _random_bits(getrandbits, n)
             if len(set(vec)) == 1:
                 vec[rng.randrange(n)] ^= 1  # one-sided starts stall on +inf
             cost = scorer.refine(vec)
@@ -184,12 +266,13 @@ def find_min_cut_ga(g: GateGraph, seed: int = 0) -> GaResult:
         while stagnant <= C2 and passes < max_passes:
             prev_best = pop[0][0]
             newpop = [(pop[0][0], list(pop[0][1]))]  # elitism
+            scorer.next_generation()
             while len(newpop) < POPULATION:
-                pa = min(rng.sample(pop, 3), key=lambda t: t[0])
-                pb = min(rng.sample(pop, 3), key=lambda t: t[0])
+                pa = _tournament(getrandbits, pop)
+                pb = _tournament(getrandbits, pop)
                 child = crossover(pa[1], pb[1], C1)
                 for i in range(n):
-                    if rng.random() < mutation:
+                    if uniform() < mutation:
                         child[i] ^= 1
                 cost = scorer.refine(child)
                 note(cost, child)

@@ -27,6 +27,7 @@ __all__ = [
     "OracleReport",
     "compare_against_oracle",
     "brute_force_min_cost",
+    "greedy_descent",
     "brute_force_ising_ground",
     "reference_density_evolution",
     "KrausChannel",
@@ -95,6 +96,50 @@ def brute_force_min_cost(g: GateGraph, max_vertices: int = 20) -> tuple[list[int
     cost[~proper] = np.inf
     best = int(np.argmin(cost))
     return [int(b) for b in bits[best]], float(cost[best])
+
+
+def greedy_descent(g: GateGraph, pv: list[int]) -> tuple[list[int], float]:
+    """First-improvement bit-flip descent that re-sums each candidate's cut change.
+
+    The reference for the GA's refinement step: vertices are visited in
+    index order, a flip is kept when it lowers the cost, and the scan
+    repeats until a whole scan keeps none. The side weight and the cut are
+    carried along in the same order as the production descent, so equal
+    inputs give equal cost bits.
+    """
+    n = g.n
+    adj: list[list[tuple[int, int]]] = [[] for _ in range(n)]
+    for u, v, w in g.edges:
+        adj[u].append((v, w))
+        adj[v].append((u, w))
+    total = sum(g.weights)
+
+    def cost(cut, w1, n1):
+        if n1 == 0 or n1 == n:
+            return math.inf
+        return cut * (1.0 / (total - w1) + 1.0 / w1)
+
+    pv = list(pv)
+    cut = sum(w for u, v, w in g.edges if pv[u] != pv[v])
+    w1 = 0.0
+    for bit, w in zip(pv, g.weights):
+        if bit:
+            w1 += w
+    n1 = sum(pv)
+    best = cost(cut, w1, n1)
+    improved = True
+    while improved:
+        improved = False
+        for i in range(n):
+            dcut = sum(w if pv[i] == pv[j] else -w for j, w in adj[i])
+            nw1 = w1 - g.weights[i] if pv[i] else w1 + g.weights[i]
+            nn1 = n1 - 1 if pv[i] else n1 + 1
+            ncost = cost(cut + dcut, nw1, nn1)
+            if ncost < best:
+                pv[i] ^= 1
+                cut, w1, n1, best = cut + dcut, nw1, nn1, ncost
+                improved = True
+    return pv, best
 
 
 def brute_force_ising_ground(m: IsingModel, max_spins: int = 20) -> tuple[list[int], float]:

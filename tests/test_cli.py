@@ -127,6 +127,22 @@ def test_profile_file_of_non_object_json_exits_4(tmp_path, capsys, text):
     assert "profile error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", [
+    '{"version": 1, "defualts": {"p2": 0.5}, "gate": [{"name": "cx", "qubits": [0, 1], '
+    '"error": 0.5, "duration_ns": 300}]}',
+    '{"version": 1, "defaults": {"p_2": 0.5}}',
+    '{"version": 1, "readout": []}',
+])
+def test_profile_with_an_unknown_key_exits_4(tmp_path, capsys, text):
+    # a misspelt key would otherwise simulate the default device
+    prof = tmp_path / "profile.json"
+    prof.write_text(text)
+    assert run(["cut", "--qasm", "fixture:fig1_n5", "--profile", prof,
+                "--threshold", "0.5", "--out", tmp_path / "x"]) == 4
+    assert "profile error" in capsys.readouterr().err
+    assert not (tmp_path / "x" / "plan.json").exists()
+
+
 def test_overflowing_gate_duration_exits_5(tmp_path, capsys):
     # a finite duration whose schedule overflows leaves no finite vertex weight
     prof = tmp_path / "profile.json"

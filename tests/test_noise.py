@@ -58,6 +58,24 @@ def test_probability_out_of_range_rejected():
         load_profile('{"version": 1, "defaults": {"p1": 1.5}}')
 
 
+@pytest.mark.parametrize("text, where", [
+    ('{"version": 1, "defualts": {"p2": 0.5}}', "calibration document"),
+    ('{"version": 1, "defaults": {"p_2": 0.5}}', "'defaults'"),
+    ('{"version": 1, "qubits": [{"id": 0, "t1_us": 90, "t2_us": 70, "t3_us": 1}]}',
+     "qubit record"),
+    ('{"version": 1, "gates": [{"name": "cx", "qubits": [0, 1], "error": 0.02, '
+     '"duration_ns": 400, "fidelity": 0.98}]}', "gate record"),
+])
+def test_unknown_key_at_any_level_is_a_profile_error(text, where):
+    with pytest.raises(ProfileError, match=f"unknown key.* in {where}"):
+        load_profile(text)
+
+
+def test_readout_is_refused_as_unmodelled():
+    with pytest.raises(ProfileError, match="readout error is not modelled"):
+        load_profile('{"version": 1, "readout": [{"id": 0, "p01": 0.02, "p10": 0.03}]}')
+
+
 def test_unphysical_t2_warns_but_loads():
     with pytest.warns(UserWarning, match="unphysical"):
         p = load_profile('{"version": 1, "qubits": [{"id": 0, "t1_us": 10, "t2_us": 50}]}')

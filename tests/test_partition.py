@@ -1,10 +1,14 @@
+import hashlib
 import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from helpers import random_connected_graph
-from oracles import brute_force_min_cost
+from oracles import brute_force_min_cost, greedy_descent
+from wirecut import partition
 from wirecut.graph import GateGraph
 from wirecut.partition import crossover, cut_size, find_min_cut_ga, partition_cost
 
@@ -134,3 +138,89 @@ def test_ga_trace_is_non_increasing():
 def test_ga_rejects_degenerate_inputs():
     with pytest.raises(ValueError):
         find_min_cut_ga(path_graph([1.0]))
+
+
+GA_GOLDEN_SHA256 = "12bc87eaecd884a5b61d11cb8a04e4ca797e501067c8030c7aaceb234a032ac4"
+
+
+def test_ga_results_match_their_golden_hash():
+    # pins every bit the GA returns, so a faster search must be the same search
+    digest = hashlib.sha256()
+    rng = random.Random(23)
+    for n in (2, 3, 4, 5, 8, 13, 21, 34, 55, 89, 150):
+        g = random_connected_graph(rng, n)
+        for seed in (0, 1, 7):
+            r = find_min_cut_ga(g, seed)
+            fields = (r.partition, r.cost.hex(), r.passes, [c.hex() for c in r.trace])
+            digest.update(repr(fields).encode())
+    assert digest.hexdigest() == GA_GOLDEN_SHA256
+
+
+def test_tournament_draws_what_sample_and_min_draw():
+    assert partition.POPULATION > 21  # sample's set branch, which _tournament follows
+    for seed in range(400):
+        costs = random.Random(seed).choices((0.5, 1.0, 2.0, math.inf), k=partition.POPULATION)
+        pop = [(c, [i]) for i, c in enumerate(costs)]  # equal costs, distinct vectors
+        expected, actual = random.Random(seed), random.Random(seed)
+        for _ in range(5):
+            want = min(expected.sample(pop, 3), key=lambda t: t[0])
+            assert partition._tournament(actual.getrandbits, pop) is want
+        assert actual.getstate() == expected.getstate()
+
+
+def test_seeding_bits_draw_what_randint_draws():
+    for seed in range(200):
+        n = 2 + seed % 150
+        expected, actual = random.Random(seed), random.Random(seed)
+        want = [expected.randint(0, 1) for _ in range(n)]
+        assert partition._random_bits(actual.getrandbits, n) == want
+        assert actual.getstate() == expected.getstate()
+
+
+@st.composite
+def graph_and_vector(draw):
+    n = draw(st.integers(2, 40))
+    g = random_connected_graph(random.Random(draw(st.integers(0, 2**32))), n)
+    kind = draw(st.sampled_from(("random", "zeros", "ones")))
+    if kind == "random":
+        pv = draw(st.lists(st.integers(0, 1), min_size=n, max_size=n))
+    else:
+        pv = [int(kind == "ones")] * n
+    return g, pv
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=graph_and_vector())
+def test_property_gain_tracked_refine_is_the_resumming_descent(case):
+    g, pv = case
+    want_vec, want_cost = greedy_descent(g, pv)
+    vec = list(pv)
+    cost = partition._Scorer(g).refine(vec)
+    assert vec == want_vec
+    assert cost.hex() == want_cost.hex()
+
+
+def test_refine_memo_holds_at_most_two_generations(monkeypatch):
+    generations: list[set[bytes]] = []  # the inputs refined in each generation
+    calls = []
+
+    class Spy(partition._Scorer):
+        def next_generation(self):
+            super().next_generation()
+            generations.append(set())
+
+        def refine(self, pv):
+            generations[-1].add(bytes(pv))
+            calls.append(1)
+            cost = super().refine(pv)
+            previous = generations[-2] if len(generations) > 1 else set()
+            assert set(self.memo) <= generations[-1]
+            assert set(self.older) <= previous
+            assert len(self.memo) + len(self.older) <= 2 * partition.POPULATION
+            return cost
+
+    g = random_connected_graph(random.Random(3), 40)
+    plain = find_min_cut_ga(g, 5)
+    monkeypatch.setattr(partition, "_Scorer", Spy)
+    assert find_min_cut_ga(g, 5) == plain
+    assert sum(map(len, generations)) < len(calls)  # the memo answered some calls
