@@ -5,13 +5,15 @@ production code paths beyond the domain types: partition costs are
 re-derived from scratch over exhaustive enumerations, the noisy-evolution
 reference builds explicit full-space matrices, the Kraus channels are the
 operator-sum forms the simulator's fused superoperators are checked
-against, and the closed-form error model is evaluated in high-precision
-arithmetic. Exponential cost is by design; hard size caps keep runs
+against, the reference annealer tests and flips one proposal at a time
+over Python lists, and the closed-form error model is evaluated in
+high-precision arithmetic. Exponential cost is by design; hard size caps keep runs
 tractable.
 """
 from __future__ import annotations
 
 import math
+import random
 from dataclasses import dataclass
 
 import mpmath
@@ -29,6 +31,7 @@ __all__ = [
     "brute_force_min_cost",
     "greedy_descent",
     "brute_force_ising_ground",
+    "reference_anneal",
     "reference_density_evolution",
     "KrausChannel",
     "amplitude_damping_channel",
@@ -156,6 +159,78 @@ def brute_force_ising_ground(m: IsingModel, max_spins: int = 20) -> tuple[list[i
         energy += coupling * spins[:, i] * spins[:, j]
     best = int(np.argmin(energy))
     return [int(s) for s in spins[best]], float(energy[best])
+
+
+_SA_BLOCK = 4096
+_SA_INV53 = 1.0 / float(1 << 53)
+
+
+def _reference_chain(h, nbrs, temps, rng) -> list[int]:
+    """One Metropolis chain over plain Python lists, one proposal at a time.
+
+    This is the annealer's chain before its numpy field updates and its
+    look-ahead: the same randomness table per block of 4096 proposals and
+    the same scalar test and updates, each applied in proposal order.
+    """
+    n = len(h)
+    spins = [1 if rng.random() < 0.5 else -1 for _ in range(n)]
+    fields = list(h)
+    for i, nb in enumerate(nbrs):
+        for j, w2 in nb:
+            fields[j] += 0.5 * w2 * spins[i]
+    e = 0.0
+    best_e = 0.0
+    best = spins[:]
+    total = len(temps) * n
+    for start in range(0, total, _SA_BLOCK):
+        stop = min(start + _SA_BLOCK, total)
+        scaled = (np.frombuffer(rng.randbytes(8 * (stop - start)), "<u8") >> 11) * (n * _SA_INV53)
+        sites = scaled.astype(np.intp)
+        cutoffs = 0.5 * temps[np.arange(start, stop) // n] * np.log1p(sites - scaled)
+        for i, cutoff in zip(sites.tolist(), cutoffs.tolist()):
+            si = spins[i]
+            x = si * fields[i]
+            if x < cutoff:
+                continue
+            spins[i] = -si
+            if si > 0:
+                for j, w2 in nbrs[i]:
+                    fields[j] -= w2
+            else:
+                for j, w2 in nbrs[i]:
+                    fields[j] += w2
+            e -= 2.0 * x
+            if e < best_e:
+                best_e = e
+                best = spins[:]
+    return best
+
+
+def reference_anneal(m: IsingModel, schedule, seed: int = 0, restarts: int = 1
+                     ) -> tuple[list[int], float]:
+    """(spins, energy) that ``simulated_anneal`` must return, bit for bit."""
+    if m.n == 0:
+        return [], m.offset
+    nbrs: list[list[tuple[int, float]]] = [[] for _ in range(m.n)]
+    for (i, k), coupling in sorted(m.j.items()):
+        nbrs[i].append((k, 2.0 * coupling))
+        nbrs[k].append((i, 2.0 * coupling))
+    sweeps = schedule.sweeps
+    ratio = schedule.t_end / schedule.t_start
+    temps = schedule.t_start * ratio ** (np.arange(sweeps) / max(sweeps - 1, 1))
+    rng = random.Random(seed)
+    best_spins, best_energy = [], math.inf
+    for _ in range(restarts):
+        spins = _reference_chain(m.h, nbrs, temps, rng)
+        # the exact energy, summed in the production order: offset, fields, couplings
+        e = m.offset
+        for i, h in enumerate(m.h):
+            e += h * spins[i]
+        for (i, k), coupling in m.j.items():
+            e += coupling * spins[i] * spins[k]
+        if e < best_energy:
+            best_energy, best_spins = e, spins
+    return best_spins, best_energy
 
 
 # ---------------------------------------------------------------------------

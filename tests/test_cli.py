@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import json
 import math
@@ -6,6 +7,7 @@ import pytest
 
 from wirecut.circuit import MAX_CIRCUIT_QUBITS, Circuit, Gate
 from wirecut.cli import main
+from wirecut.fixtures import CIRCUIT_FIXTURES
 from wirecut.fragment import plan_to_dict, recursive_fragment, single_cut_plan
 from wirecut.noise import NoiseProfile
 from wirecut.simulate import run_ideal
@@ -264,6 +266,22 @@ def test_commands_are_byte_deterministic(tmp_path):
         assert run(["reconstruct", "--out", out, "--reference"]) == 0
     for name in sorted(p.name for p in a.iterdir()):
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+BOTH_SOLVERS_GOLDEN_SHA256 = "5087ac79defb9393494f0d421f96987868c1a5182bc72af1c4f01cab6708579c"
+
+
+def test_both_solver_plan_documents_match_their_golden_hash(tmp_path):
+    # the bytes of every plan the annealer competes for, solver_log included
+    digest = hashlib.sha256()
+    for name in CIRCUIT_FIXTURES:
+        for threshold in ("0.8", "0.95"):
+            out = tmp_path / f"{name}_{threshold}"
+            assert run(["cut", "--qasm", f"fixture:{name}", "--profile", "fixture:stress",
+                        "--threshold", threshold, "--solver", "both", "--sweeps", 200,
+                        "--restarts", 2, "--seed", 7, "--out", out]) == 0
+            digest.update((out / "plan.json").read_bytes())
+    assert digest.hexdigest() == BOTH_SOLVERS_GOLDEN_SHA256
 
 
 @pytest.mark.parametrize("damage", ["truncated", "no-variants", "short-row", "v1-document",

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -7,9 +8,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from helpers import random_connected_graph
-from oracles import brute_force_ising_ground, brute_force_min_cost
-from wirecut.fragment import anneal_min_cut
-from wirecut.graph import GateGraph
+from oracles import brute_force_ising_ground, brute_force_min_cost, reference_anneal
+from wirecut import ising
+from wirecut.fixtures import CIRCUIT_FIXTURES, circuit_fixture, profile_fixture
+from wirecut.fragment import DEFAULT_SA_ALPHAS, anneal_min_cut
+from wirecut.graph import GateGraph, build_graph
 from wirecut.ising import (
     AnnealSchedule,
     IsingModel,
@@ -225,3 +228,143 @@ def test_model_validation():
         IsingModel(n=2, h=(0.0, 0.0), j={(1, 0): 1.0})
     with pytest.raises(ValueError):
         IsingModel(n=2, h=(0.0, math.inf), j={})
+
+
+@pytest.mark.parametrize("n, j", [
+    (2.0, {}),
+    (True, {}),
+    (2, {(0.5, 1): 1.0}),
+    (2, {(0, 1.0): 1.0}),
+    (2, {(False, True): 1.0}),
+])
+def test_model_requires_an_integer_size_and_integer_coupling_keys(n, j):
+    with pytest.raises(ValueError):
+        IsingModel(n=n, h=(0.0,) * int(n), j=j)
+
+
+@pytest.mark.parametrize("t_start, t_end", [
+    (math.inf, 0.1), (math.inf, math.inf), (math.nan, 0.1), (1.0, math.nan),
+])
+def test_schedule_requires_finite_temperatures(t_start, t_end):
+    with pytest.raises(ValueError):
+        AnnealSchedule(t_start, t_end, 10)
+
+
+@pytest.mark.parametrize("sweeps", [10.5, 10.0, True])
+def test_schedule_requires_an_integer_sweep_count(sweeps):
+    with pytest.raises(ValueError):
+        AnnealSchedule(1.0, 0.1, sweeps)
+
+
+ANNEAL_GOLDEN_SHA256 = "8f3e57b08f878b0f61d5223047af78780d272d3e4d8036e270481e5be8e10dd8"
+
+
+def test_anneal_results_match_their_golden_hash():
+    # pins every bit the annealer returns: the planner's encodings of every
+    # fixture's root graph at each balance weight, and sparse models with fields
+    digest = hashlib.sha256()
+    stress = profile_fixture("stress")
+    for name in CIRCUIT_FIXTURES:
+        g = build_graph(circuit_fixture(name), stress)
+        for ai, alpha in enumerate(DEFAULT_SA_ALPHAS):
+            m = build_ising(g, alpha=alpha)
+            res = simulated_anneal(m, default_schedule(m, sweeps=200), seed=ai, restarts=2)
+            digest.update(repr((res.spins, res.energy.hex())).encode())
+    rng = random.Random(53)
+    for n in range(1, 31):
+        m = random_ising(rng, n, density=min(1.0, 3.0 / n))
+        for seed in (0, 5):
+            for restarts in (1, 3):
+                res = simulated_anneal(m, default_schedule(m, sweeps=100), seed=seed,
+                                       restarts=restarts)
+                digest.update(repr((res.spins, res.energy.hex())).encode())
+    assert digest.hexdigest() == ANNEAL_GOLDEN_SHA256
+
+
+def _assert_matches_reference(m, schedule, seed, restarts):
+    res = simulated_anneal(m, schedule, seed=seed, restarts=restarts)
+    spins, e = reference_anneal(m, schedule, seed=seed, restarts=restarts)
+    assert res.spins == spins
+    assert res.energy.hex() == e.hex()
+
+
+@st.composite
+def reference_cases(draw):
+    n = draw(st.integers(1, 40))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    # dense models take the numpy field update once n > _DENSE_DEGREE
+    density = 1.0 if draw(st.booleans()) else min(1.0, 3.0 / n)
+    m = random_ising(rng, n, density)
+    t_start = draw(st.floats(1e-3, 5.0))
+    # cold ends switch to the look-ahead, often inside a randomness block
+    t_end = t_start * draw(st.sampled_from((1e-4, 1e-2, 0.3, 1.0)))
+    sweeps = draw(st.integers(1, 300))
+    return m, AnnealSchedule(t_start, t_end, sweeps)
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=reference_cases(), seed=st.integers(0, 2**32 - 1), restarts=st.integers(1, 3))
+def test_property_anneal_equals_the_reference_bit_for_bit(case, seed, restarts):
+    m, schedule = case
+    _assert_matches_reference(m, schedule, seed, restarts)
+
+
+@pytest.fixture
+def chain_paths(monkeypatch):
+    """Count accepted flips per field update and the look-ahead's calls."""
+    seen = {"dense": 0, "sparse": 0, "looks": [], "hits": 0}
+    metropolis, next_accept = ising._metropolis, ising._next_accept
+
+    def counted_metropolis(sites, cutoffs, spins, fields, nbrs, rows, *rest):
+        out = metropolis(sites, cutoffs, spins, fields, nbrs, rows, *rest)
+        seen["sparse" if rows is None else "dense"] += out[0]
+        return out
+
+    def counted_next_accept(xs, sites, cutoffs, pos):
+        found = next_accept(xs, sites, cutoffs, pos)
+        seen["looks"].append(pos)
+        seen["hits"] += found < len(sites)
+        return found
+
+    monkeypatch.setattr(ising, "_metropolis", counted_metropolis)
+    monkeypatch.setattr(ising, "_next_accept", counted_next_accept)
+    return seen
+
+
+def test_anneal_single_spin_matches_the_reference(chain_paths):
+    # five randomness blocks; the chain turns cold while the uphill flip is
+    # still accepted now and then, so the look-ahead finds some
+    m = IsingModel(n=1, h=(0.05,), j={}, offset=0.1)
+    _assert_matches_reference(m, AnnealSchedule(2.0, 0.01, 20000), seed=4, restarts=2)
+    assert chain_paths["sparse"] > 0 and chain_paths["dense"] == 0
+    assert chain_paths["hits"] > 0
+
+
+def test_anneal_without_couplings_matches_the_reference(chain_paths):
+    rng = random.Random(59)
+    m = IsingModel(n=12, h=tuple(rng.uniform(-1, 1) for _ in range(12)), j={})
+    _assert_matches_reference(m, AnnealSchedule(1.5, 1e-3, 800), seed=2, restarts=3)
+    assert chain_paths["sparse"] > 0 and chain_paths["dense"] == 0
+    assert chain_paths["hits"] > 0
+
+
+def test_hot_anneal_never_looks_ahead(chain_paths):
+    rng = random.Random(61)
+    m = random_ising(rng, 20, density=1.0)
+    _assert_matches_reference(m, AnnealSchedule(1e3, 1e3, 600), seed=1, restarts=2)
+    assert chain_paths["dense"] > 0 and chain_paths["sparse"] == 0
+    assert chain_paths["looks"] == []
+
+
+@pytest.mark.parametrize("density", [1.0, 0.3])
+def test_cold_anneal_looks_ahead_from_inside_a_block(chain_paths, density):
+    # 20 spins, 2000 sweeps: ten randomness blocks, and the chain turns cold
+    # after a 512-proposal window that does not end a block
+    rng = random.Random(67)
+    m = random_ising(rng, 20, density=density)
+    _assert_matches_reference(m, default_schedule(m, sweeps=2000), seed=8, restarts=1)
+    path = "dense" if 2 * len(m.j) >= ising._DENSE_DEGREE * m.n else "sparse"
+    assert path == ("dense" if density == 1.0 else "sparse")
+    assert chain_paths[path] > 0
+    assert chain_paths["hits"] > 0
+    assert chain_paths["looks"][0] % ising._BLOCK != 0
