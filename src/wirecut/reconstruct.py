@@ -6,10 +6,11 @@ in-cut, then one bit axis per qubit; the output holds its plan leaf.
 Ideal execution fills it from a single evolution of the leaf's body: the
 in-cut initializations are leading batch axes of the statevector, and by
 linearity one fixed rotation per out-cut then yields every readout basis.
-Noisy execution evolves the body's density matrix once per schedule group
-(the inits whose prep gates take the same durations, as one batch) and
-reads every readout basis from it (``simulate.run_noisy_variants``), into
-the same array. Sampling (``shots``) is one later step over those exact
+Noisy execution evolves the body's density matrix once over a batch of
+every init, whose schedule groups (the inits whose prep gates take the
+same durations) differ only in some channels' matrices, and reads every
+readout basis from it in one contraction (``simulate.run_noisy_variants``),
+into the same array. Sampling (``shots``) is one later step over those exact
 rows. A fragment document (``to_dict``/``from_dict``) stores that array
 as one dense row per variant under its leaf's header (id, width and
 sorted cut ids), so no variant key or bitstring is written or parsed.
@@ -224,10 +225,13 @@ def execute_plan(
     Without ``profile`` each leaf's body evolves once, over a batch of all
     its in-cut initializations, and every out-cut is then rotated into each
     readout basis. With ``profile`` the density-matrix model, under the
-    profile remapped onto the leaf's qubits, evolves the body once per
-    schedule group of in-cut initializations (those whose prep gates take
-    the same durations) and reads every readout basis from that evolution;
-    each row equals ``run_noisy`` of its variant circuit to rounding.
+    profile remapped onto the leaf's qubits, evolves the body once over a
+    batch of every in-cut initialization, group by schedule group (the
+    inits whose prep gates take the same durations), and reads every
+    readout basis from that evolution in one contraction; each row equals
+    ``run_noisy`` of its variant circuit to rounding. The leaves share one
+    cache of gate channels and prep and readout chains, keyed by gate name,
+    angles, arity and error, for this call only.
     Either way the leaf's exact rows come first. With ``shots``, each row
     (one per variant, in ``enumerate_variants`` order) is then replaced by
     the frequencies ``sample_frequencies`` draws from it, seeded with
@@ -235,9 +239,12 @@ def execute_plan(
 
     A leaf whose outputs would hold more than 2^24 entries raises
     ``SimulationError`` before anything is allocated. The same budget
-    bounds a noisy group's batch: ``batch * 4^width`` entries at a time.
+    bounds a noisy leaf's batch, ``batch * 4^width`` entries at a time
+    (at least one init), and each intermediate of its readout: at most
+    the larger of 2^24 and the leaf's own output entries.
     """
     outputs: dict[int, FragmentOutput] = {}
+    channels: dict = {}  # gate channels and chains, shared by the leaves' noisy runs
     for leaf in plan.leaf_fragments():
         entries = leaf.n_variants << leaf.width
         if entries > _MAX_LEAF_ENTRIES:
@@ -255,6 +262,7 @@ def execute_plan(
                 preps=[(leaf.in_cuts[cid], _PREP_OPTIONS) for cid in sorted(leaf.in_cuts)],
                 readouts=[(leaf.out_cuts[cid], _BASIS_OPTIONS) for cid in sorted(leaf.out_cuts)],
                 max_entries=_MAX_LEAF_ENTRIES,
+                channels=channels,
             )
         if shots is not None:
             rows = [

@@ -25,19 +25,22 @@ indexed ``2*ket + bra``, so a one-qubit channel is a 4x4 superoperator
 (``K ⊗ conj(K)`` summed over its Kraus operators) on one axis. Each gate's
 damping, unitary and Pauli error are multiplied, in closed form, into one
 superoperator (4x4, or 16x16 on the two operand axes): ``_gate_channel``
-then ``_idle``. ``_evolve`` multiplies each qubit's run of one-qubit
+then ``_idle``. ``_steps`` multiplies each qubit's run of one-qubit
 channels into the next two-qubit channel on that qubit, so most gates cost
-no ``_apply`` of their own. The tests check the closed forms against Kraus
-channels built independently in ``tests/oracles.py``, and the evolution
-against a full-matrix reference.
+no ``_apply`` of their own, and ``_evolve`` applies the products. The tests
+check the closed forms against Kraus channels built independently in
+``tests/oracles.py``, and the evolution against a full-matrix reference.
 
 ``run_noisy`` simulates one circuit. ``run_noisy_variants`` gives every
 variant of a circuit that differs only in one-qubit gates prepended or
 appended on some qubits (a fragment's cut preparations and readout
-bases). Variants whose prepended gates take the same durations share the
-body's schedule, so the body evolves once per such group, over a batch
-of their prepared states, and every readout is read from that evolution,
-in one contraction per distinct makespan.
+bases), in one pass. Variants whose prepended gates take the same
+durations form a schedule group; the prepared states of every group lie
+on one batch axis of rho, and the body evolves once over it, each
+application taking one matrix where the groups agree and a per-entry
+stack where they do not. Every readout combination of every entry is then
+read in one contraction, one batched matmul per qubit. ``density_matrix``
+is the one-group case of the same evolution.
 """
 from __future__ import annotations
 
@@ -47,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import GATES, Circuit, Gate, asap_schedule
+from .circuit import GATES, Circuit, Gate
 from .noise import NoiseProfile
 
 __all__ = [
@@ -83,9 +86,12 @@ def gate_unitary(g: Gate) -> np.ndarray:
 def _apply(t: np.ndarray, m: np.ndarray, axes) -> np.ndarray:
     """Contract the square matrix ``m`` with the given axes of ``t``, the
     first most significant: a unitary on a statevector's qubit axes or a
-    superoperator on a density matrix's. Other axes, batch axes too, stay."""
-    order = list(axes) + [i for i in range(t.ndim) if i not in axes]
-    out = m @ t.transpose(order).reshape(len(m), -1)
+    superoperator on a density matrix's. Other axes, batch axes too, stay.
+    ``m`` may also be a stack of matrices, one per entry of ``t``'s leading
+    axis, which then applies each entry's own matrix in one batched matmul."""
+    lead = list(range(m.ndim - 2))
+    order = lead + list(axes) + [i for i in range(len(lead), t.ndim) if i not in axes]
+    out = m @ t.transpose(order).reshape(*t.shape[:len(lead)], m.shape[-1], -1)
     out = out.reshape([t.shape[i] for i in order])
     return out.transpose(sorted(range(t.ndim), key=order.__getitem__))
 
@@ -224,24 +230,34 @@ def _damping_superop(tau: float, t1: float, t2: float) -> np.ndarray:
     )
 
 
-def _gate_channel(g: Gate, p: NoiseProfile) -> np.ndarray:
-    """The unitary, then the Pauli error, of one gate: 4x4 on one operand
-    axis or 16x16 on two."""
+def _gate_channel(g: Gate, err: float) -> np.ndarray:
+    """The unitary, then the Pauli error ``err``, of one gate: 4x4 on one
+    operand axis or 16x16 on two."""
     u = gate_unitary(g)
-    err = p.gate_error(g)
     if len(g.qubits) == 1:
         return _pauli_superop(err) @ _kron(u, u.conj())
     pe = _pauli_superop(err / 2.0)
     return _kron(pe, pe) @ _unitary_superop_2q(u)
 
 
+def _channel(g: Gate, p: NoiseProfile, channels: dict) -> np.ndarray:
+    """``_gate_channel`` of ``g`` under ``p``, cached in ``channels`` by the
+    gate's name, angles, arity and error, which is all it depends on."""
+    err = p.gate_error(g)
+    key = (g.name, g.params, len(g.qubits), err)
+    s = channels.get(key)
+    if s is None:
+        s = channels[key] = _gate_channel(g, err)
+    return s
+
+
 def _idle(qubits, gaps, t1, t2) -> np.ndarray:
-    """Damping of each operand over its idle gap (``gaps``, in operand
-    order), on the operands' axes. ``t1`` and ``t2`` give each qubit's times
-    in ns."""
-    pre = [_damping_superop(gap, t1[q], t2[q]) if gap > 0 else _I4
-           for q, gap in zip(qubits, gaps)]
-    return pre[0] if len(pre) == 1 else _kron(*pre)
+    """Damping of a two-qubit gate's operands over their idle gaps
+    (``gaps``, in operand order), on the operands' axes; a one-qubit gate
+    starts when its qubit is free, so it has none. ``t1`` and ``t2`` give
+    each qubit's times in ns."""
+    return _kron(*[_damping_superop(gap, t1[q], t2[q]) if gap > 0 else _I4
+                   for q, gap in zip(qubits, gaps)])
 
 
 def _check_density_width(n: int):
@@ -255,82 +271,106 @@ def _coherence_ns(p: NoiseProfile, n: int) -> tuple[list[float], list[float]]:
     return [p.t1_us(q) * 1000.0 for q in range(n)], [p.t2_us(q) * 1000.0 for q in range(n)]
 
 
-def _evolve(rho: np.ndarray, c: Circuit, p: NoiseProfile, free: list[float], t1, t2,
-            superops: dict):
-    """Apply every gate's fused channel to the last ``c.width`` axes of
-    ``rho`` (leading batch axes are carried through), on the ASAP schedule
-    whose qubit clocks start at ``free``. ``free`` is advanced to the end of
-    each qubit's last gate.
+def _steps(c: Circuit, durations, free: list[float]) -> list:
+    """The superoperator applications that evolve ``c`` on the ASAP schedule
+    whose qubit clocks start at ``free`` (``asap_schedule``'s arithmetic, on
+    the gates' ``durations``), as ``(qubits, key)`` in order. ``free`` is
+    advanced to the end of each qubit's last gate.
 
-    One-qubit channels are not applied one by one. Each qubit's run of them
-    is multiplied into the next two-qubit channel on that qubit, as
+    One-qubit gates get no application of their own. Each qubit's run of
+    them is multiplied into the next two-qubit channel on that qubit, as
     ``s2 @ kron(run_a, run_b)``, and a run that no two-qubit gate follows is
     applied once at the end, qubit by qubit. Channels on other qubits
-    commute with a run, so this is the same map, rounded differently.
-    ``superops`` caches, for evolutions of ``c`` from other clocks, each
-    gate's own channel by its index and each applied product by its
-    members' gate indices and gaps, in the order they act."""
-    batch = rho.ndim - c.width
+    commute with a run, so this is the same map, rounded differently. A key
+    names its members as ``(gate index, gaps)``: ``(run_a, run_b, last)``
+    for a two-qubit application, the run itself for a one-qubit one. The
+    qubits of every application follow from ``c`` alone; only the gaps, and
+    so the keys, depend on ``free``."""
+    pending: list[list] = [[] for _ in range(c.width)]  # per qubit, its run's (gate, gaps)
+    steps = []
+    for gi, g in enumerate(c.gates):
+        if g.is_measurement:
+            continue
+        if len(g.qubits) == 1:  # starts when its qubit is free: no gap
+            q = g.qubits[0]
+            pending[q].append((gi, (0.0,)))
+            free[q] = free[q] + durations[gi]
+            continue
+        a, b = g.qubits
+        start = max(free[a], free[b])
+        steps.append((g.qubits, (tuple(pending[a]), tuple(pending[b]),
+                                 (gi, (start - free[a], start - free[b])))))
+        pending[a], pending[b] = [], []
+        free[a] = free[b] = start + durations[gi]
+    steps += [((q,), tuple(members)) for q, members in enumerate(pending) if members]
+    return steps
+
+
+def _fuser(c: Circuit, p: NoiseProfile, t1, t2, channels: dict):
+    """The matrix of one of ``_steps``' applications of ``c``, by its qubits
+    and key. Gate channels come from ``channels`` (see ``_channel``), and
+    each matrix is built once per key: damping over each member's gaps,
+    then its channel, multiplied in the order they act."""
+    cores = [None if g.is_measurement else _channel(g, p, channels) for g in c.gates]
+    superops: dict = {}
 
     def fused(gi: int, gaps) -> np.ndarray:
-        """Gate ``gi``'s fused channel: damping over its operands' gaps, then
-        its own channel, which is cached by the gate index."""
-        core = superops.get(gi)
-        if core is None:
-            core = superops[gi] = _gate_channel(c.gates[gi], p)
+        core = cores[gi]
         return core @ _idle(c.gates[gi].qubits, gaps, t1, t2) if any(gaps) else core
 
     def run(members) -> np.ndarray:
-        """The channel of one qubit's run of one-qubit gates."""
         s = _I4
         for gi, gaps in members:
             m = fused(gi, gaps)
             s = m if s is _I4 else m @ s
         return s
 
-    spans, _ = asap_schedule(c, p, free)
-    pending: list[list] = [[] for _ in range(c.width)]  # per qubit, its run's (gate, gaps)
-    for gi, (g, (start, end)) in enumerate(zip(c.gates, spans)):
-        if g.is_measurement:
-            continue
-        gaps = tuple(start - free[q] for q in g.qubits)
-        for q in g.qubits:
-            free[q] = end
-        if len(g.qubits) == 1:
-            pending[g.qubits[0]].append((gi, gaps))
-            continue
-        a, b = g.qubits
-        key = (*pending[a], *pending[b], (gi, gaps))
+    def matrix(qubits, key) -> np.ndarray:
         s = superops.get(key)
         if s is None:
-            s = fused(gi, gaps)
-            if len(key) > 1:
-                s = s @ _kron(run(pending[a]), run(pending[b]))
+            if len(qubits) == 1:
+                s = run(key)
+            else:
+                run_a, run_b, last = key
+                s = fused(*last)
+                if run_a or run_b:
+                    s = s @ _kron(run(run_a), run(run_b))
             superops[key] = s
-        pending[a], pending[b] = [], []
-        rho = _apply(rho, s, [batch + a, batch + b])
-    for q, members in enumerate(pending):
-        if members:
-            key = tuple(members)
-            if key not in superops:
-                superops[key] = run(members)
-            rho = _apply(rho, superops[key], (batch + q,))
+        return s
+
+    return matrix
+
+
+def _evolve(rho: np.ndarray, steps: list, group, matrix) -> np.ndarray:
+    """Apply ``_steps``' applications to ``rho``, whose leading axis is a
+    batch and whose other axes are the circuit's qubits. ``steps`` holds one
+    list per schedule group, all with the same qubits in the same order, and
+    ``group`` each batch entry's index into it (``None`` for one group).
+    Where the groups' keys give one matrix it is applied to the whole batch;
+    otherwise each entry gets its group's matrix, from one stack."""
+    for k, (qubits, _) in enumerate(steps[0]):
+        ms = [matrix(qubits, s[k][1]) for s in steps]
+        m = ms[0]
+        if any(other is not m for other in ms):
+            m = np.stack(ms)[group]
+        rho = _apply(rho, m, [1 + q for q in qubits])
     return rho
 
 
 def density_matrix(c: Circuit, p: NoiseProfile) -> np.ndarray:
     """Full density matrix of ``c`` under the gate-error + damping model.
 
-    The channels are fused as ``_evolve`` fuses them, so the matrix equals
+    The channels are fused as ``_steps`` fuses them, so the matrix equals
     the gate-by-gate evolution to rounding (within 1e-12 of the full-matrix
     reference in the tests), not bit for bit."""
     _check_density_width(c.width)
     n = c.width
     t1, t2 = _coherence_ns(p, n)
-    rho = np.zeros((4,) * n, dtype=complex)
-    rho[(0,) * n] = 1.0
+    rho = np.zeros((1,) + (4,) * n, dtype=complex)
+    rho[(0,) * (n + 1)] = 1.0
     free = [0.0] * n
-    rho = _evolve(rho, c, p, free, t1, t2, {})
+    steps = _steps(c, [p.gate_duration(g) for g in c.gates], free)
+    rho = _evolve(rho, [steps], None, _fuser(c, p, t1, t2, {}))[0]
     makespan = max(free, default=0.0)
     for q in range(n):
         gap = makespan - free[q]
@@ -348,57 +388,84 @@ def run_noisy(c: Circuit, p: NoiseProfile) -> Distribution:
     return measure_distribution(density_matrix(c, p))
 
 
-def _chain(q: int, names, p: NoiseProfile) -> tuple[np.ndarray, list[float]]:
+def _chain(q: int, names, p: NoiseProfile, channels: dict) -> tuple[np.ndarray, list[float]]:
     """The channel of the named one-qubit gates run back to back on ``q``,
-    and the gates' durations in order."""
-    s, durations = _I4, []
-    for name in names:
-        g = Gate(name, (q,))
-        s = _gate_channel(g, p) @ s
-        durations.append(p.gate_duration(g))
-    return s, durations
+    and the gates' durations in order. The channel is cached in
+    ``channels`` by its gates' ``_channel`` keys."""
+    gates = [Gate(name, (q,)) for name in names]
+    key = tuple((g.name, g.params, 1, p.gate_error(g)) for g in gates)
+    s = channels.get(key)
+    if s is None:
+        s = _I4
+        for g in gates:
+            s = _channel(g, p, channels) @ s
+        channels[key] = s
+    return s, [p.gate_duration(g) for g in gates]
 
 
-def _end(clock: float, durations) -> float:
-    """The clock after gates of these durations run back to back from ``clock``."""
+def _end(clock, durations):
+    """The clock after gates of these durations run back to back from
+    ``clock``, a float or an array of them."""
     for d in durations:
         clock = clock + d
     return clock
 
 
+def _check_entries(kind: str, entries, n: int):
+    """Each prep or readout entry is on its own qubit of the circuit and
+    offers at least one option."""
+    seen: dict = {}
+    for j, (q, options) in enumerate(entries):
+        if not (isinstance(q, int) and 0 <= q < n):
+            raise SimulationError(
+                f"{kind} entry {j} is on qubit {q!r}, not one of the circuit's {n} qubits")
+        if q in seen:
+            raise SimulationError(f"{kind} entry {j} repeats qubit {q} of {kind} entry {seen[q]}")
+        if not options:
+            raise SimulationError(f"{kind} entry {j} on qubit {q} has no options")
+        seen[q] = j
+
+
 def run_noisy_variants(c: Circuit, p: NoiseProfile, preps, readouts,
-                       max_entries: int) -> np.ndarray:
+                       max_entries: int, channels: dict | None = None) -> np.ndarray:
     """Exact outcome probabilities of every variant of ``c`` under the
     gate-error + damping model.
 
     ``preps`` and ``readouts`` are sequences of ``(qubit, options)``, each
     option a tuple of one-qubit gate names; no qubit appears twice in one
-    sequence. A variant picks one option per entry: a prep option's gates
-    run before ``c`` on its qubit and a readout option's after it. The
-    result has one axis per readout and then one per prep, indexed by
-    option, then one bit axis per qubit; each entry is ``run_noisy`` of
-    that variant's circuit, to rounding.
+    sequence, or ``SimulationError`` names the entry. A variant picks one
+    option per entry: a prep option's gates run before ``c`` on its qubit
+    and a readout option's after it. The result has one axis per readout
+    and then one per prep, indexed by option, then one bit axis per qubit;
+    each entry is ``run_noisy`` of that variant's circuit, to rounding.
 
     A prep's gates start a fresh wire at t=0, so only their durations shape
     the body's schedule. Variants whose preps end at the same clocks form a
-    schedule group: their prepared states are one batch axis of rho, at most
-    ``max(1, max_entries // 4^width)`` at a time, and the body's fused
-    channels (see ``_evolve``) run once over the batch. The readout
-    combinations are read from the evolved batch in one contraction per
-    distinct makespan, with one 2x4 map per qubit: the readout gates'
-    channel (from the qubit's body end), the damping up to the makespan,
-    and the diagonal. Rows get ``measure_distribution``'s clean-up.
+    schedule group, and each group's schedule and fused applications are
+    worked out once (``_steps``, with each gate's duration looked up once).
+    Every prepared state of every group then goes on one batch axis of rho,
+    group by group, at most ``max(1, max_entries // 4^width)`` at a time,
+    and the body evolves once over it: every group applies the same
+    sequence of channels, and an application whose matrix differs between
+    the groups of a chunk applies each entry's own from a stack. All
+    readout combinations of every entry are then read in one contraction
+    (``_read``). ``channels`` caches gate channels and prep and readout
+    chains by gate name, angles, arity and error; a caller that runs many
+    circuits may share one dict between them. Rows get
+    ``measure_distribution``'s clean-up.
     """
     _check_density_width(c.width)
     n = c.width
+    _check_entries("prep", preps, n)
+    _check_entries("readout", readouts, n)
+    channels = {} if channels is None else channels
     t1, t2 = _coherence_ns(p, n)
-    zero = _I4[0]  # |0><0|
     # per prep: each option's prepared one-qubit state and its end clock
     prepared = [[(s[:, 0], _end(0.0, durations))
-                 for s, durations in (_chain(q, names, p) for names in options)]
+                 for s, durations in (_chain(q, names, p, channels) for names in options)]
                 for q, options in preps]
     # per readout: each option's channel and gate durations
-    chains = [[_chain(q, names, p) for names in options] for q, options in readouts]
+    chains = [[_chain(q, names, p, channels) for names in options] for q, options in readouts]
     prep_shape = tuple(len(options) for _, options in preps)
     readout_shape = tuple(len(options) for _, options in readouts)
     out = np.empty(readout_shape + prep_shape + (1 << n,))
@@ -410,83 +477,82 @@ def run_noisy_variants(c: Circuit, p: NoiseProfile, preps, readouts,
         for i, (_, end) in enumerate(states):
             by_end.setdefault(end, []).append(i)
         classes.append(list(by_end.items()))
-    chunk = max(1, max_entries >> (2 * n))
-    superops: dict = {}
+    durations = [p.gate_duration(g) for g in c.gates]
+    steps, frees, members = [], [], []  # per group; per init, (group, option per prep)
     for group in itertools.product(*classes):
-        start = [0.0] * n
+        free = [0.0] * n
         for (q, _), (end, _) in zip(preps, group):
-            start[q] = end
-        members = list(itertools.product(*(indices for _, indices in group)))
-        for lo in range(0, len(members), chunk):
-            part = members[lo:lo + chunk]
-            rho = np.ones(len(part), dtype=complex)
-            vectors = {q: np.array([prepared[j][m[j]][0] for m in part])
-                       for j, (q, _) in enumerate(preps)}
-            for q in range(n):
-                v = vectors.get(q, zero[None])
-                rho = rho[..., None] * v.reshape(v.shape[:1] + (1,) * q + (4,))
-            free = list(start)
-            rho = _evolve(rho, c, p, free, t1, t2, superops)
-            cols = [np.ravel_multi_index(m, prep_shape) for m in part]
-            flat[:, cols] = _read_out(rho, free, readouts, chains, t1)
+            free[q] = end
+        members += [(len(steps), m) for m in itertools.product(*(ix for _, ix in group))]
+        steps.append(_steps(c, durations, free))
+        frees.append(free)
+    matrix = _fuser(c, p, t1, t2, channels)
+    zero = _I4[0]  # |0><0|
+    chunk = max(1, max_entries >> (2 * n))
+    limit = max(max_entries, out.size)
+    for lo in range(0, len(members), chunk):
+        part = members[lo:lo + chunk]
+        first, last = part[0][0], part[-1][0] + 1
+        group = np.array([g - first for g, _ in part])
+        rho = np.ones(len(part), dtype=complex)
+        vectors = {q: np.array([prepared[j][m[j]][0] for _, m in part])
+                   for j, (q, _) in enumerate(preps)}
+        for q in range(n):
+            v = vectors.get(q, zero[None])
+            rho = rho[..., None] * v.reshape(v.shape[:1] + (1,) * q + (4,))
+        rho = _evolve(rho, steps[first:last], group, matrix)
+        cols = [np.ravel_multi_index(m, prep_shape) for _, m in part]
+        flat[:, cols] = _read(rho, group, frees[first:last], chains, [q for q, _ in readouts],
+                              t1, limit)
     out[np.abs(out) < 1e-14] = 0.0
     np.clip(out, 0.0, None, out=out)
     return out.reshape(readout_shape + prep_shape + (2,) * n)
 
 
-def _read_map(channel: np.ndarray, gap: float, t1: float) -> np.ndarray:
-    """The 2x4 map that applies ``channel``, damps the qubit over ``gap`` ns
-    and reads |0><0| and |1><1|: rows 0 and 3 of the product, which only
-    amplitude damping moves."""
-    lam = _decay(gap, t1) if gap > 0 else 0.0
-    return np.array([channel[0] + lam * channel[3], (1.0 - lam) * channel[3]])
-
-
-def _read_out(rho, free, readouts, chains, t1) -> np.ndarray:
+def _read(rho, group, frees, chains, read_qubits, t1, limit: int) -> np.ndarray:
     """Outcome probabilities of a batch of evolved density matrices (one
     leading batch axis) under every readout combination, over (combination,
-    batch, outcome). ``free`` holds each qubit's clock at the body's end,
-    and ``chains`` each readout option's channel and gate durations.
+    entry, outcome), combinations in C order of the readouts' options.
+    ``group`` gives each entry's index into ``frees``, its group's qubit
+    clocks at the body's end; readout j is on ``read_qubits[j]`` and
+    ``chains[j]`` holds each of its options' channel and gate durations.
 
-    The combinations that end at the same makespan are read in one
-    contraction. A qubit without a readout takes one 2x4 map: damping from
-    its clock to the makespan, then its diagonal. A readout qubit stacks one
-    such map per option, after that option's channel and from its end
-    clock. The qubits without a readout are contracted first, each in place
-    of its axis, so every intermediate stays within rho's size until the
-    readout qubits add their option axes; those axes then move to the
-    front, in readout order."""
-    n, batch = len(free), len(rho)
-    read = {q: j for j, (q, _) in enumerate(readouts)}
-    # each readout option's end clock on its qubit, gate by gate from free
-    ends = [[_end(free[q], durations) for _, durations in options]
-            for (q, _), options in zip(readouts, chains)]
-    body = max((free[q] for q in range(n) if q not in read), default=0.0)
-    combos = list(itertools.product(*(range(len(e)) for e in ends)))
-    makespans = [max([body, *(e[i] for e, i in zip(ends, combo))]) for combo in combos]
-    # a contraction's axes: batch, then per qubit its bit, after its option
-    # axis if read
-    shape, option_axis, bit_axes = [batch], {}, []
-    for q in range(n):
-        if q in read:
-            option_axis[q] = len(shape)
-            shape.append(len(ends[read[q]]))
-        bit_axes.append(len(shape))
-        shape.append(2)
-    order = [option_axis[q] for q, _ in readouts] + [0] + bit_axes
-    res = np.empty((len(combos), batch, 1 << n))
-    for makespan in sorted(set(makespans)):
-        probs, sizes = rho, [4] * n
-        for q in sorted(range(n), key=read.__contains__):
-            if q in read:
-                j = read[q]
-                m = np.concatenate([_read_map(ch, makespan - end, t1[q])
-                                    for (ch, _), end in zip(chains[j], ends[j])])
-            else:
-                m = _read_map(_I4, makespan - free[q], t1[q])
-            probs = np.matmul(m, probs.reshape(batch * math.prod(sizes[:q]), 4, -1))
-            sizes[q] = len(m)
-        probs = probs.real.reshape(shape).transpose(order).reshape(len(combos), batch, -1)
-        rows = [r for r, m in enumerate(makespans) if m == makespan]
-        res[rows] = probs[rows]
+    Each qubit takes one 2x4 map per (combination, entry): the readout
+    option's channel, if the qubit is read, then amplitude damping from the
+    qubit's end clock to that combination's makespan in that group, then
+    rows |0><0| and |1><1|, which only amplitude damping moves. The qubits
+    are contracted one at a time, each with one batched matmul, with the
+    combinations on the leading axis, so the first contraction makes the
+    largest intermediate: half the batch's size per combination. Blocks of
+    combinations keep it within ``limit`` entries (at least one
+    combination at a time)."""
+    n, batch = rho.ndim - 1, len(rho)
+    shape = tuple(len(options) for options in chains)
+    n_combos = math.prod(shape)
+    combos = np.indices(shape).reshape(len(shape), n_combos)  # option per readout
+    free = np.array(frees)  # (group, qubit)
+    # per qubit: its clock before the damping, over (group, combination), and
+    # the index into ``table`` of rows 0 and 3 of the channel before it (the
+    # identity's unless the qubit is read), over combination
+    ends = np.repeat(free.T[:, :, None], n_combos, axis=2)
+    table = [_I4[[0, 3]]]
+    index = np.zeros((n, n_combos), dtype=np.intp)
+    for j, (q, options) in enumerate(zip(read_qubits, chains)):
+        clocks = np.array([_end(free[:, q], durations) for _, durations in options])
+        ends[q] = clocks[combos[j]].T
+        index[q] = len(table) + combos[j]
+        table += [ch[[0, 3]] for ch, _ in options]
+    table = np.array(table)
+    gaps = ends.max(axis=0) - ends  # to each combination's makespan
+    decay = -np.expm1(-gaps / np.array(t1)[:, None, None])  # 0 where T1 is infinite
+    decay = decay[:, group].transpose(0, 2, 1)[..., None]  # (qubit, combination, entry, 1)
+    res = np.empty((n_combos, batch, 1 << n))
+    block = max(1, min(n_combos, limit // (batch << (2 * n - 1))))
+    for lo in range(0, n_combos, block):
+        r, lam = table[index[:, lo:lo + block, None]], decay[:, lo:lo + block]
+        maps = np.stack([r[..., 0, :] + lam * r[..., 1, :], (1.0 - lam) * r[..., 1, :]], axis=-1)
+        probs = rho.reshape(1, batch, -1)
+        for q in range(n):
+            probs = probs.reshape(*probs.shape[:2], 4, -1).swapaxes(2, 3) @ maps[q]
+        res[lo:lo + block] = probs.reshape(len(probs), batch, -1).real
     return res

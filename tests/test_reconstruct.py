@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import random
+import tracemalloc
 from collections import defaultdict
 
 import numpy as np
@@ -16,6 +17,7 @@ from oracles import dict_fidelity, dict_hellinger, dict_tvd
 from wirecut.circuit import Circuit, Gate, parse_qasm
 from wirecut.fixtures import CIRCUIT_FIXTURES, circuit_fixture, fixture_text
 from wirecut.fragment import (
+    _PREP_GATES,
     INIT_STATES,
     MEAS_BASES,
     Fragment,
@@ -171,6 +173,7 @@ def test_shot_noise_yields_clipped_quasi_mass():
 STRESS = load_profile(fixture_text("profiles", "stress"))
 # the module itself: the package's ``reconstruct`` name is the function
 RECONSTRUCT_MODULE = importlib.import_module("wirecut.reconstruct")
+SIMULATE_MODULE = importlib.import_module("wirecut.simulate")
 
 
 @settings(max_examples=30, deadline=None)
@@ -327,21 +330,112 @@ def test_noisy_readouts_out_of_qubit_order_match_each_variant_circuit(seed):
         assert np.max(np.abs(out.probs[idx].reshape(-1) - expect)) <= 1e-12
 
 
-@pytest.mark.parametrize("outs, budget, chunk", [([], 1 << 8, 1), ([3], 3 << 8, 3)])
+@pytest.mark.parametrize("outs, budget, chunk",
+                         [([], 1 << 8, 1), ([3], 3 << 8, 3), ([], 4 << 8, 4), ([3], 5 << 8, 5)])
 def test_noisy_groups_are_chunked_to_the_leaf_budget(monkeypatch, outs, budget, chunk):
-    # two in-cuts under stress: one and plus share a prep duration, so a
-    # group batches up to 2 x 2 inits of 4^4 entries each; the budget still
-    # admits the leaf's outputs and allows ``chunk`` inits at a time
+    # two in-cuts under stress: one and plus share a prep duration, so the
+    # 16 inits form 3 x 3 schedule groups of 1, 2 or 4 inits, which lie on
+    # the batch axis group by group; the budget still admits the leaf's
+    # outputs and allows ``chunk`` inits of 4^4 entries at a time, so chunk
+    # boundaries fall between groups and inside them
     rng = random.Random(5)
     leaf = Fragment(id=1, circuit=random_circuit(rng, 4, 14), in_cuts={0: 0, 2: 2},
                     out_cuts=dict(zip([1], outs)), qubit_map=(0, 1, 2, 3))
-    assert leaf.n_variants << leaf.width <= budget < 4 << (2 * leaf.width)
+    assert leaf.n_variants << leaf.width <= budget < 16 << (2 * leaf.width)
     assert budget >> (2 * leaf.width) == chunk
+    prep_ends = [sum(STRESS.gate_duration(Gate(name, (0,))) for name in _PREP_GATES[s])
+                 for s in INIT_STATES]
+    sizes = [prep_ends.count(end) for end in dict.fromkeys(prep_ends)]
+    group_ends = set(itertools.accumulate(a * b for a in sizes for b in sizes))
+    assert sizes == [1, 2, 1] and max(group_ends) == 16
+    boundaries = set(range(chunk, 16, chunk))
+    assert boundaries & group_ends and boundaries - group_ends
     whole = execute_plan(leaf_plan(leaf), STRESS)[leaf.id].probs
     monkeypatch.setattr(RECONSTRUCT_MODULE, "_MAX_LEAF_ENTRIES", budget)
     chunked = execute_plan(leaf_plan(leaf), STRESS)[leaf.id].probs
     assert chunked.shape == whole.shape
     assert np.max(np.abs(chunked - whole)) <= 1e-15
+
+
+def test_noisy_groups_that_disagree_apply_a_stack_of_channels(monkeypatch):
+    # qubit 1 is busy when the prep on qubit 0 ends, so the cx's idle gap on
+    # qubit 0 depends on the init's prep duration: the groups of one chunk
+    # need different matrices for the cx, and each entry gets its own
+    leaf = Fragment(id=1, circuit=Circuit(width=2, gates=(
+        Gate("h", (1,)), Gate("x", (1,)), Gate("cx", (0, 1)), Gate("ry", (0,), (0.4,)),
+        Gate("cx", (1, 0)), Gate("h", (1,)),
+    )), in_cuts={0: 0}, out_cuts={1: 1}, qubit_map=(0, 1))
+    stacked = []
+    apply = SIMULATE_MODULE._apply
+
+    def spy(t, m, axes):
+        if m.ndim == 3:
+            stacked.append(m.shape)
+        return apply(t, m, axes)
+
+    monkeypatch.setattr(SIMULATE_MODULE, "_apply", spy)
+    out = execute_plan(leaf_plan(leaf), STRESS)[leaf.id]
+    assert stacked and all(shape[0] == len(INIT_STATES) for shape in stacked)
+    for v in enumerate_variants(leaf):
+        idx = (MEAS_BASES.index(v.bases[1]), INIT_STATES.index(v.inits[0]))
+        expect = run_noisy(v.circuit, STRESS).probs
+        assert np.max(np.abs(out.probs[idx].reshape(-1) - expect)) <= 1e-12
+
+
+def test_noisy_leaf_with_an_undamped_qubit_and_three_out_cuts():
+    # qubit 1 has T1 = inf (dephasing only), and per-qubit basis gate
+    # durations give the 27 readout combinations different makespans
+    profile = NoiseProfile(
+        p1=0.002, p2=0.02, d1_ns=40.0, d2_ns=200.0,
+        qubits={0: QubitCal(60.0, 50.0), 1: QubitCal(math.inf, 40.0),
+                2: QubitCal(30.0, 45.0), 3: QubitCal(90.0, 120.0)},
+        gates={("h", (1,)): GateCal(0.003, 90.0), ("sdg", (3,)): GateCal(0.001, 130.0),
+               ("x", (2,)): GateCal(0.002, 70.0)},
+    )
+    rng = random.Random(17)
+    leaf = Fragment(id=2, circuit=random_circuit(rng, 4, 16), in_cuts={5: 2},
+                    out_cuts={3: 0, 1: 1, 4: 3}, qubit_map=(0, 1, 2, 3))
+    out = execute_plan(leaf_plan(leaf), profile)[leaf.id]
+    assert out.probs.shape == (3, 3, 3, 4) + (2,) * 4
+    for v in enumerate_variants(leaf):
+        idx = tuple(MEAS_BASES.index(v.bases[c]) for c in (1, 3, 4))
+        idx += (INIT_STATES.index(v.inits[5]),)
+        expect = run_noisy(v.circuit, profile).probs
+        assert np.max(np.abs(out.probs[idx].reshape(-1) - expect)) <= 1e-12
+
+
+def test_noisy_readout_allocation_stays_within_the_leaf_budget(monkeypatch):
+    # one init of a 6-qubit leaf with three out-cuts: reading all 27
+    # combinations at once would make a first intermediate of 27 x 4^6 / 2
+    # complex entries (885 kB); blocks of combinations keep every
+    # intermediate within max(budget, the leaf's output entries), and the
+    # readout's peak allocation within three such intermediates (one step's
+    # input and output, and a copy matmul may make of its input), its
+    # result and small per-combination maps; reading all at once peaks
+    # near 1.4 MB
+    rng = random.Random(23)
+    leaf = Fragment(id=1, circuit=random_circuit(rng, 6, 20), in_cuts={},
+                    out_cuts={0: 0, 1: 2, 2: 5}, qubit_map=tuple(range(6)))
+    whole = execute_plan(leaf_plan(leaf), STRESS)[leaf.id].probs
+    budget = 1 << (2 * leaf.width)
+    limit = max(budget, leaf.n_variants << leaf.width)
+    peaks = []
+    read = SIMULATE_MODULE._read
+
+    def traced(*args, **kwargs):
+        tracemalloc.start()
+        try:
+            return read(*args, **kwargs)
+        finally:
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+
+    monkeypatch.setattr(RECONSTRUCT_MODULE, "_MAX_LEAF_ENTRIES", budget)
+    monkeypatch.setattr(SIMULATE_MODULE, "_read", traced)
+    blocked = execute_plan(leaf_plan(leaf), STRESS)[leaf.id].probs
+    assert len(peaks) == 1
+    assert peaks[0] <= 16 * 3 * limit + 8 * whole.size + (32 << 10)
+    assert np.max(np.abs(blocked - whole)) <= 1e-15
 
 
 def test_sampled_variants_each_draw_with_their_own_seed():

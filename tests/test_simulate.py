@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from oracles import (
     phase_damping_channel,
     reference_density_evolution,
 )
-from wirecut.circuit import GATES, Circuit, Gate, parse_qasm
+from wirecut.circuit import GATES, Circuit, Gate, asap_schedule, parse_qasm
 from wirecut.noise import GateCal, NoiseProfile, QubitCal
 from wirecut.reconstruct import fidelity, tvd
 from wirecut.simulate import (
@@ -24,11 +25,13 @@ from wirecut.simulate import (
     _apply,
     _damping_superop,
     _pauli_superop,
+    _steps,
     density_matrix,
     gate_unitary,
     measure_distribution,
     run_ideal,
     run_noisy,
+    run_noisy_variants,
     sample_frequencies,
 )
 
@@ -125,6 +128,47 @@ def test_apply_matches_an_einsum_reference(case):
     got = _apply(t, m, axes)
     assert got.shape == t.shape
     np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_contractions())
+def test_apply_with_a_matrix_stack_applies_each_entry_its_own(case):
+    # a stack of matrices, one per entry of the leading axis, is applied as
+    # each entry's own matrix on that entry
+    t, m, axes = case
+    axes = tuple(a + 1 for a in axes)
+    batch = 3
+    t = np.stack([t * (b + 1) for b in range(batch)])
+    ms = np.stack([m + b for b in range(batch)])
+    got = _apply(t, ms, axes)
+    assert got.shape == t.shape
+    for b in range(batch):
+        expect = _apply(t[b], ms[b], [a - 1 for a in axes])
+        np.testing.assert_allclose(got[b], expect, rtol=0, atol=1e-12)
+
+
+_TWO_QUBITS = Circuit(width=2, gates=(Gate("h", (0,)), Gate("cx", (0, 1))))
+
+
+@pytest.mark.parametrize("preps, readouts, message", [
+    ([(0, (("x",), ())), (0, ((), ("h",)))], [], "prep entry 1 repeats qubit 0 of prep entry 0"),
+    ([(5, ((),))], [], "prep entry 0 is on qubit 5, not one of the circuit's 2 qubits"),
+    ([], [(-1, ((),))], "readout entry 0 is on qubit -1"),
+    ([], [(1, ((),)), (0, ((),)), (1, (("h",),))], "readout entry 2 repeats qubit 1"),
+    ([(1, ())], [], "prep entry 0 on qubit 1 has no options"),
+])
+def test_noisy_variants_refuse_bad_entries(preps, readouts, message):
+    with pytest.raises(SimulationError, match=re.escape(message)):
+        run_noisy_variants(_TWO_QUBITS, NoiseProfile(), preps, readouts, max_entries=1 << 10)
+
+
+def test_noisy_variants_take_a_qubit_in_both_a_prep_and_a_readout():
+    # the middle piece of a wire cut twice: a prep and a readout on one qubit
+    out = run_noisy_variants(_TWO_QUBITS, NoiseProfile(), [(0, ((), ("x",)))],
+                             [(0, ((), ("h",)))], max_entries=1 << 10)
+    assert out.shape == (2, 2, 2, 2)
+    variant = Circuit(width=2, gates=(Gate("x", (0,)),) + _TWO_QUBITS.gates + (Gate("h", (0,)),))
+    assert np.max(np.abs(out[1, 1].reshape(-1) - run_noisy(variant, NoiseProfile()).probs)) < 1e-12
 
 
 def test_measure_distribution_ghz():
@@ -362,6 +406,28 @@ def _noisy_case(draw):
         qubits=qubits, gates=calibrated,
     )
     return Circuit(width=width, gates=tuple(gates)), profile
+
+
+@settings(max_examples=100, deadline=None)
+@given(_noisy_case(), st.lists(st.floats(0.0, 500.0), min_size=5, max_size=5))
+def test_evolution_clocks_follow_the_asap_schedule(case, starts):
+    # the noisy evolution keeps its own clocks: from 0 they end where
+    # asap_schedule's spans do, and from any start its applications act on
+    # the same qubits in the same order, which one evolution of several
+    # schedule groups relies on
+    c, profile = case
+    durations = [profile.gate_duration(g) for g in c.gates]
+    spans, makespan = asap_schedule(c, profile)
+    free = [0.0] * c.width
+    steps = _steps(c, durations, free)
+    ends = [0.0] * c.width
+    for g, (_, end) in zip(c.gates, spans):
+        if not g.is_measurement:
+            for q in g.qubits:
+                ends[q] = end
+    assert free == ends and max(free) == makespan
+    shifted = _steps(c, durations, starts[:c.width])
+    assert [qubits for qubits, _ in shifted] == [qubits for qubits, _ in steps]
 
 
 @settings(max_examples=150, deadline=None)
