@@ -426,8 +426,6 @@ def _choose_partition(
             "energy": energy,
         }
         candidates.append(("anneal", pv, cost))
-    if not candidates:
-        raise PlanError(f"unknown solver '{solver}'")
     # stable min: the GA is listed first, so ties pick it
     name, pv, cost = min(candidates, key=lambda t: t[2])
     if math.isinf(cost):
@@ -458,6 +456,8 @@ def recursive_fragment(
     """
     if not 0.0 <= threshold <= 1.0:
         raise PlanError(f"threshold must lie in [0, 1], got {threshold}")
+    if solver not in ("ga", "anneal", "both"):
+        raise PlanError(f"unknown solver {solver!r}")
     limits = limits or Limits()
     counters = {"fragment": 1, "cut": 0, "node": 0}
     solver_log: list[dict] = []
@@ -629,7 +629,7 @@ def plan_from_dict(doc: dict) -> FragmentPlan:
     """
     if not isinstance(doc, dict):
         raise PlanError("plan document must be a JSON object")
-    if doc.get("version") != 1:
+    if type(doc.get("version")) is not int or doc["version"] != 1:
         raise PlanError("unsupported plan document version")
     try:
         tree = doc["tree"]

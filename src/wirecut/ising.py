@@ -16,12 +16,12 @@ Metropolis thresholds. The chain then decides every proposal exactly as a
 scalar loop over Python lists would. Two shortcuts make it faster without
 changing a decision or a bit of the result:
 
-- On a model with many couplings per spin (every ``build_ising`` model at
-  alpha > 0 is a complete graph) the local fields live in one
-  ``array('d')``, and an accepted flip adds its row of 2*J in one numpy
-  operation on a view of that buffer. Each field takes the same IEEE
+- On every model the local fields live in one ``array('d')``, and an
+  accepted flip adds its row of the dense n-by-n 2*J (8n^2 bytes) in one
+  numpy operation on a view of that buffer. Each field takes the same IEEE
   operation as in the loop; a missing coupling adds 0.0, which can flip
   only the sign of a zero field, and no test or energy sum sees that sign.
+  The loop over neighbour lists lives only in the tests' reference.
 - Once a window of proposals accepts under 2%, the chain stays cold: numpy
   tests the next proposals against a copy of s_i*f_i with the scalar
   comparison, and the chain jumps to the first one accepted. Proposals
@@ -156,16 +156,14 @@ _INV53 = 1.0 / float(1 << 53)
 _WINDOW = 512  # proposals per acceptance count while the chain is hot
 _COLD = 50  # a window accepting under 1/_COLD of its proposals makes the chain cold
 _LOOK = 64  # proposals tested at once in numpy while the chain is cold
-_DENSE_DEGREE = 8  # mean couplings per spin from which a flip updates fields in numpy
 
 
-def _metropolis(sites, cutoffs, spins, fields, nbrs, rows, view, e, best_e, best):
+def _metropolis(sites, cutoffs, spins, fields, rows, view, e, best_e, best):
     """Decide the proposals ``sites`` with thresholds ``cutoffs`` one at a time.
 
     Returns (accepted, e, best_e, best). Flipping s_i moves every field f_j
-    by -2*J_ij*s_i: through the neighbour list ``nbrs[i]`` of ``(j,
-    2*J_ij)``, or, when ``rows`` holds the rows of the dense 2*J, as one
-    numpy operation on ``view``, the numpy view of ``fields``.
+    by -2*J_ij*s_i: one numpy operation with row i of the dense 2*J,
+    ``rows[i]``, on ``view``, the numpy view of ``fields``.
     """
     accepted = 0
     for i, cutoff in zip(sites, cutoffs):
@@ -175,17 +173,10 @@ def _metropolis(sites, cutoffs, spins, fields, nbrs, rows, view, e, best_e, best
             continue
         accepted += 1
         spins[i] = -si
-        if rows is not None:
-            if si > 0:
-                np.subtract(view, rows[i], view)
-            else:
-                np.add(view, rows[i], view)
-        elif si > 0:
-            for j, w2 in nbrs[i]:
-                fields[j] -= w2
+        if si > 0:
+            np.subtract(view, rows[i], view)
         else:
-            for j, w2 in nbrs[i]:
-                fields[j] += w2
+            np.add(view, rows[i], view)
         e -= 2.0 * x
         if e < best_e:
             best_e = e
@@ -211,29 +202,26 @@ def _next_accept(xs, sites, cutoffs, pos: int) -> int:
     return size
 
 
-def _chain(h, nbrs, rows, temps, rng: random.Random) -> list[int]:
+def _chain(h, rows, temps, rng: random.Random) -> list[int]:
     """One Metropolis chain from a random start; returns the best spins seen.
 
-    ``nbrs[i]`` lists ``(j, 2*J_ij)`` for spin i, ``rows`` is None or the
-    rows of the dense 2*J, and ``temps`` holds one temperature per sweep.
-    The randomness for each block of proposals is drawn at once from
-    ``rng.randbytes``, and numpy turns it into sites and Metropolis
-    thresholds. While hot, the chain runs the scalar loop over Python
-    lists, except that dense fields sit in an ``array('d')`` that numpy
-    updates in place. Once cold, spins and fields move into arrays with
-    numpy views, and ``_next_accept`` skips the rejected proposals.
+    ``rows`` holds the rows of the dense 2*J, and ``temps`` one temperature
+    per sweep. The randomness for each block of proposals is drawn at once
+    from ``rng.randbytes``, and numpy turns it into sites and Metropolis
+    thresholds. The fields sit in an ``array('d')`` that numpy updates in
+    place through a view. While hot, the chain runs the scalar loop with
+    spins in a Python list. Once cold, the spins move into an array with a
+    numpy view, and ``_next_accept`` skips the rejected proposals.
     """
     n = len(h)
     spins = [1 if rng.random() < 0.5 else -1 for _ in range(n)]
-    # local fields f_i = h_i + sum_j J_ij s_j give O(1) flip deltas
-    fields = list(h)
-    for i, nb in enumerate(nbrs):
-        for j, w2 in nb:
-            fields[j] += 0.5 * w2 * spins[i]
-    view = xs = None
-    if rows is not None:
-        fields = array("d", fields)
-        view = np.frombuffer(fields)
+    # local fields f_i = h_i + sum_j J_ij s_j give O(1) flip deltas; adding
+    # the rows in ascending order repeats the neighbour-list sums' additions
+    fields = array("d", h)
+    view = np.frombuffer(fields)
+    for i in range(n):
+        view += (0.5 * spins[i]) * rows[i]
+    xs = None
     e = 0.0  # energy change since the start; compared only within this chain
     best_e = 0.0
     best = spins[:]
@@ -253,13 +241,10 @@ def _chain(h, nbrs, rows, temps, rng: random.Random) -> list[int]:
         while xs is None and pos < size:
             end = min(pos + _WINDOW, size)
             accepted, e, best_e, best = _metropolis(
-                sites[pos:end].tolist(), cutoffs[pos:end].tolist(), spins, fields, nbrs, rows,
-                view, e, best_e, best)
+                sites[pos:end].tolist(), cutoffs[pos:end].tolist(), spins, fields, rows, view,
+                e, best_e, best)
             if accepted * _COLD < end - pos:  # cold for the rest of the chain
                 spins = array("b", spins)
-                if view is None:
-                    fields = array("d", fields)
-                    view = np.frombuffer(fields)
                 spin_view = np.frombuffer(spins, np.int8)
                 xs = spin_view * view
             pos = end
@@ -267,8 +252,8 @@ def _chain(h, nbrs, rows, temps, rng: random.Random) -> list[int]:
             continue
         while (pos := _next_accept(xs, sites, cutoffs, pos)) < size:
             _, e, best_e, best = _metropolis(
-                (int(sites[pos]),), (float(cutoffs[pos]),), spins, fields, nbrs, rows, view,
-                e, best_e, best)
+                (int(sites[pos]),), (float(cutoffs[pos]),), spins, fields, rows, view, e,
+                best_e, best)
             np.multiply(spin_view, view, xs)
             pos += 1
     return list(best)
@@ -283,24 +268,18 @@ def simulated_anneal(
     """Best spin configuration found by restarted single-flip annealing.
 
     Deterministic given ``seed``; the reported energy never exceeds the
-    energy of any restart's initial random state.
+    energy of any restart's initial random state. The couplings are held
+    as a dense n-by-n matrix, so even a sparse model costs O(n^2) memory.
     """
-    if restarts < 1:
-        raise ValueError(f"restarts must be >= 1, got {restarts}")
+    if not _is_count(restarts) or restarts < 1:
+        raise ValueError(f"restarts must be an integer >= 1, got {restarts!r}")
     if m.n == 0:
         return SaResult(spins=[], energy=m.offset, restarts=restarts, sweeps=schedule.sweeps)
 
-    nbrs: list[list[tuple[int, float]]] = [[] for _ in range(m.n)]
-    for (i, k), coupling in sorted(m.j.items()):
-        nbrs[i].append((k, 2.0 * coupling))
-        nbrs[k].append((i, 2.0 * coupling))
-    rows = None
-    if 2 * len(m.j) >= _DENSE_DEGREE * m.n:
-        dense = np.zeros((m.n, m.n))
-        for i, nb in enumerate(nbrs):
-            for k, w2 in nb:
-                dense[i, k] = w2
-        rows = list(dense)  # row views: indexing a list is cheaper than a 2-d array
+    dense = np.zeros((m.n, m.n))
+    for (i, k), coupling in m.j.items():
+        dense[i, k] = dense[k, i] = 2.0 * coupling
+    rows = list(dense)  # row views: indexing a list is cheaper than a 2-d array
     sweeps = schedule.sweeps
     ratio = schedule.t_end / schedule.t_start
     temps = schedule.t_start * ratio ** (np.arange(sweeps) / max(sweeps - 1, 1))
@@ -308,7 +287,7 @@ def simulated_anneal(
     best_spins: list[int] | None = None
     best_energy = math.inf
     for _ in range(restarts):
-        spins = _chain(m.h, nbrs, rows, temps, rng)
+        spins = _chain(m.h, rows, temps, rng)
         # re-derive the energy exactly; the incremental sum inside the chain drifts
         e = energy(m, spins)
         if e < best_energy:

@@ -178,7 +178,7 @@ def load_profile(text: str) -> NoiseProfile:
     except (json.JSONDecodeError, RecursionError) as exc:
         raise ProfileError(f"calibration document is not valid JSON: {exc}") from None
     _require(isinstance(doc, dict), "calibration document must be a JSON object")
-    _require(doc.get("version") == 1, "calibration document must declare version 1")
+    _require(type(doc.get("version")) is int and doc["version"] == 1, "calibration document must declare version 1")
     _require("readout" not in doc, "readout error is not modelled; remove 'readout'")
     _only_keys(doc, _TOP_KEYS, "calibration document")
 

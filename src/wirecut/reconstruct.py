@@ -162,7 +162,7 @@ class FragmentOutput:
         if not isinstance(doc, dict):
             raise ReconstructionError("fragment document must be a JSON object")
         version = doc.get("version", 1)  # version 1 documents had no version field
-        if version != 2:
+        if type(version) is not int or version != 2:
             raise ReconstructionError(
                 f"fragment document version {version!r} is not supported; expected version 2")
         header = _header(leaf)

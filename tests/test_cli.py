@@ -110,7 +110,7 @@ def test_exit_codes_for_bad_inputs(tmp_path):
 
 
 @pytest.mark.parametrize("text", [
-    "[]", "42", '{"version": 1, "qubits": 7}', '{"version": 1, "gates": null}',
+    "[]", "42", '{"version": true}', '{"version": 1.0}', '{"version": 1, "qubits": 7}', '{"version": 1, "gates": null}',
     '{"version": 1, "gates": [{"name": "cx", "qubits": 5, "error": 0.01, "duration_ns": 300}]}',
     '{"version": 1, "gates": [{"name": ["cx"], "qubits": [0, 1], "error": 0.01, '
     '"duration_ns": 300}]}',
@@ -375,6 +375,8 @@ def _damage_plan(doc: dict, damage: str):
         doc["seed"] = None
     elif damage == "solver-5":
         doc["solver"] = 5
+    elif damage.startswith("version-"):
+        doc["version"] = {"version-true": True, "version-float": 1.0}[damage]
     elif damage in _BAD_GATES:
         root["fragment"]["circuit"]["gates"].append(_BAD_GATES[damage])
     elif damage == "moved-root-gate":
@@ -406,6 +408,7 @@ def _damage_plan(doc: dict, damage: str):
                                     "string-id", "negative-id", "duplicate-id",
                                     "width-null", "width-mismatch",
                                     "threshold-string", "seed-null", "solver-5",
+                                    "version-true", "version-float",
                                     "status-5", "success-string", "bool-partition-bit",
                                     "moved-root-gate", *_BAD_GATES])
 def test_malformed_plan_document_exits_5(tmp_path, capsys, damage):

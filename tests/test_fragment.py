@@ -421,3 +421,10 @@ def test_single_cut_plan_matches_manual_fragment():
 def test_invalid_threshold_rejected():
     with pytest.raises(PlanError):
         recursive_fragment(FIG1, QUIET, threshold=1.5)
+
+
+@pytest.mark.parametrize("threshold", [0.0, 0.99])
+def test_unknown_solver_rejected(threshold):
+    # at threshold 0 no node splits, so no solver runs that could refuse it
+    with pytest.raises(PlanError, match="unknown solver 'bogus'"):
+        recursive_fragment(FIG1, STRESS, threshold, solver="bogus")

@@ -172,8 +172,9 @@ def test_sa_schedule_validation():
         AnnealSchedule(1.0, 2.0, 100)
     with pytest.raises(ValueError):
         AnnealSchedule(1.0, 0.1, 0)
-    with pytest.raises(ValueError):
-        simulated_anneal(m, AnnealSchedule(1.0, 0.1, 100), restarts=0)
+    for restarts in (0, True, 2.0):
+        with pytest.raises(ValueError):
+            simulated_anneal(m, AnnealSchedule(1.0, 0.1, 100), restarts=restarts)
 
 
 def test_spin_flip_symmetry_of_graph_encodings():
@@ -292,7 +293,7 @@ def _assert_matches_reference(m, schedule, seed, restarts):
 def reference_cases(draw):
     n = draw(st.integers(1, 40))
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
-    # dense models take the numpy field update once n > _DENSE_DEGREE
+    # complete and sparse models: a missing coupling adds a zero to each field
     density = 1.0 if draw(st.booleans()) else min(1.0, 3.0 / n)
     m = random_ising(rng, n, density)
     t_start = draw(st.floats(1e-3, 5.0))
@@ -311,14 +312,9 @@ def test_property_anneal_equals_the_reference_bit_for_bit(case, seed, restarts):
 
 @pytest.fixture
 def chain_paths(monkeypatch):
-    """Count accepted flips per field update and the look-ahead's calls."""
-    seen = {"dense": 0, "sparse": 0, "looks": [], "hits": 0}
-    metropolis, next_accept = ising._metropolis, ising._next_accept
-
-    def counted_metropolis(sites, cutoffs, spins, fields, nbrs, rows, *rest):
-        out = metropolis(sites, cutoffs, spins, fields, nbrs, rows, *rest)
-        seen["sparse" if rows is None else "dense"] += out[0]
-        return out
+    """Count the look-ahead's calls and the proposals it finds accepted."""
+    seen = {"looks": [], "hits": 0}
+    next_accept = ising._next_accept
 
     def counted_next_accept(xs, sites, cutoffs, pos):
         found = next_accept(xs, sites, cutoffs, pos)
@@ -326,7 +322,6 @@ def chain_paths(monkeypatch):
         seen["hits"] += found < len(sites)
         return found
 
-    monkeypatch.setattr(ising, "_metropolis", counted_metropolis)
     monkeypatch.setattr(ising, "_next_accept", counted_next_accept)
     return seen
 
@@ -336,7 +331,6 @@ def test_anneal_single_spin_matches_the_reference(chain_paths):
     # still accepted now and then, so the look-ahead finds some
     m = IsingModel(n=1, h=(0.05,), j={}, offset=0.1)
     _assert_matches_reference(m, AnnealSchedule(2.0, 0.01, 20000), seed=4, restarts=2)
-    assert chain_paths["sparse"] > 0 and chain_paths["dense"] == 0
     assert chain_paths["hits"] > 0
 
 
@@ -344,7 +338,6 @@ def test_anneal_without_couplings_matches_the_reference(chain_paths):
     rng = random.Random(59)
     m = IsingModel(n=12, h=tuple(rng.uniform(-1, 1) for _ in range(12)), j={})
     _assert_matches_reference(m, AnnealSchedule(1.5, 1e-3, 800), seed=2, restarts=3)
-    assert chain_paths["sparse"] > 0 and chain_paths["dense"] == 0
     assert chain_paths["hits"] > 0
 
 
@@ -352,7 +345,6 @@ def test_hot_anneal_never_looks_ahead(chain_paths):
     rng = random.Random(61)
     m = random_ising(rng, 20, density=1.0)
     _assert_matches_reference(m, AnnealSchedule(1e3, 1e3, 600), seed=1, restarts=2)
-    assert chain_paths["dense"] > 0 and chain_paths["sparse"] == 0
     assert chain_paths["looks"] == []
 
 
@@ -363,8 +355,5 @@ def test_cold_anneal_looks_ahead_from_inside_a_block(chain_paths, density):
     rng = random.Random(67)
     m = random_ising(rng, 20, density=density)
     _assert_matches_reference(m, default_schedule(m, sweeps=2000), seed=8, restarts=1)
-    path = "dense" if 2 * len(m.j) >= ising._DENSE_DEGREE * m.n else "sparse"
-    assert path == ("dense" if density == 1.0 else "sparse")
-    assert chain_paths[path] > 0
     assert chain_paths["hits"] > 0
     assert chain_paths["looks"][0] % ising._BLOCK != 0

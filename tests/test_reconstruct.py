@@ -561,6 +561,7 @@ NOT_A_DISTRIBUTION = "not a distribution"
     pytest.param({"fragment": 1, "width": 2, "variants": {"m0:Z": {"width": 2, "probs": {"01": 1.0}}}},
                  "version 1 is not supported", id="v1-document"),
     pytest.param({**V2, "version": 3}, "version 3 is not supported", id="version-3"),
+    pytest.param({**V2, "version": 2.0}, "version 2.0 is not supported", id="version-float"),
     pytest.param({k: v for k, v in V2.items() if k != "probs"},
                  "needs 3 rows of 4 probabilities", id="no-probs"),
     pytest.param({**V2, "out_cuts": ["0"]}, LEAF_1, id="string-cut-id"),
