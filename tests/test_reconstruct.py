@@ -672,6 +672,37 @@ def test_ideal_documents_match_their_golden_hash():
         "3430746f44934a6e6bc03b144e6f5dc222558a19cdaea3344f985ba91699204c")
 
 
+@pytest.fixture(scope="module")
+def read_back_digests():
+    """Digests of the rows that the fragment documents decode to, and of the
+    reconstruction documents recombined from those rows: stress plans of
+    every fixture, run ideal, noisy and sampled. Neither depends on how the
+    fragment document spells its rows."""
+    rows, recs = hashlib.sha256(), hashlib.sha256()
+    for name in CIRCUIT_FIXTURES:
+        for threshold in (0.8, 0.95):
+            plan = recursive_fragment(circuit_fixture(name), STRESS, threshold, seed=7)
+            for run in ({}, {"profile": STRESS}, {"shots": 1000, "seed": 7}):
+                outputs = execute_plan(plan, **run)
+                read = {fid: FragmentOutput.from_dict(json.loads(json.dumps(o.to_dict())), o.leaf)
+                        for fid, o in outputs.items()}
+                for fid in sorted(read):
+                    rows.update(read[fid].probs.astype("<f8").tobytes())
+                recs.update(json.dumps(reconstruct(read, plan).to_dict(), sort_keys=True,
+                                       separators=(",", ":")).encode())
+    return rows.hexdigest(), recs.hexdigest()
+
+
+def test_decoded_fragment_rows_match_their_golden_hash(read_back_digests):
+    assert read_back_digests[0] == (
+        "9956de257301f0d2a572ef2c5f95bcd64309708890a104adbb34c9e6c833e3e5")
+
+
+def test_reconstruction_documents_match_their_golden_hash(read_back_digests):
+    assert read_back_digests[1] == (
+        "8a48e9dc5ccaf8f29f2a126accbf62edc75484a88781265b06d803790f5e9638")
+
+
 def test_fidelity_examples():
     a = d(1, {"0": 1.0})
     assert fidelity(a, a) == pytest.approx(1.0)
