@@ -1,12 +1,13 @@
 """Command-line pipeline: cut, run, reconstruct, sweep, graph.
 
 ``cut`` writes ``plan.json``, ``run`` one ``fragment_<id>.json`` per leaf
-(version 2: sorted cut ids and one dense row of outcome probabilities per
-variant, see ``FragmentOutput``), ``reconstruct`` ``reconstruction.json``
-(the only document keyed by bitstrings) and ``sweep`` ``sweep.json``. One
-writer emits them all as compact JSON with sorted keys, so identical inputs
-and seeds produce byte-identical files. Circuit and profile arguments
-accept either a path or ``fixture:<name>`` for the bundled benchmarks.
+(version 3: sorted cut ids and one dense row of outcome probabilities per
+variant, as base64 float64 bytes, see ``FragmentOutput``), ``reconstruct``
+``reconstruction.json`` (the only document keyed by bitstrings) and
+``sweep`` ``sweep.json``. One writer emits them all as compact JSON with
+sorted keys, so identical inputs and seeds produce byte-identical files.
+Circuit and profile arguments accept either a path or ``fixture:<name>``
+for the bundled benchmarks.
 
 Exit codes: 0 success, 2 usage (``CliError``), and for library errors the
 code in the one table ``_FAILURES``, which ``main`` reads: 3 circuit parse

@@ -12,14 +12,15 @@ same durations) differ only in some channels' matrices, and reads every
 readout basis from it in one contraction (``simulate.run_noisy_variants``),
 into the same array. Sampling (``shots``) is one later step over those exact
 rows. A fragment document (``to_dict``/``from_dict``) stores that array
-as one dense row per variant under its leaf's header (id, width and
-sorted cut ids), so no variant key or bitstring is written or parsed.
-It is read against the plan's leaf, not trusted: the header must be that
-leaf's and every row a distribution in its layout, and recombination
-checks once that each output belongs to the leaf it is combined for. The
-reconstructed ``Distribution`` wraps the recombined probability vector,
-and fidelity, TVD and Hellinger distance are elementwise expressions over
-two vectors.
+under its leaf's header (id, width and sorted cut ids) as one base64
+string of its little-endian float64 bytes, one dense row per variant, so
+no variant key or bitstring is written or parsed and every row reads back
+bit for bit. It is read against the plan's leaf, not trusted: the header
+must be that leaf's and every row a distribution in its layout, and
+recombination checks once that each output belongs to the leaf it is
+combined for. The reconstructed ``Distribution`` wraps the recombined
+probability vector, and fidelity, TVD and Hellinger distance are
+elementwise expressions over two vectors.
 
 Each cut carries one of four labels I, Z, X, Y; the sum over all 4^k label
 assignments, scaled by 1/2 per cut, is the uncut distribution (Peng et al.,
@@ -40,6 +41,7 @@ the largest intermediate tensor, not by the 4^k assignments.
 """
 from __future__ import annotations
 
+import base64
 import math
 from dataclasses import dataclass, field
 
@@ -119,7 +121,7 @@ class ReconstructionError(ValueError):
 
 def _header(leaf: Fragment) -> dict:
     """The fields of a fragment document that follow from its leaf."""
-    return {"version": 2, "fragment": leaf.id, "width": leaf.width,
+    return {"version": 3, "fragment": leaf.id, "width": leaf.width,
             "out_cuts": sorted(leaf.out_cuts), "in_cuts": sorted(leaf.in_cuts)}
 
 
@@ -132,10 +134,12 @@ class FragmentOutput:
     ``INIT_STATES`` order, each in cut-id order), then one bit axis per
     local qubit. ``shots`` is set when the distributions were sampled.
 
-    The document form (version 2) is the leaf's header (its id, width and
-    sorted cut ids) and ``probs`` as dense rows: ``probs.reshape(-1,
-    2**width)``, one row of 2^width outcome probabilities per variant, in
-    ``enumerate_variants`` order.
+    The document form (version 3) is the leaf's header (its id, width and
+    sorted cut ids) and ``probs`` as one base64 string: the little-endian
+    float64 (``<f8``) bytes of ``probs.reshape(-1, 2**width)``, one row of
+    2^width outcome probabilities per variant, in ``enumerate_variants``
+    order. The bytes are the array's own, so a row reads back bit for bit,
+    but the rows cannot be read in an editor.
     """
 
     leaf: Fragment
@@ -143,8 +147,8 @@ class FragmentOutput:
     shots: int | None = None
 
     def to_dict(self) -> dict:
-        doc = {**_header(self.leaf),
-               "probs": self.probs.reshape(-1, 1 << self.leaf.width).tolist()}
+        raw = self.probs.astype("<f8", copy=False).tobytes()  # row-major
+        doc = {**_header(self.leaf), "probs": base64.b64encode(raw).decode("ascii")}
         if self.shots is not None:
             doc["shots"] = self.shots
         return doc
@@ -155,38 +159,45 @@ class FragmentOutput:
 
         Its header must equal the one ``to_dict`` writes for ``leaf``, and
         its rows must be the leaf's ``n_variants`` distributions over 2^width
-        outcomes: non-negative numbers that sum to 1 within 1e-9. Lengths
-        are checked before any array is built, and the leaf's values are
-        used, never the document's.
+        outcomes: non-negative numbers that sum to 1 within 1e-9. The length
+        of the base64 text is checked against the leaf's layout before it is
+        decoded, and the leaf's values are used, never the document's. The
+        output's ``probs`` is a read-only view of the decoded bytes.
         """
         if not isinstance(doc, dict):
             raise ReconstructionError("fragment document must be a JSON object")
         version = doc.get("version", 1)  # version 1 documents had no version field
-        if type(version) is not int or version != 2:
+        if type(version) is not int or version != 3:
             raise ReconstructionError(
-                f"fragment document version {version!r} is not supported; expected version 2")
+                f"fragment document version {version!r} is not supported; expected version 3")
         header = _header(leaf)
         found = {key: doc.get(key) for key in header}
         if found != header:
             raise ReconstructionError(f"the document is not plan leaf {leaf.id}'s: "
                                       f"its header {found} differs from {header}")
-        rows, n_rows, n_cols = doc.get("probs"), leaf.n_variants, 1 << leaf.width
-        if not isinstance(rows, list) or len(rows) != n_rows or not all(
-            isinstance(row, list) and len(row) == n_cols for row in rows
-        ):
+        text, n_rows, n_cols = doc.get("probs"), leaf.n_variants, 1 << leaf.width
+        n_bytes = 8 * n_rows * n_cols
+        n_chars = 4 * -(-n_bytes // 3)  # padded base64
+        if not isinstance(text, str) or len(text) != n_chars:
             raise ReconstructionError(f"fragment {leaf.id} needs {n_rows} rows of {n_cols} "
-                                      "probabilities, one row per variant")
+                                      "probabilities, one row per variant, as one base64 "
+                                      f"string of {n_chars} characters")
         shots = doc.get("shots")
         if "shots" in doc and not (type(shots) is int and shots >= 1):
             raise ReconstructionError(
                 f"fragment {leaf.id} has shots {shots!r}, not an integer >= 1")
-        bad = ReconstructionError(f"fragment {leaf.id} has entries that are not finite numbers")
+        bad = ReconstructionError(f"fragment {leaf.id} has probs that are not the base64 "
+                                  f"of {n_bytes} bytes")
         try:
-            probs = np.asarray(rows)
-        except ValueError:  # entries that are lists of different lengths
+            raw = base64.b64decode(text, validate=True)
+        except ValueError:  # binascii.Error, or a character outside ASCII
             raise bad from None
-        if probs.ndim != 2 or probs.dtype.kind not in "iuf" or not np.isfinite(probs).all():
+        if len(raw) != n_bytes:  # padding inside the text shortens it
             raise bad
+        probs = np.frombuffer(raw, dtype="<f8").reshape(n_rows, n_cols)
+        if not np.isfinite(probs).all():
+            raise ReconstructionError(
+                f"fragment {leaf.id} has entries that are not finite numbers")
         with np.errstate(over="ignore"):  # an overflowing sum is off 1 too
             off = np.abs(probs.sum(axis=1) - 1.0)
         if (probs < 0).any() or not (off <= 1e-9).all():

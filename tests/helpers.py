@@ -1,5 +1,8 @@
-"""Shared generators for randomized tests."""
+"""Shared generators for randomized tests, and fragment-document rows."""
+import base64
 import random
+
+import numpy as np
 
 from wirecut.circuit import GATES, Circuit, Gate
 from wirecut.graph import GateGraph
@@ -43,3 +46,16 @@ def random_connected_graph(rng: random.Random, n: int) -> GateGraph:
             edges.setdefault((min(u, v), max(u, v)), rng.choice((1, 1, 1, 2)))
     return GateGraph(weights=tuple(r / total for r in raw),
                      edges=tuple((u, v, w) for (u, v), w in sorted(edges.items())))
+
+
+def fragment_rows(doc: dict) -> np.ndarray:
+    """The rows of a fragment document: one row of 2^width probabilities
+    per variant, decoded from its base64 little-endian float64 bytes."""
+    raw = base64.b64decode(doc["probs"], validate=True)
+    return np.frombuffer(raw, dtype="<f8").reshape(-1, 1 << doc["width"])
+
+
+def packed_rows(rows) -> str:
+    """``rows`` as a fragment document's ``probs``: the base64 text of their
+    little-endian float64 bytes, row-major."""
+    return base64.b64encode(np.asarray(rows, dtype="<f8").tobytes()).decode("ascii")

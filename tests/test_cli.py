@@ -3,8 +3,10 @@ import importlib
 import json
 import math
 
+import numpy as np
 import pytest
 
+from helpers import fragment_rows, packed_rows
 from wirecut.circuit import MAX_CIRCUIT_QUBITS, Circuit, Gate
 from wirecut.cli import main
 from wirecut.fixtures import CIRCUIT_FIXTURES
@@ -284,8 +286,23 @@ def test_both_solver_plan_documents_match_their_golden_hash(tmp_path):
     assert digest.hexdigest() == BOTH_SOLVERS_GOLDEN_SHA256
 
 
-@pytest.mark.parametrize("damage", ["truncated", "no-variants", "short-row", "v1-document",
-                                    "overflowing-rows"])
+# the message each damaged fragment document is refused with
+_FRAGMENT_DAMAGE = {
+    "truncated": "bad fragment document",
+    "no-variants": "one row per variant, as one base64 string",
+    "short-row": "one row per variant, as one base64 string",
+    "list-rows": "one row per variant, as one base64 string",
+    "non-base64": "are not the base64 of",
+    "nan-entry": "not finite numbers",
+    "inf-entry": "not finite numbers",
+    "negative-entry": "not a distribution",
+    "overflowing-rows": "not a distribution",
+    "v1-document": "version 1 is not supported",
+    "v2-document": "version 2 is not supported; expected version 3",
+}
+
+
+@pytest.mark.parametrize("damage", list(_FRAGMENT_DAMAGE))
 def test_malformed_fragment_document_exits_5(tmp_path, capsys, damage):
     out = tmp_path / damage
     assert run(["cut", "--qasm", "fixture:fig1_n5", "--profile", "fixture:stress",
@@ -293,26 +310,36 @@ def test_malformed_fragment_document_exits_5(tmp_path, capsys, damage):
     assert run(["run", "--out", out]) == 0
     path = sorted(out.glob("fragment_*.json"))[0]
     doc = json.loads(path.read_text())
+    rows = fragment_rows(doc)
     if damage == "truncated":
         path.write_text(path.read_text()[:40])
-    elif damage == "no-variants":
-        del doc["probs"]
-        path.write_text(json.dumps(doc))
-    elif damage == "short-row":
-        doc["probs"][-1].pop()
-        path.write_text(json.dumps(doc))
-    elif damage == "overflowing-rows":  # finite rows that are not distributions
-        doc["probs"] = [[1e308] * len(row) for row in doc["probs"]]
-        path.write_text(json.dumps(doc))
-    else:  # the bitstring-keyed layout written before version 2
+    elif damage == "v1-document":  # the bitstring-keyed layout written before version 2
         path.write_text(json.dumps({"fragment": doc["fragment"], "width": doc["width"],
                                     "variants": {"base": {"width": 1, "probs": {"0": 1.0}}}}))
+    else:
+        if damage == "no-variants":
+            del doc["probs"]
+        elif damage == "short-row":  # the last row's last entry is missing
+            doc["probs"] = packed_rows(rows.reshape(-1)[:-1])
+        elif damage == "list-rows":  # valid rows, spelt as version 2 spells them
+            doc["probs"] = rows.tolist()
+        elif damage == "non-base64":
+            doc["probs"] = doc["probs"][:-5] + "*" + doc["probs"][-4:]
+        elif damage == "overflowing-rows":  # finite rows that are not distributions
+            doc["probs"] = packed_rows(np.full(rows.shape, 1e308))
+        elif damage == "v2-document":  # a valid document of version 2
+            doc.update(version=2, probs=rows.tolist())
+        else:  # a packed entry that no distribution holds
+            rows = rows.copy()
+            rows[-1, 0] = {"nan-entry": math.nan, "inf-entry": math.inf,
+                           "negative-entry": -0.5}[damage]
+            doc["probs"] = packed_rows(rows)
+        path.write_text(json.dumps(doc))
     capsys.readouterr()
     assert run(["reconstruct", "--out", out]) == 5
     err = capsys.readouterr().err
     assert "bad fragment document" in err and not (out / "reconstruction.json").exists()
-    assert damage != "v1-document" or "version 1 is not supported" in err
-    assert damage != "overflowing-rows" or "not a distribution" in err
+    assert _FRAGMENT_DAMAGE[damage] in err
 
 
 def test_documents_swapped_between_leaves_exit_5(tmp_path, capsys):
@@ -455,8 +482,8 @@ def test_documents_wider_than_the_cap_exit_5(tmp_path, capsys, doc_width):
     out.mkdir()
     (out / "plan.json").write_text(json.dumps(plan_to_dict(plan)))
     (out / "fragment_0.json").write_text(json.dumps({
-        "version": 2, "fragment": 0, "width": doc_width, "out_cuts": [], "in_cuts": [],
-        "probs": [[1.0, 0.0]],
+        "version": 3, "fragment": 0, "width": doc_width, "out_cuts": [], "in_cuts": [],
+        "probs": packed_rows([[1.0, 0.0]]),
     }))
     capsys.readouterr()
     assert run(["reconstruct", "--out", out]) == 5

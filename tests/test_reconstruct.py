@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import random_circuit
+from helpers import fragment_rows, packed_rows, random_circuit
 from oracles import dict_fidelity, dict_hellinger, dict_tvd
 from wirecut.circuit import Circuit, Gate, parse_qasm
 from wirecut.fixtures import CIRCUIT_FIXTURES, circuit_fixture, fixture_text
@@ -138,7 +138,7 @@ def test_missing_variant_is_an_error():
     outputs = execute_plan(plan)
     docs = {fid: o.to_dict() for fid, o in outputs.items()}
     upstream = next(fid for fid, doc in docs.items() if doc["out_cuts"])
-    del docs[upstream]["probs"][0]
+    docs[upstream]["probs"] = packed_rows(fragment_rows(docs[upstream])[1:])
     with pytest.raises(ReconstructionError, match="needs 3 rows of 4 probabilities"):
         FragmentOutput.from_dict(docs[upstream], outputs[upstream].leaf)
 
@@ -270,14 +270,14 @@ def test_property_batched_leaf_matches_each_variant_circuit(leaf):
     out = execute_plan(leaf_plan(leaf))[leaf.id]
     doc = out.to_dict()
     variants = enumerate_variants(leaf)
-    assert leaf.n_variants == len(variants) == len(doc["probs"])
+    assert leaf.n_variants == len(variants) == len(fragment_rows(doc))
     assert (doc["out_cuts"], doc["in_cuts"]) == (sorted(leaf.out_cuts), sorted(leaf.in_cuts))
-    for row, v in zip(doc["probs"], variants):
+    for row, v in zip(fragment_rows(doc), variants):
         idx = tuple(MEAS_BASES.index(v.bases[c]) for c in sorted(leaf.out_cuts))
         idx += tuple(INIT_STATES.index(v.inits[c]) for c in sorted(leaf.in_cuts))
         expect = np.abs(run_ideal(v.circuit)) ** 2
         assert np.max(np.abs(out.probs[idx].reshape(-1) - expect)) <= 1e-12
-        assert np.max(np.abs(np.array(row) - expect)) <= 1e-12
+        assert np.max(np.abs(row - expect)) <= 1e-12
     again = FragmentOutput.from_dict(json.loads(json.dumps(doc)), leaf)
     assert again.leaf is leaf and again.shots == out.shots
     assert np.array_equal(again.probs, out.probs)
@@ -451,17 +451,17 @@ def test_sampled_variants_each_draw_with_their_own_seed():
             doc = sampled[leaf.id].to_dict()
             assert doc["shots"] == 64
             rows = exact[leaf.id].probs.reshape(-1, 1 << leaf.width)
-            assert len(doc["probs"]) == len(rows) == len(enumerate_variants(leaf))
-            for row, (got, probs) in enumerate(zip(doc["probs"], rows)):
+            assert len(fragment_rows(doc)) == len(rows) == len(enumerate_variants(leaf))
+            for row, (got, probs) in enumerate(zip(fragment_rows(doc), rows)):
                 draw = sample_frequencies(probs, 64, (-13 & 0x7FFFFFFF, leaf.id, row))
-                assert got == draw.tolist()
+                assert got.tobytes() == draw.tobytes()
 
 
 def test_width_cap_is_checked_before_allocation():
     # a synthetic 30-qubit plan and document: a 2^30 stack would take 8 GiB
     wide = recursive_fragment(Circuit(width=30, gates=(Gate("h", (0,)),)), QUIET, 0.0)
-    doc = {"version": 2, "fragment": 0, "width": 30, "out_cuts": [], "in_cuts": [],
-           "probs": [[1.0]]}
+    doc = {"version": 3, "fragment": 0, "width": 30, "out_cuts": [], "in_cuts": [],
+           "probs": packed_rows([[1.0]])}
     with pytest.raises(ReconstructionError, match=f"needs 1 rows of {2 ** 30} probabilities"):
         FragmentOutput.from_dict(doc, wide.root.fragment)
     with pytest.raises(ReconstructionError, match="capped at 24"):
@@ -482,7 +482,7 @@ INIT_WEIGHTS = {
 def labelled_sum(outputs, plan):
     """Quasi-distribution as the direct sum over all 4^k cut labels."""
     cut_ids = plan.cut_ids()
-    docs = {fid: o.to_dict()["probs"] for fid, o in outputs.items()}
+    docs = {fid: fragment_rows(o.to_dict()).tolist() for fid, o in outputs.items()}
     quasi = defaultdict(float)
     for labels in itertools.product("IZXY", repeat=len(cut_ids)):
         label = dict(zip(cut_ids, labels))
@@ -541,57 +541,73 @@ def test_sampled_outputs_match_the_direct_labelled_sum():
 # a valid document of GHZ3's upstream leaf 1, two qubits that measure cut 0:
 # three rows of 2^2 probabilities; leaf 2 initializes the cut
 GHZ3_LEAVES = exact_plan(GHZ3, [0, 1]).leaf_fragments()
-V2 = {"version": 2, "fragment": 1, "width": 2, "out_cuts": [0], "in_cuts": [], "shots": 8,
-      "probs": [[0.5, 0.5, 0.0, 0.0], [0.25, 0.25, 0.25, 0.25], [0.0, 0.0, 0.0, 1.0]]}
+ROWS = [[0.5, 0.5, 0.0, 0.0], [0.25, 0.25, 0.25, 0.25], [0.0, 0.0, 0.0, 1.0]]
+V3 = {"version": 3, "fragment": 1, "width": 2, "out_cuts": [0], "in_cuts": [], "shots": 8,
+      "probs": packed_rows(ROWS)}
+TEXT = V3["probs"]  # 128 characters of base64 for 96 bytes, no padding
 
 
 def test_fragment_document_reads_dense_rows():
-    out = FragmentOutput.from_dict(V2, GHZ3_LEAVES[0])
+    out = FragmentOutput.from_dict(V3, GHZ3_LEAVES[0])
     assert out.leaf is GHZ3_LEAVES[0] and out.shots == 8
     assert out.probs.shape == (3, 2, 2) and out.probs[2, 1, 1] == 1.0
-    assert out.to_dict() == V2
+    assert out.probs.tolist() == np.reshape(ROWS, (3, 2, 2)).tolist()
+    assert out.to_dict() == V3
 
 
 LEAF_1 = "is not plan leaf 1's"
 NOT_A_DISTRIBUTION = "not a distribution"
+NOT_BASE64 = "not the base64 of 96 bytes"
+NOT_A_STRING = "needs 3 rows of 4 probabilities, one row per variant, as one base64 string"
 
 
 @pytest.mark.parametrize("doc, message", [
     pytest.param([], "must be a JSON object", id="not-an-object"),
     pytest.param({"fragment": 1, "width": 2, "variants": {"m0:Z": {"width": 2, "probs": {"01": 1.0}}}},
                  "version 1 is not supported", id="v1-document"),
-    pytest.param({**V2, "version": 3}, "version 3 is not supported", id="version-3"),
-    pytest.param({**V2, "version": 2.0}, "version 2.0 is not supported", id="version-float"),
-    pytest.param({k: v for k, v in V2.items() if k != "probs"},
+    pytest.param({**V3, "version": 2, "probs": ROWS},
+                 "version 2 is not supported; expected version 3", id="version-2"),
+    pytest.param({**V3, "version": 4}, "version 4 is not supported", id="version-4"),
+    pytest.param({**V3, "version": 3.0}, "version 3.0 is not supported", id="version-float"),
+    pytest.param({k: v for k, v in V3.items() if k != "probs"},
                  "needs 3 rows of 4 probabilities", id="no-probs"),
-    pytest.param({**V2, "out_cuts": ["0"]}, LEAF_1, id="string-cut-id"),
-    pytest.param({**V2, "out_cuts": [0, 0]}, LEAF_1, id="repeated-cut-id"),
-    pytest.param({**V2, "out_cuts": [2, 1]}, LEAF_1, id="unsorted-cut-ids"),
-    pytest.param({**V2, "in_cuts": [0]}, LEAF_1, id="cut-in-both-roles"),
-    pytest.param({**V2, "width": 0}, LEAF_1, id="width-0"),
-    pytest.param({**V2, "width": 25}, LEAF_1, id="width-25"),
-    pytest.param({**V2, "width": 24, "out_cuts": list(range(29))}, LEAF_1, id="too-many-cuts"),
-    pytest.param({k: v for k, v in V2.items() if k != "width"}, LEAF_1, id="no-width"),
-    pytest.param({**V2, "fragment": 2}, LEAF_1, id="other-leaf-id"),
-    pytest.param({**V2, "out_cuts": [], "in_cuts": [0]}, LEAF_1, id="other-leaf-cuts"),
-    pytest.param({**V2, "probs": V2["probs"][:2]}, "needs 3 rows of 4 probabilities",
+    pytest.param({**V3, "out_cuts": ["0"]}, LEAF_1, id="string-cut-id"),
+    pytest.param({**V3, "out_cuts": [0, 0]}, LEAF_1, id="repeated-cut-id"),
+    pytest.param({**V3, "out_cuts": [2, 1]}, LEAF_1, id="unsorted-cut-ids"),
+    pytest.param({**V3, "in_cuts": [0]}, LEAF_1, id="cut-in-both-roles"),
+    pytest.param({**V3, "width": 0}, LEAF_1, id="width-0"),
+    pytest.param({**V3, "width": 25}, LEAF_1, id="width-25"),
+    pytest.param({**V3, "width": 24, "out_cuts": list(range(29))}, LEAF_1, id="too-many-cuts"),
+    pytest.param({k: v for k, v in V3.items() if k != "width"}, LEAF_1, id="no-width"),
+    pytest.param({**V3, "fragment": 2}, LEAF_1, id="other-leaf-id"),
+    pytest.param({**V3, "out_cuts": [], "in_cuts": [0]}, LEAF_1, id="other-leaf-cuts"),
+    pytest.param({**V3, "probs": packed_rows(ROWS[:2])}, "needs 3 rows of 4 probabilities",
                  id="missing-row"),
-    pytest.param({**V2, "probs": [row[:3] for row in V2["probs"]]}, "needs 3 rows of 4",
+    pytest.param({**V3, "probs": packed_rows([row[:3] for row in ROWS])}, "needs 3 rows of 4",
                  id="short-row"),
-    pytest.param({**V2, "probs": [[0.5, "half", 0.0, 0.0]] * 3}, "not finite numbers",
+    # rows as JSON lists are refused whatever their entries: they are version 2's
+    pytest.param({**V3, "probs": ROWS}, NOT_A_STRING, id="list-rows"),
+    pytest.param({**V3, "probs": [[0.5, "half", 0.0, 0.0]] * 3}, NOT_A_STRING,
                  id="string-entry"),
-    pytest.param({**V2, "probs": [[math.nan, 1.0, 0.0, 0.0]] * 3}, "not finite numbers",
-                 id="nan-entry"),
-    pytest.param({**V2, "probs": [[[0.5], [0.5], [0.0], [0.0]]] * 3}, "not finite numbers",
+    pytest.param({**V3, "probs": [[[0.5], [0.5], [0.0], [0.0]]] * 3}, NOT_A_STRING,
                  id="nested-entry"),
-    pytest.param({**V2, "probs": [[[0.5], [0.5, 0.5], 0.0, 0.0]] * 3}, "not finite numbers",
+    pytest.param({**V3, "probs": [[[0.5], [0.5, 0.5], 0.0, 0.0]] * 3}, NOT_A_STRING,
                  id="ragged-entry"),
-    pytest.param({**V2, "probs": [[-3.0, 5.0, 5.0, 5.0]] * 3}, NOT_A_DISTRIBUTION,
+    pytest.param({**V3, "probs": 1.0}, NOT_A_STRING, id="number-probs"),
+    pytest.param({**V3, "probs": "!" + TEXT[1:]}, NOT_BASE64, id="non-base64-text"),
+    pytest.param({**V3, "probs": "\u00e9" + TEXT[1:]}, NOT_BASE64, id="non-ascii-text"),
+    pytest.param({**V3, "probs": TEXT[:-8] + "AAAA===="}, NOT_BASE64, id="padding-inside"),
+    pytest.param({**V3, "probs": packed_rows([[math.nan, 1.0, 0.0, 0.0]] * 3)},
+                 "not finite numbers", id="nan-entry"),
+    pytest.param({**V3, "probs": packed_rows([[math.inf, 0.0, 0.0, 0.0]] * 3)},
+                 "not finite numbers", id="inf-entry"),
+    pytest.param({**V3, "probs": packed_rows([[-3.0, 5.0, 5.0, 5.0]] * 3)}, NOT_A_DISTRIBUTION,
                  id="negative-entry"),
-    pytest.param({**V2, "probs": [[0.25] * 4, [0.25] * 4, [0.25, 0.25, 0.25, 0.25 + 2e-9]]},
+    pytest.param({**V3, "probs": packed_rows([[0.25] * 4, [0.25] * 4,
+                                              [0.25, 0.25, 0.25, 0.25 + 2e-9]])},
                  NOT_A_DISTRIBUTION, id="sum-off-one"),
-    pytest.param({**V2, "shots": 0}, "not an integer >= 1", id="zero-shots"),
-    pytest.param({**V2, "shots": 2.5}, "not an integer >= 1", id="fractional-shots"),
+    pytest.param({**V3, "shots": 0}, "not an integer >= 1", id="zero-shots"),
+    pytest.param({**V3, "shots": 2.5}, "not an integer >= 1", id="fractional-shots"),
 ])
 def test_fragment_document_reader_rejects(doc, message):
     with pytest.raises(ReconstructionError, match=message):
@@ -607,6 +623,10 @@ def test_fragment_document_reader_rejects(doc, message):
     plan_seed=st.integers(0, 999),
     mode=st.sampled_from(["ideal", "noisy", "sampled"]),
 )
+# the plan four levels deep (k=5) of the tests above, in every mode
+@example(circuit_seed=6, width=6, n_gates=16, threshold=0.95, plan_seed=1, mode="ideal")
+@example(circuit_seed=6, width=6, n_gates=16, threshold=0.95, plan_seed=1, mode="noisy")
+@example(circuit_seed=6, width=6, n_gates=16, threshold=0.95, plan_seed=1, mode="sampled")
 def test_property_documents_read_back_only_against_their_own_leaf(
     circuit_seed, width, n_gates, threshold, plan_seed, mode
 ):
@@ -622,7 +642,8 @@ def test_property_documents_read_back_only_against_their_own_leaf(
         doc = json.loads(json.dumps(out.to_dict()))
         again = FragmentOutput.from_dict(doc, leaf)
         assert again.leaf is leaf and again.shots == out.shots
-        assert np.array_equal(again.probs, out.probs)
+        # bit for bit, the sign of a zero included
+        assert again.probs.tobytes() == out.probs.tobytes()
         for other in leaves:
             if other is not leaf:
                 with pytest.raises(ReconstructionError, match=f"is not plan leaf {other.id}'s"):
@@ -669,7 +690,7 @@ def test_ideal_documents_match_their_golden_hash():
             for doc in docs:
                 digest.update(json.dumps(doc, sort_keys=True, separators=(",", ":")).encode())
     assert digest.hexdigest() == (
-        "3430746f44934a6e6bc03b144e6f5dc222558a19cdaea3344f985ba91699204c")
+        "ec4ac2132abc5166615a7d9a372925ed0049499d013f8093c499e153b172774b")
 
 
 @pytest.fixture(scope="module")
