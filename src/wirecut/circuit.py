@@ -29,7 +29,6 @@ __all__ = [
     "QasmError",
     "parse_qasm",
     "circuit_to_dict",
-    "circuit_dict_matches",
     "circuit_from_dict",
     "asap_schedule",
 ]
@@ -422,21 +421,6 @@ def circuit_to_dict(c: Circuit) -> dict:
             for g in c.gates
         ],
     }
-
-
-def circuit_dict_matches(doc, c: Circuit) -> bool:
-    """Whether ``doc`` equals ``circuit_to_dict(c)``, compared gate by gate
-    without building that document: each gate must be a dict of exactly
-    the three fields."""
-    if not (isinstance(doc, dict) and len(doc) == 3 and doc.get("name") == c.name
-            and doc.get("width") == c.width):
-        return False
-    gates = doc.get("gates")
-    return isinstance(gates, list) and len(gates) == len(c.gates) and all(
-        isinstance(d, dict) and len(d) == 3 and d.get("name") == g.name
-        and d.get("qubits") == [*g.qubits] and d.get("params") == [*g.params]
-        for d, g in zip(gates, c.gates)
-    )
 
 
 def circuit_from_dict(doc: dict) -> Circuit:

@@ -9,14 +9,15 @@ sorted keys, so identical inputs and seeds produce byte-identical files.
 Circuit and profile arguments accept either a path or ``fixture:<name>``
 for the bundled benchmarks.
 
-Exit codes: 0 success, 2 usage (``CliError``), and for library errors the
-code in the one table ``_FAILURES``, which ``main`` reads: 3 circuit parse
-error, 4 profile error, 5 planning/reconstruction error, 6 simulation
-error. Commands let library errors through and catch one only to re-raise
-its type with context. ``_read_text`` reads every input file and turns an
-unreadable or non-UTF-8 one into its kind's error; ``_read_json`` does the
-same for malformed or too deeply nested JSON in the plan and fragment
-documents.
+Exit codes: 0 success, 2 usage (``CliError``: bad arguments, a missing
+input file or an output file that cannot be written), and for library
+errors the code in the one table ``_FAILURES``, which ``main`` reads: 3
+circuit parse error, 4 profile error, 5 planning/reconstruction error, 6
+simulation error. Commands let library errors through and catch one only
+to re-raise its type with context. ``_read_text`` reads every input file
+and turns an unreadable or non-UTF-8 one into its kind's error;
+``_read_json`` does the same for malformed or too deeply nested JSON in
+the plan and fragment documents. ``_write_text`` writes every output file.
 """
 from __future__ import annotations
 
@@ -63,7 +64,8 @@ _FAILURES = {
 
 
 class CliError(Exception):
-    """A usage error: bad arguments or a missing input file (exit 2)."""
+    """A usage error: bad arguments, a missing input file or an output file
+    that cannot be written (exit 2)."""
 
 
 def _read_text(path: Path, error_type: type[Exception]) -> str:
@@ -106,11 +108,19 @@ def _load_noise(spec: str) -> NoiseProfile:
     return load_profile(_read_source(spec, "profiles", ProfileError))
 
 
+def _write_text(path: Path, text: str) -> None:
+    """Write an output file, making its directory; a path that cannot be
+    written raises ``CliError``."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc}") from None
+
+
 def _write_json(path: Path, doc) -> None:
     """Compact JSON with sorted keys; without an indent json uses its C encoder."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n",
-                    encoding="utf-8")
+    _write_text(path, json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
 
 
 def _read_plan(out_dir: Path) -> FragmentPlan:
@@ -185,8 +195,7 @@ def cmd_graph(args) -> int:
     text = serialize_graph(g)
     if args.out:
         out = Path(args.out) / "graph.json"
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(text, encoding="utf-8")
+        _write_text(out, text)
         print(f"graph: {g.n} vertices, {len(g.edges)} edges -> {out}")
     else:
         sys.stdout.write(text)
@@ -251,7 +260,7 @@ def cmd_sweep(args) -> int:
         csv_lines.append(
             f"{row['threshold']},{row['leaves']},{row['k']},{row['fidelity']!r},{row['tvd']!r}"
         )
-    (out_dir / "sweep.csv").write_text("\n".join(csv_lines) + "\n", encoding="utf-8")
+    _write_text(out_dir / "sweep.csv", "\n".join(csv_lines) + "\n")
     print(f"{'threshold':>9} {'leaves':>6} {'k':>3} {'fidelity':>10} {'tvd':>10}")
     for row in rows:
         print(f"{row['threshold']:>9} {row['leaves']:>6} {row['k']:>3} "

@@ -24,8 +24,10 @@ the exact cut cost is kept. ``single_cut_plan`` applies one given
 partition with the same step.
 
 A plan document is rebuilt, not trusted: ``plan_from_dict`` replays
-``_split`` from the root circuit along the stored partitions, and every
-stored fragment, cut and id must equal the replayed one.
+``_split`` from the root circuit along the stored partitions, and the
+writer's own ``_node_fields`` and ``_plan_fields`` of the rebuilt plan
+must give back every stored node and field, so the writer alone defines
+the layout.
 """
 from __future__ import annotations
 
@@ -33,14 +35,7 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
-from .circuit import (
-    Circuit,
-    Gate,
-    _is_finite_real,
-    circuit_dict_matches,
-    circuit_from_dict,
-    circuit_to_dict,
-)
+from .circuit import Circuit, Gate, _is_finite_real, circuit_from_dict, circuit_to_dict
 from .graph import GateGraph, build_graph
 from .ising import build_ising, default_schedule, simulated_anneal, spins_to_partition
 from .noise import NoiseProfile, success_probability
@@ -513,30 +508,17 @@ def single_cut_plan(c: Circuit, pv) -> FragmentPlan:
 # Plan documents
 # ---------------------------------------------------------------------------
 
-def _fragment_fields(f: Fragment) -> dict:
-    """The fields of a fragment document besides its circuit."""
-    return {
-        "id": f.id,
-        "in_cuts": {str(cid): q for cid, q in sorted(f.in_cuts.items())},
-        "out_cuts": {str(cid): q for cid, q in sorted(f.out_cuts.items())},
-        "qubit_map": list(f.qubit_map),
-    }
-
-
-def _fragment_to_dict(f: Fragment) -> dict:
-    return {**_fragment_fields(f), "circuit": circuit_to_dict(f.circuit)}
-
-
-def _stores(doc, f: Fragment) -> bool:
-    """Whether ``doc`` equals ``_fragment_to_dict(f)``; the circuit is
-    compared without building its document."""
-    return (isinstance(doc, dict) and circuit_dict_matches(doc.get("circuit"), f.circuit)
-            and {key: v for key, v in doc.items() if key != "circuit"} == _fragment_fields(f))
-
-
-def _node_to_dict(node: PlanNode) -> dict:
+def _node_fields(node: PlanNode) -> dict:
+    """A node's document without its ``children``."""
+    f = node.fragment
     doc = {
-        "fragment": _fragment_to_dict(node.fragment),
+        "fragment": {
+            "id": f.id,
+            "in_cuts": {str(cid): q for cid, q in sorted(f.in_cuts.items())},
+            "out_cuts": {str(cid): q for cid, q in sorted(f.out_cuts.items())},
+            "qubit_map": list(f.qubit_map),
+            "circuit": circuit_to_dict(f.circuit),
+        },
         "success": node.success,
         "status": node.status,
     }
@@ -544,53 +526,60 @@ def _node_to_dict(node: PlanNode) -> dict:
         doc["cuts"] = [dict(vars(cp)) for cp in node.cut]
     if node.partition is not None:
         doc["partition"] = list(node.partition)
+    return doc
+
+
+def _node_to_dict(node: PlanNode) -> dict:
+    doc = _node_fields(node)
     if node.children:
         doc["children"] = [_node_to_dict(child) for child in node.children]
     return doc
 
 
-_LEAF_FIELDS = {"fragment", "success", "status"}
-_SPLIT_FIELDS = _LEAF_FIELDS | {"cuts", "partition", "children"}
-
-
 def _node_from_dict(doc: dict, frag: Fragment, next_ids: dict[str, int]) -> PlanNode:
     """Replay the planner on ``frag`` as ``doc`` records it.
 
-    The stored fragment must equal ``frag`` before it is split again, so
-    the work stays proportional to the document. A split node takes the
-    next fragment and cut ids from ``next_ids``, in the planner's
-    depth-first order, and its stored cuts must equal the derived ones.
+    Only ``status``, ``success`` and a split node's ``partition`` are read.
+    A split node takes the next fragment and cut ids from ``next_ids``, in
+    the planner's depth-first order. The rebuilt node must write ``doc``
+    back, without its ``children``, and ``children`` must be a list of two
+    exactly when the node split; both hold before any child is replayed,
+    so the work stays proportional to the document.
     """
-    if not _stores(doc["fragment"], frag):
-        raise PlanError(f"fragment {frag.id} is not the one its parent's partition derives")
     status, success = doc["status"], doc["success"]
     if not (_is_finite_real(success) and 0 <= success <= 1):
         raise PlanError(f"fragment {frag.id} success {success!r} is not a number in [0, 1]")
     split = status == "split"
     if not split and status not in LEAF_STATUSES:
         raise PlanError(f"fragment {frag.id} has unknown status {status!r}")
-    fields = _SPLIT_FIELDS if split else _LEAF_FIELDS
-    if doc.keys() != fields:
-        raise PlanError(f"{status} node of fragment {frag.id} needs the fields {sorted(fields)}")
-    if not split:
-        return PlanNode(fragment=frag, success=success, status=status)
-    ids = (next_ids["fragment"], next_ids["fragment"] + 1)
-    node = _split(frag, success, doc["partition"], next_ids["cut"], ids)
-    next_ids["fragment"] += 2
-    next_ids["cut"] += len(node.cut)
-    if doc["cuts"] != [vars(cp) for cp in node.cut]:
-        raise PlanError(f"cuts of fragment {frag.id} are not the ones its partition derives")
-    if type(doc["children"]) is not list or len(doc["children"]) != 2:
-        raise PlanError(f"split fragment {frag.id} needs two children")
-    node.children = [_node_from_dict(child, derived.fragment, next_ids)
-                     for child, derived in zip(doc["children"], node.children)]
+    if split:
+        ids = (next_ids["fragment"], next_ids["fragment"] + 1)
+        node = _split(frag, success, doc["partition"], next_ids["cut"], ids)
+        next_ids["fragment"] += 2
+        next_ids["cut"] += len(node.cut)
+    else:
+        node = PlanNode(fragment=frag, success=success, status=status)
+    fields = dict(doc)
+    children = fields.pop("children", None)
+    children_ok = type(children) is list and len(children) == 2 if split else "children" not in doc
+    if fields != _node_fields(node) or not children_ok:
+        raise PlanError(f"node of fragment {frag.id} is not the one its parent's partition derives")
+    if split:
+        node.children = [_node_from_dict(child, derived.fragment, next_ids)
+                         for child, derived in zip(children, node.children)]
     return node
 
 
-def _summary(plan: FragmentPlan) -> dict:
-    """The plan document's fields that follow from its tree."""
+def _plan_fields(plan: FragmentPlan) -> dict:
+    """A plan's document without its ``tree``."""
     leaves, cut_ids = plan.leaf_fragments(), plan.cut_ids()
     return {
+        "version": 1,
+        "threshold": plan.threshold,
+        "limits": {"max_depth": plan.limits.max_depth, "max_k": plan.limits.max_k},
+        "seed": plan.seed,
+        "solver": plan.solver,
+        "solver_log": plan.solver_log,
         "width": plan.width,
         "k": len(cut_ids),
         "cut_ids": cut_ids,
@@ -600,32 +589,22 @@ def _summary(plan: FragmentPlan) -> dict:
 
 
 def plan_to_dict(plan: FragmentPlan) -> dict:
-    return {
-        "version": 1,
-        "threshold": plan.threshold,
-        "limits": {"max_depth": plan.limits.max_depth, "max_k": plan.limits.max_k},
-        "seed": plan.seed,
-        "solver": plan.solver,
-        "solver_log": plan.solver_log,
-        "tree": _node_to_dict(plan.root),
-        **_summary(plan),
-    }
+    return {**_plan_fields(plan), "tree": _node_to_dict(plan.root)}
 
 
 def plan_from_dict(doc: dict) -> FragmentPlan:
     """Rebuild a plan from ``plan_to_dict``'s document by replaying ``_split``.
 
-    Only the root circuit, each node's ``status``, ``success``,
-    ``partition`` and ``children``, and the plan's settings are read: every
-    fragment, cut and id below the root is derived again, and the stored
-    ones must equal the derived ones, as must ``width``, ``k``, ``cut_ids``,
-    ``leaves`` and ``variant_counts``. Anything else raises ``PlanError``:
-    a malformed field, a root circuit that ``Circuit`` or ``Gate`` rejects
-    (wider than ``MAX_CIRCUIT_QUBITS`` included), an unknown status, a
-    ``success`` or ``threshold`` outside [0, 1], a non-integer ``seed`` or
-    limit, ``limits`` other than exactly ``max_depth`` and ``max_k``, a
-    ``solver_log`` that is not a list of objects, an unknown ``solver`` or a
-    tree nested too deeply to rebuild.
+    Only the root circuit, each node's ``status``, ``success`` and
+    ``partition``, and the plan's settings are read. Every node rebuilt
+    must write its stored node back (``_node_fields``), and the rebuilt
+    plan the document's other fields (``_plan_fields``), so anything the
+    writer does not write is refused too. Anything else raises
+    ``PlanError``: a malformed field, a root circuit that ``Circuit`` or
+    ``Gate`` rejects (wider than ``MAX_CIRCUIT_QUBITS`` included), an
+    unknown status, a ``success`` or ``threshold`` outside [0, 1], a
+    non-integer ``seed`` or limit, a ``solver_log`` that is not a list of
+    objects, an unknown ``solver`` or a tree nested too deeply to rebuild.
     """
     if not isinstance(doc, dict):
         raise PlanError("plan document must be a JSON object")
@@ -634,16 +613,14 @@ def plan_from_dict(doc: dict) -> FragmentPlan:
     try:
         tree = doc["tree"]
         root = _as_root_fragment(circuit_from_dict(tree["fragment"]["circuit"]))
-        limits, solver_log = doc["limits"], doc["solver_log"]
-        if not (isinstance(limits, dict) and set(limits) == {"max_depth", "max_k"}):
-            raise PlanError(f"plan limits {limits!r} are not exactly max_depth and max_k")
+        solver_log = doc["solver_log"]
         if not (isinstance(solver_log, list) and all(isinstance(e, dict) for e in solver_log)):
             raise PlanError("plan solver_log is not a list of objects")
         plan = FragmentPlan(
             width=root.width,
             threshold=doc["threshold"],
             root=_node_from_dict(tree, root, {"fragment": 1, "cut": 0}),
-            limits=Limits(**limits),
+            limits=Limits(**doc["limits"]),
             seed=doc["seed"],
             solver=doc["solver"],
             solver_log=list(solver_log),
@@ -654,13 +631,12 @@ def plan_from_dict(doc: dict) -> FragmentPlan:
         raise PlanError("plan tree is nested too deeply") from None
     except (KeyError, TypeError, AttributeError, ValueError) as exc:
         raise PlanError(f"missing or malformed field {exc}") from None
-    for name, value in _summary(plan).items():
-        if doc.get(name) != value:
-            raise PlanError(f"plan {name} differs from the rebuilt plan's {value!r}")
     if not (_is_finite_real(plan.threshold) and 0 <= plan.threshold <= 1):
         raise PlanError(f"plan threshold {plan.threshold!r} is not a number in [0, 1]")
     if type(plan.seed) is not int:
         raise PlanError(f"plan seed {plan.seed!r} is not an integer")
     if plan.solver not in SOLVERS:
         raise PlanError(f"plan solver {plan.solver!r} is not one of {SOLVERS}")
+    if {key: v for key, v in doc.items() if key != "tree"} != _plan_fields(plan):
+        raise PlanError("plan fields differ from the rebuilt plan's")
     return plan

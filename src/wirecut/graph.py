@@ -46,7 +46,9 @@ class GateGraph:
 
 
 def _log_ok(p: NoiseProfile, g) -> float:
-    return math.log1p(-min(p.gate_error(g), 1.0 - 1e-300))
+    """log(1 - e) of the gate's error e; -inf for a gate that always errs."""
+    e = p.gate_error(g)
+    return -math.inf if e >= 1.0 else math.log1p(-e)
 
 
 def build_graph(c: Circuit, p: NoiseProfile) -> GateGraph:

@@ -17,7 +17,7 @@ import math
 import warnings
 from dataclasses import dataclass, field
 
-from .circuit import Circuit, Gate, asap_schedule
+from .circuit import GATES, Circuit, Gate, asap_schedule
 
 __all__ = [
     "ProfileError",
@@ -170,8 +170,10 @@ def load_profile(text: str) -> NoiseProfile:
 
     These are the only keys: any other key, at any level, is an error, so
     a misspelt key cannot silently leave a default in force. ``readout`` is
-    refused by name, because readout error is not modelled. Unspecified
-    per-gate entries fall back to the defaults.
+    refused by name, because readout error is not modelled. A gate record
+    must name a ``GATES`` entry other than ``measure``, on as many distinct
+    qubits as its arity, for the same reason: any other record could never
+    apply. Unspecified per-gate entries fall back to the defaults.
     """
     try:
         doc = json.loads(text)
@@ -227,9 +229,13 @@ def load_profile(text: str) -> NoiseProfile:
             _require(key in rec, f"gate record missing '{key}'")
         name = rec["name"]
         _require(isinstance(name, str), "gate name must be a string")
+        _require(name in GATES and name != "measure",
+                 f"gate record {name!r} names no gate a circuit can apply")
         _require(isinstance(rec["qubits"], list), "gate qubits must be a list")
         qs = tuple(rec["qubits"])
         _require(all(type(q) is int and q >= 0 for q in qs), "gate qubits must be non-negative integers")
+        _require(len(set(qs)) == len(qs) == GATES[name].arity,
+                 f"gate {name}{list(qs)} needs {GATES[name].arity} distinct qubit(s)")
         err = _check_prob(rec["error"], f"gate {name}{list(qs)} error")
         dur = _check_duration(rec["duration_ns"], f"gate {name}{list(qs)} duration_ns")
         _require((name, qs) not in gates, f"duplicate gate record for {name}{list(qs)}")

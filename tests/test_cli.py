@@ -156,6 +156,32 @@ def test_overflowing_gate_duration_exits_5(tmp_path, capsys):
     assert "non-finite weight" in capsys.readouterr().err
 
 
+def test_gate_error_of_one_cuts(tmp_path):
+    # an error of 1 is in the schema: the gate's segment weighs 1, no crash
+    prof = tmp_path / "profile.json"
+    prof.write_text('{"version": 1, "defaults": {"p2": 1.0}}')
+    assert run(["cut", "--qasm", "fixture:ghz_n10", "--profile", prof,
+                "--threshold", "0.8", "--out", tmp_path / "x"]) == 0
+    assert (tmp_path / "x" / "plan.json").is_file()
+
+
+@pytest.mark.parametrize("command, flags, blocked", [
+    ("cut", ["--threshold", "0.9"], "plan.json"),
+    ("graph", [], "graph.json"),
+    ("sweep", ["--thresholds", "0.9"], "sweep.csv"),
+])
+def test_unwritable_output_exits_2(tmp_path, capsys, command, flags, blocked):
+    out = tmp_path / "out"
+    if command == "sweep":
+        (out / blocked).mkdir(parents=True)  # sweep.json is written, sweep.csv is not
+    else:
+        out.write_text("")  # the output directory is a file
+    assert run([command, "--qasm", "fixture:fig1_n5", "--profile", "fixture:stress", *flags,
+                "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert f"cannot write {out / blocked}" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("kind, code", [("qasm", 3), ("profile", 4), ("plan", 5),
                                         ("fragment", 5)])
 def test_non_utf8_input_exits_with_its_kinds_code(tmp_path, capsys, kind, code):
@@ -394,6 +420,18 @@ def _damage_plan(doc: dict, damage: str):
         doc["limits"] = {}
     elif damage == "solver-log-string":
         doc["solver_log"] = "abc"
+    elif damage == "unknown-top-level-key":
+        doc["note"] = "x"
+    elif damage == "leaf-empty-children":
+        root["children"][0]["children"] = []
+    elif damage == "split-extra-key":
+        root["note"] = "x"
+    elif damage == "leaf-partition":
+        root["children"][0]["partition"] = [0, 1]
+    elif damage == "third-child":
+        root["children"].append(json.loads(json.dumps(root["children"][1])))
+    elif damage == "downstream-gate-moved":
+        root["cuts"][0]["downstream_gate"] += 1
     elif damage.startswith("width-"):
         doc["width"] = None if damage == "width-null" else 3
     elif damage == "threshold-string":
@@ -429,7 +467,9 @@ def _damage_plan(doc: dict, damage: str):
 
 
 @pytest.mark.parametrize("damage", ["list", "tree-not-object", "unknown-limit", "limits-empty",
-                                    "solver-log-string",
+                                    "solver-log-string", "unknown-top-level-key",
+                                    "leaf-empty-children", "split-extra-key", "leaf-partition",
+                                    "third-child", "downstream-gate-moved",
                                     "short-qubit-map", "string-qubit-map", "cut-qubit-99",
                                     "cut-qubit-string", "cut-id-string",
                                     "string-id", "negative-id", "duplicate-id",

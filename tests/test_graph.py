@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import random
 
 import pytest
@@ -82,6 +83,13 @@ def test_raw_weights_monotone_in_gate_error():
     g1 = build_graph(c, worse)
     # vertex 0's raw error grew, so its normalized share must grow
     assert g1.weights[0] > g0.weights[0]
+
+
+def test_gate_that_always_errs_gives_finite_weights():
+    # an error of 1 is in the schema; its segment's raw weight is 1
+    g = build_graph(circuit_fixture("ghz_n10"), NoiseProfile(p2=1.0))
+    assert all(math.isfinite(w) and w > 0 for w in g.weights)
+    assert sum(g.weights) == pytest.approx(1.0)
 
 
 def test_segment_includes_preceding_single_qubit_gates():

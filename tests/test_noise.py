@@ -1,3 +1,4 @@
+import json
 import math
 import random
 
@@ -69,6 +70,20 @@ def test_probability_out_of_range_rejected():
 def test_unknown_key_at_any_level_is_a_profile_error(text, where):
     with pytest.raises(ProfileError, match=f"unknown key.* in {where}"):
         load_profile(text)
+
+
+@pytest.mark.parametrize("name, qubits", [
+    ("cnot", [0, 1]),  # not a gate name
+    ("cx", [0]),  # fewer qubits than the gate's arity
+    ("h", [0, 1]),  # more qubits than the gate's arity
+    ("cx", [1, 1]),  # a repeated qubit
+    ("measure", [0]),  # measurement has no error or duration
+])
+def test_gate_record_that_never_applies_is_a_profile_error(name, qubits):
+    # such a record would leave the default in force for every gate
+    rec = {"name": name, "qubits": qubits, "error": 0.02, "duration_ns": 400}
+    with pytest.raises(ProfileError, match="names no gate|distinct qubit"):
+        load_profile(json.dumps({"version": 1, "gates": [rec]}))
 
 
 def test_readout_is_refused_as_unmodelled():
