@@ -1,10 +1,10 @@
 """Command-line pipeline: cut, run, reconstruct, sweep, graph.
 
-``cut`` writes ``plan.json``, ``run`` one ``fragment_<id>.json`` per leaf
-(version 3: sorted cut ids and one dense row of outcome probabilities per
-variant, as base64 float64 bytes, see ``FragmentOutput``), ``reconstruct``
-``reconstruction.json`` (the only document keyed by bitstrings) and
-``sweep`` ``sweep.json``. One writer emits them all as compact JSON with
+``cut`` writes ``plan.json``, ``run`` ``fragments.json`` (every leaf's rows,
+named for the ``plan.json`` they ran, see ``outputs_to_dict``),
+``reconstruct`` ``reconstruction.json`` (the only document keyed by
+bitstrings), ``sweep`` ``sweep.json`` and ``graph`` an indented
+``graph.json``. ``_write_json`` writes all others as compact JSON with
 sorted keys, so identical inputs and seeds produce byte-identical files.
 Circuit and profile arguments accept either a path or ``fixture:<name>``
 for the bundled benchmarks.
@@ -14,15 +14,16 @@ input file or an output file that cannot be written), and for library
 errors the code in the one table ``_FAILURES``, which ``main`` reads: 3
 circuit parse error, 4 profile error, 5 planning/reconstruction error, 6
 simulation error. Commands let library errors through and catch one only
-to re-raise its type with context. ``_read_text`` reads every input file
-and turns an unreadable or non-UTF-8 one into its kind's error;
-``_read_json`` does the same for malformed or too deeply nested JSON in
-the plan and fragment documents. ``_write_text`` writes every output file.
+to re-raise its type with context. ``_read_source`` (circuits, profiles)
+and ``_read_json`` (plan, fragments) turn an unreadable or non-UTF-8 input
+file, and ``_read_json`` malformed or too deeply nested JSON, into its
+kind's error. ``_write_text`` writes every output file.
 """
 from __future__ import annotations
 
 import argparse
 import functools
+import hashlib
 import json
 import sys
 from pathlib import Path
@@ -42,11 +43,12 @@ from .fragment import (
 from .graph import GraphError, build_graph, serialize_graph
 from .noise import NoiseProfile, ProfileError, load_profile
 from .reconstruct import (
-    FragmentOutput,
     ReconstructionError,
     execute_plan,
     fidelity,
     hellinger,
+    outputs_from_dict,
+    outputs_to_dict,
     reconstruct,
     tvd,
 )
@@ -68,21 +70,13 @@ class CliError(Exception):
     that cannot be written (exit 2)."""
 
 
-def _read_text(path: Path, error_type: type[Exception]) -> str:
-    """The UTF-8 text of an input file; an unreadable or non-UTF-8 file
-    raises ``error_type``, the error of the file's kind."""
+def _read_json(path: Path, error_type: type[Exception]):
+    """The JSON document in an input file and the sha256 hex of its bytes."""
     try:
-        return path.read_text(encoding="utf-8")
+        raw = path.read_bytes()
+        return json.loads(raw.decode("utf-8")), hashlib.sha256(raw).hexdigest()
     except (OSError, UnicodeDecodeError) as exc:
         raise error_type(f"cannot read {path}: {exc}") from None
-
-
-def _read_json(path: Path, error_type: type[Exception]):
-    """The JSON document in an input file; besides ``_read_text``'s errors,
-    malformed or too deeply nested JSON raises ``error_type``."""
-    text = _read_text(path, error_type)
-    try:
-        return json.loads(text)
     except (json.JSONDecodeError, RecursionError) as exc:
         raise error_type(str(exc)) from None
 
@@ -96,7 +90,10 @@ def _read_source(spec: str, kind: str, error_type: type[Exception]) -> str:
     path = Path(spec)
     if not path.is_file():
         raise CliError(f"no such file: {spec}")
-    return _read_text(path, error_type)
+    try:
+        return path.read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise error_type(f"cannot read {path}: {exc}") from None
 
 
 def _load_circuit(spec: str) -> Circuit:
@@ -123,12 +120,14 @@ def _write_json(path: Path, doc) -> None:
     _write_text(path, json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n")
 
 
-def _read_plan(out_dir: Path) -> FragmentPlan:
+def _read_plan(out_dir: Path) -> tuple[FragmentPlan, str]:
+    """The plan in ``out_dir`` and the sha256 hex of its document's bytes."""
     plan_path = out_dir / "plan.json"
     if not plan_path.is_file():
         raise PlanError(f"no plan document at {plan_path}; run 'cut' first")
     try:
-        return plan_from_dict(_read_json(plan_path, PlanError))
+        doc, digest = _read_json(plan_path, PlanError)
+        return plan_from_dict(doc), digest
     except PlanError as exc:
         raise PlanError(f"bad plan document: {exc}") from None
 
@@ -206,11 +205,10 @@ def cmd_run(args) -> int:
     if args.noisy != (args.profile is not None):
         raise CliError("--noisy and --profile go together")
     out_dir = Path(args.out)
-    plan = _read_plan(out_dir)
+    plan, plan_id = _read_plan(out_dir)
     profile = _load_noise(args.profile) if args.noisy else None
     outputs = execute_plan(plan, profile=profile, shots=args.shots, seed=args.seed)
-    for fid in sorted(outputs):
-        _write_json(out_dir / f"fragment_{fid}.json", outputs[fid].to_dict())
+    _write_json(out_dir / "fragments.json", outputs_to_dict(outputs, plan_id))
     n_variants = sum(o.leaf.n_variants for o in outputs.values())
     print(f"ran {n_variants} variant(s) across {len(outputs)} fragment(s) -> {out_dir}")
     return 0
@@ -218,16 +216,14 @@ def cmd_run(args) -> int:
 
 def cmd_reconstruct(args) -> int:
     out_dir = Path(args.out)
-    plan = _read_plan(out_dir)
-    outputs = {}
-    for leaf in plan.leaf_fragments():
-        path = out_dir / f"fragment_{leaf.id}.json"
-        if not path.is_file():
-            raise ReconstructionError(f"missing fragment output {path}; run 'run' first")
-        try:
-            outputs[leaf.id] = FragmentOutput.from_dict(_read_json(path, ReconstructionError), leaf)
-        except ReconstructionError as exc:
-            raise ReconstructionError(f"bad fragment document {path}: {exc}") from None
+    plan, plan_id = _read_plan(out_dir)
+    path = out_dir / "fragments.json"
+    if not path.is_file():
+        raise ReconstructionError(f"no fragments document at {path}; run 'run' first")
+    try:
+        outputs = outputs_from_dict(_read_json(path, ReconstructionError)[0], plan, plan_id)
+    except ReconstructionError as exc:
+        raise ReconstructionError(f"bad fragments document {path}: {exc}") from None
     result = reconstruct(outputs, plan)
     if args.reference:
         ideal = measure_distribution(run_ideal(plan.root.fragment.circuit))

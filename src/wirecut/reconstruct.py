@@ -11,16 +11,15 @@ every init, whose schedule groups (the inits whose prep gates take the
 same durations) differ only in some channels' matrices, and reads every
 readout basis from it in one contraction (``simulate.run_noisy_variants``),
 into the same array. Sampling (``shots``) is one later step over those exact
-rows. A fragment document (``to_dict``/``from_dict``) stores that array
-under its leaf's header (id, width and sorted cut ids) as one base64
-string of its little-endian float64 bytes, one dense row per variant, so
-no variant key or bitstring is written or parsed and every row reads back
-bit for bit. It is read against the plan's leaf, not trusted: the header
-must be that leaf's and every row a distribution in its layout, and
-recombination checks once that each output belongs to the leaf it is
-combined for. The reconstructed ``Distribution`` wraps the recombined
-probability vector, and fidelity, TVD and Hellinger distance are
-elementwise expressions over two vectors.
+rows. One document holds a run's outputs (``outputs_to_dict``): the id of
+its plan and per leaf one base64 string of little-endian float64 bytes,
+one dense row per variant, so no variant key or bitstring is written or
+parsed and every row reads back bit for bit. It is read against the plan,
+not trusted: it must name that plan and hold exactly its leaves, each row
+a distribution in its leaf's layout; recombination checks once that each
+output belongs to the leaf it is combined for. The reconstructed
+``Distribution`` wraps the recombined probability vector, and fidelity,
+TVD and Hellinger distance are elementwise expressions over two vectors.
 
 Each cut carries one of four labels I, Z, X, Y; the sum over all 4^k label
 assignments, scaled by 1/2 per cut, is the uncut distribution (Peng et al.,
@@ -35,9 +34,9 @@ path search. The label tensors are contracted over shared cut axes into
 original qubit order along numpy's greedy path, searched once per
 reconstruction under a memory limit and checked before it runs: a path
 that joins more than two tensors in one step (numpy's fallback when no
-pair fits the limit) is refused. The path depends only on the plan's
-shapes, so equal inputs give byte-identical results. The cost is set by
-the largest intermediate tensor, not by the 4^k assignments.
+pair fits the limit) is refused when the plan cuts. The path depends
+only on the plan's shapes, so equal inputs give byte-identical results,
+and its cost is set by the largest intermediate, not the 4^k assignments.
 """
 from __future__ import annotations
 
@@ -62,6 +61,7 @@ from .fragment import (
 )
 from .noise import NoiseProfile
 from .simulate import (
+    MAX_LEAF_ENTRIES,
     MAX_STATEVECTOR_QUBITS,
     Distribution,
     SimulationError,
@@ -74,6 +74,8 @@ from .simulate import (
 __all__ = [
     "ReconstructionError",
     "FragmentOutput",
+    "outputs_to_dict",
+    "outputs_from_dict",
     "ReconstructionResult",
     "execute_plan",
     "reconstruct",
@@ -110,19 +112,10 @@ _MAX_INDICES = 52  # np.einsum names every index with one of 52 letters
 # (32 MiB), or 2^width when more; when no pair fits, numpy's greedy path
 # joins the remaining tensors in one step, which ``reconstruct`` refuses
 _MAX_INTERMEDIATE = 1 << 22
-# entries of one leaf's stacked outputs (3^out * 4^in * 2^width): the size of
-# an uncut leaf at the statevector width cap
-_MAX_LEAF_ENTRIES = 1 << MAX_STATEVECTOR_QUBITS
 
 
 class ReconstructionError(ValueError):
     """Raised on missing variants or inconsistent fragment layouts."""
-
-
-def _header(leaf: Fragment) -> dict:
-    """The fields of a fragment document that follow from its leaf."""
-    return {"version": 3, "fragment": leaf.id, "width": leaf.width,
-            "out_cuts": sorted(leaf.out_cuts), "in_cuts": sorted(leaf.in_cuts)}
 
 
 @dataclass(eq=False)
@@ -133,78 +126,92 @@ class FragmentOutput:
     in ``MEAS_BASES`` order, then one init axis per in-cut in
     ``INIT_STATES`` order, each in cut-id order), then one bit axis per
     local qubit. ``shots`` is set when the distributions were sampled.
-
-    The document form (version 3) is the leaf's header (its id, width and
-    sorted cut ids) and ``probs`` as one base64 string: the little-endian
-    float64 (``<f8``) bytes of ``probs.reshape(-1, 2**width)``, one row of
-    2^width outcome probabilities per variant, in ``enumerate_variants``
-    order. The bytes are the array's own, so a row reads back bit for bit,
-    but the rows cannot be read in an editor.
     """
 
     leaf: Fragment
     probs: np.ndarray
     shots: int | None = None
 
-    def to_dict(self) -> dict:
-        raw = self.probs.astype("<f8", copy=False).tobytes()  # row-major
-        doc = {**_header(self.leaf), "probs": base64.b64encode(raw).decode("ascii")}
-        if self.shots is not None:
-            doc["shots"] = self.shots
-        return doc
 
-    @classmethod
-    def from_dict(cls, doc, leaf: Fragment) -> "FragmentOutput":
-        """Read ``to_dict``'s document of ``leaf``.
+def outputs_to_dict(outputs: dict[int, FragmentOutput], plan_id: str) -> dict:
+    """The fragments document of one run's ``outputs``, keyed by leaf id as
+    ``execute_plan`` returns them, of the plan ``plan_id`` names:
+    ``{"version": 4, "plan": plan_id, "shots"?, "probs"}``. ``probs`` maps
+    each leaf id, as a string, to the base64 of its little-endian float64
+    (``<f8``) bytes: one row of 2^width probabilities per variant, in
+    ``enumerate_variants`` order, which reads back bit for bit."""
+    (shots,) = {o.shots for o in outputs.values()}  # one run, one shots value
+    doc = {"version": 4, "plan": plan_id, "probs": {
+        str(fid): base64.b64encode(o.probs.astype("<f8", copy=False).tobytes()).decode("ascii")
+        for fid, o in outputs.items()  # row-major
+    }}
+    if shots is not None:
+        doc["shots"] = shots
+    return doc
 
-        Its header must equal the one ``to_dict`` writes for ``leaf``, and
-        its rows must be the leaf's ``n_variants`` distributions over 2^width
-        outcomes: non-negative numbers that sum to 1 within 1e-9. The length
-        of the base64 text is checked against the leaf's layout before it is
-        decoded, and the leaf's values are used, never the document's. The
-        output's ``probs`` is a read-only view of the decoded bytes.
-        """
-        if not isinstance(doc, dict):
-            raise ReconstructionError("fragment document must be a JSON object")
-        version = doc.get("version", 1)  # version 1 documents had no version field
-        if type(version) is not int or version != 3:
-            raise ReconstructionError(
-                f"fragment document version {version!r} is not supported; expected version 3")
-        header = _header(leaf)
-        found = {key: doc.get(key) for key in header}
-        if found != header:
-            raise ReconstructionError(f"the document is not plan leaf {leaf.id}'s: "
-                                      f"its header {found} differs from {header}")
-        text, n_rows, n_cols = doc.get("probs"), leaf.n_variants, 1 << leaf.width
-        n_bytes = 8 * n_rows * n_cols
-        n_chars = 4 * -(-n_bytes // 3)  # padded base64
-        if not isinstance(text, str) or len(text) != n_chars:
-            raise ReconstructionError(f"fragment {leaf.id} needs {n_rows} rows of {n_cols} "
-                                      "probabilities, one row per variant, as one base64 "
-                                      f"string of {n_chars} characters")
-        shots = doc.get("shots")
-        if "shots" in doc and not (type(shots) is int and shots >= 1):
-            raise ReconstructionError(
-                f"fragment {leaf.id} has shots {shots!r}, not an integer >= 1")
-        bad = ReconstructionError(f"fragment {leaf.id} has probs that are not the base64 "
-                                  f"of {n_bytes} bytes")
-        try:
-            raw = base64.b64decode(text, validate=True)
-        except ValueError:  # binascii.Error, or a character outside ASCII
-            raise bad from None
-        if len(raw) != n_bytes:  # padding inside the text shortens it
-            raise bad
-        probs = np.frombuffer(raw, dtype="<f8").reshape(n_rows, n_cols)
-        if not np.isfinite(probs).all():
-            raise ReconstructionError(
-                f"fragment {leaf.id} has entries that are not finite numbers")
-        with np.errstate(over="ignore"):  # an overflowing sum is off 1 too
-            off = np.abs(probs.sum(axis=1) - 1.0)
-        if (probs < 0).any() or not (off <= 1e-9).all():
-            raise ReconstructionError(f"fragment {leaf.id} has a row that is not a distribution: "
-                                      "a negative entry or a sum off 1 by more than 1e-9")
-        return cls(leaf, probs.astype(float, copy=False).reshape(
-            leaf.variant_axes + (2,) * leaf.width), shots)
+
+def outputs_from_dict(doc, plan: FragmentPlan, plan_id: str) -> dict[int, FragmentOutput]:
+    """The outputs, keyed by leaf id, in ``outputs_to_dict``'s document of
+    a run of ``plan``, which ``plan_id`` names.
+
+    The document must be of version 4 and of ``plan_id``, with exactly the
+    plan's leaf ids, no other key and ``shots`` absent or an integer >= 1.
+    Each entry's length is checked against its leaf's layout before it is
+    decoded, and its rows must be distributions: finite, non-negative and
+    summing to 1 within 1e-9. Each ``probs`` is a read-only view of the
+    decoded bytes.
+    """
+    if not isinstance(doc, dict):
+        raise ReconstructionError("fragments document must be a JSON object")
+    version = doc.get("version")
+    if type(version) is not int or version != 4:
+        raise ReconstructionError(
+            f"fragments document version {version!r} is not supported; expected version 4")
+    if doc.get("plan") != plan_id:
+        raise ReconstructionError(f"it was written for another plan, {doc.get('plan')!r}, "
+                                  f"not for {plan_id}")
+    leaves = sorted(plan.leaf_fragments(), key=lambda f: f.id)
+    probs = doc.get("probs")
+    if not isinstance(probs, dict) or set(probs) != {str(leaf.id) for leaf in leaves}:
+        raise ReconstructionError("its probs must be an object keyed by exactly the plan's "
+                                  f"leaf ids {[leaf.id for leaf in leaves]}")
+    unknown = sorted(set(doc) - {"version", "plan", "shots", "probs"})
+    if unknown:
+        raise ReconstructionError(f"unknown key(s) {unknown}")
+    shots = doc.get("shots")
+    if "shots" in doc and not (type(shots) is int and shots >= 1):
+        raise ReconstructionError(f"shots {shots!r} is not an integer >= 1")
+    return {leaf.id: _leaf_output(probs[str(leaf.id)], leaf, shots) for leaf in leaves}
+
+
+def _leaf_output(text, leaf: Fragment, shots: int | None) -> FragmentOutput:
+    """The output of ``leaf`` that a fragments document's entry holds."""
+    n_rows, n_cols = leaf.n_variants, 1 << leaf.width
+    n_bytes = 8 * n_rows * n_cols
+    n_chars = 4 * -(-n_bytes // 3)  # padded base64
+    if not isinstance(text, str) or len(text) != n_chars:
+        raise ReconstructionError(f"fragment {leaf.id} needs {n_rows} rows of {n_cols} "
+                                  "probabilities, one row per variant, as one base64 "
+                                  f"string of {n_chars} characters")
+    bad = ReconstructionError(f"fragment {leaf.id} has probs that are not the base64 "
+                              f"of {n_bytes} bytes")
+    try:
+        raw = base64.b64decode(text, validate=True)
+    except ValueError:  # binascii.Error, or a character outside ASCII
+        raise bad from None
+    if len(raw) != n_bytes:  # padding inside the text shortens it
+        raise bad
+    probs = np.frombuffer(raw, dtype="<f8").reshape(n_rows, n_cols)
+    if not np.isfinite(probs).all():
+        raise ReconstructionError(
+            f"fragment {leaf.id} has entries that are not finite numbers")
+    with np.errstate(over="ignore"):  # an overflowing sum is off 1 too
+        off = np.abs(probs.sum(axis=1) - 1.0)
+    if (probs < 0).any() or not (off <= 1e-9).all():
+        raise ReconstructionError(f"fragment {leaf.id} has a row that is not a distribution: "
+                                  "a negative entry or a sum off 1 by more than 1e-9")
+    return FragmentOutput(leaf, probs.astype(float, copy=False).reshape(
+        leaf.variant_axes + (2,) * leaf.width), shots)
 
 
 @dataclass
@@ -240,31 +247,25 @@ def execute_plan(
     batch of every in-cut initialization, group by schedule group (the
     inits whose prep gates take the same durations), and reads every
     readout basis from that evolution in one contraction; each row equals
-    ``run_noisy`` of its variant circuit to rounding. The leaves share one
-    cache of gate channels and prep and readout chains, keyed by gate name,
-    angles, arity and error, for this call only.
-    Either way the leaf's exact rows come first. With ``shots``, each row
-    (one per variant, in ``enumerate_variants`` order) is then replaced by
-    the frequencies ``sample_frequencies`` draws from it, seeded with
+    ``run_noisy`` of its variant circuit to rounding. Either way the leaf's
+    exact rows come first. With ``shots``, each row (one per variant, in
+    ``enumerate_variants`` order) is then replaced by the frequencies
+    ``sample_frequencies`` draws from it, seeded with
     ``(seed & 0x7FFFFFFF, leaf id, row index)``.
 
-    A leaf whose outputs would hold more than 2^24 entries raises
-    ``SimulationError`` before anything is allocated. The same budget
-    bounds a noisy leaf's batch, ``batch * 4^width`` entries at a time
-    (at least one init), and each intermediate of its readout: at most
-    the larger of 2^24 and the leaf's own output entries.
+    A leaf whose outputs would hold more than ``MAX_LEAF_ENTRIES`` (2^24)
+    entries raises ``SimulationError`` before anything is allocated; the
+    same budget bounds a noisy leaf's batch (``run_noisy_variants``).
     """
     outputs: dict[int, FragmentOutput] = {}
-    channels: dict = {}  # gate channels and chains, shared by the leaves' noisy runs
     for leaf in plan.leaf_fragments():
         entries = leaf.n_variants << leaf.width
-        if entries > _MAX_LEAF_ENTRIES:
+        if entries > MAX_LEAF_ENTRIES:
             raise SimulationError(
                 f"fragment {leaf.id}: {leaf.n_variants} variant(s) of width {leaf.width} need "
                 f"{entries} entries ({16 * entries} bytes of amplitudes), over the limit of "
-                f"{_MAX_LEAF_ENTRIES}: one uncut leaf, its width capped at "
-                f"{MAX_STATEVECTOR_QUBITS} qubits"
-            )
+                f"{MAX_LEAF_ENTRIES}: one uncut leaf, its width capped at "
+                f"{MAX_STATEVECTOR_QUBITS} qubits")
         if profile is None:
             probs = np.abs(_ideal_amplitudes(leaf)) ** 2
         else:
@@ -272,8 +273,6 @@ def execute_plan(
                 leaf.circuit, profile.for_subcircuit(leaf.qubit_map),
                 preps=[(leaf.in_cuts[cid], _PREP_OPTIONS) for cid in sorted(leaf.in_cuts)],
                 readouts=[(leaf.out_cuts[cid], _BASIS_OPTIONS) for cid in sorted(leaf.out_cuts)],
-                max_entries=_MAX_LEAF_ENTRIES,
-                channels=channels,
             )
         if shots is not None:
             rows = [
@@ -387,7 +386,9 @@ def reconstruct(outputs: dict[int, FragmentOutput], plan: FragmentPlan) -> Recon
                          [cut_index[c] for c in leaf.variant_cuts] + qubits]
         operands.append(list(range(plan.width)))
         path, _ = np.einsum_path(*operands, optimize=("greedy", limit))
-        if any(len(step) > 2 for step in path[1:]):
+        # with no cut every index is the output's, and numpy leaves the whole
+        # product to one step, whose one array is the 2^width output
+        if k and any(len(step) > 2 for step in path[1:]):
             raise ReconstructionError(
                 f"no contraction order of the {len(leaves)} leaves keeps every intermediate "
                 f"within {limit} elements")

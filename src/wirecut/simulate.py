@@ -67,6 +67,8 @@ __all__ = [
 
 MAX_STATEVECTOR_QUBITS = 24
 MAX_DENSITY_QUBITS = 12
+# entries of a fragment leaf's outputs (an uncut leaf's at the width cap), and of a noisy batch
+MAX_LEAF_ENTRIES = 1 << MAX_STATEVECTOR_QUBITS
 
 _I4 = np.eye(4, dtype=complex)
 
@@ -164,12 +166,16 @@ def measure_distribution(state) -> Distribution:
     if state.ndim == 1:
         probs = np.abs(state) ** 2
     elif state.ndim == 2:
-        probs = np.real(np.diagonal(state)).copy()
-        probs[np.abs(probs) < 1e-14] = 0.0
-        probs = np.clip(probs, 0.0, None)
+        probs = _clean(np.real(np.diagonal(state)).copy())
     else:
         raise SimulationError("expected a vector or a square matrix")
     return Distribution(probs)
+
+
+def _clean(probs: np.ndarray) -> np.ndarray:
+    """Zero simulated probabilities below 1e-14 in magnitude, then clip negatives, in place."""
+    probs[np.abs(probs) < 1e-14] = 0.0
+    return np.clip(probs, 0.0, None, out=probs)
 
 
 def sample_frequencies(probs: np.ndarray, shots: int, seed) -> np.ndarray:
@@ -426,8 +432,7 @@ def _check_entries(kind: str, entries, n: int):
         seen[q] = j
 
 
-def run_noisy_variants(c: Circuit, p: NoiseProfile, preps, readouts,
-                       max_entries: int, channels: dict | None = None) -> np.ndarray:
+def run_noisy_variants(c: Circuit, p: NoiseProfile, preps, readouts) -> np.ndarray:
     """Exact outcome probabilities of every variant of ``c`` under the
     gate-error + damping model.
 
@@ -444,21 +449,20 @@ def run_noisy_variants(c: Circuit, p: NoiseProfile, preps, readouts,
     schedule group, and each group's schedule and fused applications are
     worked out once (``_steps``, with each gate's duration looked up once).
     Every prepared state of every group then goes on one batch axis of rho,
-    group by group, at most ``max(1, max_entries // 4^width)`` at a time,
+    group by group, at most ``max(1, MAX_LEAF_ENTRIES // 4^width)`` at a time,
     and the body evolves once over it: every group applies the same
     sequence of channels, and an application whose matrix differs between
     the groups of a chunk applies each entry's own from a stack. All
     readout combinations of every entry are then read in one contraction
-    (``_read``). ``channels`` caches gate channels and prep and readout
-    chains by gate name, angles, arity and error; a caller that runs many
-    circuits may share one dict between them. Rows get
-    ``measure_distribution``'s clean-up.
+    (``_read``), its intermediates within the larger of ``MAX_LEAF_ENTRIES``
+    and the result's entries. Gate channels and chains are built once per
+    call. Rows get ``measure_distribution``'s clean-up (``_clean``).
     """
     _check_density_width(c.width)
     n = c.width
     _check_entries("prep", preps, n)
     _check_entries("readout", readouts, n)
-    channels = {} if channels is None else channels
+    channels: dict = {}
     t1, t2 = _coherence_ns(p, n)
     # per prep: each option's prepared one-qubit state and its end clock
     prepared = [[(s[:, 0], _end(0.0, durations))
@@ -488,8 +492,8 @@ def run_noisy_variants(c: Circuit, p: NoiseProfile, preps, readouts,
         frees.append(free)
     matrix = _fuser(c, p, t1, t2, channels)
     zero = _I4[0]  # |0><0|
-    chunk = max(1, max_entries >> (2 * n))
-    limit = max(max_entries, out.size)
+    chunk = max(1, MAX_LEAF_ENTRIES >> (2 * n))
+    limit = max(MAX_LEAF_ENTRIES, out.size)
     for lo in range(0, len(members), chunk):
         part = members[lo:lo + chunk]
         first, last = part[0][0], part[-1][0] + 1
@@ -504,9 +508,7 @@ def run_noisy_variants(c: Circuit, p: NoiseProfile, preps, readouts,
         cols = [np.ravel_multi_index(m, prep_shape) for _, m in part]
         flat[:, cols] = _read(rho, group, frees[first:last], chains, [q for q, _ in readouts],
                               t1, limit)
-    out[np.abs(out) < 1e-14] = 0.0
-    np.clip(out, 0.0, None, out=out)
-    return out.reshape(readout_shape + prep_shape + (2,) * n)
+    return _clean(out).reshape(readout_shape + prep_shape + (2,) * n)
 
 
 def _read(rho, group, frees, chains, read_qubits, t1, limit: int) -> np.ndarray:

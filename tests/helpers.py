@@ -48,14 +48,15 @@ def random_connected_graph(rng: random.Random, n: int) -> GateGraph:
                      edges=tuple((u, v, w) for (u, v), w in sorted(edges.items())))
 
 
-def fragment_rows(doc: dict) -> np.ndarray:
-    """The rows of a fragment document: one row of 2^width probabilities
-    per variant, decoded from its base64 little-endian float64 bytes."""
-    raw = base64.b64decode(doc["probs"], validate=True)
-    return np.frombuffer(raw, dtype="<f8").reshape(-1, 1 << doc["width"])
+def fragment_rows(text: str, width: int) -> np.ndarray:
+    """The rows of one leaf's entry in a fragments document, the leaf
+    ``width`` qubits wide: one row of 2^width probabilities per variant,
+    decoded from the entry's base64 little-endian float64 bytes."""
+    raw = base64.b64decode(text, validate=True)
+    return np.frombuffer(raw, dtype="<f8").reshape(-1, 1 << width)
 
 
 def packed_rows(rows) -> str:
-    """``rows`` as a fragment document's ``probs``: the base64 text of their
-    little-endian float64 bytes, row-major."""
+    """``rows`` as one leaf's entry in a fragments document's ``probs``: the
+    base64 text of their little-endian float64 bytes, row-major."""
     return base64.b64encode(np.asarray(rows, dtype="<f8").tobytes()).decode("ascii")

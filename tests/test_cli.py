@@ -9,8 +9,8 @@ import pytest
 from helpers import fragment_rows, packed_rows
 from wirecut.circuit import MAX_CIRCUIT_QUBITS, Circuit, Gate
 from wirecut.cli import main
-from wirecut.fixtures import CIRCUIT_FIXTURES
-from wirecut.fragment import plan_to_dict, recursive_fragment, single_cut_plan
+from wirecut.fixtures import CIRCUIT_FIXTURES, fixture_text
+from wirecut.fragment import plan_from_dict, plan_to_dict, recursive_fragment, single_cut_plan
 from wirecut.noise import NoiseProfile
 from wirecut.simulate import run_ideal
 
@@ -26,6 +26,7 @@ def test_cut_run_reconstruct_ghz_end_to_end(tmp_path, capsys):
     plan = json.loads((out / "plan.json").read_text())
     assert plan["k"] >= 1
     assert run(["run", "--out", out]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["fragments.json", "plan.json"]
     assert run(["reconstruct", "--out", out, "--reference"]) == 0
     rec = json.loads((out / "reconstruction.json").read_text())
     assert rec["metrics"]["fidelity_vs_ideal"] == pytest.approx(1.0, abs=1e-9)
@@ -95,7 +96,7 @@ def test_profile_without_noisy_is_a_usage_error(tmp_path, capsys):
                 "--threshold", "0.9", "--out", out]) == 0
     assert run(["run", "--out", out, "--profile", "fixture:stress"]) == 2
     assert "--noisy" in capsys.readouterr().err
-    assert not list(out.glob("fragment_*.json"))
+    assert not list(out.glob("fragment*.json"))
 
 
 def test_exit_codes_for_bad_inputs(tmp_path):
@@ -200,7 +201,7 @@ def test_non_utf8_input_exits_with_its_kinds_code(tmp_path, capsys, kind, code):
     if kind == "plan":
         bad.replace(out / "plan.json")
     elif kind == "fragment":
-        bad.replace(sorted(out.glob("fragment_*.json"))[0])
+        bad.replace(out / "fragments.json")
     else:
         argv += ["--threshold", "0.9"]
     capsys.readouterr()
@@ -224,7 +225,7 @@ def test_deeply_nested_json_exits_with_its_kinds_code(tmp_path, capsys, kind, co
         (out / "plan.json").write_text(nested)
         argv = ["run"]
     else:
-        sorted(out.glob("fragment_*.json"))[0].write_text(nested)
+        (out / "fragments.json").write_text(nested)
         argv = ["reconstruct"]
     capsys.readouterr()
     assert run(argv + ["--out", out]) == code
@@ -312,10 +313,11 @@ def test_both_solver_plan_documents_match_their_golden_hash(tmp_path):
     assert digest.hexdigest() == BOTH_SOLVERS_GOLDEN_SHA256
 
 
-# the message each damaged fragment document is refused with
+# the message each damaged fragments document is refused with
+_LEAF_IDS = "keyed by exactly the plan's leaf ids [1, 2]"
 _FRAGMENT_DAMAGE = {
-    "truncated": "bad fragment document",
-    "no-variants": "one row per variant, as one base64 string",
+    "truncated": "bad fragments document",
+    "no-variants": _LEAF_IDS,
     "short-row": "one row per variant, as one base64 string",
     "list-rows": "one row per variant, as one base64 string",
     "non-base64": "are not the base64 of",
@@ -323,8 +325,15 @@ _FRAGMENT_DAMAGE = {
     "inf-entry": "not finite numbers",
     "negative-entry": "not a distribution",
     "overflowing-rows": "not a distribution",
-    "v1-document": "version 1 is not supported",
-    "v2-document": "version 2 is not supported; expected version 3",
+    "v1-document": "version None is not supported",
+    "v2-document": "version 2 is not supported; expected version 4",
+    "version-3": "version 3 is not supported; expected version 4",
+    "other-plan": "written for another plan",
+    "missing-leaf": _LEAF_IDS,
+    "extra-leaf": _LEAF_IDS,
+    "unknown-key": "unknown key(s) ['width']",
+    "zero-shots": "shots 0 is not an integer >= 1",
+    "bool-shots": "shots True is not an integer >= 1",
 }
 
 
@@ -334,63 +343,124 @@ def test_malformed_fragment_document_exits_5(tmp_path, capsys, damage):
     assert run(["cut", "--qasm", "fixture:fig1_n5", "--profile", "fixture:stress",
                 "--threshold", "0.9", "--out", out]) == 0
     assert run(["run", "--out", out]) == 0
-    path = sorted(out.glob("fragment_*.json"))[0]
+    path = out / "fragments.json"
     doc = json.loads(path.read_text())
-    rows = fragment_rows(doc)
+    leaf = plan_from_dict(json.loads((out / "plan.json").read_text())).leaf_fragments()[0]
+    assert sorted(doc["probs"]) == ["1", "2"] and leaf.id == 1
+    rows = fragment_rows(doc["probs"]["1"], leaf.width)
     if damage == "truncated":
         path.write_text(path.read_text()[:40])
     elif damage == "v1-document":  # the bitstring-keyed layout written before version 2
-        path.write_text(json.dumps({"fragment": doc["fragment"], "width": doc["width"],
+        path.write_text(json.dumps({"fragment": leaf.id, "width": leaf.width,
                                     "variants": {"base": {"width": 1, "probs": {"0": 1.0}}}}))
+    elif damage == "version-3":  # leaf 1's valid document of version 3, in its place
+        path.write_text(json.dumps({"version": 3, "fragment": leaf.id, "width": leaf.width,
+                                    "out_cuts": sorted(leaf.out_cuts),
+                                    "in_cuts": sorted(leaf.in_cuts), "probs": doc["probs"]["1"]}))
     else:
         if damage == "no-variants":
             del doc["probs"]
         elif damage == "short-row":  # the last row's last entry is missing
-            doc["probs"] = packed_rows(rows.reshape(-1)[:-1])
+            doc["probs"]["1"] = packed_rows(rows.reshape(-1)[:-1])
         elif damage == "list-rows":  # valid rows, spelt as version 2 spells them
-            doc["probs"] = rows.tolist()
+            doc["probs"]["1"] = rows.tolist()
         elif damage == "non-base64":
-            doc["probs"] = doc["probs"][:-5] + "*" + doc["probs"][-4:]
+            doc["probs"]["1"] = doc["probs"]["1"][:-5] + "*" + doc["probs"]["1"][-4:]
         elif damage == "overflowing-rows":  # finite rows that are not distributions
-            doc["probs"] = packed_rows(np.full(rows.shape, 1e308))
+            doc["probs"]["1"] = packed_rows(np.full(rows.shape, 1e308))
         elif damage == "v2-document":  # a valid document of version 2
-            doc.update(version=2, probs=rows.tolist())
+            doc = {"version": 2, "fragment": leaf.id, "width": leaf.width,
+                   "out_cuts": sorted(leaf.out_cuts), "in_cuts": sorted(leaf.in_cuts),
+                   "probs": rows.tolist()}
+        elif damage == "other-plan":
+            doc["plan"] = hashlib.sha256(b"another plan").hexdigest()
+        elif damage == "missing-leaf":
+            del doc["probs"]["2"]
+        elif damage == "extra-leaf":
+            doc["probs"]["3"] = doc["probs"]["2"]
+        elif damage == "unknown-key":  # a field of the version 3 header
+            doc["width"] = leaf.width
+        elif damage.endswith("-shots"):
+            doc["shots"] = {"zero-shots": 0, "bool-shots": True}[damage]
         else:  # a packed entry that no distribution holds
             rows = rows.copy()
             rows[-1, 0] = {"nan-entry": math.nan, "inf-entry": math.inf,
                            "negative-entry": -0.5}[damage]
-            doc["probs"] = packed_rows(rows)
+            doc["probs"]["1"] = packed_rows(rows)
         path.write_text(json.dumps(doc))
     capsys.readouterr()
     assert run(["reconstruct", "--out", out]) == 5
     err = capsys.readouterr().err
-    assert "bad fragment document" in err and not (out / "reconstruction.json").exists()
+    assert "bad fragments document" in err and not (out / "reconstruction.json").exists()
     assert _FRAGMENT_DAMAGE[damage] in err
 
 
 def test_documents_swapped_between_leaves_exit_5(tmp_path, capsys):
-    # two independent halves split without a cut: both leaves have two
-    # qubits and no cut ids, so only the fragment id tells their documents apart
-    halves = Circuit(width=4, gates=(
-        Gate("h", (0,)), Gate("cx", (0, 1)), Gate("rx", (1,), (0.4,)), Gate("cx", (0, 1)),
-        Gate("x", (2,)), Gate("cx", (2, 3)), Gate("ry", (3,), (0.9,)), Gate("cx", (2, 3)),
-    ))
-    plan = single_cut_plan(halves, [0, 0, 1, 1])
-    assert plan.k == 0 and [f.width for f in plan.leaf_fragments()] == [2, 2]
-    out = tmp_path / "halves"
-    out.mkdir()
-    (out / "plan.json").write_text(json.dumps(plan_to_dict(plan)))
-    assert run(["run", "--out", out]) == 0
-    assert run(["reconstruct", "--out", out, "--reference"]) == 0
-    first, second = out / "fragment_1.json", out / "fragment_2.json"
-    texts = first.read_text(), second.read_text()
-    first.write_text(texts[1])
-    second.write_text(texts[0])
-    (out / "reconstruction.json").unlink()
+    # two independent halves split without a cut, run in two directories,
+    # once as planned and once with the halves' gates exchanged: every leaf
+    # has two qubits and no cut ids, so only the plan tells the fragments
+    # documents apart
+    first = (Gate("h", (0,)), Gate("cx", (0, 1)), Gate("rx", (1,), (0.4,)), Gate("cx", (0, 1)))
+    second = (Gate("x", (2,)), Gate("cx", (2, 3)), Gate("ry", (3,), (0.9,)), Gate("cx", (2, 3)))
+    swapped = tuple(Gate(g.name, tuple(q ^ 2 for q in g.qubits), g.params) for g in first + second)
+    outs = []
+    for name, gates in (("halves", first + second), ("swapped", swapped)):
+        plan = single_cut_plan(Circuit(width=4, gates=gates), [0, 0, 1, 1])
+        assert plan.k == 0 and [f.width for f in plan.leaf_fragments()] == [2, 2]
+        out = tmp_path / name
+        out.mkdir()
+        (out / "plan.json").write_text(json.dumps(plan_to_dict(plan)))
+        assert run(["run", "--out", out]) == 0
+        assert run(["reconstruct", "--out", out, "--reference"]) == 0
+        (out / "reconstruction.json").unlink()
+        outs.append(out)
+    texts = [(out / "fragments.json").read_bytes() for out in outs]
+    for out, text in zip(outs, reversed(texts)):
+        (out / "fragments.json").write_bytes(text)
+        capsys.readouterr()
+        assert run(["reconstruct", "--out", out, "--reference"]) == 5
+        assert "written for another plan" in capsys.readouterr().err
+        assert not (out / "reconstruction.json").exists()
+
+
+def _ghz_n10_ending_in(gate: str, path) -> str:
+    """``ghz_n10`` with ``gate`` applied to its last qubit, written to ``path``."""
+    path.write_text(fixture_text("circuits", "ghz_n10") + f"{gate} q[9];\n")
+    return str(path)
+
+
+def test_outputs_of_a_replaced_plan_exit_5(tmp_path, capsys):
+    # ghz_n10 ending in z, cut and run, then ending in x, cut into the same
+    # directory: the new leaves have the old leaves' shapes, but the old
+    # outputs are of the other plan
+    out = tmp_path / "out"
+    for gate in ("z", "x"):
+        assert run(["cut", "--qasm", _ghz_n10_ending_in(gate, tmp_path / f"{gate}.qasm"),
+                    "--profile", "fixture:stress", "--threshold", "0.8", "--out", out]) == 0
+        if gate == "z":
+            assert run(["run", "--out", out]) == 0
+            assert run(["reconstruct", "--out", out, "--reference"]) == 0
+            (out / "reconstruction.json").unlink()
     capsys.readouterr()
     assert run(["reconstruct", "--out", out, "--reference"]) == 5
-    assert "is not plan leaf 1's" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "bad fragments document" in err and "written for another plan" in err
     assert not (out / "reconstruction.json").exists()
+
+
+def test_version_3_fragment_documents_are_not_read(tmp_path, capsys):
+    # a valid version 3 document of the plan's one leaf, as the per-leaf
+    # files were written before fragments.json
+    out = tmp_path / "v3"
+    assert run(["cut", "--qasm", "fixture:fig1_n5", "--profile", "fixture:uniform",
+                "--threshold", "0", "--out", out]) == 0
+    (out / "fragment_0.json").write_text(json.dumps({
+        "version": 3, "fragment": 0, "width": 5, "out_cuts": [], "in_cuts": [],
+        "probs": packed_rows([[1.0] + [0.0] * 31]),
+    }))
+    capsys.readouterr()
+    assert run(["reconstruct", "--out", out]) == 5
+    assert "run 'run' first" in capsys.readouterr().err
 
 
 # gates the root circuit of a plan document may not hold: swap is a
@@ -488,7 +558,7 @@ def test_malformed_plan_document_exits_5(tmp_path, capsys, damage):
     for argv in (["run"], ["run", "--noisy", "--profile", "fixture:stress"], ["reconstruct"]):
         assert run(argv + ["--out", out]) == 5
         assert "bad plan document" in capsys.readouterr().err
-    assert not list(out.glob("fragment_*.json"))
+    assert not list(out.glob("fragment*.json"))
 
 
 def test_circuit_wider_than_the_cap_exits_3_or_5(tmp_path, capsys):
@@ -513,23 +583,24 @@ def test_circuit_wider_than_the_cap_exits_3_or_5(tmp_path, capsys):
 
 @pytest.mark.parametrize("doc_width", [30, 1])
 def test_documents_wider_than_the_cap_exit_5(tmp_path, capsys, doc_width):
-    # synthetic documents: a 30-qubit plan, with a fragment document of width
-    # 30, whose one row is shorter than the 2^30 entries the leaf needs, or 1,
-    # which is not the leaf's width; both are refused when read
+    # synthetic documents: a 30-qubit plan, with a fragments document of that
+    # plan whose one row is of width 30 but shorter than the 2^30 entries the
+    # leaf needs, or of width 1, which is not the leaf's; both are refused
+    # when read, before anything is decoded
     out = tmp_path / "wide"
     wide = Circuit(width=30, gates=(Gate("h", (0,)),))
     plan = recursive_fragment(wide, NoiseProfile(), threshold=0.0)
     out.mkdir()
     (out / "plan.json").write_text(json.dumps(plan_to_dict(plan)))
-    (out / "fragment_0.json").write_text(json.dumps({
-        "version": 3, "fragment": 0, "width": doc_width, "out_cuts": [], "in_cuts": [],
-        "probs": packed_rows([[1.0, 0.0]]),
+    row = [1.0] + [0.0] * (1023 if doc_width == 30 else 1)
+    (out / "fragments.json").write_text(json.dumps({
+        "version": 4, "plan": hashlib.sha256((out / "plan.json").read_bytes()).hexdigest(),
+        "probs": {"0": packed_rows([row])},
     }))
     capsys.readouterr()
     assert run(["reconstruct", "--out", out]) == 5
     err = capsys.readouterr().err
-    assert "bad fragment document" in err
-    assert (f"needs 1 rows of {2 ** 30}" if doc_width == 30 else "is not plan leaf 0's") in err
+    assert "bad fragments document" in err and f"needs 1 rows of {2 ** 30}" in err
 
 
 def test_contraction_without_a_pairwise_order_exits_5(tmp_path, capsys, monkeypatch):
@@ -577,7 +648,7 @@ def test_shots_below_one_is_a_usage_error(tmp_path, capsys, shots):
             run(argv)
         assert exc.value.code == 2
         assert "--shots: must be at least 1" in capsys.readouterr().err
-    assert not list(out.glob("fragment_*.json"))
+    assert not list(out.glob("fragment*.json"))
 
 
 CUT = ["cut", "--qasm", "fixture:fig1_n5", "--profile", "fixture:uniform", "--threshold", "0.5"]

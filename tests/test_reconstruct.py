@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import random
+import re
 import tracemalloc
 from collections import defaultdict
 
@@ -38,6 +39,8 @@ from wirecut.reconstruct import (
     execute_plan,
     fidelity,
     hellinger,
+    outputs_from_dict,
+    outputs_to_dict,
     reconstruct,
     tvd,
 )
@@ -135,12 +138,12 @@ def test_multi_level_plan_reconstructs():
 
 def test_missing_variant_is_an_error():
     plan = exact_plan(GHZ3, [0, 1])
-    outputs = execute_plan(plan)
-    docs = {fid: o.to_dict() for fid, o in outputs.items()}
-    upstream = next(fid for fid, doc in docs.items() if doc["out_cuts"])
-    docs[upstream]["probs"] = packed_rows(fragment_rows(docs[upstream])[1:])
+    doc = outputs_to_dict(execute_plan(plan), "ghz3")
+    upstream = next(leaf for leaf in plan.leaf_fragments() if leaf.out_cuts)
+    rows = fragment_rows(doc["probs"][str(upstream.id)], upstream.width)
+    doc["probs"][str(upstream.id)] = packed_rows(rows[1:])
     with pytest.raises(ReconstructionError, match="needs 3 rows of 4 probabilities"):
-        FragmentOutput.from_dict(docs[upstream], outputs[upstream].leaf)
+        outputs_from_dict(doc, plan, "ghz3")
 
 
 def test_missing_fragment_is_an_error():
@@ -171,8 +174,6 @@ def test_shot_noise_yields_clipped_quasi_mass():
 
 
 STRESS = load_profile(fixture_text("profiles", "stress"))
-# the module itself: the package's ``reconstruct`` name is the function
-RECONSTRUCT_MODULE = importlib.import_module("wirecut.reconstruct")
 SIMULATE_MODULE = importlib.import_module("wirecut.simulate")
 
 
@@ -186,6 +187,8 @@ SIMULATE_MODULE = importlib.import_module("wirecut.simulate")
 )
 # a plan four levels deep (k=5) that cuts two of its wires twice
 @example(circuit_seed=6, width=6, n_gates=16, threshold=0.95, plan_seed=1)
+# three leaves and no cut: numpy joins them in one step
+@example(circuit_seed=262145, width=6, n_gates=9, threshold=1.0, plan_seed=0)
 def test_property_multi_level_plans_reconstruct_exactly(
     circuit_seed, width, n_gates, threshold, plan_seed
 ):
@@ -267,18 +270,19 @@ def leaf_plan(leaf):
 @settings(max_examples=60, deadline=None)
 @given(leaf=cut_leaves())
 def test_property_batched_leaf_matches_each_variant_circuit(leaf):
-    out = execute_plan(leaf_plan(leaf))[leaf.id]
-    doc = out.to_dict()
+    plan = leaf_plan(leaf)
+    out = execute_plan(plan)[leaf.id]
+    doc = outputs_to_dict({leaf.id: out}, "leaf")
+    rows = fragment_rows(doc["probs"][str(leaf.id)], leaf.width)
     variants = enumerate_variants(leaf)
-    assert leaf.n_variants == len(variants) == len(fragment_rows(doc))
-    assert (doc["out_cuts"], doc["in_cuts"]) == (sorted(leaf.out_cuts), sorted(leaf.in_cuts))
-    for row, v in zip(fragment_rows(doc), variants):
+    assert leaf.n_variants == len(variants) == len(rows)
+    for row, v in zip(rows, variants):
         idx = tuple(MEAS_BASES.index(v.bases[c]) for c in sorted(leaf.out_cuts))
         idx += tuple(INIT_STATES.index(v.inits[c]) for c in sorted(leaf.in_cuts))
         expect = np.abs(run_ideal(v.circuit)) ** 2
         assert np.max(np.abs(out.probs[idx].reshape(-1) - expect)) <= 1e-12
         assert np.max(np.abs(row - expect)) <= 1e-12
-    again = FragmentOutput.from_dict(json.loads(json.dumps(doc)), leaf)
+    again = outputs_from_dict(json.loads(json.dumps(doc)), plan, "leaf")[leaf.id]
     assert again.leaf is leaf and again.shots == out.shots
     assert np.array_equal(again.probs, out.probs)
 
@@ -351,7 +355,7 @@ def test_noisy_groups_are_chunked_to_the_leaf_budget(monkeypatch, outs, budget, 
     boundaries = set(range(chunk, 16, chunk))
     assert boundaries & group_ends and boundaries - group_ends
     whole = execute_plan(leaf_plan(leaf), STRESS)[leaf.id].probs
-    monkeypatch.setattr(RECONSTRUCT_MODULE, "_MAX_LEAF_ENTRIES", budget)
+    monkeypatch.setattr(SIMULATE_MODULE, "MAX_LEAF_ENTRIES", budget)
     chunked = execute_plan(leaf_plan(leaf), STRESS)[leaf.id].probs
     assert chunked.shape == whole.shape
     assert np.max(np.abs(chunked - whole)) <= 1e-15
@@ -430,7 +434,7 @@ def test_noisy_readout_allocation_stays_within_the_leaf_budget(monkeypatch):
             peaks.append(tracemalloc.get_traced_memory()[1])
             tracemalloc.stop()
 
-    monkeypatch.setattr(RECONSTRUCT_MODULE, "_MAX_LEAF_ENTRIES", budget)
+    monkeypatch.setattr(SIMULATE_MODULE, "MAX_LEAF_ENTRIES", budget)
     monkeypatch.setattr(SIMULATE_MODULE, "_read", traced)
     blocked = execute_plan(leaf_plan(leaf), STRESS)[leaf.id].probs
     assert len(peaks) == 1
@@ -446,13 +450,13 @@ def test_sampled_variants_each_draw_with_their_own_seed():
     plan = single_cut_plan(c, [0, 1, 0])
     for profile in (None, STRESS):
         exact = execute_plan(plan, profile=profile)
-        sampled = execute_plan(plan, profile=profile, shots=64, seed=-13)
+        doc = outputs_to_dict(execute_plan(plan, profile=profile, shots=64, seed=-13), "plan")
+        assert doc["shots"] == 64
         for leaf in plan.leaf_fragments():
-            doc = sampled[leaf.id].to_dict()
-            assert doc["shots"] == 64
+            written = fragment_rows(doc["probs"][str(leaf.id)], leaf.width)
             rows = exact[leaf.id].probs.reshape(-1, 1 << leaf.width)
-            assert len(fragment_rows(doc)) == len(rows) == len(enumerate_variants(leaf))
-            for row, (got, probs) in enumerate(zip(fragment_rows(doc), rows)):
+            assert len(written) == len(rows) == len(enumerate_variants(leaf))
+            for row, (got, probs) in enumerate(zip(written, rows)):
                 draw = sample_frequencies(probs, 64, (-13 & 0x7FFFFFFF, leaf.id, row))
                 assert got.tobytes() == draw.tobytes()
 
@@ -460,10 +464,9 @@ def test_sampled_variants_each_draw_with_their_own_seed():
 def test_width_cap_is_checked_before_allocation():
     # a synthetic 30-qubit plan and document: a 2^30 stack would take 8 GiB
     wide = recursive_fragment(Circuit(width=30, gates=(Gate("h", (0,)),)), QUIET, 0.0)
-    doc = {"version": 3, "fragment": 0, "width": 30, "out_cuts": [], "in_cuts": [],
-           "probs": packed_rows([[1.0]])}
+    doc = {"version": 4, "plan": "wide", "probs": {"0": packed_rows([[1.0]])}}
     with pytest.raises(ReconstructionError, match=f"needs 1 rows of {2 ** 30} probabilities"):
-        FragmentOutput.from_dict(doc, wide.root.fragment)
+        outputs_from_dict(doc, wide, "wide")
     with pytest.raises(ReconstructionError, match="capped at 24"):
         reconstruct({}, wide)
     with pytest.raises(SimulationError, match="capped at 24"):
@@ -482,7 +485,9 @@ INIT_WEIGHTS = {
 def labelled_sum(outputs, plan):
     """Quasi-distribution as the direct sum over all 4^k cut labels."""
     cut_ids = plan.cut_ids()
-    docs = {fid: fragment_rows(o.to_dict()).tolist() for fid, o in outputs.items()}
+    probs = outputs_to_dict(outputs, "plan")["probs"]
+    docs = {leaf.id: fragment_rows(probs[str(leaf.id)], leaf.width).tolist()
+            for leaf in plan.leaf_fragments()}
     quasi = defaultdict(float)
     for labels in itertools.product("IZXY", repeat=len(cut_ids)):
         label = dict(zip(cut_ids, labels))
@@ -538,24 +543,32 @@ def test_sampled_outputs_match_the_direct_labelled_sum():
     assert seen_k == {1, 2, 3} and clipped_cases >= 3
 
 
-# a valid document of GHZ3's upstream leaf 1, two qubits that measure cut 0:
-# three rows of 2^2 probabilities; leaf 2 initializes the cut
-GHZ3_LEAVES = exact_plan(GHZ3, [0, 1]).leaf_fragments()
+# a valid fragments document of GHZ3 cut once: upstream leaf 1, two qubits
+# that measure cut 0, has three rows of 2^2 probabilities, and leaf 2, which
+# initializes the cut, four
+GHZ3_PLAN = exact_plan(GHZ3, [0, 1])
+GHZ3_LEAVES = GHZ3_PLAN.leaf_fragments()
 ROWS = [[0.5, 0.5, 0.0, 0.0], [0.25, 0.25, 0.25, 0.25], [0.0, 0.0, 0.0, 1.0]]
-V3 = {"version": 3, "fragment": 1, "width": 2, "out_cuts": [0], "in_cuts": [], "shots": 8,
-      "probs": packed_rows(ROWS)}
-TEXT = V3["probs"]  # 128 characters of base64 for 96 bytes, no padding
+ROWS_2 = [[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0], [0.5, 0.0, 0.0, 0.5], [0.5, 0.0, 0.0, 0.5]]
+TEXT, TEXT_2 = packed_rows(ROWS), packed_rows(ROWS_2)  # TEXT: 128 characters, no padding
+V4 = {"version": 4, "plan": "ghz3", "shots": 8, "probs": {"1": TEXT, "2": TEXT_2}}
+
+
+def entry_1(value) -> dict:
+    """``V4`` with leaf 1's entry replaced by ``value``."""
+    return {**V4, "probs": {"1": value, "2": TEXT_2}}
 
 
 def test_fragment_document_reads_dense_rows():
-    out = FragmentOutput.from_dict(V3, GHZ3_LEAVES[0])
-    assert out.leaf is GHZ3_LEAVES[0] and out.shots == 8
+    outputs = outputs_from_dict(V4, GHZ3_PLAN, "ghz3")
+    out = outputs[1]
+    assert out.leaf is GHZ3_LEAVES[0] and out.shots == outputs[2].shots == 8
     assert out.probs.shape == (3, 2, 2) and out.probs[2, 1, 1] == 1.0
     assert out.probs.tolist() == np.reshape(ROWS, (3, 2, 2)).tolist()
-    assert out.to_dict() == V3
+    assert outputs_to_dict(outputs, "ghz3") == V4
 
 
-LEAF_1 = "is not plan leaf 1's"
+LEAF_IDS = "keyed by exactly the plan's leaf ids [1, 2]"
 NOT_A_DISTRIBUTION = "not a distribution"
 NOT_BASE64 = "not the base64 of 96 bytes"
 NOT_A_STRING = "needs 3 rows of 4 probabilities, one row per variant, as one base64 string"
@@ -564,54 +577,54 @@ NOT_A_STRING = "needs 3 rows of 4 probabilities, one row per variant, as one bas
 @pytest.mark.parametrize("doc, message", [
     pytest.param([], "must be a JSON object", id="not-an-object"),
     pytest.param({"fragment": 1, "width": 2, "variants": {"m0:Z": {"width": 2, "probs": {"01": 1.0}}}},
-                 "version 1 is not supported", id="v1-document"),
-    pytest.param({**V3, "version": 2, "probs": ROWS},
-                 "version 2 is not supported; expected version 3", id="version-2"),
-    pytest.param({**V3, "version": 4}, "version 4 is not supported", id="version-4"),
-    pytest.param({**V3, "version": 3.0}, "version 3.0 is not supported", id="version-float"),
-    pytest.param({k: v for k, v in V3.items() if k != "probs"},
-                 "needs 3 rows of 4 probabilities", id="no-probs"),
-    pytest.param({**V3, "out_cuts": ["0"]}, LEAF_1, id="string-cut-id"),
-    pytest.param({**V3, "out_cuts": [0, 0]}, LEAF_1, id="repeated-cut-id"),
-    pytest.param({**V3, "out_cuts": [2, 1]}, LEAF_1, id="unsorted-cut-ids"),
-    pytest.param({**V3, "in_cuts": [0]}, LEAF_1, id="cut-in-both-roles"),
-    pytest.param({**V3, "width": 0}, LEAF_1, id="width-0"),
-    pytest.param({**V3, "width": 25}, LEAF_1, id="width-25"),
-    pytest.param({**V3, "width": 24, "out_cuts": list(range(29))}, LEAF_1, id="too-many-cuts"),
-    pytest.param({k: v for k, v in V3.items() if k != "width"}, LEAF_1, id="no-width"),
-    pytest.param({**V3, "fragment": 2}, LEAF_1, id="other-leaf-id"),
-    pytest.param({**V3, "out_cuts": [], "in_cuts": [0]}, LEAF_1, id="other-leaf-cuts"),
-    pytest.param({**V3, "probs": packed_rows(ROWS[:2])}, "needs 3 rows of 4 probabilities",
+                 "version None is not supported", id="v1-document"),
+    pytest.param({**V4, "version": 2, "probs": ROWS},
+                 "version 2 is not supported; expected version 4", id="version-2"),
+    pytest.param({"version": 3, "fragment": 1, "width": 2, "out_cuts": [0], "in_cuts": [],
+                  "probs": TEXT}, "version 3 is not supported", id="version-3"),
+    pytest.param({**V4, "version": 4.0}, "version 4.0 is not supported", id="version-float"),
+    pytest.param({**V4, "plan": "other"}, "another plan, 'other', not for ghz3", id="other-plan"),
+    pytest.param({k: v for k, v in V4.items() if k != "plan"}, "another plan, None",
+                 id="no-plan"),
+    pytest.param({k: v for k, v in V4.items() if k != "probs"}, LEAF_IDS, id="no-probs"),
+    pytest.param({**V4, "probs": {"1": TEXT}}, LEAF_IDS, id="missing-leaf"),
+    pytest.param({**V4, "probs": {**V4["probs"], "3": TEXT}}, LEAF_IDS, id="extra-leaf"),
+    pytest.param({**V4, "probs": {"1": TEXT, "3": TEXT_2}}, LEAF_IDS, id="other-leaf-id"),
+    pytest.param({**V4, "probs": {"1": TEXT, 2: TEXT_2}}, LEAF_IDS, id="integer-leaf-id"),
+    pytest.param({**V4, "width": 2}, "unknown key(s) ['width']", id="unknown-key"),
+    # each leaf's entry under the other's id: leaf 1 has 3 rows, leaf 2 four
+    pytest.param({**V4, "probs": {"1": TEXT_2, "2": TEXT}}, "fragment 1 needs 3 rows of 4",
+                 id="other-leaf-cuts"),
+    pytest.param(entry_1(packed_rows([[1.0]] * 3)), "needs 3 rows of 4 probabilities",
+                 id="width-0"),
+    pytest.param(entry_1(packed_rows(ROWS[:2])), "needs 3 rows of 4 probabilities",
                  id="missing-row"),
-    pytest.param({**V3, "probs": packed_rows([row[:3] for row in ROWS])}, "needs 3 rows of 4",
+    pytest.param(entry_1(packed_rows([row[:3] for row in ROWS])), "needs 3 rows of 4",
                  id="short-row"),
     # rows as JSON lists are refused whatever their entries: they are version 2's
-    pytest.param({**V3, "probs": ROWS}, NOT_A_STRING, id="list-rows"),
-    pytest.param({**V3, "probs": [[0.5, "half", 0.0, 0.0]] * 3}, NOT_A_STRING,
-                 id="string-entry"),
-    pytest.param({**V3, "probs": [[[0.5], [0.5], [0.0], [0.0]]] * 3}, NOT_A_STRING,
-                 id="nested-entry"),
-    pytest.param({**V3, "probs": [[[0.5], [0.5, 0.5], 0.0, 0.0]] * 3}, NOT_A_STRING,
-                 id="ragged-entry"),
-    pytest.param({**V3, "probs": 1.0}, NOT_A_STRING, id="number-probs"),
-    pytest.param({**V3, "probs": "!" + TEXT[1:]}, NOT_BASE64, id="non-base64-text"),
-    pytest.param({**V3, "probs": "\u00e9" + TEXT[1:]}, NOT_BASE64, id="non-ascii-text"),
-    pytest.param({**V3, "probs": TEXT[:-8] + "AAAA===="}, NOT_BASE64, id="padding-inside"),
-    pytest.param({**V3, "probs": packed_rows([[math.nan, 1.0, 0.0, 0.0]] * 3)},
+    pytest.param(entry_1(ROWS), NOT_A_STRING, id="list-rows"),
+    pytest.param(entry_1([[0.5, "half", 0.0, 0.0]] * 3), NOT_A_STRING, id="string-entry"),
+    pytest.param(entry_1([[[0.5], [0.5], [0.0], [0.0]]] * 3), NOT_A_STRING, id="nested-entry"),
+    pytest.param(entry_1([[[0.5], [0.5, 0.5], 0.0, 0.0]] * 3), NOT_A_STRING, id="ragged-entry"),
+    pytest.param(entry_1(1.0), NOT_A_STRING, id="number-probs"),
+    pytest.param(entry_1("!" + TEXT[1:]), NOT_BASE64, id="non-base64-text"),
+    pytest.param(entry_1("\u00e9" + TEXT[1:]), NOT_BASE64, id="non-ascii-text"),
+    pytest.param(entry_1(TEXT[:-8] + "AAAA===="), NOT_BASE64, id="padding-inside"),
+    pytest.param(entry_1(packed_rows([[math.nan, 1.0, 0.0, 0.0]] * 3)),
                  "not finite numbers", id="nan-entry"),
-    pytest.param({**V3, "probs": packed_rows([[math.inf, 0.0, 0.0, 0.0]] * 3)},
+    pytest.param(entry_1(packed_rows([[math.inf, 0.0, 0.0, 0.0]] * 3)),
                  "not finite numbers", id="inf-entry"),
-    pytest.param({**V3, "probs": packed_rows([[-3.0, 5.0, 5.0, 5.0]] * 3)}, NOT_A_DISTRIBUTION,
+    pytest.param(entry_1(packed_rows([[-3.0, 5.0, 5.0, 5.0]] * 3)), NOT_A_DISTRIBUTION,
                  id="negative-entry"),
-    pytest.param({**V3, "probs": packed_rows([[0.25] * 4, [0.25] * 4,
-                                              [0.25, 0.25, 0.25, 0.25 + 2e-9]])},
+    pytest.param(entry_1(packed_rows([[0.25] * 4, [0.25] * 4, [0.25, 0.25, 0.25, 0.25 + 2e-9]])),
                  NOT_A_DISTRIBUTION, id="sum-off-one"),
-    pytest.param({**V3, "shots": 0}, "not an integer >= 1", id="zero-shots"),
-    pytest.param({**V3, "shots": 2.5}, "not an integer >= 1", id="fractional-shots"),
+    pytest.param({**V4, "shots": 0}, "not an integer >= 1", id="zero-shots"),
+    pytest.param({**V4, "shots": 2.5}, "not an integer >= 1", id="fractional-shots"),
+    pytest.param({**V4, "shots": True}, "not an integer >= 1", id="bool-shots"),
 ])
 def test_fragment_document_reader_rejects(doc, message):
-    with pytest.raises(ReconstructionError, match=message):
-        FragmentOutput.from_dict(doc, GHZ3_LEAVES[0])
+    with pytest.raises(ReconstructionError, match=re.escape(message)):
+        outputs_from_dict(doc, GHZ3_PLAN, "ghz3")
 
 
 @settings(max_examples=20, deadline=None)
@@ -636,18 +649,24 @@ def test_property_documents_read_back_only_against_their_own_leaf(
     )
     outputs = execute_plan(plan, profile=STRESS if mode == "noisy" else None,
                            shots=50 if mode == "sampled" else None, seed=plan_seed)
+    doc = json.loads(json.dumps(outputs_to_dict(outputs, "plan")))
+    again = outputs_from_dict(doc, plan, "plan")
     leaves = plan.leaf_fragments()
     for leaf in leaves:
         out = outputs[leaf.id]
-        doc = json.loads(json.dumps(out.to_dict()))
-        again = FragmentOutput.from_dict(doc, leaf)
-        assert again.leaf is leaf and again.shots == out.shots
+        assert again[leaf.id].leaf is leaf and again[leaf.id].shots == out.shots
         # bit for bit, the sign of a zero included
-        assert again.probs.tobytes() == out.probs.tobytes()
+        assert again[leaf.id].probs.tobytes() == out.probs.tobytes()
+        # under another leaf's id, an entry is refused unless the layouts
+        # hold as many entries
         for other in leaves:
-            if other is not leaf:
-                with pytest.raises(ReconstructionError, match=f"is not plan leaf {other.id}'s"):
-                    FragmentOutput.from_dict(doc, other)
+            if other.n_variants << other.width != leaf.n_variants << leaf.width:
+                entry = {str(other.id): doc["probs"][str(leaf.id)]}
+                moved = {**doc, "probs": {**doc["probs"], **entry}}
+                with pytest.raises(ReconstructionError, match=f"fragment {other.id} needs"):
+                    outputs_from_dict(moved, plan, "plan")
+    with pytest.raises(ReconstructionError, match="another plan"):
+        outputs_from_dict(doc, plan, "another plan's id")
 
 
 def test_output_of_another_leaf_is_an_error():
@@ -678,35 +697,36 @@ def d(width, probs):
 
 
 def test_ideal_documents_match_their_golden_hash():
-    # the ideal fragment and reconstruction bytes every simulation and
-    # recombination change must keep: stress plans of every fixture
+    # the ideal fragments and reconstruction documents every simulation and
+    # recombination change must keep: stress plans of every fixture, each
+    # fragments document naming its plan by fixture and threshold
     digest = hashlib.sha256()
     for name in CIRCUIT_FIXTURES:
         for threshold in (0.8, 0.95):
             plan = recursive_fragment(circuit_fixture(name), STRESS, threshold, seed=7)
             outputs = execute_plan(plan)
-            docs = [outputs[fid].to_dict() for fid in sorted(outputs)]
-            docs.append(reconstruct(outputs, plan).to_dict())
+            docs = [outputs_to_dict(outputs, f"{name} {threshold}"),
+                    reconstruct(outputs, plan).to_dict()]
             for doc in docs:
                 digest.update(json.dumps(doc, sort_keys=True, separators=(",", ":")).encode())
     assert digest.hexdigest() == (
-        "ec4ac2132abc5166615a7d9a372925ed0049499d013f8093c499e153b172774b")
+        "892e0d14f4c10f2d59c0c60a4be333cdf74dcd879d642f4454862aad4ad3e554")
 
 
 @pytest.fixture(scope="module")
 def read_back_digests():
-    """Digests of the rows that the fragment documents decode to, and of the
-    reconstruction documents recombined from those rows: stress plans of
+    """Digests of the rows that the fragments documents decode to, and of
+    the reconstruction documents recombined from those rows: stress plans of
     every fixture, run ideal, noisy and sampled. Neither depends on how the
-    fragment document spells its rows."""
+    fragments document spells its rows."""
     rows, recs = hashlib.sha256(), hashlib.sha256()
     for name in CIRCUIT_FIXTURES:
         for threshold in (0.8, 0.95):
             plan = recursive_fragment(circuit_fixture(name), STRESS, threshold, seed=7)
             for run in ({}, {"profile": STRESS}, {"shots": 1000, "seed": 7}):
                 outputs = execute_plan(plan, **run)
-                read = {fid: FragmentOutput.from_dict(json.loads(json.dumps(o.to_dict())), o.leaf)
-                        for fid, o in outputs.items()}
+                read = outputs_from_dict(json.loads(json.dumps(outputs_to_dict(outputs, name))),
+                                         plan, name)
                 for fid in sorted(read):
                     rows.update(read[fid].probs.astype("<f8").tobytes())
                 recs.update(json.dumps(reconstruct(read, plan).to_dict(), sort_keys=True,

@@ -159,13 +159,13 @@ _TWO_QUBITS = Circuit(width=2, gates=(Gate("h", (0,)), Gate("cx", (0, 1))))
 ])
 def test_noisy_variants_refuse_bad_entries(preps, readouts, message):
     with pytest.raises(SimulationError, match=re.escape(message)):
-        run_noisy_variants(_TWO_QUBITS, NoiseProfile(), preps, readouts, max_entries=1 << 10)
+        run_noisy_variants(_TWO_QUBITS, NoiseProfile(), preps, readouts)
 
 
 def test_noisy_variants_take_a_qubit_in_both_a_prep_and_a_readout():
     # the middle piece of a wire cut twice: a prep and a readout on one qubit
     out = run_noisy_variants(_TWO_QUBITS, NoiseProfile(), [(0, ((), ("x",)))],
-                             [(0, ((), ("h",)))], max_entries=1 << 10)
+                             [(0, ((), ("h",)))])
     assert out.shape == (2, 2, 2, 2)
     variant = Circuit(width=2, gates=(Gate("x", (0,)),) + _TWO_QUBITS.gates + (Gate("h", (0,)),))
     assert np.max(np.abs(out[1, 1].reshape(-1) - run_noisy(variant, NoiseProfile()).probs)) < 1e-12
