@@ -300,8 +300,8 @@ def _split(
             maps[side].append(parent.qubit_map[q])
 
     # each gate goes to the side of the pieces it touches; after the upstream
-    # gate of a cut, the wire's piece measures the cut and its next piece,
-    # which the wire moves to, is initialized
+    # gate of a cut, always a two-qubit gate, the wire's piece measures the
+    # cut and its next piece, which the wire moves to, is initialized
     cut_after = {(cp.qubit, cp.upstream_gate): cp.cut_id for cp in cuts}
     piece = [0] * c.width
     side_now = [w[0][0] for w in where]  # per wire, the side and local qubit
@@ -311,7 +311,12 @@ def _split(
     out_cuts: tuple[dict[int, int], dict[int, int]] = ({}, {})
     for gi, gate in enumerate(c.gates):
         qs = gate.qubits
-        gates[side_now[qs[0]]].append(gate.relabelled(tuple(map(local_now.__getitem__, qs))))
+        if len(qs) == 1:
+            q = qs[0]
+            gates[side_now[q]].append(gate.relabelled((local_now[q],)))
+            continue
+        a, b = qs
+        gates[side_now[a]].append(gate.relabelled((local_now[a], local_now[b])))
         for q in qs:
             cid = cut_after.get((q, gi))
             if cid is not None:

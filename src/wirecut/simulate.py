@@ -44,6 +44,7 @@ is the one-group case of the same evolution.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -85,17 +86,27 @@ def gate_unitary(g: Gate) -> np.ndarray:
     return unitary(*g.params)
 
 
-def _apply(t: np.ndarray, m: np.ndarray, axes) -> np.ndarray:
+@functools.cache
+def _orders(ndim: int, lead: int, axes: tuple[int, ...]) -> tuple[tuple, tuple]:
+    """``_apply``'s axis order for ``ndim`` axes, ``lead`` of them matched
+    by a matrix stack and ``axes`` contracted, and its inverse permutation.
+    The width caps bound the keys, so the unbounded cache stays small."""
+    order = tuple(range(lead)) + axes + tuple(i for i in range(lead, ndim) if i not in axes)
+    return order, tuple(sorted(range(ndim), key=order.__getitem__))
+
+
+def _apply(t: np.ndarray, m: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
     """Contract the square matrix ``m`` with the given axes of ``t``, the
     first most significant: a unitary on a statevector's qubit axes or a
     superoperator on a density matrix's. Other axes, batch axes too, stay.
     ``m`` may also be a stack of matrices, one per entry of ``t``'s leading
-    axis, which then applies each entry's own matrix in one batched matmul."""
-    lead = list(range(m.ndim - 2))
-    order = lead + list(axes) + [i for i in range(len(lead), t.ndim) if i not in axes]
-    out = m @ t.transpose(order).reshape(*t.shape[:len(lead)], m.shape[-1], -1)
-    out = out.reshape([t.shape[i] for i in order])
-    return out.transpose(sorted(range(t.ndim), key=order.__getitem__))
+    axis, which then applies each entry's own matrix in one batched matmul.
+    The permutations come from ``_orders``, worked out once per shape."""
+    lead = m.ndim - 2
+    order, inverse = _orders(t.ndim, lead, axes)
+    moved = t.transpose(order)
+    out = m @ moved.reshape(*t.shape[:lead], m.shape[-1], -1)
+    return out.reshape(moved.shape).transpose(inverse)
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +140,7 @@ def run_ideal(c: Circuit, state: np.ndarray | None = None) -> np.ndarray:
     batch = t.ndim - n
     for g in c.gates:
         if not g.is_measurement:
-            t = _apply(t, gate_unitary(g), [batch + q for q in g.qubits])
+            t = _apply(t, gate_unitary(g), tuple([batch + q for q in g.qubits]))
     return t.reshape(-1) if state is None else t
 
 
@@ -359,7 +370,7 @@ def _evolve(rho: np.ndarray, steps: list, group, matrix) -> np.ndarray:
         m = ms[0]
         if any(other is not m for other in ms):
             m = np.stack(ms)[group]
-        rho = _apply(rho, m, [1 + q for q in qubits])
+        rho = _apply(rho, m, tuple([1 + q for q in qubits]))
     return rho
 
 
@@ -394,11 +405,18 @@ def run_noisy(c: Circuit, p: NoiseProfile) -> Distribution:
     return measure_distribution(density_matrix(c, p))
 
 
-def _chain(q: int, names, p: NoiseProfile, channels: dict) -> tuple[np.ndarray, list[float]]:
+def _chain(q: int, names, p: NoiseProfile, channels: dict,
+           named: dict) -> tuple[np.ndarray, list[float]]:
     """The channel of the named one-qubit gates run back to back on ``q``,
-    and the gates' durations in order. The channel is cached in
-    ``channels`` by its gates' ``_channel`` keys."""
-    gates = [Gate(name, (q,)) for name in names]
+    and the gates' durations in order. Each name's ``Gate`` is built, and
+    so checked, once and kept in ``named``, then relabelled onto ``q``. The
+    channel is cached in ``channels`` by its gates' ``_channel`` keys."""
+    gates = []
+    for name in names:
+        g = named.get(name)
+        if g is None:
+            g = named[name] = Gate(name, (q,))
+        gates.append(g.relabelled((q,)))
     key = tuple((g.name, g.params, 1, p.gate_error(g)) for g in gates)
     s = channels.get(key)
     if s is None:
@@ -456,20 +474,23 @@ def run_noisy_variants(c: Circuit, p: NoiseProfile, preps, readouts) -> np.ndarr
     readout combinations of every entry are then read in one contraction
     (``_read``), its intermediates within the larger of ``MAX_LEAF_ENTRIES``
     and the result's entries. Gate channels and chains are built once per
-    call. Rows get ``measure_distribution``'s clean-up (``_clean``).
+    call, and each named prep or readout gate once. Rows get
+    ``measure_distribution``'s clean-up (``_clean``).
     """
     _check_density_width(c.width)
     n = c.width
     _check_entries("prep", preps, n)
     _check_entries("readout", readouts, n)
     channels: dict = {}
+    named: dict = {}  # each prep or readout gate, by name
     t1, t2 = _coherence_ns(p, n)
     # per prep: each option's prepared one-qubit state and its end clock
     prepared = [[(s[:, 0], _end(0.0, durations))
-                 for s, durations in (_chain(q, names, p, channels) for names in options)]
+                 for s, durations in (_chain(q, names, p, channels, named) for names in options)]
                 for q, options in preps]
     # per readout: each option's channel and gate durations
-    chains = [[_chain(q, names, p, channels) for names in options] for q, options in readouts]
+    chains = [[_chain(q, names, p, channels, named) for names in options]
+              for q, options in readouts]
     prep_shape = tuple(len(options) for _, options in preps)
     readout_shape = tuple(len(options) for _, options in readouts)
     out = np.empty(readout_shape + prep_shape + (1 << n,))

@@ -1,14 +1,16 @@
+import errno
 import hashlib
 import importlib
 import json
 import math
+import os
 
 import numpy as np
 import pytest
 
 from helpers import fragment_rows, packed_rows
 from wirecut.circuit import MAX_CIRCUIT_QUBITS, Circuit, Gate
-from wirecut.cli import main
+from wirecut.cli import _write_text, main
 from wirecut.fixtures import CIRCUIT_FIXTURES, fixture_text
 from wirecut.fragment import plan_from_dict, plan_to_dict, recursive_fragment, single_cut_plan
 from wirecut.noise import NoiseProfile
@@ -181,6 +183,48 @@ def test_unwritable_output_exits_2(tmp_path, capsys, command, flags, blocked):
                 "--out", out]) == 2
     err = capsys.readouterr().err
     assert f"cannot write {out / blocked}" in err and "Traceback" not in err
+
+
+def test_a_shorter_document_over_a_longer_file_leaves_exactly_its_bytes(tmp_path):
+    fresh, reused = tmp_path / "fresh", tmp_path / "reused"
+    reused.mkdir()
+    (reused / "plan.json").write_text('{"stale": "' + "x" * 100_000 + '"}\n')
+    for out in (fresh, reused):
+        assert run(["cut", "--qasm", "fixture:fig1_n5", "--profile", "fixture:stress",
+                    "--threshold", "0.9", "--out", out]) == 0
+    assert (reused / "plan.json").read_bytes() == (fresh / "plan.json").read_bytes()
+
+
+def test_a_new_output_file_gets_the_bytes_write_text_writes(tmp_path):
+    text = '{"name":"caf\u00e9 \u2192 \U0001d70b"}\nsecond line\n'
+    (tmp_path / "expected.txt").write_text(text, encoding="utf-8")
+    _write_text(tmp_path / "new" / "dir" / "got.txt", text)
+    assert ((tmp_path / "new" / "dir" / "got.txt").read_bytes()
+            == (tmp_path / "expected.txt").read_bytes())
+
+
+def test_a_failed_write_exits_2_and_leaves_no_previous_document(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "out"
+    assert run(["cut", "--qasm", "fixture:fig1_n5", "--profile", "fixture:stress",
+                "--threshold", "0.9", "--out", out]) == 0
+    assert run(["run", "--out", out]) == 0
+    path = out / "fragments.json"
+    json.loads(path.read_text())
+    real_write = os.write
+
+    def fail_part_way(fd, data):
+        if fd <= 2:
+            return real_write(fd, data)
+        real_write(fd, bytes(data[:len(data) // 2]))
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "write", fail_part_way)
+        assert run(["run", "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert f"cannot write {path}: [Errno {errno.ENOSPC}]" in err and "Traceback" not in err
+    assert path.read_bytes() == b""
+    assert run(["reconstruct", "--out", out]) == 5
 
 
 @pytest.mark.parametrize("kind, code", [("qasm", 3), ("profile", 4), ("plan", 5),

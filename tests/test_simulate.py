@@ -16,7 +16,7 @@ from oracles import (
     phase_damping_channel,
     reference_density_evolution,
 )
-from wirecut.circuit import GATES, Circuit, Gate, asap_schedule, parse_qasm
+from wirecut.circuit import GATES, Circuit, Gate, QasmError, asap_schedule, parse_qasm
 from wirecut.noise import GateCal, NoiseProfile, QubitCal
 from wirecut.reconstruct import fidelity, tvd
 from wirecut.simulate import (
@@ -112,10 +112,9 @@ def _contractions(draw):
     return t, m, axes
 
 
-@settings(max_examples=200, deadline=None)
-@given(_contractions())
-def test_apply_matches_an_einsum_reference(case):
-    t, m, axes = case
+def _einsum_apply(t, m, axes):
+    """The square matrix ``m`` on ``axes`` of ``t``, the first most
+    significant, as one einsum."""
     letters = "abcdefghijklmnop"
     t_idx = letters[:t.ndim]
     new_idx = letters[t.ndim:t.ndim + len(axes)]
@@ -124,10 +123,35 @@ def test_apply_matches_an_einsum_reference(case):
         out_idx[a] = new
     sizes = [t.shape[a] for a in axes]
     spec = f"{new_idx}{''.join(t_idx[a] for a in axes)},{t_idx}->{''.join(out_idx)}"
-    expected = np.einsum(spec, m.reshape(sizes + sizes), t)
+    return np.einsum(spec, m.reshape(sizes + sizes), t)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_contractions())
+def test_apply_matches_an_einsum_reference(case):
+    t, m, axes = case
     got = _apply(t, m, axes)
     assert got.shape == t.shape
-    np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(got, _einsum_apply(t, m, axes), rtol=0, atol=1e-12)
+
+
+def test_apply_keeps_one_permutation_per_rank_stack_and_axis_order():
+    # calls of one rank that differ only in the order of their axes, or in
+    # whether the matrix is a stack, must not share a cached permutation
+    rng = np.random.default_rng(11)
+    shape = (3, 2, 2, 2, 2)
+    t = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    m = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    ms = rng.normal(size=(3, 4, 4)) + 1j * rng.normal(size=(3, 4, 4))
+    for _ in range(2):  # the second round reads every permutation from the cache
+        for axes in [(1, 3), (3, 1), (2, 4), (4, 2)]:
+            np.testing.assert_allclose(_apply(t, m, axes), _einsum_apply(t, m, axes),
+                                       rtol=0, atol=1e-12)
+            got = _apply(t, ms, axes)
+            for b in range(len(t)):
+                np.testing.assert_allclose(
+                    got[b], _einsum_apply(t[b], ms[b], tuple(a - 1 for a in axes)),
+                    rtol=0, atol=1e-12)
 
 
 @settings(max_examples=100, deadline=None)
@@ -143,7 +167,7 @@ def test_apply_with_a_matrix_stack_applies_each_entry_its_own(case):
     got = _apply(t, ms, axes)
     assert got.shape == t.shape
     for b in range(batch):
-        expect = _apply(t[b], ms[b], [a - 1 for a in axes])
+        expect = _apply(t[b], ms[b], tuple(a - 1 for a in axes))
         np.testing.assert_allclose(got[b], expect, rtol=0, atol=1e-12)
 
 
@@ -159,6 +183,16 @@ _TWO_QUBITS = Circuit(width=2, gates=(Gate("h", (0,)), Gate("cx", (0, 1))))
 ])
 def test_noisy_variants_refuse_bad_entries(preps, readouts, message):
     with pytest.raises(SimulationError, match=re.escape(message)):
+        run_noisy_variants(_TWO_QUBITS, NoiseProfile(), preps, readouts)
+
+
+@pytest.mark.parametrize("preps, readouts, message", [
+    ([(0, ((), ("foo",)))], [], "unsupported gate 'foo'"),
+    ([(0, (("x",),)), (1, (("x", "bar"),))], [], "unsupported gate 'bar'"),
+    ([], [(1, (("h",), ("cx",)))], "gate 'cx' expects 2 qubit(s), got 1"),
+])
+def test_noisy_variants_refuse_unknown_or_two_qubit_gate_names(preps, readouts, message):
+    with pytest.raises(QasmError, match=re.escape(message)):
         run_noisy_variants(_TWO_QUBITS, NoiseProfile(), preps, readouts)
 
 
