@@ -15,7 +15,6 @@ from .fragment import (
     PlanError,
     enumerate_variants,
     recursive_fragment,
-    single_cut_plan,
 )
 from .graph import GateGraph, GraphError, build_graph, serialize_graph
 from .ising import IsingModel, build_ising, energy, simulated_anneal, spins_to_partition

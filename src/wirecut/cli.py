@@ -42,6 +42,7 @@ from .fixtures import fixture_text
 from .fragment import (
     DEFAULT_SA_RESTARTS,
     DEFAULT_SA_SWEEPS,
+    SOLVERS,
     FragmentPlan,
     Limits,
     PlanError,
@@ -337,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--profile", required=True, help="calibration file or fixture:<name>")
 
     def solver_flags(p):
-        p.add_argument("--solver", choices=("ga", "anneal", "both"), default="ga",
+        p.add_argument("--solver", choices=SOLVERS, default="ga",
                        help="partitioner: the genetic search (default), the annealer, "
                             "or both with the cheaper cut kept")
         p.add_argument("--seed", type=int, default=0)

@@ -20,8 +20,7 @@ The recursive driver keeps splitting any fragment whose estimated success
 probability falls below the threshold and stops at the depth/cut-count
 limits. Each split comes from the genetic search; the annealer can run
 instead, or beside it for comparison, in which case the cheaper cut by
-the exact cut cost is kept. ``single_cut_plan`` applies one given
-partition with the same step.
+the exact cut cost is kept.
 
 A plan document is rebuilt, not trusted: ``plan_from_dict`` replays
 ``_split`` from the root circuit along the stored partitions, and the
@@ -52,14 +51,13 @@ __all__ = [
     "enumerate_variants",
     "recursive_fragment",
     "anneal_min_cut",
-    "single_cut_plan",
     "plan_to_dict",
     "plan_from_dict",
 ]
 
 INIT_STATES = ("zero", "one", "plus", "plus_i")
 LEAF_STATUSES = ("ok", "unsplittable-gates", "unsplittable-depth", "unsplittable-k")
-SOLVERS = ("ga", "anneal", "both", "manual")  # manual: single_cut_plan
+SOLVERS = ("ga", "anneal", "both")
 MEAS_BASES = ("Z", "X", "Y")
 
 _PREP_GATES = {
@@ -456,7 +454,7 @@ def recursive_fragment(
     """
     if not 0.0 <= threshold <= 1.0:
         raise PlanError(f"threshold must lie in [0, 1], got {threshold}")
-    if solver not in ("ga", "anneal", "both"):
+    if solver not in SOLVERS:
         raise PlanError(f"unknown solver {solver!r}")
     limits = limits or Limits()
     counters = {"fragment": 1, "cut": 0, "node": 0}
@@ -497,15 +495,6 @@ def recursive_fragment(
         seed=seed,
         solver=solver,
         solver_log=solver_log,
-    )
-
-
-def single_cut_plan(c: Circuit, pv) -> FragmentPlan:
-    """One forced split along ``pv``, one bit per two-qubit gate in gate
-    order; useful for testing reconstruction."""
-    root = _split(_as_root_fragment(c), 0.0, pv, 0, (1, 2))
-    return FragmentPlan(
-        width=c.width, threshold=0.0, root=root, limits=Limits(), seed=0, solver="manual"
     )
 
 

@@ -4,8 +4,11 @@ Vertices are the two-qubit gates, weighted by the estimated error
 probability of the circuit segment they terminate: the gate itself, the
 single-qubit gates on its input wires back to the previous two-qubit gate
 (or the wire start), and the decoherence accumulated over that segment's
-wall time. Edges join two-qubit gates that are consecutive on a shared
-wire; the edge weight is the number of shared wires (1 or 2).
+wall time. The weight is the estimate's arithmetic (``noise._log_ok`` and
+``noise._decay_exponent``, as ``success_probability`` composes them) on
+the segment, with the smallest T1 and T2 of the gate's operands. Edges
+join two-qubit gates that are consecutive on a shared wire; the edge
+weight is the number of shared wires (1 or 2).
 
 A ``GateGraph`` is four tuples. The solvers read two: ``weights``, one per
 vertex in gate order, normalized to sum to 1 so downstream cost functions
@@ -22,7 +25,7 @@ import math
 from dataclasses import dataclass
 
 from .circuit import Circuit, asap_schedule
-from .noise import NoiseProfile
+from .noise import NoiseProfile, _decay_exponent, _log_ok
 
 __all__ = ["GraphError", "GateGraph", "build_graph", "serialize_graph"]
 
@@ -43,12 +46,6 @@ class GateGraph:
     @property
     def n(self) -> int:
         return len(self.weights)
-
-
-def _log_ok(p: NoiseProfile, g) -> float:
-    """log(1 - e) of the gate's error e; -inf for a gate that always errs."""
-    e = p.gate_error(g)
-    return -math.inf if e >= 1.0 else math.log1p(-e)
 
 
 def build_graph(c: Circuit, p: NoiseProfile) -> GateGraph:
@@ -83,14 +80,7 @@ def build_graph(c: Circuit, p: NoiseProfile) -> GateGraph:
                 log_ok += _log_ok(p, c.gates[si])
             pending_single[q] = []
             prev_vertex[q] = vid
-        tau = spans[gi][1] - min(starts)
-        t1 = min(p.t1_us(q) for q in g.qubits) * 1000.0
-        t2 = min(p.t2_us(q) for q in g.qubits) * 1000.0
-        decay = 0.0
-        if not math.isinf(t1):
-            decay += tau / t1
-        if not math.isinf(t2):
-            decay += tau / t2
+        decay = _decay_exponent(p, g.qubits, spans[gi][1] - min(starts))
         err = -math.expm1(log_ok - decay)
         if not math.isfinite(err):
             raise GraphError(f"gate {gi} has a non-finite weight: the circuit's schedule overflows")

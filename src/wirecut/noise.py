@@ -8,6 +8,9 @@ decoherence factor over the scheduled circuit duration:
     success = (1 - p_ge) * exp(-(tau/T1 + tau/T2))
 
 with tau the ASAP makespan and T1, T2 the minimum over touched qubits.
+This module owns that arithmetic: ``_log_ok``, a gate's log(1 - e), and
+``_decay_exponent``, tau/T1 + tau/T2 over a set of qubits. The estimate
+here and the gate-graph weights (``graph.build_graph``) both compose them.
 """
 from __future__ import annotations
 
@@ -143,7 +146,15 @@ def _check_duration(value, what: str) -> float:
 
 
 _TOP_KEYS = ("version", "defaults", "qubits", "gates")
-_DEFAULT_KEYS = ("p1", "p2", "d1_ns", "d2_ns", "t1_us", "t2_us")
+# each ``defaults`` key: the NoiseProfile field it sets, and its check
+_DEFAULTS = {
+    "p1": ("p1", _check_prob),
+    "p2": ("p2", _check_prob),
+    "d1_ns": ("d1_ns", _check_duration),
+    "d2_ns": ("d2_ns", _check_duration),
+    "t1_us": ("t1_default_us", _check_time),
+    "t2_us": ("t2_default_us", _check_time),
+}
 _QUBIT_KEYS = ("id", "t1_us", "t2_us")
 _GATE_KEYS = ("name", "qubits", "error", "duration_ns")
 
@@ -186,20 +197,9 @@ def load_profile(text: str) -> NoiseProfile:
 
     defaults = doc.get("defaults", {})
     _require(isinstance(defaults, dict), "'defaults' must be an object")
-    _only_keys(defaults, _DEFAULT_KEYS, "'defaults'")
-    kwargs = {}
-    if "p1" in defaults:
-        kwargs["p1"] = _check_prob(defaults["p1"], "defaults.p1")
-    if "p2" in defaults:
-        kwargs["p2"] = _check_prob(defaults["p2"], "defaults.p2")
-    if "d1_ns" in defaults:
-        kwargs["d1_ns"] = _check_duration(defaults["d1_ns"], "defaults.d1_ns")
-    if "d2_ns" in defaults:
-        kwargs["d2_ns"] = _check_duration(defaults["d2_ns"], "defaults.d2_ns")
-    if "t1_us" in defaults:
-        kwargs["t1_default_us"] = _check_time(defaults["t1_us"], "defaults.t1_us")
-    if "t2_us" in defaults:
-        kwargs["t2_default_us"] = _check_time(defaults["t2_us"], "defaults.t2_us")
+    _only_keys(defaults, tuple(_DEFAULTS), "'defaults'")
+    kwargs = {name: check(defaults[key], f"defaults.{key}")
+              for key, (name, check) in _DEFAULTS.items() if key in defaults}
 
     qubit_recs = doc.get("qubits", [])
     _require(isinstance(qubit_recs, list), "'qubits' must be a list")
@@ -244,16 +244,26 @@ def load_profile(text: str) -> NoiseProfile:
     return NoiseProfile(qubits=qubits, gates=gates, **kwargs)
 
 
+def _log_ok(p: NoiseProfile, g: Gate) -> float:
+    """log(1 - e) of the gate's error e; -inf for a gate that always errs."""
+    e = p.gate_error(g)
+    return -math.inf if e >= 1.0 else math.log1p(-e)
+
+
+def _decay_exponent(p: NoiseProfile, qubits, tau: float) -> float:
+    """tau/T1 + tau/T2, ``tau`` in ns, over the smallest T1 and T2 among
+    ``qubits``; an infinite time adds nothing."""
+    t1 = min(p.t1_us(q) for q in qubits) * 1000.0
+    t2 = min(p.t2_us(q) for q in qubits) * 1000.0
+    return (0.0 if math.isinf(t1) else tau / t1) + (0.0 if math.isinf(t2) else tau / t2)
+
+
 def gate_error_prob(c: Circuit, p: NoiseProfile) -> float:
     """Probability that at least one gate in ``c`` errs: 1 - prod(1 - p_g)."""
     log_ok = 0.0
-    for g in c.gates:
-        if g.is_measurement:
-            continue
-        e = p.gate_error(g)
-        if e >= 1.0:
-            return 1.0
-        log_ok += math.log1p(-e)
+    for g in c.gates:  # not sum(), which compensates float rounding from Python 3.12 on
+        if not g.is_measurement:
+            log_ok += _log_ok(p, g)
     return -math.expm1(log_ok)
 
 
@@ -266,16 +276,6 @@ def success_probability(c: Circuit, p: NoiseProfile) -> ErrorEstimate:
     """
     p_ge = gate_error_prob(c, p)
     tau = asap_schedule(c, p)[1]
-    touched = c.touched_qubits()
-    if touched and tau > 0:
-        t1 = min(p.t1_us(q) for q in touched) * 1000.0
-        t2 = min(p.t2_us(q) for q in touched) * 1000.0
-        decay = math.exp(-(_safe_div(tau, t1) + _safe_div(tau, t2)))
-    else:
-        decay = 1.0
+    decay = math.exp(-_decay_exponent(p, c.touched_qubits(), tau)) if tau > 0 else 1.0
     success = (1.0 - p_ge) * decay
     return ErrorEstimate(p_ge=p_ge, p_error=1.0 - success, success=success, tau_ns=tau)
-
-
-def _safe_div(a: float, b: float) -> float:
-    return 0.0 if math.isinf(b) else a / b

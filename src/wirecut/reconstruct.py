@@ -247,10 +247,10 @@ def execute_plan(
     batch of every in-cut initialization, group by schedule group (the
     inits whose prep gates take the same durations), and reads every
     readout basis from that evolution in one contraction; each row equals
-    ``run_noisy`` of its variant circuit to rounding. Either way the leaf's
-    exact rows come first. With ``shots``, each row (one per variant, in
-    ``enumerate_variants`` order) is then replaced by the frequencies
-    ``sample_frequencies`` draws from it, seeded with
+    the diagonal of ``density_matrix`` of its variant circuit to rounding.
+    Either way the leaf's exact rows come first. With ``shots``, each row
+    (one per variant, in ``enumerate_variants`` order) is then replaced by
+    the frequencies ``sample_frequencies`` draws from it, seeded with
     ``(seed & 0x7FFFFFFF, leaf id, row index)``.
 
     A leaf whose outputs would hold more than ``MAX_LEAF_ENTRIES`` (2^24)

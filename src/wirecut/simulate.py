@@ -31,16 +31,18 @@ no ``_apply`` of their own, and ``_evolve`` applies the products. The tests
 check the closed forms against Kraus channels built independently in
 ``tests/oracles.py``, and the evolution against a full-matrix reference.
 
-``run_noisy`` simulates one circuit. ``run_noisy_variants`` gives every
-variant of a circuit that differs only in one-qubit gates prepended or
-appended on some qubits (a fragment's cut preparations and readout
-bases), in one pass. Variants whose prepended gates take the same
-durations form a schedule group; the prepared states of every group lie
-on one batch axis of rho, and the body evolves once over it, each
-application taking one matrix where the groups agree and a per-entry
-stack where they do not. Every readout combination of every entry is then
-read in one contraction, one batched matmul per qubit. ``density_matrix``
-is the one-group case of the same evolution.
+``run_noisy_variants`` gives every variant of a circuit that differs only
+in one-qubit gates prepended or appended on some qubits (a fragment's cut
+preparations and readout bases), in one pass; ``run_noisy``, direct
+execution of one circuit, is its case with no variants. Variants whose
+prepended gates take the same durations form a schedule group; the
+prepared states of every group lie on one batch axis of rho, and the body
+evolves once over it, each application taking one matrix where the groups
+agree and a per-entry stack where they do not. Every readout combination
+of every entry is then read in one contraction, one batched matmul per
+qubit. ``density_matrix`` is the tests' full-matrix view of the same fused
+evolution: one group, with the end-of-schedule damping applied to rho
+instead of read.
 """
 from __future__ import annotations
 
@@ -172,21 +174,12 @@ class Distribution:
 
 
 def measure_distribution(state) -> Distribution:
-    """Exact Born-rule outcome distribution of a statevector or density matrix."""
+    """Exact Born-rule outcome distribution of a statevector; noisy
+    distributions come from ``run_noisy``."""
     state = np.asarray(state)
-    if state.ndim == 1:
-        probs = np.abs(state) ** 2
-    elif state.ndim == 2:
-        probs = _clean(np.real(np.diagonal(state)).copy())
-    else:
-        raise SimulationError("expected a vector or a square matrix")
-    return Distribution(probs)
-
-
-def _clean(probs: np.ndarray) -> np.ndarray:
-    """Zero simulated probabilities below 1e-14 in magnitude, then clip negatives, in place."""
-    probs[np.abs(probs) < 1e-14] = 0.0
-    return np.clip(probs, 0.0, None, out=probs)
+    if state.ndim != 1:
+        raise SimulationError("expected a statevector")
+    return Distribution(np.abs(state) ** 2)
 
 
 def sample_frequencies(probs: np.ndarray, shots: int, seed) -> np.ndarray:
@@ -400,9 +393,10 @@ def density_matrix(c: Circuit, p: NoiseProfile) -> np.ndarray:
 def run_noisy(c: Circuit, p: NoiseProfile) -> Distribution:
     """Exact outcome distribution of ``c`` under the gate-error + damping model.
 
-    Density-matrix evolution, so the cost is 4^width; capped accordingly.
+    The variant-free case of ``run_noisy_variants``: density-matrix
+    evolution, so the cost is 4^width; capped accordingly.
     """
-    return measure_distribution(density_matrix(c, p))
+    return Distribution(run_noisy_variants(c, p, (), ()).reshape(-1))
 
 
 def _chain(q: int, names, p: NoiseProfile, channels: dict,
@@ -460,7 +454,8 @@ def run_noisy_variants(c: Circuit, p: NoiseProfile, preps, readouts) -> np.ndarr
     option per entry: a prep option's gates run before ``c`` on its qubit
     and a readout option's after it. The result has one axis per readout
     and then one per prep, indexed by option, then one bit axis per qubit;
-    each entry is ``run_noisy`` of that variant's circuit, to rounding.
+    each entry is the diagonal of ``density_matrix`` of that variant's
+    circuit, to rounding.
 
     A prep's gates start a fresh wire at t=0, so only their durations shape
     the body's schedule. Variants whose preps end at the same clocks form a
@@ -474,8 +469,8 @@ def run_noisy_variants(c: Circuit, p: NoiseProfile, preps, readouts) -> np.ndarr
     readout combinations of every entry are then read in one contraction
     (``_read``), its intermediates within the larger of ``MAX_LEAF_ENTRIES``
     and the result's entries. Gate channels and chains are built once per
-    call, and each named prep or readout gate once. Rows get
-    ``measure_distribution``'s clean-up (``_clean``).
+    call, and each named prep or readout gate once. Probabilities below
+    1e-14 in magnitude are then zeroed, and negative ones clipped.
     """
     _check_density_width(c.width)
     n = c.width
@@ -529,7 +524,8 @@ def run_noisy_variants(c: Circuit, p: NoiseProfile, preps, readouts) -> np.ndarr
         cols = [np.ravel_multi_index(m, prep_shape) for _, m in part]
         flat[:, cols] = _read(rho, group, frees[first:last], chains, [q for q, _ in readouts],
                               t1, limit)
-    return _clean(out).reshape(readout_shape + prep_shape + (2,) * n)
+    out[np.abs(out) < 1e-14] = 0.0
+    return np.clip(out, 0.0, None, out=out).reshape(readout_shape + prep_shape + (2,) * n)
 
 
 def _read(rho, group, frees, chains, read_qubits, t1, limit: int) -> np.ndarray:

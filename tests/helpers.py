@@ -1,11 +1,16 @@
-"""Shared generators for randomized tests, and fragment-document rows."""
+"""Shared generators for randomized tests, a one-split plan, the noisy
+outcome oracle, and fragment-document rows."""
 import base64
 import random
 
 import numpy as np
 
 from wirecut.circuit import GATES, Circuit, Gate
+from wirecut.fragment import FragmentPlan, Limits, _as_root_fragment, _split
 from wirecut.graph import GateGraph
+from wirecut.ising import IsingModel
+from wirecut.noise import NoiseProfile
+from wirecut.simulate import density_matrix
 
 ONE_QUBIT_GATES = ("h", "x", "y", "z", "s", "sdg", "t", "tdg", "rx", "ry", "rz")
 
@@ -46,6 +51,35 @@ def random_connected_graph(rng: random.Random, n: int) -> GateGraph:
             edges.setdefault((min(u, v), max(u, v)), rng.choice((1, 1, 1, 2)))
     return GateGraph(weights=tuple(r / total for r in raw),
                      edges=tuple((u, v, w) for (u, v), w in sorted(edges.items())))
+
+
+def random_ising_models(rng: random.Random, count: int, n: int = 16) -> list[IsingModel]:
+    """``count`` models of ``n`` spins: each field uniform in [-1, 1], and
+    each pair coupled with probability 1/2, uniformly in [-1, 1]."""
+    models = []
+    for _ in range(count):
+        h = tuple(rng.uniform(-1, 1) for _ in range(n))
+        j = {}
+        for i in range(n):
+            for k in range(i + 1, n):
+                if rng.random() < 0.5:
+                    j[(i, k)] = rng.uniform(-1, 1)
+        models.append(IsingModel(n=n, h=h, j=j))
+    return models
+
+
+def density_probs(c: Circuit, p: NoiseProfile) -> np.ndarray:
+    """The real diagonal of ``density_matrix(c, p)``: outcome probabilities
+    that damp the end of the schedule on rho, not in ``run_noisy``'s readout."""
+    return np.real(np.diagonal(density_matrix(c, p)))
+
+
+def single_cut_plan(c: Circuit, pv) -> FragmentPlan:
+    """One forced split along ``pv``, one bit per two-qubit gate in gate
+    order, with the fragmenter's own split step."""
+    root = _split(_as_root_fragment(c), 0.0, pv, 0, (1, 2))
+    return FragmentPlan(width=c.width, threshold=0.0, root=root, limits=Limits(), seed=0,
+                        solver="ga", solver_log=[])
 
 
 def fragment_rows(text: str, width: int) -> np.ndarray:

@@ -154,9 +154,11 @@ def brute_force_ising_ground(m: IsingModel, max_spins: int = 20) -> tuple[list[i
         return [], m.offset
     codes = np.arange(1 << n, dtype=np.int64)
     spins = 2.0 * ((codes[:, None] >> np.arange(n)) & 1) - 1.0
-    energy = spins @ np.array(m.h, dtype=float) + m.offset
+    couplings = np.zeros((n, n))  # upper-triangular: the model's keys have i < j
     for (i, j), coupling in m.j.items():
-        energy += coupling * spins[:, i] * spins[:, j]
+        couplings[i, j] = coupling
+    energy = spins @ np.array(m.h, dtype=float) + m.offset
+    energy += np.einsum("si,si->s", spins @ couplings, spins)
     best = int(np.argmin(energy))
     return [int(s) for s in spins[best]], float(energy[best])
 

@@ -6,7 +6,7 @@ report. Criteria with runtime budgets assert them.
 import random
 import time
 
-from helpers import random_circuit, random_connected_graph
+from helpers import random_circuit, random_connected_graph, random_ising_models, single_cut_plan
 from oracles import (
     amplitude_damping_channel,
     brute_force_ising_ground,
@@ -20,9 +20,9 @@ from oracles import (
 from wirecut.circuit import Circuit, Gate
 from wirecut.cli import main as cli_main
 from wirecut.fixtures import circuit_fixture, profile_fixture
-from wirecut.fragment import recursive_fragment, single_cut_plan
+from wirecut.fragment import recursive_fragment
 from wirecut.graph import build_graph
-from wirecut.ising import IsingModel, default_schedule, simulated_anneal
+from wirecut.ising import default_schedule, simulated_anneal
 from wirecut.noise import NoiseProfile, gate_error_prob, success_probability
 from wirecut.partition import cut_size, find_min_cut_ga
 from wirecut.reconstruct import execute_plan, fidelity, reconstruct, tvd
@@ -124,16 +124,8 @@ def test_criterion_4_sa_optimality_rate():
     """100 seeded 16-spin instances, 1e4 sweeps, 4 restarts: the annealer
     reaches the brute-force ground energy in >=90%. Runtime < 1 minute."""
     t0 = time.time()
-    rng = random.Random(2024)
     hits = 0
-    for trial in range(100):
-        h = tuple(rng.uniform(-1, 1) for _ in range(16))
-        j = {}
-        for i in range(16):
-            for k in range(i + 1, 16):
-                if rng.random() < 0.5:
-                    j[(i, k)] = rng.uniform(-1, 1)
-        m = IsingModel(n=16, h=h, j=j)
+    for trial, m in enumerate(random_ising_models(random.Random(2024), 100)):
         _, ground = brute_force_ising_ground(m)
         res = simulated_anneal(m, default_schedule(m, sweeps=10_000), seed=trial, restarts=4)
         if abs(res.energy - ground) < 1e-9:

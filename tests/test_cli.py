@@ -8,11 +8,11 @@ import os
 import numpy as np
 import pytest
 
-from helpers import fragment_rows, packed_rows
+from helpers import fragment_rows, packed_rows, single_cut_plan
 from wirecut.circuit import MAX_CIRCUIT_QUBITS, Circuit, Gate
 from wirecut.cli import _write_text, main
 from wirecut.fixtures import CIRCUIT_FIXTURES, fixture_text
-from wirecut.fragment import plan_from_dict, plan_to_dict, recursive_fragment, single_cut_plan
+from wirecut.fragment import plan_from_dict, plan_to_dict, recursive_fragment
 from wirecut.noise import NoiseProfile
 from wirecut.simulate import run_ideal
 
@@ -552,8 +552,8 @@ def _damage_plan(doc: dict, damage: str):
         doc["threshold"] = "x"
     elif damage == "seed-null":
         doc["seed"] = None
-    elif damage == "solver-5":
-        doc["solver"] = 5
+    elif damage.startswith("solver-"):
+        doc["solver"] = {"solver-5": 5, "solver-manual": "manual"}[damage]
     elif damage.startswith("version-"):
         doc["version"] = {"version-true": True, "version-float": 1.0}[damage]
     elif damage in _BAD_GATES:
@@ -588,7 +588,7 @@ def _damage_plan(doc: dict, damage: str):
                                     "cut-qubit-string", "cut-id-string",
                                     "string-id", "negative-id", "duplicate-id",
                                     "width-null", "width-mismatch",
-                                    "threshold-string", "seed-null", "solver-5",
+                                    "threshold-string", "seed-null", "solver-5", "solver-manual",
                                     "version-true", "version-float",
                                     "status-5", "success-string", "bool-partition-bit",
                                     "moved-root-gate", *_BAD_GATES])

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import gate_counts, random_circuit
+from helpers import gate_counts, random_circuit, single_cut_plan
 from wirecut.circuit import Circuit, Gate, parse_qasm
 from wirecut.fragment import (
     Fragment,
@@ -18,7 +18,6 @@ from wirecut.fragment import (
     plan_from_dict,
     plan_to_dict,
     recursive_fragment,
-    single_cut_plan,
 )
 from wirecut.fixtures import CIRCUIT_FIXTURES, circuit_fixture, profile_fixture
 from wirecut.graph import build_graph

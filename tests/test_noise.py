@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import re
 
 import pytest
 
@@ -52,6 +53,22 @@ def test_non_object_text_is_a_profile_error(text):
     # the text is parsed, never opened as a path
     with pytest.raises(ProfileError):
         load_profile(text)
+
+
+@pytest.mark.parametrize("key, name, good, bad, message", [
+    ("p1", "p1", 0.25, "1.5", "defaults.p1 must lie in [0, 1], got 1.5"),
+    ("p2", "p2", 0.5, '"x"', "defaults.p2 must be a number"),
+    ("d1_ns", "d1_ns", 20.0, "0", "defaults.d1_ns must be > 0, got 0"),
+    ("d2_ns", "d2_ns", 250.0, "Infinity", "defaults.d2_ns must be finite, got inf"),
+    ("t1_us", "t1_default_us", 70.0, "-1", "defaults.t1_us must be > 0, got -1"),
+    ("t2_us", "t2_default_us", 30.0, "true", "defaults.t2_us must be a number"),
+])
+def test_each_default_sets_its_field_and_names_its_key_when_bad(key, name, good, bad, message):
+    # ``bad`` is JSON text: the value as the document spells it
+    p = load_profile(json.dumps({"version": 1, "defaults": {key: good}}))
+    assert p == NoiseProfile(**{name: good})
+    with pytest.raises(ProfileError, match=re.escape(message)):
+        load_profile(f'{{"version": 1, "defaults": {{"{key}": {bad}}}}}')
 
 
 def test_probability_out_of_range_rejected():

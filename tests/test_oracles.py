@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from helpers import random_circuit, random_connected_graph
+from helpers import random_circuit, random_connected_graph, random_ising_models
 from oracles import (
     brute_force_ising_ground,
     brute_force_min_cost,
@@ -59,6 +59,27 @@ def test_brute_force_ising_ferro_ring():
 def test_brute_force_ising_empty_model():
     spins, e = brute_force_ising_ground(IsingModel(n=0, h=(), j={}, offset=0.75))
     assert spins == [] and e == 0.75
+
+
+def _loop_ising_ground(m: IsingModel) -> tuple[list[int], float]:
+    """The brute force with one pass per coupling over all 2^n energies."""
+    codes = np.arange(1 << m.n, dtype=np.int64)
+    spins = 2.0 * ((codes[:, None] >> np.arange(m.n)) & 1) - 1.0
+    energy = spins @ np.array(m.h, dtype=float) + m.offset
+    for (i, j), coupling in m.j.items():
+        energy += coupling * spins[:, i] * spins[:, j]
+    best = int(np.argmin(energy))
+    return [int(s) for s in spins[best]], float(energy[best])
+
+
+def test_dense_ising_ground_matches_the_coupling_loop_on_criterion_4s_instances():
+    # the dense form sums each energy in another order: the same minimiser,
+    # and energies within a few ulps of the 16-spin models' largest terms
+    for m in random_ising_models(random.Random(2024), 100):
+        spins, e = brute_force_ising_ground(m)
+        loop_spins, loop_e = _loop_ising_ground(m)
+        assert spins == loop_spins
+        assert abs(e - loop_e) <= 1e-12
 
 
 def test_reference_noiseless_matches_pure_state():

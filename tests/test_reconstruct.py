@@ -13,7 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import fragment_rows, packed_rows, random_circuit
+from helpers import density_probs, fragment_rows, packed_rows, random_circuit, single_cut_plan
 from oracles import dict_fidelity, dict_hellinger, dict_tvd
 from wirecut.circuit import Circuit, Gate, parse_qasm
 from wirecut.fixtures import CIRCUIT_FIXTURES, circuit_fixture, fixture_text
@@ -27,7 +27,6 @@ from wirecut.fragment import (
     PlanNode,
     enumerate_variants,
     recursive_fragment,
-    single_cut_plan,
 )
 from wirecut.graph import build_graph
 from wirecut.noise import GateCal, NoiseProfile, QubitCal, load_profile
@@ -315,7 +314,7 @@ def test_property_grouped_noisy_leaf_matches_each_variant_circuit(leaf, times, d
     for v in enumerate_variants(leaf):
         idx = tuple(MEAS_BASES.index(v.bases[c]) for c in sorted(leaf.out_cuts))
         idx += tuple(INIT_STATES.index(v.inits[c]) for c in sorted(leaf.in_cuts))
-        expect = run_noisy(v.circuit, local).probs
+        expect = density_probs(v.circuit, local)
         assert np.max(np.abs(out.probs[idx].reshape(-1) - expect)) <= 1e-12
 
 
@@ -330,7 +329,7 @@ def test_noisy_readouts_out_of_qubit_order_match_each_variant_circuit(seed):
     for v in enumerate_variants(leaf):
         idx = (MEAS_BASES.index(v.bases[0]), MEAS_BASES.index(v.bases[1]),
                INIT_STATES.index(v.inits[2]))
-        expect = run_noisy(v.circuit, STRESS).probs
+        expect = density_probs(v.circuit, STRESS)
         assert np.max(np.abs(out.probs[idx].reshape(-1) - expect)) <= 1e-12
 
 
@@ -382,7 +381,7 @@ def test_noisy_groups_that_disagree_apply_a_stack_of_channels(monkeypatch):
     assert stacked and all(shape[0] == len(INIT_STATES) for shape in stacked)
     for v in enumerate_variants(leaf):
         idx = (MEAS_BASES.index(v.bases[1]), INIT_STATES.index(v.inits[0]))
-        expect = run_noisy(v.circuit, STRESS).probs
+        expect = density_probs(v.circuit, STRESS)
         assert np.max(np.abs(out.probs[idx].reshape(-1) - expect)) <= 1e-12
 
 
@@ -404,7 +403,7 @@ def test_noisy_leaf_with_an_undamped_qubit_and_three_out_cuts():
     for v in enumerate_variants(leaf):
         idx = tuple(MEAS_BASES.index(v.bases[c]) for c in (1, 3, 4))
         idx += (INIT_STATES.index(v.inits[5]),)
-        expect = run_noisy(v.circuit, profile).probs
+        expect = density_probs(v.circuit, profile)
         assert np.max(np.abs(out.probs[idx].reshape(-1) - expect)) <= 1e-12
 
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_circuit
+from helpers import density_probs, random_circuit
 from oracles import (
     KrausChannel,
     amplitude_damping_channel,
@@ -202,7 +202,7 @@ def test_noisy_variants_take_a_qubit_in_both_a_prep_and_a_readout():
                              [(0, ((), ("h",)))])
     assert out.shape == (2, 2, 2, 2)
     variant = Circuit(width=2, gates=(Gate("x", (0,)),) + _TWO_QUBITS.gates + (Gate("h", (0,)),))
-    assert np.max(np.abs(out[1, 1].reshape(-1) - run_noisy(variant, NoiseProfile()).probs)) < 1e-12
+    assert np.max(np.abs(out[1, 1].reshape(-1) - density_probs(variant, NoiseProfile()))) < 1e-12
 
 
 def test_measure_distribution_ghz():
@@ -470,3 +470,12 @@ def test_fused_density_matrix_matches_the_full_matrix_reference(case):
     c, profile = case
     rho = density_matrix(c, profile)
     assert np.max(np.abs(rho - reference_density_evolution(c, profile))) < 1e-12
+
+
+@settings(max_examples=150, deadline=None)
+@given(_noisy_case())
+def test_direct_run_reads_the_full_matrix_diagonal(case):
+    # direct execution is the variant-free readout of the fragments'
+    # evolution; it must give the outcome probabilities of density_matrix
+    c, profile = case
+    assert np.max(np.abs(run_noisy(c, profile).probs - density_probs(c, profile))) <= 1e-14
