@@ -4,6 +4,10 @@ The IR is deliberately minimal: a circuit is an ordered list of gates over
 indexed qubits, and list position is the temporal order on every wire.
 Circuits are immutable after construction and safe to share across threads.
 
+The front end reads one ';'-terminated statement at a time (``_statements``):
+line breaks are blanks, ``//`` comments run to the end of their line, and
+an error cites the line of its statement's first non-blank character.
+
 ``GATES`` is the one gate table: per gate name, its arity, its number of
 angle parameters and its unitary as a function of those angles. Every other
 module reads it, and ``Gate`` checks every gate against it when the gate is
@@ -15,9 +19,10 @@ not in the table: the parser expands it into three ``cx``.
 from __future__ import annotations
 
 import math
+import re
 import sys
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -191,10 +196,14 @@ class Circuit:
 # ---------------------------------------------------------------------------
 
 _CONSTANTS = {"pi": 3.141592653589793}
+# a QASM number: decimal digits with an optional fraction and exponent
+_NUMBER = re.compile(r"([0-9]+\.?[0-9]*|\.[0-9]+)([eE][-+]?[0-9]+)?")
 
 
 def _eval_angle(expr: str, line: int) -> float:
-    """Evaluate a QASM angle expression: numbers, pi, + - * / and parentheses.
+    """Evaluate a QASM angle expression: decimal numbers, pi, + - * / and
+    parentheses. Any other literal (``True``, ``0x10``, ``1_000``) or name
+    is an unsupported construct.
 
     The result must be a finite number: division by zero, overflow and
     infinite literals raise ``QasmError``.
@@ -212,7 +221,7 @@ def _eval_angle(expr: str, line: int) -> float:
     def ev(node) -> float:
         if isinstance(node, ast.Expression):
             return ev(node.body)
-        if isinstance(node, ast.Constant) and isinstance(node.value, (int, float)):
+        if isinstance(node, ast.Constant) and _NUMBER.fullmatch(ast.get_source_segment(expr, node)):
             return float(node.value)
         if isinstance(node, ast.Name) and node.id in _CONSTANTS:
             return _CONSTANTS[node.id]
@@ -257,26 +266,24 @@ def _parse_operand(token: str, register: tuple[str, int], line: int) -> int:
     return i
 
 
-def _statements(text: str) -> Iterable[tuple[int, str]]:
-    """Yield (line_number, statement) with comments stripped; statements end at ';'."""
-    buf: list[str] = []
-    start_line = 1
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        code = raw.split("//", 1)[0]
-        for ch in code:
-            if ch == ";":
-                stmt = "".join(buf).strip()
-                if stmt:
-                    yield start_line, stmt
-                buf = []
-                start_line = lineno
-            else:
-                if not buf:
-                    start_line = lineno
-                buf.append(ch)
-    tail = "".join(buf).strip()
-    if tail:
-        raise QasmError(f"statement missing terminating ';': '{tail}'", start_line)
+def _statements(text: str) -> Iterator[tuple[int, str]]:
+    """Yield (line_number, statement) pairs, one per ';'.
+
+    ``//`` comments are stripped line by line and the rest is split at
+    ';'. Every run of whitespace, line breaks included, reads as one blank,
+    and a statement gets the line of its first non-blank character. Text
+    after the last ';' raises ``QasmError`` at that line.
+    """
+    pieces = "\n".join(line.split("//", 1)[0] for line in text.splitlines()).split(";")
+    line = 1
+    for i, raw in enumerate(pieces):
+        body = raw.lstrip()
+        if body:
+            start, stmt = line + raw.count("\n", 0, len(raw) - len(body)), " ".join(body.split())
+            if i == len(pieces) - 1:
+                raise QasmError(f"statement missing terminating ';': '{stmt}'", start)
+            yield start, stmt
+        line += raw.count("\n")
 
 
 def parse_qasm(text: str, name: str = "circuit") -> Circuit:
@@ -296,7 +303,8 @@ def parse_qasm(text: str, name: str = "circuit") -> Circuit:
     saw_header = False
 
     for lineno, stmt in _statements(text):
-        head = stmt.split(None, 1)[0]
+        head = stmt.partition(" ")[0]
+        gate_name = head.partition("(")[0]
 
         if head == "OPENQASM":
             version = stmt[len(head):].strip()
@@ -319,7 +327,7 @@ def parse_qasm(text: str, name: str = "circuit") -> Circuit:
                 raise QasmError("multiple classical registers are not supported", lineno)
             creg = _parse_decl(stmt, "creg", lineno)
             continue
-        if head == "if" or stmt.startswith("if("):
+        if gate_name == "if":
             raise QasmError("classical control ('if') is not supported", lineno)
         if head == "gate" or head == "opaque":
             raise QasmError("gate definitions are not supported", lineno)
@@ -329,7 +337,7 @@ def parse_qasm(text: str, name: str = "circuit") -> Circuit:
         if qreg is None:
             raise QasmError("gate statement before qreg declaration", lineno)
 
-        gate_name, args = _split_gate_stmt(stmt)
+        args = stmt[len(gate_name):]
         if gate_name == "barrier":
             continue
 
@@ -374,31 +382,16 @@ def _parse_decl(stmt: str, kind: str, lineno: int) -> tuple[str, int]:
     return reg.strip(), n
 
 
-def _split_gate_stmt(stmt: str) -> tuple[str, str]:
-    for i, ch in enumerate(stmt):
-        if ch in " \t(":
-            return stmt[:i], stmt[i:]
-    return stmt, ""
-
-
 def _split_params(args: str, lineno: int) -> tuple[list[float], str]:
+    """The angles and the operand text of a gate's ``args``: the parameter
+    list runs from a leading '(' to the last ')', as operands hold none."""
     args = args.strip()
-    params: list[float] = []
-    if args.startswith("("):
-        depth = 0
-        for i, ch in enumerate(args):
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-                if depth == 0:
-                    inner = args[1:i]
-                    args = args[i + 1:]
-                    params = [_eval_angle(p, lineno) for p in inner.split(",")]
-                    break
-        else:
-            raise QasmError("unbalanced parentheses in parameter list", lineno)
-    return params, args
+    if not args.startswith("("):
+        return [], args
+    close = args.rfind(")")
+    if close < 0:
+        raise QasmError("unbalanced parentheses in parameter list", lineno)
+    return [_eval_angle(p, lineno) for p in args[1:close].split(",")], args[close + 1:]
 
 
 def _parse_measure(args: str, qreg, creg, lineno: int) -> int:

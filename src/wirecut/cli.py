@@ -342,8 +342,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="partitioner: the genetic search (default), the annealer, "
                             "or both with the cheaper cut kept")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--max-k", dest="max_k", type=_int_at_least(0), default=8)
-        p.add_argument("--max-depth", dest="max_depth", type=_int_at_least(0), default=8)
+        limits = Limits()
+        p.add_argument("--max-k", dest="max_k", type=_int_at_least(0), default=limits.max_k)
+        p.add_argument("--max-depth", dest="max_depth", type=_int_at_least(0),
+                       default=limits.max_depth)
         p.add_argument("--sweeps", type=_int_at_least(1), default=DEFAULT_SA_SWEEPS,
                        help="annealer sweeps; used only with --solver anneal|both")
         p.add_argument("--restarts", type=_int_at_least(1), default=DEFAULT_SA_RESTARTS,

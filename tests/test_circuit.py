@@ -1,5 +1,6 @@
 import math
 import random
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from helpers import gate_counts, random_circuit
 from wirecut.circuit import (
+    GATES,
     Circuit,
     QasmError,
     asap_schedule,
@@ -59,6 +61,28 @@ def test_parse_reports_line_numbers():
     with pytest.raises(QasmError) as err:
         parse_qasm(src)
     assert err.value.line == 5
+
+
+@pytest.mark.parametrize("broken, one_line", [
+    ("OPENQASM 2.0;\nqreg q[1];\nh\nq[0];", "OPENQASM 2.0;\nqreg q[1];\nh q[0];"),
+    ("OPENQASM 2.0;\nqreg\nq[2];\nh q[0];", "OPENQASM 2.0;\nqreg q[2];\nh q[0];"),
+    ("OPENQASM\n2.0;\nqreg q[1];\nh q[0];", "OPENQASM 2.0;\nqreg q[1];\nh q[0];"),
+    ("OPENQASM 2.0;\nqreg q[1]; creg c[1];\nmeasure\nq[0] -> c[0];",
+     "OPENQASM 2.0;\nqreg q[1]; creg c[1];\nmeasure q[0] -> c[0];"),
+], ids=["gate", "qreg", "header", "measure"])
+def test_a_statement_broken_across_lines_parses_as_its_one_line_form(broken, one_line):
+    assert circuit_to_dict(parse_qasm(broken)) == circuit_to_dict(parse_qasm(one_line))
+
+
+@pytest.mark.parametrize("src, line, message", [
+    ("OPENQASM 2.0;\nqreg q[2]; \nccx q[0],q[1];", 3, "ccx"),
+    ("OPENQASM 2.0;\nqreg q[2]; // c\n\n\nccx q[0],q[1];", 5, "ccx"),
+    ("OPENQASM 2.0;\nqreg q[2];\nh q[0]; \ncx q[0],q[1]", 4, "missing terminating ';'"),
+], ids=["after-a-blank", "after-a-comment", "unterminated"])
+def test_an_error_cites_the_line_of_its_statements_first_character(src, line, message):
+    with pytest.raises(QasmError, match=message) as err:
+        parse_qasm(src)
+    assert err.value.line == line
 
 
 def test_swap_rewrites_to_three_cx():
@@ -160,6 +184,13 @@ def test_parse_rejects_non_finite_angles(expr):
         parse_qasm(f"OPENQASM 2.0;\nqreg q[1]; rx({expr}) q[0];")
 
 
+@pytest.mark.parametrize("literal", ["True", "False", "0x10", "1_000"])
+def test_angles_are_qasm_numbers_only(literal):
+    with pytest.raises(QasmError, match="unsupported construct in parameter expression") as err:
+        parse_qasm(f"OPENQASM 2.0;\nqreg q[1]; rx({literal}) q[0];")
+    assert err.value.line == 2
+
+
 _QASM_FIXTURES = [fixture_text("circuits", name) for name in CIRCUIT_FIXTURES]
 _QASM_CHARS = "qc[]();,.+-*/ \n0123456789epi_xhmrsuOQAM"
 
@@ -183,3 +214,46 @@ def test_fuzz_only_qasm_error_escapes_the_parser(text):
         parse_qasm(text)
     except QasmError:
         pass
+
+
+_TOKEN = re.compile(r'"[^"]*"|->|\w+(?:\.\w*)?|\S')
+_GAP = st.one_of(st.sampled_from(["\n", "\r\n"]), st.text(" \t", min_size=1, max_size=3))
+_COMMENT = st.text(st.characters(blacklist_categories=("Cc", "Zl", "Zp")), max_size=8)
+
+
+@st.composite
+def reflowed_fixture(draw):
+    """A bundled fixture's name and its tokens reflowed: a line break or a
+    run of blanks drawn into some gaps between tokens and a ``// comment``
+    after some ';'. Also the index of one gate statement's gate token in
+    the reflowed pieces."""
+    name = draw(st.sampled_from(CIRCUIT_FIXTURES))
+    text = fixture_text("circuits", name)
+    tokens = list(_TOKEN.finditer(text))
+    gaps = draw(st.dictionaries(st.integers(1, len(tokens) - 1), _GAP, min_size=1))
+    ends = [i for i, m in enumerate(tokens) if m.group() == ";"]
+    comments = draw(st.dictionaries(st.sampled_from(ends), _COMMENT))
+    heads = [0] + [i + 1 for i in ends[:-1]]
+    renamed = draw(st.sampled_from([i for i in heads
+                                    if tokens[i].group() in GATES.keys() - {"measure"}]))
+    pieces, at, prev = [], None, 0
+    for i, m in enumerate(tokens):
+        pieces += [text[prev:m.start()], gaps.get(i, "")]
+        if i == renamed:
+            at = len(pieces)
+        pieces.append(m.group())
+        if i in comments:
+            pieces.append(f" // {comments[i]}\n")
+        prev = m.end()
+    return name, pieces + [text[prev:]], at
+
+
+@settings(max_examples=100, deadline=None)
+@given(reflowed_fixture())
+def test_line_breaks_blanks_and_comments_between_tokens_change_no_circuit(case):
+    name, pieces, at = case
+    fixture = circuit_to_dict(parse_qasm(fixture_text("circuits", name)))
+    assert circuit_to_dict(parse_qasm("".join(pieces))) == fixture
+    with pytest.raises(QasmError, match="unsupported gate 'ccx'") as err:
+        parse_qasm("".join(pieces[:at] + ["ccx"] + pieces[at + 1:]))
+    assert err.value.line == "".join(pieces[:at]).count("\n") + 1

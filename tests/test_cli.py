@@ -10,9 +10,9 @@ import pytest
 
 from helpers import fragment_rows, packed_rows, single_cut_plan
 from wirecut.circuit import MAX_CIRCUIT_QUBITS, Circuit, Gate
-from wirecut.cli import _write_text, main
+from wirecut.cli import _write_text, build_parser, main
 from wirecut.fixtures import CIRCUIT_FIXTURES, fixture_text
-from wirecut.fragment import plan_from_dict, plan_to_dict, recursive_fragment
+from wirecut.fragment import Limits, plan_from_dict, plan_to_dict, recursive_fragment
 from wirecut.noise import NoiseProfile
 from wirecut.simulate import run_ideal
 
@@ -283,6 +283,15 @@ def test_infinite_angle_exits_3(tmp_path):
         qasm.write_text(f"OPENQASM 2.0;\nqreg q[1];\nrx({expr}) q[0];\n")
         assert run(["cut", "--qasm", qasm, "--profile", "fixture:uniform",
                     "--threshold", "0.5", "--out", tmp_path / "x"]) == 3
+
+
+@pytest.mark.parametrize("literal", ["True", "False", "0x10", "1_000"])
+def test_non_decimal_angle_literal_exits_3(tmp_path, capsys, literal):
+    qasm = tmp_path / "angle.qasm"
+    qasm.write_text(f"OPENQASM 2.0;\nqreg q[1];\nrx({literal}) q[0];\n")
+    assert run(["cut", "--qasm", qasm, "--profile", "fixture:uniform",
+                "--threshold", "0.5", "--out", tmp_path / "x"]) == 3
+    assert "unsupported construct in parameter expression" in capsys.readouterr().err
 
 
 def test_graph_dump(tmp_path, capsys):
@@ -718,6 +727,12 @@ def test_bad_numeric_input_is_a_usage_error(tmp_path, capsys, argv, message):
     assert exc.value.code == 2
     assert message in capsys.readouterr().err
     assert not out.exists()  # nothing ran: no plan, fragment or sweep.json
+
+
+@pytest.mark.parametrize("argv", [CUT, SWEEP + ["--thresholds", "0"]], ids=["cut", "sweep"])
+def test_limit_flags_default_to_the_limits_defaults(argv):
+    args = build_parser().parse_args(argv + ["--out", "unused"])
+    assert Limits(max_depth=args.max_depth, max_k=args.max_k) == Limits()
 
 
 def test_default_solver_is_the_ga(tmp_path):
