@@ -248,20 +248,28 @@ def _eval_angle(expr: str, line: int) -> float:
     return value
 
 
+# ``name[index]``, the index in ASCII decimal digits, blanks allowed around each token
+_INDEXED = re.compile(r"\s*(\w+)\s*\[\s*([0-9]+)\s*\]\s*", re.ASCII)
+
+
+def _indexed(text: str, what: str, line: int) -> tuple[str, int]:
+    """The name and index of ``text``, read with ``_INDEXED``."""
+    m = _INDEXED.fullmatch(text)
+    if m is None:
+        raise QasmError(f"expected {what} like q[0], its index in decimal digits, "
+                        f"got '{text.strip()}'", line)
+    if len(m[2].lstrip("0")) > 9:  # past every width cap; int() refuses 4300 digits
+        raise QasmError(f"the index of '{text.strip()}' has more than 9 digits", line)
+    return m[1], int(m[2])
+
+
 def _parse_operand(token: str, register: tuple[str, int], line: int) -> int:
     """The index of ``token``, an element of the (name, size) ``register``."""
-    token = token.strip()
-    if "[" not in token or not token.endswith("]"):
-        raise QasmError(f"expected indexed operand like q[0], got '{token}'", line)
-    reg, _, idx = token.partition("[")
-    reg, size = reg.strip(), register[1]
-    if reg != register[0]:
+    name, size = register
+    reg, i = _indexed(token, "an indexed operand", line)
+    if reg != name:
         raise QasmError(f"unknown register '{reg}'", line)
-    try:
-        i = int(idx[:-1])
-    except ValueError:
-        raise QasmError(f"bad register index in '{token}'", line) from None
-    if not 0 <= i < size:
+    if i >= size:
         raise QasmError(f"index {i} out of range for register '{reg}' of size {size}", line)
     return i
 
@@ -308,14 +316,16 @@ def parse_qasm(text: str, name: str = "circuit") -> Circuit:
 
         if head == "OPENQASM":
             version = stmt[len(head):].strip()
+            if saw_header:
+                raise QasmError("a second 'OPENQASM' header", lineno)
             if version != "2.0":
                 raise QasmError(f"unsupported OPENQASM version '{version}'", lineno)
             saw_header = True
             continue
+        if not saw_header:
+            raise QasmError("missing 'OPENQASM 2.0;' header: it must come first", lineno)
         if head == "include":
             continue
-        if not saw_header:
-            raise QasmError("missing 'OPENQASM 2.0;' header", lineno)
 
         if head == "qreg":
             if qreg is not None:
@@ -369,17 +379,10 @@ def parse_qasm(text: str, name: str = "circuit") -> Circuit:
 
 
 def _parse_decl(stmt: str, kind: str, lineno: int) -> tuple[str, int]:
-    body = stmt[len(kind):].strip()
-    if "[" not in body or not body.endswith("]"):
-        raise QasmError(f"malformed {kind} declaration '{stmt}'", lineno)
-    reg, _, size = body.partition("[")
-    try:
-        n = int(size[:-1])
-    except ValueError:
-        raise QasmError(f"bad {kind} size in '{stmt}'", lineno) from None
+    reg, n = _indexed(stmt[len(kind):], f"a {kind} declaration", lineno)
     if n < 1:
         raise QasmError(f"{kind} size must be >= 1", lineno)
-    return reg.strip(), n
+    return reg, n
 
 
 def _split_params(args: str, lineno: int) -> tuple[list[float], str]:

@@ -3,23 +3,19 @@
 A leaf's outputs are one array (``FragmentOutput.probs``) with the leaf's
 ``Fragment.variant_axes``, one basis axis per out-cut and one init axis per
 in-cut, then one bit axis per qubit; the output holds its plan leaf.
-Ideal execution fills it from a single evolution of the leaf's body: the
-in-cut initializations are leading batch axes of the statevector, and by
-linearity one fixed rotation per out-cut then yields every readout basis.
-Noisy execution evolves the body's density matrix once over a batch of
-every init, whose schedule groups (the inits whose prep gates take the
-same durations) differ only in some channels' matrices, and reads every
-readout basis from it in one contraction (``simulate.run_noisy_variants``),
-into the same array. Sampling (``shots``) is one later step over those exact
-rows. One document holds a run's outputs (``outputs_to_dict``): the id of
-its plan and per leaf one base64 string of little-endian float64 bytes,
-one dense row per variant, so no variant key or bitstring is written or
-parsed and every row reads back bit for bit. It is read against the plan,
-not trusted: it must name that plan and hold exactly its leaves, each row
-a distribution in its leaf's layout; recombination checks once that each
-output belongs to the leaf it is combined for. The reconstructed
-``Distribution`` wraps the recombined probability vector, and fidelity,
-TVD and Hellinger distance are elementwise expressions over two vectors.
+``execute_plan`` fills it through one of ``simulate``'s two variant
+executors, ``run_ideal`` or ``run_noisy_variants``, with one prep entry per
+in-cut (the prep gates of each init) and one readout entry per out-cut (the
+basis gates of each basis). Sampling (``shots``) is one later step over
+those exact rows. One document holds a run's outputs (``outputs_to_dict``):
+the id of its plan and per leaf one base64 string of little-endian float64
+bytes, one dense row per variant, so no variant key or bitstring is written
+or parsed and every row reads back bit for bit. It is read against the
+plan, not trusted: it must name that plan and hold exactly its leaves, each
+row a distribution in its leaf's layout; recombination checks once that
+each output belongs to the leaf it is combined for. The reconstructed
+``Distribution`` wraps the recombined probability vector, and fidelity, TVD
+and Hellinger distance are elementwise expressions over two vectors.
 
 Each cut carries one of four labels I, Z, X, Y; the sum over all 4^k label
 assignments, scaled by 1/2 per cut, is the uncut distribution (Peng et al.,
@@ -46,7 +42,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .circuit import GATES
 # enumerate_variants and run_noisy are not called here, but
 # perfbench/pb_layers.py hooks them under these names and drops every metric
 # of a hook whose target is missing
@@ -61,7 +56,6 @@ from .fragment import (
 )
 from .noise import NoiseProfile
 from .simulate import (
-    MAX_LEAF_ENTRIES,
     MAX_STATEVECTOR_QUBITS,
     Distribution,
     SimulationError,
@@ -85,19 +79,6 @@ __all__ = [
 ]
 
 
-def _gates_unitary(names: tuple[str, ...]) -> np.ndarray:
-    """Product of the named one-qubit gates, the first applied first."""
-    u = np.eye(2, dtype=complex)
-    for name in names:
-        u = GATES[name].unitary() @ u
-    return u
-
-
-# amplitudes of each init state, in INIT_STATES order, over (init, bit)
-_INIT_AMPS = np.array([_gates_unitary(_PREP_GATES[s])[:, 0] for s in INIT_STATES])
-# rotation before the Z readout of each basis, in MEAS_BASES order, over
-# (basis, bit after, bit before): Z -> I, X -> H, Y -> H.Sdg
-_BASIS_ROT = np.array([_gates_unitary(_BASIS_GATES[b]) for b in MEAS_BASES])
 # out-cut map over (label, basis, bit): labels I, Z, X, Y read bases Z, Z, X, Y
 _OUT_MAP = np.zeros((4, len(MEAS_BASES), 2))
 _OUT_MAP[range(4), [MEAS_BASES.index(b) for b in "ZZXY"]] = [[1, 1], [1, -1], [1, -1], [1, -1]]
@@ -240,40 +221,34 @@ def execute_plan(
 ) -> dict[int, FragmentOutput]:
     """Simulate every variant of every leaf fragment.
 
-    Without ``profile`` each leaf's body evolves once, over a batch of all
-    its in-cut initializations, and every out-cut is then rotated into each
-    readout basis. With ``profile`` the density-matrix model, under the
-    profile remapped onto the leaf's qubits, evolves the body once over a
-    batch of every in-cut initialization, group by schedule group (the
-    inits whose prep gates take the same durations), and reads every
-    readout basis from that evolution in one contraction; each row equals
-    the diagonal of ``density_matrix`` of its variant circuit to rounding.
+    Each leaf's in-cuts become prep entries offering each init's prep gates,
+    and its out-cuts readout entries offering each basis's gates, both in
+    cut-id order. Without ``profile`` they go to ``run_ideal``, whose
+    amplitudes are squared; with it, to ``run_noisy_variants`` under the
+    profile remapped onto the leaf's qubits, whose rows each equal the
+    diagonal of ``density_matrix`` of their variant circuit to rounding.
     Either way the leaf's exact rows come first. With ``shots``, each row
     (one per variant, in ``enumerate_variants`` order) is then replaced by
     the frequencies ``sample_frequencies`` draws from it, seeded with
     ``(seed & 0x7FFFFFFF, leaf id, row index)``.
 
-    A leaf whose outputs would hold more than ``MAX_LEAF_ENTRIES`` (2^24)
-    entries raises ``SimulationError`` before anything is allocated; the
-    same budget bounds a noisy leaf's batch (``run_noisy_variants``).
+    An executor's ``SimulationError`` is raised again with the leaf's id:
+    among them, a leaf whose outputs would hold more than
+    ``MAX_LEAF_ENTRIES`` (2^24) entries, refused before anything is
+    allocated.
     """
     outputs: dict[int, FragmentOutput] = {}
     for leaf in plan.leaf_fragments():
-        entries = leaf.n_variants << leaf.width
-        if entries > MAX_LEAF_ENTRIES:
-            raise SimulationError(
-                f"fragment {leaf.id}: {leaf.n_variants} variant(s) of width {leaf.width} need "
-                f"{entries} entries ({16 * entries} bytes of amplitudes), over the limit of "
-                f"{MAX_LEAF_ENTRIES}: one uncut leaf, its width capped at "
-                f"{MAX_STATEVECTOR_QUBITS} qubits")
-        if profile is None:
-            probs = np.abs(_ideal_amplitudes(leaf)) ** 2
-        else:
-            probs = run_noisy_variants(
-                leaf.circuit, profile.for_subcircuit(leaf.qubit_map),
-                preps=[(leaf.in_cuts[cid], _PREP_OPTIONS) for cid in sorted(leaf.in_cuts)],
-                readouts=[(leaf.out_cuts[cid], _BASIS_OPTIONS) for cid in sorted(leaf.out_cuts)],
-            )
+        preps = [(leaf.in_cuts[cid], _PREP_OPTIONS) for cid in sorted(leaf.in_cuts)]
+        readouts = [(leaf.out_cuts[cid], _BASIS_OPTIONS) for cid in sorted(leaf.out_cuts)]
+        try:
+            if profile is None:
+                probs = np.abs(run_ideal(leaf.circuit, preps, readouts)) ** 2
+            else:
+                probs = run_noisy_variants(leaf.circuit, profile.for_subcircuit(leaf.qubit_map),
+                                           preps, readouts)
+        except SimulationError as exc:
+            raise SimulationError(f"fragment {leaf.id}: {exc}") from None
         if shots is not None:
             rows = [
                 sample_frequencies(p, shots, (seed & 0x7FFFFFFF, leaf.id, row))
@@ -282,32 +257,6 @@ def execute_plan(
             probs = np.array(rows).reshape(probs.shape)
         outputs[leaf.id] = FragmentOutput(leaf, probs, shots)
     return outputs
-
-
-def _ideal_amplitudes(leaf: Fragment) -> np.ndarray:
-    """Amplitudes of every variant of ``leaf``, by linearity from one evolution.
-
-    The body evolves a batch holding the product of every in-cut's init
-    states (other qubits start in |0>); a fixed rotation per out-cut then
-    turns the batch into one entry per readout basis. The axes are those of
-    ``FragmentOutput.probs``.
-    """
-    m, w = len(leaf.in_cuts), leaf.width
-    init_axis = {leaf.in_cuts[cid]: j for j, cid in enumerate(sorted(leaf.in_cuts))}
-    operands = []
-    for q in range(w):
-        if q in init_axis:
-            operands += [_INIT_AMPS, [init_axis[q], m + q]]
-        else:
-            operands += [_INIT_AMPS[INIT_STATES.index("zero")], [m + q]]
-    state = np.einsum(*operands, list(range(m + w)))
-    amps = run_ideal(leaf.circuit, state)
-    # rotate the last out-cut first, so that the basis axes prepended by
-    # tensordot end up in id order
-    for done, cid in enumerate(sorted(leaf.out_cuts, reverse=True)):
-        axis = done + m + leaf.out_cuts[cid]
-        amps = np.moveaxis(np.tensordot(_BASIS_ROT, amps, axes=([2], [axis])), 1, axis + 1)
-    return amps
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,15 @@
 Conventions: qubit 0 owns the leftmost character of a measurement
 bitstring, and a ``Distribution`` is the dense vector of the 2^width
 outcome probabilities, indexed by those bits. A statevector is held with
-one 2-valued axis per qubit. ``run_ideal`` can also evolve a batch of
-states at once: leading axes before the qubit axes are carried through
-every gate, which is how a fragment's body is simulated once for all of
-its cut initializations. One kernel, ``_apply``, does every gate
+one 2-valued axis per qubit.
+
+``run_ideal`` and ``run_noisy_variants`` give every variant of a circuit
+that differs only in one-qubit gates prepended or appended on some qubits
+(a fragment's cut preparations and readout bases). Both take the same
+``preps`` and ``readouts`` entries, checked by one ``_check_entries``
+before anything is allocated, and return the same axes. ``run_ideal``
+evolves the prepared states as leading batch axes of the statevector and
+then rotates each read qubit. One kernel, ``_apply``, does every gate
 application of both paths: it moves the operand axes to the front,
 multiplies them by the gate's matrix (a unitary on a statevector, a
 superoperator on a density matrix) and moves them back. Gate matrices
@@ -31,10 +36,8 @@ no ``_apply`` of their own, and ``_evolve`` applies the products. The tests
 check the closed forms against Kraus channels built independently in
 ``tests/oracles.py``, and the evolution against a full-matrix reference.
 
-``run_noisy_variants`` gives every variant of a circuit that differs only
-in one-qubit gates prepended or appended on some qubits (a fragment's cut
-preparations and readout bases), in one pass; ``run_noisy``, direct
-execution of one circuit, is its case with no variants. Variants whose
+``run_noisy_variants`` gives every variant in one pass; ``run_noisy``,
+direct execution of one circuit, is its case with no variants. Variants whose
 prepended gates take the same durations form a schedule group; the
 prepared states of every group lie on one batch axis of rho, and the body
 evolves once over it, each application taking one matrix where the groups
@@ -73,6 +76,7 @@ MAX_DENSITY_QUBITS = 12
 # entries of a fragment leaf's outputs (an uncut leaf's at the width cap), and of a noisy batch
 MAX_LEAF_ENTRIES = 1 << MAX_STATEVECTOR_QUBITS
 
+_I2 = np.eye(2, dtype=complex)
 _I4 = np.eye(4, dtype=complex)
 
 
@@ -112,38 +116,91 @@ def _apply(t: np.ndarray, m: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# Variant entries, as both paths take them
+# ---------------------------------------------------------------------------
+
+def _check_entries(preps, readouts, n: int) -> tuple[int, ...]:
+    """Each prep or readout entry is on its own qubit of the circuit and
+    offers at least one option, and every variant's outputs together fit
+    within ``MAX_LEAF_ENTRIES``. Returns the variant axes' sizes: one per
+    readout, then one per prep."""
+    for kind, entries in (("prep", preps), ("readout", readouts)):
+        seen: dict = {}
+        for j, (q, options) in enumerate(entries):
+            if not (isinstance(q, int) and 0 <= q < n):
+                raise SimulationError(
+                    f"{kind} entry {j} is on qubit {q!r}, not one of the circuit's {n} qubits")
+            if q in seen:
+                raise SimulationError(
+                    f"{kind} entry {j} repeats qubit {q} of {kind} entry {seen[q]}")
+            if not options:
+                raise SimulationError(f"{kind} entry {j} on qubit {q} has no options")
+            seen[q] = j
+    axes = tuple(len(options) for _, options in [*readouts, *preps])
+    entries = math.prod(axes) << n
+    if entries > MAX_LEAF_ENTRIES:
+        raise SimulationError(
+            f"{math.prod(axes)} variant(s) of width {n} need {entries} entries "
+            f"({16 * entries} bytes of amplitudes), over the limit of {MAX_LEAF_ENTRIES}: "
+            f"one uncut leaf, its width capped at {MAX_STATEVECTOR_QUBITS} qubits")
+    return axes
+
+
+# ---------------------------------------------------------------------------
 # Statevector path
 # ---------------------------------------------------------------------------
 
-def run_ideal(c: Circuit, state: np.ndarray | None = None) -> np.ndarray:
-    """Exact statevector after applying every unitary gate of ``c``.
+def run_ideal(c: Circuit, preps=None, readouts=None) -> np.ndarray:
+    """Exact amplitudes after applying every unitary gate of ``c``.
 
-    Without ``state`` the evolution starts from |0...0> and returns the
-    2^width amplitudes as a vector. ``state`` may instead give the initial
-    amplitudes with shape ``batch + (2,) * width``, any number of leading
-    batch axes included; every entry of the batch is evolved at once and
-    the result has that shape. Measurements are terminal and carry no
+    Without ``preps`` and ``readouts`` the evolution starts from |0...0>
+    and returns the 2^width amplitudes as a vector. With either, given as
+    ``run_noisy_variants`` takes them, it returns each variant's amplitudes
+    over that function's axes, from one evolution: the body evolves the
+    product of every prep option's state (other qubits start in |0>) as
+    leading batch axes, and by linearity each readout's option unitaries
+    then rotate their qubit. Measurements are terminal and carry no
     operator, so they are skipped.
     """
     if c.width > MAX_STATEVECTOR_QUBITS:
         raise SimulationError(
             f"statevector simulation capped at {MAX_STATEVECTOR_QUBITS} qubits, got {c.width}"
         )
-    n = c.width
-    if state is None:
-        t = np.zeros((2,) * n, dtype=complex)
-        t[(0,) * n] = 1.0
-    else:
-        t = np.asarray(state, dtype=complex)
-        if t.shape[t.ndim - n:] != (2,) * n:
-            raise SimulationError(
-                f"initial state of shape {t.shape} does not end in {n} qubit axes"
-            )
-    batch = t.ndim - n
+    flat = preps is None and readouts is None
+    preps, readouts = preps or (), readouts or ()
+    n, m = c.width, len(preps)
+    axes = _check_entries(preps, readouts, n)
+    # per prepped qubit: its prep's axis and each option's amplitudes, over (option, bit)
+    amps = {q: (j, _unitaries(*map(tuple, options))[:, :, 0])
+            for j, (q, options) in enumerate(preps)}
+    t = np.ones(axes[len(readouts):], dtype=complex)
+    for q in range(n):
+        shape, v = [1] * (m + q) + [2], _I2[0]  # |0>
+        if q in amps:
+            j, v = amps[q]
+            shape[j] = len(v)
+        t = t[..., None] * v.reshape(shape)
     for g in c.gates:
         if not g.is_measurement:
-            t = _apply(t, gate_unitary(g), tuple([batch + q for q in g.qubits]))
-    return t.reshape(-1) if state is None else t
+            t = _apply(t, gate_unitary(g), tuple([m + q for q in g.qubits]))
+    # rotate on the last readout's qubit first, so that the option axes that
+    # tensordot prepends end up in entry order
+    for done, (q, options) in enumerate(reversed(readouts)):
+        axis = done + m + q
+        t = np.moveaxis(np.tensordot(_unitaries(*map(tuple, options)), t, axes=([2], [axis])),
+                        1, axis + 1)
+    return t.reshape(-1) if flat else t
+
+
+@functools.lru_cache(maxsize=256)
+def _unitaries(*options: tuple[str, ...]) -> np.ndarray:
+    """Each option's unitary, the product of its named one-qubit gates (each
+    checked as a ``Gate``), the first applied first: over (option, bit
+    after, bit before). Cached, so read-only."""
+    us = np.array([functools.reduce(lambda u, name: gate_unitary(Gate(name, (0,))) @ u, names, _I2)
+                   for names in options])
+    us.flags.writeable = False
+    return us
 
 
 # ---------------------------------------------------------------------------
@@ -429,28 +486,15 @@ def _end(clock, durations):
     return clock
 
 
-def _check_entries(kind: str, entries, n: int):
-    """Each prep or readout entry is on its own qubit of the circuit and
-    offers at least one option."""
-    seen: dict = {}
-    for j, (q, options) in enumerate(entries):
-        if not (isinstance(q, int) and 0 <= q < n):
-            raise SimulationError(
-                f"{kind} entry {j} is on qubit {q!r}, not one of the circuit's {n} qubits")
-        if q in seen:
-            raise SimulationError(f"{kind} entry {j} repeats qubit {q} of {kind} entry {seen[q]}")
-        if not options:
-            raise SimulationError(f"{kind} entry {j} on qubit {q} has no options")
-        seen[q] = j
-
-
 def run_noisy_variants(c: Circuit, p: NoiseProfile, preps, readouts) -> np.ndarray:
     """Exact outcome probabilities of every variant of ``c`` under the
     gate-error + damping model.
 
     ``preps`` and ``readouts`` are sequences of ``(qubit, options)``, each
     option a tuple of one-qubit gate names; no qubit appears twice in one
-    sequence, or ``SimulationError`` names the entry. A variant picks one
+    sequence, or ``SimulationError`` names the entry. Outputs over
+    ``MAX_LEAF_ENTRIES`` entries are refused first, before the width cap
+    and before anything is allocated. A variant picks one
     option per entry: a prep option's gates run before ``c`` on its qubit
     and a readout option's after it. The result has one axis per readout
     and then one per prep, indexed by option, then one bit axis per qubit;
@@ -472,10 +516,9 @@ def run_noisy_variants(c: Circuit, p: NoiseProfile, preps, readouts) -> np.ndarr
     call, and each named prep or readout gate once. Probabilities below
     1e-14 in magnitude are then zeroed, and negative ones clipped.
     """
-    _check_density_width(c.width)
     n = c.width
-    _check_entries("prep", preps, n)
-    _check_entries("readout", readouts, n)
+    axes = _check_entries(preps, readouts, n)
+    _check_density_width(n)
     channels: dict = {}
     named: dict = {}  # each prep or readout gate, by name
     t1, t2 = _coherence_ns(p, n)
@@ -486,9 +529,8 @@ def run_noisy_variants(c: Circuit, p: NoiseProfile, preps, readouts) -> np.ndarr
     # per readout: each option's channel and gate durations
     chains = [[_chain(q, names, p, channels, named) for names in options]
               for q, options in readouts]
-    prep_shape = tuple(len(options) for _, options in preps)
-    readout_shape = tuple(len(options) for _, options in readouts)
-    out = np.empty(readout_shape + prep_shape + (1 << n,))
+    readout_shape, prep_shape = axes[:len(readouts)], axes[len(readouts):]
+    out = np.empty(axes + (1 << n,))
     flat = out.reshape(math.prod(readout_shape), math.prod(prep_shape), 1 << n)
 
     classes = []  # per prep: its option indices grouped by end clock
@@ -525,7 +567,7 @@ def run_noisy_variants(c: Circuit, p: NoiseProfile, preps, readouts) -> np.ndarr
         flat[:, cols] = _read(rho, group, frees[first:last], chains, [q for q, _ in readouts],
                               t1, limit)
     out[np.abs(out) < 1e-14] = 0.0
-    return np.clip(out, 0.0, None, out=out).reshape(readout_shape + prep_shape + (2,) * n)
+    return np.clip(out, 0.0, None, out=out).reshape(axes + (2,) * n)
 
 
 def _read(rho, group, frees, chains, read_qubits, t1, limit: int) -> np.ndarray:

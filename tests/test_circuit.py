@@ -85,6 +85,36 @@ def test_an_error_cites_the_line_of_its_statements_first_character(src, line, me
     assert err.value.line == line
 
 
+@pytest.mark.parametrize("body", [
+    "qreg q[1_2];", "qreg q[+3];", "qreg q[\u0663];", "qreg q[3]; h q[1_0];",
+    "qreg q[3]; h q[+1];", "qreg q[3]; x q[\u0663];", "qreg q[3]; h q[0x1];",
+    "qreg q[3]; creg c[3]; measure q[0] -> c[-0];",
+])
+def test_register_sizes_and_indices_are_ascii_decimal_digits(body):
+    with pytest.raises(QasmError, match="decimal digits") as err:
+        parse_qasm("OPENQASM 2.0;\n" + body)
+    assert err.value.line == 2
+
+
+def test_register_tokens_may_be_spaced_and_an_index_has_at_most_9_digits():
+    spaced = parse_qasm("OPENQASM 2.0;\nqreg q [ 03 ] ;\nh  q [ 2 ] ;")
+    compact = parse_qasm("OPENQASM 2.0; qreg q[3]; h q[2];")
+    assert circuit_to_dict(spaced) == circuit_to_dict(compact)
+    with pytest.raises(QasmError, match="more than 9 digits"):  # int() refuses 4300
+        parse_qasm("OPENQASM 2.0;\nqreg q[3]; h q[" + "9" * 5000 + "];")
+
+
+@pytest.mark.parametrize("src, line, message", [
+    ('include "qelib1.inc";\nOPENQASM 2.0;\nqreg q[1];', 1, "missing 'OPENQASM 2.0;' header"),
+    ("OPENQASM 2.0;\nqreg q[1];\nOPENQASM 2.0;\nh q[0];", 3, "a second 'OPENQASM' header"),
+    ("OPENQASM 2.0;\n\nOPENQASM 3.0;", 3, "a second 'OPENQASM' header"),
+])
+def test_the_header_comes_first_and_once(src, line, message):
+    with pytest.raises(QasmError, match=message) as err:
+        parse_qasm(src)
+    assert err.value.line == line
+
+
 def test_swap_rewrites_to_three_cx():
     c = parse_qasm(HEADER + "qreg q[2]; swap q[0],q[1];")
     assert [g.name for g in c.gates] == ["cx", "cx", "cx"]

@@ -114,6 +114,21 @@ def test_exit_codes_for_bad_inputs(tmp_path):
                 "--threshold", "0.5", "--out", tmp_path / "x"]) == 2
 
 
+@pytest.mark.parametrize("text, message", [
+    ("OPENQASM 2.0;\nqreg q[1_2];\nh q[0];\n", "decimal digits"),
+    ("OPENQASM 2.0;\nqreg q[4];\nx q[\u0663];\n", "decimal digits"),
+    ('include "qelib1.inc";\nOPENQASM 2.0;\nqreg q[1];\n', "header"),
+    ("OPENQASM 2.0;\nqreg q[1];\nOPENQASM 2.0;\nh q[0];\n", "second 'OPENQASM' header"),
+])
+def test_malformed_registers_and_headers_exit_3(tmp_path, capsys, text, message):
+    qasm = tmp_path / "bad.qasm"
+    qasm.write_text(text, encoding="utf-8")
+    assert run(["cut", "--qasm", qasm, "--profile", "fixture:uniform", "--threshold", "0.5",
+                "--out", tmp_path / "x"]) == 3
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
 @pytest.mark.parametrize("text", [
     "[]", "42", '{"version": true}', '{"version": 1.0}', '{"version": 1, "qubits": 7}', '{"version": 1, "gates": null}',
     '{"version": 1, "gates": [{"name": "cx", "qubits": 5, "error": 0.01, "duration_ns": 300}]}',

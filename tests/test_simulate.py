@@ -1,3 +1,4 @@
+import importlib
 import json
 import math
 import random
@@ -35,6 +36,7 @@ from wirecut.simulate import (
     sample_frequencies,
 )
 
+SIMULATE_MODULE = importlib.import_module("wirecut.simulate")
 HEADER = 'OPENQASM 2.0;\ninclude "qelib1.inc";\n'
 GHZ3 = parse_qasm(HEADER + "qreg q[3]; h q[0]; cx q[0],q[1]; cx q[1],q[2];")
 
@@ -79,22 +81,43 @@ def test_width_cap():
         run_noisy(Circuit(width=13, gates=()), NoiseProfile())
 
 
-def test_batched_initial_states_evolve_like_single_ones():
-    rng = np.random.default_rng(5)
-    c = random_circuit(random.Random(5), 3, 14)
-    batch = rng.normal(size=(2, 3, 2, 2, 2)) + 1j * rng.normal(size=(2, 3, 2, 2, 2))
-    out = run_ideal(c, batch)
-    assert out.shape == batch.shape
-    prep = Circuit(width=3, gates=(Gate("x", (1,)),))
-    for idx in np.ndindex(2, 3):
-        single = run_ideal(c, batch[idx])
-        assert np.max(np.abs(out[idx] - single)) < 1e-12
-    # an explicit |010> matches the gates that prepare it
-    start = run_ideal(prep).reshape(2, 2, 2)
-    joined = Circuit(width=3, gates=prep.gates + c.gates)
-    assert np.max(np.abs(run_ideal(c, start).reshape(-1) - run_ideal(joined))) < 1e-12
-    with pytest.raises(SimulationError, match="qubit axes"):
-        run_ideal(c, np.zeros((4, 2)))
+# the one-qubit gates a prep or readout option can name: those without angles
+_NAMED_GATES = tuple(name for name, spec in GATES.items()
+                     if spec.arity == 1 and spec.n_params == 0 and spec.unitary is not None)
+
+
+@st.composite
+def _variant_entries(draw):
+    """A random circuit of 1-4 qubits with prep and readout entries in any
+    qubit order, each of 1-3 options that chain 0-3 named one-qubit gates;
+    one qubit is both prepped and read."""
+    width = draw(st.integers(1, 4))
+    c = random_circuit(random.Random(draw(st.integers(0, 2**32 - 1))), width,
+                       draw(st.integers(0, 12)))
+    both = draw(st.integers(0, width - 1))
+    chain = st.lists(st.sampled_from(_NAMED_GATES), max_size=3).map(tuple)
+    entries = []
+    for _ in range(2):
+        extra = draw(st.sets(st.integers(0, width - 1), max_size=2))
+        qubits = draw(st.permutations(sorted(extra | {both})))
+        entries.append([(q, tuple(draw(st.lists(chain, min_size=1, max_size=3))))
+                        for q in qubits])
+    return c, *entries
+
+
+@settings(max_examples=60, deadline=None)
+@given(_variant_entries())
+def test_ideal_variants_match_each_variant_circuit(case):
+    c, preps, readouts = case
+    out = run_ideal(c, preps, readouts)
+    shape = tuple(len(options) for _, options in readouts + preps)
+    assert out.shape == shape + (2,) * c.width
+    for idx in np.ndindex(shape):
+        names = [(q, options[i]) for (q, options), i in zip(readouts + preps, idx)]
+        before = [Gate(name, (q,)) for q, chain in names[len(readouts):] for name in chain]
+        after = [Gate(name, (q,)) for q, chain in names[:len(readouts)] for name in chain]
+        variant = Circuit(width=c.width, gates=tuple(before) + c.gates + tuple(after))
+        assert np.max(np.abs(out[idx].reshape(-1) - run_ideal(variant))) < 1e-12
 
 
 @st.composite
@@ -172,6 +195,9 @@ def test_apply_with_a_matrix_stack_applies_each_entry_its_own(case):
 
 
 _TWO_QUBITS = Circuit(width=2, gates=(Gate("h", (0,)), Gate("cx", (0, 1))))
+# the two variant executors, with one signature
+_EXECUTORS = (lambda c, preps, readouts: run_noisy_variants(c, NoiseProfile(), preps, readouts),
+              run_ideal)
 
 
 @pytest.mark.parametrize("preps, readouts, message", [
@@ -182,8 +208,9 @@ _TWO_QUBITS = Circuit(width=2, gates=(Gate("h", (0,)), Gate("cx", (0, 1))))
     ([(1, ())], [], "prep entry 0 on qubit 1 has no options"),
 ])
 def test_noisy_variants_refuse_bad_entries(preps, readouts, message):
-    with pytest.raises(SimulationError, match=re.escape(message)):
-        run_noisy_variants(_TWO_QUBITS, NoiseProfile(), preps, readouts)
+    for execute in _EXECUTORS:
+        with pytest.raises(SimulationError, match=re.escape(message)):
+            execute(_TWO_QUBITS, preps, readouts)
 
 
 @pytest.mark.parametrize("preps, readouts, message", [
@@ -192,8 +219,25 @@ def test_noisy_variants_refuse_bad_entries(preps, readouts, message):
     ([], [(1, (("h",), ("cx",)))], "gate 'cx' expects 2 qubit(s), got 1"),
 ])
 def test_noisy_variants_refuse_unknown_or_two_qubit_gate_names(preps, readouts, message):
-    with pytest.raises(QasmError, match=re.escape(message)):
-        run_noisy_variants(_TWO_QUBITS, NoiseProfile(), preps, readouts)
+    for execute in _EXECUTORS:
+        with pytest.raises(QasmError, match=re.escape(message)):
+            execute(_TWO_QUBITS, preps, readouts)
+
+
+def test_both_executors_refuse_outputs_over_the_leaf_budget(monkeypatch):
+    # 4 x 4 x 3 variants of 2 qubits need 192 entries; the check comes before
+    # any allocation, and before the density-matrix width cap
+    monkeypatch.setattr(SIMULATE_MODULE, "MAX_LEAF_ENTRIES", 16)
+    four = ((), ("x",), ("h",), ("h", "s"))
+    preps, readouts = [(0, four), (1, four)], [(1, ((), ("h",), ("sdg", "h")))]
+    for execute in _EXECUTORS:
+        with pytest.raises(SimulationError, match=re.escape(
+                "48 variant(s) of width 2 need 192 entries (3072 bytes of amplitudes), "
+                "over the limit of 16")):
+            execute(_TWO_QUBITS, preps, readouts)
+        assert execute(_TWO_QUBITS, [(0, four)], []).size == 16  # at the limit
+    with pytest.raises(SimulationError, match="1 variant.s. of width 13 need 8192 entries"):
+        run_noisy(Circuit(width=13, gates=()), NoiseProfile())
 
 
 def test_noisy_variants_take_a_qubit_in_both_a_prep_and_a_readout():
