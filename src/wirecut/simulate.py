@@ -13,8 +13,8 @@ before anything is allocated, and return the same axes. ``run_ideal``
 evolves the prepared states as leading batch axes of the statevector and
 then rotates each read qubit. One kernel, ``_apply``, does every gate
 application of both paths: it moves the operand axes to the front,
-multiplies them by the gate's matrix (a unitary on a statevector, a
-superoperator on a density matrix) and moves them back. Gate matrices
+multiplies them by the gate's matrix (a unitary on a statevector, a Pauli
+transfer matrix on a density matrix) and moves them back. Gate matrices
 come from the one gate table, ``circuit.GATES``, through ``gate_unitary``.
 Simulation yields exact probabilities only; ``sample_frequencies`` is the
 one sampler, which draws shot frequencies from such a probability vector.
@@ -25,16 +25,21 @@ Pauli error channel (p_x = p_y = p_z) on each operand; a two-qubit gate's
 error budget is split evenly between its operands. Idle time left at the
 end of the schedule is damped too.
 
-The density-matrix path holds rho with one 4-valued axis per qubit,
-indexed ``2*ket + bra``, so a one-qubit channel is a 4x4 superoperator
-(``K ⊗ conj(K)`` summed over its Kraus operators) on one axis. Each gate's
-damping, unitary and Pauli error are multiplied, in closed form, into one
-superoperator (4x4, or 16x16 on the two operand axes): ``_gate_channel``
-then ``_idle``. ``_steps`` multiplies each qubit's run of one-qubit
-channels into the next two-qubit channel on that qubit, so most gates cost
-no ``_apply`` of their own, and ``_evolve`` applies the products. The tests
-check the closed forms against Kraus channels built independently in
-``tests/oracles.py``, and the evolution against a full-matrix reference.
+The density-matrix path works in the normalised Pauli basis B = {I, X, Y,
+Z}/sqrt(2), where every channel of this model and every state is real. It
+holds rho as float64 with one 4-valued axis per qubit, its coordinates
+Tr(B_i rho) per qubit, so a one-qubit channel is a real 4x4 Pauli transfer
+matrix (PTM) on one axis, Tr(B_i E(B_j)). The closed forms: a unitary's
+PTM is Tr(B_i U B_j U^dag), the Pauli error's is diag(1, d, d, d) with d =
+1 - 4e/3, and damping shrinks X and Y and relaxes Z toward +1. A two-qubit
+channel is the Kronecker product over its operand axes. Each gate's
+damping, unitary and Pauli error are multiplied into one PTM (4x4, or
+16x16 on the two operand axes): ``_gate_channel`` then ``_idle``.
+``_steps`` multiplies each qubit's run of one-qubit channels into the next
+two-qubit channel on that qubit, so most gates cost no ``_apply`` of their
+own, and ``_evolve`` applies the products. The tests check the closed
+forms against Kraus channels built independently in ``tests/oracles.py``,
+and the evolution against a full-matrix reference.
 
 ``run_noisy_variants`` gives every variant in one pass; ``run_noisy``,
 direct execution of one circuit, is its case with no variants. Variants whose
@@ -45,7 +50,7 @@ agree and a per-entry stack where they do not. Every readout combination
 of every entry is then read in one contraction, one batched matmul per
 qubit. ``density_matrix`` is the tests' full-matrix view of the same fused
 evolution: one group, with the end-of-schedule damping applied to rho
-instead of read.
+instead of read, and the Pauli coordinates then summed back into a matrix.
 """
 from __future__ import annotations
 
@@ -77,7 +82,7 @@ MAX_DENSITY_QUBITS = 12
 MAX_LEAF_ENTRIES = 1 << MAX_STATEVECTOR_QUBITS
 
 _I2 = np.eye(2, dtype=complex)
-_I4 = np.eye(4, dtype=complex)
+_I4 = np.eye(4)
 
 
 class SimulationError(ValueError):
@@ -104,9 +109,10 @@ def _orders(ndim: int, lead: int, axes: tuple[int, ...]) -> tuple[tuple, tuple]:
 def _apply(t: np.ndarray, m: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
     """Contract the square matrix ``m`` with the given axes of ``t``, the
     first most significant: a unitary on a statevector's qubit axes or a
-    superoperator on a density matrix's. Other axes, batch axes too, stay.
-    ``m`` may also be a stack of matrices, one per entry of ``t``'s leading
-    axis, which then applies each entry's own matrix in one batched matmul.
+    Pauli transfer matrix on a density matrix's. Other axes, batch axes too,
+    stay. ``m`` may also be a stack of matrices, one per entry of ``t``'s
+    leading axis, which then applies each entry's own matrix in one batched
+    matmul.
     The permutations come from ``_orders``, worked out once per shape."""
     lead = m.ndim - 2
     order, inverse = _orders(t.ndim, lead, axes)
@@ -119,11 +125,11 @@ def _apply(t: np.ndarray, m: np.ndarray, axes: tuple[int, ...]) -> np.ndarray:
 # Variant entries, as both paths take them
 # ---------------------------------------------------------------------------
 
-def _check_entries(preps, readouts, n: int) -> tuple[int, ...]:
+def _check_entries(preps, readouts, n: int, dtype) -> tuple[int, ...]:
     """Each prep or readout entry is on its own qubit of the circuit and
-    offers at least one option, and every variant's outputs together fit
-    within ``MAX_LEAF_ENTRIES``. Returns the variant axes' sizes: one per
-    readout, then one per prep."""
+    offers at least one option, and every variant's outputs, entries of
+    ``dtype``, together fit within ``MAX_LEAF_ENTRIES``. Returns the variant
+    axes' sizes: one per readout, then one per prep."""
     for kind, entries in (("prep", preps), ("readout", readouts)):
         seen: dict = {}
         for j, (q, options) in enumerate(entries):
@@ -139,9 +145,10 @@ def _check_entries(preps, readouts, n: int) -> tuple[int, ...]:
     axes = tuple(len(options) for _, options in [*readouts, *preps])
     entries = math.prod(axes) << n
     if entries > MAX_LEAF_ENTRIES:
+        dtype = np.dtype(dtype)
         raise SimulationError(
             f"{math.prod(axes)} variant(s) of width {n} need {entries} entries "
-            f"({16 * entries} bytes of amplitudes), over the limit of {MAX_LEAF_ENTRIES}: "
+            f"({dtype.itemsize * entries} bytes of {dtype}), over the limit of {MAX_LEAF_ENTRIES}: "
             f"one uncut leaf, its width capped at {MAX_STATEVECTOR_QUBITS} qubits")
     return axes
 
@@ -169,7 +176,7 @@ def run_ideal(c: Circuit, preps=None, readouts=None) -> np.ndarray:
     flat = preps is None and readouts is None
     preps, readouts = preps or (), readouts or ()
     n, m = c.width, len(preps)
-    axes = _check_entries(preps, readouts, n)
+    axes = _check_entries(preps, readouts, n, complex)
     # per prepped qubit: its prep's axis and each option's amplitudes, over (option, bit)
     amps = {q: (j, _unitaries(*map(tuple, options))[:, :, 0])
             for j, (q, options) in enumerate(preps)}
@@ -258,18 +265,29 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(len(a) * len(b), -1)
 
 
-def _unitary_superop_2q(u: np.ndarray) -> np.ndarray:
-    """``U ⊗ conj(U)`` of a two-qubit gate, rows and columns reordered from
-    (ket_a, ket_b, bra_a, bra_b) to (ket_a, bra_a, ket_b, bra_b) so that it
-    acts on qubit a's axis and then qubit b's."""
-    s = _kron(u, u.conj()).reshape((2,) * 8)
-    return s.transpose(0, 2, 1, 3, 4, 6, 5, 7).reshape(16, 16)
+# the normalised Pauli basis {I, X, Y, Z}/sqrt(2), over (index, row, column),
+# and its two-qubit products, index 4*i + j for the first operand's i
+_PAULI = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]],
+                   [[1, 0], [0, -1]]]) / math.sqrt(2)
+_PAULI2 = np.einsum("iab,jcd->ijacbd", _PAULI, _PAULI).reshape(16, 4, 4)
+# |0><0| = (I + Z)/2 and |1><1| = (I - Z)/2: a Z readout's rows, and the initial state
+_READ = np.array([[1.0, 0.0, 0.0, 1.0], [1.0, 0.0, 0.0, -1.0]]) / math.sqrt(2)
+_ZERO = _READ[0]
+
+
+def _unitary_ptm(u: np.ndarray) -> np.ndarray:
+    """The Pauli transfer matrix Tr(B_i U B_j U^dag) of a one- or two-qubit
+    unitary, over the normalised Pauli basis B: real, 4x4 or 16x16."""
+    basis = _PAULI if len(u) == 2 else _PAULI2
+    images = u @ basis @ u.conj().T
+    return (basis.reshape(len(basis), -1).conj() @ images.reshape(len(basis), -1).T).real
 
 
 def _pauli_superop(e: float) -> np.ndarray:
-    """Pauli error with p_x = p_y = p_z = e/3: each of X, Y, Z with probability e/3."""
-    a, b, d = 1.0 - 2.0 * e / 3.0, 2.0 * e / 3.0, 1.0 - 4.0 * e / 3.0
-    return np.array([[a, 0, 0, b], [0, d, 0, 0], [0, 0, d, 0], [b, 0, 0, a]], dtype=complex)
+    """Pauli error with p_x = p_y = p_z = e/3, as its transfer matrix: X, Y
+    and Z each shrink by d = 1 - 4e/3."""
+    d = 1.0 - 4.0 * e / 3.0
+    return np.diag([1.0, d, d, d])
 
 
 def _decay(tau: float, t1: float) -> float:
@@ -279,7 +297,9 @@ def _decay(tau: float, t1: float) -> float:
 
 
 def _damping_superop(tau: float, t1: float, t2: float) -> np.ndarray:
-    """Amplitude then phase damping over ``tau`` ns, T1 and T2 in ns.
+    """Amplitude then phase damping over ``tau`` ns, T1 and T2 in ns, as
+    their transfer matrix: X and Y shrink by c, and Z relaxes toward +1 by
+    the decayed population lambda.
 
     An infinite T1 skips amplitude damping; pure dephasing runs at rate
     1/T2 - 1/(2 T1) and is skipped when T2 is infinite or that rate is not
@@ -292,19 +312,16 @@ def _damping_superop(tau: float, t1: float, t2: float) -> np.ndarray:
         if inv_phi > 0:
             lam_phi = -math.expm1(-tau * inv_phi)
     c = math.sqrt(1.0 - lam) * math.sqrt(1.0 - lam_phi)
-    return np.array(
-        [[1, 0, 0, lam], [0, c, 0, 0], [0, 0, c, 0], [0, 0, 0, 1.0 - lam]], dtype=complex
-    )
+    return np.array([[1, 0, 0, 0], [0, c, 0, 0], [0, 0, c, 0], [lam, 0, 0, 1.0 - lam]])
 
 
 def _gate_channel(g: Gate, err: float) -> np.ndarray:
     """The unitary, then the Pauli error ``err``, of one gate: 4x4 on one
     operand axis or 16x16 on two."""
-    u = gate_unitary(g)
-    if len(g.qubits) == 1:
-        return _pauli_superop(err) @ _kron(u, u.conj())
-    pe = _pauli_superop(err / 2.0)
-    return _kron(pe, pe) @ _unitary_superop_2q(u)
+    pe = _pauli_superop(err if len(g.qubits) == 1 else err / 2.0)
+    if len(g.qubits) == 2:
+        pe = _kron(pe, pe)
+    return pe @ _unitary_ptm(gate_unitary(g))
 
 
 def _channel(g: Gate, p: NoiseProfile, channels: dict) -> np.ndarray:
@@ -433,8 +450,7 @@ def density_matrix(c: Circuit, p: NoiseProfile) -> np.ndarray:
     _check_density_width(c.width)
     n = c.width
     t1, t2 = _coherence_ns(p, n)
-    rho = np.zeros((1,) + (4,) * n, dtype=complex)
-    rho[(0,) * (n + 1)] = 1.0
+    rho = functools.reduce(np.multiply.outer, [_ZERO] * n, np.ones(1))
     free = [0.0] * n
     steps = _steps(c, [p.gate_duration(g) for g in c.gates], free)
     rho = _evolve(rho, [steps], None, _fuser(c, p, t1, t2, {}))[0]
@@ -443,8 +459,10 @@ def density_matrix(c: Circuit, p: NoiseProfile) -> np.ndarray:
         gap = makespan - free[q]
         if gap > 0:
             rho = _apply(rho, _damping_superop(gap, t1[q], t2[q]), (q,))
+    for _ in range(n):  # each qubit's Pauli axis in turn becomes (ket, bra) at the end
+        rho = np.tensordot(rho, _PAULI, axes=([0], [0]))
     kets_then_bras = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
-    return rho.reshape((2,) * (2 * n)).transpose(kets_then_bras).reshape(1 << n, 1 << n)
+    return rho.transpose(kets_then_bras).reshape(1 << n, 1 << n)
 
 
 def run_noisy(c: Circuit, p: NoiseProfile) -> Distribution:
@@ -517,13 +535,13 @@ def run_noisy_variants(c: Circuit, p: NoiseProfile, preps, readouts) -> np.ndarr
     1e-14 in magnitude are then zeroed, and negative ones clipped.
     """
     n = c.width
-    axes = _check_entries(preps, readouts, n)
+    axes = _check_entries(preps, readouts, n, float)
     _check_density_width(n)
     channels: dict = {}
     named: dict = {}  # each prep or readout gate, by name
     t1, t2 = _coherence_ns(p, n)
     # per prep: each option's prepared one-qubit state and its end clock
-    prepared = [[(s[:, 0], _end(0.0, durations))
+    prepared = [[(s @ _ZERO, _end(0.0, durations))
                  for s, durations in (_chain(q, names, p, channels, named) for names in options)]
                 for q, options in preps]
     # per readout: each option's channel and gate durations
@@ -549,18 +567,17 @@ def run_noisy_variants(c: Circuit, p: NoiseProfile, preps, readouts) -> np.ndarr
         steps.append(_steps(c, durations, free))
         frees.append(free)
     matrix = _fuser(c, p, t1, t2, channels)
-    zero = _I4[0]  # |0><0|
     chunk = max(1, MAX_LEAF_ENTRIES >> (2 * n))
     limit = max(MAX_LEAF_ENTRIES, out.size)
     for lo in range(0, len(members), chunk):
         part = members[lo:lo + chunk]
         first, last = part[0][0], part[-1][0] + 1
         group = np.array([g - first for g, _ in part])
-        rho = np.ones(len(part), dtype=complex)
+        rho = np.ones(len(part))
         vectors = {q: np.array([prepared[j][m[j]][0] for _, m in part])
                    for j, (q, _) in enumerate(preps)}
         for q in range(n):
-            v = vectors.get(q, zero[None])
+            v = vectors.get(q, _ZERO[None])
             rho = rho[..., None] * v.reshape(v.shape[:1] + (1,) * q + (4,))
         rho = _evolve(rho, steps[first:last], group, matrix)
         cols = [np.ravel_multi_index(m, prep_shape) for _, m in part]
@@ -572,19 +589,22 @@ def run_noisy_variants(c: Circuit, p: NoiseProfile, preps, readouts) -> np.ndarr
 
 def _read(rho, group, frees, chains, read_qubits, t1, limit: int) -> np.ndarray:
     """Outcome probabilities of a batch of evolved density matrices (one
-    leading batch axis) under every readout combination, over (combination,
-    entry, outcome), combinations in C order of the readouts' options.
+    leading batch axis, Pauli coordinates per qubit) under every readout
+    combination, over (combination, entry, outcome), combinations in C
+    order of the readouts' options.
     ``group`` gives each entry's index into ``frees``, its group's qubit
     clocks at the body's end; readout j is on ``read_qubits[j]`` and
     ``chains[j]`` holds each of its options' channel and gate durations.
 
-    Each qubit takes one 2x4 map per (combination, entry): the readout
-    option's channel, if the qubit is read, then amplitude damping from the
+    Each qubit takes one real 2x4 map per (combination, entry): the readout
+    option's PTM, if the qubit is read, then amplitude damping from the
     qubit's end clock to that combination's makespan in that group, then
-    rows |0><0| and |1><1|, which only amplitude damping moves. The qubits
-    are contracted one at a time, each with one batched matmul, with the
-    combinations on the leading axis, so the first contraction makes the
-    largest intermediate: half the batch's size per combination. Blocks of
+    the rows |0><0| = (1, 0, 0, 1)/sqrt(2) and |1><1| = (1, 0, 0, -1)/sqrt(2).
+    The damping only moves weight from the second row to the first, so it
+    mixes the two rows after the channel. The qubits are contracted one at
+    a time, each with one batched float64 matmul, with the combinations on
+    the leading axis, so the first contraction makes the largest
+    intermediate: half the batch's size per combination. Blocks of
     combinations keep it within ``limit`` entries (at least one
     combination at a time)."""
     n, batch = rho.ndim - 1, len(rho)
@@ -593,16 +613,16 @@ def _read(rho, group, frees, chains, read_qubits, t1, limit: int) -> np.ndarray:
     combos = np.indices(shape).reshape(len(shape), n_combos)  # option per readout
     free = np.array(frees)  # (group, qubit)
     # per qubit: its clock before the damping, over (group, combination), and
-    # the index into ``table`` of rows 0 and 3 of the channel before it (the
-    # identity's unless the qubit is read), over combination
+    # the index into ``table`` of the readout rows after the channel before
+    # it (the identity's unless the qubit is read), over combination
     ends = np.repeat(free.T[:, :, None], n_combos, axis=2)
-    table = [_I4[[0, 3]]]
+    table = [_READ]
     index = np.zeros((n, n_combos), dtype=np.intp)
     for j, (q, options) in enumerate(zip(read_qubits, chains)):
         clocks = np.array([_end(free[:, q], durations) for _, durations in options])
         ends[q] = clocks[combos[j]].T
         index[q] = len(table) + combos[j]
-        table += [ch[[0, 3]] for ch, _ in options]
+        table += [_READ @ ch for ch, _ in options]
     table = np.array(table)
     gaps = ends.max(axis=0) - ends  # to each combination's makespan
     decay = -np.expm1(-gaps / np.array(t1)[:, None, None])  # 0 where T1 is infinite
@@ -615,5 +635,5 @@ def _read(rho, group, frees, chains, read_qubits, t1, limit: int) -> np.ndarray:
         probs = rho.reshape(1, batch, -1)
         for q in range(n):
             probs = probs.reshape(*probs.shape[:2], 4, -1).swapaxes(2, 3) @ maps[q]
-        res[lo:lo + block] = probs.reshape(len(probs), batch, -1).real
+        res[lo:lo + block] = probs.reshape(len(probs), batch, -1)
     return res

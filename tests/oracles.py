@@ -157,7 +157,8 @@ def brute_force_ising_ground(m: IsingModel, max_spins: int = 20) -> tuple[list[i
     couplings = np.zeros((n, n))  # upper-triangular: the model's keys have i < j
     for (i, j), coupling in m.j.items():
         couplings[i, j] = coupling
-    energy = spins @ np.array(m.h, dtype=float) + m.offset
+    # an einsum, not a BLAS matvec, whose thread start-up can stall at this shape
+    energy = np.einsum("si,i->s", spins, np.array(m.h, dtype=float)) + m.offset
     energy += np.einsum("si,si->s", spins @ couplings, spins)
     best = int(np.argmin(energy))
     return [int(s) for s in spins[best]], float(energy[best])
@@ -419,7 +420,7 @@ def reference_density_evolution(c: Circuit, p: NoiseProfile, max_width: int = 6)
 # ---------------------------------------------------------------------------
 # Kraus channels
 # ---------------------------------------------------------------------------
-# The operator-sum forms of the channels whose closed-form superoperators
+# The operator-sum forms of the channels whose closed-form transfer matrices
 # ``wirecut.simulate`` fuses per gate.
 
 _X = np.array([[0, 1], [1, 0]], dtype=complex)

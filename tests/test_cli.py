@@ -689,8 +689,9 @@ def test_contraction_without_a_pairwise_order_exits_5(tmp_path, capsys, monkeypa
 
 def test_leaf_batch_beyond_the_budget_exits_6(tmp_path, capsys):
     # a 24-qubit chain cut before its last cx: the 23-qubit leaf measures one
-    # cut, so its 3 * 2^23 amplitudes exceed the 2^24-entry budget and the
-    # run must stop before allocating them
+    # cut, so its 3 * 2^23 entries exceed the 2^24-entry budget and the run
+    # must stop before allocating them: complex128 amplitudes when ideal,
+    # float64 probabilities when noisy
     chain = Circuit(width=24, gates=(Gate("h", (0,)),) + tuple(
         Gate("cx", (i, i + 1)) for i in range(23)))
     plan = single_cut_plan(chain, [0] * 22 + [1])
@@ -698,10 +699,12 @@ def test_leaf_batch_beyond_the_budget_exits_6(tmp_path, capsys):
     out = tmp_path / "huge"
     out.mkdir()
     (out / "plan.json").write_text(json.dumps(plan_to_dict(plan)))
-    for argv in (["run"], ["run", "--noisy", "--profile", "fixture:stress"]):
+    for argv, nbytes in ((["run"], f"{3 * 2 ** 27} bytes of complex128"),
+                         (["run", "--noisy", "--profile", "fixture:stress"],
+                          f"{3 * 2 ** 26} bytes of float64")):
         capsys.readouterr()
         assert run(argv + ["--out", out]) == 6
-        assert f"{3 * 2 ** 23} entries ({3 * 2 ** 27} bytes" in capsys.readouterr().err
+        assert f"{3 * 2 ** 23} entries ({nbytes})" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("shots", ["0", "-5"])

@@ -410,12 +410,13 @@ def test_noisy_leaf_with_an_undamped_qubit_and_three_out_cuts():
 def test_noisy_readout_allocation_stays_within_the_leaf_budget(monkeypatch):
     # one init of a 6-qubit leaf with three out-cuts: reading all 27
     # combinations at once would make a first intermediate of 27 x 4^6 / 2
-    # complex entries (885 kB); blocks of combinations keep every
+    # float64 entries (442 kB); blocks of combinations keep every
     # intermediate within max(budget, the leaf's output entries), and the
-    # readout's peak allocation within three such intermediates (one step's
-    # input and output, and a copy matmul may make of its input), its
-    # result and small per-combination maps; reading all at once peaks
-    # near 1.4 MB
+    # readout's peak allocation within three such intermediates of 8-byte
+    # entries (one step's input and output, and a copy matmul may make of
+    # its input), its result and small per-combination maps; reading all at
+    # once peaks near 0.7 MB, and blocked complex entries would peak near
+    # 160 kB, over this bound
     rng = random.Random(23)
     leaf = Fragment(id=1, circuit=random_circuit(rng, 6, 20), in_cuts={},
                     out_cuts={0: 0, 1: 2, 2: 5}, qubit_map=tuple(range(6)))
@@ -437,7 +438,7 @@ def test_noisy_readout_allocation_stays_within_the_leaf_budget(monkeypatch):
     monkeypatch.setattr(SIMULATE_MODULE, "_read", traced)
     blocked = execute_plan(leaf_plan(leaf), STRESS)[leaf.id].probs
     assert len(peaks) == 1
-    assert peaks[0] <= 16 * 3 * limit + 8 * whole.size + (32 << 10)
+    assert peaks[0] <= 8 * 3 * limit + 8 * whole.size + (32 << 10)
     assert np.max(np.abs(blocked - whole)) <= 1e-15
 
 
@@ -712,35 +713,47 @@ def test_ideal_documents_match_their_golden_hash():
         "892e0d14f4c10f2d59c0c60a4be333cdf74dcd879d642f4454862aad4ad3e554")
 
 
+_RUN_MODES = {"ideal": {}, "noisy": {"profile": STRESS}, "sampled": {"shots": 1000, "seed": 7}}
+
+
 @pytest.fixture(scope="module")
 def read_back_digests():
-    """Digests of the rows that the fragments documents decode to, and of
-    the reconstruction documents recombined from those rows: stress plans of
-    every fixture, run ideal, noisy and sampled. Neither depends on how the
-    fragments document spells its rows."""
-    rows, recs = hashlib.sha256(), hashlib.sha256()
+    """Per run mode, digests of the rows that the fragments documents decode
+    to and of the reconstruction documents recombined from those rows:
+    stress plans of every fixture, run ideal, noisy and sampled (with no
+    profile, so sampled rows draw from ideal ones). Neither depends on how
+    the fragments document spells its rows."""
+    rows = {mode: hashlib.sha256() for mode in _RUN_MODES}
+    recs = {mode: hashlib.sha256() for mode in _RUN_MODES}
     for name in CIRCUIT_FIXTURES:
         for threshold in (0.8, 0.95):
             plan = recursive_fragment(circuit_fixture(name), STRESS, threshold, seed=7)
-            for run in ({}, {"profile": STRESS}, {"shots": 1000, "seed": 7}):
+            for mode, run in _RUN_MODES.items():
                 outputs = execute_plan(plan, **run)
                 read = outputs_from_dict(json.loads(json.dumps(outputs_to_dict(outputs, name))),
                                          plan, name)
                 for fid in sorted(read):
-                    rows.update(read[fid].probs.astype("<f8").tobytes())
-                recs.update(json.dumps(reconstruct(read, plan).to_dict(), sort_keys=True,
-                                       separators=(",", ":")).encode())
-    return rows.hexdigest(), recs.hexdigest()
+                    rows[mode].update(read[fid].probs.astype("<f8").tobytes())
+                recs[mode].update(json.dumps(reconstruct(read, plan).to_dict(), sort_keys=True,
+                                             separators=(",", ":")).encode())
+    return ({mode: h.hexdigest() for mode, h in rows.items()},
+            {mode: h.hexdigest() for mode, h in recs.items()})
 
 
 def test_decoded_fragment_rows_match_their_golden_hash(read_back_digests):
-    assert read_back_digests[0] == (
-        "9956de257301f0d2a572ef2c5f95bcd64309708890a104adbb34c9e6c833e3e5")
+    assert read_back_digests[0] == {
+        "ideal": "08f9e8ccb6a0367065dd87d3fb9a7f6d747b20ecf62f2f4386b38a60e8ecf382",
+        "noisy": "7c94bc2bde51f18a0c166f64acb499ad0126020e7ac642f49b97506f26549738",
+        "sampled": "511086289fedb8668af8fa8fb3aed832cacfd289297fc29cc22688bfe75d5eee",
+    }
 
 
 def test_reconstruction_documents_match_their_golden_hash(read_back_digests):
-    assert read_back_digests[1] == (
-        "8a48e9dc5ccaf8f29f2a126accbf62edc75484a88781265b06d803790f5e9638")
+    assert read_back_digests[1] == {
+        "ideal": "dbfd1cc4514668cf148bd787a7018395037e6a30668b18948b4aef2002b18011",
+        "noisy": "940d4d3699a550b62771540670d9f852be6b9f7aca20f7e38c87df6e33e4907f",
+        "sampled": "1b759b7db2909b2578d1d3e16570103350ce670fadd3096e0d58aa86f7bdb68e",
+    }
 
 
 def test_fidelity_examples():

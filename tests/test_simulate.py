@@ -3,6 +3,7 @@ import json
 import math
 import random
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -226,14 +227,15 @@ def test_noisy_variants_refuse_unknown_or_two_qubit_gate_names(preps, readouts, 
 
 def test_both_executors_refuse_outputs_over_the_leaf_budget(monkeypatch):
     # 4 x 4 x 3 variants of 2 qubits need 192 entries; the check comes before
-    # any allocation, and before the density-matrix width cap
+    # any allocation, and before the density-matrix width cap; each executor
+    # prices them as what it would allocate: float64 probabilities or
+    # complex128 amplitudes
     monkeypatch.setattr(SIMULATE_MODULE, "MAX_LEAF_ENTRIES", 16)
     four = ((), ("x",), ("h",), ("h", "s"))
     preps, readouts = [(0, four), (1, four)], [(1, ((), ("h",), ("sdg", "h")))]
-    for execute in _EXECUTORS:
+    for execute, priced in zip(_EXECUTORS, ("1536 bytes of float64", "3072 bytes of complex128")):
         with pytest.raises(SimulationError, match=re.escape(
-                "48 variant(s) of width 2 need 192 entries (3072 bytes of amplitudes), "
-                "over the limit of 16")):
+                f"48 variant(s) of width 2 need 192 entries ({priced}), over the limit of 16")):
             execute(_TWO_QUBITS, preps, readouts)
         assert execute(_TWO_QUBITS, [(0, four)], []).size == 16  # at the limit
     with pytest.raises(SimulationError, match="1 variant.s. of width 13 need 8192 entries"):
@@ -247,6 +249,27 @@ def test_noisy_variants_take_a_qubit_in_both_a_prep_and_a_readout():
     assert out.shape == (2, 2, 2, 2)
     variant = Circuit(width=2, gates=(Gate("x", (0,)),) + _TWO_QUBITS.gates + (Gate("h", (0,)),))
     assert np.max(np.abs(out[1, 1].reshape(-1) - density_probs(variant, NoiseProfile()))) < 1e-12
+
+
+def test_noisy_states_channels_and_readout_are_real(monkeypatch):
+    # in the Pauli basis every state and channel of the model is real: each
+    # application takes a float64 batch and matrix, and the readout makes no
+    # complex intermediate that its float64 result would have to drop
+    applied = []
+    apply = SIMULATE_MODULE._apply
+
+    def traced(t, m, axes):
+        applied.append((t.dtype, m.dtype))
+        return apply(t, m, axes)
+
+    monkeypatch.setattr(SIMULATE_MODULE, "_apply", traced)
+    profile = NoiseProfile(p1=0.01, p2=0.03, t1_default_us=0.5, t2_default_us=0.4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        out = run_noisy_variants(GHZ3, profile, [(0, ((), ("x",), ("h",), ("h", "s")))],
+                                 [(2, ((), ("h",), ("sdg", "h")))])
+    assert out.dtype == np.float64 and out.shape == (3, 4, 2, 2, 2)
+    assert applied and set(applied) == {(np.dtype(np.float64), np.dtype(np.float64))}
 
 
 def test_measure_distribution_ghz():
@@ -412,24 +435,35 @@ def test_to_dict_matches_the_dense_loop():
     assert Distribution(np.zeros(4)).to_dict() == {"width": 2, "probs": {}}
 
 
-def _superop(ch: KrausChannel) -> np.ndarray:
-    """sum of K ⊗ conj(K): the channel on rho's (ket, bra) index 2*ket + bra."""
-    return sum(np.kron(k, k.conj()) for k in ch.operators)
+# the normalised Pauli basis {I, X, Y, Z}/sqrt(2), over (index, row, column)
+_PAULI_BASIS = np.array([[[1, 0], [0, 1]], [[0, 1], [1, 0]], [[0, -1j], [1j, 0]],
+                         [[1, 0], [0, -1]]]) / math.sqrt(2)
+
+
+def _ptm(ch: KrausChannel) -> np.ndarray:
+    """The channel's Pauli transfer matrix: sum of K ⊗ conj(K), the channel
+    on rho's (ket, bra) index 2*ket + bra, taken to the Pauli basis, where
+    rho's coordinates are Tr(B_i rho) and rho = sum_i r_i B_i."""
+    s = sum(np.kron(k, k.conj()) for k in ch.operators)
+    to_pauli = _PAULI_BASIS.conj().reshape(4, 4)  # row i: Tr(B_i rho) over (ket, bra)
+    ptm = to_pauli @ s @ _PAULI_BASIS.reshape(4, 4).T
+    assert np.max(np.abs(ptm.imag)) < 1e-15
+    return ptm.real
 
 
 @pytest.mark.parametrize("tau", [0.0, 35.0, 400.0, 1e7])
 def test_closed_form_superoperators_match_their_kraus_channels(tau):
     for e in (0.0, 0.01, 0.3, 0.75):
-        ref = _superop(pauli_error_channel(e / 3, e / 3, e / 3))
+        ref = _ptm(pauli_error_channel(e / 3, e / 3, e / 3))
         assert np.max(np.abs(_pauli_superop(e) - ref)) < 1e-14
     inf = math.inf
     for t1, t2 in ((80.0, 60.0), (80.0, 160.0), (80.0, 400.0), (80.0, inf), (inf, 60.0), (inf, inf)):
         ref = np.eye(4)
         if t1 != inf:
-            ref = _superop(amplitude_damping_channel(tau, t1)) @ ref
+            ref = _ptm(amplitude_damping_channel(tau, t1)) @ ref
         inv_phi = 1 / t2 - (0.0 if t1 == inf else 0.5 / t1)
         if inv_phi > 0:  # at T2 >= 2*T1 dephasing is skipped
-            ref = _superop(phase_damping_channel(tau, 1 / inv_phi)) @ ref
+            ref = _ptm(phase_damping_channel(tau, 1 / inv_phi)) @ ref
         assert np.max(np.abs(_damping_superop(tau, t1, t2) - ref)) < 1e-14, (t1, t2)
 
 
