@@ -55,6 +55,7 @@ _SQ2 = 1.0 / math.sqrt(2.0)
 
 
 def _fixed(arity: int, m: np.ndarray) -> GateSpec:
+    m.flags.writeable = False  # every call returns this one array
     return GateSpec(arity, 0, lambda: m)
 
 

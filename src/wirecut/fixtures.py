@@ -28,11 +28,12 @@ PROFILE_FIXTURES = ("stress", "uniform")
 
 
 def fixture_text(kind: str, name: str) -> str:
-    ext = "qasm" if kind == "circuits" else "json"
-    ref = resources.files("wirecut").joinpath(f"fixtures/{kind}/{name}.{ext}")
-    if not ref.is_file():
+    """A bundled fixture's text, by a name in ``CIRCUIT_FIXTURES`` or ``PROFILE_FIXTURES``."""
+    names, ext = (CIRCUIT_FIXTURES, "qasm") if kind == "circuits" else (PROFILE_FIXTURES, "json")
+    if name not in names:
         raise FileNotFoundError(f"no bundled {kind[:-1]} fixture named '{name}'")
-    return ref.read_text(encoding="utf-8")
+    return resources.files("wirecut").joinpath(f"fixtures/{kind}/{name}.{ext}").read_text(
+        encoding="utf-8")
 
 
 def circuit_fixture(name: str) -> Circuit:

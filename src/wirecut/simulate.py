@@ -41,6 +41,10 @@ own, and ``_evolve`` applies the products. The tests check the closed
 forms against Kraus channels built independently in ``tests/oracles.py``,
 and the evolution against a full-matrix reference.
 
+Caches: ``_gate_channel`` by gate name, angles and error, ``_unitaries``
+and ``_named`` by gate names and ``_orders`` by shapes, each for the
+process and its arrays read-only; ``_fuser``'s per call, by gate index.
+
 ``run_noisy_variants`` gives every variant in one pass; ``run_noisy``,
 direct execution of one circuit, is its case with no variants. Variants whose
 prepended gates take the same durations form a schedule group; the
@@ -200,11 +204,17 @@ def run_ideal(c: Circuit, preps=None, readouts=None) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=256)
+def _named(names: tuple[str, ...]) -> tuple[Gate, ...]:
+    """An option's named one-qubit gates, each checked as a ``Gate`` on qubit 0."""
+    return tuple(Gate(name, (0,)) for name in names)
+
+
+@functools.lru_cache(maxsize=256)
 def _unitaries(*options: tuple[str, ...]) -> np.ndarray:
-    """Each option's unitary, the product of its named one-qubit gates (each
-    checked as a ``Gate``), the first applied first: over (option, bit
-    after, bit before). Cached, so read-only."""
-    us = np.array([functools.reduce(lambda u, name: gate_unitary(Gate(name, (0,))) @ u, names, _I2)
+    """Each option's unitary, the product of its ``_named`` gates, the first
+    applied first: over (option, bit after, bit before). Cached by the
+    options' names, so read-only."""
+    us = np.array([functools.reduce(lambda u, g: gate_unitary(g) @ u, _named(names), _I2)
                    for names in options])
     us.flags.writeable = False
     return us
@@ -315,23 +325,17 @@ def _damping_superop(tau: float, t1: float, t2: float) -> np.ndarray:
     return np.array([[1, 0, 0, 0], [0, c, 0, 0], [0, 0, c, 0], [lam, 0, 0, 1.0 - lam]])
 
 
-def _gate_channel(g: Gate, err: float) -> np.ndarray:
-    """The unitary, then the Pauli error ``err``, of one gate: 4x4 on one
-    operand axis or 16x16 on two."""
-    pe = _pauli_superop(err if len(g.qubits) == 1 else err / 2.0)
-    if len(g.qubits) == 2:
+@functools.lru_cache(maxsize=1024)
+def _gate_channel(name: str, params: tuple[float, ...], err: float) -> np.ndarray:
+    """The unitary, then the Pauli error ``err``, of one gate of ``GATES``:
+    4x4 on one operand axis or 16x16 on two. It depends on nothing else, so
+    it is cached by value for the process, and read-only."""
+    spec = GATES[name]
+    pe = _pauli_superop(err if spec.arity == 1 else err / 2.0)
+    if spec.arity == 2:
         pe = _kron(pe, pe)
-    return pe @ _unitary_ptm(gate_unitary(g))
-
-
-def _channel(g: Gate, p: NoiseProfile, channels: dict) -> np.ndarray:
-    """``_gate_channel`` of ``g`` under ``p``, cached in ``channels`` by the
-    gate's name, angles, arity and error, which is all it depends on."""
-    err = p.gate_error(g)
-    key = (g.name, g.params, len(g.qubits), err)
-    s = channels.get(key)
-    if s is None:
-        s = channels[key] = _gate_channel(g, err)
+    s = pe @ _unitary_ptm(spec.unitary(*params))
+    s.flags.writeable = False
     return s
 
 
@@ -390,12 +394,13 @@ def _steps(c: Circuit, durations, free: list[float]) -> list:
     return steps
 
 
-def _fuser(c: Circuit, p: NoiseProfile, t1, t2, channels: dict):
+def _fuser(c: Circuit, p: NoiseProfile, t1, t2):
     """The matrix of one of ``_steps``' applications of ``c``, by its qubits
-    and key. Gate channels come from ``channels`` (see ``_channel``), and
-    each matrix is built once per key: damping over each member's gaps,
-    then its channel, multiplied in the order they act."""
-    cores = [None if g.is_measurement else _channel(g, p, channels) for g in c.gates]
+    and key: damping over each member's gaps, then its ``_gate_channel``,
+    multiplied in the order they act. Each is built once per key, which
+    names ``c``'s gates by index, so this cache lives for one call."""
+    cores = [None if g.is_measurement else _gate_channel(g.name, g.params, p.gate_error(g))
+             for g in c.gates]
     superops: dict = {}
 
     def fused(gi: int, gaps) -> np.ndarray:
@@ -453,7 +458,7 @@ def density_matrix(c: Circuit, p: NoiseProfile) -> np.ndarray:
     rho = functools.reduce(np.multiply.outer, [_ZERO] * n, np.ones(1))
     free = [0.0] * n
     steps = _steps(c, [p.gate_duration(g) for g in c.gates], free)
-    rho = _evolve(rho, [steps], None, _fuser(c, p, t1, t2, {}))[0]
+    rho = _evolve(rho, [steps], None, _fuser(c, p, t1, t2))[0]
     makespan = max(free, default=0.0)
     for q in range(n):
         gap = makespan - free[q]
@@ -474,25 +479,13 @@ def run_noisy(c: Circuit, p: NoiseProfile) -> Distribution:
     return Distribution(run_noisy_variants(c, p, (), ()).reshape(-1))
 
 
-def _chain(q: int, names, p: NoiseProfile, channels: dict,
-           named: dict) -> tuple[np.ndarray, list[float]]:
+def _chain(q: int, names, p: NoiseProfile) -> tuple[np.ndarray, list[float]]:
     """The channel of the named one-qubit gates run back to back on ``q``,
-    and the gates' durations in order. Each name's ``Gate`` is built, and
-    so checked, once and kept in ``named``, then relabelled onto ``q``. The
-    channel is cached in ``channels`` by its gates' ``_channel`` keys."""
-    gates = []
-    for name in names:
-        g = named.get(name)
-        if g is None:
-            g = named[name] = Gate(name, (q,))
-        gates.append(g.relabelled((q,)))
-    key = tuple((g.name, g.params, 1, p.gate_error(g)) for g in gates)
-    s = channels.get(key)
-    if s is None:
-        s = _I4
-        for g in gates:
-            s = _channel(g, p, channels) @ s
-        channels[key] = s
+    and the gates' durations in order."""
+    gates = [g.relabelled((q,)) for g in _named(tuple(names))]
+    s = _I4
+    for g in gates:
+        s = _gate_channel(g.name, g.params, p.gate_error(g)) @ s
     return s, [p.gate_duration(g) for g in gates]
 
 
@@ -530,22 +523,20 @@ def run_noisy_variants(c: Circuit, p: NoiseProfile, preps, readouts) -> np.ndarr
     the groups of a chunk applies each entry's own from a stack. All
     readout combinations of every entry are then read in one contraction
     (``_read``), its intermediates within the larger of ``MAX_LEAF_ENTRIES``
-    and the result's entries. Gate channels and chains are built once per
-    call, and each named prep or readout gate once. Probabilities below
-    1e-14 in magnitude are then zeroed, and negative ones clipped.
+    and the result's entries. Gate channels and option gates come from
+    process-wide caches, ``_gate_channel`` and ``_named``. Probabilities
+    below 1e-14 in magnitude are then zeroed, and negative ones clipped.
     """
     n = c.width
     axes = _check_entries(preps, readouts, n, float)
     _check_density_width(n)
-    channels: dict = {}
-    named: dict = {}  # each prep or readout gate, by name
     t1, t2 = _coherence_ns(p, n)
     # per prep: each option's prepared one-qubit state and its end clock
     prepared = [[(s @ _ZERO, _end(0.0, durations))
-                 for s, durations in (_chain(q, names, p, channels, named) for names in options)]
+                 for s, durations in (_chain(q, names, p) for names in options)]
                 for q, options in preps]
     # per readout: each option's channel and gate durations
-    chains = [[_chain(q, names, p, channels, named) for names in options]
+    chains = [[_chain(q, names, p) for names in options]
               for q, options in readouts]
     readout_shape, prep_shape = axes[:len(readouts)], axes[len(readouts):]
     out = np.empty(axes + (1 << n,))
@@ -566,7 +557,7 @@ def run_noisy_variants(c: Circuit, p: NoiseProfile, preps, readouts) -> np.ndarr
         members += [(len(steps), m) for m in itertools.product(*(ix for _, ix in group))]
         steps.append(_steps(c, durations, free))
         frees.append(free)
-    matrix = _fuser(c, p, t1, t2, channels)
+    matrix = _fuser(c, p, t1, t2)
     chunk = max(1, MAX_LEAF_ENTRIES >> (2 * n))
     limit = max(MAX_LEAF_ENTRIES, out.size)
     for lo in range(0, len(members), chunk):

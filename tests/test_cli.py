@@ -1,6 +1,7 @@
 import errno
 import hashlib
 import importlib
+import itertools
 import json
 import math
 import os
@@ -112,6 +113,21 @@ def test_exit_codes_for_bad_inputs(tmp_path):
                 "--threshold", "0.5", "--out", tmp_path / "x"]) == 4
     assert run(["cut", "--qasm", tmp_path / "absent.qasm", "--profile", "fixture:uniform",
                 "--threshold", "0.5", "--out", tmp_path / "x"]) == 2
+
+
+@pytest.mark.parametrize("flag, kind, fixture, ext", [("--qasm", "circuits", "fig1_n5", "qasm"),
+                                                     ("--profile", "profiles", "stress", "json")])
+def test_fixture_names_outside_the_bundled_ones_exit_2(tmp_path, capsys, flag, kind, fixture, ext):
+    # a fixture name is looked up among the bundled names, never joined into
+    # a path: one that climbs out of the package is refused like any other
+    # unknown name, even when the file it would reach exists
+    (tmp_path / f"evil.{ext}").write_text(fixture_text(kind, fixture))
+    name = "../" * 12 + str(tmp_path / "evil").lstrip("/")
+    argv = {"--qasm": "fixture:fig1_n5", "--profile": "fixture:stress", flag: f"fixture:{name}"}
+    assert run(["cut", *itertools.chain(*argv.items()), "--threshold", "0.9",
+                "--out", tmp_path / "out"]) == 2
+    assert f"no bundled {kind[:-1]} fixture named '{name}'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("text, message", [

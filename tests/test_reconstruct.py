@@ -756,6 +756,24 @@ def test_reconstruction_documents_match_their_golden_hash(read_back_digests):
     }
 
 
+def test_noisy_rows_do_not_depend_on_what_the_process_ran_before():
+    # gate channels are cached for the process by name, angles and error:
+    # the stress rows come out byte-equal after uniform runs add channels of
+    # other errors, and again after the cache is emptied
+    plans = [recursive_fragment(circuit_fixture(name), STRESS, 0.8, seed=7)
+             for name in CIRCUIT_FIXTURES]
+
+    def rows(profile):
+        runs = [execute_plan(plan, profile=profile) for plan in plans]
+        return [outputs[fid].probs.tobytes() for outputs in runs for fid in sorted(outputs)]
+
+    first = rows(STRESS)
+    rows(load_profile(fixture_text("profiles", "uniform")))
+    assert rows(STRESS) == first
+    SIMULATE_MODULE._gate_channel.cache_clear()
+    assert rows(STRESS) == first
+
+
 def test_fidelity_examples():
     a = d(1, {"0": 1.0})
     assert fidelity(a, a) == pytest.approx(1.0)

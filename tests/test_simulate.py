@@ -272,6 +272,41 @@ def test_noisy_states_channels_and_readout_are_real(monkeypatch):
     assert applied and set(applied) == {(np.dtype(np.float64), np.dtype(np.float64))}
 
 
+def test_a_repeated_noisy_run_builds_no_gate_channel(monkeypatch):
+    # gate channels are cached for the process by name, angles and error: a
+    # second run of the same leaf computes no unitary's transfer matrix, and
+    # after the cache is emptied a run computes one per distinct channel
+    profile = NoiseProfile(p1=0.01, p2=0.03, t1_default_us=0.5, t2_default_us=0.4)
+    circuit = Circuit(width=3, gates=GHZ3.gates + (Gate("rz", (2,), (0.7,)),))
+    preps, readouts = [(0, ((), ("x",), ("h",), ("h", "s")))], [(2, ((), ("h",), ("sdg", "h")))]
+    first = run_noisy_variants(circuit, profile, preps, readouts)
+    calls = []
+    ptm = SIMULATE_MODULE._unitary_ptm
+    monkeypatch.setattr(SIMULATE_MODULE, "_unitary_ptm", lambda u: calls.append(u) or ptm(u))
+    assert run_noisy_variants(circuit, profile, preps, readouts).tobytes() == first.tobytes()
+    assert calls == []
+    SIMULATE_MODULE._gate_channel.cache_clear()
+    assert run_noisy_variants(circuit, profile, preps, readouts).tobytes() == first.tobytes()
+    assert len(calls) == 6  # h, cx, rz(0.7), x, s, sdg
+
+
+@pytest.mark.parametrize("name", [name for name, spec in GATES.items()
+                                  if spec.n_params == 0 and spec.unitary is not None])
+def test_shared_gate_matrices_are_read_only(name):
+    # a fixed gate's unitary and every cached channel are shared by all later
+    # calls: an in-place write raises, and later runs are unchanged
+    gate = Gate(name, tuple(range(GATES[name].arity)))
+    circuit = Circuit(width=2, gates=(Gate("h", (0,)), gate))
+    profile = NoiseProfile(p1=0.01, p2=0.03)
+    ideal, noisy = run_ideal(circuit), run_noisy_variants(circuit, profile, (), ())
+    channel = SIMULATE_MODULE._gate_channel(name, (), profile.gate_error(gate))
+    for shared in (gate_unitary(gate), channel):
+        with pytest.raises(ValueError, match="read-only"):
+            shared *= 2
+    assert run_ideal(circuit).tobytes() == ideal.tobytes()
+    assert run_noisy_variants(circuit, profile, (), ()).tobytes() == noisy.tobytes()
+
+
 def test_measure_distribution_ghz():
     d = measure_distribution(run_ideal(GHZ3))
     assert d.to_dict()["probs"] == pytest.approx({"000": 0.5, "111": 0.5})
