@@ -330,6 +330,44 @@ def test_plan_documents_match_their_golden_hash():
         "402050e1f557d53d488ca98f289071289c5e45177ad0b21a923f86e0edc049c3")
 
 
+def _rebuilt_nodes(node):
+    """Every node under ``node``, depth first, as a document of its own:
+    fragment, cuts, status, success and partition, whatever the plan
+    document stores of it."""
+    f = node.fragment
+    yield {
+        "fragment": {
+            "id": f.id,
+            "in_cuts": sorted(f.in_cuts.items()),
+            "out_cuts": sorted(f.out_cuts.items()),
+            "qubit_map": list(f.qubit_map),
+            "circuit": [f.circuit.name, f.circuit.width,
+                        [[g.name, list(g.qubits), list(g.params)] for g in f.circuit.gates]],
+        },
+        "cuts": None if node.cut is None else [
+            [cp.qubit, cp.upstream_gate, cp.downstream_gate, cp.cut_id] for cp in node.cut],
+        "status": node.status,
+        "success": node.success,
+        "partition": node.partition,
+    }
+    for child in node.children:
+        yield from _rebuilt_nodes(child)
+
+
+def test_rebuilt_plan_nodes_match_their_golden_hash():
+    # what plan_from_dict rebuilds from a document, which must not move
+    # when the document's layout does: every node of the stress plans
+    digest = hashlib.sha256()
+    for name in CIRCUIT_FIXTURES:
+        for threshold in (0.8, 0.95):
+            plan = recursive_fragment(circuit_fixture(name), STRESS, threshold, seed=7)
+            rebuilt = plan_from_dict(json.loads(_document_bytes(plan_to_dict(plan))))
+            for node in _rebuilt_nodes(rebuilt.root):
+                digest.update(_document_bytes(node).encode())
+    assert digest.hexdigest() == (
+        "aaf4255800fb874c1371174e4c3c0264fe79bdfcca40a1ac3548a44f24b21803")
+
+
 def _integer_slots(container, keys):
     """(container, key) of every integer under ``container[key]`` for ``keys``."""
     for key in keys:
