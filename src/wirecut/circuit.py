@@ -11,10 +11,11 @@ an error cites the line of its statement's first non-blank character.
 ``GATES`` is the one gate table: per gate name, its arity, its number of
 angle parameters and its unitary as a function of those angles. Every other
 module reads it, and ``Gate`` checks every gate against it when the gate is
-built, whether from QASM, a plan document or code. Only ``Gate.relabelled``
-skips the checks: it moves a checked gate onto other distinct qubits, as
-the fragmenter does with every gate it places in a fragment. ``swap`` is
-not in the table: the parser expands it into three ``cx``.
+built, whether from QASM, a plan document or code, and then writes its
+slots directly. Only ``Gate.relabelled`` skips the checks: it moves a
+checked gate onto other distinct qubits, as the fragmenter does with every
+gate it places in a fragment. ``swap`` is not in the table: the parser
+expands it into three ``cx``.
 """
 from __future__ import annotations
 
@@ -121,7 +122,7 @@ def _is_finite_real(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class Gate:
     """A single gate application: name, operand qubits, optional angles.
 
@@ -133,35 +134,46 @@ class Gate:
 
     name: str
     qubits: tuple[int, ...]
-    params: tuple[float, ...] = ()
-    is_measurement: bool = field(init=False, repr=False, compare=False)
+    params: tuple[float, ...]
+    is_measurement: bool = field(repr=False, compare=False)
 
-    def __post_init__(self):
-        spec = GATES.get(self.name) if type(self.name) is str else None
+    def __init__(self, name: str, qubits: tuple[int, ...], params: tuple[float, ...] = ()):
+        spec = GATES.get(name) if type(name) is str else None
         if spec is None:
-            raise QasmError(f"unsupported gate '{self.name}'")
-        qs = self.qubits
-        if len(qs) != spec.arity:
-            raise QasmError(f"gate '{self.name}' expects {spec.arity} qubit(s), got {len(qs)}")
-        if not all(type(q) is int for q in qs) or len(set(qs)) != len(qs):
-            raise QasmError(f"gate '{self.name}' has repeated or non-integer qubits {qs}")
-        if len(self.params) != spec.n_params or not all(map(_is_finite_real, self.params)):
-            raise QasmError(f"gate '{self.name}' expects {spec.n_params} finite real "
-                            f"parameter(s), got {self.params}")
-        object.__setattr__(self, "is_measurement", self.name == "measure")
+            raise QasmError(f"unsupported gate '{name}'")
+        if len(qubits) != spec.arity:
+            raise QasmError(f"gate '{name}' expects {spec.arity} qubit(s), got {len(qubits)}")
+        if not all(type(q) is int for q in qubits) or len(set(qubits)) != len(qubits):
+            raise QasmError(f"gate '{name}' has repeated or non-integer qubits {qubits}")
+        if len(params) != spec.n_params or not all(map(_is_finite_real, params)):
+            raise QasmError(f"gate '{name}' expects {spec.n_params} finite real "
+                            f"parameter(s), got {params}")
+        _set_name(self, name)
+        _set_qubits(self, qubits)
+        _set_params(self, params)
+        _set_is_measurement(self, name == "measure")
 
     def relabelled(self, qubits: tuple[int, ...]) -> "Gate":
         """This gate on ``qubits``, built without the checks above: for a
         caller that maps a checked gate's distinct qubits to distinct ints,
         so that the copy would pass them."""
         copy = object.__new__(Gate)
-        copy.__dict__.update(name=self.name, qubits=qubits, params=self.params,
-                             is_measurement=self.is_measurement)
+        _set_name(copy, self.name)
+        _set_qubits(copy, qubits)
+        _set_params(copy, self.params)
+        _set_is_measurement(copy, self.is_measurement)
         return copy
 
     @property
     def is_two_qubit(self) -> bool:
         return len(self.qubits) == 2
+
+
+# a gate's fields are written once, as it is built, through their slots'
+# own setters: the frozen class refuses setattr, and these cost less than
+# the object.__setattr__ that a generated __init__ calls
+_set_name, _set_qubits, _set_params, _set_is_measurement = (
+    Gate.__dict__[f].__set__ for f in ("name", "qubits", "params", "is_measurement"))
 
 
 @dataclass(frozen=True)
@@ -186,7 +198,7 @@ class Circuit:
 
     def two_qubit_indices(self) -> list[int]:
         """Positions of two-qubit gates, in order."""
-        return [i for i, g in enumerate(self.gates) if g.is_two_qubit]
+        return [i for i, g in enumerate(self.gates) if len(g.qubits) == 2]
 
     def touched_qubits(self) -> set[int]:
         return {q for g in self.gates for q in g.qubits}

@@ -22,17 +22,21 @@ limits. Each split comes from the genetic search; the annealer can run
 instead, or beside it for comparison, in which case the cheaper cut by
 the exact cut cost is kept.
 
-A plan document is rebuilt, not trusted: ``plan_from_dict`` replays
-``_split`` from the root circuit along the stored partitions, and the
-writer's own ``_node_fields`` and ``_plan_fields`` of the rebuilt plan
-must give back every stored node and field, so the writer alone defines
-the layout.
+A plan document (version 2) stores the planner's decisions: each node's
+status and success, each split node's partition, and the fragment only at
+the root and at the leaves; cuts and the fragments of split nodes below
+the root are derived, so they are not stored. The document is rebuilt,
+not trusted: ``plan_from_dict`` replays ``_split`` from the root circuit
+along the stored partitions, and the writer's own ``_node_fields`` and
+``_plan_fields`` of the rebuilt plan must give back every stored node and
+field, so the writer alone defines the layout.
 """
 from __future__ import annotations
 
 import itertools
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .circuit import Circuit, Gate, _is_finite_real, circuit_from_dict, circuit_to_dict
 from .graph import GateGraph, build_graph
@@ -77,8 +81,7 @@ class PlanError(ValueError):
     """Raised on partitions that cannot split a fragment, or bad plan documents."""
 
 
-@dataclass(frozen=True)
-class CutPoint:
+class CutPoint(NamedTuple):
     """A wire cut on ``qubit`` immediately after ``upstream_gate``."""
 
     qubit: int
@@ -261,53 +264,58 @@ def _split(
     built, with ids ``child_ids``, as ``ok`` leaves of the returned node.
     """
     c = parent.circuit
+    width, circuit_gates = c.width, c.gates
     two_q = c.two_qubit_indices()
     if len(pv) != len(two_q):
         raise PlanError(f"partition length {len(pv)} != two-qubit gate count {len(two_q)}")
-    if not all(type(bit) is int and 0 <= bit <= 1 for bit in pv):
+    if not ({*map(type, pv)} <= {int} and {*pv} <= {0, 1}):
         raise PlanError("partition bits must be the integers 0 and 1")
     if len(set(pv)) == 1:
         raise PlanError("partition is one-sided; no cut to derive")
-    side_of_gate = dict(zip(two_q, pv))
-    first_side = [0] * c.width  # the side of each wire's first two-qubit gate
-    last: dict[int, int] = {}  # per wire, its last two-qubit gate so far
+    first_side = [0] * width  # the side of each wire's first two-qubit gate
+    last_side = [-1] * width  # per wire, the side and position of its last
+    last_gate = [0] * width  # two-qubit gate so far
     crossing = []
-    for gi in two_q:
-        for q in c.gates[gi].qubits:
-            if q not in last:
-                first_side[q] = side_of_gate[gi]
-            elif side_of_gate[last[q]] != side_of_gate[gi]:
-                crossing.append((q, last[q], gi))
-            last[q] = gi
-    cuts = tuple(CutPoint(q, up, down, first_cut_id + i)
-                 for i, (q, up, down) in enumerate(sorted(crossing)))
+    for gi, side in zip(two_q, pv):
+        for q in circuit_gates[gi].qubits:
+            before = last_side[q]
+            if before < 0:
+                first_side[q] = side
+            elif before != side:
+                crossing.append((q, last_gate[q], gi))
+            last_side[q], last_gate[q] = side, gi
+    crossing.sort()
+    cuts = tuple(CutPoint(q, up, down, cid)
+                 for cid, (q, up, down) in enumerate(crossing, first_cut_id))
 
     # a wire's cuts split it into pieces, whose sides alternate from its
     # first two-qubit gate's (side 0 for a wire without one); each piece
     # becomes the next local qubit of its side, in (wire, piece) order
-    n_pieces = [1] * c.width
-    for q, _, _ in crossing:
+    n_pieces = [1] * width
+    cut_after: dict[int, dict[int, int]] = {}  # upstream gate -> {wire: cut id}
+    for cid, (q, up, _) in enumerate(crossing, first_cut_id):
         n_pieces[q] += 1
+        cut_after.setdefault(up, {})[q] = cid
     maps: tuple[list[int], list[int]] = ([], [])
     where: list[list[tuple[int, int]]] = []  # per wire, (side, local qubit) per piece
-    for q in range(c.width):
-        where.append([])
-        for j in range(n_pieces[q]):
-            side = first_side[q] ^ (j & 1)
-            where[q].append((side, len(maps[side])))
-            maps[side].append(parent.qubit_map[q])
+    for q, original in enumerate(parent.qubit_map):
+        side, pieces = first_side[q], []
+        for _ in range(n_pieces[q]):
+            pieces.append((side, len(maps[side])))
+            maps[side].append(original)
+            side ^= 1
+        where.append(pieces)
 
     # each gate goes to the side of the pieces it touches; after the upstream
     # gate of a cut, always a two-qubit gate, the wire's piece measures the
     # cut and its next piece, which the wire moves to, is initialized
-    cut_after = {(cp.qubit, cp.upstream_gate): cp.cut_id for cp in cuts}
-    piece = [0] * c.width
-    side_now = [w[0][0] for w in where]  # per wire, the side and local qubit
-    local_now = [w[0][1] for w in where]  # of its current piece
+    piece = [0] * width
+    side_now = [pieces[0][0] for pieces in where]  # per wire, the side and local
+    local_now = [pieces[0][1] for pieces in where]  # qubit of its current piece
     gates: tuple[list[Gate], list[Gate]] = ([], [])
     in_cuts: tuple[dict[int, int], dict[int, int]] = ({}, {})
     out_cuts: tuple[dict[int, int], dict[int, int]] = ({}, {})
-    for gi, gate in enumerate(c.gates):
+    for gi, gate in enumerate(circuit_gates):
         qs = gate.qubits
         if len(qs) == 1:
             q = qs[0]
@@ -315,8 +323,11 @@ def _split(
             continue
         a, b = qs
         gates[side_now[a]].append(gate.relabelled((local_now[a], local_now[b])))
+        cut_here = cut_after.get(gi)
+        if cut_here is None:
+            continue
         for q in qs:
-            cid = cut_after.get((q, gi))
+            cid = cut_here.get(q)
             if cid is not None:
                 out_cuts[side_now[q]][cid] = local_now[q]
                 piece[q] += 1
@@ -502,43 +513,44 @@ def recursive_fragment(
 # Plan documents
 # ---------------------------------------------------------------------------
 
-def _node_fields(node: PlanNode) -> dict:
-    """A node's document without its ``children``."""
-    f = node.fragment
-    doc = {
-        "fragment": {
+def _node_fields(node: PlanNode, is_root: bool) -> dict:
+    """A node's document without its ``children``: the fragment only at the
+    root and at leaves, since a split node below the root is its parent's
+    child, which the parent's partition derives."""
+    doc: dict = {"success": node.success, "status": node.status}
+    if is_root or not node.children:
+        f = node.fragment
+        doc["fragment"] = {
             "id": f.id,
             "in_cuts": {str(cid): q for cid, q in sorted(f.in_cuts.items())},
             "out_cuts": {str(cid): q for cid, q in sorted(f.out_cuts.items())},
             "qubit_map": list(f.qubit_map),
             "circuit": circuit_to_dict(f.circuit),
-        },
-        "success": node.success,
-        "status": node.status,
-    }
-    if node.cut is not None:
-        doc["cuts"] = [dict(vars(cp)) for cp in node.cut]
+        }
     if node.partition is not None:
         doc["partition"] = list(node.partition)
     return doc
 
 
-def _node_to_dict(node: PlanNode) -> dict:
-    doc = _node_fields(node)
+def _node_to_dict(node: PlanNode, is_root: bool = False) -> dict:
+    doc = _node_fields(node, is_root)
     if node.children:
         doc["children"] = [_node_to_dict(child) for child in node.children]
     return doc
 
 
-def _node_from_dict(doc: dict, frag: Fragment, next_ids: dict[str, int]) -> PlanNode:
+def _node_from_dict(doc: dict, frag: Fragment, next_ids: dict[str, int],
+                    is_root: bool = False) -> PlanNode:
     """Replay the planner on ``frag`` as ``doc`` records it.
 
     Only ``status``, ``success`` and a split node's ``partition`` are read.
     A split node takes the next fragment and cut ids from ``next_ids``, in
     the planner's depth-first order. The rebuilt node must write ``doc``
-    back, without its ``children``, and ``children`` must be a list of two
-    exactly when the node split; both hold before any child is replayed,
-    so the work stays proportional to the document.
+    back, without its ``children`` (``_node_fields``: the fragment of the
+    root and of a leaf, no fragment on a split node below the root, and no
+    cuts anywhere), and ``children`` must be a list of two exactly when the
+    node split; both hold before any child is replayed, so the work stays
+    proportional to the document.
     """
     status, success = doc["status"], doc["success"]
     if not (_is_finite_real(success) and 0 <= success <= 1):
@@ -556,7 +568,7 @@ def _node_from_dict(doc: dict, frag: Fragment, next_ids: dict[str, int]) -> Plan
     fields = dict(doc)
     children = fields.pop("children", None)
     children_ok = type(children) is list and len(children) == 2 if split else "children" not in doc
-    if fields != _node_fields(node) or not children_ok:
+    if fields != _node_fields(node, is_root) or not children_ok:
         raise PlanError(f"node of fragment {frag.id} is not the one its parent's partition derives")
     if split:
         node.children = [_node_from_dict(child, derived.fragment, next_ids)
@@ -568,7 +580,7 @@ def _plan_fields(plan: FragmentPlan) -> dict:
     """A plan's document without its ``tree``."""
     leaves, cut_ids = plan.leaf_fragments(), plan.cut_ids()
     return {
-        "version": 1,
+        "version": 2,
         "threshold": plan.threshold,
         "limits": {"max_depth": plan.limits.max_depth, "max_k": plan.limits.max_k},
         "seed": plan.seed,
@@ -583,26 +595,27 @@ def _plan_fields(plan: FragmentPlan) -> dict:
 
 
 def plan_to_dict(plan: FragmentPlan) -> dict:
-    return {**_plan_fields(plan), "tree": _node_to_dict(plan.root)}
+    return {**_plan_fields(plan), "tree": _node_to_dict(plan.root, is_root=True)}
 
 
 def plan_from_dict(doc: dict) -> FragmentPlan:
     """Rebuild a plan from ``plan_to_dict``'s document by replaying ``_split``.
 
-    Only the root circuit, each node's ``status``, ``success`` and
-    ``partition``, and the plan's settings are read. Every node rebuilt
-    must write its stored node back (``_node_fields``), and the rebuilt
-    plan the document's other fields (``_plan_fields``), so anything the
-    writer does not write is refused too. Anything else raises
-    ``PlanError``: a malformed field, a root circuit that ``Circuit`` or
-    ``Gate`` rejects (wider than ``MAX_CIRCUIT_QUBITS`` included), an
+    Only version 2 is read, and of it only the root circuit, each node's
+    ``status``, ``success`` and ``partition``, and the plan's settings.
+    Every node rebuilt must write its stored node back (``_node_fields``),
+    and the rebuilt plan the document's other fields (``_plan_fields``), so
+    anything the writer does not write is refused too: a ``cuts`` key, or a
+    fragment on a split node below the root. Anything else raises
+    ``PlanError``: another version, a malformed field, a root circuit that
+    ``Circuit`` or ``Gate`` rejects (wider than ``MAX_CIRCUIT_QUBITS`` included), an
     unknown status, a ``success`` or ``threshold`` outside [0, 1], a
     non-integer ``seed`` or limit, a ``solver_log`` that is not a list of
     objects, an unknown ``solver`` or a tree nested too deeply to rebuild.
     """
     if not isinstance(doc, dict):
         raise PlanError("plan document must be a JSON object")
-    if type(doc.get("version")) is not int or doc["version"] != 1:
+    if type(doc.get("version")) is not int or doc["version"] != 2:
         raise PlanError("unsupported plan document version")
     try:
         tree = doc["tree"]
@@ -613,7 +626,7 @@ def plan_from_dict(doc: dict) -> FragmentPlan:
         plan = FragmentPlan(
             width=root.width,
             threshold=doc["threshold"],
-            root=_node_from_dict(tree, root, {"fragment": 1, "cut": 0}),
+            root=_node_from_dict(tree, root, {"fragment": 1, "cut": 0}, is_root=True),
             limits=Limits(**doc["limits"]),
             seed=doc["seed"],
             solver=doc["solver"],

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from helpers import fragment_rows, packed_rows, single_cut_plan
-from wirecut.circuit import MAX_CIRCUIT_QUBITS, Circuit, Gate
+from wirecut.circuit import MAX_CIRCUIT_QUBITS, Circuit, Gate, circuit_to_dict
 from wirecut.cli import _write_text, build_parser, main
 from wirecut.fixtures import CIRCUIT_FIXTURES, fixture_text
 from wirecut.fragment import Limits, plan_from_dict, plan_to_dict, recursive_fragment
@@ -381,7 +381,7 @@ def test_commands_are_byte_deterministic(tmp_path):
         assert (a / name).read_bytes() == (b / name).read_bytes(), name
 
 
-BOTH_SOLVERS_GOLDEN_SHA256 = "5087ac79defb9393494f0d421f96987868c1a5182bc72af1c4f01cab6708579c"
+BOTH_SOLVERS_GOLDEN_SHA256 = "ca74cf20c792786a34456f572366e85cb2b2f78e2d46d95d3e6b97863fa08c65"
 
 
 def test_both_solver_plan_documents_match_their_golden_hash(tmp_path):
@@ -584,8 +584,6 @@ def _damage_plan(doc: dict, damage: str):
         root["children"][0]["partition"] = [0, 1]
     elif damage == "third-child":
         root["children"].append(json.loads(json.dumps(root["children"][1])))
-    elif damage == "downstream-gate-moved":
-        root["cuts"][0]["downstream_gate"] += 1
     elif damage.startswith("width-"):
         doc["width"] = None if damage == "width-null" else 3
     elif damage == "threshold-string":
@@ -595,7 +593,7 @@ def _damage_plan(doc: dict, damage: str):
     elif damage.startswith("solver-"):
         doc["solver"] = {"solver-5": 5, "solver-manual": "manual"}[damage]
     elif damage.startswith("version-"):
-        doc["version"] = {"version-true": True, "version-float": 1.0}[damage]
+        doc["version"] = {"version-true": True, "version-float": 2.0}[damage]
     elif damage in _BAD_GATES:
         root["fragment"]["circuit"]["gates"].append(_BAD_GATES[damage])
     elif damage == "moved-root-gate":
@@ -608,8 +606,6 @@ def _damage_plan(doc: dict, damage: str):
         root["children"][0]["status"] = 5
     elif damage == "cut-qubit-99":  # the cut moves to a local qubit the leaf lacks
         measuring["out_cuts"] = {cid: 99 for cid in measuring["out_cuts"]}
-    elif damage in ("cut-qubit-string", "cut-id-string"):
-        root["cuts"][0]["qubit" if damage == "cut-qubit-string" else "cut_id"] = "x"
     elif damage.endswith("-id"):
         leaves[1]["id"] = {"string-id": "a", "negative-id": -1}.get(damage, leaves[0]["id"])
     elif damage == "short-qubit-map":
@@ -623,9 +619,8 @@ def _damage_plan(doc: dict, damage: str):
 @pytest.mark.parametrize("damage", ["list", "tree-not-object", "unknown-limit", "limits-empty",
                                     "solver-log-string", "unknown-top-level-key",
                                     "leaf-empty-children", "split-extra-key", "leaf-partition",
-                                    "third-child", "downstream-gate-moved",
+                                    "third-child",
                                     "short-qubit-map", "string-qubit-map", "cut-qubit-99",
-                                    "cut-qubit-string", "cut-id-string",
                                     "string-id", "negative-id", "duplicate-id",
                                     "width-null", "width-mismatch",
                                     "threshold-string", "seed-null", "solver-5", "solver-manual",
@@ -643,6 +638,59 @@ def test_malformed_plan_document_exits_5(tmp_path, capsys, damage):
         assert run(argv + ["--out", out]) == 5
         assert "bad plan document" in capsys.readouterr().err
     assert not list(out.glob("fragment*.json"))
+
+
+def _version_1_fragment(f) -> dict:
+    """Fragment ``f`` as version 1 wrote it, on every node."""
+    return {"id": f.id, "in_cuts": {str(cid): q for cid, q in sorted(f.in_cuts.items())},
+            "out_cuts": {str(cid): q for cid, q in sorted(f.out_cuts.items())},
+            "qubit_map": list(f.qubit_map), "circuit": circuit_to_dict(f.circuit)}
+
+
+def _version_1_cuts(node) -> list:
+    """The cuts of split ``node`` as version 1 wrote them."""
+    return [{"qubit": cp.qubit, "upstream_gate": cp.upstream_gate,
+             "downstream_gate": cp.downstream_gate, "cut_id": cp.cut_id} for cp in node.cut]
+
+
+@pytest.mark.parametrize("layout", ["version-1", "cuts-on-root", "cuts-on-inner-split",
+                                    "cuts-on-leaf", "fragment-on-inner-split"])
+def test_plan_document_in_the_version_1_layout_exits_5(tmp_path, capsys, layout):
+    # version 1 wrote every node's fragment and every split node's cuts;
+    # version 2 writes no cuts and no fragment on a split node below the
+    # root, so each of those fields is refused, even as version 1 wrote it
+    out = tmp_path / layout
+    assert run(["cut", "--qasm", "fixture:fig1_n5", "--profile", "fixture:stress",
+                "--threshold", "0.95", "--out", out]) == 0
+    path = out / "plan.json"
+    doc = json.loads(path.read_text())
+    plan = plan_from_dict(doc)
+    # the root splits into a leaf and a split node of two leaves
+    inner = next(i for i, child in enumerate(plan.root.children) if child.children)
+    inner_doc, leaf_doc = doc["tree"]["children"][inner], doc["tree"]["children"][1 - inner]
+    inner_node = plan.root.children[inner]
+    if layout == "version-1":  # the whole document that version 1 wrote
+        doc["version"] = 1
+        doc["tree"]["cuts"] = _version_1_cuts(plan.root)
+        inner_doc["cuts"] = _version_1_cuts(inner_node)
+        inner_doc["fragment"] = _version_1_fragment(inner_node.fragment)
+    elif layout == "cuts-on-root":
+        doc["tree"]["cuts"] = _version_1_cuts(plan.root)
+    elif layout == "cuts-on-inner-split":
+        inner_doc["cuts"] = _version_1_cuts(inner_node)
+    elif layout == "cuts-on-leaf":
+        leaf_doc["cuts"] = []
+    else:
+        inner_doc["fragment"] = _version_1_fragment(inner_node.fragment)
+    path.write_text(json.dumps(doc))
+    message = ("unsupported plan document version" if layout == "version-1"
+               else "is not the one its parent's partition derives")
+    capsys.readouterr()
+    for argv in (["run"], ["reconstruct"]):
+        assert run(argv + ["--out", out]) == 5
+        err = capsys.readouterr().err
+        assert "bad plan document" in err and message in err
+    assert not (out / "fragments.json").exists()
 
 
 def test_circuit_wider_than_the_cap_exits_3_or_5(tmp_path, capsys):
