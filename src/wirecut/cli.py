@@ -248,7 +248,7 @@ def cmd_reconstruct(args) -> int:
         raise ReconstructionError(f"bad fragments document {path}: {exc}") from None
     result = reconstruct(outputs, plan)
     if args.reference:
-        ideal = measure_distribution(run_ideal(plan.root.fragment.circuit))
+        ideal = measure_distribution(run_ideal(plan.root.circuit))
         result.metrics["fidelity_vs_ideal"] = fidelity(result.distribution, ideal)
         result.metrics["tvd_vs_ideal"] = tvd(result.distribution, ideal)
         result.metrics["hellinger_vs_ideal"] = hellinger(result.distribution, ideal)

@@ -8,13 +8,17 @@ pieces; each piece becomes a fresh local qubit of the child owning its
 gates, carrying an initialization role (in-cut) when the piece starts at a
 cut and a measurement role (out-cut) when it ends at one. A piece is always
 owned by one side because every crossing adjacency is cut, so both children
-stay straight-line circuits. The step returns the split plan node with its
-two children.
+stay straight-line circuits. The step returns the cuts and the two child
+fragments, numbered from a shared pair of counters: the children take the
+next two fragment ids and the cuts the next cut ids, so a plan's tree is
+numbered depth first.
 
-Variant enumeration synthesizes the runnable circuits: each out-cut is
-measured in the Z, X, or Y basis (basis change appended at the end of the
-wire), and each in-cut is prepared in one of |0>, |1>, |+>, |+i>
-(preparation prepended), for 3^out * 4^in variants per fragment.
+Each out-cut is measured in the Z, X, or Y basis (basis change appended at
+the end of the wire), and each in-cut is prepared in one of |0>, |1>, |+>,
+|+i> (preparation prepended), for 3^out * 4^in variants per fragment.
+``execute_plan`` passes these preparations and readouts to the executors as
+prep and readout entries; ``enumerate_variants``, which writes each variant
+out as a circuit, is kept only for the tests and the benchmark's hook.
 
 The recursive driver keeps splitting any fragment whose estimated success
 probability falls below the threshold and stops at the depth/cut-count
@@ -22,7 +26,8 @@ limits. Each split comes from the genetic search; the annealer can run
 instead, or beside it for comparison, in which case the cheaper cut by
 the exact cut cost is kept.
 
-A plan document (version 2) stores the planner's decisions: each node's
+A plan is a tree of fragments, each carrying the planner's decision on it.
+A plan document (version 2) stores those decisions: each node's
 status and success, each split node's partition, and the fragment only at
 the root and at the leaves; cuts and the fragments of split nodes below
 the root are derived, so they are not stored. The document is rebuilt,
@@ -49,7 +54,6 @@ __all__ = [
     "CutPoint",
     "Fragment",
     "VariantRun",
-    "PlanNode",
     "FragmentPlan",
     "Limits",
     "enumerate_variants",
@@ -92,12 +96,16 @@ class CutPoint(NamedTuple):
 
 @dataclass
 class Fragment:
-    """A sub-circuit over compacted local qubits.
+    """A sub-circuit over compacted local qubits, and a node of its plan.
 
     in_cuts / out_cuts map cut ids to local qubits; qubit_map maps local
     qubits back to the original circuit's qubit indices (several locals
     may share an original when a wire is cut more than once; the one
     without an out-cut role carries the wire's final value).
+
+    The planner's decision on the fragment: its estimated success and its
+    status, ``split`` or one of ``LEAF_STATUSES``; a split fragment also
+    holds its partition, its cuts and its two child fragments.
     """
 
     id: int
@@ -105,6 +113,11 @@ class Fragment:
     in_cuts: dict[int, int] = field(default_factory=dict)
     out_cuts: dict[int, int] = field(default_factory=dict)
     qubit_map: tuple[int, ...] = ()
+    success: float = 0.0
+    status: str = "ok"
+    cut: tuple[CutPoint, ...] | None = None
+    partition: list[int] | None = None
+    children: list[Fragment] = field(default_factory=list)
 
     @property
     def width(self) -> int:
@@ -194,42 +207,27 @@ class Limits:
 
 
 @dataclass
-class PlanNode:
-    fragment: Fragment
-    success: float
-    status: str  # split or one of LEAF_STATUSES
-    cut: tuple[CutPoint, ...] | None = None
-    partition: list[int] | None = None
-    children: list["PlanNode"] = field(default_factory=list)
-
-    def is_leaf(self) -> bool:
-        return not self.children
-
-
-@dataclass
 class FragmentPlan:
     width: int
     threshold: float
-    root: PlanNode
+    root: Fragment
     limits: Limits
     seed: int
     solver: str
     solver_log: list[dict] = field(default_factory=list)
 
-    def leaves(self) -> list[PlanNode]:
-        out: list[PlanNode] = []
+    def leaf_fragments(self) -> list[Fragment]:
+        """The fragments without children, depth first."""
+        out: list[Fragment] = []
 
-        def walk(node: PlanNode):
-            if node.is_leaf():
-                out.append(node)
-            for child in node.children:
+        def walk(f: Fragment):
+            if not f.children:
+                out.append(f)
+            for child in f.children:
                 walk(child)
 
         walk(self.root)
         return out
-
-    def leaf_fragments(self) -> list[Fragment]:
-        return [node.fragment for node in self.leaves()]
 
     def cut_ids(self) -> list[int]:
         ids = set()
@@ -247,21 +245,19 @@ def _as_root_fragment(c: Circuit) -> Fragment:
     return Fragment(id=0, circuit=c, qubit_map=tuple(range(c.width)))
 
 
-def _split(
-    parent: Fragment,
-    success: float,
-    pv,
-    first_cut_id: int,
-    child_ids: tuple[int, int],
-) -> PlanNode:
-    """The split node that applies partition ``pv`` to ``parent``: one bit,
-    0 or 1, per two-qubit gate of its circuit, in gate order.
+def _split(parent: Fragment, pv,
+           ids: dict[str, int]) -> tuple[tuple[CutPoint, ...], list[Fragment]]:
+    """The cuts and the two child fragments that partition ``pv`` gives
+    ``parent``: one bit, 0 or 1, per two-qubit gate of its circuit, in gate
+    order.
 
     Each wire segment between consecutive two-qubit gates on different sides
     becomes one cut, so two gates sharing both wires yield two cuts and the
-    cut count equals the gate graph's weighted cut size; cut ids run from
-    ``first_cut_id`` in (qubit, upstream gate) order. Both children are
-    built, with ids ``child_ids``, as ``ok`` leaves of the returned node.
+    cut count equals the gate graph's weighted cut size. Cut ids run from
+    ``ids["cut"]`` in (qubit, upstream gate) order, and the children, ``ok``
+    leaves until the planner decides on them, take ids ``ids["fragment"]``
+    and the one after it. Both counters advance past the ids taken once the
+    split succeeds; a refused partition raises ``PlanError`` and leaves them.
     """
     c = parent.circuit
     width, circuit_gates = c.width, c.gates
@@ -285,6 +281,7 @@ def _split(
                 crossing.append((q, last_gate[q], gi))
             last_side[q], last_gate[q] = side, gi
     crossing.sort()
+    first_cut_id = ids["cut"]
     cuts = tuple(CutPoint(q, up, down, cid)
                  for cid, (q, up, down) in enumerate(crossing, first_cut_id))
 
@@ -345,10 +342,11 @@ def _split(
         if not maps[side]:
             raise PlanError("partition leaves one side empty")
         circuit = Circuit(width=len(maps[side]), gates=tuple(gates[side]), name=f"{c.name}.{side}")
-        child = Fragment(child_ids[side], circuit, in_cuts[side], out_cuts[side], tuple(maps[side]))
-        children.append(PlanNode(fragment=child, success=0.0, status="ok"))
-    return PlanNode(fragment=parent, success=success, status="split", cut=cuts,
-                    partition=list(pv), children=children)
+        children.append(Fragment(ids["fragment"] + side, circuit, in_cuts[side], out_cuts[side],
+                                 tuple(maps[side])))
+    ids["fragment"] += 2
+    ids["cut"] += len(cuts)
+    return cuts, children
 
 
 def _solver_seed(seed: int, node: int, salt: int) -> int:
@@ -468,36 +466,36 @@ def recursive_fragment(
     if solver not in SOLVERS:
         raise PlanError(f"unknown solver {solver!r}")
     limits = limits or Limits()
-    counters = {"fragment": 1, "cut": 0, "node": 0}
+    ids = {"fragment": 1, "cut": 0}
     solver_log: list[dict] = []
 
-    def visit(frag: Fragment, depth: int) -> PlanNode:
+    def visit(frag: Fragment, depth: int) -> None:
         local_profile = p.for_subcircuit(frag.qubit_map)
-        est = success_probability(frag.circuit, local_profile)
-        if est.success >= threshold:
-            return PlanNode(fragment=frag, success=est.success, status="ok")
+        frag.success = success_probability(frag.circuit, local_profile).success
+        if frag.success >= threshold:
+            return
         if len(frag.circuit.two_qubit_indices()) < 2:
-            return PlanNode(fragment=frag, success=est.success, status="unsplittable-gates")
+            frag.status = "unsplittable-gates"
+            return
         if depth >= limits.max_depth:
-            return PlanNode(fragment=frag, success=est.success, status="unsplittable-depth")
+            frag.status = "unsplittable-depth"
+            return
         g = build_graph(frag.circuit, local_profile)
-        node_index = counters["node"]
-        counters["node"] += 1
-        pv, cost, log = _choose_partition(g, solver, seed, node_index, sa_sweeps, sa_restarts)
+        pv, cost, log = _choose_partition(g, solver, seed, len(solver_log), sa_sweeps, sa_restarts)
         k = int(round(cut_size(pv, g)))
         log["fragment"] = frag.id
         log["k"] = k
         solver_log.append(log)
-        if counters["cut"] + k > limits.max_k:
-            return PlanNode(fragment=frag, success=est.success, status="unsplittable-k")
-        ids = (counters["fragment"], counters["fragment"] + 1)
-        node = _split(frag, est.success, pv, counters["cut"], ids)
-        counters["cut"] += len(node.cut)
-        counters["fragment"] += 2
-        node.children = [visit(child.fragment, depth + 1) for child in node.children]
-        return node
+        if ids["cut"] + k > limits.max_k:
+            frag.status = "unsplittable-k"
+            return
+        frag.cut, frag.children = _split(frag, pv, ids)
+        frag.status, frag.partition = "split", list(pv)
+        for child in frag.children:
+            visit(child, depth + 1)
 
-    root = visit(_as_root_fragment(c), 0)
+    root = _as_root_fragment(c)
+    visit(root, 0)
     return FragmentPlan(
         width=c.width,
         threshold=threshold,
@@ -513,13 +511,12 @@ def recursive_fragment(
 # Plan documents
 # ---------------------------------------------------------------------------
 
-def _node_fields(node: PlanNode, is_root: bool) -> dict:
+def _node_fields(f: Fragment, is_root: bool) -> dict:
     """A node's document without its ``children``: the fragment only at the
     root and at leaves, since a split node below the root is its parent's
     child, which the parent's partition derives."""
-    doc: dict = {"success": node.success, "status": node.status}
-    if is_root or not node.children:
-        f = node.fragment
+    doc: dict = {"success": f.success, "status": f.status}
+    if is_root or f.status != "split":
         doc["fragment"] = {
             "id": f.id,
             "in_cuts": {str(cid): q for cid, q in sorted(f.in_cuts.items())},
@@ -527,29 +524,29 @@ def _node_fields(node: PlanNode, is_root: bool) -> dict:
             "qubit_map": list(f.qubit_map),
             "circuit": circuit_to_dict(f.circuit),
         }
-    if node.partition is not None:
-        doc["partition"] = list(node.partition)
+    if f.partition is not None:
+        doc["partition"] = list(f.partition)
     return doc
 
 
-def _node_to_dict(node: PlanNode, is_root: bool = False) -> dict:
-    doc = _node_fields(node, is_root)
-    if node.children:
-        doc["children"] = [_node_to_dict(child) for child in node.children]
+def _node_to_dict(f: Fragment, is_root: bool = False) -> dict:
+    doc = _node_fields(f, is_root)
+    if f.children:
+        doc["children"] = [_node_to_dict(child) for child in f.children]
     return doc
 
 
-def _node_from_dict(doc: dict, frag: Fragment, next_ids: dict[str, int],
-                    is_root: bool = False) -> PlanNode:
-    """Replay the planner on ``frag`` as ``doc`` records it.
+def _node_from_dict(doc: dict, frag: Fragment, ids: dict[str, int], is_root: bool = False) -> None:
+    """Replay the planner on ``frag`` as ``doc`` records it, setting its
+    decision fields and those of the fragments below it.
 
-    Only ``status``, ``success`` and a split node's ``partition`` are read.
-    A split node takes the next fragment and cut ids from ``next_ids``, in
-    the planner's depth-first order. The rebuilt node must write ``doc``
-    back, without its ``children`` (``_node_fields``: the fragment of the
-    root and of a leaf, no fragment on a split node below the root, and no
-    cuts anywhere), and ``children`` must be a list of two exactly when the
-    node split; both hold before any child is replayed, so the work stays
+    Only ``status``, ``success`` and a split node's ``partition`` are read;
+    ``_split`` numbers the children and cuts from ``ids`` in the planner's
+    depth-first order. The rebuilt node must write ``doc`` back, without
+    its ``children`` (``_node_fields``: the fragment of the root and of a
+    leaf, no fragment on a split node below the root, and no cuts
+    anywhere), and ``children`` must be a list of two exactly when the node
+    split; both hold before any child is replayed, so the work stays
     proportional to the document.
     """
     status, success = doc["status"], doc["success"]
@@ -558,22 +555,17 @@ def _node_from_dict(doc: dict, frag: Fragment, next_ids: dict[str, int],
     split = status == "split"
     if not split and status not in LEAF_STATUSES:
         raise PlanError(f"fragment {frag.id} has unknown status {status!r}")
+    frag.success, frag.status = success, status
     if split:
-        ids = (next_ids["fragment"], next_ids["fragment"] + 1)
-        node = _split(frag, success, doc["partition"], next_ids["cut"], ids)
-        next_ids["fragment"] += 2
-        next_ids["cut"] += len(node.cut)
-    else:
-        node = PlanNode(fragment=frag, success=success, status=status)
+        frag.cut, frag.children = _split(frag, doc["partition"], ids)
+        frag.partition = list(doc["partition"])
     fields = dict(doc)
     children = fields.pop("children", None)
     children_ok = type(children) is list and len(children) == 2 if split else "children" not in doc
-    if fields != _node_fields(node, is_root) or not children_ok:
+    if fields != _node_fields(frag, is_root) or not children_ok:
         raise PlanError(f"node of fragment {frag.id} is not the one its parent's partition derives")
-    if split:
-        node.children = [_node_from_dict(child, derived.fragment, next_ids)
-                         for child, derived in zip(children, node.children)]
-    return node
+    for child_doc, child in zip(children or (), frag.children):
+        _node_from_dict(child_doc, child, ids)
 
 
 def _plan_fields(plan: FragmentPlan) -> dict:
@@ -623,10 +615,11 @@ def plan_from_dict(doc: dict) -> FragmentPlan:
         solver_log = doc["solver_log"]
         if not (isinstance(solver_log, list) and all(isinstance(e, dict) for e in solver_log)):
             raise PlanError("plan solver_log is not a list of objects")
+        _node_from_dict(tree, root, {"fragment": 1, "cut": 0}, is_root=True)
         plan = FragmentPlan(
             width=root.width,
             threshold=doc["threshold"],
-            root=_node_from_dict(tree, root, {"fragment": 1, "cut": 0}, is_root=True),
+            root=root,
             limits=Limits(**doc["limits"]),
             seed=doc["seed"],
             solver=doc["solver"],

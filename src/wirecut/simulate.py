@@ -137,7 +137,7 @@ def _check_entries(preps, readouts, n: int, dtype) -> tuple[int, ...]:
     for kind, entries in (("prep", preps), ("readout", readouts)):
         seen: dict = {}
         for j, (q, options) in enumerate(entries):
-            if not (isinstance(q, int) and 0 <= q < n):
+            if not (type(q) is int and 0 <= q < n):
                 raise SimulationError(
                     f"{kind} entry {j} is on qubit {q!r}, not one of the circuit's {n} qubits")
             if q in seen:

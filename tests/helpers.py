@@ -77,7 +77,9 @@ def density_probs(c: Circuit, p: NoiseProfile) -> np.ndarray:
 def single_cut_plan(c: Circuit, pv) -> FragmentPlan:
     """One forced split along ``pv``, one bit per two-qubit gate in gate
     order, with the fragmenter's own split step."""
-    root = _split(_as_root_fragment(c), 0.0, pv, 0, (1, 2))
+    root = _as_root_fragment(c)
+    root.cut, root.children = _split(root, pv, {"fragment": 1, "cut": 0})
+    root.status, root.partition = "split", list(pv)
     return FragmentPlan(width=c.width, threshold=0.0, root=root, limits=Limits(), seed=0,
                         solver="ga", solver_log=[])
 

@@ -673,7 +673,7 @@ def test_plan_document_in_the_version_1_layout_exits_5(tmp_path, capsys, layout)
         doc["version"] = 1
         doc["tree"]["cuts"] = _version_1_cuts(plan.root)
         inner_doc["cuts"] = _version_1_cuts(inner_node)
-        inner_doc["fragment"] = _version_1_fragment(inner_node.fragment)
+        inner_doc["fragment"] = _version_1_fragment(inner_node)
     elif layout == "cuts-on-root":
         doc["tree"]["cuts"] = _version_1_cuts(plan.root)
     elif layout == "cuts-on-inner-split":
@@ -681,7 +681,7 @@ def test_plan_document_in_the_version_1_layout_exits_5(tmp_path, capsys, layout)
     elif layout == "cuts-on-leaf":
         leaf_doc["cuts"] = []
     else:
-        inner_doc["fragment"] = _version_1_fragment(inner_node.fragment)
+        inner_doc["fragment"] = _version_1_fragment(inner_node)
     path.write_text(json.dumps(doc))
     message = ("unsupported plan document version" if layout == "version-1"
                else "is not the one its parent's partition derives")

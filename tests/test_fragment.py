@@ -70,6 +70,20 @@ def test_cut_points_reject_one_sided():
         single_cut_plan(FIG1, [0, 0, 0, 0])
 
 
+@pytest.mark.parametrize("pv, message", [
+    ([0, 0, 1], "partition length 3 != two-qubit gate count 4"),
+    ([0, 0, 2, 1], "partition bits must be the integers 0 and 1"),
+    ([1, 1, 1, 1], "partition is one-sided"),
+])
+def test_refused_partition_takes_no_ids(pv, message):
+    # the planner and the plan reader number every split from one pair of
+    # counters, which only a split that succeeds advances
+    ids = {"fragment": 5, "cut": 3}
+    with pytest.raises(PlanError, match=message):
+        _split(Fragment(0, FIG1, qubit_map=tuple(range(FIG1.width))), pv, ids)
+    assert ids == {"fragment": 5, "cut": 3}
+
+
 def test_fig1_fragments_are_two_three_qubit_circuits():
     frags = single_cut_plan(FIG1, [0, 0, 1, 1]).leaf_fragments()
     assert sorted(f.width for f in frags) == [3, 3]
@@ -172,7 +186,7 @@ def test_property_split_gates_equal_checked_gates(c, split_seed):
     # _split relabels gates without Gate's checks; each must still be the
     # gate that Gate would build, down to is_measurement, at every level
     rng = random.Random(split_seed)
-    frags, next_id, next_cut = [Fragment(0, c, qubit_map=tuple(range(c.width)))], 1, 0
+    frags, ids = [Fragment(0, c, qubit_map=tuple(range(c.width)))], {"fragment": 1, "cut": 0}
     for _ in range(3):
         children = []
         for frag in frags:
@@ -182,9 +196,7 @@ def test_property_split_gates_equal_checked_gates(c, split_seed):
             pv = [rng.randrange(2) for _ in range(n)]
             if len(set(pv)) == 1:
                 pv[-1] ^= 1
-            node = _split(frag, 0.0, pv, next_cut, (next_id, next_id + 1))
-            next_id, next_cut = next_id + 2, next_cut + len(node.cut)
-            children += [child.fragment for child in node.children]
+            children += _split(frag, pv, ids)[1]
         for frag in children:
             for g in frag.circuit.gates:
                 checked = Gate(g.name, g.qubits, g.params)
@@ -197,7 +209,7 @@ def test_recursive_threshold_zero_is_single_leaf():
     plan = recursive_fragment(FIG1, QUIET, threshold=0.0)
     assert len(plan.leaf_fragments()) == 1
     assert plan.k == 0
-    assert plan.leaves()[0].status == "ok"
+    assert plan.leaf_fragments()[0].status == "ok"
 
 
 def test_recursive_single_split_synthetic_profile():
@@ -207,16 +219,16 @@ def test_recursive_single_split_synthetic_profile():
     plan = recursive_fragment(FIG1, prof, threshold=0.7, seed=5)
     assert plan.root.status == "split"
     assert len(plan.leaf_fragments()) == 2
-    assert all(n.status == "ok" for n in plan.leaves())
+    assert all(f.status == "ok" for f in plan.leaf_fragments())
     assert plan.root.success == pytest.approx(0.6, abs=1e-9)
-    assert all(n.success == pytest.approx(0.6 ** 0.5, abs=1e-9) for n in plan.leaves())
+    assert all(f.success == pytest.approx(0.6 ** 0.5, abs=1e-9) for f in plan.leaf_fragments())
 
 
 def test_recursive_threshold_one_reaches_unsplittable_leaves():
     prof = NoiseProfile(p1=0.001, p2=0.01)
     plan = recursive_fragment(FIG1, prof, threshold=1.0, seed=5)
-    assert all(n.status == "unsplittable-gates" for n in plan.leaves())
-    assert all(len(n.fragment.circuit.two_qubit_indices()) < 2 for n in plan.leaves())
+    assert all(f.status == "unsplittable-gates" for f in plan.leaf_fragments())
+    assert all(len(f.circuit.two_qubit_indices()) < 2 for f in plan.leaf_fragments())
 
 
 def test_recursive_respects_max_k_budget():
@@ -228,7 +240,7 @@ def test_recursive_respects_max_k_budget():
 def test_recursive_respects_max_depth():
     prof = NoiseProfile(p1=0.001, p2=0.01)
     plan = recursive_fragment(FIG1, prof, threshold=1.0, seed=5, limits=Limits(max_depth=1))
-    statuses = {n.status for n in plan.leaves()}
+    statuses = {f.status for f in plan.leaf_fragments()}
     assert "unsplittable-depth" in statuses or "unsplittable-gates" in statuses
     # depth 1 allows exactly one split
     assert len(plan.leaf_fragments()) <= 2
@@ -314,6 +326,9 @@ def test_property_plan_document_round_trip(
     text = _document_bytes(plan_to_dict(plan))
     again = plan_from_dict(json.loads(text))
     assert _document_bytes(plan_to_dict(again)) == text
+    # node for node, the reader rebuilds the planner's tree: ids, statuses,
+    # successes, partitions, cuts, and the fragments the document omits
+    assert again.root == plan.root
     want = reconstruct(execute_plan(plan), plan)
     got = reconstruct(execute_plan(again), again)
     assert _document_bytes(got.to_dict()) == _document_bytes(want.to_dict())
@@ -330,11 +345,10 @@ def test_plan_documents_match_their_golden_hash():
         "e0683f27c99820a40d9efc5a89f84d6c06dad3e8830b0afd0f53b8b00627b449")
 
 
-def _rebuilt_nodes(node):
-    """Every node under ``node``, depth first, as a document of its own:
-    fragment, cuts, status, success and partition, whatever the plan
+def _rebuilt_nodes(f):
+    """Every node under fragment ``f``, depth first, as a document of its
+    own: fragment, cuts, status, success and partition, whatever the plan
     document stores of it."""
-    f = node.fragment
     yield {
         "fragment": {
             "id": f.id,
@@ -344,13 +358,13 @@ def _rebuilt_nodes(node):
             "circuit": [f.circuit.name, f.circuit.width,
                         [[g.name, list(g.qubits), list(g.params)] for g in f.circuit.gates]],
         },
-        "cuts": None if node.cut is None else [
-            [cp.qubit, cp.upstream_gate, cp.downstream_gate, cp.cut_id] for cp in node.cut],
-        "status": node.status,
-        "success": node.success,
-        "partition": node.partition,
+        "cuts": None if f.cut is None else [
+            [cp.qubit, cp.upstream_gate, cp.downstream_gate, cp.cut_id] for cp in f.cut],
+        "status": f.status,
+        "success": f.success,
+        "partition": f.partition,
     }
-    for child in node.children:
+    for child in f.children:
         yield from _rebuilt_nodes(child)
 
 

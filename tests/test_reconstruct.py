@@ -24,7 +24,6 @@ from wirecut.fragment import (
     Fragment,
     FragmentPlan,
     Limits,
-    PlanNode,
     enumerate_variants,
     recursive_fragment,
 )
@@ -156,8 +155,8 @@ def test_missing_fragment_is_an_error():
 def test_layout_mismatch_is_an_error():
     plan = exact_plan(GHZ3, [0, 1])
     outputs = execute_plan(plan)
-    for node in plan.leaves():
-        node.fragment.qubit_map = tuple(0 for _ in node.fragment.qubit_map)
+    for leaf in plan.leaf_fragments():
+        leaf.qubit_map = tuple(0 for _ in leaf.qubit_map)
     with pytest.raises(ReconstructionError, match="tile"):
         reconstruct(outputs, plan)
 
@@ -261,8 +260,7 @@ def cut_leaves(draw):
 
 
 def leaf_plan(leaf):
-    node = PlanNode(fragment=leaf, success=1.0, status="ok")
-    return FragmentPlan(width=leaf.width, threshold=1.0, root=node, limits=Limits(),
+    return FragmentPlan(width=leaf.width, threshold=1.0, root=leaf, limits=Limits(),
                         seed=0, solver="ga")
 
 

@@ -207,6 +207,7 @@ _EXECUTORS = (lambda c, preps, readouts: run_noisy_variants(c, NoiseProfile(), p
     ([], [(-1, ((),))], "readout entry 0 is on qubit -1"),
     ([], [(1, ((),)), (0, ((),)), (1, (("h",),))], "readout entry 2 repeats qubit 1"),
     ([(1, ())], [], "prep entry 0 on qubit 1 has no options"),
+    ([(True, ((), ("x",)))], [], "prep entry 0 is on qubit True, not one of the circuit's 2"),
 ])
 def test_noisy_variants_refuse_bad_entries(preps, readouts, message):
     for execute in _EXECUTORS:
