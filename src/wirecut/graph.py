@@ -13,7 +13,10 @@ weight is the number of shared wires (1 or 2).
 A ``GateGraph`` is four tuples. The solvers read two: ``weights``, one per
 vertex in gate order, normalized to sum to 1 so downstream cost functions
 are scale free, and ``edges``, sorted ``(u, v, w)`` triples with u < v.
-Only ``serialize_graph`` reads the other two: ``gates``, each vertex's gate
+Both solvers assume what the constructor checks, raising ``GraphError``
+otherwise: every vertex weight is finite and positive, and the edges are
+sorted, unique triples with 0 <= u < v < n and an integer w >= 1. Only
+``serialize_graph`` reads the other two: ``gates``, each vertex's gate
 index, and ``segments``, per edge its ``(qubit, upstream gate, downstream
 gate)`` wire segments. Both default to empty, so a graph made by hand needs
 only what the solvers read.
@@ -33,7 +36,12 @@ WEIGHT_FLOOR = 1e-12  # keeps 1/weight finite for error-free segments
 
 
 class GraphError(ValueError):
-    """Raised when a circuit admits no gate graph."""
+    """Raised when a circuit admits no gate graph, or a graph breaks the
+    solvers' assumptions."""
+
+
+def _is_count(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
 
 
 @dataclass(frozen=True)
@@ -42,6 +50,26 @@ class GateGraph:
     edges: tuple[tuple[int, int, int], ...]
     gates: tuple[int, ...] = ()
     segments: tuple[tuple[tuple[int, int, int], ...], ...] = ()
+
+    def __post_init__(self):
+        # what both solvers assume: the descent's cut gains are exact only
+        # for integer edge weights, a repeated edge would couple the Ising
+        # model by -w^2/2 per copy rather than by its merged weight, and
+        # Ising couplings are keyed by u < v
+        for w in self.weights:
+            number = isinstance(w, float) or _is_count(w)
+            if not (number and math.isfinite(w) and w > 0):
+                raise GraphError(f"vertex weight {w!r} is not finite and positive")
+        prev = (-1, -1)
+        for edge in self.edges:
+            u, v, w = edge
+            if not (_is_count(u) and _is_count(v) and 0 <= u < v < self.n):
+                raise GraphError(f"edge {edge!r} must satisfy 0 <= u < v < n")
+            if (u, v) <= prev:
+                raise GraphError(f"edge {edge!r} repeats or is out of order")
+            if not (_is_count(w) and w >= 1):
+                raise GraphError(f"edge {edge!r} needs an integer weight of at least 1")
+            prev = (u, v)
 
     @property
     def n(self) -> int:

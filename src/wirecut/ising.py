@@ -13,8 +13,12 @@ and fully deterministic per seed. Each call seeds one ``random.Random``
 al. (Comput. Phys. Commun. 192, 2015), each chain draws the uniforms for a
 fixed-size block of proposals at once, and numpy turns them into sites and
 Metropolis thresholds. The chain then decides every proposal exactly as a
-scalar loop over Python lists would. Two shortcuts make it faster without
-changing a decision or a bit of the result:
+scalar loop over Python lists would. The chain's spins are the floats
++1.0 and -1.0, and it returns them as ints: the product s_i*f_i of an int
+spin and a float field first turns the int into the same float, so float
+spins give the same bits and save about a third of a rejected proposal's
+cost. Two shortcuts make it faster without changing a decision or a bit of
+the result:
 
 - On every model the local fields live in one ``array('d')``, and an
   accepted flip adds its row of the dense n-by-n 2*J (8n^2 bytes) in one
@@ -36,7 +40,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import GateGraph
+from .graph import GateGraph, _is_count
 
 __all__ = [
     "IsingModel",
@@ -48,10 +52,6 @@ __all__ = [
     "simulated_anneal",
     "spins_to_partition",
 ]
-
-
-def _is_count(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
 
 
 @dataclass(frozen=True)
@@ -166,6 +166,7 @@ def _metropolis(sites, cutoffs, spins, fields, rows, view, e, best_e, best):
     ``rows[i]``, on ``view``, the numpy view of ``fields``.
     """
     accepted = 0
+    subtract, add = np.subtract, np.add
     for i, cutoff in zip(sites, cutoffs):
         si = spins[i]
         x = si * fields[i]
@@ -174,9 +175,9 @@ def _metropolis(sites, cutoffs, spins, fields, rows, view, e, best_e, best):
         accepted += 1
         spins[i] = -si
         if si > 0:
-            np.subtract(view, rows[i], view)
+            subtract(view, rows[i], view)
         else:
-            np.add(view, rows[i], view)
+            add(view, rows[i], view)
         e -= 2.0 * x
         if e < best_e:
             best_e = e
@@ -214,7 +215,7 @@ def _chain(h, rows, temps, rng: random.Random) -> list[int]:
     numpy view, and ``_next_accept`` skips the rejected proposals.
     """
     n = len(h)
-    spins = [1 if rng.random() < 0.5 else -1 for _ in range(n)]
+    spins = [1.0 if rng.random() < 0.5 else -1.0 for _ in range(n)]
     # local fields f_i = h_i + sum_j J_ij s_j give O(1) flip deltas; adding
     # the rows in ascending order repeats the neighbour-list sums' additions
     fields = array("d", h)
@@ -226,6 +227,7 @@ def _chain(h, rows, temps, rng: random.Random) -> list[int]:
     best_e = 0.0
     best = spins[:]
 
+    half = 0.5 * temps
     total = len(temps) * n
     for start in range(0, total, _BLOCK):
         size = min(_BLOCK, total - start)
@@ -235,8 +237,12 @@ def _chain(h, rows, temps, rng: random.Random) -> list[int]:
         scaled = (np.frombuffer(rng.randbytes(8 * size), "<u8") >> 11) * (n * _INV53)
         sites = scaled.astype(np.intp)
         # flipping s_i changes the energy by -2*s_i*f_i; Metropolis accepts
-        # when that is at most -T*ln(1 - u), i.e. s_i*f_i >= T*ln(1 - u)/2
-        cutoffs = 0.5 * temps[np.arange(start, start + size) // n] * np.log1p(sites - scaled)
+        # when that is at most -T*ln(1 - u), i.e. s_i*f_i >= T*ln(1 - u)/2;
+        # T/2 repeats once per proposal of its sweep
+        first, offset = divmod(start, n)
+        last = (start + size - 1) // n
+        half_t = np.repeat(half[first:last + 1], n)[offset:offset + size]
+        cutoffs = half_t * np.log1p(sites - scaled)
         pos = 0
         while xs is None and pos < size:
             end = min(pos + _WINDOW, size)
@@ -244,8 +250,8 @@ def _chain(h, rows, temps, rng: random.Random) -> list[int]:
                 sites[pos:end].tolist(), cutoffs[pos:end].tolist(), spins, fields, rows, view,
                 e, best_e, best)
             if accepted * _COLD < end - pos:  # cold for the rest of the chain
-                spins = array("b", spins)
-                spin_view = np.frombuffer(spins, np.int8)
+                spins = array("d", spins)
+                spin_view = np.frombuffer(spins)
                 xs = spin_view * view
             pos = end
         if xs is None:
@@ -256,7 +262,7 @@ def _chain(h, rows, temps, rng: random.Random) -> list[int]:
                 best_e, best)
             np.multiply(spin_view, view, xs)
             pos += 1
-    return list(best)
+    return [int(s) for s in best]
 
 
 def simulated_anneal(

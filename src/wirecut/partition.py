@@ -20,7 +20,9 @@ non-increasing by construction.
 The descent is fast and still exact. It keeps each vertex's cut gain, the
 change of the cut size if that vertex flips, and after a flip updates only
 the flipped vertex and its neighbours (the gain bookkeeping of Fiduccia and
-Mattheyses, DAC 1982). Edge weights are integers, so ``cut + gain`` is the
+Mattheyses, DAC 1982). Edge weights are integers (``GateGraph`` refuses
+others). The descent holds them, the gains and the cut as floats, and
+integers below 2**53 are exact as floats, so ``cut + gain`` is the
 re-summed cut exactly, and each candidate's cost is the same float
 expression over the same side weight as a descent that re-sums. The descent
 is a pure function of its input vector, so its results are memoised for
@@ -107,10 +109,12 @@ class _Scorer:
         self.n = g.n
         self.weights = g.weights
         self.total = sum(self.weights)
-        self.adj: list[list[tuple[int, int]]] = [[] for _ in range(g.n)]
+        # float edge weights keep the descent in float arithmetic; its sums
+        # are integers below 2**53, so they stay exact
+        self.adj: list[list[tuple[int, float]]] = [[] for _ in range(g.n)]
         for u, v, w in g.edges:
-            self.adj[u].append((v, w))
-            self.adj[v].append((u, w))
+            self.adj[u].append((v, float(w)))
+            self.adj[v].append((u, float(w)))
         # input vector -> (refined vector, cost), this generation's and the last
         self.memo: dict[bytes, tuple[bytes, float]] = {}
         self.older: dict[bytes, tuple[bytes, float]] = {}
@@ -136,13 +140,13 @@ class _Scorer:
 
     def _descend(self, pv: list[int]) -> float:
         n, adj, weights, total = self.n, self.adj, self.weights, self.total
-        gain = [0] * n  # change of the cut size if vertex i flips
-        cross = 0  # twice the cut size
+        gain = [0.0] * n  # change of the cut size if vertex i flips
+        cross = 0.0  # twice the cut size
         w1 = 0.0
         n1 = 0
         for i in range(n):
             side = pv[i]
-            d = 0
+            d = 0.0
             for j, w in adj[i]:
                 if pv[j] == side:
                     d += w
@@ -153,7 +157,7 @@ class _Scorer:
             if side:
                 n1 += 1
                 w1 += weights[i]
-        cut = cross // 2
+        cut = cross * 0.5
         # emptiness is judged on the integer count: the float accumulator can
         # leave a tiny residue that would make a one-sided vector look proper
         cost = INFEASIBLE if n1 == 0 or n1 == n else cut * (1.0 / (total - w1) + 1.0 / w1)
@@ -180,9 +184,9 @@ class _Scorer:
                     gain[i] = -gain[i]
                     for j, w in adj[i]:
                         if pv[j] == side:
-                            gain[j] -= 2 * w
+                            gain[j] -= 2.0 * w
                         else:
-                            gain[j] += 2 * w
+                            gain[j] += 2.0 * w
                     improved = True
         return cost
 

@@ -8,7 +8,7 @@ import pytest
 from helpers import random_circuit
 from wirecut.circuit import parse_qasm
 from wirecut.fixtures import CIRCUIT_FIXTURES, PROFILE_FIXTURES, circuit_fixture, profile_fixture
-from wirecut.graph import GraphError, build_graph, serialize_graph
+from wirecut.graph import GateGraph, GraphError, build_graph, serialize_graph
 from wirecut.noise import NoiseProfile
 
 HEADER = 'OPENQASM 2.0;\ninclude "qelib1.inc";\n'
@@ -148,6 +148,29 @@ def test_single_vertex_graph_document():
     assert g.n == 1 and g.edges == ()
     assert_document_holds_graph(serialize_graph(g), g)
 
+
+
+@pytest.mark.parametrize("weights, edges", [
+    pytest.param((0.3, 0.3, 0.4), ((1, 2, 1), (0, 1, 1)), id="unsorted-edges"),
+    pytest.param((0.5, 0.5), ((0, 1, 1), (0, 1, 1)), id="duplicate-edge"),
+    pytest.param((0.5, 0.5), ((0, 1, 1), (0, 1, 2)), id="duplicate-pair"),
+    pytest.param((0.5, 0.5), ((1, 0, 1),), id="reversed-edge"),
+    pytest.param((0.5, 0.5), ((0, 0, 1),), id="self-loop"),
+    pytest.param((0.5, 0.5), ((0, 2, 1),), id="vertex-out-of-range"),
+    pytest.param((0.5, 0.5), ((-1, 1, 1),), id="negative-vertex"),
+    pytest.param((0.5, 0.5), ((0, 1, 1.5),), id="fractional-edge-weight"),
+    pytest.param((0.5, 0.5), ((0, 1, 1.0),), id="float-edge-weight"),
+    pytest.param((0.5, 0.5), ((0, 1, 0),), id="zero-edge-weight"),
+    pytest.param((0.5, 0.5), ((0, 1, True),), id="bool-edge-weight"),
+    pytest.param((0.5, 0.0), ((0, 1, 1),), id="zero-vertex-weight"),
+    pytest.param((1.5, -0.5), ((0, 1, 1),), id="negative-vertex-weight"),
+    pytest.param((0.5, math.inf), ((0, 1, 1),), id="infinite-vertex-weight"),
+    pytest.param((0.5, math.nan), ((0, 1, 1),), id="nan-vertex-weight"),
+    pytest.param((0.5, True), ((0, 1, 1),), id="bool-vertex-weight"),
+])
+def test_graph_refuses_what_the_solvers_do_not_assume(weights, edges):
+    with pytest.raises(GraphError):
+        GateGraph(weights=weights, edges=edges)
 
 
 def test_graph_documents_match_their_golden_hash():

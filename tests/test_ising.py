@@ -286,6 +286,8 @@ def _assert_matches_reference(m, schedule, seed, restarts):
     res = simulated_anneal(m, schedule, seed=seed, restarts=restarts)
     spins, e = reference_anneal(m, schedule, seed=seed, restarts=restarts)
     assert res.spins == spins
+    # [1.0, -1.0] == [1, -1]: equal values would hide float spins
+    assert [type(s) for s in res.spins] == [type(s) for s in spins]
     assert res.energy.hex() == e.hex()
 
 
@@ -357,3 +359,10 @@ def test_cold_anneal_looks_ahead_from_inside_a_block(chain_paths, density):
     _assert_matches_reference(m, default_schedule(m, sweeps=2000), seed=8, restarts=1)
     assert chain_paths["hits"] > 0
     assert chain_paths["looks"][0] % ising._BLOCK != 0
+
+
+def test_empty_model_matches_the_reference():
+    # with the hot and cold tests above, every path's spins are compared
+    # with the reference's ints, types included
+    m = IsingModel(n=0, h=(), j={}, offset=0.5)
+    _assert_matches_reference(m, AnnealSchedule(1.0, 1.0, 1), seed=0, restarts=1)
