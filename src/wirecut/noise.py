@@ -67,7 +67,7 @@ class NoiseProfile:
         cal = self.gates.get((g.name, g.qubits))
         if cal is not None:
             return cal.error
-        return self.p2 if g.is_two_qubit else self.p1
+        return self.p2 if len(g.qubits) == 2 else self.p1
 
     def gate_duration(self, g: Gate) -> float:
         if g.is_measurement:
@@ -75,7 +75,7 @@ class NoiseProfile:
         cal = self.gates.get((g.name, g.qubits))
         if cal is not None:
             return cal.duration_ns
-        return self.d2_ns if g.is_two_qubit else self.d1_ns
+        return self.d2_ns if len(g.qubits) == 2 else self.d1_ns
 
     def t1_us(self, q: int) -> float:
         cal = self.qubits.get(q)

@@ -35,22 +35,30 @@ PTM is Tr(B_i U B_j U^dag), the Pauli error's is diag(1, d, d, d) with d =
 channel is the Kronecker product over its operand axes. Each gate's
 damping, unitary and Pauli error are multiplied into one PTM (4x4, or
 16x16 on the two operand axes): ``_gate_channel`` then ``_idle``.
-``_steps`` multiplies each qubit's run of one-qubit channels into the next
-two-qubit channel on that qubit, so most gates cost no ``_apply`` of their
-own, and ``_evolve`` applies the products. The tests check the closed
+``_structure`` multiplies each qubit's run of one-qubit channels into the
+next two-qubit channel on that qubit, so most gates cost no ``_apply`` of
+their own, and ``_evolve`` applies the products. The tests check the closed
 forms against Kraus channels built independently in ``tests/oracles.py``,
 and the evolution against a full-matrix reference.
 
-Caches: ``_gate_channel`` by gate name, angles and error, ``_unitaries``
-and ``_named`` by gate names and ``_orders`` by shapes, each for the
-process and its arrays read-only; ``_fuser``'s per call, by gate index.
+Caches: ``_gate_channel`` by gate name, angles and error;
+``_damping_superop`` by idle time, T1 and T2; ``_idle`` by a two-qubit
+gate's operand gaps, T1s and T2s; ``_chain`` (an option's prepared state
+and readout rows) by gate names and errors; ``_unitaries`` by gate names,
+``_named`` by gate names and qubit, and ``_orders`` by shapes. Each lives
+for the process, its arrays read-only, and each but ``_orders``, whose keys
+the width caps bound, holds a bounded number of entries. ``_fuser``'s lives
+for one call, keyed by application index and gaps.
 
 ``run_noisy_variants`` gives every variant in one pass; ``run_noisy``,
 direct execution of one circuit, is its case with no variants. Variants whose
-prepended gates take the same durations form a schedule group; the
-prepared states of every group lie on one batch axis of rho, and the body
-evolves once over it, each application taking one matrix where the groups
-agree and a per-entry stack where they do not. Every readout combination
+prepended gates take the same durations form a schedule group. Which
+applications act on which qubits follows from the circuit alone
+(``_structure``, once per call); a group's clocks set only each two-qubit
+application's idle gaps (``_clocks``, once per group). The prepared states
+of every group lie on one batch axis of rho, and the body evolves once
+over it, each application taking one matrix where the groups' gaps agree
+and a per-entry stack where they do not. Every readout combination
 of every entry is then read in one contraction, one batched matmul per
 qubit. ``density_matrix`` is the tests' full-matrix view of the same fused
 evolution: one group, with the end-of-schedule damping applied to rho
@@ -204,9 +212,9 @@ def run_ideal(c: Circuit, preps=None, readouts=None) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=256)
-def _named(names: tuple[str, ...]) -> tuple[Gate, ...]:
-    """An option's named one-qubit gates, each checked as a ``Gate`` on qubit 0."""
-    return tuple(Gate(name, (0,)) for name in names)
+def _named(names: tuple[str, ...], q: int = 0) -> tuple[Gate, ...]:
+    """An option's named one-qubit gates, each checked as a ``Gate`` on qubit ``q``."""
+    return tuple(Gate(name, (q,)) for name in names)
 
 
 @functools.lru_cache(maxsize=256)
@@ -306,6 +314,7 @@ def _decay(tau: float, t1: float) -> float:
     return 0.0 if math.isinf(t1) else -math.expm1(-tau / t1)
 
 
+@functools.lru_cache(maxsize=1024)
 def _damping_superop(tau: float, t1: float, t2: float) -> np.ndarray:
     """Amplitude then phase damping over ``tau`` ns, T1 and T2 in ns, as
     their transfer matrix: X and Y shrink by c, and Z relaxes toward +1 by
@@ -313,7 +322,7 @@ def _damping_superop(tau: float, t1: float, t2: float) -> np.ndarray:
 
     An infinite T1 skips amplitude damping; pure dephasing runs at rate
     1/T2 - 1/(2 T1) and is skipped when T2 is infinite or that rate is not
-    positive.
+    positive. Cached by value for the process, so read-only.
     """
     lam = _decay(tau, t1)
     lam_phi = 0.0
@@ -322,7 +331,9 @@ def _damping_superop(tau: float, t1: float, t2: float) -> np.ndarray:
         if inv_phi > 0:
             lam_phi = -math.expm1(-tau * inv_phi)
     c = math.sqrt(1.0 - lam) * math.sqrt(1.0 - lam_phi)
-    return np.array([[1, 0, 0, 0], [0, c, 0, 0], [0, 0, c, 0], [lam, 0, 0, 1.0 - lam]])
+    s = np.array([[1, 0, 0, 0], [0, c, 0, 0], [0, 0, c, 0], [lam, 0, 0, 1.0 - lam]])
+    s.flags.writeable = False
+    return s
 
 
 @functools.lru_cache(maxsize=1024)
@@ -339,13 +350,15 @@ def _gate_channel(name: str, params: tuple[float, ...], err: float) -> np.ndarra
     return s
 
 
-def _idle(qubits, gaps, t1, t2) -> np.ndarray:
-    """Damping of a two-qubit gate's operands over their idle gaps
-    (``gaps``, in operand order), on the operands' axes; a one-qubit gate
-    starts when its qubit is free, so it has none. ``t1`` and ``t2`` give
-    each qubit's times in ns."""
-    return _kron(*[_damping_superop(gap, t1[q], t2[q]) if gap > 0 else _I4
-                   for q, gap in zip(qubits, gaps)])
+@functools.lru_cache(maxsize=1024)
+def _idle(gaps: tuple[float, float], t1: tuple[float, float], t2: tuple[float, float]) -> np.ndarray:
+    """Damping of a two-qubit gate's operands over their idle gaps, on the
+    operands' axes: ``gaps``, ``t1`` and ``t2`` give each operand's, in
+    operand order and in ns. A one-qubit gate starts when its qubit is free,
+    so it has none. Cached by value for the process, so read-only."""
+    s = _kron(*[_damping_superop(gap, a, b) if gap > 0 else _I4 for gap, a, b in zip(gaps, t1, t2)])
+    s.flags.writeable = False
+    return s
 
 
 def _check_density_width(n: int):
@@ -359,89 +372,117 @@ def _coherence_ns(p: NoiseProfile, n: int) -> tuple[list[float], list[float]]:
     return [p.t1_us(q) * 1000.0 for q in range(n)], [p.t2_us(q) * 1000.0 for q in range(n)]
 
 
-def _steps(c: Circuit, durations, free: list[float]) -> list:
-    """The superoperator applications that evolve ``c`` on the ASAP schedule
-    whose qubit clocks start at ``free`` (``asap_schedule``'s arithmetic, on
-    the gates' ``durations``), as ``(qubits, key)`` in order. ``free`` is
-    advanced to the end of each qubit's last gate.
+def _structure(c: Circuit) -> list:
+    """The superoperator applications that evolve ``c``, in order, as
+    ``(qubits, gate, runs)``: all that follows from ``c`` alone.
 
     One-qubit gates get no application of their own. Each qubit's run of
-    them is multiplied into the next two-qubit channel on that qubit, as
-    ``s2 @ kron(run_a, run_b)``, and a run that no two-qubit gate follows is
-    applied once at the end, qubit by qubit. Channels on other qubits
-    commute with a run, so this is the same map, rounded differently. A key
-    names its members as ``(gate index, gaps)``: ``(run_a, run_b, last)``
-    for a two-qubit application, the run itself for a one-qubit one. The
-    qubits of every application follow from ``c`` alone; only the gaps, and
-    so the keys, depend on ``free``."""
-    pending: list[list] = [[] for _ in range(c.width)]  # per qubit, its run's (gate, gaps)
-    steps = []
+    them, as gate indices, is multiplied into the next two-qubit channel on
+    that qubit, gate index ``gate``, as ``s2 @ kron(run_a, run_b)``: ``runs``
+    holds one run per operand. A run that no two-qubit gate follows is
+    applied once at the end, qubit by qubit, with ``gate`` None. Channels on
+    other qubits commute with a run, so this is the same map, rounded
+    differently."""
+    pending: list[list[int]] = [[] for _ in range(c.width)]  # per qubit, its run
+    apps = []
     for gi, g in enumerate(c.gates):
         if g.is_measurement:
             continue
-        if len(g.qubits) == 1:  # starts when its qubit is free: no gap
-            q = g.qubits[0]
-            pending[q].append((gi, (0.0,)))
-            free[q] = free[q] + durations[gi]
+        if len(g.qubits) == 1:
+            pending[g.qubits[0]].append(gi)
             continue
         a, b = g.qubits
-        start = max(free[a], free[b])
-        steps.append((g.qubits, (tuple(pending[a]), tuple(pending[b]),
-                                 (gi, (start - free[a], start - free[b])))))
+        apps.append((g.qubits, gi, (tuple(pending[a]), tuple(pending[b]))))
         pending[a], pending[b] = [], []
+    apps += [((q,), None, (tuple(run),)) for q, run in enumerate(pending) if run]
+    return apps
+
+
+def _clocks(apps: list, durations, free: list[float]) -> list[tuple[float, float]]:
+    """The idle gaps of ``_structure``'s two-qubit applications ``apps``, a
+    pair in operand order for each, on the ASAP schedule whose qubit clocks
+    start at ``free``: ``asap_schedule``'s arithmetic on the gates'
+    ``durations``, in its order. ``free`` is advanced to the end of each
+    qubit's last gate. A one-qubit gate starts when its qubit is free, so
+    only these gaps depend on the clocks."""
+    gaps = []
+    for qubits, gi, runs in apps:
+        if gi is None:  # a trailing run
+            q, = qubits
+            clock = free[q]
+            for r in runs[0]:
+                clock = clock + durations[r]
+            free[q] = clock
+            continue
+        (a, b), (run_a, run_b) = qubits, runs
+        clock_a, clock_b = free[a], free[b]
+        for r in run_a:
+            clock_a = clock_a + durations[r]
+        for r in run_b:
+            clock_b = clock_b + durations[r]
+        start = max(clock_a, clock_b)
+        gaps.append((start - clock_a, start - clock_b))
         free[a] = free[b] = start + durations[gi]
-    steps += [((q,), tuple(members)) for q, members in enumerate(pending) if members]
-    return steps
+    return gaps
 
 
-def _fuser(c: Circuit, p: NoiseProfile, t1, t2):
-    """The matrix of one of ``_steps``' applications of ``c``, by its qubits
-    and key: damping over each member's gaps, then its ``_gate_channel``,
-    multiplied in the order they act. Each is built once per key, which
-    names ``c``'s gates by index, so this cache lives for one call."""
+def _fuser(c: Circuit, p: NoiseProfile, apps: list, t1, t2):
+    """The matrix of ``_structure``'s application ``k`` of ``c`` for its
+    ``_clocks`` gaps (``()`` for a trailing run): the product of its runs'
+    ``_gate_channel``s, then damping over the gaps, then the two-qubit
+    gate's channel, multiplied in the order they act. The runs' product is
+    built once per application and each matrix once per (application,
+    gaps), which name ``c``'s applications by index, so this cache lives for
+    one call."""
     cores = [None if g.is_measurement else _gate_channel(g.name, g.params, p.gate_error(g))
              for g in c.gates]
+    runs: dict = {}
     superops: dict = {}
-
-    def fused(gi: int, gaps) -> np.ndarray:
-        core = cores[gi]
-        return core @ _idle(c.gates[gi].qubits, gaps, t1, t2) if any(gaps) else core
 
     def run(members) -> np.ndarray:
         s = _I4
-        for gi, gaps in members:
-            m = fused(gi, gaps)
-            s = m if s is _I4 else m @ s
+        for gi in members:
+            s = cores[gi] if s is _I4 else cores[gi] @ s
         return s
 
-    def matrix(qubits, key) -> np.ndarray:
-        s = superops.get(key)
+    def matrix(k: int, gaps) -> np.ndarray:
+        s = superops.get((k, gaps))
         if s is None:
-            if len(qubits) == 1:
-                s = run(key)
+            qubits, gi, members = apps[k]
+            if gi is None:
+                s = run(members[0])
             else:
-                run_a, run_b, last = key
-                s = fused(*last)
-                if run_a or run_b:
-                    s = s @ _kron(run(run_a), run(run_b))
-            superops[key] = s
+                s = cores[gi]
+                if any(gaps):
+                    a, b = qubits
+                    s = s @ _idle(gaps, (t1[a], t1[b]), (t2[a], t2[b]))
+                if k not in runs:
+                    runs[k] = _kron(run(members[0]), run(members[1])) if any(members) else None
+                if runs[k] is not None:
+                    s = s @ runs[k]
+            superops[k, gaps] = s
         return s
 
     return matrix
 
 
-def _evolve(rho: np.ndarray, steps: list, group, matrix) -> np.ndarray:
-    """Apply ``_steps``' applications to ``rho``, whose leading axis is a
-    batch and whose other axes are the circuit's qubits. ``steps`` holds one
-    list per schedule group, all with the same qubits in the same order, and
-    ``group`` each batch entry's index into it (``None`` for one group).
-    Where the groups' keys give one matrix it is applied to the whole batch;
-    otherwise each entry gets its group's matrix, from one stack."""
-    for k, (qubits, _) in enumerate(steps[0]):
-        ms = [matrix(qubits, s[k][1]) for s in steps]
-        m = ms[0]
-        if any(other is not m for other in ms):
-            m = np.stack(ms)[group]
+def _evolve(rho: np.ndarray, apps: list, gaps: list, group, matrix) -> np.ndarray:
+    """Apply ``_structure``'s applications ``apps`` to ``rho``, whose
+    leading axis is a batch and whose other axes are the circuit's qubits.
+    ``gaps`` holds one ``_clocks`` list per schedule group, and ``group``
+    each batch entry's index into it (``None`` for one group). Where the
+    groups' gaps agree one matrix is applied to the whole batch; otherwise
+    each entry gets its group's matrix, from one stack."""
+    columns = zip(*gaps)  # per two-qubit application, its gaps in each group
+    for k, (qubits, gi, _) in enumerate(apps):
+        if gi is None:
+            m = matrix(k, ())
+        else:
+            col = next(columns)
+            if col.count(col[0]) == len(col):
+                m = matrix(k, col[0])
+            else:
+                m = np.stack([matrix(k, gap) for gap in col])[group]
         rho = _apply(rho, m, tuple([1 + q for q in qubits]))
     return rho
 
@@ -449,16 +490,16 @@ def _evolve(rho: np.ndarray, steps: list, group, matrix) -> np.ndarray:
 def density_matrix(c: Circuit, p: NoiseProfile) -> np.ndarray:
     """Full density matrix of ``c`` under the gate-error + damping model.
 
-    The channels are fused as ``_steps`` fuses them, so the matrix equals
+    The channels are fused as ``_structure`` fuses them, so the matrix equals
     the gate-by-gate evolution to rounding (within 1e-12 of the full-matrix
     reference in the tests), not bit for bit."""
     _check_density_width(c.width)
     n = c.width
     t1, t2 = _coherence_ns(p, n)
     rho = functools.reduce(np.multiply.outer, [_ZERO] * n, np.ones(1))
-    free = [0.0] * n
-    steps = _steps(c, [p.gate_duration(g) for g in c.gates], free)
-    rho = _evolve(rho, [steps], None, _fuser(c, p, t1, t2))[0]
+    apps, free = _structure(c), [0.0] * n
+    gaps = _clocks(apps, [p.gate_duration(g) for g in c.gates], free)
+    rho = _evolve(rho, apps, [gaps], None, _fuser(c, p, apps, t1, t2))[0]
     makespan = max(free, default=0.0)
     for q in range(n):
         gap = makespan - free[q]
@@ -479,14 +520,31 @@ def run_noisy(c: Circuit, p: NoiseProfile) -> Distribution:
     return Distribution(run_noisy_variants(c, p, (), ()).reshape(-1))
 
 
-def _chain(q: int, names, p: NoiseProfile) -> tuple[np.ndarray, list[float]]:
-    """The channel of the named one-qubit gates run back to back on ``q``,
-    and the gates' durations in order."""
-    gates = [g.relabelled((q,)) for g in _named(tuple(names))]
+@functools.lru_cache(maxsize=256)
+def _chain(names: tuple[str, ...], errors: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The state that the named one-qubit gates, run back to back with these
+    Pauli errors, prepare from |0>, and the readout rows |0><0|, |1><1| read
+    after them: ``(s @ _ZERO, _READ @ s)`` for their channel ``s``. They
+    depend on nothing else, so they are cached by value for the process, and
+    read-only."""
     s = _I4
-    for g in gates:
-        s = _gate_channel(g.name, g.params, p.gate_error(g)) @ s
-    return s, [p.gate_duration(g) for g in gates]
+    for g, err in zip(_named(names), errors):
+        s = _gate_channel(g.name, g.params, err) @ s
+    state, rows = s @ _ZERO, _READ @ s
+    state.flags.writeable = rows.flags.writeable = False
+    return state, rows
+
+
+def _options(q: int, options, p: NoiseProfile) -> list:
+    """Per option of a prep or readout entry on qubit ``q``: its ``_chain``
+    state and rows, and its gates' durations in order."""
+    out = []
+    for names in options:
+        names = tuple(names)
+        gates = _named(names, q)
+        state, rows = _chain(names, tuple([p.gate_error(g) for g in gates]))
+        out.append((state, rows, [p.gate_duration(g) for g in gates]))
+    return out
 
 
 def _end(clock, durations):
@@ -514,29 +572,33 @@ def run_noisy_variants(c: Circuit, p: NoiseProfile, preps, readouts) -> np.ndarr
 
     A prep's gates start a fresh wire at t=0, so only their durations shape
     the body's schedule. Variants whose preps end at the same clocks form a
-    schedule group, and each group's schedule and fused applications are
-    worked out once (``_steps``, with each gate's duration looked up once).
-    Every prepared state of every group then goes on one batch axis of rho,
-    group by group, at most ``max(1, MAX_LEAF_ENTRIES // 4^width)`` at a time,
-    and the body evolves once over it: every group applies the same
-    sequence of channels, and an application whose matrix differs between
-    the groups of a chunk applies each entry's own from a stack. All
-    readout combinations of every entry are then read in one contraction
-    (``_read``), its intermediates within the larger of ``MAX_LEAF_ENTRIES``
-    and the result's entries. Gate channels and option gates come from
-    process-wide caches, ``_gate_channel`` and ``_named``. Probabilities
-    below 1e-14 in magnitude are then zeroed, and negative ones clipped.
+    schedule group. The body's applications are worked out once
+    (``_structure``) and each group's clocks once (``_clocks``, with each
+    gate's duration looked up once), which give each two-qubit
+    application's idle gaps; each fused matrix is built once per
+    application and gaps. Every prepared state of every group then goes on
+    one batch axis of rho, group by group, at most ``max(1,
+    MAX_LEAF_ENTRIES // 4^width)`` at a time, and the body evolves once over
+    it: every group applies the same sequence of channels, and an
+    application whose gaps differ between the groups of a chunk applies
+    each entry's own matrix from a stack. All readout combinations of every
+    entry are then read in one contraction (``_read``), its intermediates
+    within the larger of ``MAX_LEAF_ENTRIES`` and the result's entries.
+    Gate channels, idle damping, option gates and each option's prepared
+    state and readout rows come from process-wide caches keyed by value
+    (``_gate_channel``, ``_idle``, ``_damping_superop``, ``_named`` and
+    ``_chain``). Probabilities below 1e-14 in magnitude are then zeroed,
+    and negative ones clipped.
     """
     n = c.width
     axes = _check_entries(preps, readouts, n, float)
     _check_density_width(n)
     t1, t2 = _coherence_ns(p, n)
     # per prep: each option's prepared one-qubit state and its end clock
-    prepared = [[(s @ _ZERO, _end(0.0, durations))
-                 for s, durations in (_chain(q, names, p) for names in options)]
+    prepared = [[(state, _end(0.0, durations)) for state, _, durations in _options(q, options, p)]
                 for q, options in preps]
-    # per readout: each option's channel and gate durations
-    chains = [[_chain(q, names, p) for names in options]
+    # per readout: each option's readout rows and gate durations
+    chains = [[(rows, durations) for _, rows, durations in _options(q, options, p)]
               for q, options in readouts]
     readout_shape, prep_shape = axes[:len(readouts)], axes[len(readouts):]
     out = np.empty(axes + (1 << n,))
@@ -548,44 +610,50 @@ def run_noisy_variants(c: Circuit, p: NoiseProfile, preps, readouts) -> np.ndarr
         for i, (_, end) in enumerate(states):
             by_end.setdefault(end, []).append(i)
         classes.append(list(by_end.items()))
+    apps = _structure(c)
     durations = [p.gate_duration(g) for g in c.gates]
-    steps, frees, members = [], [], []  # per group; per init, (group, option per prep)
+    gaps, frees, members = [], [], []  # per group; per init, (group, option per prep)
     for group in itertools.product(*classes):
         free = [0.0] * n
         for (q, _), (end, _) in zip(preps, group):
             free[q] = end
-        members += [(len(steps), m) for m in itertools.product(*(ix for _, ix in group))]
-        steps.append(_steps(c, durations, free))
+        members += [(len(gaps), m) for m in itertools.product(*(ix for _, ix in group))]
+        gaps.append(_clocks(apps, durations, free))
         frees.append(free)
-    matrix = _fuser(c, p, t1, t2)
+    matrix = _fuser(c, p, apps, t1, t2)
+    groups = np.array([g for g, _ in members])
+    picks = np.array([m for _, m in members], dtype=np.intp).reshape(len(members), len(preps))
+    cols = np.ravel_multi_index(picks.T, prep_shape).reshape(-1)
+    # per prepped qubit: each init's prepared state, over (init, 4)
+    states = {q: np.array([state for state, _ in prepared[j]])[picks[:, j]]
+              for j, (q, _) in enumerate(preps)}
     chunk = max(1, MAX_LEAF_ENTRIES >> (2 * n))
     limit = max(MAX_LEAF_ENTRIES, out.size)
     for lo in range(0, len(members), chunk):
-        part = members[lo:lo + chunk]
-        first, last = part[0][0], part[-1][0] + 1
-        group = np.array([g - first for g, _ in part])
-        rho = np.ones(len(part))
-        vectors = {q: np.array([prepared[j][m[j]][0] for _, m in part])
-                   for j, (q, _) in enumerate(preps)}
+        part = slice(lo, lo + chunk)
+        group = groups[part]
+        first, last = group[0], group[-1] + 1
+        group = group - first
+        rho = np.ones(len(group))
         for q in range(n):
-            v = vectors.get(q, _ZERO[None])
+            v = states[q][part] if q in states else _ZERO[None]
             rho = rho[..., None] * v.reshape(v.shape[:1] + (1,) * q + (4,))
-        rho = _evolve(rho, steps[first:last], group, matrix)
-        cols = [np.ravel_multi_index(m, prep_shape) for _, m in part]
-        flat[:, cols] = _read(rho, group, frees[first:last], chains, [q for q, _ in readouts],
-                              t1, limit)
-    out[np.abs(out) < 1e-14] = 0.0
-    return np.clip(out, 0.0, None, out=out).reshape(axes + (2,) * n)
+        rho = _evolve(rho, apps, gaps[first:last], group, matrix)
+        _read(rho, group, frees[first:last], chains, [q for q, _ in readouts], t1, limit,
+              flat, cols[part])
+    out[out < 1e-14] = 0.0  # those below 1e-14 in magnitude, and every negative one
+    return out.reshape(axes + (2,) * n)
 
 
-def _read(rho, group, frees, chains, read_qubits, t1, limit: int) -> np.ndarray:
-    """Outcome probabilities of a batch of evolved density matrices (one
-    leading batch axis, Pauli coordinates per qubit) under every readout
-    combination, over (combination, entry, outcome), combinations in C
-    order of the readouts' options.
+def _read(rho, group, frees, chains, read_qubits, t1, limit: int, out, cols):
+    """Write the outcome probabilities of a batch of evolved density
+    matrices (one leading batch axis, Pauli coordinates per qubit) under
+    every readout combination to ``out[:, cols]``: ``out`` is over
+    (combination, entry of the leaf, outcome), combinations in C order of
+    the readouts' options, and ``cols`` gives each batch entry's column.
     ``group`` gives each entry's index into ``frees``, its group's qubit
     clocks at the body's end; readout j is on ``read_qubits[j]`` and
-    ``chains[j]`` holds each of its options' channel and gate durations.
+    ``chains[j]`` holds each of its options' readout rows and gate durations.
 
     Each qubit takes one real 2x4 map per (combination, entry): the readout
     option's PTM, if the qubit is read, then amplitude damping from the
@@ -610,21 +678,21 @@ def _read(rho, group, frees, chains, read_qubits, t1, limit: int) -> np.ndarray:
     table = [_READ]
     index = np.zeros((n, n_combos), dtype=np.intp)
     for j, (q, options) in enumerate(zip(read_qubits, chains)):
-        clocks = np.array([_end(free[:, q], durations) for _, durations in options])
-        ends[q] = clocks[combos[j]].T
+        clock = free[:, q]
+        ends[q] = np.array([_end(clock, durations) for _, durations in options])[combos[j]].T
         index[q] = len(table) + combos[j]
-        table += [_READ @ ch for ch, _ in options]
+        table += [rows for rows, _ in options]
     table = np.array(table)
     gaps = ends.max(axis=0) - ends  # to each combination's makespan
     decay = -np.expm1(-gaps / np.array(t1)[:, None, None])  # 0 where T1 is infinite
-    decay = decay[:, group].transpose(0, 2, 1)[..., None]  # (qubit, combination, entry, 1)
-    res = np.empty((n_combos, batch, 1 << n))
+    decay = decay.transpose(0, 2, 1)[..., None]  # (qubit, combination, group, 1)
     block = max(1, min(n_combos, limit // (batch << (2 * n - 1))))
     for lo in range(0, n_combos, block):
         r, lam = table[index[:, lo:lo + block, None]], decay[:, lo:lo + block]
-        maps = np.stack([r[..., 0, :] + lam * r[..., 1, :], (1.0 - lam) * r[..., 1, :]], axis=-1)
+        # built per group, then taken for each entry
+        maps = np.stack([r[..., 0, :] + lam * r[..., 1, :], (1.0 - lam) * r[..., 1, :]],
+                        axis=-1).take(group, axis=2)
         probs = rho.reshape(1, batch, -1)
         for q in range(n):
             probs = probs.reshape(*probs.shape[:2], 4, -1).swapaxes(2, 3) @ maps[q]
-        res[lo:lo + block] = probs.reshape(len(probs), batch, -1)
-    return res
+        out[lo:lo + block, cols] = probs.reshape(len(probs), batch, -1)

@@ -1,6 +1,8 @@
 """Shared generators for randomized tests, a one-split plan, the noisy
-outcome oracle, and fragment-document rows."""
+outcome oracle, fragment-document rows, and emptying the simulator's
+process caches."""
 import base64
+import importlib
 import random
 
 import numpy as np
@@ -12,6 +14,7 @@ from wirecut.ising import IsingModel
 from wirecut.noise import NoiseProfile
 from wirecut.simulate import density_matrix
 
+SIMULATE_MODULE = importlib.import_module("wirecut.simulate")
 ONE_QUBIT_GATES = ("h", "x", "y", "z", "s", "sdg", "t", "tdg", "rx", "ry", "rz")
 
 
@@ -96,3 +99,12 @@ def packed_rows(rows) -> str:
     """``rows`` as one leaf's entry in a fragments document's ``probs``: the
     base64 text of their little-endian float64 bytes, row-major."""
     return base64.b64encode(np.asarray(rows, dtype="<f8").tobytes()).decode("ascii")
+
+
+def clear_simulation_caches():
+    """Empty every process-wide cache that ``wirecut.simulate`` keeps: each
+    function of the module that has a ``cache_clear``."""
+    caches = [f for f in vars(SIMULATE_MODULE).values() if hasattr(f, "cache_clear")]
+    assert caches, "wirecut.simulate keeps no cache"
+    for f in caches:
+        f.cache_clear()

@@ -13,7 +13,14 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import density_probs, fragment_rows, packed_rows, random_circuit, single_cut_plan
+from helpers import (
+    clear_simulation_caches,
+    density_probs,
+    fragment_rows,
+    packed_rows,
+    random_circuit,
+    single_cut_plan,
+)
 from oracles import dict_fidelity, dict_hellinger, dict_tvd
 from wirecut.circuit import Circuit, Gate, parse_qasm
 from wirecut.fixtures import CIRCUIT_FIXTURES, circuit_fixture, fixture_text
@@ -758,9 +765,10 @@ def test_reconstruction_documents_match_their_golden_hash(read_back_digests):
 
 
 def test_noisy_rows_do_not_depend_on_what_the_process_ran_before():
-    # gate channels are cached for the process by name, angles and error:
-    # the stress rows come out byte-equal after uniform runs add channels of
-    # other errors, and again after the cache is emptied
+    # gate channels, damping, idle pairs and option chains are cached for
+    # the process by value: the stress rows come out byte-equal after
+    # uniform runs add entries of other errors and coherence times, and
+    # again after every cache is emptied
     plans = [recursive_fragment(circuit_fixture(name), STRESS, 0.8, seed=7)
              for name in CIRCUIT_FIXTURES]
 
@@ -771,7 +779,7 @@ def test_noisy_rows_do_not_depend_on_what_the_process_ran_before():
     first = rows(STRESS)
     rows(load_profile(fixture_text("profiles", "uniform")))
     assert rows(STRESS) == first
-    SIMULATE_MODULE._gate_channel.cache_clear()
+    clear_simulation_caches()
     assert rows(STRESS) == first
 
 

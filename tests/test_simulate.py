@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import density_probs, random_circuit
+from helpers import clear_simulation_caches, density_probs, random_circuit
 from oracles import (
     KrausChannel,
     amplitude_damping_channel,
@@ -25,9 +25,10 @@ from wirecut.simulate import (
     Distribution,
     SimulationError,
     _apply,
+    _clocks,
     _damping_superop,
     _pauli_superop,
-    _steps,
+    _structure,
     density_matrix,
     gate_unitary,
     measure_distribution,
@@ -274,9 +275,10 @@ def test_noisy_states_channels_and_readout_are_real(monkeypatch):
 
 
 def test_a_repeated_noisy_run_builds_no_gate_channel(monkeypatch):
-    # gate channels are cached for the process by name, angles and error: a
-    # second run of the same leaf computes no unitary's transfer matrix, and
-    # after the cache is emptied a run computes one per distinct channel
+    # gate channels, damping, idle pairs and option chains are cached for
+    # the process by value: a second run of the same leaf computes no
+    # unitary's transfer matrix, and after every cache is emptied a run
+    # computes one per distinct channel
     profile = NoiseProfile(p1=0.01, p2=0.03, t1_default_us=0.5, t2_default_us=0.4)
     circuit = Circuit(width=3, gates=GHZ3.gates + (Gate("rz", (2,), (0.7,)),))
     preps, readouts = [(0, ((), ("x",), ("h",), ("h", "s")))], [(2, ((), ("h",), ("sdg", "h")))]
@@ -286,7 +288,7 @@ def test_a_repeated_noisy_run_builds_no_gate_channel(monkeypatch):
     monkeypatch.setattr(SIMULATE_MODULE, "_unitary_ptm", lambda u: calls.append(u) or ptm(u))
     assert run_noisy_variants(circuit, profile, preps, readouts).tobytes() == first.tobytes()
     assert calls == []
-    SIMULATE_MODULE._gate_channel.cache_clear()
+    clear_simulation_caches()
     assert run_noisy_variants(circuit, profile, preps, readouts).tobytes() == first.tobytes()
     assert len(calls) == 6  # h, cx, rz(0.7), x, s, sdg
 
@@ -294,18 +296,29 @@ def test_a_repeated_noisy_run_builds_no_gate_channel(monkeypatch):
 @pytest.mark.parametrize("name", [name for name, spec in GATES.items()
                                   if spec.n_params == 0 and spec.unitary is not None])
 def test_shared_gate_matrices_are_read_only(name):
-    # a fixed gate's unitary and every cached channel are shared by all later
+    # a fixed gate's unitary and every cached array are shared by all later
     # calls: an in-place write raises, and later runs are unchanged
     gate = Gate(name, tuple(range(GATES[name].arity)))
     circuit = Circuit(width=2, gates=(Gate("h", (0,)), gate))
-    profile = NoiseProfile(p1=0.01, p2=0.03)
-    ideal, noisy = run_ideal(circuit), run_noisy_variants(circuit, profile, (), ())
-    channel = SIMULATE_MODULE._gate_channel(name, (), profile.gate_error(gate))
-    for shared in (gate_unitary(gate), channel):
+    profile = NoiseProfile(p1=0.01, p2=0.03, t1_default_us=0.5, t2_default_us=0.4)
+    preps, readouts = [(1, ((), ("h", "s")))], [(0, ((), ("sdg", "h")))]
+    ideal = run_ideal(circuit, preps, readouts)
+    noisy = run_noisy_variants(circuit, profile, preps, readouts)
+    shared = [
+        gate_unitary(gate),
+        SIMULATE_MODULE._gate_channel(name, (), profile.gate_error(gate)),
+        _damping_superop(50.0, 500.0, 400.0),
+        SIMULATE_MODULE._idle((0.0, 50.0), (500.0, 500.0), (400.0, 400.0)),
+        *SIMULATE_MODULE._chain(("h", "s"), (0.01, 0.01)),
+        *SIMULATE_MODULE._chain(("sdg", "h"), (0.01, 0.01)),
+    ]
+    if GATES[name].arity == 1:
+        shared += SIMULATE_MODULE._chain((name,), (profile.gate_error(gate),))
+    for array in shared:
         with pytest.raises(ValueError, match="read-only"):
-            shared *= 2
-    assert run_ideal(circuit).tobytes() == ideal.tobytes()
-    assert run_noisy_variants(circuit, profile, (), ()).tobytes() == noisy.tobytes()
+            array *= 2
+    assert run_ideal(circuit, preps, readouts).tobytes() == ideal.tobytes()
+    assert run_noisy_variants(circuit, profile, preps, readouts).tobytes() == noisy.tobytes()
 
 
 def test_measure_distribution_ghz():
@@ -559,23 +572,34 @@ def _noisy_case(draw):
 @settings(max_examples=100, deadline=None)
 @given(_noisy_case(), st.lists(st.floats(0.0, 500.0), min_size=5, max_size=5))
 def test_evolution_clocks_follow_the_asap_schedule(case, starts):
-    # the noisy evolution keeps its own clocks: from 0 they end where
-    # asap_schedule's spans do, and from any start its applications act on
-    # the same qubits in the same order, which one evolution of several
-    # schedule groups relies on
+    # the noisy evolution keeps its own clocks: the applications' structure
+    # follows from the circuit alone, a clock pass from 0 ends where
+    # asap_schedule's spans do, and a clock pass from any start gives one
+    # gap pair per two-qubit application of that one structure, which one
+    # evolution of several schedule groups relies on
     c, profile = case
     durations = [profile.gate_duration(g) for g in c.gates]
     spans, makespan = asap_schedule(c, profile)
+    apps = _structure(c)
+    assert [gi for _, gi, _ in apps if gi is not None] == c.two_qubit_indices()
+    assert all(gi is not None for _, gi, _ in apps[:len(c.two_qubit_indices())])
+    for q in range(c.width):  # each qubit's gates, each once, in order
+        mine = [gi for gi, g in enumerate(c.gates) if not g.is_measurement and q in g.qubits]
+        order = [k for qubits, gi, runs in apps if q in qubits
+                 for k in (*runs[qubits.index(q)], gi) if k is not None]
+        assert order == mine
     free = [0.0] * c.width
-    steps = _steps(c, durations, free)
+    gaps = _clocks(apps, durations, free)
     ends = [0.0] * c.width
     for g, (_, end) in zip(c.gates, spans):
         if not g.is_measurement:
             for q in g.qubits:
                 ends[q] = end
     assert free == ends and max(free) == makespan
-    shifted = _steps(c, durations, starts[:c.width])
-    assert [qubits for qubits, _ in shifted] == [qubits for qubits, _ in steps]
+    for clocks in (gaps, _clocks(apps, durations, starts[:c.width])):
+        assert len(clocks) == len(c.two_qubit_indices())
+        assert all(len(pair) == 2 and min(pair) == 0.0 <= max(pair) for pair in clocks)
+    assert _structure(c) == apps
 
 
 @settings(max_examples=150, deadline=None)
