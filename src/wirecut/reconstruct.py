@@ -225,8 +225,8 @@ def execute_plan(
     and its out-cuts readout entries offering each basis's gates, both in
     cut-id order. Without ``profile`` they go to ``run_ideal``, whose
     amplitudes are squared; with it, to ``run_noisy_variants`` under the
-    profile remapped onto the leaf's qubits, whose rows each equal the
-    diagonal of ``density_matrix`` of their variant circuit to rounding.
+    profile remapped onto the leaf's qubits, whose rows each equal a
+    separate density-matrix run of their variant circuit to rounding.
     Either way the leaf's exact rows come first. With ``shots``, each row
     (one per variant, in ``enumerate_variants`` order) is then replaced by
     the frequencies ``sample_frequencies`` draws from it, seeded with

@@ -8,13 +8,14 @@ one 2-valued axis per qubit.
 ``run_ideal`` and ``run_noisy_variants`` give every variant of a circuit
 that differs only in one-qubit gates prepended or appended on some qubits
 (a fragment's cut preparations and readout bases). Both take the same
-``preps`` and ``readouts`` entries, checked by one ``_check_entries``
-before anything is allocated, and return the same axes. ``run_ideal``
-evolves the prepared states as leading batch axes of the statevector and
-then rotates each read qubit. One kernel, ``_apply``, does every gate
-application of both paths: it moves the operand axes to the front,
-multiplies them by the gate's matrix (a unitary on a statevector, a Pauli
-transfer matrix on a density matrix) and moves them back. Gate matrices
+``preps`` and ``readouts`` entries, checked by one ``_check_entries`` and
+read from one option table, ``_option``, before anything is allocated, and
+return the same axes. ``run_ideal`` evolves the prepared states as
+leading batch axes of the statevector and then rotates each read qubit.
+One kernel, ``_apply``, does every gate application of both paths: it
+moves the operand axes to the front, multiplies them by the gate's matrix
+(a unitary on a statevector, a Pauli transfer matrix on a density matrix)
+and moves them back. Gate matrices
 come from the one gate table, ``circuit.GATES``, through ``gate_unitary``.
 Simulation yields exact probabilities only; ``sample_frequencies`` is the
 one sampler, which draws shot frequencies from such a probability vector.
@@ -41,14 +42,16 @@ their own, and ``_evolve`` applies the products. The tests check the closed
 forms against Kraus channels built independently in ``tests/oracles.py``,
 and the evolution against a full-matrix reference.
 
-Caches: ``_gate_channel`` by gate name, angles and error;
+Caches: ``_option``, the one option table of both executors (a prep or
+readout option's checked gates and unitary product), by gate names and
+qubit; ``_gate_channel`` by gate name, angles and error;
 ``_damping_superop`` by idle time, T1 and T2; ``_idle`` by a two-qubit
 gate's operand gaps, T1s and T2s; ``_chain`` (an option's prepared state
-and readout rows) by gate names and errors; ``_unitaries`` by gate names,
-``_named`` by gate names and qubit, and ``_orders`` by shapes. Each lives
-for the process, its arrays read-only, and each but ``_orders``, whose keys
-the width caps bound, holds a bounded number of entries. ``_fuser``'s lives
-for one call, keyed by application index and gaps.
+and readout rows) by gate names and errors; and ``_orders`` by shapes.
+Each lives for the process, its arrays read-only, and each but
+``_orders``, whose keys the width caps bound, holds a bounded number of
+entries. ``_fuser``'s lives for one call, keyed by application index and
+gaps.
 
 ``run_noisy_variants`` gives every variant in one pass; ``run_noisy``,
 direct execution of one circuit, is its case with no variants. Variants whose
@@ -60,9 +63,7 @@ of every group lie on one batch axis of rho, and the body evolves once
 over it, each application taking one matrix where the groups' gaps agree
 and a per-entry stack where they do not. Every readout combination
 of every entry is then read in one contraction, one batched matmul per
-qubit. ``density_matrix`` is the tests' full-matrix view of the same fused
-evolution: one group, with the end-of-schedule damping applied to rho
-instead of read, and the Pauli coordinates then summed back into a matrix.
+qubit.
 """
 from __future__ import annotations
 
@@ -82,7 +83,6 @@ __all__ = [
     "run_ideal",
     "measure_distribution",
     "sample_frequencies",
-    "density_matrix",
     "run_noisy",
     "run_noisy_variants",
     "gate_unitary",
@@ -165,6 +165,21 @@ def _check_entries(preps, readouts, n: int, dtype) -> tuple[int, ...]:
     return axes
 
 
+@functools.lru_cache(maxsize=256)
+def _option(names: tuple[str, ...], q: int) -> tuple[tuple[Gate, ...], np.ndarray]:
+    """A prep or readout option on qubit ``q``: its named one-qubit gates,
+    each checked as a ``Gate`` on ``q``, and their unitary product, the
+    first applied first, from ``gate_unitary`` (so ``measure`` raises
+    ``SimulationError``). Both executors read this table, cached by names
+    and qubit, so the unitary is read-only."""
+    gates = tuple(Gate(name, (q,)) for name in names)
+    u = _I2.copy()
+    for g in gates:
+        u = gate_unitary(g) @ u
+    u.flags.writeable = False
+    return gates, u
+
+
 # ---------------------------------------------------------------------------
 # Statevector path
 # ---------------------------------------------------------------------------
@@ -190,8 +205,9 @@ def run_ideal(c: Circuit, preps=None, readouts=None) -> np.ndarray:
     n, m = c.width, len(preps)
     axes = _check_entries(preps, readouts, n, complex)
     # per prepped qubit: its prep's axis and each option's amplitudes, over (option, bit)
-    amps = {q: (j, _unitaries(*map(tuple, options))[:, :, 0])
-            for j, (q, options) in enumerate(preps)}
+    amps = {q: (j, _unitaries(q, options)[:, :, 0]) for j, (q, options) in enumerate(preps)}
+    # per readout, the last first: its qubit and each option's unitary
+    rotations = [(q, _unitaries(q, options)) for q, options in reversed(readouts)]
     t = np.ones(axes[len(readouts):], dtype=complex)
     for q in range(n):
         shape, v = [1] * (m + q) + [2], _I2[0]  # |0>
@@ -204,28 +220,15 @@ def run_ideal(c: Circuit, preps=None, readouts=None) -> np.ndarray:
             t = _apply(t, gate_unitary(g), tuple([m + q for q in g.qubits]))
     # rotate on the last readout's qubit first, so that the option axes that
     # tensordot prepends end up in entry order
-    for done, (q, options) in enumerate(reversed(readouts)):
+    for done, (q, us) in enumerate(rotations):
         axis = done + m + q
-        t = np.moveaxis(np.tensordot(_unitaries(*map(tuple, options)), t, axes=([2], [axis])),
-                        1, axis + 1)
+        t = np.moveaxis(np.tensordot(us, t, axes=([2], [axis])), 1, axis + 1)
     return t.reshape(-1) if flat else t
 
 
-@functools.lru_cache(maxsize=256)
-def _named(names: tuple[str, ...], q: int = 0) -> tuple[Gate, ...]:
-    """An option's named one-qubit gates, each checked as a ``Gate`` on qubit ``q``."""
-    return tuple(Gate(name, (q,)) for name in names)
-
-
-@functools.lru_cache(maxsize=256)
-def _unitaries(*options: tuple[str, ...]) -> np.ndarray:
-    """Each option's unitary, the product of its ``_named`` gates, the first
-    applied first: over (option, bit after, bit before). Cached by the
-    options' names, so read-only."""
-    us = np.array([functools.reduce(lambda u, g: gate_unitary(g) @ u, _named(names), _I2)
-                   for names in options])
-    us.flags.writeable = False
-    return us
+def _unitaries(q: int, options) -> np.ndarray:
+    """Each option's ``_option`` unitary on qubit ``q``, over (option, bit after, bit before)."""
+    return np.array([_option(tuple(names), q)[1] for names in options])
 
 
 # ---------------------------------------------------------------------------
@@ -361,17 +364,6 @@ def _idle(gaps: tuple[float, float], t1: tuple[float, float], t2: tuple[float, f
     return s
 
 
-def _check_density_width(n: int):
-    if n > MAX_DENSITY_QUBITS:
-        raise SimulationError(
-            f"density-matrix simulation capped at {MAX_DENSITY_QUBITS} qubits, got {n}"
-        )
-
-
-def _coherence_ns(p: NoiseProfile, n: int) -> tuple[list[float], list[float]]:
-    return [p.t1_us(q) * 1000.0 for q in range(n)], [p.t2_us(q) * 1000.0 for q in range(n)]
-
-
 def _structure(c: Circuit) -> list:
     """The superoperator applications that evolve ``c``, in order, as
     ``(qubits, gate, runs)``: all that follows from ``c`` alone.
@@ -487,30 +479,6 @@ def _evolve(rho: np.ndarray, apps: list, gaps: list, group, matrix) -> np.ndarra
     return rho
 
 
-def density_matrix(c: Circuit, p: NoiseProfile) -> np.ndarray:
-    """Full density matrix of ``c`` under the gate-error + damping model.
-
-    The channels are fused as ``_structure`` fuses them, so the matrix equals
-    the gate-by-gate evolution to rounding (within 1e-12 of the full-matrix
-    reference in the tests), not bit for bit."""
-    _check_density_width(c.width)
-    n = c.width
-    t1, t2 = _coherence_ns(p, n)
-    rho = functools.reduce(np.multiply.outer, [_ZERO] * n, np.ones(1))
-    apps, free = _structure(c), [0.0] * n
-    gaps = _clocks(apps, [p.gate_duration(g) for g in c.gates], free)
-    rho = _evolve(rho, apps, [gaps], None, _fuser(c, p, apps, t1, t2))[0]
-    makespan = max(free, default=0.0)
-    for q in range(n):
-        gap = makespan - free[q]
-        if gap > 0:
-            rho = _apply(rho, _damping_superop(gap, t1[q], t2[q]), (q,))
-    for _ in range(n):  # each qubit's Pauli axis in turn becomes (ket, bra) at the end
-        rho = np.tensordot(rho, _PAULI, axes=([0], [0]))
-    kets_then_bras = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
-    return rho.transpose(kets_then_bras).reshape(1 << n, 1 << n)
-
-
 def run_noisy(c: Circuit, p: NoiseProfile) -> Distribution:
     """Exact outcome distribution of ``c`` under the gate-error + damping model.
 
@@ -528,8 +496,8 @@ def _chain(names: tuple[str, ...], errors: tuple[float, ...]) -> tuple[np.ndarra
     depend on nothing else, so they are cached by value for the process, and
     read-only."""
     s = _I4
-    for g, err in zip(_named(names), errors):
-        s = _gate_channel(g.name, g.params, err) @ s
+    for name, err in zip(names, errors):
+        s = _gate_channel(name, (), err) @ s
     state, rows = s @ _ZERO, _READ @ s
     state.flags.writeable = rows.flags.writeable = False
     return state, rows
@@ -537,11 +505,11 @@ def _chain(names: tuple[str, ...], errors: tuple[float, ...]) -> tuple[np.ndarra
 
 def _options(q: int, options, p: NoiseProfile) -> list:
     """Per option of a prep or readout entry on qubit ``q``: its ``_chain``
-    state and rows, and its gates' durations in order."""
+    state and rows, and its ``_option`` gates' durations in order."""
     out = []
     for names in options:
         names = tuple(names)
-        gates = _named(names, q)
+        gates, _ = _option(names, q)
         state, rows = _chain(names, tuple([p.gate_error(g) for g in gates]))
         out.append((state, rows, [p.gate_duration(g) for g in gates]))
     return out
@@ -567,8 +535,8 @@ def run_noisy_variants(c: Circuit, p: NoiseProfile, preps, readouts) -> np.ndarr
     option per entry: a prep option's gates run before ``c`` on its qubit
     and a readout option's after it. The result has one axis per readout
     and then one per prep, indexed by option, then one bit axis per qubit;
-    each entry is the diagonal of ``density_matrix`` of that variant's
-    circuit, to rounding.
+    each entry is the outcome distribution of a separate density-matrix run
+    of that variant's circuit, to rounding.
 
     A prep's gates start a fresh wire at t=0, so only their durations shape
     the body's schedule. Variants whose preps end at the same clocks form a
@@ -586,14 +554,17 @@ def run_noisy_variants(c: Circuit, p: NoiseProfile, preps, readouts) -> np.ndarr
     within the larger of ``MAX_LEAF_ENTRIES`` and the result's entries.
     Gate channels, idle damping, option gates and each option's prepared
     state and readout rows come from process-wide caches keyed by value
-    (``_gate_channel``, ``_idle``, ``_damping_superop``, ``_named`` and
+    (``_gate_channel``, ``_idle``, ``_damping_superop``, ``_option`` and
     ``_chain``). Probabilities below 1e-14 in magnitude are then zeroed,
     and negative ones clipped.
     """
     n = c.width
     axes = _check_entries(preps, readouts, n, float)
-    _check_density_width(n)
-    t1, t2 = _coherence_ns(p, n)
+    if n > MAX_DENSITY_QUBITS:
+        raise SimulationError(
+            f"density-matrix simulation capped at {MAX_DENSITY_QUBITS} qubits, got {n}")
+    t1 = [p.t1_us(q) * 1000.0 for q in range(n)]
+    t2 = [p.t2_us(q) * 1000.0 for q in range(n)]
     # per prep: each option's prepared one-qubit state and its end clock
     prepared = [[(state, _end(0.0, durations)) for state, _, durations in _options(q, options, p)]
                 for q, options in preps]

@@ -1,7 +1,8 @@
-"""Shared generators for randomized tests, a one-split plan, the noisy
-outcome oracle, fragment-document rows, and emptying the simulator's
-process caches."""
+"""Shared generators for randomized tests, a one-split plan, the fused
+full-matrix view of the noisy evolution and its outcome probabilities,
+fragment-document rows, and emptying the simulator's process caches."""
 import base64
+import functools
 import importlib
 import random
 
@@ -12,7 +13,16 @@ from wirecut.fragment import FragmentPlan, Limits, _as_root_fragment, _split
 from wirecut.graph import GateGraph
 from wirecut.ising import IsingModel
 from wirecut.noise import NoiseProfile
-from wirecut.simulate import density_matrix
+from wirecut.simulate import (
+    _PAULI,
+    _ZERO,
+    _apply,
+    _clocks,
+    _damping_superop,
+    _evolve,
+    _fuser,
+    _structure,
+)
 
 SIMULATE_MODULE = importlib.import_module("wirecut.simulate")
 ONE_QUBIT_GATES = ("h", "x", "y", "z", "s", "sdg", "t", "tdg", "rx", "ry", "rz")
@@ -69,6 +79,33 @@ def random_ising_models(rng: random.Random, count: int, n: int = 16) -> list[Isi
                     j[(i, k)] = rng.uniform(-1, 1)
         models.append(IsingModel(n=n, h=h, j=j))
     return models
+
+
+def density_matrix(c: Circuit, p: NoiseProfile) -> np.ndarray:
+    """Full density matrix of ``c`` under the gate-error + damping model,
+    from the simulator's own fused evolution: one schedule group, with the
+    end-of-schedule damping applied to rho instead of read, and the Pauli
+    coordinates then summed back into a matrix.
+
+    The channels are fused as ``_structure`` fuses them, so the matrix equals
+    the gate-by-gate evolution to rounding (within 1e-12 of the full-matrix
+    reference in ``oracles.py``), not bit for bit."""
+    n = c.width
+    t1 = [p.t1_us(q) * 1000.0 for q in range(n)]
+    t2 = [p.t2_us(q) * 1000.0 for q in range(n)]
+    rho = functools.reduce(np.multiply.outer, [_ZERO] * n, np.ones(1))
+    apps, free = _structure(c), [0.0] * n
+    gaps = _clocks(apps, [p.gate_duration(g) for g in c.gates], free)
+    rho = _evolve(rho, apps, [gaps], None, _fuser(c, p, apps, t1, t2))[0]
+    makespan = max(free, default=0.0)
+    for q in range(n):
+        gap = makespan - free[q]
+        if gap > 0:
+            rho = _apply(rho, _damping_superop(gap, t1[q], t2[q]), (q,))
+    for _ in range(n):  # each qubit's Pauli axis in turn becomes (ket, bra) at the end
+        rho = np.tensordot(rho, _PAULI, axes=([0], [0]))
+    kets_then_bras = list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
+    return rho.transpose(kets_then_bras).reshape(1 << n, 1 << n)
 
 
 def density_probs(c: Circuit, p: NoiseProfile) -> np.ndarray:

@@ -6,7 +6,13 @@ report. Criteria with runtime budgets assert them.
 import random
 import time
 
-from helpers import random_circuit, random_connected_graph, random_ising_models, single_cut_plan
+from helpers import (
+    density_matrix,
+    random_circuit,
+    random_connected_graph,
+    random_ising_models,
+    single_cut_plan,
+)
 from oracles import (
     amplitude_damping_channel,
     brute_force_ising_ground,
@@ -26,7 +32,7 @@ from wirecut.ising import default_schedule, simulated_anneal
 from wirecut.noise import NoiseProfile, gate_error_prob, success_probability
 from wirecut.partition import cut_size, find_min_cut_ga
 from wirecut.reconstruct import execute_plan, fidelity, reconstruct, tvd
-from wirecut.simulate import density_matrix, measure_distribution, run_ideal, run_noisy
+from wirecut.simulate import measure_distribution, run_ideal, run_noisy
 
 BENCHMARKS = ("ghz_n10", "cat_n8", "bv_n9", "adder_n8", "su2_n8")
 

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import json
 import random
@@ -461,6 +462,74 @@ def test_plan_document_rejects_a_stored_fragment_that_differs(where, damage):
     _damage_fragment(node["fragment"], damage)
     with pytest.raises(PlanError):
         plan_from_dict(doc)
+
+
+# values a mutation writes: every JSON type, with look-alikes of 0 and 1
+_FUZZ_VALUES = (None, True, False, 0, 1, -1, 2, 0.5, -0.0, 1e300, "", "x", "split", [], {})
+_FUZZ_KEYS = ("extra", "cuts", "children", "partition", "fragment", "status")
+
+
+def _containers(item):
+    """Every object and array in ``item``, ``item`` first, depth first."""
+    if isinstance(item, (dict, list)):
+        yield item
+        for v in item.values() if isinstance(item, dict) else item:
+            yield from _containers(v)
+
+
+def _mutate(doc, rng: random.Random):
+    """Apply one random mutation to ``doc`` in place: replace, delete or
+    nudge a value at any depth, or add a key to an object or an item to an
+    array."""
+    containers = list(_containers(doc))
+    kind = rng.choice(("replace", "delete", "nudge", "add"))
+    if kind == "add":
+        c = rng.choice(containers)
+        new = copy.deepcopy(rng.choice(_FUZZ_VALUES))
+        if isinstance(c, dict):
+            c[rng.choice(_FUZZ_KEYS)] = new
+        else:
+            c.insert(rng.randrange(len(c) + 1),
+                     copy.deepcopy(rng.choice(c)) if c and rng.random() < 0.5 else new)
+        return
+    c, key = rng.choice([(c, key) for c in containers
+                         for key in (list(c) if isinstance(c, dict) else range(len(c)))])
+    v = c[key]
+    if kind == "delete":
+        del c[key]
+    elif kind == "nudge" and type(v) is bool:
+        c[key] = not v
+    elif kind == "nudge" and type(v) is int:
+        c[key] = v + rng.choice((-1, 1))
+    elif kind == "nudge" and type(v) is float:
+        c[key] = v + rng.choice((-1e-9, 1e-9))
+    elif kind == "nudge" and type(v) is str:
+        c[key] = v + "x"
+    else:  # a replace, or a nudge of null, an object or an array
+        c[key] = copy.deepcopy(rng.choice(_FUZZ_VALUES))
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_property_mutated_plan_documents_are_refused_or_written_back(seed):
+    # the reader of version 2 either refuses a document with a PlanError or
+    # rebuilds a plan that writes the document back; no other exception
+    # escapes, whatever single mutation the document took
+    texts = [_document_bytes(plan_to_dict(recursive_fragment(circuit_fixture(name), STRESS,
+                                                             0.95, seed=7)))
+             for name in ("adder_n8", "ghz_n10", "clusters_n8")]
+    rng = random.Random(seed)
+    refused = rebuilt = 0
+    for i in range(800):
+        doc = json.loads(texts[i % len(texts)])
+        _mutate(doc, rng)
+        try:
+            plan = plan_from_dict(doc)
+        except PlanError:
+            refused += 1
+            continue
+        assert plan_to_dict(plan) == doc
+        rebuilt += 1
+    assert refused > rebuilt > 0
 
 
 def test_single_cut_plan_matches_manual_fragment():

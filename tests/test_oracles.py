@@ -1,10 +1,13 @@
+import ast
+import importlib
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from helpers import random_circuit, random_connected_graph, random_ising_models
+from helpers import density_matrix, random_circuit, random_connected_graph, random_ising_models
 from oracles import (
     brute_force_ising_ground,
     brute_force_min_cost,
@@ -17,7 +20,7 @@ from wirecut.circuit import Circuit, Gate
 from wirecut.graph import GateGraph
 from wirecut.ising import IsingModel
 from wirecut.noise import NoiseProfile, QubitCal
-from wirecut.simulate import density_matrix, run_ideal
+from wirecut.simulate import run_ideal
 
 
 def test_brute_force_min_cost_uniform_path():
@@ -162,3 +165,20 @@ def test_oracle_reports_collect_into_a_document():
     doc = [r.to_dict() for r in reports]
     assert all(entry["agree"] for entry in doc)
     assert {"instance", "oracle_result", "production_result", "tolerance", "agree"} == set(doc[0])
+
+
+def test_oracles_import_only_public_names_of_the_package():
+    # the references share nothing with the production code paths but the
+    # domain types: every name they import from wirecut is in its module's
+    # __all__, and no module of it is imported whole
+    tree = ast.parse(Path(__file__).with_name("oracles.py").read_text(encoding="utf-8"))
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            assert not [a.name for a in node.names if a.name.split(".")[0] == "wirecut"]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "wirecut":
+            public = getattr(importlib.import_module(node.module), "__all__", ())
+            for alias in node.names:
+                assert alias.name in public, f"{node.module}.{alias.name} is not public"
+                imported.append(alias.name)
+    assert imported

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import clear_simulation_caches, density_probs, random_circuit
+from helpers import clear_simulation_caches, density_matrix, density_probs, random_circuit
 from oracles import (
     KrausChannel,
     amplitude_damping_channel,
@@ -29,7 +29,6 @@ from wirecut.simulate import (
     _damping_superop,
     _pauli_superop,
     _structure,
-    density_matrix,
     gate_unitary,
     measure_distribution,
     run_ideal,
@@ -227,6 +226,20 @@ def test_noisy_variants_refuse_unknown_or_two_qubit_gate_names(preps, readouts, 
             execute(_TWO_QUBITS, preps, readouts)
 
 
+@pytest.mark.parametrize("preps, readouts", [
+    ([(0, ((), ("measure",)))], []),
+    ([], [(1, (("h",), ("x", "measure")))]),
+])
+def test_both_executors_refuse_a_measure_option(preps, readouts, monkeypatch):
+    # a measurement is a known one-qubit gate without a unitary: both
+    # executors read their options from one table, which refuses it before
+    # anything is evolved
+    monkeypatch.setattr(SIMULATE_MODULE, "_apply", lambda *args: pytest.fail("evolved"))
+    for execute in _EXECUTORS:
+        with pytest.raises(SimulationError, match=re.escape("no unitary for gate 'measure'")):
+            execute(_TWO_QUBITS, preps, readouts)
+
+
 def test_both_executors_refuse_outputs_over_the_leaf_budget(monkeypatch):
     # 4 x 4 x 3 variants of 2 qubits need 192 entries; the check comes before
     # any allocation, and before the density-matrix width cap; each executor
@@ -293,6 +306,24 @@ def test_a_repeated_noisy_run_builds_no_gate_channel(monkeypatch):
     assert len(calls) == 6  # h, cx, rz(0.7), x, s, sdg
 
 
+def test_a_repeated_ideal_run_builds_no_option_unitary(monkeypatch):
+    # option unitaries come from the process-wide option table: with an
+    # empty body every gate_unitary call is an option's, a second run makes
+    # none, and after every cache is emptied a run makes one per option gate
+    empty = Circuit(width=2, gates=())
+    preps, readouts = [(0, ((), ("x",), ("h", "s")))], [(1, ((), ("sdg",), ("y", "z")))]
+    first = run_ideal(empty, preps, readouts)
+    calls = []
+    unitary = SIMULATE_MODULE.gate_unitary
+    monkeypatch.setattr(SIMULATE_MODULE, "gate_unitary",
+                        lambda g: calls.append(g.name) or unitary(g))
+    assert run_ideal(empty, preps, readouts).tobytes() == first.tobytes()
+    assert calls == []
+    clear_simulation_caches()
+    assert run_ideal(empty, preps, readouts).tobytes() == first.tobytes()
+    assert sorted(calls) == ["h", "s", "sdg", "x", "y", "z"]
+
+
 @pytest.mark.parametrize("name", [name for name, spec in GATES.items()
                                   if spec.n_params == 0 and spec.unitary is not None])
 def test_shared_gate_matrices_are_read_only(name):
@@ -311,6 +342,8 @@ def test_shared_gate_matrices_are_read_only(name):
         SIMULATE_MODULE._idle((0.0, 50.0), (500.0, 500.0), (400.0, 400.0)),
         *SIMULATE_MODULE._chain(("h", "s"), (0.01, 0.01)),
         *SIMULATE_MODULE._chain(("sdg", "h"), (0.01, 0.01)),
+        *[SIMULATE_MODULE._option(names, q)[1]
+          for q, names in [(1, ()), (1, ("h", "s")), (0, ()), (0, ("sdg", "h"))]],
     ]
     if GATES[name].arity == 1:
         shared += SIMULATE_MODULE._chain((name,), (profile.gate_error(gate),))
