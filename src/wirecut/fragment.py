@@ -8,10 +8,10 @@ pieces; each piece becomes a fresh local qubit of the child owning its
 gates, carrying an initialization role (in-cut) when the piece starts at a
 cut and a measurement role (out-cut) when it ends at one. A piece is always
 owned by one side because every crossing adjacency is cut, so both children
-stay straight-line circuits. The step returns the cuts and the two child
-fragments, numbered from a shared pair of counters: the children take the
-next two fragment ids and the cuts the next cut ids, so a plan's tree is
-numbered depth first.
+stay straight-line circuits. The step records the split on the fragment
+itself, its cuts and two child fragments numbered from a shared pair of
+counters: the children take the next two fragment ids and the cuts the
+next cut ids, so a plan's tree is numbered depth first.
 
 Each out-cut is measured in the Z, X, or Y basis (basis change appended at
 the end of the wire), and each in-cut is prepared in one of |0>, |1>, |+>,
@@ -31,10 +31,10 @@ A plan document (version 2) stores those decisions: each node's
 status and success, each split node's partition, and the fragment only at
 the root and at the leaves; cuts and the fragments of split nodes below
 the root are derived, so they are not stored. The document is rebuilt,
-not trusted: ``plan_from_dict`` replays ``_split`` from the root circuit
-along the stored partitions, and the writer's own ``_node_fields`` and
-``_plan_fields`` of the rebuilt plan must give back every stored node and
-field, so the writer alone defines the layout.
+not trusted: ``plan_from_dict`` replays the planner's decisions from the
+root circuit, ``_split`` along each stored partition, and the writer's
+document of the rebuilt plan must then equal the stored one, so the
+writer alone defines the layout.
 """
 from __future__ import annotations
 
@@ -64,7 +64,6 @@ __all__ = [
 ]
 
 INIT_STATES = ("zero", "one", "plus", "plus_i")
-LEAF_STATUSES = ("ok", "unsplittable-gates", "unsplittable-depth", "unsplittable-k")
 SOLVERS = ("ga", "anneal", "both")
 MEAS_BASES = ("Z", "X", "Y")
 
@@ -104,7 +103,8 @@ class Fragment:
     without an out-cut role carries the wire's final value).
 
     The planner's decision on the fragment: its estimated success and its
-    status, ``split`` or one of ``LEAF_STATUSES``; a split fragment also
+    status, ``split`` or a leaf's (``ok``, ``unsplittable-gates``,
+    ``unsplittable-depth`` or ``unsplittable-k``); a split fragment also
     holds its partition, its cuts and its two child fragments.
     """
 
@@ -245,11 +245,11 @@ def _as_root_fragment(c: Circuit) -> Fragment:
     return Fragment(id=0, circuit=c, qubit_map=tuple(range(c.width)))
 
 
-def _split(parent: Fragment, pv,
-           ids: dict[str, int]) -> tuple[tuple[CutPoint, ...], list[Fragment]]:
-    """The cuts and the two child fragments that partition ``pv`` gives
-    ``parent``: one bit, 0 or 1, per two-qubit gate of its circuit, in gate
-    order.
+def _split(parent: Fragment, pv, ids: dict[str, int]) -> None:
+    """Split ``parent`` along partition ``pv``, one bit, 0 or 1, per
+    two-qubit gate of its circuit, in gate order, and record the split on
+    ``parent``: status ``split``, the partition, the cuts and the two child
+    fragments.
 
     Each wire segment between consecutive two-qubit gates on different sides
     becomes one cut, so two gates sharing both wires yield two cuts and the
@@ -257,7 +257,8 @@ def _split(parent: Fragment, pv,
     ``ids["cut"]`` in (qubit, upstream gate) order, and the children, ``ok``
     leaves until the planner decides on them, take ids ``ids["fragment"]``
     and the one after it. Both counters advance past the ids taken once the
-    split succeeds; a refused partition raises ``PlanError`` and leaves them.
+    split succeeds; a refused partition raises ``PlanError`` and leaves them
+    and ``parent`` as they were.
     """
     c = parent.circuit
     width, circuit_gates = c.width, c.gates
@@ -346,7 +347,8 @@ def _split(parent: Fragment, pv,
                                  tuple(maps[side])))
     ids["fragment"] += 2
     ids["cut"] += len(cuts)
-    return cuts, children
+    parent.status, parent.partition = "split", list(pv)
+    parent.cut, parent.children = cuts, children
 
 
 def _solver_seed(seed: int, node: int, salt: int) -> int:
@@ -489,8 +491,7 @@ def recursive_fragment(
         if ids["cut"] + k > limits.max_k:
             frag.status = "unsplittable-k"
             return
-        frag.cut, frag.children = _split(frag, pv, ids)
-        frag.status, frag.partition = "split", list(pv)
+        _split(frag, pv, ids)
         for child in frag.children:
             visit(child, depth + 1)
 
@@ -511,10 +512,10 @@ def recursive_fragment(
 # Plan documents
 # ---------------------------------------------------------------------------
 
-def _node_fields(f: Fragment, is_root: bool) -> dict:
-    """A node's document without its ``children``: the fragment only at the
-    root and at leaves, since a split node below the root is its parent's
-    child, which the parent's partition derives."""
+def _node_to_dict(f: Fragment, is_root: bool = False) -> dict:
+    """A node's document: its decision, and the fragment only at the root
+    and at leaves, since a split node below the root is its parent's child,
+    which the parent's partition derives."""
     doc: dict = {"success": f.success, "status": f.status}
     if is_root or f.status != "split":
         doc["fragment"] = {
@@ -526,50 +527,12 @@ def _node_fields(f: Fragment, is_root: bool) -> dict:
         }
     if f.partition is not None:
         doc["partition"] = list(f.partition)
-    return doc
-
-
-def _node_to_dict(f: Fragment, is_root: bool = False) -> dict:
-    doc = _node_fields(f, is_root)
     if f.children:
         doc["children"] = [_node_to_dict(child) for child in f.children]
     return doc
 
 
-def _node_from_dict(doc: dict, frag: Fragment, ids: dict[str, int], is_root: bool = False) -> None:
-    """Replay the planner on ``frag`` as ``doc`` records it, setting its
-    decision fields and those of the fragments below it.
-
-    Only ``status``, ``success`` and a split node's ``partition`` are read;
-    ``_split`` numbers the children and cuts from ``ids`` in the planner's
-    depth-first order. The rebuilt node must write ``doc`` back, without
-    its ``children`` (``_node_fields``: the fragment of the root and of a
-    leaf, no fragment on a split node below the root, and no cuts
-    anywhere), and ``children`` must be a list of two exactly when the node
-    split; both hold before any child is replayed, so the work stays
-    proportional to the document.
-    """
-    status, success = doc["status"], doc["success"]
-    if not (_is_finite_real(success) and 0 <= success <= 1):
-        raise PlanError(f"fragment {frag.id} success {success!r} is not a number in [0, 1]")
-    split = status == "split"
-    if not split and status not in LEAF_STATUSES:
-        raise PlanError(f"fragment {frag.id} has unknown status {status!r}")
-    frag.success, frag.status = success, status
-    if split:
-        frag.cut, frag.children = _split(frag, doc["partition"], ids)
-        frag.partition = list(doc["partition"])
-    fields = dict(doc)
-    children = fields.pop("children", None)
-    children_ok = type(children) is list and len(children) == 2 if split else "children" not in doc
-    if fields != _node_fields(frag, is_root) or not children_ok:
-        raise PlanError(f"node of fragment {frag.id} is not the one its parent's partition derives")
-    for child_doc, child in zip(children or (), frag.children):
-        _node_from_dict(child_doc, child, ids)
-
-
-def _plan_fields(plan: FragmentPlan) -> dict:
-    """A plan's document without its ``tree``."""
+def plan_to_dict(plan: FragmentPlan) -> dict:
     leaves, cut_ids = plan.leaf_fragments(), plan.cut_ids()
     return {
         "version": 2,
@@ -583,39 +546,67 @@ def _plan_fields(plan: FragmentPlan) -> dict:
         "cut_ids": cut_ids,
         "leaves": [f.id for f in leaves],
         "variant_counts": {str(f.id): f.n_variants for f in leaves},
+        "tree": _node_to_dict(plan.root, is_root=True),
     }
 
 
-def plan_to_dict(plan: FragmentPlan) -> dict:
-    return {**_plan_fields(plan), "tree": _node_to_dict(plan.root, is_root=True)}
+def _replay(doc: dict, frag: Fragment, ids: dict[str, int], plan: FragmentPlan,
+            depth: int = 0) -> None:
+    """Replay the planner on ``frag``, at ``depth`` in ``plan``, as ``doc``
+    records it: set its ``success`` and ``status``, split it along its
+    ``partition`` (``_split`` numbers from ``ids``, depth first) and replay
+    the ``children`` that pair with its two. As in ``recursive_fragment``,
+    a node is ``ok`` exactly when its success reaches the threshold, else
+    ``unsplittable-gates`` exactly when it has fewer than two two-qubit
+    gates, else ``unsplittable-depth`` exactly at ``max_depth``, else
+    ``split`` or ``unsplittable-k``. Nothing else is compared here."""
+    status, success = doc["status"], doc["success"]
+    if not (_is_finite_real(success) and 0 <= success <= 1):
+        raise PlanError(f"fragment {frag.id} success {success!r} is not a number in [0, 1]")
+    if success >= plan.threshold:
+        planned = ("ok",)
+    elif len(frag.circuit.two_qubit_indices()) < 2:
+        planned = ("unsplittable-gates",)
+    elif depth >= plan.limits.max_depth:
+        planned = ("unsplittable-depth",)
+    else:
+        planned = ("split", "unsplittable-k")
+    if status not in planned:
+        raise PlanError(f"fragment {frag.id} has status {status!r}, where the planner "
+                        f"decides {' or '.join(planned)}")
+    frag.success, frag.status = success, status
+    if status == "split":
+        _split(frag, doc["partition"], ids)
+        for child_doc, child in zip(doc["children"], frag.children):
+            _replay(child_doc, child, ids, plan, depth + 1)
 
 
 def plan_from_dict(doc: dict) -> FragmentPlan:
-    """Rebuild a plan from ``plan_to_dict``'s document by replaying ``_split``.
+    """Rebuild a plan from ``plan_to_dict``'s document by replaying the planner.
 
-    Only version 2 is read, and of it only the root circuit, each node's
-    ``status``, ``success`` and ``partition``, and the plan's settings.
-    Every node rebuilt must write its stored node back (``_node_fields``),
-    and the rebuilt plan the document's other fields (``_plan_fields``), so
-    anything the writer does not write is refused too: a ``cuts`` key, or a
-    fragment on a split node below the root. Anything else raises
-    ``PlanError``: another version, a malformed field, a root circuit that
-    ``Circuit`` or ``Gate`` rejects (wider than ``MAX_CIRCUIT_QUBITS`` included), an
-    unknown status, a ``success`` or ``threshold`` outside [0, 1], a
-    non-integer ``seed`` or limit, a ``solver_log`` that is not a list of
-    objects, an unknown ``solver`` or a tree nested too deeply to rebuild.
+    Only version 2 is read, and of it only the plan's settings, the root
+    circuit and what ``_replay`` reads: each node's ``status``, ``success``
+    and ``partition``. Each status must be one the planner decides under
+    the plan's ``threshold`` and ``limits``, and the rebuilt plan may not
+    have more cuts than ``max_k``. The writer's document of the rebuilt
+    plan must then equal ``doc``, so anything the writer does not write is
+    refused too: a ``cuts`` key, a fragment on a split node below the root,
+    or ``children`` other than a list of two on each split node. Anything
+    else raises ``PlanError``: another version, a malformed field, a root
+    circuit that ``Circuit`` or ``Gate`` rejects (wider than
+    ``MAX_CIRCUIT_QUBITS`` included), a ``success`` or ``threshold`` outside
+    [0, 1], a non-integer ``seed`` or limit, a ``solver_log`` that is not a
+    list of objects, an unknown ``solver`` or a tree nested too deeply.
     """
     if not isinstance(doc, dict):
         raise PlanError("plan document must be a JSON object")
     if type(doc.get("version")) is not int or doc["version"] != 2:
         raise PlanError("unsupported plan document version")
     try:
-        tree = doc["tree"]
-        root = _as_root_fragment(circuit_from_dict(tree["fragment"]["circuit"]))
         solver_log = doc["solver_log"]
         if not (isinstance(solver_log, list) and all(isinstance(e, dict) for e in solver_log)):
             raise PlanError("plan solver_log is not a list of objects")
-        _node_from_dict(tree, root, {"fragment": 1, "cut": 0}, is_root=True)
+        root = _as_root_fragment(circuit_from_dict(doc["tree"]["fragment"]["circuit"]))
         plan = FragmentPlan(
             width=root.width,
             threshold=doc["threshold"],
@@ -625,18 +616,23 @@ def plan_from_dict(doc: dict) -> FragmentPlan:
             solver=doc["solver"],
             solver_log=list(solver_log),
         )
+        if not (_is_finite_real(plan.threshold) and 0 <= plan.threshold <= 1):
+            raise PlanError(f"plan threshold {plan.threshold!r} is not a number in [0, 1]")
+        if type(plan.seed) is not int:
+            raise PlanError(f"plan seed {plan.seed!r} is not an integer")
+        if plan.solver not in SOLVERS:
+            raise PlanError(f"plan solver {plan.solver!r} is not one of {SOLVERS}")
+        ids = {"fragment": 1, "cut": 0}
+        _replay(doc["tree"], root, ids, plan)
+        if ids["cut"] > plan.limits.max_k:
+            raise PlanError(f"plan has {ids['cut']} cuts, over its max_k of {plan.limits.max_k}")
+        rebuilt = plan_to_dict(plan)
     except PlanError:
         raise
     except RecursionError:
         raise PlanError("plan tree is nested too deeply") from None
     except (KeyError, TypeError, AttributeError, ValueError) as exc:
         raise PlanError(f"missing or malformed field {exc}") from None
-    if not (_is_finite_real(plan.threshold) and 0 <= plan.threshold <= 1):
-        raise PlanError(f"plan threshold {plan.threshold!r} is not a number in [0, 1]")
-    if type(plan.seed) is not int:
-        raise PlanError(f"plan seed {plan.seed!r} is not an integer")
-    if plan.solver not in SOLVERS:
-        raise PlanError(f"plan solver {plan.solver!r} is not one of {SOLVERS}")
-    if {key: v for key, v in doc.items() if key != "tree"} != _plan_fields(plan):
-        raise PlanError("plan fields differ from the rebuilt plan's")
+    if rebuilt != doc:
+        raise PlanError("the document is not the one its rebuilt plan writes")
     return plan

@@ -42,11 +42,11 @@ their own, and ``_evolve`` applies the products. The tests check the closed
 forms against Kraus channels built independently in ``tests/oracles.py``,
 and the evolution against a full-matrix reference.
 
-Caches: ``_option``, the one option table of both executors (a prep or
-readout option's checked gates and unitary product), by gate names and
-qubit; ``_gate_channel`` by gate name, angles and error;
-``_damping_superop`` by idle time, T1 and T2; ``_idle`` by a two-qubit
-gate's operand gaps, T1s and T2s; ``_chain`` (an option's prepared state
+Caches: ``_option``, the one option table of both executors (each option
+of a prep or readout entry, its checked gates, and the stack of their
+unitary products), by the entry's options and qubit; ``_gate_channel`` by
+gate name, angles and error; ``_idle`` (a two-qubit gate's operand damping)
+by its operand gaps, T1s and T2s; ``_chain`` (an option's prepared state
 and readout rows) by gate names and errors; and ``_orders`` by shapes.
 Each lives for the process, its arrays read-only, and each but
 ``_orders``, whose keys the width caps bound, holds a bounded number of
@@ -166,18 +166,22 @@ def _check_entries(preps, readouts, n: int, dtype) -> tuple[int, ...]:
 
 
 @functools.lru_cache(maxsize=256)
-def _option(names: tuple[str, ...], q: int) -> tuple[tuple[Gate, ...], np.ndarray]:
-    """A prep or readout option on qubit ``q``: its named one-qubit gates,
-    each checked as a ``Gate`` on ``q``, and their unitary product, the
-    first applied first, from ``gate_unitary`` (so ``measure`` raises
-    ``SimulationError``). Both executors read this table, cached by names
-    and qubit, so the unitary is read-only."""
-    gates = tuple(Gate(name, (q,)) for name in names)
-    u = _I2.copy()
-    for g in gates:
-        u = gate_unitary(g) @ u
-    u.flags.writeable = False
-    return gates, u
+def _option(options: tuple[tuple[str, ...], ...], q: int) -> tuple[tuple, np.ndarray]:
+    """The options of a prep or readout entry on qubit ``q``: per option,
+    its named one-qubit gates, each checked as a ``Gate`` on ``q``, and one
+    stack of their unitary products, the first gate applied first, over
+    (option, bit after, bit before), from ``gate_unitary`` (so ``measure``
+    raises ``SimulationError``). Both executors read this table, cached by
+    options and qubit, so the stack is read-only."""
+    gates, stack = [], np.empty((len(options), 2, 2), dtype=complex)
+    for i, names in enumerate(options):
+        gates.append(tuple(Gate(name, (q,)) for name in names))
+        u = _I2
+        for g in gates[-1]:
+            u = gate_unitary(g) @ u
+        stack[i] = u
+    stack.flags.writeable = False
+    return tuple(gates), stack
 
 
 # ---------------------------------------------------------------------------
@@ -205,9 +209,9 @@ def run_ideal(c: Circuit, preps=None, readouts=None) -> np.ndarray:
     n, m = c.width, len(preps)
     axes = _check_entries(preps, readouts, n, complex)
     # per prepped qubit: its prep's axis and each option's amplitudes, over (option, bit)
-    amps = {q: (j, _unitaries(q, options)[:, :, 0]) for j, (q, options) in enumerate(preps)}
+    amps = {q: (j, _option(options, q)[1][:, :, 0]) for j, (q, options) in enumerate(preps)}
     # per readout, the last first: its qubit and each option's unitary
-    rotations = [(q, _unitaries(q, options)) for q, options in reversed(readouts)]
+    rotations = [(q, _option(options, q)[1]) for q, options in reversed(readouts)]
     t = np.ones(axes[len(readouts):], dtype=complex)
     for q in range(n):
         shape, v = [1] * (m + q) + [2], _I2[0]  # |0>
@@ -224,11 +228,6 @@ def run_ideal(c: Circuit, preps=None, readouts=None) -> np.ndarray:
         axis = done + m + q
         t = np.moveaxis(np.tensordot(us, t, axes=([2], [axis])), 1, axis + 1)
     return t.reshape(-1) if flat else t
-
-
-def _unitaries(q: int, options) -> np.ndarray:
-    """Each option's ``_option`` unitary on qubit ``q``, over (option, bit after, bit before)."""
-    return np.array([_option(tuple(names), q)[1] for names in options])
 
 
 # ---------------------------------------------------------------------------
@@ -317,7 +316,6 @@ def _decay(tau: float, t1: float) -> float:
     return 0.0 if math.isinf(t1) else -math.expm1(-tau / t1)
 
 
-@functools.lru_cache(maxsize=1024)
 def _damping_superop(tau: float, t1: float, t2: float) -> np.ndarray:
     """Amplitude then phase damping over ``tau`` ns, T1 and T2 in ns, as
     their transfer matrix: X and Y shrink by c, and Z relaxes toward +1 by
@@ -325,7 +323,7 @@ def _damping_superop(tau: float, t1: float, t2: float) -> np.ndarray:
 
     An infinite T1 skips amplitude damping; pure dephasing runs at rate
     1/T2 - 1/(2 T1) and is skipped when T2 is infinite or that rate is not
-    positive. Cached by value for the process, so read-only.
+    positive.
     """
     lam = _decay(tau, t1)
     lam_phi = 0.0
@@ -334,9 +332,7 @@ def _damping_superop(tau: float, t1: float, t2: float) -> np.ndarray:
         if inv_phi > 0:
             lam_phi = -math.expm1(-tau * inv_phi)
     c = math.sqrt(1.0 - lam) * math.sqrt(1.0 - lam_phi)
-    s = np.array([[1, 0, 0, 0], [0, c, 0, 0], [0, 0, c, 0], [lam, 0, 0, 1.0 - lam]])
-    s.flags.writeable = False
-    return s
+    return np.array([[1, 0, 0, 0], [0, c, 0, 0], [0, 0, c, 0], [lam, 0, 0, 1.0 - lam]])
 
 
 @functools.lru_cache(maxsize=1024)
@@ -507,9 +503,7 @@ def _options(q: int, options, p: NoiseProfile) -> list:
     """Per option of a prep or readout entry on qubit ``q``: its ``_chain``
     state and rows, and its ``_option`` gates' durations in order."""
     out = []
-    for names in options:
-        names = tuple(names)
-        gates, _ = _option(names, q)
+    for names, gates in zip(options, _option(options, q)[0]):
         state, rows = _chain(names, tuple([p.gate_error(g) for g in gates]))
         out.append((state, rows, [p.gate_duration(g) for g in gates]))
     return out
@@ -528,7 +522,8 @@ def run_noisy_variants(c: Circuit, p: NoiseProfile, preps, readouts) -> np.ndarr
     gate-error + damping model.
 
     ``preps`` and ``readouts`` are sequences of ``(qubit, options)``, each
-    option a tuple of one-qubit gate names; no qubit appears twice in one
+    ``options`` a tuple of options and each option a tuple of one-qubit
+    gate names; no qubit appears twice in one
     sequence, or ``SimulationError`` names the entry. Outputs over
     ``MAX_LEAF_ENTRIES`` entries are refused first, before the width cap
     and before anything is allocated. A variant picks one
@@ -554,8 +549,7 @@ def run_noisy_variants(c: Circuit, p: NoiseProfile, preps, readouts) -> np.ndarr
     within the larger of ``MAX_LEAF_ENTRIES`` and the result's entries.
     Gate channels, idle damping, option gates and each option's prepared
     state and readout rows come from process-wide caches keyed by value
-    (``_gate_channel``, ``_idle``, ``_damping_superop``, ``_option`` and
-    ``_chain``). Probabilities below 1e-14 in magnitude are then zeroed,
+    (``_gate_channel``, ``_idle``, ``_option`` and ``_chain``). Probabilities below 1e-14 in magnitude are then zeroed,
     and negative ones clipped.
     """
     n = c.width

@@ -116,12 +116,17 @@ def density_probs(c: Circuit, p: NoiseProfile) -> np.ndarray:
 
 def single_cut_plan(c: Circuit, pv) -> FragmentPlan:
     """One forced split along ``pv``, one bit per two-qubit gate in gate
-    order, with the fragmenter's own split step."""
+    order, with the fragmenter's own split step. Its decisions are ones the
+    planner makes, so its document reads back: under threshold 1 the root,
+    of success 0, splits, and both children, of success 1, are ``ok``
+    leaves, within limits of depth 1 and the split's cut count."""
     root = _as_root_fragment(c)
-    root.cut, root.children = _split(root, pv, {"fragment": 1, "cut": 0})
-    root.status, root.partition = "split", list(pv)
-    return FragmentPlan(width=c.width, threshold=0.0, root=root, limits=Limits(), seed=0,
-                        solver="ga", solver_log=[])
+    _split(root, pv, {"fragment": 1, "cut": 0})
+    for child in root.children:
+        child.success = 1.0
+    return FragmentPlan(width=c.width, threshold=1.0, root=root,
+                        limits=Limits(max_depth=1, max_k=len(root.cut)), seed=0, solver="ga",
+                        solver_log=[])
 
 
 def fragment_rows(text: str, width: int) -> np.ndarray:

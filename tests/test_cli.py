@@ -584,6 +584,12 @@ def _damage_plan(doc: dict, damage: str):
         root["children"][0]["partition"] = [0, 1]
     elif damage == "third-child":
         root["children"].append(json.loads(json.dumps(root["children"][1])))
+    elif damage == "split-without-children":
+        del root["children"]
+    elif damage == "one-child":
+        root["children"].pop()
+    elif damage == "children-object":
+        root["children"] = dict(enumerate(root["children"]))
     elif damage.startswith("width-"):
         doc["width"] = None if damage == "width-null" else 3
     elif damage == "threshold-string":
@@ -619,7 +625,8 @@ def _damage_plan(doc: dict, damage: str):
 @pytest.mark.parametrize("damage", ["list", "tree-not-object", "unknown-limit", "limits-empty",
                                     "solver-log-string", "unknown-top-level-key",
                                     "leaf-empty-children", "split-extra-key", "leaf-partition",
-                                    "third-child",
+                                    "third-child", "split-without-children", "one-child",
+                                    "children-object",
                                     "short-qubit-map", "string-qubit-map", "cut-qubit-99",
                                     "string-id", "negative-id", "duplicate-id",
                                     "width-null", "width-mismatch",
@@ -684,7 +691,7 @@ def test_plan_document_in_the_version_1_layout_exits_5(tmp_path, capsys, layout)
         inner_doc["fragment"] = _version_1_fragment(inner_node)
     path.write_text(json.dumps(doc))
     message = ("unsupported plan document version" if layout == "version-1"
-               else "is not the one its parent's partition derives")
+               else "the document is not the one its rebuilt plan writes")
     capsys.readouterr()
     for argv in (["run"], ["reconstruct"]):
         assert run(argv + ["--out", out]) == 5

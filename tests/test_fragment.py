@@ -78,11 +78,14 @@ def test_cut_points_reject_one_sided():
 ])
 def test_refused_partition_takes_no_ids(pv, message):
     # the planner and the plan reader number every split from one pair of
-    # counters, which only a split that succeeds advances
+    # counters, which only a split that succeeds advances, as only such a
+    # split marks its fragment split
     ids = {"fragment": 5, "cut": 3}
+    frag = Fragment(0, FIG1, qubit_map=tuple(range(FIG1.width)))
     with pytest.raises(PlanError, match=message):
-        _split(Fragment(0, FIG1, qubit_map=tuple(range(FIG1.width))), pv, ids)
+        _split(frag, pv, ids)
     assert ids == {"fragment": 5, "cut": 3}
+    assert frag == Fragment(0, FIG1, qubit_map=tuple(range(FIG1.width)))
 
 
 def test_fig1_fragments_are_two_three_qubit_circuits():
@@ -197,7 +200,8 @@ def test_property_split_gates_equal_checked_gates(c, split_seed):
             pv = [rng.randrange(2) for _ in range(n)]
             if len(set(pv)) == 1:
                 pv[-1] ^= 1
-            children += _split(frag, pv, ids)[1]
+            _split(frag, pv, ids)
+            children += frag.children
         for frag in children:
             for g in frag.circuit.gates:
                 checked = Gate(g.name, g.qubits, g.params)
@@ -530,6 +534,36 @@ def test_property_mutated_plan_documents_are_refused_or_written_back(seed):
         assert plan_to_dict(plan) == doc
         rebuilt += 1
     assert refused > rebuilt > 0
+
+
+@pytest.mark.parametrize("edit, message", [
+    ("max-k-1", "7 cuts, over its max_k of 1"),
+    ("max-depth-0", "where the planner decides unsplittable-depth"),
+    ("threshold-0", "where the planner decides ok"),
+    ("threshold-1", "has status 'ok', where the planner decides"),
+    ("ok-leaf-unsplittable-gates", "where the planner decides ok"),
+])
+def test_plan_document_with_a_decision_the_planner_cannot_make_is_refused(edit, message):
+    # the reader replays the planner's rule: each status follows from the
+    # node's success and depth under the plan's threshold and limits, and
+    # the cuts stay within max_k, so a document whose settings or statuses
+    # break that rule is refused, though it would otherwise write back; this
+    # plan has split, ok and unsplittable-k nodes, three levels deep
+    plan = recursive_fragment(circuit_fixture("clusters_n8"), STRESS, 0.9, seed=7)
+    doc = json.loads(_document_bytes(plan_to_dict(plan)))
+    assert (doc["k"], doc["limits"]) == (7, {"max_depth": 8, "max_k": 8})
+    if edit == "max-k-1":
+        doc["limits"]["max_k"] = 1
+    elif edit == "max-depth-0":
+        doc["limits"]["max_depth"] = 0
+    elif edit.startswith("threshold-"):
+        doc["threshold"] = float(edit[-1])
+    else:
+        leaf = next(node for node in _containers(doc["tree"])
+                    if isinstance(node, dict) and node.get("status") == "ok")
+        leaf["status"] = "unsplittable-gates"
+    with pytest.raises(PlanError, match=message):
+        plan_from_dict(doc)
 
 
 def test_single_cut_plan_matches_manual_fragment():

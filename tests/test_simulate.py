@@ -338,12 +338,10 @@ def test_shared_gate_matrices_are_read_only(name):
     shared = [
         gate_unitary(gate),
         SIMULATE_MODULE._gate_channel(name, (), profile.gate_error(gate)),
-        _damping_superop(50.0, 500.0, 400.0),
         SIMULATE_MODULE._idle((0.0, 50.0), (500.0, 500.0), (400.0, 400.0)),
         *SIMULATE_MODULE._chain(("h", "s"), (0.01, 0.01)),
         *SIMULATE_MODULE._chain(("sdg", "h"), (0.01, 0.01)),
-        *[SIMULATE_MODULE._option(names, q)[1]
-          for q, names in [(1, ()), (1, ("h", "s")), (0, ()), (0, ("sdg", "h"))]],
+        *[SIMULATE_MODULE._option(options, q)[1] for q, options in preps + readouts],
     ]
     if GATES[name].arity == 1:
         shared += SIMULATE_MODULE._chain((name,), (profile.gate_error(gate),))
