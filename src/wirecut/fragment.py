@@ -443,6 +443,19 @@ def _choose_partition(
     return list(pv), cost, log
 
 
+def _planned(frag: Fragment, depth: int, threshold: float, limits: Limits) -> tuple[str, ...]:
+    """The statuses the planner can give ``frag`` at ``depth``, once its
+    ``success`` is set; of ``split`` and ``unsplittable-k``, the cut budget
+    decides. ``recursive_fragment`` and ``_replay`` both follow it."""
+    if frag.success >= threshold:
+        return ("ok",)
+    if len(frag.circuit.two_qubit_indices()) < 2:
+        return ("unsplittable-gates",)
+    if depth >= limits.max_depth:
+        return ("unsplittable-depth",)
+    return ("split", "unsplittable-k")
+
+
 def recursive_fragment(
     c: Circuit,
     p: NoiseProfile,
@@ -474,13 +487,9 @@ def recursive_fragment(
     def visit(frag: Fragment, depth: int) -> None:
         local_profile = p.for_subcircuit(frag.qubit_map)
         frag.success = success_probability(frag.circuit, local_profile).success
-        if frag.success >= threshold:
-            return
-        if len(frag.circuit.two_qubit_indices()) < 2:
-            frag.status = "unsplittable-gates"
-            return
-        if depth >= limits.max_depth:
-            frag.status = "unsplittable-depth"
+        planned = _planned(frag, depth, threshold, limits)
+        if len(planned) == 1:
+            frag.status = planned[0]
             return
         g = build_graph(frag.circuit, local_profile)
         pv, cost, log = _choose_partition(g, solver, seed, len(solver_log), sa_sweeps, sa_restarts)
@@ -555,26 +564,18 @@ def _replay(doc: dict, frag: Fragment, ids: dict[str, int], plan: FragmentPlan,
     """Replay the planner on ``frag``, at ``depth`` in ``plan``, as ``doc``
     records it: set its ``success`` and ``status``, split it along its
     ``partition`` (``_split`` numbers from ``ids``, depth first) and replay
-    the ``children`` that pair with its two. As in ``recursive_fragment``,
-    a node is ``ok`` exactly when its success reaches the threshold, else
-    ``unsplittable-gates`` exactly when it has fewer than two two-qubit
-    gates, else ``unsplittable-depth`` exactly at ``max_depth``, else
-    ``split`` or ``unsplittable-k``. Nothing else is compared here."""
+    the ``children`` that pair with its two. Its status must be one that
+    ``_planned`` allows, as in ``recursive_fragment``. Nothing else is
+    compared here."""
     status, success = doc["status"], doc["success"]
     if not (_is_finite_real(success) and 0 <= success <= 1):
         raise PlanError(f"fragment {frag.id} success {success!r} is not a number in [0, 1]")
-    if success >= plan.threshold:
-        planned = ("ok",)
-    elif len(frag.circuit.two_qubit_indices()) < 2:
-        planned = ("unsplittable-gates",)
-    elif depth >= plan.limits.max_depth:
-        planned = ("unsplittable-depth",)
-    else:
-        planned = ("split", "unsplittable-k")
+    frag.success = success
+    planned = _planned(frag, depth, plan.threshold, plan.limits)
     if status not in planned:
         raise PlanError(f"fragment {frag.id} has status {status!r}, where the planner "
                         f"decides {' or '.join(planned)}")
-    frag.success, frag.status = success, status
+    frag.status = status
     if status == "split":
         _split(frag, doc["partition"], ids)
         for child_doc, child in zip(doc["children"], frag.children):

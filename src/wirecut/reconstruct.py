@@ -27,16 +27,19 @@ X and Y their own bases with [1, -1]; per in-cut, I = zero + one,
 Z = zero - one, X = 2 plus - zero - one and Y = 2 plus_i - zero - one. The
 maps are applied along a fixed path, one ``tensordot`` per cut, with no
 path search. The label tensors are contracted over shared cut axes into
-original qubit order along numpy's greedy path, searched once per
-reconstruction under a memory limit and checked before it runs: a path
-that joins more than two tensors in one step (numpy's fallback when no
-pair fits the limit) is refused when the plan cuts. The path depends
-only on the plan's shapes, so equal inputs give byte-identical results,
-and its cost is set by the largest intermediate, not the 4^k assignments.
+original qubit order by ``_contract``: numpy's greedy path is searched once
+per reconstruction under a memory limit and checked before it runs (a
+path that joins more than two tensors in one step, numpy's fallback when
+no pair fits the limit, is refused when the plan cuts), and each step is
+then one pairwise ``np.einsum`` without BLAS. The path depends only on the
+plan's shapes and no step's summation order depends on the CPU's BLAS
+kernel or SIMD features, so equal inputs give the same bytes on every CPU.
+The cost is set by the largest intermediate, not the 4^k assignments.
 """
 from __future__ import annotations
 
 import base64
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -91,7 +94,7 @@ _BASIS_OPTIONS = tuple(_BASIS_GATES[b] for b in MEAS_BASES)
 _MAX_INDICES = 52  # np.einsum names every index with one of 52 letters
 # elements an intermediate tensor may hold when the leaves are contracted
 # (32 MiB), or 2^width when more; when no pair fits, numpy's greedy path
-# joins the remaining tensors in one step, which ``reconstruct`` refuses
+# joins the remaining tensors in one step, which ``_contract`` refuses
 _MAX_INTERMEDIATE = 1 << 22
 
 
@@ -285,6 +288,40 @@ def _leaf_tensor(leaf: Fragment, output: FragmentOutput) -> np.ndarray:
     return t.transpose([*range(len(held), t.ndim), *range(len(held))])
 
 
+def _contract(tensors: list, indices: list[list[int]], output: list[int],
+              limit: int) -> np.ndarray:
+    """The product of ``tensors``, each over the einsum indices of its list
+    in ``indices``, summed over every index that ``output`` does not list,
+    with ``output``'s axes.
+
+    numpy's greedy path is searched once, with no intermediate over
+    ``limit`` elements. When an index is summed, a step that joins more
+    than two tensors (numpy's fallback when no pair fits) is refused before
+    anything is contracted. Each step is then one ``np.einsum`` without
+    ``optimize``, which calls no BLAS, keeping in index order the indices
+    that ``output`` or a tensor still to be joined needs.
+    """
+    tensors, indices = list(tensors), list(indices)
+    path, _ = np.einsum_path(*itertools.chain(*zip(tensors, indices)), output,
+                             optimize=("greedy", limit))
+    # with no summed index numpy leaves the whole product to one step, whose
+    # one array is the output
+    summed = set(itertools.chain(*indices)) - set(output)
+    if summed and any(len(step) > 2 for step in path[1:]):
+        raise ReconstructionError(
+            f"no contraction order of the {len(tensors)} leaves keeps every intermediate "
+            f"within {limit} elements")
+    for step in path[1:]:
+        # numpy's steps pop their operands from the list, the highest
+        # position first, and append the result
+        joined = [(tensors.pop(i), indices.pop(i)) for i in sorted(step, reverse=True)]
+        needed = set(output).union(*indices)
+        keep = sorted(set().union(*(ix for _, ix in joined)) & needed) if tensors else output
+        tensors.append(np.einsum(*itertools.chain(*joined), keep))
+        indices.append(keep)
+    return tensors[0]
+
+
 def reconstruct(outputs: dict[int, FragmentOutput], plan: FragmentPlan) -> ReconstructionResult:
     """Recombine fragment outputs, keyed by leaf id as ``execute_plan``
     returns them, into the full-width distribution.
@@ -327,21 +364,12 @@ def reconstruct(outputs: dict[int, FragmentOutput], plan: FragmentPlan) -> Recon
     # einsum indices: original qubits 0..width-1, then one per cut; the
     # output lists the qubits in order, which is the final transpose
     cut_index = {cid: plan.width + j for j, cid in enumerate(cut_ids)}
-    operands: list = []
-    limit = max(_MAX_INTERMEDIATE, 1 << plan.width)
     with np.errstate(over="ignore", invalid="ignore"):  # refused below when not finite
-        for leaf, qubits in zip(leaves, terminals):
-            operands += [_leaf_tensor(leaf, outputs[leaf.id]),
-                         [cut_index[c] for c in leaf.variant_cuts] + qubits]
-        operands.append(list(range(plan.width)))
-        path, _ = np.einsum_path(*operands, optimize=("greedy", limit))
-        # with no cut every index is the output's, and numpy leaves the whole
-        # product to one step, whose one array is the 2^width output
-        if k and any(len(step) > 2 for step in path[1:]):
-            raise ReconstructionError(
-                f"no contraction order of the {len(leaves)} leaves keeps every intermediate "
-                f"within {limit} elements")
-        quasi = np.einsum(*operands, optimize=path).reshape(-1) * (0.5 ** k)
+        tensors = [_leaf_tensor(leaf, outputs[leaf.id]) for leaf in leaves]
+        indices = [[cut_index[c] for c in leaf.variant_cuts] + qubits
+                   for leaf, qubits in zip(leaves, terminals)]
+        quasi = _contract(tensors, indices, list(range(plan.width)),
+                          max(_MAX_INTERMEDIATE, 1 << plan.width)).reshape(-1) * (0.5 ** k)
 
     clipped = float(-np.sum(np.minimum(quasi, 0.0))) or 0.0  # never -0.0
     clipped_vec = np.clip(quasi, 0.0, None)

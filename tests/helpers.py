@@ -1,18 +1,23 @@
 """Shared generators for randomized tests, a one-split plan, the fused
 full-matrix view of the noisy evolution and its outcome probabilities,
-fragment-document rows, and emptying the simulator's process caches."""
+fragment-document rows, recombining a folder of documents, and emptying
+the simulator's process caches."""
 import base64
 import functools
+import hashlib
 import importlib
+import json
+import pathlib
 import random
 
 import numpy as np
 
 from wirecut.circuit import GATES, Circuit, Gate
-from wirecut.fragment import FragmentPlan, Limits, _as_root_fragment, _split
+from wirecut.fragment import FragmentPlan, Limits, _as_root_fragment, _split, plan_from_dict
 from wirecut.graph import GateGraph
 from wirecut.ising import IsingModel
 from wirecut.noise import NoiseProfile
+from wirecut.reconstruct import outputs_from_dict, reconstruct
 from wirecut.simulate import (
     _PAULI,
     _ZERO,
@@ -141,6 +146,24 @@ def packed_rows(rows) -> str:
     """``rows`` as one leaf's entry in a fragments document's ``probs``: the
     base64 text of their little-endian float64 bytes, row-major."""
     return base64.b64encode(np.asarray(rows, dtype="<f8").tobytes()).decode("ascii")
+
+
+def recombined_digests(root) -> dict[str, str]:
+    """Per fragments document under ``root``, the sha256 of the bytes of
+    its reconstruction: the probability vector, then the clipped mass.
+    Each folder of ``root`` holds one ``plan.json`` and any number of
+    ``fragments_<mode>.json`` of that plan; the keys are
+    ``"<folder>/<mode>"``."""
+    digests = {}
+    for case in sorted(pathlib.Path(root).iterdir()):
+        plan = plan_from_dict(json.loads((case / "plan.json").read_text(encoding="utf-8")))
+        for path in sorted(case.glob("fragments_*.json")):
+            doc = json.loads(path.read_text(encoding="utf-8"))
+            result = reconstruct(outputs_from_dict(doc, plan, doc["plan"]), plan)
+            digest = hashlib.sha256(result.distribution.probs.tobytes())
+            digest.update(np.float64(result.clipped_mass).tobytes())
+            digests[f"{case.name}/{path.stem.removeprefix('fragments_')}"] = digest.hexdigest()
+    return digests
 
 
 def clear_simulation_caches():

@@ -3,8 +3,12 @@ import importlib
 import itertools
 import json
 import math
+import os
+import pathlib
 import random
 import re
+import subprocess
+import sys
 import tracemalloc
 from collections import defaultdict
 
@@ -19,6 +23,7 @@ from helpers import (
     fragment_rows,
     packed_rows,
     random_circuit,
+    recombined_digests,
     single_cut_plan,
 )
 from oracles import dict_fidelity, dict_hellinger, dict_tvd
@@ -32,6 +37,7 @@ from wirecut.fragment import (
     FragmentPlan,
     Limits,
     enumerate_variants,
+    plan_to_dict,
     recursive_fragment,
 )
 from wirecut.graph import build_graph
@@ -139,6 +145,19 @@ def test_multi_level_plan_reconstructs():
     result = reconstruct(execute_plan(plan), plan)
     ref = measure_distribution(run_ideal(chain))
     assert tvd(result.distribution, ref) < 1e-9
+
+
+def test_ghz_chains_cut_into_two_qubit_leaves_reconstruct_beyond_k8():
+    # at 0.999 under stress the planner splits each chain down to 2-qubit
+    # leaves: k = 10, 14 and 18, far past the fixtures' k <= 8
+    for n in (12, 16, 20):
+        chain = Circuit(width=n, gates=(Gate("h", (0,)),) + tuple(
+            Gate("cx", (i, i + 1)) for i in range(n - 1)))
+        plan = recursive_fragment(chain, STRESS, 0.999, limits=Limits(max_depth=20, max_k=n),
+                                  seed=7)
+        assert plan.k == n - 2 and {leaf.width for leaf in plan.leaf_fragments()} == {2}
+        result = reconstruct(execute_plan(plan), plan)
+        assert tvd(result.distribution, measure_distribution(run_ideal(chain))) < 1e-9
 
 
 def test_missing_variant_is_an_error():
@@ -519,6 +538,22 @@ def labelled_sum(outputs, plan):
     return quasi
 
 
+def reconstruct_as_labelled_sum(outputs, plan):
+    """``reconstruct(outputs, plan)``, checked against ``labelled_sum``:
+    the clipped mass, and each probability once the negative quasi-mass is
+    clipped and the rest renormalized, to 1e-12."""
+    result = reconstruct(outputs, plan)
+    quasi = labelled_sum(outputs, plan)
+    clipped = -sum(min(v, 0.0) for v in quasi.values())
+    positive = sum(max(v, 0.0) for v in quasi.values())
+    assert result.clipped_mass == pytest.approx(clipped, abs=1e-12)
+    got = result.distribution.to_dict()["probs"]
+    for bits in set(quasi) | set(got):
+        expected = max(quasi.get(bits, 0.0), 0.0) / positive
+        assert got.get(bits, 0.0) == pytest.approx(expected, abs=1e-12)
+    return result
+
+
 def test_sampled_outputs_match_the_direct_labelled_sum():
     # shot noise makes the quasi-distribution non-physical, so exactness
     # against the ideal proves nothing; compare with the labelled sum instead
@@ -533,19 +568,35 @@ def test_sampled_outputs_match_the_direct_labelled_sum():
         if len(set(pv)) < 2 or not 1 <= int(cut_size(pv, g)) <= 3:
             continue
         plan = single_cut_plan(c, pv)
-        outputs = execute_plan(plan, shots=200, seed=rng.randrange(1000))
-        result = reconstruct(outputs, plan)
-        quasi = labelled_sum(outputs, plan)
-        clipped = -sum(min(v, 0.0) for v in quasi.values())
-        positive = sum(max(v, 0.0) for v in quasi.values())
-        assert result.clipped_mass == pytest.approx(clipped, abs=1e-12)
-        got = result.distribution.to_dict()["probs"]
-        for bits in set(quasi) | set(got):
-            expected = max(quasi.get(bits, 0.0), 0.0) / positive
-            assert got.get(bits, 0.0) == pytest.approx(expected, abs=1e-12)
+        result = reconstruct_as_labelled_sum(
+            execute_plan(plan, shots=200, seed=rng.randrange(1000)), plan)
         seen_k.add(plan.k)
         clipped_cases += result.clipped_mass > 1e-6
     assert seen_k == {1, 2, 3} and clipped_cases >= 3
+
+
+# recursive plans of three or more leaves, as (random_circuit seed, width,
+# gate count): four leaves at k=3, one wire cut twice; four leaves at k=4;
+# three at k=4 around a five-qubit leaf
+MULTI_LEVEL_CASES = [(0, 6, 14), (12, 6, 12), (16, 5, 15)]
+
+
+@pytest.mark.parametrize("profile", [None, STRESS], ids=["ideal", "noisy"])
+def test_sampled_multi_level_outputs_match_the_direct_labelled_sum(profile):
+    # multi-level plans contract their label tensors in more than one step;
+    # sampled rows, from ideal or noisy ones, give negative quasi-mass
+    clipped_cases = 0
+    for seed, width, n_gates in MULTI_LEVEL_CASES:
+        c = random_circuit(random.Random(seed), width, n_gates, two_q_prob=0.6)
+        plan = recursive_fragment(c, STRESS, 0.95, limits=Limits(max_k=4), seed=0)
+        leaves = plan.leaf_fragments()
+        wires = [leaf.qubit_map[q] for leaf in leaves for q in leaf.out_cuts.values()]
+        assert len(leaves) >= 3 and plan.k >= 3
+        assert (len(set(wires)) < len(wires)) == (seed == 0)
+        result = reconstruct_as_labelled_sum(
+            execute_plan(plan, profile=profile, shots=200, seed=seed), plan)
+        clipped_cases += result.clipped_mass > 1e-6
+    assert clipped_cases >= 2
 
 
 # a valid fragments document of GHZ3 cut once: upstream leaf 1, two qubits
@@ -715,7 +766,7 @@ def test_ideal_documents_match_their_golden_hash():
             for doc in docs:
                 digest.update(json.dumps(doc, sort_keys=True, separators=(",", ":")).encode())
     assert digest.hexdigest() == (
-        "892e0d14f4c10f2d59c0c60a4be333cdf74dcd879d642f4454862aad4ad3e554")
+        "65933cd46df400caf2ea2b458a30db3d3feefe7bb27a73421ff7e962839a9b96")
 
 
 _RUN_MODES = {"ideal": {}, "noisy": {"profile": STRESS}, "sampled": {"shots": 1000, "seed": 7}}
@@ -758,10 +809,54 @@ def test_decoded_fragment_rows_match_their_golden_hash(read_back_digests):
 
 def test_reconstruction_documents_match_their_golden_hash(read_back_digests):
     assert read_back_digests[1] == {
-        "ideal": "dbfd1cc4514668cf148bd787a7018395037e6a30668b18948b4aef2002b18011",
-        "noisy": "940d4d3699a550b62771540670d9f852be6b9f7aca20f7e38c87df6e33e4907f",
-        "sampled": "1b759b7db2909b2578d1d3e16570103350ce670fadd3096e0d58aa86f7bdb68e",
+        "ideal": "ad64411a72b20be0abb9ac0d9d9b07bd8722534c9ad30b8fe6ee9f848f6f2b9b",
+        "noisy": "b9ffbee92892d1162bbc800020f861c365b958aaec4327c69178d5334c1c5834",
+        "sampled": "3d8ecb437f71a81cbecacd4b9a2f872ffa5d403c980cb85abe97656d0493df53",
     }
+
+
+def _enabled_dispatch_features() -> list[str]:
+    """The SIMD features numpy dispatches to at run time and finds enabled."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:  # numpy 1.x
+        from numpy.core import _multiarray_umath as umath
+    return [f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f)]
+
+
+def test_recombination_bytes_do_not_depend_on_the_cpu(tmp_path):
+    # the same plan and fragments documents recombine to the same bytes
+    # under OpenBLAS's oldest x86-64 kernel and with numpy's dispatched SIMD
+    # off, each set in a child process only: the stress plans of every
+    # fixture, run ideal, noisy and sampled
+    for name in CIRCUIT_FIXTURES:
+        for threshold in (0.8, 0.95):
+            plan = recursive_fragment(circuit_fixture(name), STRESS, threshold, seed=7)
+            case = tmp_path / f"{name}_{threshold}"
+            case.mkdir()
+            (case / "plan.json").write_text(json.dumps(plan_to_dict(plan)), encoding="utf-8")
+            for mode, run in _RUN_MODES.items():
+                doc = outputs_to_dict(execute_plan(plan, **run), case.name)
+                (case / f"fragments_{mode}.json").write_text(json.dumps(doc), encoding="utf-8")
+    here = recombined_digests(tmp_path)
+    assert len(here) == 42
+    cpus = {"OPENBLAS_CORETYPE": "Prescott",
+            "NPY_DISABLE_CPU_FEATURES": " ".join(_enabled_dispatch_features())}
+    # the child imports this wirecut and the tests' helpers
+    paths = [str(pathlib.Path(__file__).parent),
+             str(pathlib.Path(importlib.import_module("wirecut").__file__).parents[1])]
+    for var, value in cpus.items():
+        env = {k: v for k, v in os.environ.items() if k not in cpus}
+        env[var] = value
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [*paths, env.get("PYTHONPATH")]))
+        child = subprocess.run(
+            [sys.executable, "-c", "import json, sys\nfrom helpers import recombined_digests\n"
+             "print(json.dumps(recombined_digests(sys.argv[1])))", str(tmp_path)],
+            env=env, capture_output=True, text=True)
+        assert child.returncode == 0, child.stderr
+        there = json.loads(child.stdout)
+        moved = sorted(key for key in here if there[key] != here[key])
+        assert not moved, f"{var}={value!r} moves the reconstructions of {moved}"
 
 
 def test_noisy_rows_do_not_depend_on_what_the_process_ran_before():
