@@ -16,6 +16,10 @@ slots directly. Only ``Gate.relabelled`` skips the checks: it moves a
 checked gate onto other distinct qubits, as the fragmenter does with every
 gate it places in a fragment. ``swap`` is not in the table: the parser
 expands it into three ``cx``.
+
+``asap_schedule`` and ``wire_walk``, the one ASAP schedule and the one walk
+over each wire's one-qubit runs, are what the estimate, the gate graph and
+the noisy executor read of a circuit's timing and wires.
 """
 from __future__ import annotations
 
@@ -37,6 +41,7 @@ __all__ = [
     "circuit_to_dict",
     "circuit_from_dict",
     "asap_schedule",
+    "wire_walk",
 ]
 
 
@@ -163,10 +168,6 @@ class Gate:
         _set_params(copy, self.params)
         _set_is_measurement(copy, self.is_measurement)
         return copy
-
-    @property
-    def is_two_qubit(self) -> bool:
-        return len(self.qubits) == 2
 
 
 # a gate's fields are written once, as it is built, through their slots'
@@ -443,23 +444,45 @@ def circuit_from_dict(doc: dict) -> Circuit:
 # Scheduling
 # ---------------------------------------------------------------------------
 
-def asap_schedule(c: Circuit, profile) -> tuple[list[tuple[float, float]], float]:
-    """As-soon-as-possible schedule.
+def asap_schedule(c: Circuit, durations, free=None) -> tuple[list[float], list[float], list[float]]:
+    """As-soon-as-possible schedule of ``c``: each gate, taking its entry
+    of ``durations`` (a measurement's is 0), starts when all its qubits are
+    free, the clocks starting at ``free`` (all 0 when None). Returns each
+    gate's start, each gate's end, and the clocks after the last gate."""
+    free = [0.0] * c.width if free is None else list(free)
+    starts, ends = [], []
+    for g, d in zip(c.gates, durations):
+        qubits = g.qubits
+        if len(qubits) == 2:
+            a, b = qubits
+            start = free[b] if free[b] > free[a] else free[a]  # max(free[a], free[b])
+            free[a] = free[b] = end = start + d
+        else:
+            start = free[qubits[0]]
+            free[qubits[0]] = end = start + d
+        starts.append(start)
+        ends.append(end)
+    return starts, ends, free
 
-    Returns (per-gate (start_ns, end_ns) list, makespan_ns). Each gate starts
-    when all its qubits are free, every clock at 0 before the first gate.
-    Measurements take zero time and do not advance the wire clock.
-    """
-    free = [0.0] * c.width
-    spans: list[tuple[float, float]] = []
-    for g in c.gates:
-        if g.is_measurement:
-            t = max(free[q] for q in g.qubits)
-            spans.append((t, t))
-            continue
-        start = max(free[q] for q in g.qubits)
-        end = start + profile.gate_duration(g)
-        spans.append((start, end))
-        for q in g.qubits:
-            free[q] = end
-    return spans, max(free) if free else 0.0
+
+def wire_walk(c: Circuit) -> list:
+    """Each wire's runs of one-qubit gates between its two-qubit gates, as
+    ``(qubits, gate, runs, before)`` entries in gate order: per two-qubit
+    gate index ``gate``, per operand the run since the wire's previous
+    two-qubit gate and that gate (None at the wire's start). A run that no
+    two-qubit gate follows gets an entry at the end with ``gate`` None.
+    Measurements are in no run."""
+    pending: list[list[int]] = [[] for _ in range(c.width)]  # per qubit, its run
+    last: list[int | None] = [None] * c.width  # per qubit, its last two-qubit gate
+    walk = []
+    for gi, g in enumerate(c.gates):
+        qubits = g.qubits
+        if len(qubits) == 2:
+            a, b = qubits
+            walk.append((qubits, gi, (tuple(pending[a]), tuple(pending[b])), (last[a], last[b])))
+            pending[a], pending[b] = [], []
+            last[a] = last[b] = gi
+        elif not g.is_measurement:
+            pending[qubits[0]].append(gi)
+    walk += [((q,), None, (tuple(run),), (last[q],)) for q, run in enumerate(pending) if run]
+    return walk

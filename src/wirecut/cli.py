@@ -62,7 +62,7 @@ from .reconstruct import (
     reconstruct,
     tvd,
 )
-from .simulate import SimulationError, measure_distribution, run_ideal
+from .simulate import MAX_SHOTS, SimulationError, measure_distribution, run_ideal
 
 # exit code and message prefix of each library error that reaches ``main``
 _FAILURES = {
@@ -286,8 +286,8 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _int_at_least(low: int):
-    """argparse type for an integer no smaller than ``low``."""
+def _int_at_least(low: int, most: int | None = None):
+    """argparse type for an integer no smaller than ``low`` nor larger than ``most``."""
 
     def parse(text: str) -> int:
         try:
@@ -296,6 +296,8 @@ def _int_at_least(low: int):
             raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        if most is not None and value > most:
+            raise argparse.ArgumentTypeError(f"must be at most {most}, got {value}")
         return value
 
     return parse
@@ -353,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     def run_flags(p):
         p.add_argument("--noisy", action="store_true", help="density-matrix noise model")
-        p.add_argument("--shots", type=_int_at_least(1), default=None,
+        p.add_argument("--shots", type=_int_at_least(1, MAX_SHOTS), default=None,
                        help="sample instead of exact output")
 
     p_cut = sub.add_parser("cut", help="plan a fragmentation")

@@ -4,9 +4,10 @@ Vertices are the two-qubit gates, weighted by the estimated error
 probability of the circuit segment they terminate: the gate itself, the
 single-qubit gates on its input wires back to the previous two-qubit gate
 (or the wire start), and the decoherence accumulated over that segment's
-wall time. The weight is the estimate's arithmetic (``noise._log_ok`` and
-``noise._decay_exponent``, as ``success_probability`` composes them) on
-the segment, with the smallest T1 and T2 of the gate's operands. Edges
+wall time, from ``circuit.wire_walk`` and ``circuit.asap_schedule`` as
+the noisy executor reads them. The weight is the estimate's arithmetic
+(``noise._log_ok`` and ``noise._decay_exponent``, as ``success_probability``
+composes them) on the segment, with the smallest T1 and T2 of the gate's operands. Edges
 join two-qubit gates that are consecutive on a shared wire; the edge
 weight is the number of shared wires (1 or 2).
 
@@ -27,7 +28,7 @@ import json
 import math
 from dataclasses import dataclass
 
-from .circuit import Circuit, asap_schedule
+from .circuit import Circuit, asap_schedule, wire_walk
 from .noise import NoiseProfile, _decay_exponent, _log_ok
 
 __all__ = ["GraphError", "GateGraph", "build_graph", "serialize_graph"]
@@ -78,40 +79,34 @@ class GateGraph:
 
 def build_graph(c: Circuit, p: NoiseProfile) -> GateGraph:
     """Build the doubly-weighted graph of ``c`` under profile ``p``."""
-    spans, _ = asap_schedule(c, p)
+    starts, ends, _ = asap_schedule(c, [p.gate_duration(g) for g in c.gates])
     gates: list[int] = []  # vertex id -> gate index
+    vertex: dict[int, int] = {}  # gate index -> vertex id
     raw: list[float] = []
-    prev_vertex: dict[int, int] = {}  # per wire: the last two-qubit gate's vertex
-    pending_single: dict[int, list[int]] = {q: [] for q in range(c.width)}
     by_pair: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
 
-    for gi, g in enumerate(c.gates):
-        if g.is_measurement:
-            continue
-        if not g.is_two_qubit:
-            pending_single[g.qubits[0]].append(gi)
-            continue
+    for qubits, gi, runs, before in wire_walk(c):
+        if gi is None:  # the trailing runs, after every two-qubit gate
+            break
         vid = len(gates)
-        log_ok = _log_ok(p, g)
-        starts = []
-        for q in g.qubits:
-            up = prev_vertex.get(q)
+        log_ok = _log_ok(p, c.gates[gi])
+        begin = []  # per operand, where its segment starts
+        for q, run, up in zip(qubits, runs, before):
             if up is not None:
-                by_pair.setdefault((up, vid), []).append((q, gates[up], gi))
-                starts.append(spans[gates[up]][1])
-            elif pending_single[q]:
-                starts.append(spans[pending_single[q][0]][0])
+                by_pair.setdefault((vertex[up], vid), []).append((q, up, gi))
+                begin.append(ends[up])
+            elif run:
+                begin.append(starts[run[0]])
             else:
                 # a wire idle in |0> does not decohere; its clock starts here
-                starts.append(spans[gi][0])
-            for si in pending_single[q]:
+                begin.append(starts[gi])
+            for si in run:
                 log_ok += _log_ok(p, c.gates[si])
-            pending_single[q] = []
-            prev_vertex[q] = vid
-        decay = _decay_exponent(p, g.qubits, spans[gi][1] - min(starts))
+        decay = _decay_exponent(p, qubits, ends[gi] - min(begin))
         err = -math.expm1(log_ok - decay)
         if not math.isfinite(err):
             raise GraphError(f"gate {gi} has a non-finite weight: the circuit's schedule overflows")
+        vertex[gi] = vid
         gates.append(gi)
         raw.append(max(err, WEIGHT_FLOOR))
 

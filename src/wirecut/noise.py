@@ -7,10 +7,11 @@ decoherence factor over the scheduled circuit duration:
 
     success = (1 - p_ge) * exp(-(tau/T1 + tau/T2))
 
-with tau the ASAP makespan and T1, T2 the minimum over touched qubits.
-This module owns that arithmetic: ``_log_ok``, a gate's log(1 - e), and
-``_decay_exponent``, tau/T1 + tau/T2 over a set of qubits. The estimate
-here and the gate-graph weights (``graph.build_graph``) both compose them.
+with tau the makespan of ``circuit.asap_schedule`` and T1, T2 the minimum
+over touched qubits. This module owns that arithmetic: ``_log_ok``, a
+gate's log(1 - e), and ``_decay_exponent``, tau/T1 + tau/T2 over a set of
+qubits. The estimate here and the gate-graph weights (``graph.build_graph``)
+both compose them.
 """
 from __future__ import annotations
 
@@ -275,7 +276,7 @@ def success_probability(c: Circuit, p: NoiseProfile) -> ErrorEstimate:
     (a conservative choice when scoring sub-circuits).
     """
     p_ge = gate_error_prob(c, p)
-    tau = asap_schedule(c, p)[1]
+    tau = max(asap_schedule(c, [p.gate_duration(g) for g in c.gates])[2])
     decay = math.exp(-_decay_exponent(p, c.touched_qubits(), tau)) if tau > 0 else 1.0
     success = (1.0 - p_ge) * decay
     return ErrorEstimate(p_ge=p_ge, p_error=1.0 - success, success=success, tau_ns=tau)

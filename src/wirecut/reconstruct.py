@@ -368,10 +368,12 @@ def reconstruct(outputs: dict[int, FragmentOutput], plan: FragmentPlan) -> Recon
         tensors = [_leaf_tensor(leaf, outputs[leaf.id]) for leaf in leaves]
         indices = [[cut_index[c] for c in leaf.variant_cuts] + qubits
                    for leaf, qubits in zip(leaves, terminals)]
+        # 2^k times the quasi-distribution: a power of two commutes exactly
+        # with the sums, the clip and the division below, so only the clipped mass is scaled
         quasi = _contract(tensors, indices, list(range(plan.width)),
-                          max(_MAX_INTERMEDIATE, 1 << plan.width)).reshape(-1) * (0.5 ** k)
+                          max(_MAX_INTERMEDIATE, 1 << plan.width)).reshape(-1)
 
-    clipped = float(-np.sum(np.minimum(quasi, 0.0))) or 0.0  # never -0.0
+    clipped = float(-np.sum(np.minimum(quasi, 0.0))) * 0.5 ** k or 0.0  # never -0.0
     clipped_vec = np.clip(quasi, 0.0, None)
     total = clipped_vec.sum()
     if not (np.isfinite(total) and np.isfinite(clipped)):

@@ -36,9 +36,9 @@ PTM is Tr(B_i U B_j U^dag), the Pauli error's is diag(1, d, d, d) with d =
 channel is the Kronecker product over its operand axes. Each gate's
 damping, unitary and Pauli error are multiplied into one PTM (4x4, or
 16x16 on the two operand axes): ``_gate_channel`` then ``_idle``.
-``_structure`` multiplies each qubit's run of one-qubit channels into the
-next two-qubit channel on that qubit, so most gates cost no ``_apply`` of
-their own, and ``_evolve`` applies the products. The tests check the closed
+``_fuser`` multiplies each run of one-qubit channels of ``wire_walk`` into
+the next two-qubit channel on that qubit, so most gates cost no ``_apply``
+of their own, and ``_evolve`` applies the products. The tests check the closed
 forms against Kraus channels built independently in ``tests/oracles.py``,
 and the evolution against a full-matrix reference.
 
@@ -57,13 +57,13 @@ gaps.
 direct execution of one circuit, is its case with no variants. Variants whose
 prepended gates take the same durations form a schedule group. Which
 applications act on which qubits follows from the circuit alone
-(``_structure``, once per call); a group's clocks set only each two-qubit
-application's idle gaps (``_clocks``, once per group). The prepared states
-of every group lie on one batch axis of rho, and the body evolves once
-over it, each application taking one matrix where the groups' gaps agree
-and a per-entry stack where they do not. Every readout combination
-of every entry is then read in one contraction, one batched matmul per
-qubit.
+(``wire_walk``, once per call); a group's clocks set only each two-qubit
+application's idle gaps (``_gaps`` on ``asap_schedule``, once per group).
+The prepared states of every group lie on one batch axis of rho, and the
+body evolves once over it, each application taking one matrix where the
+groups' gaps agree and a per-entry stack where they do not. Every readout
+combination of every entry is then read in one contraction, one batched
+matmul per qubit.
 """
 from __future__ import annotations
 
@@ -74,7 +74,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circuit import GATES, Circuit, Gate
+from .circuit import GATES, Circuit, Gate, asap_schedule, wire_walk
 from .noise import NoiseProfile
 
 __all__ = [
@@ -92,6 +92,8 @@ MAX_STATEVECTOR_QUBITS = 24
 MAX_DENSITY_QUBITS = 12
 # entries of a fragment leaf's outputs (an uncut leaf's at the width cap), and of a noisy batch
 MAX_LEAF_ENTRIES = 1 << MAX_STATEVECTOR_QUBITS
+# the most shots one sample draws: numpy's multinomial counts them in an int64
+MAX_SHOTS = (1 << 63) - 1
 
 _I2 = np.eye(2, dtype=complex)
 _I4 = np.eye(4)
@@ -272,6 +274,8 @@ def sample_frequencies(probs: np.ndarray, shots: int, seed) -> np.ndarray:
     integer or a sequence of non-negative integers."""
     if shots < 1:
         raise SimulationError(f"shots must be at least 1, got {shots}")
+    if shots > MAX_SHOTS:
+        raise SimulationError(f"shots must be at most {MAX_SHOTS}, got {shots}")
     rng = np.random.default_rng(seed)
     return rng.multinomial(shots, probs / probs.sum()) / shots
 
@@ -360,68 +364,38 @@ def _idle(gaps: tuple[float, float], t1: tuple[float, float], t2: tuple[float, f
     return s
 
 
-def _structure(c: Circuit) -> list:
-    """The superoperator applications that evolve ``c``, in order, as
-    ``(qubits, gate, runs)``: all that follows from ``c`` alone.
-
-    One-qubit gates get no application of their own. Each qubit's run of
-    them, as gate indices, is multiplied into the next two-qubit channel on
-    that qubit, gate index ``gate``, as ``s2 @ kron(run_a, run_b)``: ``runs``
-    holds one run per operand. A run that no two-qubit gate follows is
-    applied once at the end, qubit by qubit, with ``gate`` None. Channels on
-    other qubits commute with a run, so this is the same map, rounded
-    differently."""
-    pending: list[list[int]] = [[] for _ in range(c.width)]  # per qubit, its run
-    apps = []
-    for gi, g in enumerate(c.gates):
-        if g.is_measurement:
-            continue
-        if len(g.qubits) == 1:
-            pending[g.qubits[0]].append(gi)
-            continue
-        a, b = g.qubits
-        apps.append((g.qubits, gi, (tuple(pending[a]), tuple(pending[b]))))
-        pending[a], pending[b] = [], []
-    apps += [((q,), None, (tuple(run),)) for q, run in enumerate(pending) if run]
-    return apps
+def _pairs(apps: list) -> list:
+    """Per two-qubit ``wire_walk`` entry: its gate, operands and each operand's previous gate."""
+    pairs = []
+    for qubits, gi, runs, before in apps:
+        if gi is None:  # the trailing runs, after every two-qubit gate
+            break
+        (a, b), (run_a, run_b), (up_a, up_b) = qubits, runs, before
+        pairs.append((gi, a, b, run_a[-1] if run_a else up_a, run_b[-1] if run_b else up_b))
+    return pairs
 
 
-def _clocks(apps: list, durations, free: list[float]) -> list[tuple[float, float]]:
-    """The idle gaps of ``_structure``'s two-qubit applications ``apps``, a
-    pair in operand order for each, on the ASAP schedule whose qubit clocks
-    start at ``free``: ``asap_schedule``'s arithmetic on the gates'
-    ``durations``, in its order. ``free`` is advanced to the end of each
-    qubit's last gate. A one-qubit gate starts when its qubit is free, so
-    only these gaps depend on the clocks."""
+def _gaps(starts, ends, start, pairs) -> list[tuple[float, float]]:
+    """Per ``_pairs`` entry, each operand's idle gap on an ``asap_schedule``
+    from the clocks ``start``: the gate's start minus the end of the gate
+    before it, or minus the start clock. Only these depend on the clocks."""
     gaps = []
-    for qubits, gi, runs in apps:
-        if gi is None:  # a trailing run
-            q, = qubits
-            clock = free[q]
-            for r in runs[0]:
-                clock = clock + durations[r]
-            free[q] = clock
-            continue
-        (a, b), (run_a, run_b) = qubits, runs
-        clock_a, clock_b = free[a], free[b]
-        for r in run_a:
-            clock_a = clock_a + durations[r]
-        for r in run_b:
-            clock_b = clock_b + durations[r]
-        start = max(clock_a, clock_b)
-        gaps.append((start - clock_a, start - clock_b))
-        free[a] = free[b] = start + durations[gi]
+    for gi, a, b, prev_a, prev_b in pairs:
+        begin = starts[gi]
+        gaps.append((begin - (start[a] if prev_a is None else ends[prev_a]),
+                     begin - (start[b] if prev_b is None else ends[prev_b])))
     return gaps
 
 
 def _fuser(c: Circuit, p: NoiseProfile, apps: list, t1, t2):
-    """The matrix of ``_structure``'s application ``k`` of ``c`` for its
-    ``_clocks`` gaps (``()`` for a trailing run): the product of its runs'
-    ``_gate_channel``s, then damping over the gaps, then the two-qubit
-    gate's channel, multiplied in the order they act. The runs' product is
-    built once per application and each matrix once per (application,
-    gaps), which name ``c``'s applications by index, so this cache lives for
-    one call."""
+    """The matrix of entry ``k`` of ``c``'s ``wire_walk`` ``apps`` for its
+    ``_gaps`` (``()`` for a trailing run): its runs' ``_gate_channel``s,
+    then damping over the gaps, then the two-qubit gate's channel, as
+    ``s2 @ idle @ kron(run_a, run_b)``. Channels on other qubits commute
+    with a run, so this is the gate-by-gate map, rounded differently. The
+    runs' product is built once per application and each matrix once per
+    (application, gaps), which name ``c``'s applications by index, so this
+    cache lives for one call."""
     cores = [None if g.is_measurement else _gate_channel(g.name, g.params, p.gate_error(g))
              for g in c.gates]
     runs: dict = {}
@@ -436,7 +410,7 @@ def _fuser(c: Circuit, p: NoiseProfile, apps: list, t1, t2):
     def matrix(k: int, gaps) -> np.ndarray:
         s = superops.get((k, gaps))
         if s is None:
-            qubits, gi, members = apps[k]
+            qubits, gi, members, _ = apps[k]
             if gi is None:
                 s = run(members[0])
             else:
@@ -455,14 +429,14 @@ def _fuser(c: Circuit, p: NoiseProfile, apps: list, t1, t2):
 
 
 def _evolve(rho: np.ndarray, apps: list, gaps: list, group, matrix) -> np.ndarray:
-    """Apply ``_structure``'s applications ``apps`` to ``rho``, whose
-    leading axis is a batch and whose other axes are the circuit's qubits.
-    ``gaps`` holds one ``_clocks`` list per schedule group, and ``group``
+    """Apply the circuit's ``wire_walk`` ``apps`` to ``rho``, whose leading
+    axis is a batch and whose other axes are the circuit's qubits.
+    ``gaps`` holds one ``_gaps`` list per schedule group, and ``group``
     each batch entry's index into it (``None`` for one group). Where the
     groups' gaps agree one matrix is applied to the whole batch; otherwise
     each entry gets its group's matrix, from one stack."""
     columns = zip(*gaps)  # per two-qubit application, its gaps in each group
-    for k, (qubits, gi, _) in enumerate(apps):
+    for k, (qubits, gi, _, _) in enumerate(apps):
         if gi is None:
             m = matrix(k, ())
         else:
@@ -470,7 +444,7 @@ def _evolve(rho: np.ndarray, apps: list, gaps: list, group, matrix) -> np.ndarra
             if col.count(col[0]) == len(col):
                 m = matrix(k, col[0])
             else:
-                m = np.stack([matrix(k, gap) for gap in col])[group]
+                m = np.array([matrix(k, gap) for gap in col])[group]
         rho = _apply(rho, m, tuple([1 + q for q in qubits]))
     return rho
 
@@ -533,24 +507,17 @@ def run_noisy_variants(c: Circuit, p: NoiseProfile, preps, readouts) -> np.ndarr
     each entry is the outcome distribution of a separate density-matrix run
     of that variant's circuit, to rounding.
 
-    A prep's gates start a fresh wire at t=0, so only their durations shape
-    the body's schedule. Variants whose preps end at the same clocks form a
-    schedule group. The body's applications are worked out once
-    (``_structure``) and each group's clocks once (``_clocks``, with each
-    gate's duration looked up once), which give each two-qubit
-    application's idle gaps; each fused matrix is built once per
-    application and gaps. Every prepared state of every group then goes on
-    one batch axis of rho, group by group, at most ``max(1,
-    MAX_LEAF_ENTRIES // 4^width)`` at a time, and the body evolves once over
-    it: every group applies the same sequence of channels, and an
-    application whose gaps differ between the groups of a chunk applies
-    each entry's own matrix from a stack. All readout combinations of every
-    entry are then read in one contraction (``_read``), its intermediates
+    A prep's gates start a fresh wire at t=0, so variants whose preps end
+    at the same clocks form a schedule group, with one ``asap_schedule``
+    from those clocks (each gate's duration looked up once per call). A
+    clock that is not finite (a prep's end, a span or a readout's end)
+    raises ``SimulationError`` before anything is evolved. As the module
+    docstring says, the groups then evolve together on one batch axis of
+    rho, at most ``max(1, MAX_LEAF_ENTRIES // 4^width)`` entries at a time,
+    and are read in one contraction (``_read``) whose intermediates stay
     within the larger of ``MAX_LEAF_ENTRIES`` and the result's entries.
-    Gate channels, idle damping, option gates and each option's prepared
-    state and readout rows come from process-wide caches keyed by value
-    (``_gate_channel``, ``_idle``, ``_option`` and ``_chain``). Probabilities below 1e-14 in magnitude are then zeroed,
-    and negative ones clipped.
+    Probabilities below 1e-14 in magnitude are then zeroed, and negative
+    ones clipped.
     """
     n = c.width
     axes = _check_entries(preps, readouts, n, float)
@@ -575,16 +542,24 @@ def run_noisy_variants(c: Circuit, p: NoiseProfile, preps, readouts) -> np.ndarr
         for i, (_, end) in enumerate(states):
             by_end.setdefault(end, []).append(i)
         classes.append(list(by_end.items()))
-    apps = _structure(c)
+    apps = wire_walk(c)
+    pairs = _pairs(apps)
     durations = [p.gate_duration(g) for g in c.gates]
     gaps, frees, members = [], [], []  # per group; per init, (group, option per prep)
     for group in itertools.product(*classes):
-        free = [0.0] * n
+        start = [0.0] * n
         for (q, _), (end, _) in zip(preps, group):
-            free[q] = end
+            start[q] = end
         members += [(len(gaps), m) for m in itertools.product(*(ix for _, ix in group))]
-        gaps.append(_clocks(apps, durations, free))
+        starts, ends, free = asap_schedule(c, durations, start)
+        gaps.append(_gaps(starts, ends, start, pairs))
         frees.append(free)
+    # durations are finite and positive, so clocks only grow: these bound all of them
+    latest = [max(clock) for clock in zip(*frees)]  # per qubit, over the groups
+    latest += [_end(latest[q], option_ns)
+               for (q, _), options in zip(readouts, chains) for _, option_ns in options]
+    if not all(map(math.isfinite, latest)):
+        raise SimulationError("the schedule's clocks are not all finite: durations overflow")
     matrix = _fuser(c, p, apps, t1, t2)
     groups = np.array([g for g, _ in members])
     picks = np.array([m for _, m in members], dtype=np.intp).reshape(len(members), len(preps))

@@ -12,7 +12,7 @@ import random
 
 import numpy as np
 
-from wirecut.circuit import GATES, Circuit, Gate
+from wirecut.circuit import GATES, Circuit, Gate, asap_schedule, wire_walk
 from wirecut.fragment import FragmentPlan, Limits, _as_root_fragment, _split, plan_from_dict
 from wirecut.graph import GateGraph
 from wirecut.ising import IsingModel
@@ -22,11 +22,11 @@ from wirecut.simulate import (
     _PAULI,
     _ZERO,
     _apply,
-    _clocks,
     _damping_superop,
     _evolve,
     _fuser,
-    _structure,
+    _gaps,
+    _pairs,
 )
 
 SIMULATE_MODULE = importlib.import_module("wirecut.simulate")
@@ -35,8 +35,8 @@ ONE_QUBIT_GATES = ("h", "x", "y", "z", "s", "sdg", "t", "tdg", "rx", "ry", "rz")
 
 def gate_counts(c: Circuit) -> tuple[int, int]:
     """(single-qubit count, two-qubit count), measurements excluded."""
-    k1 = sum(1 for g in c.gates if not g.is_measurement and not g.is_two_qubit)
-    k2 = sum(1 for g in c.gates if not g.is_measurement and g.is_two_qubit)
+    k1 = sum(1 for g in c.gates if not g.is_measurement and len(g.qubits) == 1)
+    k2 = sum(1 for g in c.gates if len(g.qubits) == 2)
     return k1, k2
 
 
@@ -92,15 +92,16 @@ def density_matrix(c: Circuit, p: NoiseProfile) -> np.ndarray:
     end-of-schedule damping applied to rho instead of read, and the Pauli
     coordinates then summed back into a matrix.
 
-    The channels are fused as ``_structure`` fuses them, so the matrix equals
+    The channels are fused as ``_fuser`` fuses them, so the matrix equals
     the gate-by-gate evolution to rounding (within 1e-12 of the full-matrix
     reference in ``oracles.py``), not bit for bit."""
     n = c.width
     t1 = [p.t1_us(q) * 1000.0 for q in range(n)]
     t2 = [p.t2_us(q) * 1000.0 for q in range(n)]
     rho = functools.reduce(np.multiply.outer, [_ZERO] * n, np.ones(1))
-    apps, free = _structure(c), [0.0] * n
-    gaps = _clocks(apps, [p.gate_duration(g) for g in c.gates], free)
+    apps, start = wire_walk(c), [0.0] * n
+    starts, ends, free = asap_schedule(c, [p.gate_duration(g) for g in c.gates], start)
+    gaps = _gaps(starts, ends, start, _pairs(apps))
     rho = _evolve(rho, apps, [gaps], None, _fuser(c, p, apps, t1, t2))[0]
     makespan = max(free, default=0.0)
     for q in range(n):

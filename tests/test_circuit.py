@@ -162,21 +162,26 @@ def test_gate_counts_exclude_measurements():
     assert sum(gate_counts(c)) == sum(1 for g in c.gates if not g.is_measurement)
 
 
+def makespan(c: Circuit, p: NoiseProfile) -> float:
+    """The ASAP makespan of ``c`` under the durations of ``p``."""
+    return max(asap_schedule(c, [p.gate_duration(g) for g in c.gates])[2])
+
+
 def test_makespan_parallel_wires():
     p = NoiseProfile(d1_ns=50.0, d2_ns=300.0)
     c = parse_qasm(HEADER + "qreg q[2]; h q[0]; h q[1];")
-    assert asap_schedule(c, p)[1] == 50.0
+    assert makespan(c, p) == 50.0
 
 
 def test_makespan_chain():
     p = NoiseProfile(d1_ns=50.0, d2_ns=300.0)
     c = parse_qasm(HEADER + "qreg q[2]; h q[0]; cx q[0],q[1];")
-    assert asap_schedule(c, p)[1] == 350.0
+    assert makespan(c, p) == 350.0
 
 
 def test_makespan_empty():
     p = NoiseProfile()
-    assert asap_schedule(parse_qasm(HEADER + "qreg q[3];"), p)[1] == 0.0
+    assert makespan(parse_qasm(HEADER + "qreg q[3];"), p) == 0.0
 
 
 def test_makespan_monotone_under_append():
@@ -186,17 +191,16 @@ def test_makespan_monotone_under_append():
         c = random_circuit(rng, rng.randint(2, 5), rng.randint(0, 15))
         extra = random_circuit(rng, c.width, 1).gates
         longer = Circuit(width=c.width, gates=c.gates + extra)
-        assert asap_schedule(longer, p)[1] >= asap_schedule(c, p)[1]
+        assert makespan(longer, p) >= makespan(c, p)
 
 
 def test_schedule_respects_wire_order():
     p = NoiseProfile(d1_ns=10.0, d2_ns=100.0)
     c = parse_qasm(HEADER + "qreg q[3]; cx q[0],q[1]; h q[2]; cx q[1],q[2];")
-    spans, makespan = asap_schedule(c, p)
-    assert spans[0] == (0.0, 100.0)
-    assert spans[1] == (0.0, 10.0)
-    assert spans[2] == (100.0, 200.0)  # waits for the first cx
-    assert makespan == 200.0
+    starts, ends, free = asap_schedule(c, [p.gate_duration(g) for g in c.gates])
+    assert starts == [0.0, 0.0, 100.0]  # the second cx waits for the first
+    assert ends == [100.0, 10.0, 200.0]
+    assert free == [100.0, 200.0, 200.0]
 
 
 def test_circuit_immutability():

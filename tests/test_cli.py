@@ -190,6 +190,27 @@ def test_overflowing_gate_duration_exits_5(tmp_path, capsys):
     assert "non-finite weight" in capsys.readouterr().err
 
 
+def test_noisy_run_of_an_overflowing_schedule_exits_6(tmp_path, capsys):
+    # the gate graph's one vertex is finite, so the plan is made; its noisy
+    # leaf's clocks are not, and the run is refused before any row is written
+    prof = tmp_path / "profile.json"
+    prof.write_text('{"version": 1, "defaults": {"d1_ns": 1e308, "t1_us": 100, "t2_us": 80}}')
+    qasm = tmp_path / "overflow.qasm"
+    qasm.write_text('OPENQASM 2.0;\ninclude "qelib1.inc";\n'
+                    "qreg q[3]; h q[0]; h q[0]; h q[1]; cx q[1],q[2];")
+    out = tmp_path / "x"
+    assert run(["cut", "--qasm", qasm, "--profile", prof, "--threshold", "0.5", "--out", out]) == 0
+    tree = json.loads((out / "plan.json").read_text())["tree"]
+    assert tree["status"] == "unsplittable-gates"
+    capsys.readouterr()
+    assert run(["run", "--out", out, "--noisy", "--profile", prof]) == 6
+    assert "clocks are not all finite" in capsys.readouterr().err
+    assert not (out / "fragments.json").exists()
+    assert run(["sweep", "--qasm", qasm, "--profile", prof, "--thresholds", "0.5", "--noisy",
+                "--out", tmp_path / "sweep"]) == 6
+    assert "clocks are not all finite" in capsys.readouterr().err
+
+
 def test_gate_error_of_one_cuts(tmp_path):
     # an error of 1 is in the schema: the gate's segment weighs 1, no crash
     prof = tmp_path / "profile.json"
@@ -791,6 +812,22 @@ def test_shots_below_one_is_a_usage_error(tmp_path, capsys, shots):
         assert exc.value.code == 2
         assert "--shots: must be at least 1" in capsys.readouterr().err
     assert not list(out.glob("fragment*.json"))
+
+
+@pytest.mark.parametrize("shots", [str(2 ** 63), str(10 ** 30)])
+def test_shots_past_an_int64_are_a_usage_error(tmp_path, capsys, shots):
+    out = tmp_path / "shots"
+    assert run(["cut", "--qasm", "fixture:fig1_n5", "--profile", "fixture:uniform",
+                "--threshold", "0", "--out", out]) == 0
+    for argv in (["run", "--out", out, "--shots", shots],
+                 ["sweep", "--qasm", "fixture:fig1_n5", "--profile", "fixture:uniform",
+                  "--thresholds", "0", "--out", out, "--shots", shots]):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
+        assert f"--shots: must be at most {2 ** 63 - 1}" in capsys.readouterr().err
+    assert not list(out.glob("fragment*.json"))
+    assert run(["run", "--out", out, "--shots", 2 ** 63 - 1]) == 0
 
 
 CUT = ["cut", "--qasm", "fixture:fig1_n5", "--profile", "fixture:uniform", "--threshold", "0.5"]

@@ -6,10 +6,10 @@ import random
 import pytest
 
 from helpers import random_circuit
-from wirecut.circuit import parse_qasm
+from wirecut.circuit import Circuit, Gate, parse_qasm
 from wirecut.fixtures import CIRCUIT_FIXTURES, PROFILE_FIXTURES, circuit_fixture, profile_fixture
 from wirecut.graph import GateGraph, GraphError, build_graph, serialize_graph
-from wirecut.noise import NoiseProfile
+from wirecut.noise import GateCal, NoiseProfile, QubitCal, success_probability
 
 HEADER = 'OPENQASM 2.0;\ninclude "qelib1.inc";\n'
 FIG1 = HEADER + "qreg q[5]; cx q[0],q[1]; cx q[1],q[2]; cx q[2],q[3]; cx q[3],q[4];"
@@ -182,3 +182,42 @@ def test_graph_documents_match_their_golden_hash():
             digest.update(serialize_graph(g).encode())
     assert digest.hexdigest() == (
         "12711946585bf151d28bc5356119ba856735373530053bfbd90305240c8637de")
+
+
+def _random_profile(rng: random.Random, c) -> NoiseProfile:
+    """Random defaults, per-qubit T1/T2 records on some qubits and per-gate
+    records on some of ``c``'s gates; a default time is now and then
+    infinite, which leaves its damping out."""
+    def time_us():
+        return math.inf if rng.random() < 0.1 else rng.uniform(5.0, 300.0)
+
+    qubits = {q: QubitCal(rng.uniform(5.0, 300.0), rng.uniform(5.0, 300.0))
+              for q in range(c.width) if rng.random() < 0.5}
+    unitary = [g for g in c.gates if not g.is_measurement]
+    gates = {(g.name, g.qubits): GateCal(rng.uniform(0.0, 0.05), rng.uniform(10.0, 900.0))
+             for g in rng.sample(unitary, min(len(unitary), rng.randrange(4)))}
+    return NoiseProfile(p1=rng.uniform(0.0, 0.01), p2=rng.uniform(0.0, 0.05),
+                        d1_ns=rng.uniform(10.0, 200.0), d2_ns=rng.uniform(100.0, 700.0),
+                        t1_default_us=time_us(), t2_default_us=time_us(),
+                        qubits=qubits, gates=gates)
+
+
+def test_random_corpus_graphs_and_estimates_match_their_golden_hash():
+    # seeded random circuits, each with terminal measurements on some
+    # qubits, under random profiles: the graph.json bytes (or the refusal
+    # of a circuit without a two-qubit gate) and the estimate's success
+    # probability, both pure-Python floats
+    rng = random.Random(2024)
+    digest = hashlib.sha256()
+    for _ in range(120):
+        c = random_circuit(rng, rng.randint(1, 6), rng.randint(0, 24), rng.uniform(0.2, 0.7))
+        measured = rng.sample(range(c.width), rng.randint(0, c.width))
+        c = Circuit(width=c.width, gates=c.gates + tuple(Gate("measure", (q,)) for q in measured))
+        p = _random_profile(rng, c)
+        try:
+            digest.update(serialize_graph(build_graph(c, p)).encode())
+        except GraphError as exc:
+            digest.update(f"GraphError: {exc}\n".encode())
+        digest.update(success_probability(c, p).success.hex().encode())
+    assert digest.hexdigest() == (
+        "b5669896ae8cdc1f783b05750e3d95222c09563b1fe28c481677368bd30f97c6")

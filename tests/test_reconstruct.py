@@ -254,7 +254,7 @@ def test_property_noisy_plans_reconstruct_the_noisy_circuit(
     plan = recursive_fragment(
         c, STRESS, threshold, limits=Limits(max_k=5), seed=plan_seed, solver="ga"
     )
-    pairs = [(g.name, g.qubits) for g in c.gates if g.is_two_qubit]
+    pairs = [(g.name, g.qubits) for g in c.gates if len(g.qubits) == 2]
     gates = {pairs[i % len(pairs)]: GateCal(err, 300.0) for i, err in records if pairs}
     profile = NoiseProfile(p1=0.0, p2=p2, gates=gates)
     result = reconstruct(execute_plan(plan, profile), plan)

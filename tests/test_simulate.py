@@ -18,17 +18,17 @@ from oracles import (
     phase_damping_channel,
     reference_density_evolution,
 )
-from wirecut.circuit import GATES, Circuit, Gate, QasmError, asap_schedule, parse_qasm
+from wirecut.circuit import GATES, Circuit, Gate, QasmError, asap_schedule, parse_qasm, wire_walk
 from wirecut.noise import GateCal, NoiseProfile, QubitCal
 from wirecut.reconstruct import fidelity, tvd
 from wirecut.simulate import (
     Distribution,
     SimulationError,
     _apply,
-    _clocks,
     _damping_superop,
+    _gaps,
+    _pairs,
     _pauli_superop,
-    _structure,
     gate_unitary,
     measure_distribution,
     run_ideal,
@@ -375,6 +375,41 @@ def test_shots_below_one_are_rejected(shots):
         sample_frequencies(measure_distribution(run_ideal(GHZ3)).probs, shots, 0)
 
 
+def test_shots_past_an_int64_are_rejected():
+    probs = measure_distribution(run_ideal(GHZ3)).probs
+    with pytest.raises(SimulationError, match=f"at most {2 ** 63 - 1}"):
+        sample_frequencies(probs, 2 ** 63, 0)
+    assert sample_frequencies(probs, 2 ** 63 - 1, 0).sum() == pytest.approx(1.0)
+
+
+# a profile whose one-qubit gates take 1e308 ns: two in a row overflow a float
+_OVERFLOW = NoiseProfile(d1_ns=1e308, t1_default_us=100.0, t2_default_us=80.0)
+
+
+@pytest.mark.parametrize("qasm, preps, readouts", [
+    pytest.param("qreg q[3]; h q[0]; h q[0]; h q[1]; cx q[1],q[2];", (), (), id="body"),
+    pytest.param("qreg q[2]; cx q[0],q[1];", ((0, (("h",), ("h", "h"))),), (), id="prep"),
+    pytest.param("qreg q[2]; h q[0]; cx q[0],q[1];", (), ((1, ((), ("h", "h"))),), id="readout"),
+])
+def test_a_schedule_whose_clocks_overflow_is_refused_before_evolving(
+        monkeypatch, qasm, preps, readouts):
+    def evolve(*args):
+        raise AssertionError("evolved")
+
+    monkeypatch.setattr(SIMULATE_MODULE, "_evolve", evolve)
+    c = parse_qasm(HEADER + qasm)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SimulationError, match="clocks are not all finite"):
+            run_noisy_variants(c, _OVERFLOW, preps, readouts)
+
+
+def test_a_direct_noisy_run_whose_schedule_overflows_is_refused():
+    c = parse_qasm(HEADER + "qreg q[3]; h q[0]; h q[0]; h q[1]; cx q[1],q[2];")
+    with pytest.raises(SimulationError, match="clocks are not all finite"):
+        run_noisy(c, _OVERFLOW)
+
+
 def test_amplitude_damping_limits():
     ch = amplitude_damping_channel(0.0, 100.0)
     assert len(ch.operators) == 2
@@ -603,34 +638,30 @@ def _noisy_case(draw):
 @settings(max_examples=100, deadline=None)
 @given(_noisy_case(), st.lists(st.floats(0.0, 500.0), min_size=5, max_size=5))
 def test_evolution_clocks_follow_the_asap_schedule(case, starts):
-    # the noisy evolution keeps its own clocks: the applications' structure
-    # follows from the circuit alone, a clock pass from 0 ends where
-    # asap_schedule's spans do, and a clock pass from any start gives one
-    # gap pair per two-qubit application of that one structure, which one
-    # evolution of several schedule groups relies on
+    # the noisy evolution reads the one ASAP schedule through the one wire
+    # walk: the walk follows from the circuit alone, and the schedule from
+    # any start clocks gives one gap pair per two-qubit application of that
+    # one walk, which one evolution of several schedule groups relies on
     c, profile = case
     durations = [profile.gate_duration(g) for g in c.gates]
-    spans, makespan = asap_schedule(c, profile)
-    apps = _structure(c)
-    assert [gi for _, gi, _ in apps if gi is not None] == c.two_qubit_indices()
-    assert all(gi is not None for _, gi, _ in apps[:len(c.two_qubit_indices())])
+    apps = wire_walk(c)
+    assert [gi for _, gi, _, _ in apps if gi is not None] == c.two_qubit_indices()
+    assert all(gi is not None for _, gi, _, _ in apps[:len(c.two_qubit_indices())])
     for q in range(c.width):  # each qubit's gates, each once, in order
         mine = [gi for gi, g in enumerate(c.gates) if not g.is_measurement and q in g.qubits]
-        order = [k for qubits, gi, runs in apps if q in qubits
+        order = [k for qubits, gi, runs, _ in apps if q in qubits
                  for k in (*runs[qubits.index(q)], gi) if k is not None]
         assert order == mine
-    free = [0.0] * c.width
-    gaps = _clocks(apps, durations, free)
-    ends = [0.0] * c.width
-    for g, (_, end) in zip(c.gates, spans):
-        if not g.is_measurement:
-            for q in g.qubits:
-                ends[q] = end
-    assert free == ends and max(free) == makespan
-    for clocks in (gaps, _clocks(apps, durations, starts[:c.width])):
+        # and each entry names the two-qubit gate before it on the wire
+        twos = [gi for gi in c.two_qubit_indices() if q in c.gates[gi].qubits]
+        before = [ups[qubits.index(q)] for qubits, _, _, ups in apps if q in qubits]
+        assert before == ([None] + twos)[:len(before)]
+    for start in ([0.0] * c.width, starts[:c.width]):
+        starts, ends, _ = asap_schedule(c, durations, start)
+        clocks = _gaps(starts, ends, start, _pairs(apps))
         assert len(clocks) == len(c.two_qubit_indices())
         assert all(len(pair) == 2 and min(pair) == 0.0 <= max(pair) for pair in clocks)
-    assert _structure(c) == apps
+    assert wire_walk(c) == apps
 
 
 @settings(max_examples=150, deadline=None)
