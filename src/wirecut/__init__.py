@@ -29,6 +29,6 @@ from .reconstruct import (
     reconstruct,
     tvd,
 )
-from .simulate import Distribution, SimulationError, measure_distribution, run_ideal, run_noisy
+from .simulate import SimulationError, measure_distribution, run_ideal, run_noisy
 
 __version__ = "0.1.0"

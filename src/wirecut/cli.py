@@ -13,18 +13,19 @@ Exit codes: 0 success, 2 usage (``CliError``: bad arguments, a missing
 input file or an output file that cannot be written), and for library
 errors the code in the one table ``_FAILURES``, which ``main`` reads: 3
 circuit parse error, 4 profile error, 5 planning/reconstruction error, 6
-simulation error. Commands let library errors through and catch one only
-to re-raise its type with context. ``_read_source`` (circuits, profiles)
-and ``_read_json`` (plan, fragments) turn an unreadable or non-UTF-8 input
-file, and ``_read_json`` malformed or too deeply nested JSON, into its
-kind's error. ``_write_text`` writes every output file in place: it opens
-the file without truncating it, writes the new bytes over the old ones and
-then truncates the file to their length. On ext4 that rewrote a 20 kB file
-in about 20 µs, against about 120 µs when the file is truncated to zero
-first; a temporary file renamed over the old one (about 90 µs) would also
-replace a symlink or a read-only file instead of writing through it. A
-write that fails truncates the file to zero before ``CliError``, so no
-previous document stays readable.
+simulation error; and 141 (128 + SIGPIPE) when stdout's reader closes it
+before the output is written. Commands let library errors through and
+catch one only to re-raise its type with context. ``_read_source``
+(circuits, profiles) and ``_read_json`` (plan, fragments) turn an
+unreadable or non-UTF-8 input file, and ``_read_json`` malformed or too
+deeply nested JSON, into its kind's error. ``_write_text`` writes every
+output file in place: it opens the file without truncating it, writes the
+new bytes over the old ones and then truncates the file to their length.
+On ext4 that rewrote a 20 kB file in about 20 µs, against about 120 µs
+when the file is truncated to zero first; a temporary file renamed over
+the old one (about 90 µs) would also replace a symlink or a read-only file
+instead of writing through it. A write that fails truncates the file to
+zero before ``CliError``, so no previous document stays readable.
 """
 from __future__ import annotations
 
@@ -399,7 +400,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # stdout's reader has gone: point fd 1 at devnull so that the
+        # interpreter's exit flush stays silent, and exit as SIGPIPE would
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -63,21 +63,11 @@ __all__ = [
     "plan_from_dict",
 ]
 
-INIT_STATES = ("zero", "one", "plus", "plus_i")
 SOLVERS = ("ga", "anneal", "both")
-MEAS_BASES = ("Z", "X", "Y")
-
-_PREP_GATES = {
-    "zero": (),
-    "one": ("x",),
-    "plus": ("h",),
-    "plus_i": ("h", "s"),
-}
-_BASIS_GATES = {
-    "Z": (),
-    "X": ("h",),
-    "Y": ("sdg", "h"),
-}
+# each in-cut init's prep gates and each out-cut basis's readout gates, the
+# first applied first; key order is the order of an init or basis axis
+INITS = {"zero": (), "one": ("x",), "plus": ("h",), "plus_i": ("h", "s")}
+BASES = {"Z": (), "X": ("h",), "Y": ("sdg", "h")}
 
 
 class PlanError(ValueError):
@@ -134,7 +124,7 @@ class Fragment:
         """Leading axes of the leaf's outputs, one entry per variant: a basis
         axis per out-cut and an init axis per in-cut, in ``variant_cuts``
         order (``enumerate_variants`` order when flattened)."""
-        return tuple(len(MEAS_BASES) if cid in self.out_cuts else len(INIT_STATES)
+        return tuple(len(BASES) if cid in self.out_cuts else len(INITS)
                      for cid in self.variant_cuts)
 
     @property
@@ -164,15 +154,15 @@ def enumerate_variants(f: Fragment) -> list[VariantRun]:
     out_ids = sorted(f.out_cuts)
     in_ids = sorted(f.in_cuts)
     variants = []
-    for bases in itertools.product(MEAS_BASES, repeat=len(out_ids)):
-        for inits in itertools.product(INIT_STATES, repeat=len(in_ids)):
+    for bases in itertools.product(BASES, repeat=len(out_ids)):
+        for inits in itertools.product(INITS, repeat=len(in_ids)):
             prep: list[Gate] = []
             for cid, state in zip(in_ids, inits):
-                for name in _PREP_GATES[state]:
+                for name in INITS[state]:
                     prep.append(Gate(name, (f.in_cuts[cid],)))
             post: list[Gate] = []
             for cid, basis in zip(out_ids, bases):
-                for name in _BASIS_GATES[basis]:
+                for name in BASES[basis]:
                     post.append(Gate(name, (f.out_cuts[cid],)))
             circuit = Circuit(
                 width=f.width,

@@ -14,8 +14,8 @@ or parsed and every row reads back bit for bit. It is read against the
 plan, not trusted: it must name that plan and hold exactly its leaves, each
 row a distribution in its leaf's layout; recombination checks once that
 each output belongs to the leaf it is combined for. The reconstructed
-``Distribution`` wraps the recombined probability vector, and fidelity, TVD
-and Hellinger distance are elementwise expressions over two vectors.
+distribution is the recombined float64 probability vector, and fidelity,
+TVD and Hellinger distance are elementwise expressions over two vectors.
 
 Each cut carries one of four labels I, Z, X, Y; the sum over all 4^k label
 assignments, scaled by 1/2 per cut, is the uncut distribution (Peng et al.,
@@ -49,10 +49,8 @@ import numpy as np
 # perfbench/pb_layers.py hooks them under these names and drops every metric
 # of a hook whose target is missing
 from .fragment import (
-    _BASIS_GATES,
-    _PREP_GATES,
-    INIT_STATES,
-    MEAS_BASES,
+    BASES,
+    INITS,
     Fragment,
     FragmentPlan,
     enumerate_variants,  # noqa: F401
@@ -60,8 +58,8 @@ from .fragment import (
 from .noise import NoiseProfile
 from .simulate import (
     MAX_STATEVECTOR_QUBITS,
-    Distribution,
     SimulationError,
+    measure_distribution,
     run_ideal,
     run_noisy,  # noqa: F401
     run_noisy_variants,
@@ -83,14 +81,10 @@ __all__ = [
 
 
 # out-cut map over (label, basis, bit): labels I, Z, X, Y read bases Z, Z, X, Y
-_OUT_MAP = np.zeros((4, len(MEAS_BASES), 2))
-_OUT_MAP[range(4), [MEAS_BASES.index(b) for b in "ZZXY"]] = [[1, 1], [1, -1], [1, -1], [1, -1]]
-# in-cut map over (label, init), inits in INIT_STATES order: zero, one, plus, plus_i
+_OUT_MAP = np.zeros((4, len(BASES), 2))
+_OUT_MAP[range(4), [list(BASES).index(b) for b in "ZZXY"]] = [[1, 1], [1, -1], [1, -1], [1, -1]]
+# in-cut map over (label, init), inits in INITS order: zero, one, plus, plus_i
 _IN_MAP = np.array([[1, 1, 0, 0], [1, -1, 0, 0], [-1, -1, 2, 0], [-1, -1, 0, 2]], dtype=float)
-# the prep gates of each init and the basis gates of each readout basis, in
-# INIT_STATES and MEAS_BASES order
-_PREP_OPTIONS = tuple(_PREP_GATES[s] for s in INIT_STATES)
-_BASIS_OPTIONS = tuple(_BASIS_GATES[b] for b in MEAS_BASES)
 _MAX_INDICES = 52  # np.einsum names every index with one of 52 letters
 # elements an intermediate tensor may hold when the leaves are contracted
 # (32 MiB), or 2^width when more; when no pair fits, numpy's greedy path
@@ -107,9 +101,9 @@ class FragmentOutput:
     """Every variant's outcome distribution of one plan leaf, in one array.
 
     ``probs`` has the leaf's ``variant_axes`` (one basis axis per out-cut
-    in ``MEAS_BASES`` order, then one init axis per in-cut in
-    ``INIT_STATES`` order, each in cut-id order), then one bit axis per
-    local qubit. ``shots`` is set when the distributions were sampled.
+    in ``BASES`` order, then one init axis per in-cut in ``INITS`` order,
+    each in cut-id order), then one bit axis per local qubit. ``shots`` is
+    set when the distributions were sampled.
     """
 
     leaf: Fragment
@@ -198,9 +192,20 @@ def _leaf_output(text, leaf: Fragment, shots: int | None) -> FragmentOutput:
         leaf.variant_axes + (2,) * leaf.width), shots)
 
 
+def _probs_to_dict(probs: np.ndarray) -> dict:
+    """``{"width", "probs"}`` of a probability vector over the 2^width
+    bitstrings, entry i for the bits of i with qubit 0 leftmost, with only
+    the non-zero entries, keyed by bitstring in index order."""
+    width = probs.size.bit_length() - 1
+    nonzero = np.flatnonzero(probs)
+    spec = f"0{width}b"
+    keys = [format(i, spec) for i in nonzero.tolist()]
+    return {"width": width, "probs": dict(zip(keys, probs[nonzero].tolist()))}
+
+
 @dataclass
 class ReconstructionResult:
-    distribution: Distribution
+    distribution: np.ndarray  # the normalised vector of 2^width probabilities
     k: int
     terms: int
     clipped_mass: float
@@ -208,7 +213,7 @@ class ReconstructionResult:
 
     def to_dict(self) -> dict:
         return {
-            "distribution": self.distribution.to_dict(),
+            "distribution": _probs_to_dict(self.distribution),
             "k": self.k,
             "terms": self.terms,
             "clipped_mass": self.clipped_mass,
@@ -227,9 +232,10 @@ def execute_plan(
     Each leaf's in-cuts become prep entries offering each init's prep gates,
     and its out-cuts readout entries offering each basis's gates, both in
     cut-id order. Without ``profile`` they go to ``run_ideal``, whose
-    amplitudes are squared; with it, to ``run_noisy_variants`` under the
-    profile remapped onto the leaf's qubits, whose rows each equal a
-    separate density-matrix run of their variant circuit to rounding.
+    amplitudes ``measure_distribution`` squares; with it, to
+    ``run_noisy_variants`` under the profile remapped onto the leaf's
+    qubits, whose rows each equal a separate density-matrix run of their
+    variant circuit to rounding.
     Either way the leaf's exact rows come first. With ``shots``, each row
     (one per variant, in ``enumerate_variants`` order) is then replaced by
     the frequencies ``sample_frequencies`` draws from it, seeded with
@@ -241,12 +247,13 @@ def execute_plan(
     allocated.
     """
     outputs: dict[int, FragmentOutput] = {}
+    inits, bases = tuple(INITS.values()), tuple(BASES.values())
     for leaf in plan.leaf_fragments():
-        preps = [(leaf.in_cuts[cid], _PREP_OPTIONS) for cid in sorted(leaf.in_cuts)]
-        readouts = [(leaf.out_cuts[cid], _BASIS_OPTIONS) for cid in sorted(leaf.out_cuts)]
+        preps = [(leaf.in_cuts[cid], inits) for cid in sorted(leaf.in_cuts)]
+        readouts = [(leaf.out_cuts[cid], bases) for cid in sorted(leaf.out_cuts)]
         try:
             if profile is None:
-                probs = np.abs(run_ideal(leaf.circuit, preps, readouts)) ** 2
+                probs = measure_distribution(run_ideal(leaf.circuit, preps, readouts))
             else:
                 probs = run_noisy_variants(leaf.circuit, profile.for_subcircuit(leaf.qubit_map),
                                            preps, readouts)
@@ -381,7 +388,7 @@ def reconstruct(outputs: dict[int, FragmentOutput], plan: FragmentPlan) -> Recon
     if total <= 0:
         raise ReconstructionError("reconstructed distribution has no positive mass")
     return ReconstructionResult(
-        distribution=Distribution(clipped_vec / total), k=k, terms=4 ** k, clipped_mass=clipped
+        distribution=clipped_vec / total, k=k, terms=4 ** k, clipped_mass=clipped
     )
 
 
@@ -389,33 +396,33 @@ def reconstruct(outputs: dict[int, FragmentOutput], plan: FragmentPlan) -> Recon
 # Distribution distances
 # ---------------------------------------------------------------------------
 
-def _check_widths(a: Distribution, b: Distribution):
-    if a.width != b.width:
-        raise ReconstructionError(f"width mismatch: {a.width} != {b.width}")
+def _check_shapes(a: np.ndarray, b: np.ndarray):
+    if a.shape != b.shape:
+        raise ReconstructionError(f"shape mismatch: {a.shape} != {b.shape}")
 
 
 # Python's ``sum`` over the non-zero terms in index (sorted-bitstring) order:
 # np.sum's pairwise order would move the last bits; the list fits the support.
 
-def _bhattacharyya(a: Distribution, b: Distribution) -> float:
-    both = (a.probs > 0) & (b.probs > 0)
-    return sum(np.sqrt(a.probs[both] * b.probs[both]).tolist(), 0.0)
+def _bhattacharyya(a: np.ndarray, b: np.ndarray) -> float:
+    both = (a > 0) & (b > 0)
+    return sum(np.sqrt(a[both] * b[both]).tolist(), 0.0)
 
 
-def fidelity(a: Distribution, b: Distribution) -> float:
+def fidelity(a: np.ndarray, b: np.ndarray) -> float:
     """Classical (Bhattacharyya) fidelity: (sum_x sqrt(a(x) b(x)))^2."""
-    _check_widths(a, b)
+    _check_shapes(a, b)
     return min(_bhattacharyya(a, b) ** 2, 1.0)
 
 
-def tvd(a: Distribution, b: Distribution) -> float:
+def tvd(a: np.ndarray, b: np.ndarray) -> float:
     """Total variation distance: half the L1 distance over the union support."""
-    _check_widths(a, b)
-    diff = np.abs(a.probs - b.probs)
+    _check_shapes(a, b)
+    diff = np.abs(a - b)
     return 0.5 * sum(diff[diff > 0].tolist(), 0.0)
 
 
-def hellinger(a: Distribution, b: Distribution) -> float:
+def hellinger(a: np.ndarray, b: np.ndarray) -> float:
     """Hellinger distance: sqrt(1 - Bhattacharyya coefficient)."""
-    _check_widths(a, b)
+    _check_shapes(a, b)
     return math.sqrt(max(0.0, 1.0 - _bhattacharyya(a, b)))

@@ -1,9 +1,9 @@
 """Statevector and density-matrix simulation of the gate-error + damping model.
 
 Conventions: qubit 0 owns the leftmost character of a measurement
-bitstring, and a ``Distribution`` is the dense vector of the 2^width
-outcome probabilities, indexed by those bits. A statevector is held with
-one 2-valued axis per qubit.
+bitstring, and a distribution is a float64 array of the 2^width outcome
+probabilities, indexed by those bits: a dense vector, or one bit axis per
+qubit. A statevector is held with one 2-valued axis per qubit.
 
 ``run_ideal`` and ``run_noisy_variants`` give every variant of a circuit
 that differs only in one-qubit gates prepended or appended on some qubits
@@ -70,7 +70,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -79,7 +78,6 @@ from .noise import NoiseProfile
 
 __all__ = [
     "SimulationError",
-    "Distribution",
     "run_ideal",
     "measure_distribution",
     "sample_frequencies",
@@ -236,36 +234,11 @@ def run_ideal(c: Circuit, preps=None, readouts=None) -> np.ndarray:
 # Distributions
 # ---------------------------------------------------------------------------
 
-@dataclass(eq=False)
-class Distribution:
-    """Outcome probabilities as a dense vector over the 2^width bitstrings.
-
-    Entry i is the bitstring of i in binary with qubit 0 leftmost, so index
-    order is sorted bitstring order. Bitstrings exist only in the document
-    form (``to_dict``).
-    """
-
-    probs: np.ndarray
-
-    @property
-    def width(self) -> int:
-        return self.probs.size.bit_length() - 1
-
-    def to_dict(self) -> dict:
-        """``{"width", "probs"}`` with only the non-zero entries."""
-        nonzero = np.flatnonzero(self.probs)
-        spec = f"0{self.width}b"
-        keys = [format(i, spec) for i in nonzero.tolist()]
-        return {"width": self.width, "probs": dict(zip(keys, self.probs[nonzero].tolist()))}
-
-
-def measure_distribution(state) -> Distribution:
-    """Exact Born-rule outcome distribution of a statevector; noisy
+def measure_distribution(amplitudes) -> np.ndarray:
+    """The Born rule: the outcome probabilities of ``amplitudes``, over the
+    same axes (a statevector, or ``run_ideal``'s variants); noisy
     distributions come from ``run_noisy``."""
-    state = np.asarray(state)
-    if state.ndim != 1:
-        raise SimulationError("expected a statevector")
-    return Distribution(np.abs(state) ** 2)
+    return np.abs(amplitudes) ** 2
 
 
 def sample_frequencies(probs: np.ndarray, shots: int, seed) -> np.ndarray:
@@ -449,13 +422,14 @@ def _evolve(rho: np.ndarray, apps: list, gaps: list, group, matrix) -> np.ndarra
     return rho
 
 
-def run_noisy(c: Circuit, p: NoiseProfile) -> Distribution:
-    """Exact outcome distribution of ``c`` under the gate-error + damping model.
+def run_noisy(c: Circuit, p: NoiseProfile) -> np.ndarray:
+    """Exact outcome distribution of ``c`` under the gate-error + damping
+    model, as a vector of 2^width probabilities.
 
     The variant-free case of ``run_noisy_variants``: density-matrix
     evolution, so the cost is 4^width; capped accordingly.
     """
-    return Distribution(run_noisy_variants(c, p, (), ()).reshape(-1))
+    return run_noisy_variants(c, p, (), ()).reshape(-1)
 
 
 @functools.lru_cache(maxsize=256)

@@ -161,7 +161,7 @@ def recombined_digests(root) -> dict[str, str]:
         for path in sorted(case.glob("fragments_*.json")):
             doc = json.loads(path.read_text(encoding="utf-8"))
             result = reconstruct(outputs_from_dict(doc, plan, doc["plan"]), plan)
-            digest = hashlib.sha256(result.distribution.probs.tobytes())
+            digest = hashlib.sha256(result.distribution.tobytes())
             digest.update(np.float64(result.clipped_mass).tobytes())
             digests[f"{case.name}/{path.stem.removeprefix('fragments_')}"] = digest.hexdigest()
     return digests

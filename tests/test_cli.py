@@ -5,6 +5,9 @@ import itertools
 import json
 import math
 import os
+import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -100,6 +103,26 @@ def test_profile_without_noisy_is_a_usage_error(tmp_path, capsys):
     assert run(["run", "--out", out, "--profile", "fixture:stress"]) == 2
     assert "--noisy" in capsys.readouterr().err
     assert not list(out.glob("fragment*.json"))
+
+
+def test_a_closed_stdout_exits_141_without_a_traceback(tmp_path):
+    # stdout is a pipe whose read end is closed before the child starts, so
+    # its first write fails; the child exits as SIGPIPE would, and silently
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    env = dict(os.environ)
+    src = str(pathlib.Path(importlib.import_module("wirecut").__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    try:
+        child = subprocess.run(
+            [sys.executable, "-c", "import sys\nfrom wirecut.cli import main\n"
+             "sys.exit(main(sys.argv[1:]))", "cut", "--qasm", "fixture:ghz_n10",
+             "--profile", "fixture:stress", "--threshold", "0.8", "--out", str(tmp_path)],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, text=True)
+    finally:
+        os.close(write_end)
+    assert (child.returncode, child.stderr) == (141, "")
+    assert (tmp_path / "plan.json").is_file()
 
 
 def test_exit_codes_for_bad_inputs(tmp_path):

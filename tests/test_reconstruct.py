@@ -30,9 +30,8 @@ from oracles import dict_fidelity, dict_hellinger, dict_tvd
 from wirecut.circuit import Circuit, Gate, parse_qasm
 from wirecut.fixtures import CIRCUIT_FIXTURES, circuit_fixture, fixture_text
 from wirecut.fragment import (
-    _PREP_GATES,
-    INIT_STATES,
-    MEAS_BASES,
+    BASES,
+    INITS,
     Fragment,
     FragmentPlan,
     Limits,
@@ -44,9 +43,9 @@ from wirecut.graph import build_graph
 from wirecut.noise import GateCal, NoiseProfile, QubitCal, load_profile
 from wirecut.partition import cut_size
 from wirecut.reconstruct import (
-    Distribution,
     FragmentOutput,
     ReconstructionError,
+    _probs_to_dict,
     execute_plan,
     fidelity,
     hellinger,
@@ -77,7 +76,7 @@ def test_ghz3_reconstructs_exactly():
     result = reconstruct(execute_plan(plan), plan)
     ref = measure_distribution(run_ideal(GHZ3))
     assert tvd(result.distribution, ref) < 1e-9
-    assert result.distribution.to_dict()["probs"] == pytest.approx({"000": 0.5, "111": 0.5})
+    assert _probs_to_dict(result.distribution)["probs"] == pytest.approx({"000": 0.5, "111": 0.5})
     assert result.terms == 4
     assert result.clipped_mass < 1e-9
 
@@ -192,7 +191,7 @@ def test_shot_noise_yields_clipped_quasi_mass():
     outputs = execute_plan(plan, shots=400, seed=11)
     result = reconstruct(outputs, plan)
     assert result.clipped_mass >= 0.0
-    assert result.distribution.probs.sum() == pytest.approx(1.0)
+    assert result.distribution.sum() == pytest.approx(1.0)
     ref = measure_distribution(run_ideal(GHZ3))
     assert fidelity(result.distribution, ref) > 0.9
 
@@ -300,8 +299,8 @@ def test_property_batched_leaf_matches_each_variant_circuit(leaf):
     variants = enumerate_variants(leaf)
     assert leaf.n_variants == len(variants) == len(rows)
     for row, v in zip(rows, variants):
-        idx = tuple(MEAS_BASES.index(v.bases[c]) for c in sorted(leaf.out_cuts))
-        idx += tuple(INIT_STATES.index(v.inits[c]) for c in sorted(leaf.in_cuts))
+        idx = tuple(list(BASES).index(v.bases[c]) for c in sorted(leaf.out_cuts))
+        idx += tuple(list(INITS).index(v.inits[c]) for c in sorted(leaf.in_cuts))
         expect = np.abs(run_ideal(v.circuit)) ** 2
         assert np.max(np.abs(out.probs[idx].reshape(-1) - expect)) <= 1e-12
         assert np.max(np.abs(row - expect)) <= 1e-12
@@ -336,8 +335,8 @@ def test_property_grouped_noisy_leaf_matches_each_variant_circuit(leaf, times, d
     out = execute_plan(leaf_plan(leaf), profile)[leaf.id]
     local = profile.for_subcircuit(leaf.qubit_map)
     for v in enumerate_variants(leaf):
-        idx = tuple(MEAS_BASES.index(v.bases[c]) for c in sorted(leaf.out_cuts))
-        idx += tuple(INIT_STATES.index(v.inits[c]) for c in sorted(leaf.in_cuts))
+        idx = tuple(list(BASES).index(v.bases[c]) for c in sorted(leaf.out_cuts))
+        idx += tuple(list(INITS).index(v.inits[c]) for c in sorted(leaf.in_cuts))
         expect = density_probs(v.circuit, local)
         assert np.max(np.abs(out.probs[idx].reshape(-1) - expect)) <= 1e-12
 
@@ -351,8 +350,8 @@ def test_noisy_readouts_out_of_qubit_order_match_each_variant_circuit(seed):
                     out_cuts={1: 0, 0: 1}, qubit_map=(0, 1, 2))
     out = execute_plan(leaf_plan(leaf), STRESS)[leaf.id]
     for v in enumerate_variants(leaf):
-        idx = (MEAS_BASES.index(v.bases[0]), MEAS_BASES.index(v.bases[1]),
-               INIT_STATES.index(v.inits[2]))
+        idx = (list(BASES).index(v.bases[0]), list(BASES).index(v.bases[1]),
+               list(INITS).index(v.inits[2]))
         expect = density_probs(v.circuit, STRESS)
         assert np.max(np.abs(out.probs[idx].reshape(-1) - expect)) <= 1e-12
 
@@ -370,8 +369,8 @@ def test_noisy_groups_are_chunked_to_the_leaf_budget(monkeypatch, outs, budget, 
                     out_cuts=dict(zip([1], outs)), qubit_map=(0, 1, 2, 3))
     assert leaf.n_variants << leaf.width <= budget < 16 << (2 * leaf.width)
     assert budget >> (2 * leaf.width) == chunk
-    prep_ends = [sum(STRESS.gate_duration(Gate(name, (0,))) for name in _PREP_GATES[s])
-                 for s in INIT_STATES]
+    prep_ends = [sum(STRESS.gate_duration(Gate(name, (0,))) for name in names)
+                 for names in INITS.values()]
     sizes = [prep_ends.count(end) for end in dict.fromkeys(prep_ends)]
     group_ends = set(itertools.accumulate(a * b for a in sizes for b in sizes))
     assert sizes == [1, 2, 1] and max(group_ends) == 16
@@ -402,9 +401,9 @@ def test_noisy_groups_that_disagree_apply_a_stack_of_channels(monkeypatch):
 
     monkeypatch.setattr(SIMULATE_MODULE, "_apply", spy)
     out = execute_plan(leaf_plan(leaf), STRESS)[leaf.id]
-    assert stacked and all(shape[0] == len(INIT_STATES) for shape in stacked)
+    assert stacked and all(shape[0] == len(INITS) for shape in stacked)
     for v in enumerate_variants(leaf):
-        idx = (MEAS_BASES.index(v.bases[1]), INIT_STATES.index(v.inits[0]))
+        idx = (list(BASES).index(v.bases[1]), list(INITS).index(v.inits[0]))
         expect = density_probs(v.circuit, STRESS)
         assert np.max(np.abs(out.probs[idx].reshape(-1) - expect)) <= 1e-12
 
@@ -425,8 +424,8 @@ def test_noisy_leaf_with_an_undamped_qubit_and_three_out_cuts():
     out = execute_plan(leaf_plan(leaf), profile)[leaf.id]
     assert out.probs.shape == (3, 3, 3, 4) + (2,) * 4
     for v in enumerate_variants(leaf):
-        idx = tuple(MEAS_BASES.index(v.bases[c]) for c in (1, 3, 4))
-        idx += (INIT_STATES.index(v.inits[5]),)
+        idx = tuple(list(BASES).index(v.bases[c]) for c in (1, 3, 4))
+        idx += (list(INITS).index(v.inits[5]),)
         expect = density_probs(v.circuit, profile)
         assert np.max(np.abs(out.probs[idx].reshape(-1) - expect)) <= 1e-12
 
@@ -519,7 +518,7 @@ def labelled_sum(outputs, plan):
         for leaf in plan.leaf_fragments():
             out_ids, in_ids = sorted(leaf.out_cuts), sorted(leaf.in_cuts)
             # one row per variant, bases of the out-cuts outermost
-            choices = itertools.product(*[MEAS_BASES] * len(out_ids), *[INIT_STATES] * len(in_ids))
+            choices = itertools.product(*[BASES] * len(out_ids), *[INITS] * len(in_ids))
             row_of = {choice: row for row, choice in enumerate(choices)}
             bases = tuple("Z" if label[c] == "I" else label[c] for c in out_ids)
             factor = defaultdict(float)
@@ -547,7 +546,7 @@ def reconstruct_as_labelled_sum(outputs, plan):
     clipped = -sum(min(v, 0.0) for v in quasi.values())
     positive = sum(max(v, 0.0) for v in quasi.values())
     assert result.clipped_mass == pytest.approx(clipped, abs=1e-12)
-    got = result.distribution.to_dict()["probs"]
+    got = _probs_to_dict(result.distribution)["probs"]
     for bits in set(quasi) | set(got):
         expected = max(quasi.get(bits, 0.0), 0.0) / positive
         assert got.get(bits, 0.0) == pytest.approx(expected, abs=1e-12)
@@ -745,11 +744,11 @@ def test_overflowing_recombination_is_an_error():
 
 
 def d(width, probs):
-    """Distribution of width ``width`` from a {bitstring: prob} map."""
+    """The probability vector of width ``width`` of a {bitstring: prob} map."""
     vec = np.zeros(1 << width)
     for bits, p in probs.items():
         vec[int(bits, 2)] = p
-    return Distribution(vec)
+    return vec
 
 
 def test_ideal_documents_match_their_golden_hash():
@@ -941,5 +940,11 @@ def test_property_vector_distances_equal_the_dict_loops(case):
     assert fidelity(a, b) == dict_fidelity(pa, pb)
     assert tvd(a, b) == dict_tvd(pa, pb)
     assert hellinger(a, b) == dict_hellinger(pa, pb)
-    assert a.to_dict() == {"width": width, "probs": pa}
-    assert list(a.to_dict()["probs"]) == sorted(pa)
+    assert _probs_to_dict(a) == {"width": width, "probs": pa}
+    assert list(_probs_to_dict(a)["probs"]) == sorted(pa)
+
+
+@pytest.mark.parametrize("distance", [fidelity, tvd, hellinger])
+def test_distances_refuse_vectors_of_different_lengths(distance):
+    with pytest.raises(ReconstructionError, match=r"shape mismatch: \(4,\) != \(8,\)"):
+        distance(d(2, {"00": 1.0}), d(3, {"000": 1.0}))

@@ -20,9 +20,8 @@ from oracles import (
 )
 from wirecut.circuit import GATES, Circuit, Gate, QasmError, asap_schedule, parse_qasm, wire_walk
 from wirecut.noise import GateCal, NoiseProfile, QubitCal
-from wirecut.reconstruct import fidelity, tvd
+from wirecut.reconstruct import _probs_to_dict, fidelity, tvd
 from wirecut.simulate import (
-    Distribution,
     SimulationError,
     _apply,
     _damping_superop,
@@ -354,16 +353,16 @@ def test_shared_gate_matrices_are_read_only(name):
 
 def test_measure_distribution_ghz():
     d = measure_distribution(run_ideal(GHZ3))
-    assert d.to_dict()["probs"] == pytest.approx({"000": 0.5, "111": 0.5})
+    assert _probs_to_dict(d)["probs"] == pytest.approx({"000": 0.5, "111": 0.5})
 
 
 def test_measure_distribution_zero_state():
     d = measure_distribution(run_ideal(Circuit(width=1, gates=())))
-    assert d.to_dict()["probs"] == {"0": 1.0}
+    assert _probs_to_dict(d)["probs"] == {"0": 1.0}
 
 
 def test_shot_sampling_within_binomial_bound():
-    freq = sample_frequencies(measure_distribution(run_ideal(GHZ3)).probs, 100_000, 7)
+    freq = sample_frequencies(measure_distribution(run_ideal(GHZ3)), 100_000, 7)
     assert abs(freq[0b000] - 0.5) < 0.01
     assert abs(freq[0b111] - 0.5) < 0.01
     assert freq.sum() == pytest.approx(1.0)
@@ -372,11 +371,11 @@ def test_shot_sampling_within_binomial_bound():
 @pytest.mark.parametrize("shots", [0, -5])
 def test_shots_below_one_are_rejected(shots):
     with pytest.raises(SimulationError, match="at least 1"):
-        sample_frequencies(measure_distribution(run_ideal(GHZ3)).probs, shots, 0)
+        sample_frequencies(measure_distribution(run_ideal(GHZ3)), shots, 0)
 
 
 def test_shots_past_an_int64_are_rejected():
-    probs = measure_distribution(run_ideal(GHZ3)).probs
+    probs = measure_distribution(run_ideal(GHZ3))
     with pytest.raises(SimulationError, match=f"at most {2 ** 63 - 1}"):
         sample_frequencies(probs, 2 ** 63, 0)
     assert sample_frequencies(probs, 2 ** 63 - 1, 0).sum() == pytest.approx(1.0)
@@ -480,8 +479,8 @@ def test_x_gate_with_bit_flip_error():
     c = Circuit(width=1, gates=(Gate("x", (0,)),))
     d = run_noisy(c, p)
     # X and Y errors flip the outcome back, Z does not
-    assert d.probs[0] == pytest.approx(0.2)
-    assert d.probs[1] == pytest.approx(0.8)
+    assert d[0] == pytest.approx(0.2)
+    assert d[1] == pytest.approx(0.8)
 
 
 def test_idle_relaxation_population():
@@ -492,7 +491,7 @@ def test_idle_relaxation_population():
     )
     gates = [Gate("x", (0,))] + [Gate("x", (1,)) for _ in range(21)]
     d = run_noisy(Circuit(width=2, gates=tuple(gates)), prof)
-    p_one = d.probs.reshape(2, 2)[1].sum()  # qubit 0 is the leading bit
+    p_one = d.reshape(2, 2)[1].sum()  # qubit 0 is the leading bit
     assert p_one == pytest.approx(math.exp(-1), abs=1e-12)
 
 
@@ -541,13 +540,13 @@ def test_to_dict_matches_the_dense_loop():
         for i, p in enumerate(vec):
             if p != 0.0:
                 old[format(i, f"0{width}b")] = float(p)
-        doc = Distribution(vec).to_dict()
+        doc = _probs_to_dict(vec)
         new = doc["probs"]
         assert doc["width"] == width
         assert list(new) == list(old)
         assert all(type(v) is float for v in new.values())
         assert json.dumps(new) == json.dumps(old)
-    assert Distribution(np.zeros(4)).to_dict() == {"width": 2, "probs": {}}
+    assert _probs_to_dict(np.zeros(4)) == {"width": 2, "probs": {}}
 
 
 # the normalised Pauli basis {I, X, Y, Z}/sqrt(2), over (index, row, column)
@@ -678,4 +677,4 @@ def test_direct_run_reads_the_full_matrix_diagonal(case):
     # direct execution is the variant-free readout of the fragments'
     # evolution; it must give the outcome probabilities of density_matrix
     c, profile = case
-    assert np.max(np.abs(run_noisy(c, profile).probs - density_probs(c, profile))) <= 1e-14
+    assert np.max(np.abs(run_noisy(c, profile) - density_probs(c, profile))) <= 1e-14
